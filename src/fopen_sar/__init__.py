@@ -9,7 +9,7 @@ performance (ISLR / PSLR).
 __version__ = "0.1.0"
 
 from .echo import (RawDataMatrix, SimulationConfig, apply_foliage, read_fsar,
-                   synthesize_pulse, synthesize_raw, write_fsar)
+                   synthesize_raw, write_fsar)
 from .foliage import (FoliageChannel, FoliageParams, FoliageRealization,
                       fbm_path, mean_attenuation_db, phase_fluctuation,
                       sample_gamma_fluctuation)

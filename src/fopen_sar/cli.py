@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of consecutive seeds (metrics/compare)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (or FOPEN_SAR_THREADS)")
+                       help="worker threads over independent seeds "
+                            "(or FOPEN_SAR_THREADS)")
 
     p = sub.add_parser("simulate", help="synthesize the raw data matrix")
     common(p)

@@ -1,15 +1,15 @@
-"""Raw data synthesis: per-pulse convolution, foliage injection, noise.
+"""Raw data synthesis: batched convolution, foliage injection, noise.
 
 Each range line is the linear convolution of the transmitted pulse (length
 N+M-1) with the length-M weighting RCS coefficient vector evaluated at that
-pulse's slow time, giving N+2M-2 samples. Foliage, when configured,
-multiplies the full range-line spectrum per pulse; receiver noise is added
-after the foliage, matching the signal-flow order of the channel model.
+pulse's slow time, giving L = N+2M-2 samples; all pulses are formed in one
+pass, raw = IFFT(FFT(G, L) * FFT(s, L) * F). Foliage, when configured, is
+the per-pulse spectral multiplier F; receiver noise is added after the
+foliage, matching the signal-flow order of the channel model.
 """
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,76 +107,52 @@ def apply_foliage(line: np.ndarray, realization: FoliageRealization) -> np.ndarr
     return np.fft.ifft(np.fft.fft(line) * realization.freq_response)
 
 
-def _noise_sigma2(config: SimulationConfig, pulse: PulseSamples) -> float:
-    """Per-sample complex noise variance from the configured SNR.
+def line_spectrum(g: np.ndarray, pulse: PulseSamples) -> np.ndarray:
+    """Spectrum of g * s (g a vector or G[pulse, cell]) at the linear-convolution
+    length, where the circular convolution equals the linear one."""
+    n = g.shape[-1] + len(pulse.samples) - 1
+    return np.fft.fft(g, n, axis=-1) * np.fft.fft(pulse.samples, n)
+
+
+def receiver_noise(config: SimulationConfig, pulse: PulseSamples) -> np.ndarray:
+    """Complex white receiver noise, one "receiver_noise" substream per pulse.
 
     SNR is referenced to the peak instantaneous power of the transmitted
     pulse, which a unit-RCS boresight target echoes unattenuated; this keeps
     the knob scene-independent.
     """
     peak = float(np.max(np.abs(pulse.samples) ** 2))
-    return peak / 10.0 ** (config.snr_db / 10.0)
-
-
-def synthesize_pulse(config: SimulationConfig, pulse_index: int,
-                     pulse: PulseSamples | None = None,
-                     channel: FoliageChannel | None = None) -> np.ndarray:
-    """One raw range line z = g * s (+ foliage, + noise), length N+2M-2.
-
-    pulse and channel may be passed in to amortize their construction across
-    pulses; they must match the config.
-    """
-    platform = config.platform
-    n_pulses = platform.n_pulses()
-    if not 0 <= pulse_index < n_pulses:
-        raise IndexError(f"pulse_index {pulse_index} outside [0, {n_pulses})")
-    if pulse is None:
-        pulse = transmitted_pulse(config)
-    if channel is None:
-        channel = foliage_channel(config)
-    eta = platform.slow_time_axis()[pulse_index]
-    grid = make_grid(config.scene.n_range_cells, config.ofdm.bandwidth_hz, platform)
-    g = gm_vector(config.scene, grid, platform, eta)
-    line = np.convolve(g, pulse.samples)
-    if channel is not None:
-        line = apply_foliage(line, channel.realize(pulse_index))
-    if config.snr_db is not None:
-        sigma2 = _noise_sigma2(config, pulse)
-        rng = substream(config.master_seed, "receiver_noise", pulse_index)
-        line = line + np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(len(line)) + 1j * rng.standard_normal(len(line)))
-    return line
+    sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
+    n = config.line_length
+    out = np.empty((config.platform.n_pulses(), n), dtype=complex)
+    for j in range(len(out)):
+        rng = substream(config.master_seed, "receiver_noise", j)
+        out[j] = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return out
 
 
 def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
-    """Synthesize all pulses into the raw data matrix.
+    """Synthesize all pulses into the raw data matrix in one batched pass.
 
-    Pulses are independent given the pre-generated foliage path, so they may
-    be computed on a thread pool; results are assembled by index and are
-    bit-identical for any thread count.
+    threads is the caller's worker cap; a single run uses one thread.
     """
     platform = config.platform
-    n_pulses = platform.n_pulses()
+    eta = platform.slow_time_axis()
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
-    data = np.empty((n_pulses, config.line_length), dtype=complex)
-
-    def work(j):
-        data[j] = synthesize_pulse(config, j, pulse, channel)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n_pulses)))
-    else:
-        for j in range(n_pulses):
-            work(j)
-    return RawDataMatrix(data, platform.slow_time_axis(),
-                         config.ofdm.sample_interval, config.waveform_kind)
+    grid = make_grid(config.scene.n_range_cells, config.ofdm.bandwidth_hz, platform)
+    spec = line_spectrum(gm_vector(config.scene, grid, platform, eta), pulse)
+    if channel is not None:
+        spec *= channel.response()
+    data = np.fft.ifft(spec, axis=1)
+    if config.snr_db is not None:
+        data += receiver_noise(config, pulse)
+    return RawDataMatrix(data, eta, config.ofdm.sample_interval, config.waveform_kind)
 
 
 def synthesize_from_g(g: np.ndarray, pulse: PulseSamples) -> np.ndarray:
     """Raw line for an explicit weighting vector (single-pulse test hook)."""
-    return np.convolve(np.asarray(g, dtype=complex), pulse.samples)
+    return np.fft.ifft(line_spectrum(np.asarray(g, dtype=complex), pulse))
 
 
 def write_fsar(path, raw: RawDataMatrix) -> None:

@@ -113,29 +113,6 @@ def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndar
     return np.fft.fft(np.sqrt(eig / (2.0 * m)) * z)[:n].real
 
 
-def _fgn_hosking(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """O(n^2) Hosking recursion; fallback when the embedding fails."""
-    gamma = lambda k: 0.5 * ((k + 1) ** (2 * hurst) + abs(k - 1) ** (2 * hurst)
-                             - 2 * k ** (2 * hurst))
-    out = np.empty(n)
-    phi = np.zeros(n)
-    prev = np.zeros(n)
-    v = 1.0
-    out[0] = rng.standard_normal()
-    for i in range(1, n):
-        phi[i - 1] = gamma(i)
-        for j in range(i - 1):
-            phi[j] = prev[j]
-            phi[i - 1] -= prev[j] * gamma(i - 1 - j)
-        phi[i - 1] /= v
-        for j in range(i - 1):
-            phi[j] = prev[j] - phi[i - 1] * prev[i - 2 - j]
-        v *= 1 - phi[i - 1] * phi[i - 1]
-        out[i] = np.sqrt(v) * rng.standard_normal() + phi[:i][::-1] @ out[:i]
-        prev[:i] = phi[:i]
-    return out
-
-
 def fbm_path(hurst: float, n: int, step_s: float,
              rng: np.random.Generator) -> np.ndarray:
     """Fractional Brownian motion sampled at n points, step_s apart.
@@ -149,10 +126,7 @@ def fbm_path(hurst: float, n: int, step_s: float,
         raise ValueError("need at least 2 path points")
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
-    try:
-        fgn = _fgn_davies_harte(n - 1, hurst, rng)
-    except ValueError:
-        fgn = _fgn_hosking(n - 1, hurst, rng)
+    fgn = _fgn_davies_harte(n - 1, hurst, rng)
     path = np.empty(n)
     path[0] = 0.0
     np.cumsum(fgn * step_s**hurst, out=path[1:])
@@ -176,8 +150,9 @@ class FoliageChannel:
     """Per-run foliage realization factory for a fixed frequency grid.
 
     The fBm flight path (and, unless redraw_per_pulse, the per-bin Gamma
-    and uniform-phase draws) is generated once up front; realizations for
-    individual pulses are then independent and may be computed in parallel.
+    and uniform-phase draws) is generated once up front. response() gives
+    every pulse's transfer function in one array pass; realize(p) is its
+    row p, kept as the per-pulse reference form.
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -216,29 +191,34 @@ class FoliageChannel:
         """Flight-path amplitude factor exp(eta_H) at the given pulse."""
         return float(self._delta_eta[pulse_index])
 
-    def _fluctuation(self, pulse_index: int):
-        d_omega = (self._frozen_gamma if self._frozen_gamma is not None
-                   else self._draw_gamma(1 + pulse_index))
-        delta_a = d_omega * self._delta_eta[pulse_index]
-        amp = self._a0_linear * (1.0 + delta_a)
-        floor = self.params.amplitude_floor * self._a0_linear
-        return np.maximum(amp, floor), delta_a
+    def _transfer(self, pulses: np.ndarray):
+        """Amplitude A and phase Phi [pulse, bin]: delta_A is the outer product
+        of the per-bin draws (per-pulse substreams if redrawn) and delta_eta."""
+        n_bins = len(self.freq_grid_hz)
+        if self._frozen_gamma is not None:
+            d_omega, psi = self._frozen_gamma[None, :], self._frozen_psi[None, :]
+        else:
+            d_omega = np.array([self._draw_gamma(1 + p) for p in pulses])
+            psi = np.array([draw_uniform_phase(
+                substream(self.params.seed, "foliage_phase", 1 + p), n_bins)
+                for p in pulses])
+        delta_a = d_omega * self._delta_eta[pulses, None]
+        amp = np.maximum(self._a0_linear * (1.0 + delta_a),
+                         self.params.amplitude_floor * self._a0_linear)
+        return amp, phase_fluctuation(delta_a, psi)
 
-    def amplitude_fluctuation(self, pulse_index: int) -> np.ndarray:
-        """A_k = A0_linear(f_k) * (1 + delta_A,k), clamped positive."""
-        return self._fluctuation(pulse_index)[0]
+    def response(self) -> np.ndarray:
+        """F[pulse, bin] for every pulse; row p is realize(p).freq_response."""
+        amp, phi = self._transfer(np.arange(self.n_pulses))
+        return amp * np.exp(1j * phi)
 
     def realize(self, pulse_index: int) -> FoliageRealization:
         """Transfer function F_k = A_k exp(j Phi_k) for one pulse."""
         if not 0 <= pulse_index < self.n_pulses:
             raise IndexError(f"pulse_index {pulse_index} outside [0, {self.n_pulses})")
-        amp, delta_a = self._fluctuation(pulse_index)
-        psi = (self._frozen_psi if self._frozen_psi is not None
-               else draw_uniform_phase(
-                   substream(self.params.seed, "foliage_phase", 1 + pulse_index),
-                   len(self.freq_grid_hz)))
-        phi = phase_fluctuation(delta_a, psi)
-        return FoliageRealization(amp * np.exp(1j * phi), amp, phi, pulse_index)
+        amp, phi = self._transfer(np.array([pulse_index]))
+        return FoliageRealization(amp[0] * np.exp(1j * phi[0]), amp[0], phi[0],
+                                  pulse_index)
 
 
 def dump_realizations_csv(path, channel: FoliageChannel, pulse_indices=None):

@@ -55,6 +55,11 @@ class PlatformParams:
         return C_LIGHT / self.carrier_hz
 
     @property
+    def reference_phasor(self) -> complex:
+        """exp(-j 4 pi f_c R_c / c): the two-way carrier phase at the reference range."""
+        return complex(np.exp(-1j * (4.0 * np.pi / self.wavelength_m * self.reference_range_m)))
+
+    @property
     def doppler_bandwidth_hz(self) -> float:
         """Beam-limited Doppler bandwidth 2*v_p/L_a."""
         return 2.0 * self.velocity_mps / self.antenna_length_m
@@ -158,24 +163,38 @@ def azimuth_gain(platform: PlatformParams, target: PointTarget, grid: RangeGrid,
     return np.sinc(platform.antenna_length_m * theta / platform.wavelength_m) ** 2
 
 
+def two_way_phase(target: PointTarget, grid: RangeGrid, platform: PlatformParams,
+                  eta: float | np.ndarray) -> np.ndarray:
+    """exp(-j 4 pi f_c R(eta) / c) as the reference phasor times the phase of
+    R - R_c = ((r0 - R_c)(r0 + R_c) + du^2) / (R + R_c): a small exponent,
+    free of cancellation, on which scalar and vector exp agree to rounding."""
+    r = slant_range(target, grid, platform, eta)
+    r0 = grid.slant_range_of_cell(target.range_cell)
+    rc = grid.reference_range_m
+    du = platform.velocity_mps * np.asarray(eta) - target.azimuth_m
+    dr0 = (target.range_cell - grid.n_cells // 2) * grid.cell_extent_m
+    dr = (dr0 * (r0 + rc) + du**2) / (r + rc)
+    return platform.reference_phasor * np.exp(-1j * (4.0 * np.pi / platform.wavelength_m * dr))
+
+
 def weighting_coefficient(target: PointTarget, grid: RangeGrid,
                           platform: PlatformParams,
                           eta: float | np.ndarray) -> np.ndarray:
     """g_m = sigma_m * eps_a(eta) * exp(-j 4 pi f_c R_m(eta) / c)."""
-    r = slant_range(target, grid, platform, eta)
     gain = azimuth_gain(platform, target, grid, eta)
-    phase = np.exp(-4j * np.pi * platform.carrier_hz * r / C_LIGHT)
-    return target.rcs * gain * phase
+    return target.rcs * gain * two_way_phase(target, grid, platform, eta)
 
 
 def gm_vector(scene: Scene, grid: RangeGrid, platform: PlatformParams,
-              eta: float) -> np.ndarray:
-    """Length-M weighting RCS coefficient vector at slow time eta.
+              eta: float | np.ndarray) -> np.ndarray:
+    """Weighting RCS coefficient vector g at slow time eta.
 
-    Cell m holds the coherent sum over all targets in that cell; empty
-    cells are zero.
+    A scalar eta gives the length-M vector; an array of slow times gives
+    G[pulse, cell]. Cell m holds the coherent sum over all targets in that
+    cell; empty cells are zero.
     """
-    g = np.zeros(scene.n_range_cells, dtype=complex)
+    eta = np.asarray(eta, dtype=float)
+    g = np.zeros(eta.shape + (scene.n_range_cells,), dtype=complex)
     for t in scene.targets:
-        g[t.range_cell] += weighting_coefficient(t, grid, platform, eta)
+        g[..., t.range_cell] += weighting_coefficient(t, grid, platform, eta)
     return g

@@ -5,7 +5,8 @@ M-1 guard samples at each end, transform, divide by the known symbols,
 inverse transform, keep the first M outputs. For a noiseless, foliage-free
 line this recovers sqrt(N) times the weighting coefficient vector exactly.
 Noise-waveform lines are compressed by correlation with the transmitted
-replica. Azimuth processing is a fixed-reference range-Doppler chain.
+replica, as a product of spectra. Azimuth processing is a fixed-reference
+range-Doppler chain.
 """
 
 import os
@@ -14,10 +15,9 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate
 
 from .echo import RawDataMatrix
-from .geometry import C_LIGHT, PlatformParams, RangeGrid
+from .geometry import PlatformParams, RangeGrid
 from .waveform import OfdmSpec, PulseSamples
 
 FIMG_MAGIC = b"FIMG"
@@ -96,7 +96,9 @@ def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
 
     The correlation is sampled at lags 0 .. M-1 (the valid overlap of the
     N+2M-2 line with the N+M-1 replica) and normalized by the replica
-    energy, so a unit single-tap channel gives a unit-magnitude peak.
+    energy, so a unit single-tap channel gives a unit-magnitude peak. It is
+    computed as IFFT(FFT(line) * conj(FFT(replica, L))): those lags never
+    wrap around the line length L.
     """
     rep = replica.samples
     expect = len(rep) + n_cells - 1
@@ -105,7 +107,8 @@ def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
             f"raw line length {raw.line_length} incompatible with replica "
             f"({len(rep)}) and {n_cells} cells; expected {expect}")
     energy = np.sum(np.abs(rep) ** 2)
-    out = correlate(raw.data, rep[None, :], mode="valid", method="fft") / energy
+    spec = np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(rep, raw.line_length))
+    out = np.fft.ifft(spec, axis=1)[:, :n_cells] / energy
     return RangeCompressedMatrix(out, raw.slow_time_s, raw.waveform_kind)
 
 
@@ -200,8 +203,7 @@ def azimuth_compress(rd: RangeDopplerMatrix, platform: PlatformParams,
         raise ValueError("window must be 'none' or 'hann'")
     spec = np.fft.ifftshift(rd.data * h[:, None], axes=0)
     img = np.fft.ifft(spec, axis=0)
-    img = img * np.exp(1j * (4.0 * np.pi * platform.carrier_hz
-                             * platform.reference_range_m / C_LIGHT + np.pi / 4))
+    img = img * (np.conj(platform.reference_phasor) * np.exp(1j * np.pi / 4))
     return FocusedImage(img, slow_time_s, range_axis_m, cell_extent_m)
 
 
@@ -237,15 +239,14 @@ def point_rcs_estimate(rc_line: np.ndarray, grid: RangeGrid,
                        n_subcarriers: int) -> np.ndarray:
     """Single-pulse RCS estimate: undo the sqrt(N) scale, two-way carrier
     phase, and beam gain of each cell's weighting coefficient (diagnostic)."""
-    from .geometry import PointTarget, azimuth_gain, slant_range
+    from .geometry import PointTarget, azimuth_gain, two_way_phase
 
     cells = np.arange(len(rc_line))
     out = np.empty(len(rc_line), dtype=complex)
     for m in cells:
         t = PointTarget(range_cell=int(m))
-        r = slant_range(t, grid, platform, eta)
         gain = azimuth_gain(platform, t, grid, eta)
-        phase = np.exp(4j * np.pi * platform.carrier_hz * r / C_LIGHT)
+        phase = np.conj(two_way_phase(t, grid, platform, eta))
         out[m] = rc_line[m] * phase / (np.sqrt(n_subcarriers) * max(gain, 1e-300))
     return out
 

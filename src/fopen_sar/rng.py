@@ -19,16 +19,14 @@ TAGS = {
     "receiver_noise": 6,
 }
 
-_U64 = (1 << 64) - 1
-
-
 def substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Return the Generator for (master_seed, tag, index).
 
     Parameters
     ----------
     master_seed : int
-        Run-level seed (64-bit).
+        Run-level seed, any non-negative integer; all its bits enter the
+        seed sequence, so seeds never alias.
     tag : str
         One of the names registered in ``TAGS``.
     index : int
@@ -39,6 +37,6 @@ def substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator
         raise KeyError(f"unknown rng tag {tag!r}; registered: {sorted(TAGS)}")
     if index < 0:
         raise ValueError("substream index must be >= 0")
-    ss = np.random.SeedSequence(entropy=int(master_seed) & _U64,
+    ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=(TAGS[tag], int(index)))
     return np.random.Generator(np.random.Philox(ss))

@@ -10,6 +10,7 @@ configuration) and "small" (a desk-scale variant for CI).
 import copy
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
@@ -38,6 +39,14 @@ def _expect_dict(node, path, allowed, required):
             _fail(f"{path}.{key}", "missing required key")
 
 
+def _finite(v) -> bool:
+    """False for NaN, +-Infinity (which JSON parsing accepts) and ints past float range."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _num(node, path, key, default=None, minimum=None, maximum=None,
          integer=False, allow_none=False):
     if key not in node or node[key] is None:
@@ -49,6 +58,8 @@ def _num(node, path, key, default=None, minimum=None, maximum=None,
     v = node[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{path}.{key}", "must be a number")
+    if not _finite(v):
+        _fail(f"{path}.{key}", "must be finite")
     if integer and int(v) != v:
         _fail(f"{path}.{key}", "must be an integer")
     if minimum is not None and v < minimum:
@@ -208,6 +219,8 @@ def validate_scenario(doc: dict) -> dict:
                                  minimum=1e-9, allow_none=True, default=None),
         "prf_hz": _num(p, "platform", "prf_hz", minimum=1e-9),
     }
+    if round(out["platform"]["aperture_s"] * out["platform"]["prf_hz"]) < 2:
+        _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
     if out["platform"]["reference_range_m"] < out["platform"]["altitude_m"]:
         _fail("platform.reference_range_m", "must be >= altitude_m")
 
@@ -226,8 +239,8 @@ def validate_scenario(doc: dict) -> dict:
         rcs = t.get("rcs", [1.0, 0.0])
         if (not isinstance(rcs, list) or len(rcs) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in rcs)):
-            _fail(f"{path}.rcs", "must be [re, im]")
+                           and _finite(v) for v in rcs)):
+            _fail(f"{path}.rcs", "must be [re, im] with finite numbers")
         targets.append({"cell": cell, "azimuth_m": azimuth,
                         "rcs": [float(rcs[0]), float(rcs[1])]})
     out["scene"] = {"targets": targets}
@@ -387,7 +400,7 @@ def tank_scenario(preset: str = "full") -> Scenario:
 # -- end-to-end helpers shared by the CLI and the test suite -------------
 
 def run_pipeline(scen: Scenario, master_seed=None, threads: int = 1) -> FocusedImage:
-    """Simulate and focus one scenario; returns the focused image."""
+    """Simulate and focus one scenario (one batched pass, one thread at any cap)."""
     cfg = scen.simulation_config(master_seed)
     raw = synthesize_raw(cfg, threads=threads)
     return focus_config(scen, cfg, raw)
@@ -403,10 +416,18 @@ def focus_config(scen: Scenario, cfg: SimulationConfig, raw) -> FocusedImage:
 
 
 def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict]:
-    """Per-seed metric dicts for a scenario over a seed list."""
-    out = []
-    for seed in seeds:
-        img = run_pipeline(scen, master_seed=seed, threads=threads)
-        out.append(image_metrics(img.pixels, scen.processing["upsample"],
-                                 scen.processing["smooth_window"]))
-    return out
+    """Per-seed metric dicts for a scenario over a seed list, in seed order.
+
+    Seeds are independent runs, spread over up to `threads` worker threads;
+    each result depends only on its seed, so the list is bit-identical for
+    any thread count. The first error in seed order is raised.
+    """
+    def one(seed):
+        img = run_pipeline(scen, master_seed=seed)
+        return image_metrics(img.pixels, scen.processing["upsample"],
+                             scen.processing["smooth_window"])
+
+    if threads <= 1 or len(seeds) <= 1:
+        return [one(seed) for seed in seeds]
+    with ThreadPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
+        return list(pool.map(one, seeds))

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +197,37 @@ class TestMetricsCmd:
         scen.write_text(json.dumps(doc))
         assert main(["metrics", "--scenario", str(scen),
                      "--out", str(tmp_path / "o")]) == 5
+
+
+class TestSchemaHoles:
+    """Inputs that once crashed or ran on: exit 2 with the field path."""
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda d: d["platform"].update(aperture_s=0.005), "platform.aperture_s"),
+        (lambda d: d["scene"]["targets"][0].update(rcs=[float("nan"), 0.0]),
+         "scene.targets[0].rcs"),
+        (lambda d: d["platform"].update(velocity_mps=float("inf")),
+         "platform.velocity_mps"),
+    ], ids=["too_few_pulses", "nan_rcs", "infinite_velocity"])
+    def test_metrics_exit_2_names_field(self, edit, field, tmp_path, capsys):
+        doc = copy.deepcopy(SMALL_PRESET)
+        edit(doc)
+        scen = tmp_path / "bad.json"
+        scen.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        assert main(["metrics", "--scenario", str(scen),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
+
+class TestImport:
+    def test_package_import_pulls_in_no_scipy(self):
+        code = ("import sys, fopen_sar; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestCompare:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
-                            read_fsar, synthesize_from_g, synthesize_pulse,
+                            read_fsar, synthesize_from_g,
                             synthesize_raw, transmitted_pulse, write_fsar)
 from fopen_sar.foliage import FoliageParams, FoliageRealization
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
+from fopen_sar.rng import substream
+from fopen_sar.scenario import Scenario, preset_scenario
 from fopen_sar.waveform import generate_ofdm_pulse
 
 
@@ -16,10 +18,21 @@ def _config(tiny_spec, tiny_platform, scene=None, **kw):
                             platform=tiny_platform, **kw)
 
 
+def _line(cfg, j):
+    """Pulse j's range line of the batched synthesis."""
+    return synthesize_raw(cfg).data[j]
+
+
+def _max_rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 class TestSynthesizePulse:
+    """Single range lines of the batched synthesis."""
+
     def test_empty_scene_noise_off_is_zero(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform, scene=Scene((), 8))
-        line = synthesize_pulse(cfg, 0)
+        line = _line(cfg, 0)
         assert len(line) == tiny_spec.n_subcarriers + 2 * tiny_spec.n_range_cells - 2
         np.testing.assert_array_equal(line, np.zeros_like(line))
 
@@ -29,7 +42,7 @@ class TestSynthesizePulse:
         grid = make_grid(8, tiny_spec.bandwidth_hz, tiny_platform)
         eta = tiny_platform.slow_time_axis()[3]
         g = gm_vector(cfg.scene, grid, tiny_platform, eta)
-        line = synthesize_pulse(cfg, 3)
+        line = _line(cfg, 3)
         expected = np.zeros(cfg.line_length, dtype=complex)
         expected[4:4 + len(pulse.samples)] = g[4] * pulse.samples
         np.testing.assert_allclose(line, expected, atol=1e-14)
@@ -38,16 +51,45 @@ class TestSynthesizePulse:
         a = Scene((PointTarget(2),), 8)
         b = Scene((PointTarget(6, azimuth_m=1.0, rcs=0.5j),), 8)
         ab = Scene(a.targets + b.targets, 8)
-        la = synthesize_pulse(_config(tiny_spec, tiny_platform, scene=a), 1)
-        lb = synthesize_pulse(_config(tiny_spec, tiny_platform, scene=b), 1)
-        lab = synthesize_pulse(_config(tiny_spec, tiny_platform, scene=ab), 1)
-        scale = np.max(np.abs(lab))
-        assert np.max(np.abs(lab - (la + lb))) / scale < 1e-10
+        la = _line(_config(tiny_spec, tiny_platform, scene=a), 1)
+        lb = _line(_config(tiny_spec, tiny_platform, scene=b), 1)
+        lab = _line(_config(tiny_spec, tiny_platform, scene=ab), 1)
+        assert _max_rel_err(la + lb, lab) < 1e-10
 
-    def test_out_of_range_pulse_index(self, tiny_spec, tiny_platform):
-        cfg = _config(tiny_spec, tiny_platform)
-        with pytest.raises(IndexError):
-            synthesize_pulse(cfg, tiny_platform.n_pulses())
+
+class TestBatchedMatchesPerPulseReference:
+    """Every row of synthesize_raw against the per-pulse reference forms:
+    direct convolution of gm_vector(eta_j) with the pulse, apply_foliage
+    with realize(j), then pulse j's receiver-noise substream."""
+
+    @staticmethod
+    def _reference_line(cfg, j):
+        pulse = transmitted_pulse(cfg)
+        grid = make_grid(cfg.scene.n_range_cells, cfg.ofdm.bandwidth_hz, cfg.platform)
+        eta = cfg.platform.slow_time_axis()[j]
+        line = np.convolve(gm_vector(cfg.scene, grid, cfg.platform, eta), pulse.samples)
+        channel = foliage_channel(cfg)
+        if channel is not None:
+            line = apply_foliage(line, channel.realize(j))
+        sigma2 = np.max(np.abs(pulse.samples) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
+        rng = substream(cfg.master_seed, "receiver_noise", j)
+        n = len(line)
+        return line + np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n)
+                                              + 1j * rng.standard_normal(n))
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redraw"])
+    def test_rows_match_reference(self, kind, foliage):
+        doc = preset_scenario("small").with_overrides(
+            waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH",
+            master_seed=4).doc
+        doc["noise"] = {"snr_db": 20.0}
+        if foliage == "redraw":
+            doc["foliage"]["redraw_per_pulse"] = True
+        cfg = Scenario(doc).simulation_config()
+        raw = synthesize_raw(cfg)
+        for j in range(raw.n_pulses):
+            assert _max_rel_err(raw.data[j], self._reference_line(cfg, j)) < 1e-12, j
 
 
 class TestApplyFoliage:
@@ -145,15 +187,24 @@ class TestSynthesizeRaw:
         cfg = _config(tiny_spec, tiny_platform, foliage=fol, master_seed=2)
         clean = _config(tiny_spec, tiny_platform, master_seed=2)
         ch = foliage_channel(cfg)
-        want = apply_foliage(synthesize_pulse(clean, 3), ch.realize(3))
-        got = synthesize_pulse(cfg, 3)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        want = apply_foliage(_line(clean, 3), ch.realize(3))
+        np.testing.assert_allclose(_line(cfg, 3), want, rtol=1e-12, atol=1e-15)
 
     def test_scene_waveform_cell_count_mismatch_rejected(self, tiny_spec,
                                                          tiny_platform):
         with pytest.raises(ValueError):
             SimulationConfig("ofdm", tiny_spec, Scene((PointTarget(0),), 9),
                              tiny_platform)
+
+
+class TestSeeds:
+    def test_seeds_beyond_64_bits_do_not_alias(self):
+        # 2^64 and 0 agree in their low 64 bits
+        base = preset_scenario("small").with_overrides(waveform_kind="noise",
+                                                       foliage_pol="HH")
+        a = synthesize_raw(base.simulation_config(0)).data
+        b = synthesize_raw(base.simulation_config(1 << 64)).data
+        assert not np.array_equal(a, b)
 
 
 class TestFsarIo:
@@ -195,5 +246,4 @@ class TestSynthesizeFromG:
         eta = tiny_platform.slow_time_axis()[2]
         g = gm_vector(cfg.scene, grid, tiny_platform, eta)
         pulse = generate_ofdm_pulse(tiny_spec)
-        np.testing.assert_allclose(synthesize_from_g(g, pulse),
-                                   synthesize_pulse(cfg, 2), rtol=1e-12)
+        np.testing.assert_allclose(synthesize_from_g(g, pulse), _line(cfg, 2), rtol=1e-12)

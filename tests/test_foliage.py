@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fopen_sar.foliage import (FoliageChannel, FoliageParams,
-                               _fgn_davies_harte, _fgn_hosking,
+                               _fgn_davies_harte,
                                dump_realizations_csv, draw_uniform_phase,
                                fbm_path, mean_attenuation_db,
                                phase_fluctuation, sample_gamma_fluctuation)
@@ -116,14 +116,6 @@ class TestFbm:
         s1 = np.mean(np.diff(path) ** 2)
         assert s1 == pytest.approx(step ** (2 * h), rel=0.1)
 
-    def test_hosking_fallback_agrees_statistically(self):
-        rng = substream(4, "foliage_fbm")
-        fgn = _fgn_hosking(512, 0.7, rng)
-        path = np.concatenate([[0.0], np.cumsum(fgn)])
-        slope = _structure_slope(path, np.unique(np.geomspace(1, 60, 20).astype(int)))
-        assert slope == pytest.approx(1.4, abs=0.25)
-        assert np.std(fgn) == pytest.approx(1.0, abs=0.15)
-
     def test_davies_harte_unit_variance(self):
         fgn = _fgn_davies_harte(1 << 14, 0.4, substream(5, "foliage_fbm"))
         assert np.std(fgn) == pytest.approx(1.0, abs=0.05)
@@ -228,6 +220,15 @@ class TestFoliageChannel:
         smooth = self._channel(seed=4, spectral_smoothing_bins=8)
         assert (np.var(np.abs(smooth.realize(0).freq_response))
                 < np.var(np.abs(rough.realize(0).freq_response)))
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_response_rows_are_realizations(self, redraw):
+        ch = self._channel(seed=5, redraw_per_pulse=redraw)
+        f = ch.response()
+        assert f.shape == (16, 64)
+        for p in range(16):
+            np.testing.assert_allclose(f[p], ch.realize(p).freq_response,
+                                       rtol=1e-14, atol=0)
 
     def test_csv_dump(self, tmp_path):
         ch = self._channel()

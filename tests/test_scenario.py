@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import (SMALL_PRESET, SchemaError,
                                 Scenario, load_scenario, preset_scenario,
-                                tank_scenario, tank_targets, validate_scenario)
+                                run_metrics, tank_scenario, tank_targets,
+                                validate_scenario)
 
 
 class TestValidation:
@@ -49,6 +51,25 @@ class TestValidation:
         doc = copy.deepcopy(SMALL_PRESET)
         doc["scene"]["targets"][0]["rcs"] = [1.0]
         with pytest.raises(SchemaError, match=r"rcs"):
+            validate_scenario(doc)
+
+    def test_non_finite_rcs_rejected(self):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["scene"]["targets"][0]["rcs"] = [math.nan, 0.0]
+        with pytest.raises(SchemaError, match=r"scene\.targets\[0\]\.rcs"):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    def test_non_finite_number_rejected(self, value):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["platform"]["velocity_mps"] = value
+        with pytest.raises(SchemaError, match=r"platform\.velocity_mps: must be finite"):
+            validate_scenario(doc)
+
+    def test_too_few_pulses_rejected(self):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["platform"]["aperture_s"] = 0.005  # rounds to 1 pulse at 128 Hz
+        with pytest.raises(SchemaError, match=r"platform\.aperture_s"):
             validate_scenario(doc)
 
     def test_foliage_defaults_fill_in(self):
@@ -135,3 +156,29 @@ class TestTankFixture:
         scen = tank_scenario("full")
         assert len(scen.doc["scene"]["targets"]) >= 25
         scen.simulation_config()
+
+
+class TestRunMetrics:
+    def test_bit_identical_for_any_thread_count(self):
+        scen = preset_scenario("small").with_overrides(waveform_kind="noise",
+                                                       foliage_pol="HH")
+        seeds = [3, 4, 5, 6, 7]
+        serial = run_metrics(scen, seeds, threads=1)
+        assert len(serial) == len(seeds)
+        assert serial != run_metrics(scen, seeds[::-1], threads=1)
+        for threads in (2, 4):
+            assert run_metrics(scen, seeds, threads=threads) == serial
+
+    def test_no_peak_error_raised_for_any_thread_count(self):
+        # tank scene, noise waveform, no foliage, 30 dB SNR: seed 7 has no peak
+        doc = tank_scenario("full").with_overrides(waveform_kind="noise",
+                                                   foliage_pol="off").doc
+        doc["noise"] = {"snr_db": 30.0}
+        scen = Scenario(doc)
+        messages = set()
+        for threads in (1, 2, 4):
+            with pytest.raises(NoPeakError) as err:
+                run_metrics(scen, [5, 6, 7, 8], threads=threads)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert len(run_metrics(scen, [5, 6, 8], threads=2)) == 3
