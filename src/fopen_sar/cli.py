@@ -5,12 +5,12 @@ optionally overridden by --waveform / --foliage / --seed), runs its stage,
 writes artifacts under --out, and records a manifest with the resolved
 configuration, seeds, output hashes and timings.
 
-Exit codes: 0 success, 2 scenario/schema violation, 3 I/O failure,
-4 raw-file/scenario mismatch, 5 no peak in the image.
+Exit codes: 0 success, 2 scenario/schema violation, 3 I/O failure or a
+malformed FSAR/FIMG file, 4 raw-file/scenario mismatch, 5 no peak in the
+image.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -22,11 +22,12 @@ import numpy as np
 from . import __version__
 from .echo import (RawDataMatrix, foliage_channel, read_fsar, synthesize_raw,
                    write_fsar, write_raw_csv)
+from .fileio import FormatError, write_csv
 from .foliage import dump_realizations_csv
 from .imaging import read_fimg, write_fimg, write_pgm, write_png
 from .metrics import (NoPeakError, aggregate_reports, extract_profiles,
                       image_metrics)
-from .scenario import (PRESETS, SchemaError, Scenario, focus_config,
+from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_config,
                        load_scenario, preset_scenario, run_metrics,
                        tank_scenario)
 
@@ -56,15 +57,15 @@ def _threads(args) -> int:
     return 1
 
 
+def _preset(name) -> Scenario:
+    """A --preset scenario: a preset, or "tank" (the full preset's tank scene)."""
+    return tank_scenario("full") if name == "tank" else preset_scenario(name)
+
+
 def _resolve_scenario(args) -> Scenario:
     if bool(args.scenario) == bool(args.preset):
         raise SchemaError("scenario: give exactly one of --scenario or --preset")
-    if args.scenario:
-        scen = load_scenario(args.scenario)
-    elif args.preset == "tank":
-        scen = tank_scenario("full")
-    else:
-        scen = preset_scenario(args.preset)
+    scen = load_scenario(args.scenario) if args.scenario else _preset(args.preset)
     if args.waveform or args.foliage or args.seed is not None:
         scen = scen.with_overrides(waveform_kind=args.waveform,
                                    foliage_pol=args.foliage,
@@ -106,15 +107,19 @@ def _write_profiles_csv(out_dir, label, pixels, upsample, smooth):
     paths = []
     for name, prof in (("range", rng_p), ("azimuth", az_p)):
         path = os.path.join(out_dir, f"{label}_{name}_profile.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"axis_{prof.axis_unit}", "power", "power_db"])
-            peak = prof.values.max()
-            for x, v in zip(prof.axis, prof.values):
-                db = 10 * np.log10(v / peak) if v > 0 else float("-inf")
-                w.writerow([repr(float(x)), repr(float(v)), repr(float(db))])
+        v = prof.values
+        db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
+        write_csv(path, [f"axis_{prof.axis_unit}", "power", "power_db"],
+                  [prof.axis, v, db])
         paths.append(path)
     return paths
+
+
+def _report(scen, per_seed):
+    """Aggregate per-seed metrics under the scenario's waveform and foliage."""
+    fol = scen.doc.get("foliage")
+    return aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
+                             fol["polarization"] if fol else None, fol is not None)
 
 
 def cmd_simulate(args) -> int:
@@ -206,10 +211,7 @@ def cmd_metrics(args) -> int:
         seeds = _seed_list(scen, args)
         per_seed = run_metrics(scen, seeds, threads=threads)
     t_met = time.perf_counter() - t0
-    fol = scen.doc.get("foliage")
-    report = aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
-                               fol["polarization"] if fol else None,
-                               fol is not None)
+    report = _report(scen, per_seed)
     label = f"{scen.label()}-seed{scen.master_seed}"
     path = os.path.join(args.out, f"{label}_metrics.json")
     with open(path, "w") as fh:
@@ -233,11 +235,11 @@ def cmd_compare(args) -> int:
     else:
         if not args.preset:
             raise SchemaError("compare: give --preset or two or more --scenario")
-        base = tank_scenario("full") if args.preset == "tank" else preset_scenario(args.preset)
+        base = _preset(args.preset)
         if args.seed is not None:
             base = base.with_overrides(master_seed=args.seed)
         pols = [args.foliage] if args.foliage else ["off", "HH"]
-        for kind in ("ofdm", "noise"):
+        for kind in SCHEMA["waveform"]["kind"][0]:
             for pol in pols:
                 variants.append(base.with_overrides(waveform_kind=kind,
                                                     foliage_pol=pol))
@@ -247,11 +249,7 @@ def cmd_compare(args) -> int:
     entries = []
     for scen in variants:
         seeds = _seed_list(scen, args)
-        per_seed = run_metrics(scen, seeds, threads=threads)
-        fol = scen.doc.get("foliage")
-        report = aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
-                                   fol["polarization"] if fol else None,
-                                   fol is not None)
+        report = _report(scen, run_metrics(scen, seeds, threads=threads))
         entries.append({"label": scen.label(), "seeds": seeds,
                         "metrics": report.to_dict()})
     diffs = []
@@ -295,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", metavar="PATH", help="scenario JSON")
         p.add_argument("--preset", choices=sorted(PRESETS) + ["tank"],
                        help="built-in scenario preset")
-        p.add_argument("--waveform", choices=["ofdm", "noise"],
+        p.add_argument("--waveform", choices=SCHEMA["waveform"]["kind"][0],
                        help="override the scenario waveform kind")
-        p.add_argument("--foliage", choices=["off", "HH", "VV"],
+        p.add_argument("--foliage",
+                       choices=("off",) + SCHEMA["foliage"]["polarization"][0],
                        help="override the scenario foliage section")
         p.add_argument("--seed", type=int, help="override seeds.master")
         p.add_argument("--seeds", type=int, default=1,
@@ -342,6 +341,9 @@ def main(argv=None) -> int:
     except NoPeakError as e:
         print(f"error: no peak: {e}", file=sys.stderr)
         return EXIT_NO_PEAK
+    except FormatError as e:
+        print(f"error: malformed file: {e}", file=sys.stderr)
+        return EXIT_IO
     except OSError as e:
         print(f"error: i/o: {e}", file=sys.stderr)
         return EXIT_IO

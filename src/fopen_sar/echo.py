@@ -8,12 +8,11 @@ the per-pulse spectral multiplier F; receiver noise is added after the
 foliage, matching the signal-flow order of the channel model.
 """
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import VERSION, read_container, write_container, write_csv
 from .foliage import FoliageChannel, FoliageParams, FoliageRealization
 from .geometry import PlatformParams, Scene, gm_vector, make_grid
 from .rng import substream
@@ -21,8 +20,6 @@ from .waveform import (NoiseSpec, OfdmSpec, PulseSamples, generate_noise_pulse,
                        generate_ofdm_pulse, match_energy)
 
 FSAR_MAGIC = b"FSAR"
-FSAR_VERSION = 1
-_HEADER = struct.Struct("<4sIII16s")  # magic, version, n_pulses, line_length, reserved
 
 
 @dataclass(frozen=True)
@@ -156,44 +153,18 @@ def synthesize_from_g(g: np.ndarray, pulse: PulseSamples) -> np.ndarray:
 
 
 def write_fsar(path, raw: RawDataMatrix) -> None:
-    """Binary export: 32-byte header then little-endian f64 (Re, Im) pairs."""
-    header = _HEADER.pack(FSAR_MAGIC, FSAR_VERSION, raw.n_pulses,
-                          raw.line_length, b"\0" * 16)
-    flat = np.empty((raw.n_pulses, raw.line_length, 2), dtype="<f8")
-    flat[:, :, 0] = raw.data.real
-    flat[:, :, 1] = raw.data.imag
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(flat.tobytes())
-    os.replace(tmp, path)
+    """Binary export in the FSAR container (see fileio)."""
+    write_container(path, FSAR_MAGIC, raw.data)
 
 
 def read_fsar(path) -> tuple[np.ndarray, int]:
     """Read an FSAR file; returns (complex matrix, version)."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("truncated FSAR header")
-        magic, version, n_pulses, line_length, _ = _HEADER.unpack(head)
-        if magic != FSAR_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {FSAR_MAGIC!r}")
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    expect = n_pulses * line_length * 2
-    if body.size != expect:
-        raise ValueError(f"FSAR payload has {body.size} floats, expected {expect}")
-    body = body.reshape(n_pulses, line_length, 2)
-    return body[:, :, 0] + 1j * body[:, :, 1], version
+    return read_container(path, FSAR_MAGIC), VERSION
 
 
 def write_raw_csv(path, raw: RawDataMatrix) -> None:
     """CSV export for small matrices: pulse, sample, re, im."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pulse", "sample", "re", "im"])
-        for j in range(raw.n_pulses):
-            for i in range(raw.line_length):
-                v = raw.data[j, i]
-                w.writerow([j, i, repr(v.real), repr(v.imag)])
+    pulse, sample = np.indices(raw.data.shape)
+    write_csv(path, ["pulse", "sample", "re", "im"],
+              [pulse.ravel(), sample.ravel(), raw.data.real.ravel(),
+               raw.data.imag.ravel()])

@@ -14,11 +14,11 @@ and are frozen per run by default; pulse-to-pulse variation enters through
 delta_eta. Set redraw_per_pulse=True for fully independent pulses.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import write_csv
 from .rng import substream
 
 # Mean-attenuation power-law constants (dB, f in GHz) per polarization.
@@ -225,10 +225,8 @@ def dump_realizations_csv(path, channel: FoliageChannel, pulse_indices=None):
     """Write (pulse_index, bin, Re F, Im F) rows for inspection."""
     if pulse_indices is None:
         pulse_indices = range(channel.n_pulses)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pulse_index", "bin", "re", "im"])
-        for p in pulse_indices:
-            r = channel.realize(p)
-            for k, v in enumerate(r.freq_response):
-                w.writerow([p, k, repr(v.real), repr(v.imag)])
+    pulses = np.asarray(pulse_indices)
+    f = channel.response()[pulses]
+    pulse, k = np.indices(f.shape)
+    write_csv(path, ["pulse_index", "bin", "re", "im"],
+              [pulses[pulse].ravel(), k.ravel(), f.real.ravel(), f.imag.ravel()])

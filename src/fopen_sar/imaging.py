@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import RawDataMatrix
+from .fileio import read_container, write_container
 from .geometry import PlatformParams, RangeGrid
 from .waveform import OfdmSpec, PulseSamples
 
 FIMG_MAGIC = b"FIMG"
-FIMG_VERSION = 1
-_HEADER = struct.Struct("<4sIII16s")
 
 RCMC_MODES = ("off", "spectral", "sinc8", "nearest")
 
@@ -252,33 +251,12 @@ def point_rcs_estimate(rc_line: np.ndarray, grid: RangeGrid,
 
 
 def write_fimg(path, img: FocusedImage) -> None:
-    """Binary image export, same layout as FSAR with magic FIMG."""
-    n_az, n_cells = img.pixels.shape
-    header = _HEADER.pack(FIMG_MAGIC, FIMG_VERSION, n_az, n_cells, b"\0" * 16)
-    flat = np.empty((n_az, n_cells, 2), dtype="<f8")
-    flat[:, :, 0] = img.pixels.real
-    flat[:, :, 1] = img.pixels.imag
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(flat.tobytes())
-    os.replace(tmp, path)
+    """Binary image export in the FIMG container (see fileio)."""
+    write_container(path, FIMG_MAGIC, img.pixels)
 
 
 def read_fimg(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("truncated FIMG header")
-        magic, _version, n_az, n_cells, _ = _HEADER.unpack(head)
-        if magic != FIMG_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {FIMG_MAGIC!r}")
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    expect = n_az * n_cells * 2
-    if body.size != expect:
-        raise ValueError(f"FIMG payload has {body.size} floats, expected {expect}")
-    body = body.reshape(n_az, n_cells, 2)
-    return body[:, :, 0] + 1j * body[:, :, 1]
+    return read_container(path, FIMG_MAGIC)
 
 
 def _db_image(pixels: np.ndarray, floor_db: float) -> np.ndarray:

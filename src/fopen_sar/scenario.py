@@ -1,8 +1,9 @@
 """Scenario files: schema, validation, presets, and pipeline assembly.
 
 A scenario is a JSON document with sections {waveform, platform, scene,
-foliage?, noise?, processing, outputs, seeds}. Validation is strict:
-unknown keys are rejected, and every error names the offending field path.
+foliage?, noise?, processing, outputs, seeds}, stated once in SCHEMA.
+Validation is strict: unknown keys are rejected, and every error names the
+offending field path.
 The two shipped presets are "full" (the reference ultra-wideband stripmap
 configuration) and "small" (a desk-scale variant for CI).
 """
@@ -28,15 +29,66 @@ def _fail(path, msg):
     raise SchemaError(f"{path}: {msg}")
 
 
-def _expect_dict(node, path, allowed, required):
-    if not isinstance(node, dict):
-        _fail(path, "must be an object")
-    for key in node:
-        if key not in allowed:
-            _fail(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in node:
-            _fail(f"{path}.{key}", "missing required key")
+# The scenario schema: SCHEMA[section][key] = (type, default, minimum, maximum).
+# type is int, float, bool, list (a non-empty array), complex ([re, im]) or a
+# tuple of allowed values. REQUIRED marks a required key; a default of None
+# makes a number optional and nullable. Sections are checked in this order.
+REQUIRED = object()
+OPTIONAL_SECTIONS = ("foliage", "noise")
+SCHEMA = {
+    "waveform": {
+        "kind": (("ofdm", "noise"), REQUIRED, None, None),
+        "n_subcarriers": (int, REQUIRED, 1, None),
+        "n_range_cells": (int, REQUIRED, 1, None),
+        "bandwidth_hz": (float, REQUIRED, 1e-12, None),
+        "noise_variance": (float, 1.0, 1e-300, None),
+    },
+    # Key names are the PlatformParams field names.
+    "platform": {
+        "altitude_m": (float, REQUIRED, 1e-9, None),
+        "velocity_mps": (float, REQUIRED, 1e-9, None),
+        "aperture_s": (float, REQUIRED, 1e-12, None),
+        "carrier_hz": (float, REQUIRED, 1e-9, None),
+        "reference_range_m": (float, REQUIRED, 1e-9, None),
+        "antenna_length_m": (float, None, 1e-9, None),
+        "prf_hz": (float, REQUIRED, 1e-9, None),
+    },
+    "scene": {"targets": (list, REQUIRED, None, None)},
+    "foliage": {
+        "polarization": (("HH", "VV"), REQUIRED, None, None),
+        "grazing_angle_deg": (float, None, 1e-9, 90.0),
+        "gamma_shape": (float, 4.0, 1e-12, None),
+        "gamma_scale": (float, 0.25, 1e-12, None),
+        "hurst": (float, 0.4, 1e-9, 1 - 1e-9),
+        "redraw_per_pulse": (bool, False, None, None),
+        "spectral_smoothing_bins": (int, 0, 0, None),
+    },
+    "noise": {"snr_db": (float, REQUIRED, None, None)},
+    "processing": {
+        "rcmc": (RCMC_MODES, "off", None, None),
+        "azimuth_window": (("none", "hann"), "none", None, None),
+        "upsample": (int, 16, 1, None),
+        "smooth_window": (int, 3, 1, None),
+    },
+    "outputs": {
+        "db_floor": (float, -50.0, None, -1e-9),
+        "write_pgm": (bool, True, None, None),
+        "write_png": (bool, True, None, None),
+        "write_csv_profiles": (bool, True, None, None),
+        "dump_foliage_csv": (bool, False, None, None),
+    },
+    "seeds": {"master": (int, REQUIRED, 0, None)},
+}
+# Each scene.targets[i]; _after_section fills in the cell's maximum.
+TARGET = {
+    "cell": (int, REQUIRED, 0, None),
+    "azimuth_m": (float, 0.0, None, None),
+    "rcs": (complex, [1.0, 0.0], None, None),
+}
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _finite(v) -> bool:
@@ -47,40 +99,58 @@ def _finite(v) -> bool:
         return False
 
 
-def _num(node, path, key, default=None, minimum=None, maximum=None,
-         integer=False, allow_none=False):
-    if key not in node or node[key] is None:
-        if key in node and allow_none:
-            return None
-        if default is not None or allow_none:
-            return default
-        _fail(f"{path}.{key}", "missing required number")
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", "must be a number")
+def _keys(node, path, table, required):
+    if not isinstance(node, dict):
+        _fail(path, "must be an object")
+    for key in node:
+        if key not in table:
+            _fail(f"{path}.{key}", "unknown key")
+    for key in required:
+        if key not in node:
+            _fail(f"{path}.{key}", "missing required key")
+
+
+def _field(v, path, kind, default, minimum, maximum):
+    """Check one value against its table entry; returns it normalized."""
+    if isinstance(kind, tuple):
+        if v not in kind:
+            _fail(path, f"must be one of {sorted(kind)}")
+        return v
+    if kind is bool:
+        if not isinstance(v, bool):
+            _fail(path, "must be a boolean")
+        return v
+    if kind is list:
+        if not isinstance(v, list) or not v:
+            _fail(path, "must be a non-empty array")
+        return v
+    if kind is complex:
+        if (not isinstance(v, list) or len(v) != 2
+                or not all(_is_real(x) and _finite(x) for x in v)):
+            _fail(path, "must be [re, im] with finite numbers")
+        return [float(v[0]), float(v[1])]
+    if v is None:
+        if default is REQUIRED:
+            _fail(path, "missing required number")
+        return default
+    if not _is_real(v):
+        _fail(path, "must be a number")
     if not _finite(v):
-        _fail(f"{path}.{key}", "must be finite")
-    if integer and int(v) != v:
-        _fail(f"{path}.{key}", "must be an integer")
+        _fail(path, "must be finite")
+    if kind is int and int(v) != v:
+        _fail(path, "must be an integer")
     if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}")
+        _fail(path, f"must be >= {minimum}")
     if maximum is not None and v > maximum:
-        _fail(f"{path}.{key}", f"must be <= {maximum}")
-    return int(v) if integer else float(v)
+        _fail(path, f"must be <= {maximum}")
+    return kind(v)
 
 
-def _choice(node, path, key, choices, default):
-    v = node.get(key, default)
-    if v not in choices:
-        _fail(f"{path}.{key}", f"must be one of {sorted(choices)}")
-    return v
-
-
-def _flag(node, path, key, default):
-    v = node.get(key, default)
-    if not isinstance(v, bool):
-        _fail(f"{path}.{key}", "must be a boolean")
-    return v
+def _section(node, path, table) -> dict:
+    """Check one object against its field table; returns the normalized copy."""
+    _keys(node, path, table, [k for k, spec in table.items() if spec[1] is REQUIRED])
+    return {key: _field(node.get(key, spec[1]), f"{path}.{key}", *spec)
+            for key, spec in table.items()}
 
 
 class Scenario:
@@ -102,10 +172,7 @@ class Scenario:
                         symbol_seed=seed)
 
     def platform(self) -> PlatformParams:
-        p = self.doc["platform"]
-        return PlatformParams(p["altitude_m"], p["velocity_mps"], p["aperture_s"],
-                              p["carrier_hz"], p["reference_range_m"],
-                              p.get("antenna_length_m"), p["prf_hz"])
+        return PlatformParams(**self.doc["platform"])
 
     def scene(self) -> Scene:
         targets = tuple(
@@ -157,8 +224,6 @@ class Scenario:
         """
         doc = copy.deepcopy(self.doc)
         if waveform_kind is not None:
-            if waveform_kind not in ("ofdm", "noise"):
-                raise SchemaError("waveform.kind: must be one of ['noise', 'ofdm']")
             doc["waveform"]["kind"] = waveform_kind
         if foliage_pol is not None:
             if foliage_pol == "off":
@@ -181,129 +246,43 @@ def validate_scenario(doc: dict) -> dict:
     """Validate and normalize a scenario document (returns a deep copy)."""
     if not isinstance(doc, dict):
         raise SchemaError("scenario: must be a JSON object")
-    _expect_dict(doc, "scenario",
-                 allowed={"waveform", "platform", "scene", "foliage", "noise",
-                          "processing", "outputs", "seeds"},
-                 required={"waveform", "platform", "scene", "processing",
-                           "outputs", "seeds"})
+    _keys(doc, "scenario", SCHEMA, [s for s in SCHEMA if s not in OPTIONAL_SECTIONS])
     out = {}
-
-    w = doc["waveform"]
-    _expect_dict(w, "waveform",
-                 allowed={"kind", "n_subcarriers", "n_range_cells",
-                          "bandwidth_hz", "noise_variance"},
-                 required={"kind", "n_subcarriers", "n_range_cells",
-                           "bandwidth_hz"})
-    out["waveform"] = {
-        "kind": _choice(w, "waveform", "kind", {"ofdm", "noise"}, None),
-        "n_subcarriers": _num(w, "waveform", "n_subcarriers", minimum=1, integer=True),
-        "n_range_cells": _num(w, "waveform", "n_range_cells", minimum=1, integer=True),
-        "bandwidth_hz": _num(w, "waveform", "bandwidth_hz", minimum=1e-12),
-        "noise_variance": _num(w, "waveform", "noise_variance", default=1.0,
-                               minimum=1e-300),
-    }
-
-    p = doc["platform"]
-    _expect_dict(p, "platform",
-                 allowed={"altitude_m", "velocity_mps", "aperture_s", "carrier_hz",
-                          "reference_range_m", "antenna_length_m", "prf_hz"},
-                 required={"altitude_m", "velocity_mps", "aperture_s",
-                           "carrier_hz", "reference_range_m", "prf_hz"})
-    out["platform"] = {
-        "altitude_m": _num(p, "platform", "altitude_m", minimum=1e-9),
-        "velocity_mps": _num(p, "platform", "velocity_mps", minimum=1e-9),
-        "aperture_s": _num(p, "platform", "aperture_s", minimum=1e-12),
-        "carrier_hz": _num(p, "platform", "carrier_hz", minimum=1e-9),
-        "reference_range_m": _num(p, "platform", "reference_range_m", minimum=1e-9),
-        "antenna_length_m": _num(p, "platform", "antenna_length_m",
-                                 minimum=1e-9, allow_none=True, default=None),
-        "prf_hz": _num(p, "platform", "prf_hz", minimum=1e-9),
-    }
-    if round(out["platform"]["aperture_s"] * out["platform"]["prf_hz"]) < 2:
-        _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
-    if out["platform"]["reference_range_m"] < out["platform"]["altitude_m"]:
-        _fail("platform.reference_range_m", "must be >= altitude_m")
-
-    s = doc["scene"]
-    _expect_dict(s, "scene", allowed={"targets"}, required={"targets"})
-    if not isinstance(s["targets"], list) or not s["targets"]:
-        _fail("scene.targets", "must be a non-empty array")
-    targets = []
-    m = out["waveform"]["n_range_cells"]
-    for i, t in enumerate(s["targets"]):
-        path = f"scene.targets[{i}]"
-        _expect_dict(t, path, allowed={"cell", "azimuth_m", "rcs"},
-                     required={"cell"})
-        cell = _num(t, path, "cell", minimum=0, maximum=m - 1, integer=True)
-        azimuth = _num(t, path, "azimuth_m", default=0.0)
-        rcs = t.get("rcs", [1.0, 0.0])
-        if (not isinstance(rcs, list) or len(rcs) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           and _finite(v) for v in rcs)):
-            _fail(f"{path}.rcs", "must be [re, im] with finite numbers")
-        targets.append({"cell": cell, "azimuth_m": azimuth,
-                        "rcs": [float(rcs[0]), float(rcs[1])]})
-    out["scene"] = {"targets": targets}
-
-    if "foliage" in doc and doc["foliage"] is not None:
-        f = doc["foliage"]
-        _expect_dict(f, "foliage",
-                     allowed={"polarization", "grazing_angle_deg", "gamma_shape",
-                              "gamma_scale", "hurst", "redraw_per_pulse",
-                              "spectral_smoothing_bins"},
-                     required={"polarization"})
-        out["foliage"] = {
-            "polarization": _choice(f, "foliage", "polarization", {"HH", "VV"}, None),
-            "grazing_angle_deg": _num(f, "foliage", "grazing_angle_deg",
-                                      minimum=1e-9, maximum=90.0,
-                                      allow_none=True, default=None),
-            "gamma_shape": _num(f, "foliage", "gamma_shape", default=4.0,
-                                minimum=1e-12),
-            "gamma_scale": _num(f, "foliage", "gamma_scale", default=0.25,
-                                minimum=1e-12),
-            "hurst": _num(f, "foliage", "hurst", default=0.4,
-                          minimum=1e-9, maximum=1 - 1e-9),
-            "redraw_per_pulse": _flag(f, "foliage", "redraw_per_pulse", False),
-            "spectral_smoothing_bins": _num(f, "foliage", "spectral_smoothing_bins",
-                                            default=0, minimum=0, integer=True),
-        }
-
-    if "noise" in doc and doc["noise"] is not None:
-        nz = doc["noise"]
-        _expect_dict(nz, "noise", allowed={"snr_db"}, required={"snr_db"})
-        out["noise"] = {"snr_db": _num(nz, "noise", "snr_db")}
-
-    pr = doc["processing"]
-    _expect_dict(pr, "processing",
-                 allowed={"rcmc", "azimuth_window", "upsample", "smooth_window"},
-                 required=set())
-    out["processing"] = {
-        "rcmc": _choice(pr, "processing", "rcmc", set(RCMC_MODES), "off"),
-        "azimuth_window": _choice(pr, "processing", "azimuth_window",
-                                  {"none", "hann"}, "none"),
-        "upsample": _num(pr, "processing", "upsample", default=16, minimum=1,
-                         integer=True),
-        "smooth_window": _num(pr, "processing", "smooth_window", default=3,
-                              minimum=1, integer=True),
-    }
-
-    o = doc["outputs"]
-    _expect_dict(o, "outputs",
-                 allowed={"db_floor", "write_pgm", "write_png",
-                          "write_csv_profiles", "dump_foliage_csv"},
-                 required=set())
-    out["outputs"] = {
-        "db_floor": _num(o, "outputs", "db_floor", default=-50.0, maximum=-1e-9),
-        "write_pgm": _flag(o, "outputs", "write_pgm", True),
-        "write_png": _flag(o, "outputs", "write_png", True),
-        "write_csv_profiles": _flag(o, "outputs", "write_csv_profiles", True),
-        "dump_foliage_csv": _flag(o, "outputs", "dump_foliage_csv", False),
-    }
-
-    sd = doc["seeds"]
-    _expect_dict(sd, "seeds", allowed={"master"}, required={"master"})
-    out["seeds"] = {"master": _num(sd, "seeds", "master", minimum=0, integer=True)}
+    for name, table in SCHEMA.items():
+        if name in OPTIONAL_SECTIONS and doc.get(name) is None:
+            continue
+        out[name] = _section(doc[name], name, table)
+        _after_section(name, out)
     return out
+
+
+def _after_section(name, out):
+    """The rules that relate fields, run after their section, and the walk of
+    scene.targets[i], whose cell maximum M-1 comes from the waveform."""
+    if name == "waveform":
+        if out["waveform"]["n_subcarriers"] < out["waveform"]["n_range_cells"]:
+            _fail("waveform.n_subcarriers", "must be >= n_range_cells")
+    elif name == "platform":
+        p = out["platform"]
+        n_pulses = p["aperture_s"] * p["prf_hz"]
+        if not _finite(n_pulses):
+            _fail("platform.aperture_s", "aperture_s * prf_hz must be finite")
+        if round(n_pulses) < 2:
+            _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
+        if p["reference_range_m"] < p["altitude_m"]:
+            _fail("platform.reference_range_m", "must be >= altitude_m")
+    elif name == "scene":
+        m = out["waveform"]["n_range_cells"]
+        table = dict(TARGET, cell=(int, REQUIRED, 0, m - 1))
+        targets, seen = [], {}
+        for i, t in enumerate(out["scene"]["targets"]):
+            path = f"scene.targets[{i}]"
+            t = _section(t, path, table)
+            first = seen.setdefault((t["cell"], t["azimuth_m"]), path)
+            if first != path:
+                _fail(path, f"same cell and azimuth_m as {first}")
+            targets.append(t)
+        out["scene"]["targets"] = targets
 
 
 def load_scenario(path) -> Scenario:
@@ -316,9 +295,7 @@ def load_scenario(path) -> Scenario:
 
 
 def default_foliage_section() -> dict:
-    return {"polarization": "HH", "grazing_angle_deg": None, "gamma_shape": 4.0,
-            "gamma_scale": 0.25, "hurst": 0.4, "redraw_per_pulse": False,
-            "spectral_smoothing_bins": 0}
+    return _section({"polarization": "HH"}, "foliage", SCHEMA["foliage"])
 
 
 def tank_targets(center_cell: int = 96, cell_extent_m: float = 0.0375,

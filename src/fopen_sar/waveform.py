@@ -20,7 +20,8 @@ class OfdmSpec:
 
     n_subcarriers is N, n_range_cells is M (the cyclic extension is M-1
     samples), bandwidth_hz is B (the complex sample rate), symbol_seed feeds
-    the BPSK symbol draw.
+    the BPSK symbol draw. N >= M: range compression keeps M of the N
+    equalized outputs.
     """
 
     n_subcarriers: int
@@ -33,6 +34,8 @@ class OfdmSpec:
             raise ValueError("n_subcarriers must be >= 1")
         if self.n_range_cells < 1:
             raise ValueError("n_range_cells must be >= 1")
+        if self.n_subcarriers < self.n_range_cells:
+            raise ValueError("n_subcarriers must be >= n_range_cells")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be > 0")
 

@@ -83,6 +83,13 @@ class TestSimulate:
         assert os.path.exists(csv_path)
         with open(csv_path) as fh:
             assert fh.readline().strip() == "pulse,sample,re,im"
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        data, _ = read_fsar(os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar"))
+        assert len(rows) == data.size
+        for i, (j, k, re, im) in enumerate(rows):
+            assert (int(j), int(k)) == divmod(i, data.shape[1])
+            assert (float(re), float(im)) == (data[int(j), int(k)].real,
+                                              data[int(j), int(k)].imag)
 
     def test_manifest_snapshot_reproduces_outputs(self, tmp_path):
         # re-running from the manifest's resolved scenario gives identical bytes
@@ -199,16 +206,37 @@ class TestMetricsCmd:
                      "--out", str(tmp_path / "o")]) == 5
 
 
+def _set(section, key, value):
+    return lambda d: d.setdefault(section, {}).update({key: value})
+
+
+SCHEMA_HOLES = [
+    pytest.param(_set("platform", "aperture_s", 0.005), "platform.aperture_s",
+                 id="too_few_pulses"),
+    pytest.param(lambda d: d["scene"]["targets"][0].update(rcs=[float("nan"), 0.0]),
+                 "scene.targets[0].rcs", id="nan_rcs"),
+    pytest.param(_set("platform", "velocity_mps", float("inf")),
+                 "platform.velocity_mps", id="infinite_velocity"),
+    pytest.param(lambda d: d["scene"]["targets"].append(dict(d["scene"]["targets"][0])),
+                 "scene.targets[1]: same cell and azimuth_m as scene.targets[0]",
+                 id="duplicate_target"),
+    pytest.param(_set("waveform", "n_subcarriers", 1), "waveform.n_subcarriers",
+                 id="one_subcarrier"),
+    pytest.param(_set("waveform", "n_subcarriers", 47), "waveform.n_subcarriers",
+                 id="fewer_subcarriers_than_cells"),
+] + [
+    pytest.param(_set(section, key, value), f"{section}.{key}",
+                 id=f"{type(value).__name__}_{key}")
+    for section, key in (("waveform", "kind"), ("foliage", "polarization"),
+                         ("processing", "rcmc"), ("processing", "azimuth_window"))
+    for value in ([], {"a": 1})
+]
+
+
 class TestSchemaHoles:
     """Inputs that once crashed or ran on: exit 2 with the field path."""
 
-    @pytest.mark.parametrize("edit,field", [
-        (lambda d: d["platform"].update(aperture_s=0.005), "platform.aperture_s"),
-        (lambda d: d["scene"]["targets"][0].update(rcs=[float("nan"), 0.0]),
-         "scene.targets[0].rcs"),
-        (lambda d: d["platform"].update(velocity_mps=float("inf")),
-         "platform.velocity_mps"),
-    ], ids=["too_few_pulses", "nan_rcs", "infinite_velocity"])
+    @pytest.mark.parametrize("edit,field", SCHEMA_HOLES)
     def test_metrics_exit_2_names_field(self, edit, field, tmp_path, capsys):
         doc = copy.deepcopy(SMALL_PRESET)
         edit(doc)
@@ -217,6 +245,35 @@ class TestSchemaHoles:
         assert main(["metrics", "--scenario", str(scen),
                      "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+    def test_image_with_fewer_subcarriers_than_cells_writes_nothing(self, tmp_path):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["waveform"]["n_subcarriers"] = 47
+        scen = tmp_path / "bad.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["image", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestMalformedFiles:
+    """A malformed FSAR/FIMG file exits 3 and names the file."""
+
+    @pytest.mark.parametrize("argv,damage", [
+        (["image", "--raw"], lambda blob: blob[:-16]),
+        (["image", "--raw"], lambda blob: blob[:20]),
+        (["metrics", "--image"], lambda blob: blob),
+    ], ids=["image_short_raw", "image_truncated_raw", "metrics_fsar_as_image"])
+    def test_exit_3_names_file(self, argv, damage, small_file, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        main(["simulate", "--scenario", small_file, "--out", out])
+        path = tmp_path / "input.bin"
+        raw = os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar")
+        path.write_bytes(damage(open(raw, "rb").read()))
+        capsys.readouterr()
+        assert main(argv[:1] + ["--scenario", small_file] + argv[1:]
+                    + [str(path), "--out", out]) == 3
+        assert f"error: malformed file: {path}: " in capsys.readouterr().err
 
 
 class TestImport:

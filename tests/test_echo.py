@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
                             read_fsar, synthesize_from_g,
                             synthesize_raw, transmitted_pulse, write_fsar)
+from fopen_sar.fileio import FormatError
 from fopen_sar.foliage import FoliageParams, FoliageRealization
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.rng import substream
@@ -229,13 +232,31 @@ class TestFsarIo:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.fsar"
         path.write_bytes(b"XSAR" + b"\0" * 28)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad magic")):
             read_fsar(path)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "short.fsar"
         path.write_bytes(b"FSAR\0\0")
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: truncated FSAR header")):
+            read_fsar(path)
+
+    def _written(self, tiny_spec, tiny_platform, tmp_path):
+        path = tmp_path / "raw.fsar"
+        write_fsar(path, synthesize_raw(_config(tiny_spec, tiny_platform)))
+        return path
+
+    def test_short_payload_rejected(self, tiny_spec, tiny_platform, tmp_path):
+        path = self._written(tiny_spec, tiny_platform, tmp_path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: FSAR payload has")):
+            read_fsar(path)
+
+    def test_future_version_rejected(self, tiny_spec, tiny_platform, tmp_path):
+        path = self._written(tiny_spec, tiny_platform, tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: FSAR version 2")):
             read_fsar(path)
 
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from fopen_sar.echo import (RawDataMatrix, SimulationConfig, synthesize_from_g,
-                            synthesize_raw, transmitted_pulse)
+                            synthesize_raw, transmitted_pulse, write_fsar)
+from fopen_sar.fileio import FormatError
 from fopen_sar.geometry import PlatformParams, PointTarget, Scene, make_grid
 from fopen_sar.imaging import (FocusedImage, azimuth_fft,
                                migration_shift_cells, point_rcs_estimate,
@@ -333,6 +336,19 @@ class TestImageIo:
         path = tmp_path / "img.fimg"
         write_fimg(path, img)
         np.testing.assert_array_equal(read_fimg(path), img.pixels)
+
+    def test_fimg_round_trip_keeps_every_bit(self, tmp_path):
+        px = np.array([[complex(-0.0, 1.0), complex(1.0, np.inf)]])
+        path = tmp_path / "img.fimg"
+        write_fimg(path, FocusedImage(px, np.zeros(1), np.arange(2.0), 0.0375))
+        assert read_fimg(path).tobytes() == px.tobytes()
+
+    def test_fsar_is_not_an_image(self, tmp_path):
+        path = tmp_path / "raw.fsar"
+        write_fsar(path, RawDataMatrix(self._image().pixels, np.arange(8.0), 1.0, "ofdm"))
+        msg = f"{path}: bad magic b'FSAR', expected b'FIMG'"
+        with pytest.raises(FormatError, match=re.escape(msg)):
+            read_fimg(path)
 
     def test_pgm_format(self, tmp_path):
         img = self._image()

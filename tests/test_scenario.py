@@ -1,14 +1,21 @@
 import copy
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from fopen_sar.metrics import NoPeakError
-from fopen_sar.scenario import (SMALL_PRESET, SchemaError,
+from fopen_sar.scenario import (SCHEMA, SMALL_PRESET, TARGET, SchemaError,
                                 Scenario, load_scenario, preset_scenario,
                                 run_metrics, tank_scenario, tank_targets,
                                 validate_scenario)
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 class TestValidation:
@@ -72,6 +79,12 @@ class TestValidation:
         with pytest.raises(SchemaError, match=r"platform\.aperture_s"):
             validate_scenario(doc)
 
+    def test_pulse_count_overflow_rejected(self):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["platform"]["aperture_s"] = 1e307  # aperture_s * prf_hz is inf
+        with pytest.raises(SchemaError, match=r"platform\.aperture_s: .* must be finite"):
+            validate_scenario(doc)
+
     def test_foliage_defaults_fill_in(self):
         doc = copy.deepcopy(SMALL_PRESET)
         doc["foliage"] = {"polarization": "VV"}
@@ -86,6 +99,42 @@ class TestValidation:
         doc["platform"]["reference_range_m"] = 10.0
         with pytest.raises(SchemaError, match="reference_range_m"):
             validate_scenario(doc)
+
+    def test_first_missing_key_independent_of_hash_seed(self):
+        # Two missing keys in one object: the message names the first in
+        # schema order, whatever PYTHONHASHSEED orders sets by.
+        code = textwrap.dedent("""
+            import copy
+            from fopen_sar.scenario import SMALL_PRESET, SchemaError, validate_scenario
+            for section, keys in ((None, ("outputs", "seeds")),
+                                  ("platform", ("altitude_m", "prf_hz"))):
+                doc = copy.deepcopy(SMALL_PRESET)
+                for k in keys:
+                    del (doc[section] if section else doc)[k]
+                try:
+                    validate_scenario(doc)
+                except SchemaError as e:
+                    print(e)
+            """)
+        outs = []
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.abspath(os.path.join(ROOT, "src")))
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert outs[0] == outs[1] == ("scenario.outputs: missing required key\n"
+                                      "platform.altitude_m: missing required key\n")
+
+    def test_readme_example_matches_schema(self):
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            readme = fh.read()
+        block = re.search(r"## Scenario files\n\n```json\n(.*?)```", readme, re.S)
+        doc = json.loads(block.group(1))
+        validate_scenario(doc)
+        assert list(doc) == list(SCHEMA)
+        for name, table in SCHEMA.items():
+            assert set(doc[name]) == set(table), name
+        assert set(doc["scene"]["targets"][0]) == set(TARGET)
 
 
 class TestResolution:
@@ -116,6 +165,11 @@ class TestResolution:
         off = noisy.with_overrides(foliage_pol="off")
         assert "foliage" not in off.doc
         assert scen.doc["waveform"]["kind"] == "ofdm"  # original untouched
+
+    def test_with_overrides_revalidates_kind(self):
+        with pytest.raises(SchemaError, match=re.escape(
+                "waveform.kind: must be one of ['noise', 'ofdm']")):
+            preset_scenario("small").with_overrides(waveform_kind="chirp")
 
     def test_label(self):
         scen = preset_scenario("small").with_overrides(waveform_kind="noise",

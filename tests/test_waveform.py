@@ -76,6 +76,8 @@ class TestOfdmPulse:
             OfdmSpec(4, 0, 1e9)
         with pytest.raises(ValueError):
             OfdmSpec(4, 2, 0.0)
+        with pytest.raises(ValueError, match="n_subcarriers must be >= n_range_cells"):
+            OfdmSpec(47, 48, 1e9)
 
 
 class TestNoisePulse:
