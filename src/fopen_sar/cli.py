@@ -11,7 +11,9 @@ image.
 """
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -22,11 +24,11 @@ import numpy as np
 from . import __version__
 from .echo import (RawDataMatrix, foliage_channel, read_fsar, synthesize_raw,
                    write_fsar, write_raw_csv)
-from .fileio import FormatError, write_csv
+from .fileio import FormatError, write_csv, write_json
 from .foliage import dump_realizations_csv
 from .imaging import read_fimg, write_fimg, write_pgm, write_png
-from .metrics import (NoPeakError, aggregate_reports, extract_profiles,
-                      image_metrics)
+from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
+                      extract_profiles, image_metrics)
 from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_config,
                        load_scenario, preset_scenario, run_metrics,
                        tank_scenario)
@@ -73,163 +75,10 @@ def _resolve_scenario(args) -> Scenario:
     return scen
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _write_manifest(out_dir, command, scen_docs, seeds, threads, files, timings):
-    manifest = {
-        "tool": "fopen-sar",
-        "version": __version__,
-        "command": command,
-        "scenarios": scen_docs,
-        "seeds": seeds,
-        "threads": threads,
-        "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p),
-                     "bytes": os.path.getsize(p)} for p in files],
-        "timings_s": timings,
-    }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
-
-
-def _write_profiles_csv(out_dir, label, pixels, upsample, smooth):
-    rng_p, az_p = extract_profiles(pixels, upsample, smooth)
-    paths = []
-    for name, prof in (("range", rng_p), ("azimuth", az_p)):
-        path = os.path.join(out_dir, f"{label}_{name}_profile.csv")
-        v = prof.values
-        db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
-        write_csv(path, [f"axis_{prof.axis_unit}", "power", "power_db"],
-                  [prof.axis, v, db])
-        paths.append(path)
-    return paths
-
-
-def _report(scen, per_seed):
-    """Aggregate per-seed metrics under the scenario's waveform and foliage."""
-    fol = scen.doc.get("foliage")
-    return aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
-                             fol["polarization"] if fol else None, fol is not None)
-
-
-def cmd_simulate(args) -> int:
-    scen = _resolve_scenario(args)
-    threads = _threads(args)
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    cfg = scen.simulation_config()
-    raw = synthesize_raw(cfg, threads=threads)
-    t_sim = time.perf_counter() - t0
-    label = f"{scen.label()}-seed{scen.master_seed}"
-    files = []
-    raw_path = os.path.join(args.out, f"{label}_raw.fsar")
-    write_fsar(raw_path, raw)
-    files.append(raw_path)
-    if raw.data.size <= _CSV_MAX_SAMPLES:
-        csv_path = os.path.join(args.out, f"{label}_raw.csv")
-        write_raw_csv(csv_path, raw)
-        files.append(csv_path)
-    if scen.outputs["dump_foliage_csv"] and cfg.foliage is not None:
-        fol_path = os.path.join(args.out, f"{label}_foliage.csv")
-        dump_realizations_csv(fol_path, foliage_channel(cfg))
-        files.append(fol_path)
-    _write_manifest(args.out, "simulate", [scen.doc], [scen.master_seed],
-                    threads, files, {"simulate": t_sim})
-    print(f"wrote {raw_path} ({raw.n_pulses} pulses x {raw.line_length} samples)")
-    return EXIT_OK
-
-
-def cmd_image(args) -> int:
-    scen = _resolve_scenario(args)
-    threads = _threads(args)
-    os.makedirs(args.out, exist_ok=True)
-    cfg = scen.simulation_config()
-    t0 = time.perf_counter()
-    if args.raw:
-        data, _version = read_fsar(args.raw)
-        n_pulses = cfg.platform.n_pulses()
-        if data.shape != (n_pulses, cfg.line_length):
-            raise MismatchError(
-                f"raw file {args.raw} has shape {data.shape}, scenario expects "
-                f"({n_pulses}, {cfg.line_length})")
-        raw = RawDataMatrix(data, cfg.platform.slow_time_axis(),
-                            cfg.ofdm.sample_interval, cfg.waveform_kind)
-    else:
-        raw = synthesize_raw(cfg, threads=threads)
-    img = focus_config(scen, cfg, raw)
-    t_img = time.perf_counter() - t0
-    label = f"{scen.label()}-seed{scen.master_seed}"
-    files = []
-    fimg_path = os.path.join(args.out, f"{label}_image.fimg")
-    write_fimg(fimg_path, img)
-    files.append(fimg_path)
-    floor = scen.outputs["db_floor"]
-    if scen.outputs["write_pgm"]:
-        p = os.path.join(args.out, f"{label}_image.pgm")
-        write_pgm(p, img, floor)
-        files.append(p)
-    if scen.outputs["write_png"]:
-        p = os.path.join(args.out, f"{label}_image.png")
-        write_png(p, img, floor)
-        files.append(p)
-    if scen.outputs["write_csv_profiles"]:
-        files += _write_profiles_csv(args.out, label, img.pixels,
-                                     scen.processing["upsample"],
-                                     scen.processing["smooth_window"])
-    _write_manifest(args.out, "image", [scen.doc], [scen.master_seed],
-                    threads, files, {"image": t_img})
-    print(f"wrote {fimg_path} ({img.shape[0]} x {img.shape[1]})")
-    return EXIT_OK
-
-
-def _seed_list(scen, args) -> list[int]:
-    base = scen.master_seed
-    return [base + i for i in range(max(1, args.seeds))]
-
-
-def cmd_metrics(args) -> int:
-    scen = _resolve_scenario(args)
-    threads = _threads(args)
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    if args.image:
-        pixels = read_fimg(args.image)
-        per_seed = [image_metrics(pixels, scen.processing["upsample"],
-                                  scen.processing["smooth_window"])]
-        seeds = [scen.master_seed]
-    else:
-        seeds = _seed_list(scen, args)
-        per_seed = run_metrics(scen, seeds, threads=threads)
-    t_met = time.perf_counter() - t0
-    report = _report(scen, per_seed)
-    label = f"{scen.label()}-seed{scen.master_seed}"
-    path = os.path.join(args.out, f"{label}_metrics.json")
-    with open(path, "w") as fh:
-        fh.write(report.to_json(indent=2, sort_keys=True))
-        fh.write("\n")
-    _write_manifest(args.out, "metrics", [scen.doc], seeds, threads, [path],
-                    {"metrics": t_met})
-    print(report.to_json(indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    threads = _threads(args)
-    os.makedirs(args.out, exist_ok=True)
-    variants: list[Scenario] = []
+def _compare_variants(args) -> list[Scenario]:
+    """compare's scenarios: each --scenario, or the --preset waveform x foliage grid."""
     if args.scenario_multi:
-        for path in args.scenario_multi:
-            variants.append(load_scenario(path))
+        variants = [load_scenario(path) for path in args.scenario_multi]
         if args.seed is not None:
             variants = [v.with_overrides(master_seed=args.seed) for v in variants]
     else:
@@ -239,42 +88,130 @@ def cmd_compare(args) -> int:
         if args.seed is not None:
             base = base.with_overrides(master_seed=args.seed)
         pols = [args.foliage] if args.foliage else ["off", "HH"]
-        for kind in SCHEMA["waveform"]["kind"][0]:
-            for pol in pols:
-                variants.append(base.with_overrides(waveform_kind=kind,
-                                                    foliage_pol=pol))
+        variants = [base.with_overrides(waveform_kind=kind, foliage_pol=pol)
+                    for kind in SCHEMA["waveform"]["kind"][0] for pol in pols]
     if len(variants) < 2:
         raise SchemaError("compare: need at least 2 scenario variants")
-    t0 = time.perf_counter()
-    entries = []
-    for scen in variants:
+    return variants
+
+
+def _sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _write_profiles_csv(stem, pixels, upsample, smooth):
+    rng_p, az_p = extract_profiles(pixels, upsample, smooth)
+    paths = []
+    for name, prof in (("range", rng_p), ("azimuth", az_p)):
+        path = f"{stem}_{name}_profile.csv"
+        v = prof.values
+        db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
+        write_csv(path, [f"axis_{prof.axis_unit}", "power", "power_db"],
+                  [prof.axis, v, db])
+        paths.append(path)
+    return paths
+
+
+def _report(scen, per_seed) -> dict:
+    """Per-seed metrics aggregated under the scenario's waveform and foliage."""
+    fol = scen.doc.get("foliage")
+    return aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
+                             fol["polarization"] if fol else None,
+                             fol is not None).to_dict()
+
+
+def _seed_list(scen, args) -> list[int]:
+    return list(range(scen.master_seed, scen.master_seed + max(1, args.seeds)))
+
+
+# Each command runs its stage on the scenarios main resolved, writes its files
+# (named from stem, "<out>/<label>-seed<N>" of the first scenario) and returns
+# (seeds, files, stdout summary); main does everything around it.
+
+def cmd_simulate(args, scens, threads, stem):
+    scen = scens[0]
+    cfg = scen.simulation_config()
+    raw = synthesize_raw(cfg)
+    files = [f"{stem}_raw.fsar"]
+    write_fsar(files[-1], raw)
+    if raw.data.size <= _CSV_MAX_SAMPLES:
+        files.append(f"{stem}_raw.csv")
+        write_raw_csv(files[-1], raw)
+    if scen.outputs["dump_foliage_csv"] and cfg.foliage is not None:
+        files.append(f"{stem}_foliage.csv")
+        dump_realizations_csv(files[-1], foliage_channel(cfg))
+    summary = f"wrote {files[0]} ({raw.n_pulses} pulses x {raw.line_length} samples)"
+    return [scen.master_seed], files, summary
+
+
+def cmd_image(args, scens, threads, stem):
+    scen = scens[0]
+    cfg = scen.simulation_config()
+    if args.raw:
+        data = read_fsar(args.raw)
+        n_pulses = cfg.platform.n_pulses()
+        if data.shape != (n_pulses, cfg.line_length):
+            raise MismatchError(
+                f"raw file {args.raw} has shape {data.shape}, scenario expects "
+                f"({n_pulses}, {cfg.line_length})")
+        raw = RawDataMatrix(data, cfg.platform.slow_time_axis(),
+                            cfg.ofdm.sample_interval, cfg.waveform_kind)
+    else:
+        raw = synthesize_raw(cfg)
+    img = focus_config(scen, cfg, raw)
+    files = [f"{stem}_image.fimg"]
+    write_fimg(files[-1], img)
+    floor = scen.outputs["db_floor"]
+    if scen.outputs["write_pgm"]:
+        files.append(f"{stem}_image.pgm")
+        write_pgm(files[-1], img, floor)
+    if scen.outputs["write_png"]:
+        files.append(f"{stem}_image.png")
+        write_png(files[-1], img, floor)
+    if scen.outputs["write_csv_profiles"]:
+        files += _write_profiles_csv(stem, img.pixels, scen.processing["upsample"],
+                                     scen.processing["smooth_window"])
+    summary = f"wrote {files[0]} ({img.shape[0]} x {img.shape[1]})"
+    return [scen.master_seed], files, summary
+
+
+def cmd_metrics(args, scens, threads, stem):
+    scen = scens[0]
+    if args.image:
+        pixels = read_fimg(args.image)
+        per_seed = [image_metrics(pixels, scen.processing["upsample"],
+                                  scen.processing["smooth_window"])]
+        seeds = [scen.master_seed]
+    else:
         seeds = _seed_list(scen, args)
-        report = _report(scen, run_metrics(scen, seeds, threads=threads))
+        per_seed = run_metrics(scen, seeds, threads=threads)
+    report = _report(scen, per_seed)
+    path = f"{stem}_metrics.json"
+    write_json(path, report)
+    return seeds, [path], json.dumps(report, indent=2, sort_keys=True)
+
+
+def cmd_compare(args, scens, threads, stem):
+    entries = []
+    for scen in scens:
+        seeds = _seed_list(scen, args)
+        per_seed = run_metrics(scen, seeds, threads=threads)
         entries.append({"label": scen.label(), "seeds": seeds,
-                        "metrics": report.to_dict()})
-    diffs = []
-    keys = ("islr_range_db", "pslr_range_db", "islr_azimuth_db", "pslr_azimuth_db")
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            a, b = entries[i], entries[j]
-            diffs.append({
-                "pair": [a["label"], b["label"]],
-                **{f"delta_{k}": (a["metrics"][k] - b["metrics"][k]
-                                  if isinstance(a["metrics"][k], float)
-                                  and isinstance(b["metrics"][k], float)
-                                  else None)
-                   for k in keys},
-            })
-    result = {"variants": entries, "differences": diffs}
+                        "metrics": _report(scen, per_seed)})
+    diffs = [{"pair": [a["label"], b["label"]],
+              **{f"delta_{k}": (a["metrics"][k] - b["metrics"][k]
+                                if isinstance(a["metrics"][k], float)
+                                and isinstance(b["metrics"][k], float) else None)
+                 for k in METRIC_KEYS}}
+             for a, b in itertools.combinations(entries, 2)]
     path = os.path.join(args.out, "compare.json")
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, "compare", [v.doc for v in variants],
-                    sorted({s for e in entries for s in e["seeds"]}), threads,
-                    [path], {"compare": time.perf_counter() - t0})
-    print(json.dumps(result["differences"], indent=2, sort_keys=True))
-    return EXIT_OK
+    write_json(path, {"variants": entries, "differences": diffs})
+    seeds = sorted({s for e in entries for s in e["seeds"]})
+    return seeds, [path], json.dumps(diffs, indent=2, sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +266,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command in the frame all four share; map errors to exit codes.
+
+    Scenarios are resolved before --out is touched, and the command's old
+    manifest is removed before its stage runs, so a failed run leaves none.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "compare":
+            scens = _compare_variants(args)
+        else:
+            scens = [_resolve_scenario(args)]
+        threads = _threads(args)
+        os.makedirs(args.out, exist_ok=True)
+        manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest_path)
+        stem = os.path.join(args.out, f"{scens[0].label()}-seed{scens[0].master_seed}")
+        t0 = time.perf_counter()
+        seeds, files, summary = args.func(args, scens, threads, stem)
+        seconds = time.perf_counter() - t0
+        write_json(manifest_path, {
+            "tool": "fopen-sar",
+            "version": __version__,
+            "command": args.command,
+            "scenarios": [s.doc for s in scens],
+            "seeds": seeds,
+            "threads": threads,
+            "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p),
+                         "bytes": os.path.getsize(p)} for p in files],
+            "timings_s": {args.command: seconds},
+        })
+        print(summary)
+        return EXIT_OK
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import VERSION, read_container, write_container, write_csv
+from .fileio import read_container, write_container, write_csv
 from .foliage import FoliageChannel, FoliageParams, FoliageRealization
 from .geometry import PlatformParams, Scene, gm_vector, make_grid
 from .rng import substream
@@ -157,9 +157,9 @@ def write_fsar(path, raw: RawDataMatrix) -> None:
     write_container(path, FSAR_MAGIC, raw.data)
 
 
-def read_fsar(path) -> tuple[np.ndarray, int]:
-    """Read an FSAR file; returns (complex matrix, version)."""
-    return read_container(path, FSAR_MAGIC), VERSION
+def read_fsar(path) -> np.ndarray:
+    """Read an FSAR file's complex matrix."""
+    return read_container(path, FSAR_MAGIC)
 
 
 def write_raw_csv(path, raw: RawDataMatrix) -> None:

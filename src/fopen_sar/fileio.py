@@ -4,10 +4,13 @@ FSAR (raw echoes) and FIMG (focused images) are one binary container that
 differs only in its magic number: a 32-byte header (magic, version u32,
 rows u32, cols u32, 16 reserved bytes), then row-major little-endian
 complex128, i.e. float64 (Re, Im) pairs. CSV exports write Python floats,
-so every value reads back bit for bit.
+so every value reads back bit for bit. Every file is written through
+atomic_write: a reader sees the old file or the whole new one, never a part.
 """
 
+import contextlib
 import csv
+import json
 import os
 import struct
 
@@ -21,14 +24,27 @@ class FormatError(ValueError):
     """A container file that cannot be read; the message names the file."""
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Yield a file open for writing at path + ".tmp"; rename it onto path
+    when the block succeeds, and remove it when the block or the rename
+    fails. Text mode writes line ends as given."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_container(path, magic: bytes, data: np.ndarray) -> None:
-    """Write a 2-D complex matrix atomically (temporary file, then rename)."""
+    """Write a 2-D complex matrix: header, then the samples streamed from data."""
     rows, cols = data.shape
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, VERSION, rows, cols, b"\0" * 16))
-        fh.write(np.ascontiguousarray(data, dtype="<c16").tobytes())
-    os.replace(tmp, path)
+        fh.write(np.ascontiguousarray(data, dtype="<c16"))
 
 
 def read_container(path, magic: bytes) -> np.ndarray:
@@ -54,7 +70,14 @@ def read_container(path, magic: bytes) -> np.ndarray:
 
 def write_csv(path, header: list[str], columns) -> None:
     """Write equal-length columns as CSV rows under a header line."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document with sorted keys, two-space indent and a final newline."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

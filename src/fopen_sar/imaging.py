@@ -9,7 +9,6 @@ replica, as a product of spectra. Azimuth processing is a fixed-reference
 range-Doppler chain.
 """
 
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import RawDataMatrix
-from .fileio import read_container, write_container
+from .fileio import atomic_write, read_container, write_container
 from .geometry import PlatformParams, RangeGrid
 from .waveform import OfdmSpec, PulseSamples
 
@@ -259,40 +258,38 @@ def read_fimg(path) -> np.ndarray:
     return read_container(path, FIMG_MAGIC)
 
 
-def _db_image(pixels: np.ndarray, floor_db: float) -> np.ndarray:
-    """Magnitude in dB re the image peak, clipped at floor_db, scaled to [0, 1]."""
+def _db_levels(pixels: np.ndarray, floor_db: float) -> np.ndarray:
+    """Magnitude in dB re the image peak, clipped at floor_db, as big-endian
+    16-bit levels (floor_db -> 0, peak -> 65535)."""
     mag = np.abs(pixels)
     peak = mag.max()
     if peak == 0:
-        return np.zeros_like(mag)
+        return np.zeros(mag.shape, ">u2")
     db = 20.0 * np.log10(np.maximum(mag / peak, 10.0 ** (floor_db / 20.0)))
-    return (db - floor_db) / (-floor_db)
+    return np.round((db - floor_db) / (-floor_db) * 65535.0).astype(">u2")
 
 
 def write_pgm(path, img: FocusedImage, floor_db: float = -50.0) -> None:
     """16-bit binary PGM of the dB-scaled magnitude."""
-    scaled = np.round(_db_image(img.pixels, floor_db) * 65535.0).astype(">u2")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(f"P5\n{scaled.shape[1]} {scaled.shape[0]}\n65535\n".encode())
-        fh.write(scaled.tobytes())
-    os.replace(tmp, path)
+    levels = _db_levels(img.pixels, floor_db)
+    with atomic_write(path, "wb") as fh:
+        fh.write(f"P5\n{levels.shape[1]} {levels.shape[0]}\n65535\n".encode())
+        fh.write(levels)
 
 
 def write_png(path, img: FocusedImage, floor_db: float = -50.0) -> None:
     """16-bit grayscale PNG of the dB-scaled magnitude (stdlib encoder)."""
-    scaled = np.round(_db_image(img.pixels, floor_db) * 65535.0).astype(">u2")
-    h, w = scaled.shape
-    raw = b"".join(b"\x00" + scaled[r].tobytes() for r in range(h))
+    levels = _db_levels(img.pixels, floor_db)
+    h, w = levels.shape
+    rows = np.zeros((h, 1 + 2 * w), np.uint8)  # filter byte 0, then the row
+    rows[:, 1:] = levels.view(np.uint8)
+    with atomic_write(path, "wb") as fh:
+        def chunk(tag, payload):
+            fh.write(struct.pack(">I", len(payload)) + tag)
+            fh.write(payload)
+            fh.write(struct.pack(">I", zlib.crc32(payload, zlib.crc32(tag))))
 
-    def chunk(tag, payload):
-        out = struct.pack(">I", len(payload)) + tag + payload
-        return out + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-
-    ihdr = struct.pack(">IIBBBBB", w, h, 16, 0, 0, 0, 0)  # 16-bit grayscale
-    png = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-           + chunk(b"IDAT", zlib.compress(raw, 6)) + chunk(b"IEND", b""))
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(png)
-    os.replace(tmp, path)
+        fh.write(b"\x89PNG\r\n\x1a\n")
+        chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 16, 0, 0, 0, 0))  # 16-bit gray
+        chunk(b"IDAT", zlib.compress(rows, 6))
+        chunk(b"IEND", b"")

@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# The four sidelobe metrics: the keys of image_metrics' result, the
+# MetricsReport fields and the keys of every metrics JSON.
+METRIC_KEYS = ("islr_range_db", "pslr_range_db", "islr_azimuth_db", "pslr_azimuth_db")
+
+
 class NoPeakError(ValueError):
     """Raised when a profile or image has no usable peak."""
 
@@ -68,10 +73,7 @@ class MetricsReport:
             "waveform": self.waveform,
             "polarization": self.polarization,
             "foliage": self.foliage,
-            "islr_range_db": enc(self.islr_range_db),
-            "pslr_range_db": enc(self.pslr_range_db),
-            "islr_azimuth_db": enc(self.islr_azimuth_db),
-            "pslr_azimuth_db": enc(self.pslr_azimuth_db),
+            **{k: enc(getattr(self, k)) for k in METRIC_KEYS},
             "n_seeds": self.n_seeds,
             "std": {k: enc(v) for k, v in self.std.items()},
         }
@@ -206,25 +208,17 @@ def image_metrics(pixels: np.ndarray, upsample: int = 16,
                   smooth_window: int = 3) -> dict:
     """All four sidelobe metrics of one focused image."""
     rng_p, az_p = extract_profiles(pixels, upsample, smooth_window)
-    return {
-        "islr_range_db": islr(rng_p),
-        "pslr_range_db": pslr(rng_p),
-        "islr_azimuth_db": islr(az_p),
-        "pslr_azimuth_db": pslr(az_p),
-    }
+    return dict(zip(METRIC_KEYS, (islr(rng_p), pslr(rng_p), islr(az_p), pslr(az_p))))
 
 
 def aggregate_reports(metric_dicts: list[dict], waveform: str,
                       polarization: str | None, foliage: bool) -> MetricsReport:
     """Mean +- std over a seed set, as a MetricsReport."""
-    keys = ("islr_range_db", "pslr_range_db", "islr_azimuth_db", "pslr_azimuth_db")
     means = {}
     stds = {}
-    for k in keys:
+    for k in METRIC_KEYS:
         vals = np.array([d[k] for d in metric_dicts], dtype=float)
         means[k] = float(np.mean(vals))
         stds[k] = float(np.std(vals))
-    return MetricsReport(waveform, polarization, foliage,
-                         means["islr_range_db"], means["pslr_range_db"],
-                         means["islr_azimuth_db"], means["pslr_azimuth_db"],
+    return MetricsReport(waveform, polarization, foliage, **means,
                          n_seeds=len(metric_dicts), std=stds)

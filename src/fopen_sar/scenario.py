@@ -85,6 +85,11 @@ TARGET = {
     "azimuth_m": (float, 0.0, None, None),
     "rcs": (complex, [1.0, 0.0], None, None),
 }
+# The most samples a scenario may ask for in its raw matrix (pulses x line
+# length) and in its upsampled profile (max(pulses, M) x upsample): 512 MiB
+# of complex128 either way, far above every preset (the full preset's raw
+# matrix has 359,936 samples).
+MAX_SAMPLES = 1 << 25
 
 
 def _is_real(v) -> bool:
@@ -271,6 +276,17 @@ def _after_section(name, out):
             _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
         if p["reference_range_m"] < p["altitude_m"]:
             _fail("platform.reference_range_m", "must be >= altitude_m")
+        w = out["waveform"]
+        line = w["n_subcarriers"] + 2 * w["n_range_cells"] - 2
+        if round(n_pulses) * line > MAX_SAMPLES:
+            _fail("platform.aperture_s", f"raw matrix of {round(n_pulses)} pulses x "
+                  f"{line} samples is more than the limit of {MAX_SAMPLES} samples")
+    elif name == "processing":
+        p, up = out["platform"], out["processing"]["upsample"]
+        cut = max(round(p["aperture_s"] * p["prf_hz"]), out["waveform"]["n_range_cells"])
+        if cut * up > MAX_SAMPLES:
+            _fail("processing.upsample", f"profile of {cut} x {up} samples is more "
+                  f"than the limit of {MAX_SAMPLES} samples")
     elif name == "scene":
         m = out["waveform"]["n_range_cells"]
         table = dict(TARGET, cell=(int, REQUIRED, 0, m - 1))

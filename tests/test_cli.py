@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fopen_sar import cli
 from fopen_sar.cli import main
 from fopen_sar.echo import read_fsar
 from fopen_sar.imaging import read_fimg
@@ -30,7 +32,7 @@ class TestSimulate:
         out = str(tmp_path / "out")
         assert main(["simulate", "--scenario", small_file, "--out", out]) == 0
         raw_path = os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar")
-        data, _ = read_fsar(raw_path)
+        data = read_fsar(raw_path)
         assert data.shape == (32, 256 + 2 * 48 - 2)
         manifest = _read_json(os.path.join(out, "simulate_manifest.json"))
         assert manifest["command"] == "simulate"
@@ -84,7 +86,7 @@ class TestSimulate:
         with open(csv_path) as fh:
             assert fh.readline().strip() == "pulse,sample,re,im"
             rows = [line.split(",") for line in fh.read().splitlines()]
-        data, _ = read_fsar(os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar"))
+        data = read_fsar(os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar"))
         assert len(rows) == data.size
         for i, (j, k, re, im) in enumerate(rows):
             assert (int(j), int(k)) == divmod(i, data.shape[1])
@@ -274,6 +276,89 @@ class TestMalformedFiles:
         assert main(argv[:1] + ["--scenario", small_file] + argv[1:]
                     + [str(path), "--out", out]) == 3
         assert f"error: malformed file: {path}: " in capsys.readouterr().err
+
+
+class TestFrame:
+    """What main does around every command: the manifest and atomic writes."""
+
+    def test_failed_rerun_leaves_no_manifest(self, small_file, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["image", "--scenario", small_file, "--out", out]) == 0
+        manifest = os.path.join(out, "image_manifest.json")
+        assert os.path.exists(manifest)
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(doc))
+        # overwrites the image files, then finds no peak for the profiles
+        assert main(["image", "--scenario", str(zero), "--out", out]) == 5
+        assert not os.path.exists(manifest)
+
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "ofdm-foliage_off-seed0_raw.csv"),
+        ("metrics", "ofdm-foliage_off-seed0_metrics.json"),
+        ("compare", "compare.json"),
+    ], ids=["raw_csv", "metrics_json", "compare_json"])
+    def test_failed_rename_keeps_old_file(self, command, name, small_file, tmp_path,
+                                          monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_bytes(b"old")
+        replace = os.replace
+
+        def fail_on_target(src, dst):
+            if str(dst).endswith(name):
+                raise OSError(f"rename onto {dst} failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_target)
+        sources = ["--scenario", small_file] * (2 if command == "compare" else 1)
+        assert main([command] + sources + ["--out", str(out)]) == 3
+        assert (out / name).read_bytes() == b"old"
+        assert not list(out.glob("*.tmp"))
+
+
+def _wrap_points():
+    """perfbench/tracer.py's wrap points, loaded without touching perfbench."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.wrap_points()
+
+
+class TestTraceWrapPoints:
+    """The benchmark's --trace 1 replaces these names; each must exist and run."""
+
+    def test_every_wrap_point_resolves(self):
+        for owner, attr, _, _ in _wrap_points():
+            assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+    def test_cli_calls_every_cli_wrap_point(self, tmp_path, monkeypatch):
+        names = {attr for owner, attr, _, _ in _wrap_points() if owner is cli}
+        called = set()
+
+        def spy(attr, fn):
+            def wrapped(*args, **kwargs):
+                called.add(attr)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for attr in names:
+            monkeypatch.setattr(cli, attr, spy(attr, getattr(cli, attr)))
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["foliage"] = {"polarization": "HH"}
+        doc["outputs"]["dump_foliage_csv"] = True
+        scen = tmp_path / "hh.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        common = ["--scenario", str(scen), "--out", str(out)]
+        assert main(["simulate"] + common) == 0
+        assert main(["image", "--raw", str(out / "ofdm-foliage_HH-seed0_raw.fsar")]
+                    + common) == 0
+        assert main(["metrics", "--image", str(out / "ofdm-foliage_HH-seed0_image.fimg")]
+                    + common) == 0
+        assert called == names
 
 
 class TestImport:

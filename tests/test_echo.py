@@ -216,8 +216,7 @@ class TestFsarIo:
         raw = synthesize_raw(cfg)
         path = tmp_path / "raw.fsar"
         write_fsar(path, raw)
-        data, version = read_fsar(path)
-        assert version == 1
+        data = read_fsar(path)
         np.testing.assert_array_equal(data, raw.data)
 
     def test_header_size_and_magic(self, tiny_spec, tiny_platform, tmp_path):

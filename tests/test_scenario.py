@@ -85,6 +85,31 @@ class TestValidation:
         with pytest.raises(SchemaError, match=r"platform\.aperture_s: .* must be finite"):
             validate_scenario(doc)
 
+    @pytest.mark.parametrize("edit,field", [
+        # 65536 pulses x (418 + 2 * 48 - 2) samples = 2**25 raw samples
+        ({"waveform": {"n_subcarriers": 418}, "platform": {"aperture_s": 512.0}}, None),
+        ({"waveform": {"n_subcarriers": 418}, "platform": {"aperture_s": 512 + 1 / 128}},
+         "platform.aperture_s"),
+        # max(128 pulses, 48 cells) x 2**18 = 2**25 profile samples
+        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 1 << 18}}, None),
+        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": (1 << 18) + 1}},
+         "processing.upsample"),
+        ({"platform": {"aperture_s": 1e6}}, "platform.aperture_s"),  # 44.8 G samples
+        ({"processing": {"upsample": 10**9}}, "processing.upsample"),  # 48 G samples
+    ], ids=["raw_at_limit", "raw_over_limit", "profile_at_limit",
+            "profile_over_limit", "huge_aperture", "huge_upsample"])
+    def test_sample_counts_bounded(self, edit, field):
+        # validation only: a pipeline run at the limit needs gigabytes
+        doc = copy.deepcopy(SMALL_PRESET)
+        for section, values in edit.items():
+            doc[section].update(values)
+        if field is None:
+            validate_scenario(doc)
+        else:
+            with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: .* "
+                               rf"limit of {1 << 25} samples$"):
+                validate_scenario(doc)
+
     def test_foliage_defaults_fill_in(self):
         doc = copy.deepcopy(SMALL_PRESET)
         doc["foliage"] = {"polarization": "VV"}
