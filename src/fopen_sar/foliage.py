@@ -81,10 +81,8 @@ def mean_attenuation_db(freq_hz: float | np.ndarray, params: FoliageParams) -> n
     f = np.asarray(freq_hz, dtype=float)
     if np.any(f <= 0):
         raise ValueError("frequency must be > 0")
-    sin_g = np.sin(params.grazing_angle_rad)
-    if sin_g == 0.0:
-        raise ZeroDivisionError("grazing angle of 0 is singular")
-    return params.beta * (f / 1e9) ** params.alpha * (np.sin(np.pi / 4) / sin_g)
+    return params.beta * (f / 1e9) ** params.alpha * (
+        np.sin(np.pi / 4) / np.sin(params.grazing_angle_rad))
 
 
 def sample_gamma_fluctuation(params: FoliageParams, n: int,
@@ -221,12 +219,9 @@ class FoliageChannel:
                                   pulse_index)
 
 
-def dump_realizations_csv(path, channel: FoliageChannel, pulse_indices=None):
-    """Write (pulse_index, bin, Re F, Im F) rows for inspection."""
-    if pulse_indices is None:
-        pulse_indices = range(channel.n_pulses)
-    pulses = np.asarray(pulse_indices)
-    f = channel.response()[pulses]
+def dump_realizations_csv(path, channel: FoliageChannel):
+    """Write (pulse_index, bin, Re F, Im F) rows of every pulse for inspection."""
+    f = channel.response()
     pulse, k = np.indices(f.shape)
     write_csv(path, ["pulse_index", "bin", "re", "im"],
-              [pulses[pulse].ravel(), k.ravel(), f.real.ravel(), f.imag.ravel()])
+              [pulse.ravel(), k.ravel(), f.real.ravel(), f.imag.ravel()])

@@ -22,7 +22,7 @@ from .waveform import OfdmSpec, PulseSamples
 
 FIMG_MAGIC = b"FIMG"
 
-RCMC_MODES = ("off", "spectral", "sinc8", "nearest")
+RCMC_MODES = ("off", "spectral")
 
 
 @dataclass(frozen=True)
@@ -128,33 +128,12 @@ def migration_shift_cells(platform: PlatformParams, cell_extent_m: float,
     return dr / cell_extent_m
 
 
-def _shift_row_sinc8(row: np.ndarray, shift: float) -> np.ndarray:
-    """out[m] = row[m + shift] by 8-tap Hann-weighted sinc, zero edge fill."""
-    n = len(row)
-    src = np.arange(n) + shift
-    i0 = np.floor(src).astype(int)
-    frac = src - i0
-    acc = np.zeros(n, dtype=row.dtype)
-    wsum = np.zeros(n)
-    for k in range(-3, 5):
-        d = k - frac
-        w = np.sinc(d) * 0.5 * (1.0 + np.cos(np.pi * d / 4.0))
-        idx = i0 + k
-        valid = (idx >= 0) & (idx < n)
-        acc[valid] += row[idx[valid]] * w[valid]
-        wsum[valid] += w[valid]
-    ok = wsum != 0
-    acc[ok] /= wsum[ok]
-    return acc
-
-
 def rcmc(rd: RangeDopplerMatrix, platform: PlatformParams, cell_extent_m: float,
          mode: str = "spectral") -> RangeDopplerMatrix:
     """Range cell migration correction at the fixed reference range.
 
     Every Doppler row is advanced in range by the reference-range migration
-    law. Modes: "spectral" (exact circular FFT phase-ramp shift), "sinc8"
-    (truncated 8-tap Hann-weighted sinc), "nearest" (integer shift), "off"
+    law. Modes: "spectral" (exact circular FFT phase-ramp shift), "off"
     (identity).
     """
     if mode not in RCMC_MODES:
@@ -162,24 +141,9 @@ def rcmc(rd: RangeDopplerMatrix, platform: PlatformParams, cell_extent_m: float,
     if mode == "off":
         return rd
     shifts = migration_shift_cells(platform, cell_extent_m, rd.doppler_hz)
-    n_cells = rd.data.shape[1]
-    if mode == "spectral":
-        nu = np.fft.fftfreq(n_cells)
-        ramp = np.exp(2j * np.pi * np.outer(shifts, nu))
-        out = np.fft.ifft(np.fft.fft(rd.data, axis=1) * ramp, axis=1)
-    elif mode == "nearest":
-        out = np.zeros_like(rd.data)
-        for r, s in enumerate(np.round(shifts).astype(int)):
-            if s == 0:
-                out[r] = rd.data[r]
-            elif 0 < s < n_cells:
-                out[r, :n_cells - s] = rd.data[r, s:]
-            elif -n_cells < s < 0:
-                out[r, -s:] = rd.data[r, :n_cells + s]
-    else:
-        out = np.empty_like(rd.data)
-        for r, s in enumerate(shifts):
-            out[r] = _shift_row_sinc8(rd.data[r], s)
+    nu = np.fft.fftfreq(rd.data.shape[1])
+    ramp = np.exp(2j * np.pi * np.outer(shifts, nu))
+    out = np.fft.ifft(np.fft.fft(rd.data, axis=1) * ramp, axis=1)
     return RangeDopplerMatrix(out, rd.doppler_hz, rd.prf_hz)
 
 
@@ -230,23 +194,6 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
     return azimuth_compress(rd, platform, raw.slow_time_s,
                             grid.slant_range_of_cell(cells),
                             grid.cell_extent_m, azimuth_window)
-
-
-def point_rcs_estimate(rc_line: np.ndarray, grid: RangeGrid,
-                       platform: PlatformParams, eta: float,
-                       n_subcarriers: int) -> np.ndarray:
-    """Single-pulse RCS estimate: undo the sqrt(N) scale, two-way carrier
-    phase, and beam gain of each cell's weighting coefficient (diagnostic)."""
-    from .geometry import PointTarget, azimuth_gain, two_way_phase
-
-    cells = np.arange(len(rc_line))
-    out = np.empty(len(rc_line), dtype=complex)
-    for m in cells:
-        t = PointTarget(range_cell=int(m))
-        gain = azimuth_gain(platform, t, grid, eta)
-        phase = np.conj(two_way_phase(t, grid, platform, eta))
-        out[m] = rc_line[m] * phase / (np.sqrt(n_subcarriers) * max(gain, 1e-300))
-    return out
 
 
 def write_fimg(path, img: FocusedImage) -> None:

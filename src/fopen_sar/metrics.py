@@ -8,7 +8,6 @@ underlying sinc structure that the sidelobe metrics quantify. Main-lobe
 nulls are the first local minima on either side of the peak.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -77,9 +76,6 @@ class MetricsReport:
             "n_seeds": self.n_seeds,
             "std": {k: enc(v) for k, v in self.std.items()},
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:

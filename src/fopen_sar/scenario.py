@@ -281,12 +281,24 @@ def _after_section(name, out):
         if round(n_pulses) * line > MAX_SAMPLES:
             _fail("platform.aperture_s", f"raw matrix of {round(n_pulses)} pulses x "
                   f"{line} samples is more than the limit of {MAX_SAMPLES} samples")
+    elif name == "foliage":
+        # np.convolve(mode="same") returns max(bins, kernel) values, so a
+        # kernel or window longer than what it smooths changes its length
+        w = out["waveform"]
+        bins = w["n_subcarriers"] + 2 * w["n_range_cells"] - 2
+        if out["foliage"]["spectral_smoothing_bins"] > bins:
+            _fail("foliage.spectral_smoothing_bins",
+                  f"must be <= {bins}, the bins of a range line")
     elif name == "processing":
-        p, up = out["platform"], out["processing"]["upsample"]
-        cut = max(round(p["aperture_s"] * p["prf_hz"]), out["waveform"]["n_range_cells"])
-        if cut * up > MAX_SAMPLES:
-            _fail("processing.upsample", f"profile of {cut} x {up} samples is more "
-                  f"than the limit of {MAX_SAMPLES} samples")
+        p, proc = out["platform"], out["processing"]
+        cuts = (round(p["aperture_s"] * p["prf_hz"]), out["waveform"]["n_range_cells"])
+        up = proc["upsample"]
+        if max(cuts) * up > MAX_SAMPLES:
+            _fail("processing.upsample", f"profile of {max(cuts)} x {up} samples is "
+                  f"more than the limit of {MAX_SAMPLES} samples")
+        if proc["smooth_window"] > min(cuts) * up:
+            _fail("processing.smooth_window", f"must be <= {min(cuts) * up}, "
+                  "the samples of the shorter upsampled profile")
     elif name == "scene":
         m = out["waveform"]["n_range_cells"]
         table = dict(TARGET, cell=(int, REQUIRED, 0, m - 1))
@@ -344,31 +356,27 @@ def tank_targets(center_cell: int = 96, cell_extent_m: float = 0.0375,
 
 FULL_PRESET = {
     "waveform": {"kind": "ofdm", "n_subcarriers": 1024, "n_range_cells": 192,
-                 "bandwidth_hz": 4.0e9, "noise_variance": 1.0},
+                 "bandwidth_hz": 4.0e9},
     # Antenna length 1.91 m is calibrated so the sinc^2 beam taper reproduces
     # the reference azimuth PSLR (-23.5 dB); see README.
     "platform": {"altitude_m": 5000.0, "velocity_mps": 150.0, "aperture_s": 1.0,
                  "carrier_hz": 9.0e9, "reference_range_m": 5000.0 * math.sqrt(2.0),
                  "antenna_length_m": 1.91, "prf_hz": 256.0},
     "scene": {"targets": [{"cell": 96, "azimuth_m": 0.0, "rcs": [1.0, 0.0]}]},
-    "processing": {"rcmc": "off", "azimuth_window": "none", "upsample": 16,
-                   "smooth_window": 3},
-    "outputs": {"db_floor": -50.0, "write_pgm": True, "write_png": True,
-                "write_csv_profiles": True, "dump_foliage_csv": False},
+    "processing": {},
+    "outputs": {},
     "seeds": {"master": 0},
 }
 
 SMALL_PRESET = {
     "waveform": {"kind": "ofdm", "n_subcarriers": 256, "n_range_cells": 48,
-                 "bandwidth_hz": 4.0e9, "noise_variance": 1.0},
+                 "bandwidth_hz": 4.0e9},
     "platform": {"altitude_m": 5000.0, "velocity_mps": 150.0, "aperture_s": 0.25,
                  "carrier_hz": 9.0e9, "reference_range_m": 5000.0 * math.sqrt(2.0),
                  "antenna_length_m": 7.64, "prf_hz": 128.0},
     "scene": {"targets": [{"cell": 24, "azimuth_m": 0.0, "rcs": [1.0, 0.0]}]},
-    "processing": {"rcmc": "off", "azimuth_window": "none", "upsample": 16,
-                   "smooth_window": 3},
-    "outputs": {"db_floor": -50.0, "write_pgm": True, "write_png": True,
-                "write_csv_profiles": True, "dump_foliage_csv": False},
+    "processing": {},
+    "outputs": {},
     "seeds": {"master": 0},
 }
 

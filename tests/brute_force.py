@@ -4,12 +4,15 @@ Everything here is written with explicit loop sums (no FFTs, no library
 convolution) so it stays independent of the pipeline it checks: transmit
 samples from the defining exponential sum, the echo from the convolution
 sum, demodulation and equalization from naive DFT sums phase-referenced to
-absolute fast time, and the inverse transform likewise.
+absolute fast time, and the inverse transform likewise. point_rcs_estimate
+inverts one compressed line cell by cell back to the scatterer's RCS.
 """
 
 import cmath
 
 import numpy as np
+
+from fopen_sar.geometry import PointTarget, azimuth_gain, two_way_phase
 
 
 def ofdm_samples(symbols, n, m):
@@ -64,3 +67,15 @@ def full_chain(symbols, g, n, m):
     s = ofdm_samples(symbols, n, m)
     z = echo_line(g, s, n, m)
     return z, range_reconstruct(z, symbols, n, m)
+
+
+def point_rcs_estimate(rc_line, grid, platform, eta, n_subcarriers):
+    """Single-pulse RCS estimate: undo the sqrt(N) scale, two-way carrier
+    phase, and beam gain of each cell's weighting coefficient."""
+    out = np.empty(len(rc_line), dtype=complex)
+    for m in range(len(rc_line)):
+        t = PointTarget(range_cell=m)
+        gain = azimuth_gain(platform, t, grid, eta)
+        phase = np.conj(two_way_phase(t, grid, platform, eta))
+        out[m] = rc_line[m] * phase / (np.sqrt(n_subcarriers) * max(gain, 1e-300))
+    return out

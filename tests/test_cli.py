@@ -226,6 +226,15 @@ SCHEMA_HOLES = [
                  id="one_subcarrier"),
     pytest.param(_set("waveform", "n_subcarriers", 47), "waveform.n_subcarriers",
                  id="fewer_subcarriers_than_cells"),
+    # longer than the 350-bin line: once a broadcasting ValueError traceback
+    pytest.param(lambda d: d.update(foliage={"polarization": "HH",
+                                             "spectral_smoothing_bins": 100000}),
+                 "foliage.spectral_smoothing_bins", id="smoothing_past_line"),
+    # longer than the profile: once exit 5 "no peak", and a MemoryError at 1e15
+    pytest.param(_set("processing", "smooth_window", 100000),
+                 "processing.smooth_window", id="window_past_profile"),
+    pytest.param(_set("processing", "smooth_window", 1e15),
+                 "processing.smooth_window", id="huge_window"),
 ] + [
     pytest.param(_set(section, key, value), f"{section}.{key}",
                  id=f"{type(value).__name__}_{key}")

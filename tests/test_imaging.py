@@ -7,15 +7,14 @@ from fopen_sar.echo import (RawDataMatrix, SimulationConfig, synthesize_from_g,
                             synthesize_raw, transmitted_pulse, write_fsar)
 from fopen_sar.fileio import FormatError
 from fopen_sar.geometry import PlatformParams, PointTarget, Scene, make_grid
-from fopen_sar.imaging import (FocusedImage, azimuth_fft,
-                               migration_shift_cells, point_rcs_estimate,
+from fopen_sar.imaging import (FocusedImage, azimuth_fft, migration_shift_cells,
                                range_compress_noise, range_compress_ofdm, rcmc,
                                read_fimg, write_fimg, write_pgm, write_png,
                                RangeDopplerMatrix, focus)
 from fopen_sar.waveform import (NoiseSpec, OfdmSpec, generate_bpsk_symbols,
                                 generate_noise_pulse, generate_ofdm_pulse)
 
-from brute_force import full_chain
+from brute_force import full_chain, point_rcs_estimate
 
 
 def _single_line_raw(g, pulse, spec, kind="ofdm"):
@@ -181,11 +180,10 @@ class TestRcmc:
         fd = np.linspace(-128, 127, 8)
         fd[3] = 0.0
         rd = RangeDopplerMatrix(data, fd, 256.0)
-        for mode in ("spectral", "sinc8", "nearest"):
-            out = rcmc(rd, p, 0.0375, mode)
-            np.testing.assert_allclose(out.data[3], data[3], atol=1e-12)
+        out = rcmc(rd, p, 0.0375, "spectral")
+        np.testing.assert_allclose(out.data[3], data[3], atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["spectral", "sinc8", "nearest"])
+    @pytest.mark.parametrize("mode", ["spectral"])
     def test_impulse_moves_by_the_migration_shift(self, mode):
         p = self._platform()
         cell0, f0 = 40, 95.0
@@ -197,11 +195,6 @@ class TestRcmc:
         out = rcmc(rd, p, 0.0375, mode)
         peak = int(np.argmax(np.abs(out.data[2])))
         assert peak == int(round(cell0 - shift))
-        if mode == "sinc8":
-            # loss vs the exact (spectral) shift stays under 1 dB
-            exact = rcmc(rd, p, 0.0375, "spectral")
-            assert (np.max(np.abs(out.data[2]))
-                    > np.max(np.abs(exact.data[2])) * 10 ** (-1.0 / 20.0))
 
     def test_spectral_equals_roll_for_integer_shift(self):
         p = self._platform()
@@ -227,8 +220,9 @@ class TestRcmc:
         p = self._platform()
         rd = RangeDopplerMatrix(np.zeros((2, 4), complex),
                                 np.array([0.0, 1.0]), 256.0)
-        with pytest.raises(ValueError):
-            rcmc(rd, p, 0.0375, "cubic")
+        for mode in ("cubic", "sinc8"):
+            with pytest.raises(ValueError, match="rcmc mode"):
+                rcmc(rd, p, 0.0375, mode)
 
 
 class TestAzimuthCompressAndFocus:

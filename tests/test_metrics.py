@@ -151,7 +151,7 @@ class TestReport:
     def test_json_round_trip(self):
         r = MetricsReport("ofdm", "HH", True, -5.6, -9.7, -15.2, -19.5,
                           n_seeds=10, std={"islr_range_db": 0.4})
-        doc = json.loads(r.to_json())
+        doc = json.loads(json.dumps(r.to_dict()))
         assert doc["waveform"] == "ofdm"
         assert doc["polarization"] == "HH"
         assert doc["foliage"] is True
@@ -162,7 +162,7 @@ class TestReport:
     def test_minus_inf_encoded_as_string(self):
         r = MetricsReport("ofdm", None, False, float("-inf"), -13.0, -20.0,
                           -23.0)
-        doc = json.loads(r.to_json())
+        doc = json.loads(json.dumps(r.to_dict()))
         assert doc["islr_range_db"] == "-inf"
 
     def test_aggregate_mean_and_std(self):

@@ -10,19 +10,23 @@ import textwrap
 import pytest
 
 from fopen_sar.metrics import NoPeakError
-from fopen_sar.scenario import (SCHEMA, SMALL_PRESET, TARGET, SchemaError,
-                                Scenario, load_scenario, preset_scenario,
-                                run_metrics, tank_scenario, tank_targets,
-                                validate_scenario)
+from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
+                                SchemaError, Scenario, load_scenario,
+                                preset_scenario, run_metrics, tank_scenario,
+                                tank_targets, validate_scenario)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 class TestValidation:
     def test_presets_validate(self):
-        for name in ("full", "small"):
+        for name, doc in PRESETS.items():
             scen = preset_scenario(name)
             assert scen.doc["seeds"]["master"] == 0
+            # SCHEMA is the one source of every default
+            for section, values in doc.items():
+                for key, value in values.items():
+                    assert value != SCHEMA[section][key][1], f"{name}: {section}.{key}"
 
     def test_unknown_key_rejected_with_path(self):
         doc = copy.deepcopy(SMALL_PRESET)
@@ -36,9 +40,10 @@ class TestValidation:
         with pytest.raises(SchemaError, match="platform"):
             validate_scenario(doc)
 
-    def test_bad_rcmc_choice(self):
+    @pytest.mark.parametrize("mode", ["bilinear", "sinc8", "nearest"])
+    def test_bad_rcmc_choice(self, mode):
         doc = copy.deepcopy(SMALL_PRESET)
-        doc["processing"]["rcmc"] = "bilinear"
+        doc["processing"]["rcmc"] = mode
         with pytest.raises(SchemaError, match=r"processing\.rcmc"):
             validate_scenario(doc)
 
@@ -108,6 +113,27 @@ class TestValidation:
         else:
             with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: .* "
                                rf"limit of {1 << 25} samples$"):
+                validate_scenario(doc)
+
+    @pytest.mark.parametrize("field,value,ok", [
+        # the small preset's line has 256 + 2 * 48 - 2 = 350 bins
+        ("foliage.spectral_smoothing_bins", 350, True),
+        ("foliage.spectral_smoothing_bins", 351, False),
+        # its shorter upsampled profile is min(32 pulses, 48 cells) x 16 = 512
+        ("processing.smooth_window", 512, True),
+        ("processing.smooth_window", 513, False),
+    ], ids=["bins_at_line", "bins_over_line", "window_at_profile",
+            "window_over_profile"])
+    def test_smoothing_lengths_bounded(self, field, value, ok):
+        section, key = field.split(".")
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["foliage"] = {"polarization": "HH"}
+        doc[section][key] = value
+        if ok:
+            assert validate_scenario(doc)[section][key] == value
+        else:
+            with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: must be <= "
+                               rf"{value - 1}, "):
                 validate_scenario(doc)
 
     def test_foliage_defaults_fill_in(self):
