@@ -19,8 +19,8 @@ from .geometry import (PlatformParams, PointTarget, RangeGrid, Scene,
 from .imaging import (FocusedImage, RangeCompressedMatrix, azimuth_compress,
                       azimuth_fft, focus, range_compress_noise,
                       range_compress_ofdm, rcmc, read_fimg, write_fimg)
-from .metrics import (MetricsReport, Profile, extract_profiles, image_metrics,
-                      islr, mainlobe_width_3db, pslr, upsample_complex)
+from .metrics import (Profile, extract_profiles, image_metrics, islr,
+                      mainlobe_width_3db, pslr, upsample_complex)
 from .scenario import (Scenario, load_scenario, preset_scenario, run_metrics,
                        run_pipeline, tank_scenario, validate_scenario)
 from .waveform import (NoiseSpec, OfdmSpec, PulseSamples, generate_bpsk_symbols,

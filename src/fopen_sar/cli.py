@@ -6,7 +6,7 @@ writes artifacts under --out, and records a manifest with the resolved
 configuration, seeds, output hashes and timings.
 
 Exit codes: 0 success, 2 scenario/schema violation, 3 I/O failure or a
-malformed FSAR/FIMG file, 4 raw-file/scenario mismatch, 5 no peak in the
+malformed FSAR/FIMG file, 4 input-file/scenario mismatch, 5 no peak in the
 image.
 """
 
@@ -44,19 +44,7 @@ _CSV_MAX_SAMPLES = 1 << 16
 
 
 class MismatchError(ValueError):
-    """Raw file and scenario disagree."""
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("FOPEN_SAR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SchemaError(f"FOPEN_SAR_THREADS: not an integer: {env!r}")
-    return 1
+    """An input FSAR/FIMG file and the scenario disagree on its shape."""
 
 
 def _preset(name) -> Scenario:
@@ -95,6 +83,14 @@ def _compare_variants(args) -> list[Scenario]:
     return variants
 
 
+def _read_matching(read, path, shape):
+    """The matrix read(path) gives, which must have the scenario's shape."""
+    data = read(path)
+    if data.shape != shape:
+        raise MismatchError(f"{path} has shape {data.shape}, scenario expects {shape}")
+    return data
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -120,8 +116,7 @@ def _report(scen, per_seed) -> dict:
     """Per-seed metrics aggregated under the scenario's waveform and foliage."""
     fol = scen.doc.get("foliage")
     return aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
-                             fol["polarization"] if fol else None,
-                             fol is not None).to_dict()
+                             fol["polarization"] if fol else None, fol is not None)
 
 
 def _seed_list(scen, args) -> list[int]:
@@ -152,12 +147,8 @@ def cmd_image(args, scens, threads, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
     if args.raw:
-        data = read_fsar(args.raw)
-        n_pulses = cfg.platform.n_pulses()
-        if data.shape != (n_pulses, cfg.line_length):
-            raise MismatchError(
-                f"raw file {args.raw} has shape {data.shape}, scenario expects "
-                f"({n_pulses}, {cfg.line_length})")
+        data = _read_matching(read_fsar, args.raw,
+                              (cfg.platform.n_pulses(), cfg.line_length))
         raw = RawDataMatrix(data, cfg.platform.slow_time_axis(),
                             cfg.ofdm.sample_interval, cfg.waveform_kind)
     else:
@@ -182,7 +173,8 @@ def cmd_image(args, scens, threads, stem):
 def cmd_metrics(args, scens, threads, stem):
     scen = scens[0]
     if args.image:
-        pixels = read_fimg(args.image)
+        pixels = _read_matching(read_fimg, args.image, (
+            scen.platform().n_pulses(), scen.doc["waveform"]["n_range_cells"]))
         per_seed = [image_metrics(pixels, scen.processing["upsample"],
                                   scen.processing["smooth_window"])]
         seeds = [scen.master_seed]
@@ -222,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_multi=False):
+    def common(p, scenario_multi=False, seeds=False):
         if scenario_multi:
             p.add_argument("--scenario", action="append", dest="scenario_multi",
                            metavar="PATH", help="scenario JSON (repeatable)")
@@ -236,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("off",) + SCHEMA["foliage"]["polarization"][0],
                        help="override the scenario foliage section")
         p.add_argument("--seed", type=int, help="override seeds.master")
-        p.add_argument("--seeds", type=int, default=1,
-                       help="number of consecutive seeds (metrics/compare)")
+        if seeds:
+            p.add_argument("--seeds", type=int, default=1,
+                           help="number of consecutive seeds, from seeds.master")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads over independent seeds "
-                            "(or FOPEN_SAR_THREADS)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads over independent seeds")
 
     p = sub.add_parser("simulate", help="synthesize the raw data matrix")
     common(p)
@@ -254,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("metrics", help="compute ISLR/PSLR metrics")
-    common(p)
+    common(p, seeds=True)
     p.add_argument("--image", metavar="PATH", help="existing FIMG file "
                    "(default: run the pipeline)")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("compare", help="run scenario variants and diff metrics")
-    common(p, scenario_multi=True)
+    common(p, scenario_multi=True, seeds=True)
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -277,7 +269,7 @@ def main(argv=None) -> int:
             scens = _compare_variants(args)
         else:
             scens = [_resolve_scenario(args)]
-        threads = _threads(args)
+        threads = max(1, args.threads)
         os.makedirs(args.out, exist_ok=True)
         manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
         with contextlib.suppress(FileNotFoundError):

@@ -31,7 +31,6 @@ class SimulationConfig:
     scene: Scene
     platform: PlatformParams
     foliage: FoliageParams | None = None
-    noise_variance: float = 1.0  # pre-normalization noise-pulse power
     snr_db: float | None = None  # None disables receiver noise
     master_seed: int = 0
 
@@ -77,9 +76,7 @@ def transmitted_pulse(config: SimulationConfig) -> PulseSamples:
     ofdm_pulse = generate_ofdm_pulse(config.ofdm)
     if config.waveform_kind == "ofdm":
         return ofdm_pulse
-    spec = NoiseSpec(n_samples=config.ofdm.pulse_length,
-                     variance=config.noise_variance,
-                     noise_seed=config.master_seed)
+    spec = NoiseSpec(n_samples=config.ofdm.pulse_length, noise_seed=config.master_seed)
     raw = generate_noise_pulse(spec, config.ofdm.sample_interval)
     return match_energy(raw, ofdm_pulse)
 

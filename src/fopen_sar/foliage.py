@@ -27,6 +27,10 @@ ATTENUATION_CONSTANTS = {
     "VV": (0.5, 0.45),
 }
 
+# Floor on the fluctuation factor 1 + delta_A, which a Gamma draw can take
+# to zero or below.
+AMPLITUDE_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class FoliageParams:
@@ -38,7 +42,6 @@ class FoliageParams:
     seed: int = 0
     redraw_per_pulse: bool = False
     spectral_smoothing_bins: int = 0
-    amplitude_floor: float = 1e-6  # clamp for 1 + delta_A <= 0
 
     def __post_init__(self):
         if self.polarization not in ATTENUATION_CONSTANTS:
@@ -185,10 +188,6 @@ class FoliageChannel:
             d = np.convolve(d, np.ones(k) / k, mode="same")
         return d
 
-    def delta_eta(self, pulse_index: int) -> float:
-        """Flight-path amplitude factor exp(eta_H) at the given pulse."""
-        return float(self._delta_eta[pulse_index])
-
     def _transfer(self, pulses: np.ndarray):
         """Amplitude A and phase Phi [pulse, bin]: delta_A is the outer product
         of the per-bin draws (per-pulse substreams if redrawn) and delta_eta."""
@@ -202,7 +201,7 @@ class FoliageChannel:
                 for p in pulses])
         delta_a = d_omega * self._delta_eta[pulses, None]
         amp = np.maximum(self._a0_linear * (1.0 + delta_a),
-                         self.params.amplitude_floor * self._a0_linear)
+                         AMPLITUDE_FLOOR * self._a0_linear)
         return amp, phase_fluctuation(delta_a, psi)
 
     def response(self) -> np.ndarray:

@@ -28,16 +28,6 @@ RCMC_MODES = ("off", "spectral")
 @dataclass(frozen=True)
 class RangeCompressedMatrix:
     data: np.ndarray  # [pulse, range_cell]
-    slow_time_s: np.ndarray
-    waveform_kind: str
-
-    @property
-    def n_pulses(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_cells(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -46,15 +36,11 @@ class RangeDopplerMatrix:
 
     data: np.ndarray  # [doppler, range_cell]
     doppler_hz: np.ndarray  # monotonically increasing, 0 at the center bin
-    prf_hz: float
 
 
 @dataclass(frozen=True)
 class FocusedImage:
     pixels: np.ndarray  # [azimuth, range_cell]
-    slow_time_s: np.ndarray
-    range_axis_m: np.ndarray
-    cell_extent_m: float
 
     @property
     def shape(self):
@@ -84,8 +70,7 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
         window = np.roll(window, m - 1, axis=1)
     zk = np.fft.fft(window, axis=1) / np.sqrt(n)
     g_full = np.sqrt(n) * np.fft.ifft(zk / symbols, axis=1)
-    return RangeCompressedMatrix(np.ascontiguousarray(g_full[:, :m]),
-                                 raw.slow_time_s, raw.waveform_kind)
+    return RangeCompressedMatrix(np.ascontiguousarray(g_full[:, :m]))
 
 
 def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
@@ -107,16 +92,17 @@ def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
     energy = np.sum(np.abs(rep) ** 2)
     spec = np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(rep, raw.line_length))
     out = np.fft.ifft(spec, axis=1)[:, :n_cells] / energy
-    return RangeCompressedMatrix(out, raw.slow_time_s, raw.waveform_kind)
+    return RangeCompressedMatrix(out)
 
 
 def azimuth_fft(rc: RangeCompressedMatrix, prf_hz: float) -> RangeDopplerMatrix:
     """Transform each range cell to the Doppler domain (axis centered at 0)."""
-    if rc.n_pulses < 2:
+    n_pulses = rc.data.shape[0]
+    if n_pulses < 2:
         raise ValueError("need at least 2 pulses for azimuth processing")
     spec = np.fft.fftshift(np.fft.fft(rc.data, axis=0), axes=0)
-    fd = np.fft.fftshift(np.fft.fftfreq(rc.n_pulses, d=1.0 / prf_hz))
-    return RangeDopplerMatrix(spec, fd, prf_hz)
+    fd = np.fft.fftshift(np.fft.fftfreq(n_pulses, d=1.0 / prf_hz))
+    return RangeDopplerMatrix(spec, fd)
 
 
 def migration_shift_cells(platform: PlatformParams, cell_extent_m: float,
@@ -144,12 +130,11 @@ def rcmc(rd: RangeDopplerMatrix, platform: PlatformParams, cell_extent_m: float,
     nu = np.fft.fftfreq(rd.data.shape[1])
     ramp = np.exp(2j * np.pi * np.outer(shifts, nu))
     out = np.fft.ifft(np.fft.fft(rd.data, axis=1) * ramp, axis=1)
-    return RangeDopplerMatrix(out, rd.doppler_hz, rd.prf_hz)
+    return RangeDopplerMatrix(out, rd.doppler_hz)
 
 
 def azimuth_compress(rd: RangeDopplerMatrix, platform: PlatformParams,
-                     slow_time_s: np.ndarray, range_axis_m: np.ndarray,
-                     cell_extent_m: float, window: str = "none") -> FocusedImage:
+                     window: str = "none") -> FocusedImage:
     """Apply the reference-range azimuth matched filter and invert the FFT.
 
     H(f) = exp(-j pi f^2 / K_a) with K_a = 2 v^2 / (lambda R_c); the static
@@ -166,7 +151,7 @@ def azimuth_compress(rd: RangeDopplerMatrix, platform: PlatformParams,
     spec = np.fft.ifftshift(rd.data * h[:, None], axes=0)
     img = np.fft.ifft(spec, axis=0)
     img = img * (np.conj(platform.reference_phasor) * np.exp(1j * np.pi / 4))
-    return FocusedImage(img, slow_time_s, range_axis_m, cell_extent_m)
+    return FocusedImage(img)
 
 
 def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
@@ -190,10 +175,7 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
         rc = range_compress_noise(raw, replica, spec.n_range_cells)
     rd = azimuth_fft(rc, platform.prf_hz)
     rd = rcmc(rd, platform, grid.cell_extent_m, rcmc_mode)
-    cells = np.arange(spec.n_range_cells)
-    return azimuth_compress(rd, platform, raw.slow_time_s,
-                            grid.slant_range_of_cell(cells),
-                            grid.cell_extent_m, azimuth_window)
+    return azimuth_compress(rd, platform, azimuth_window)
 
 
 def write_fimg(path, img: FocusedImage) -> None:

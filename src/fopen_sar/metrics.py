@@ -9,13 +9,13 @@ nulls are the first local minima on either side of the peak.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-# The four sidelobe metrics: the keys of image_metrics' result, the
-# MetricsReport fields and the keys of every metrics JSON.
+# The four sidelobe metrics: the keys of image_metrics' result and of every
+# metrics JSON.
 METRIC_KEYS = ("islr_range_db", "pslr_range_db", "islr_azimuth_db", "pslr_azimuth_db")
 
 
@@ -48,34 +48,6 @@ class Profile:
             raise ValueError("peak must lie strictly between the nulls")
         if np.any(self.values < 0):
             raise ValueError("profile power must be nonnegative")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    waveform: str
-    polarization: str | None
-    foliage: bool
-    islr_range_db: float
-    pslr_range_db: float
-    islr_azimuth_db: float
-    pslr_azimuth_db: float
-    n_seeds: int = 1
-    std: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        def enc(x):
-            if isinstance(x, float) and math.isinf(x):
-                return "-inf" if x < 0 else "inf"
-            return x
-
-        return {
-            "waveform": self.waveform,
-            "polarization": self.polarization,
-            "foliage": self.foliage,
-            **{k: enc(getattr(self, k)) for k in METRIC_KEYS},
-            "n_seeds": self.n_seeds,
-            "std": {k: enc(v) for k, v in self.std.items()},
-        }
 
 
 def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:
@@ -207,14 +179,22 @@ def image_metrics(pixels: np.ndarray, upsample: int = 16,
     return dict(zip(METRIC_KEYS, (islr(rng_p), pslr(rng_p), islr(az_p), pslr(az_p))))
 
 
+def _json_number(x: float):
+    """x, or "inf" / "-inf", which JSON has no number for."""
+    if math.isinf(x):
+        return "-inf" if x < 0 else "inf"
+    return x
+
+
 def aggregate_reports(metric_dicts: list[dict], waveform: str,
-                      polarization: str | None, foliage: bool) -> MetricsReport:
-    """Mean +- std over a seed set, as a MetricsReport."""
-    means = {}
-    stds = {}
-    for k in METRIC_KEYS:
-        vals = np.array([d[k] for d in metric_dicts], dtype=float)
-        means[k] = float(np.mean(vals))
-        stds[k] = float(np.std(vals))
-    return MetricsReport(waveform, polarization, foliage, **means,
-                         n_seeds=len(metric_dicts), std=stds)
+                      polarization: str | None, foliage: bool) -> dict:
+    """The metrics JSON document: mean and std of each metric over a seed set."""
+    vals = {k: np.array([d[k] for d in metric_dicts], dtype=float) for k in METRIC_KEYS}
+    return {
+        "waveform": waveform,
+        "polarization": polarization,
+        "foliage": foliage,
+        **{k: _json_number(float(np.mean(v))) for k, v in vals.items()},
+        "n_seeds": len(metric_dicts),
+        "std": {k: _json_number(float(np.std(v))) for k, v in vals.items()},
+    }

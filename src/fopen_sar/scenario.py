@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
-from .geometry import PlatformParams, PointTarget, Scene, make_grid
+from .geometry import PlatformParams, PointTarget, RangeGrid, Scene, make_grid
 from .imaging import RCMC_MODES, FocusedImage, focus
 from .metrics import image_metrics
 from .waveform import OfdmSpec, generate_bpsk_symbols
@@ -41,7 +41,6 @@ SCHEMA = {
         "n_subcarriers": (int, REQUIRED, 1, None),
         "n_range_cells": (int, REQUIRED, 1, None),
         "bandwidth_hz": (float, REQUIRED, 1e-12, None),
-        "noise_variance": (float, 1.0, 1e-300, None),
     },
     # Key names are the PlatformParams field names.
     "platform": {
@@ -58,7 +57,6 @@ SCHEMA = {
         "polarization": (("HH", "VV"), REQUIRED, None, None),
         "grazing_angle_deg": (float, None, 1e-9, 90.0),
         "gamma_shape": (float, 4.0, 1e-12, None),
-        "gamma_scale": (float, 0.25, 1e-12, None),
         "hurst": (float, 0.4, 1e-9, 1 - 1e-9),
         "redraw_per_pulse": (bool, False, None, None),
         "spectral_smoothing_bins": (int, 0, 0, None),
@@ -195,9 +193,10 @@ class Scenario:
             grazing = math.asin(p["altitude_m"] / p["reference_range_m"])
         else:
             grazing = math.radians(f["grazing_angle_deg"])
-        return FoliageParams(f["polarization"], grazing, f["gamma_shape"],
-                             f["gamma_scale"], f["hurst"], seed,
-                             f["redraw_per_pulse"], f["spectral_smoothing_bins"])
+        return FoliageParams(f["polarization"], grazing, gamma_shape=f["gamma_shape"],
+                             hurst=f["hurst"], seed=seed,
+                             redraw_per_pulse=f["redraw_per_pulse"],
+                             spectral_smoothing_bins=f["spectral_smoothing_bins"])
 
     def simulation_config(self, master_seed=None) -> SimulationConfig:
         seed = self.master_seed if master_seed is None else master_seed
@@ -208,7 +207,6 @@ class Scenario:
             scene=self.scene(),
             platform=self.platform(),
             foliage=self.foliage_params(seed),
-            noise_variance=self.doc["waveform"]["noise_variance"],
             snr_db=noise.get("snr_db"),
             master_seed=seed,
         )
@@ -263,7 +261,8 @@ def validate_scenario(doc: dict) -> dict:
 
 def _after_section(name, out):
     """The rules that relate fields, run after their section, and the walk of
-    scene.targets[i], whose cell maximum M-1 comes from the waveform."""
+    scene.targets[i], whose cell maximum M-1 comes from the waveform and whose
+    closest-approach slant range may not fall below the platform altitude."""
     if name == "waveform":
         if out["waveform"]["n_subcarriers"] < out["waveform"]["n_range_cells"]:
             _fail("waveform.n_subcarriers", "must be >= n_range_cells")
@@ -300,12 +299,18 @@ def _after_section(name, out):
             _fail("processing.smooth_window", f"must be <= {min(cuts) * up}, "
                   "the samples of the shorter upsampled profile")
     elif name == "scene":
-        m = out["waveform"]["n_range_cells"]
+        w, p = out["waveform"], out["platform"]
+        m = w["n_range_cells"]
+        grid = RangeGrid(m, w["bandwidth_hz"], p["reference_range_m"], p["altitude_m"])
         table = dict(TARGET, cell=(int, REQUIRED, 0, m - 1))
         targets, seen = [], {}
         for i, t in enumerate(out["scene"]["targets"]):
             path = f"scene.targets[{i}]"
             t = _section(t, path, table)
+            r = grid.slant_range_of_cell(t["cell"])
+            if r < p["altitude_m"]:
+                _fail(f"{path}.cell", f"closest-approach slant range {r:.6f} m is "
+                      f"below platform.altitude_m ({p['altitude_m']} m), past nadir")
             first = seen.setdefault((t["cell"], t["azimuth_m"]), path)
             if first != path:
                 _fail(path, f"same cell and azimuth_m as {first}")

@@ -12,7 +12,7 @@ from fopen_sar import cli
 from fopen_sar.cli import main
 from fopen_sar.echo import read_fsar
 from fopen_sar.imaging import read_fimg
-from fopen_sar.scenario import SMALL_PRESET
+from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET
 
 
 @pytest.fixture
@@ -47,14 +47,12 @@ class TestSimulate:
         b = open(os.path.join(out2, f), "rb").read()
         assert a == b
 
-    def test_thread_env_does_not_change_bytes(self, small_file, tmp_path,
-                                              monkeypatch):
+    def test_thread_count_does_not_change_bytes(self, small_file, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--scenario", small_file, "--out", out1,
               "--foliage", "HH", "--threads", "1"])
-        monkeypatch.setenv("FOPEN_SAR_THREADS", "4")
         main(["simulate", "--scenario", small_file, "--out", out2,
-              "--foliage", "HH"])
+              "--foliage", "HH", "--threads", "4"])
         f = "ofdm-foliage_HH-seed0_raw.fsar"
         a = open(os.path.join(out1, f), "rb").read()
         b = open(os.path.join(out2, f), "rb").read()
@@ -73,6 +71,16 @@ class TestSimulate:
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
         assert main(["simulate", "--scenario", small_file, "--preset", "small",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "image"])
+    def test_seeds_rejected(self, command, tmp_path, capsys):
+        # both write one seed; --seeds once ran on and wrote seed 0 only
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "small", "--seeds", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "none.json"),
@@ -199,6 +207,18 @@ class TestMetricsCmd:
         doc = _read_json(os.path.join(out, "ofdm-foliage_off-seed0_metrics.json"))
         assert doc["n_seeds"] == 1
 
+    def test_image_scenario_mismatch_exit_4(self, small_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["image", "--scenario", small_file, "--out", str(out)])
+        img = out / "ofdm-foliage_off-seed0_image.fimg"
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert main(["metrics", "--preset", "full", "--image", str(img),
+                     "--out", str(out)]) == 4
+        assert (f"error: {img} has shape (32, 48), scenario expects (256, 192)"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in out.iterdir()) == before
+
     def test_no_peak_exit_5(self, tmp_path):
         doc = copy.deepcopy(SMALL_PRESET)
         doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
@@ -235,6 +255,16 @@ SCHEMA_HOLES = [
                  "processing.smooth_window", id="window_past_profile"),
     pytest.param(_set("processing", "smooth_window", 1e15),
                  "processing.smooth_window", id="huge_window"),
+    # changed no output: the noise pulse is rescaled to the OFDM pulse's energy
+    pytest.param(_set("waveform", "noise_variance", 4.0),
+                 "waveform.noise_variance: unknown key", id="noise_variance"),
+    pytest.param(lambda d: d.update(foliage={"polarization": "HH", "gamma_scale": 0.5}),
+                 "foliage.gamma_scale: unknown key", id="gamma_scale"),
+    # cell 0 sits 24 cells nearer than a reference range at the altitude:
+    # once a bare ValueError traceback from the geometry
+    pytest.param(lambda d: (d["platform"].update(reference_range_m=5000.0),
+                            d["scene"]["targets"][0].update(cell=0)),
+                 "scene.targets[0].cell", id="below_nadir"),
 ] + [
     pytest.param(_set(section, key, value), f"{section}.{key}",
                  id=f"{type(value).__name__}_{key}")
@@ -265,6 +295,87 @@ class TestSchemaHoles:
         out = tmp_path / "o"
         assert main(["image", "--scenario", str(scen), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+# One changed value for every scenario key; "scene.targets[]" keys are set on
+# the one target. The guard below fails when SCHEMA or TARGET gains a key
+# that is not listed here.
+KEY_CHANGES = {
+    "waveform.kind": "noise",
+    "waveform.n_subcarriers": 300,
+    "waveform.n_range_cells": 40,
+    "waveform.bandwidth_hz": 3.0e9,
+    "platform.altitude_m": 4000.0,
+    "platform.velocity_mps": 140.0,
+    "platform.aperture_s": 0.3,
+    "platform.carrier_hz": 10.0e9,
+    "platform.reference_range_m": 7000.0,
+    "platform.antenna_length_m": 5.0,
+    "platform.prf_hz": 100.0,
+    "scene.targets": [{"cell": 24}, {"cell": 10, "azimuth_m": -3.0}],
+    "scene.targets[].cell": 20,
+    "scene.targets[].azimuth_m": 2.0,
+    "scene.targets[].rcs": [0.5, 0.5],
+    "foliage.polarization": "VV",
+    "foliage.grazing_angle_deg": 30.0,
+    "foliage.gamma_shape": 2.0,
+    "foliage.hurst": 0.7,
+    "foliage.redraw_per_pulse": True,
+    "foliage.spectral_smoothing_bins": 4,
+    "noise.snr_db": 10.0,
+    "processing.rcmc": "spectral",
+    "processing.azimuth_window": "hann",
+    "processing.upsample": 8,
+    "processing.smooth_window": 5,
+    "outputs.db_floor": -40.0,
+    "outputs.write_pgm": False,
+    "outputs.write_png": False,
+    "outputs.write_csv_profiles": False,
+    "outputs.dump_foliage_csv": True,
+    "seeds.master": 1,
+}
+
+
+def _every_key_base():
+    doc = copy.deepcopy(SMALL_PRESET)
+    doc["foliage"] = {"polarization": "HH"}
+    doc["noise"] = {"snr_db": 20.0}
+    return doc
+
+
+def _command_outputs(doc, tmp_path):
+    """{(command, file): sha256} over the manifests of simulate, image and metrics."""
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    hashes = {}
+    for command in ("simulate", "image", "metrics"):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(scen), "--out", str(out)]) == 0
+        manifest = _read_json(out / f"{command}_manifest.json")
+        hashes.update({(command, o["path"]): o["sha256"] for o in manifest["outputs"]})
+    return hashes
+
+
+@pytest.fixture(scope="module")
+def every_key_baseline(tmp_path_factory):
+    return _command_outputs(_every_key_base(), tmp_path_factory.mktemp("baseline"))
+
+
+class TestEveryKeyChangesAnOutput:
+    """A scenario key whose value no output depends on is an option to delete."""
+
+    def test_every_key_listed(self):
+        keys = {f"{section}.{key}" for section, table in SCHEMA.items() for key in table}
+        keys |= {f"scene.targets[].{key}" for key in TARGET}
+        assert set(KEY_CHANGES) == keys
+
+    @pytest.mark.parametrize("key", sorted(KEY_CHANGES))
+    def test_key_changes_an_output(self, key, every_key_baseline, tmp_path):
+        doc = _every_key_base()
+        *path, name = key.split(".")
+        node = doc["scene"]["targets"][0] if path == ["scene", "targets[]"] else doc[path[0]]
+        node[name] = KEY_CHANGES[key]
+        assert _command_outputs(doc, tmp_path) != every_key_baseline
 
 
 class TestMalformedFiles:

@@ -209,7 +209,7 @@ class TestFoliageChannel:
 
     def test_flight_path_factor_starts_at_one(self):
         ch = self._channel()
-        assert ch.delta_eta(0) == pytest.approx(1.0)
+        assert ch._delta_eta[0] == 1.0
 
     def test_out_of_range_pulse_rejected(self):
         with pytest.raises(IndexError):

@@ -129,8 +129,7 @@ class TestRangeCompressNoise:
 class TestAzimuthFft:
     def _rc(self, data):
         from fopen_sar.imaging import RangeCompressedMatrix
-        n = data.shape[0]
-        return RangeCompressedMatrix(data, np.arange(n) / 64.0, "ofdm")
+        return RangeCompressedMatrix(data)
 
     def test_constant_column_impulse_at_zero(self):
         data = np.ones((32, 3), complex)
@@ -179,7 +178,7 @@ class TestRcmc:
         data = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
         fd = np.linspace(-128, 127, 8)
         fd[3] = 0.0
-        rd = RangeDopplerMatrix(data, fd, 256.0)
+        rd = RangeDopplerMatrix(data, fd)
         out = rcmc(rd, p, 0.0375, "spectral")
         np.testing.assert_allclose(out.data[3], data[3], atol=1e-12)
 
@@ -190,7 +189,7 @@ class TestRcmc:
         data = np.zeros((4, 64), complex)
         fd = np.array([-f0, 0.0, f0, 10.0])
         data[2, cell0] = 1.0
-        rd = RangeDopplerMatrix(data, fd, 256.0)
+        rd = RangeDopplerMatrix(data, fd)
         shift = migration_shift_cells(p, 0.0375, np.array([f0]))[0]
         out = rcmc(rd, p, 0.0375, mode)
         peak = int(np.argmax(np.abs(out.data[2])))
@@ -204,7 +203,7 @@ class TestRcmc:
         lam = p.wavelength_m
         f = np.sqrt(3 * 0.0375 * 8 * p.velocity_mps**2
                     / (lam**2 * p.reference_range_m))
-        rd = RangeDopplerMatrix(row[None, :], np.array([f]), 256.0)
+        rd = RangeDopplerMatrix(row[None, :], np.array([f]))
         out = rcmc(rd, p, 0.0375, "spectral")
         np.testing.assert_allclose(out.data[0], np.roll(row, -3), atol=1e-9)
 
@@ -212,14 +211,14 @@ class TestRcmc:
         p = self._platform()
         rng = np.random.default_rng(2)
         data = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        rd = RangeDopplerMatrix(data, np.linspace(-10, 10, 4), 256.0)
+        rd = RangeDopplerMatrix(data, np.linspace(-10, 10, 4))
         out = rcmc(rd, p, 0.0375, "off")
         assert out.data is data
 
     def test_unknown_mode_rejected(self):
         p = self._platform()
         rd = RangeDopplerMatrix(np.zeros((2, 4), complex),
-                                np.array([0.0, 1.0]), 256.0)
+                                np.array([0.0, 1.0]))
         for mode in ("cubic", "sinc8"):
             with pytest.raises(ValueError, match="rcmc mode"):
                 rcmc(rd, p, 0.0375, mode)
@@ -274,7 +273,7 @@ class TestAzimuthCompressAndFocus:
         p1 = np.abs(upsample_complex(img.pixels[:, 10], 16)).max()
         p2 = np.abs(upsample_complex(img.pixels[:, 38], 16)).max()
         assert p1 == pytest.approx(p2, rel=0.08)
-        eta = img.slow_time_s
+        eta = plat.slow_time_axis()
         assert eta[np.argmax(mag[:, 10])] == pytest.approx(-10.0 / 150.0,
                                                            abs=1.5 / plat.prf_hz)
         assert eta[np.argmax(mag[:, 38])] == pytest.approx(10.0 / 150.0,
@@ -285,7 +284,7 @@ class TestAzimuthCompressAndFocus:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
         from fopen_sar.imaging import RangeCompressedMatrix
-        rc = RangeCompressedMatrix(data, np.arange(16) / 64.0, "ofdm")
+        rc = RangeCompressedMatrix(data)
         rd = azimuth_fft(rc, 64.0)
         spec = np.fft.ifftshift(rd.data, axes=0)
         back = np.fft.ifft(spec, axis=0)
@@ -323,7 +322,7 @@ class TestImageIo:
     def _image(self):
         rng = np.random.default_rng(0)
         px = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-        return FocusedImage(px, np.arange(8) / 64.0, np.arange(6.0), 0.0375)
+        return FocusedImage(px)
 
     def test_fimg_round_trip(self, tmp_path):
         img = self._image()
@@ -334,7 +333,7 @@ class TestImageIo:
     def test_fimg_round_trip_keeps_every_bit(self, tmp_path):
         px = np.array([[complex(-0.0, 1.0), complex(1.0, np.inf)]])
         path = tmp_path / "img.fimg"
-        write_fimg(path, FocusedImage(px, np.zeros(1), np.arange(2.0), 0.0375))
+        write_fimg(path, FocusedImage(px))
         assert read_fimg(path).tobytes() == px.tobytes()
 
     def test_fsar_is_not_an_image(self, tmp_path):
@@ -371,7 +370,7 @@ class TestImageIo:
     def test_pgm_peak_location_matches_image(self, tmp_path):
         px = np.full((5, 7), 0.01, complex)
         px[3, 2] = 1.0
-        img = FocusedImage(px, np.arange(5) / 64.0, np.arange(7.0), 0.0375)
+        img = FocusedImage(px)
         path = tmp_path / "img.pgm"
         write_pgm(path, img)
         blob = path.read_bytes()

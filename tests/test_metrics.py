@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fopen_sar.metrics import (MetricsReport, NoPeakError, Profile,
+from fopen_sar.metrics import (METRIC_KEYS, NoPeakError, Profile,
                                UndefinedMetricError, aggregate_reports,
                                extract_profiles, find_mainlobe, image_metrics,
                                islr, mainlobe_width_3db, profile_from_cut, pslr,
@@ -147,35 +147,37 @@ class TestIslrPslr:
         assert mainlobe_width_3db(prof) == pytest.approx(0.886, abs=0.07)
 
 
+def _seed(islr_range, pslr_range=-13.0, islr_az=-20.0, pslr_az=-23.0):
+    return {"islr_range_db": islr_range, "pslr_range_db": pslr_range,
+            "islr_azimuth_db": islr_az, "pslr_azimuth_db": pslr_az}
+
+
 class TestReport:
     def test_json_round_trip(self):
-        r = MetricsReport("ofdm", "HH", True, -5.6, -9.7, -15.2, -19.5,
-                          n_seeds=10, std={"islr_range_db": 0.4})
-        doc = json.loads(json.dumps(r.to_dict()))
-        assert doc["waveform"] == "ofdm"
-        assert doc["polarization"] == "HH"
-        assert doc["foliage"] is True
-        assert doc["islr_range_db"] == -5.6
-        assert doc["n_seeds"] == 10
-        assert doc["std"]["islr_range_db"] == 0.4
+        dicts = [_seed(-5.5, -9.75, -15.25, -19.5)] * 10  # exact binary means
+        doc = json.loads(json.dumps(aggregate_reports(dicts, "ofdm", "HH", True)))
+        assert doc == {"waveform": "ofdm", "polarization": "HH", "foliage": True,
+                       "islr_range_db": -5.5, "pslr_range_db": -9.75,
+                       "islr_azimuth_db": -15.25, "pslr_azimuth_db": -19.5,
+                       "n_seeds": 10, "std": dict.fromkeys(METRIC_KEYS, 0.0)}
 
     def test_minus_inf_encoded_as_string(self):
-        r = MetricsReport("ofdm", None, False, float("-inf"), -13.0, -20.0,
-                          -23.0)
-        doc = json.loads(json.dumps(r.to_dict()))
+        # a seed with no sidelobe power has ISLR -inf, whose std is NaN
+        with np.errstate(invalid="ignore"):
+            doc = aggregate_reports([_seed(float("-inf"))], "ofdm", None, False)
+        doc = json.loads(json.dumps(doc))
         assert doc["islr_range_db"] == "-inf"
+        assert doc["pslr_range_db"] == -13.0
+        with np.errstate(invalid="ignore"):
+            doc = aggregate_reports([_seed(float("inf"))], "ofdm", None, False)
+        assert doc["islr_range_db"] == "inf"
 
     def test_aggregate_mean_and_std(self):
-        dicts = [
-            {"islr_range_db": -9.0, "pslr_range_db": -13.0,
-             "islr_azimuth_db": -20.0, "pslr_azimuth_db": -23.0},
-            {"islr_range_db": -11.0, "pslr_range_db": -13.0,
-             "islr_azimuth_db": -22.0, "pslr_azimuth_db": -23.0},
-        ]
+        dicts = [_seed(-9.0, islr_az=-20.0), _seed(-11.0, islr_az=-22.0)]
         r = aggregate_reports(dicts, "noise", None, False)
-        assert r.islr_range_db == pytest.approx(-10.0)
-        assert r.std["islr_range_db"] == pytest.approx(1.0)
-        assert r.n_seeds == 2
+        assert r["islr_range_db"] == pytest.approx(-10.0)
+        assert r["std"]["islr_range_db"] == pytest.approx(1.0)
+        assert r["n_seeds"] == 2
 
     def test_profile_invariants(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
+from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
                                 SchemaError, Scenario, load_scenario,
@@ -33,6 +35,31 @@ class TestValidation:
         doc["platform"]["color"] = "red"
         with pytest.raises(SchemaError, match=r"platform\.color"):
             validate_scenario(doc)
+
+    @pytest.mark.parametrize("section,key", [("waveform", "noise_variance"),
+                                             ("foliage", "gamma_scale")])
+    def test_removed_key_rejected(self, section, key):
+        # keys that changed no output: the noise pulse is rescaled to the
+        # OFDM pulse's energy, the Gamma draw to its own mean
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc[section] = dict(doc.get(section, {"polarization": "HH"}), **{key: 2.0})
+        with pytest.raises(SchemaError, match=rf"^{section}\.{key}: unknown key$"):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("cell,ok", [(24, True), (23, False)])
+    def test_target_below_nadir_rejected(self, cell, ok):
+        # reference range at the altitude puts cell M//2 = 24 exactly at nadir
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["platform"]["reference_range_m"] = doc["platform"]["altitude_m"]
+        doc["scene"]["targets"][0]["cell"] = cell
+        if ok:
+            raw = synthesize_raw(Scenario(doc).simulation_config())
+            assert np.all(np.isfinite(raw.data))
+        else:
+            with pytest.raises(SchemaError, match=r"^scene\.targets\[0\]\.cell: "
+                               r"closest-approach slant range 4999\.962\d* m is below "
+                               r"platform\.altitude_m"):
+                validate_scenario(doc)
 
     def test_missing_section_names_it(self):
         doc = copy.deepcopy(SMALL_PRESET)
@@ -141,7 +168,6 @@ class TestValidation:
         doc["foliage"] = {"polarization": "VV"}
         out = validate_scenario(doc)
         assert out["foliage"]["gamma_shape"] == 4.0
-        assert out["foliage"]["gamma_scale"] == 0.25
         assert out["foliage"]["hurst"] == 0.4
         assert out["foliage"]["redraw_per_pulse"] is False
 
