@@ -3,11 +3,15 @@
 Each range line is the linear convolution of the transmitted pulse (length
 N+M-1) with the length-M weighting RCS coefficient vector evaluated at that
 pulse's slow time, giving L = N+2M-2 samples; all pulses are formed in one
-pass, raw = IFFT(FFT(G, L) * FFT(s, L) * F). Foliage, when configured, is
-the per-pulse spectral multiplier F; receiver noise is added after the
-foliage, matching the signal-flow order of the channel model.
+pass, raw = IFFT(FFT(G, L) * FFT(s, L) * F). FFT(G, L) depends on the
+geometry alone, so it is computed once and reused by every seed of that
+geometry. Foliage, when configured, is the per-pulse spectral multiplier F;
+receiver noise is added after the foliage, matching the signal-flow order
+of the channel model.
 """
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +105,31 @@ def apply_foliage(line: np.ndarray, realization: FoliageRealization) -> np.ndarr
     return np.fft.ifft(np.fft.fft(line) * realization.freq_response)
 
 
-def line_spectrum(g: np.ndarray, pulse: PulseSamples) -> np.ndarray:
-    """Spectrum of g * s (g a vector or G[pulse, cell]) at the linear-convolution
-    length, where the circular convolution equals the linear one."""
-    n = g.shape[-1] + len(pulse.samples) - 1
-    return np.fft.fft(g, n, axis=-1) * np.fft.fft(pulse.samples, n)
+@functools.lru_cache(maxsize=1)
+def _geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: float,
+                       n: int) -> np.ndarray:
+    grid = make_grid(scene.n_range_cells, bandwidth_hz, platform)
+    spec = np.fft.fft(gm_vector(scene, grid, platform, platform.slow_time_axis()), n,
+                      axis=-1)
+    spec.setflags(write=False)
+    return spec
+
+
+_geometry_lock = threading.Lock()
+
+
+def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: float,
+                      n: int) -> np.ndarray:
+    """FFT(G, n) of the weighting matrix G[pulse, cell], read-only.
+
+    No seed enters G, so the last geometry's spectrum is kept and shared by
+    every run (and every seed thread) until the geometry changes.
+    """
+    with _geometry_lock:
+        return _geometry_spectrum(scene, platform, bandwidth_hz, n)
+
+
+geometry_spectrum.cache_clear = _geometry_spectrum.cache_clear
 
 
 def receiver_noise(config: SimulationConfig, pulse: PulseSamples) -> np.ndarray:
@@ -130,23 +154,30 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
 
     threads is the caller's worker cap; a single run uses one thread.
     """
-    platform = config.platform
-    eta = platform.slow_time_axis()
+    n = config.line_length
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
-    grid = make_grid(config.scene.n_range_cells, config.ofdm.bandwidth_hz, platform)
-    spec = line_spectrum(gm_vector(config.scene, grid, platform, eta), pulse)
-    if channel is not None:
-        spec *= channel.response()
-    data = np.fft.ifft(spec, axis=1)
+    g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
+    s_spec = np.fft.fft(pulse.samples, n)
+    if channel is None:
+        data = g_spec * s_spec
+    else:  # F's own buffer becomes the raw matrix
+        data = channel.response()
+        data *= g_spec
+        data *= s_spec
+    np.fft.ifft(data, axis=1, out=data)
     if config.snr_db is not None:
         data += receiver_noise(config, pulse)
-    return RawDataMatrix(data, eta, config.ofdm.sample_interval, config.waveform_kind)
+    return RawDataMatrix(data, config.platform.slow_time_axis(), config.ofdm.sample_interval,
+                         config.waveform_kind)
 
 
 def synthesize_from_g(g: np.ndarray, pulse: PulseSamples) -> np.ndarray:
-    """Raw line for an explicit weighting vector (single-pulse test hook)."""
-    return np.fft.ifft(line_spectrum(np.asarray(g, dtype=complex), pulse))
+    """Raw line for an explicit weighting vector (single-pulse test hook): the
+    linear convolution g * s, as a circular one at its full length."""
+    g = np.asarray(g, dtype=complex)
+    n = len(g) + len(pulse.samples) - 1
+    return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse.samples, n))
 
 
 def write_fsar(path, raw: RawDataMatrix) -> None:

@@ -7,7 +7,9 @@ multiplicative fluctuation delta_A = delta_omega * delta_eta, where
 delta_omega is a centered Gamma draw per frequency bin and delta_eta tracks
 the flight path through the exponential of a fractional Brownian motion.
 The phase is the incoherent-field fluctuation arctan(dA sin psi / (1 + dA
-cos psi)) with psi uniform on [-pi, pi].
+cos psi)) with psi uniform on [-pi, pi]: the angle of the incoherent field
+w = 1 + dA exp(j psi). F carries it as the unit phasor w / |w|, which needs
+no arctangent.
 
 The per-bin draws (delta_omega and psi) model a fixed foliage environment
 and are frozen per run by default; pulse-to-pulse variation enters through
@@ -30,6 +32,12 @@ ATTENUATION_CONSTANTS = {
 # Floor on the fluctuation factor 1 + delta_A, which a Gamma draw can take
 # to zero or below.
 AMPLITUDE_FLOOR = 1e-6
+
+# Pulses per block of a [pulse, bin] pass. A block's temporaries stay under
+# 1 MB, which the C allocator keeps and reuses run after run; whole-matrix
+# temporaries (5.8 MB each at the full preset) it hands back to the system,
+# so every run page-faults them in afresh, at more cost than the arithmetic.
+BLOCK_PULSES = 32
 
 
 @dataclass(frozen=True)
@@ -134,13 +142,35 @@ def fbm_path(hurst: float, n: int, step_s: float,
     return path
 
 
+def incoherent_field(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """w = 1 + dA exp(j psi): the field whose angle is the fluctuation phase."""
+    w = np.empty(np.broadcast_shapes(np.shape(delta_a), np.shape(psi)), dtype=complex)
+    np.multiply(delta_a, np.cos(psi), out=w.real)
+    w.real += 1.0
+    np.multiply(delta_a, np.sin(psi), out=w.imag)
+    return w
+
+
 def phase_fluctuation(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Incoherent-field phase arctan(dA sin psi / (1 + dA cos psi)).
 
     Uses the two-argument arctangent, so the result stays in (-pi, pi] even
     when 1 + dA cos(psi) goes negative; for |dA| < 1 it lies in (-pi/2, pi/2).
     """
-    return np.arctan2(delta_a * np.sin(psi), 1.0 + delta_a * np.cos(psi))
+    return np.angle(incoherent_field(delta_a, psi))
+
+
+def unit_phasor(w: np.ndarray) -> np.ndarray:
+    """w / |w| in place: exp(j angle(w)) without the arctangent.
+
+    Where w = 0 (dA = -1, psi = 0) the phasor is 1, as arctan2(0, 0) = 0 gives.
+    """
+    mag = np.abs(w)
+    zero = mag == 0
+    w[zero], mag[zero] = 1.0, 1.0
+    w.real /= mag
+    w.imag /= mag
+    return w
 
 
 def draw_uniform_phase(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -189,8 +219,9 @@ class FoliageChannel:
         return d
 
     def _transfer(self, pulses: np.ndarray):
-        """Amplitude A and phase Phi [pulse, bin]: delta_A is the outer product
-        of the per-bin draws (per-pulse substreams if redrawn) and delta_eta."""
+        """Amplitude A and incoherent field w [pulse, bin]: delta_A is the outer
+        product of the per-bin draws (per-pulse substreams if redrawn) and
+        delta_eta, and the phase Phi is the angle of w."""
         n_bins = len(self.freq_grid_hz)
         if self._frozen_gamma is not None:
             d_omega, psi = self._frozen_gamma[None, :], self._frozen_psi[None, :]
@@ -200,22 +231,38 @@ class FoliageChannel:
                 substream(self.params.seed, "foliage_phase", 1 + p), n_bins)
                 for p in pulses])
         delta_a = d_omega * self._delta_eta[pulses, None]
-        amp = np.maximum(self._a0_linear * (1.0 + delta_a),
-                         AMPLITUDE_FLOOR * self._a0_linear)
-        return amp, phase_fluctuation(delta_a, psi)
+        amp = delta_a + 1.0
+        amp *= self._a0_linear
+        np.maximum(amp, AMPLITUDE_FLOOR * self._a0_linear, out=amp)
+        return amp, incoherent_field(delta_a, psi)
+
+    @staticmethod
+    def _response(amp: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """F = A w / |w|, built in w's buffer."""
+        f = unit_phasor(w)
+        f.real *= amp
+        f.imag *= amp
+        return f
 
     def response(self) -> np.ndarray:
-        """F[pulse, bin] for every pulse; row p is realize(p).freq_response."""
-        amp, phi = self._transfer(np.arange(self.n_pulses))
-        return amp * np.exp(1j * phi)
+        """F[pulse, bin] for every pulse; row p is realize(p).freq_response.
+
+        Built BLOCK_PULSES rows at a time, so only the result is a full-size array.
+        """
+        f = np.empty((self.n_pulses, len(self.freq_grid_hz)), dtype=complex)
+        for start in range(0, self.n_pulses, BLOCK_PULSES):
+            rows = np.arange(start, min(start + BLOCK_PULSES, self.n_pulses))
+            f[start:start + BLOCK_PULSES] = self._response(*self._transfer(rows))
+        return f
 
     def realize(self, pulse_index: int) -> FoliageRealization:
-        """Transfer function F_k = A_k exp(j Phi_k) for one pulse."""
+        """Transfer function F_k = A_k exp(j Phi_k) for one pulse; its phase is
+        the arctan2 reference form, angle(w)."""
         if not 0 <= pulse_index < self.n_pulses:
             raise IndexError(f"pulse_index {pulse_index} outside [0, {self.n_pulses})")
-        amp, phi = self._transfer(np.array([pulse_index]))
-        return FoliageRealization(amp[0] * np.exp(1j * phi[0]), amp[0], phi[0],
-                                  pulse_index)
+        amp, w = self._transfer(np.array([pulse_index]))
+        phase = np.angle(w[0])
+        return FoliageRealization(self._response(amp, w)[0], amp[0], phase, pulse_index)
 
 
 def dump_realizations_csv(path, channel: FoliageChannel):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .echo import RawDataMatrix
 from .fileio import atomic_write, read_container, write_container
+from .foliage import BLOCK_PULSES
 from .geometry import PlatformParams, RangeGrid
 from .waveform import OfdmSpec, PulseSamples
 
@@ -52,9 +53,11 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
     """Equalize each pulse: FFT, divide by symbols, IFFT, keep M cells.
 
     The de-prefixed window starts at fast-time sample M-1; the transform is
-    phase-referenced to absolute fast time (circular pre-roll by M-1), which
-    is what makes the recovery g_hat = sqrt(N) * g exact for the cyclic
-    pulse. Transforms are unitary (1/sqrt(N) each way).
+    phase-referenced to absolute fast time (a circular pre-roll by M-1),
+    which is what makes the recovery g_hat = sqrt(N) * g exact for the
+    cyclic pulse. The pre-roll is the phase ramp exp(-2 pi i (M-1) k / N)
+    on bin k, folded with 1/X_k into one equalizer; its exponent is taken
+    mod N so the ramp stays accurate for large (M-1) k.
     """
     n, m = spec.n_subcarriers, spec.n_range_cells
     symbols = np.asarray(symbols, dtype=complex)
@@ -65,12 +68,29 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
     if raw.line_length != n + 2 * m - 2:
         raise ValueError(
             f"raw line length {raw.line_length} != N+2M-2 = {n + 2 * m - 2}")
-    window = raw.data[:, m - 1:m - 1 + n]
-    if m > 1:
-        window = np.roll(window, m - 1, axis=1)
-    zk = np.fft.fft(window, axis=1) / np.sqrt(n)
-    g_full = np.sqrt(n) * np.fft.ifft(zk / symbols, axis=1)
-    return RangeCompressedMatrix(np.ascontiguousarray(g_full[:, :m]))
+    k = np.arange(n)
+    eq = np.exp(-2j * np.pi * ((m - 1) * k % n) / n) / symbols
+    zk = np.fft.fft(raw.data[:, m - 1:m - 1 + n], axis=1)
+    zk *= eq
+    np.fft.ifft(zk, axis=1, out=zk)
+    return RangeCompressedMatrix(np.ascontiguousarray(zk[:, :m]))
+
+
+def smooth_length(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n: a fast FFT length.
+
+    Each 3^b 5^c below the answer is raised by the fewest doublings that
+    reach n; the least of those is the answer.
+    """
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << max(-(-n // p) - 1, 0).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
 
 
 def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
@@ -80,8 +100,9 @@ def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
     The correlation is sampled at lags 0 .. M-1 (the valid overlap of the
     N+2M-2 line with the N+M-1 replica) and normalized by the replica
     energy, so a unit single-tap channel gives a unit-magnitude peak. It is
-    computed as IFFT(FFT(line) * conj(FFT(replica, L))): those lags never
-    wrap around the line length L.
+    computed as IFFT(FFT(line, L') * conj(FFT(replica, L'))) at the fast
+    length L' = smooth_length(L) >= L: those lags never wrap around L'.
+    Pulses are filtered BLOCK_PULSES at a time.
     """
     rep = replica.samples
     expect = len(rep) + n_cells - 1
@@ -89,9 +110,15 @@ def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
         raise ValueError(
             f"raw line length {raw.line_length} incompatible with replica "
             f"({len(rep)}) and {n_cells} cells; expected {expect}")
-    energy = np.sum(np.abs(rep) ** 2)
-    spec = np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(rep, raw.line_length))
-    out = np.fft.ifft(spec, axis=1)[:, :n_cells] / energy
+    n = smooth_length(raw.line_length)
+    rep_spec = np.conj(np.fft.fft(rep, n))
+    out = np.empty((raw.n_pulses, n_cells), dtype=complex)
+    for start in range(0, raw.n_pulses, BLOCK_PULSES):
+        spec = np.fft.fft(raw.data[start:start + BLOCK_PULSES], n, axis=1)
+        spec *= rep_spec
+        np.fft.ifft(spec, axis=1, out=spec)
+        out[start:start + BLOCK_PULSES] = spec[:, :n_cells]
+    out /= np.sum(np.abs(rep) ** 2)
     return RangeCompressedMatrix(out)
 
 

@@ -180,10 +180,13 @@ def image_metrics(pixels: np.ndarray, upsample: int = 16,
 
 
 def _json_number(x: float):
-    """x, or "inf" / "-inf", which JSON has no number for."""
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return x
+    """x, or "inf" / "-inf" / "nan", which JSON has no number for."""
+    return x if math.isfinite(x) else str(x)
+
+
+def _std(v: np.ndarray) -> float:
+    """Standard deviation over seeds; undefined (nan) once a seed is infinite."""
+    return float(np.std(v)) if np.isfinite(v).all() else math.nan
 
 
 def aggregate_reports(metric_dicts: list[dict], waveform: str,
@@ -196,5 +199,5 @@ def aggregate_reports(metric_dicts: list[dict], waveform: str,
         "foliage": foliage,
         **{k: _json_number(float(np.mean(v))) for k, v in vals.items()},
         "n_seeds": len(metric_dicts),
-        "std": {k: _json_number(float(np.std(v))) for k, v in vals.items()},
+        "std": {k: _json_number(_std(v)) for k, v in vals.items()},
     }

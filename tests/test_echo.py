@@ -1,16 +1,19 @@
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from fopen_sar import echo
 from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
-                            read_fsar, synthesize_from_g,
+                            geometry_spectrum, read_fsar, synthesize_from_g,
                             synthesize_raw, transmitted_pulse, write_fsar)
 from fopen_sar.fileio import FormatError
 from fopen_sar.foliage import FoliageParams, FoliageRealization
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.rng import substream
-from fopen_sar.scenario import Scenario, preset_scenario
+from fopen_sar.scenario import Scenario, preset_scenario, run_metrics
 from fopen_sar.waveform import generate_ofdm_pulse
 
 
@@ -198,6 +201,56 @@ class TestSynthesizeRaw:
         with pytest.raises(ValueError):
             SimulationConfig("ofdm", tiny_spec, Scene((PointTarget(0),), 9),
                              tiny_platform)
+
+
+class TestGeometrySpectrumMemo:
+    """FFT(G, L) is computed once per geometry and shared by every seed."""
+
+    @pytest.mark.parametrize("change", [{"rcs": 0.5 - 0.25j}, {"azimuth_m": 2.0},
+                                        {"range_cell": 5}])
+    def test_one_target_field_changes_the_raw_matrix(self, tiny_spec, tiny_platform,
+                                                     change):
+        base = _config(tiny_spec, tiny_platform,
+                       scene=Scene((PointTarget(4), PointTarget(2, 1.0)), 8))
+        other = _config(tiny_spec, tiny_platform, scene=Scene(
+            (PointTarget(**{"range_cell": 4, **change}), PointTarget(2, 1.0)), 8))
+        warm = [synthesize_raw(cfg).data for cfg in (base, other, base)]
+        assert np.any(warm[0] != warm[1])
+        np.testing.assert_array_equal(warm[0], warm[2])
+        for cfg, data in ((base, warm[0]), (other, warm[1])):
+            geometry_spectrum.cache_clear()
+            np.testing.assert_array_equal(synthesize_raw(cfg).data, data)
+
+    def test_cached_spectrum_is_read_only(self, tiny_spec, tiny_platform):
+        cfg = _config(tiny_spec, tiny_platform)
+        spec = geometry_spectrum(cfg.scene, cfg.platform, tiny_spec.bandwidth_hz,
+                                 cfg.line_length)
+        assert not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0, 0] = 0.0
+
+    @pytest.mark.parametrize("threads, n_seeds", [(1, 4), (2, 4), (8, 8)])
+    def test_seed_block_computes_g_once(self, monkeypatch, threads, n_seeds):
+        scen = preset_scenario("small").with_overrides(foliage_pol="off")
+        seeds = list(range(n_seeds))
+        want = run_metrics(scen, seeds)
+        calls = []
+
+        def counting_gm_vector(*args):
+            calls.append(args)
+            time.sleep(0.05)  # other seed threads arrive while G is built
+            return gm_vector(*args)
+
+        monkeypatch.setattr(echo, "gm_vector", counting_gm_vector)
+        geometry_spectrum.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_metrics(scen, seeds, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert got == want
 
 
 class TestSeeds:

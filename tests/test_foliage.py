@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fopen_sar.foliage import (FoliageChannel, FoliageParams,
+from fopen_sar.foliage import (AMPLITUDE_FLOOR, FoliageChannel, FoliageParams,
                                _fgn_davies_harte,
                                dump_realizations_csv, draw_uniform_phase,
-                               fbm_path, mean_attenuation_db,
-                               phase_fluctuation, sample_gamma_fluctuation)
+                               fbm_path, incoherent_field, mean_attenuation_db,
+                               phase_fluctuation, sample_gamma_fluctuation,
+                               unit_phasor)
 from fopen_sar.rng import substream
 
 
@@ -159,11 +160,47 @@ class TestPhaseFluctuation:
         assert np.all(phi > -np.pi) and np.all(phi <= np.pi)
 
 
+class TestUnitPhasor:
+    """F's phasor w/|w| against exp(1j * phase_fluctuation), the reference form."""
+
+    def _both(self, delta_a, psi):
+        got = unit_phasor(incoherent_field(delta_a, psi))
+        return got, np.exp(1j * phase_fluctuation(delta_a, psi))
+
+    def test_matches_exp_of_phase(self):
+        # dA below -1 + AMPLITUDE_FLOOR is where the amplitude is clamped and
+        # the phase can pass +-pi/2
+        delta_a = np.concatenate([np.linspace(-4.0, 4.0, 161),
+                                  [-1.0, -1.0 + AMPLITUDE_FLOOR / 2, -1.0 - 1e-9, 1e-12]])
+        psi = np.concatenate([np.linspace(-np.pi, np.pi, 181), [0.0, 1e-9]])
+        got, want = self._both(delta_a[:, None], psi[None, :])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_zero_field_is_one(self):
+        # dA = -1, psi = 0 puts w at 0, where arctan2(0, 0) = 0
+        got, want = self._both(np.array([-1.0]), np.array([0.0]))
+        assert got[0] == 1.0 and want[0] == 1.0
+
+    def test_clamped_channel_bins(self):
+        ch = FoliageChannel(FoliageParams(gamma_shape=0.2, seed=3),
+                            9e9 + np.fft.fftfreq(64, d=0.25e-9), 16, 1 / 256.0)
+        a0 = 10 ** (-mean_attenuation_db(ch.freq_grid_hz, ch.params) / 20.0)
+        clamped = 0
+        for p in range(16):
+            r = ch.realize(p)
+            clamped += np.sum(r.amplitude == AMPLITUDE_FLOOR * a0)
+            assert np.max(np.abs(r.freq_response - r.amplitude * np.exp(1j * r.phase))
+                          / r.amplitude) <= 1e-15
+        assert clamped > 0
+
+
 class TestFoliageChannel:
-    def _channel(self, **kw):
+    def _channel(self, n_pulses=16, **kw):
         params = FoliageParams(seed=kw.pop("seed", 0), **kw)
         freqs = 9e9 + np.fft.fftfreq(64, d=0.25e-9)
-        return FoliageChannel(params, freqs, n_pulses=16, pulse_interval_s=1 / 256.0)
+        return FoliageChannel(params, freqs, n_pulses=n_pulses,
+                              pulse_interval_s=1 / 256.0)
 
     def test_no_fluctuation_reduces_to_mean_attenuation(self):
         ch = self._channel()
@@ -223,12 +260,11 @@ class TestFoliageChannel:
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_response_rows_are_realizations(self, redraw):
-        ch = self._channel(seed=5, redraw_per_pulse=redraw)
+        ch = self._channel(45, seed=5, redraw_per_pulse=redraw)  # a full block and a partial
         f = ch.response()
-        assert f.shape == (16, 64)
-        for p in range(16):
-            np.testing.assert_allclose(f[p], ch.realize(p).freq_response,
-                                       rtol=1e-14, atol=0)
+        assert f.shape == (45, 64)
+        for p in range(45):
+            np.testing.assert_array_equal(f[p], ch.realize(p).freq_response)
 
     def test_csv_dump(self, tmp_path):
         ch = self._channel()

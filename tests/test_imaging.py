@@ -6,11 +6,12 @@ import pytest
 from fopen_sar.echo import (RawDataMatrix, SimulationConfig, synthesize_from_g,
                             synthesize_raw, transmitted_pulse, write_fsar)
 from fopen_sar.fileio import FormatError
-from fopen_sar.geometry import PlatformParams, PointTarget, Scene, make_grid
+from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.imaging import (FocusedImage, azimuth_fft, migration_shift_cells,
                                range_compress_noise, range_compress_ofdm, rcmc,
-                               read_fimg, write_fimg, write_pgm, write_png,
-                               RangeDopplerMatrix, focus)
+                               read_fimg, smooth_length, write_fimg, write_pgm,
+                               write_png, RangeDopplerMatrix, focus)
+from fopen_sar.scenario import preset_scenario
 from fopen_sar.waveform import (NoiseSpec, OfdmSpec, generate_bpsk_symbols,
                                 generate_noise_pulse, generate_ofdm_pulse)
 
@@ -83,7 +84,52 @@ class TestRangeCompressOfdm:
             range_compress_ofdm(raw, tiny_spec, x)
 
 
+class TestCpExactnessFullPreset:
+    def test_recovery_error_far_inside_the_gate(self):
+        # The acceptance gate is 1e-9; the folded equalizer keeps the full
+        # preset near 1e-14, and an unreduced phase ramp would not.
+        cfg = preset_scenario("full").simulation_config()
+        n = cfg.ofdm.n_subcarriers
+        raw = synthesize_raw(cfg)
+        ghat = range_compress_ofdm(raw, cfg.ofdm,
+                                   generate_bpsk_symbols(cfg.ofdm.symbol_seed, n)).data
+        grid = make_grid(cfg.scene.n_range_cells, cfg.ofdm.bandwidth_hz, cfg.platform)
+        g = gm_vector(cfg.scene, grid, cfg.platform, raw.slow_time_s)
+        assert np.max(np.abs(ghat - np.sqrt(n) * g)) / np.max(np.abs(g)) < 1e-13
+
+
+class TestSmoothLength:
+    @staticmethod
+    def _is_smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    def test_smallest_5_smooth_at_least_n(self):
+        for n in range(1, 4097):
+            want = next(k for k in range(n, 2 * n + 1) if self._is_smooth(k))
+            assert smooth_length(n) == want, n
+
+
 class TestRangeCompressNoise:
+    def test_smooth_length_matches_line_length_correlation(self):
+        scen = preset_scenario("small").with_overrides(waveform_kind="noise",
+                                                       foliage_pol="HH")
+        cfg = scen.simulation_config()
+        raw = synthesize_raw(cfg)
+        # 45 pulses: a full block of 32 and a partial one
+        raw = RawDataMatrix(np.vstack([raw.data, raw.data[:13]]), np.arange(45.0),
+                            raw.sample_interval_s, "noise")
+        pulse = transmitted_pulse(cfg)
+        rep = pulse.samples
+        m, n = cfg.ofdm.n_range_cells, raw.line_length
+        want = np.fft.ifft(np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(rep, n)),
+                           axis=1)[:, :m] / np.sum(np.abs(rep) ** 2)
+        got = range_compress_noise(raw, pulse, m).data
+        assert smooth_length(n) != n
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+
     def test_autocorrelation_peak(self, tiny_spec):
         pulse = generate_noise_pulse(NoiseSpec(tiny_spec.pulse_length, 1.0, 2),
                                      tiny_spec.sample_interval)

@@ -162,15 +162,17 @@ class TestReport:
                        "n_seeds": 10, "std": dict.fromkeys(METRIC_KEYS, 0.0)}
 
     def test_minus_inf_encoded_as_string(self):
-        # a seed with no sidelobe power has ISLR -inf, whose std is NaN
-        with np.errstate(invalid="ignore"):
-            doc = aggregate_reports([_seed(float("-inf"))], "ofdm", None, False)
-        doc = json.loads(json.dumps(doc))
+        # a seed with no sidelobe power has ISLR -inf, whose std is undefined
+        doc = aggregate_reports([_seed(float("-inf"))], "ofdm", None, False)
+        doc = json.loads(json.dumps(doc, allow_nan=False))
         assert doc["islr_range_db"] == "-inf"
+        assert doc["std"]["islr_range_db"] == "nan"
         assert doc["pslr_range_db"] == -13.0
-        with np.errstate(invalid="ignore"):
-            doc = aggregate_reports([_seed(float("inf"))], "ofdm", None, False)
+        assert doc["std"]["pslr_range_db"] == 0.0
+        doc = aggregate_reports([_seed(float("inf")), _seed(-9.0)], "ofdm", None, False)
+        json.dumps(doc, allow_nan=False)
         assert doc["islr_range_db"] == "inf"
+        assert doc["std"]["islr_range_db"] == "nan"
 
     def test_aggregate_mean_and_std(self):
         dicts = [_seed(-9.0, islr_az=-20.0), _seed(-11.0, islr_az=-22.0)]
