@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import read_container, write_container, write_csv
-from .foliage import FoliageChannel, FoliageParams, FoliageRealization
+from .foliage import BLOCK_PULSES, FoliageChannel, FoliageParams, FoliageRealization
 from .geometry import PlatformParams, Scene, gm_vector, make_grid
-from .rng import substream
+from .rng import substreams
 from .waveform import (NoiseSpec, OfdmSpec, PulseSamples, generate_noise_pulse,
                        generate_ofdm_pulse, match_energy)
 
@@ -132,21 +132,27 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
 geometry_spectrum.cache_clear = _geometry_spectrum.cache_clear
 
 
-def receiver_noise(config: SimulationConfig, pulse: PulseSamples) -> np.ndarray:
-    """Complex white receiver noise, one "receiver_noise" substream per pulse.
+def add_receiver_noise(data: np.ndarray, config: SimulationConfig, pulse: PulseSamples):
+    """Add complex white receiver noise to data in place: pulse j's
+    "receiver_noise" substream draws its real, then its imaginary part.
 
     SNR is referenced to the peak instantaneous power of the transmitted
     pulse, which a unit-RCS boresight target echoes unattenuated; this keeps
-    the knob scene-independent.
+    the knob scene-independent. Draws fill one BLOCK_PULSES-row buffer.
     """
     peak = float(np.max(np.abs(pulse.samples) ** 2))
     sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
-    n = config.line_length
-    out = np.empty((config.platform.n_pulses(), n), dtype=complex)
-    for j in range(len(out)):
-        rng = substream(config.master_seed, "receiver_noise", j)
-        out[j] = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return out
+    streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
+    buf = np.empty((2, BLOCK_PULSES, data.shape[1]))
+    for start in range(0, len(data), BLOCK_PULSES):
+        rows = data[start:start + BLOCK_PULSES]
+        block = buf[:, :len(rows)]
+        for re, im, rng in zip(block[0], block[1], streams):  # streams advance last
+            rng.standard_normal(out=re)
+            rng.standard_normal(out=im)
+        block *= sigma
+        rows.real += block[0]
+        rows.imag += block[1]
 
 
 def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
@@ -167,7 +173,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         data *= s_spec
     np.fft.ifft(data, axis=1, out=data)
     if config.snr_db is not None:
-        data += receiver_noise(config, pulse)
+        add_receiver_noise(data, config, pulse)
     return RawDataMatrix(data, config.platform.slow_time_axis(), config.ofdm.sample_interval,
                          config.waveform_kind)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .rng import substream
+from .rng import substream, substreams
 
 # Mean-attenuation power-law constants (dB, f in GHz) per polarization.
 ATTENUATION_CONSTANTS = {
@@ -204,12 +204,12 @@ class FoliageChannel:
         self._frozen_gamma = None
         self._frozen_psi = None
         if not params.redraw_per_pulse:
-            self._frozen_gamma = self._draw_gamma(0)
+            self._frozen_gamma = self._draw_gamma(
+                substream(params.seed, "foliage_gamma", 0))
             self._frozen_psi = draw_uniform_phase(
                 substream(params.seed, "foliage_phase", 0), len(self.freq_grid_hz))
 
-    def _draw_gamma(self, index: int) -> np.ndarray:
-        rng = substream(self.params.seed, "foliage_gamma", index)
+    def _draw_gamma(self, rng: np.random.Generator) -> np.ndarray:
         raw = sample_gamma_fluctuation(self.params, len(self.freq_grid_hz), rng)
         mean = self.params.gamma_shape * self.params.gamma_scale
         d = (raw - mean) / mean  # zero-mean, relative scale; std = 1/sqrt(a)
@@ -226,10 +226,12 @@ class FoliageChannel:
         if self._frozen_gamma is not None:
             d_omega, psi = self._frozen_gamma[None, :], self._frozen_psi[None, :]
         else:
-            d_omega = np.array([self._draw_gamma(1 + p) for p in pulses])
-            psi = np.array([draw_uniform_phase(
-                substream(self.params.seed, "foliage_phase", 1 + p), n_bins)
-                for p in pulses])
+            d_omega, psi = np.empty((2, len(pulses), n_bins))
+            gammas = substreams(self.params.seed, "foliage_gamma", pulses + 1)
+            phases = substreams(self.params.seed, "foliage_phase", pulses + 1)
+            for j, (g_rng, p_rng) in enumerate(zip(gammas, phases)):
+                d_omega[j] = self._draw_gamma(g_rng)
+                psi[j] = draw_uniform_phase(p_rng, n_bins)
         delta_a = d_omega * self._delta_eta[pulses, None]
         amp = delta_a + 1.0
         amp *= self._a0_linear

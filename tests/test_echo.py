@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import time
@@ -96,6 +97,58 @@ class TestBatchedMatchesPerPulseReference:
         raw = synthesize_raw(cfg)
         for j in range(raw.n_pulses):
             assert _max_rel_err(raw.data[j], self._reference_line(cfg, j)) < 1e-12, j
+
+
+def _noisy_small_config(kind, foliage, n_pulses=None):
+    """Small preset at 20 dB SNR, clear or with HH foliage redrawn per pulse."""
+    doc = preset_scenario("small").with_overrides(
+        waveform_kind=kind, foliage_pol=foliage, master_seed=6).doc
+    doc["noise"] = {"snr_db": 20.0}
+    if foliage != "off":
+        doc["foliage"]["redraw_per_pulse"] = True
+    cfg = Scenario(doc).simulation_config()
+    if n_pulses is not None:
+        cfg = dataclasses.replace(cfg, platform=dataclasses.replace(
+            cfg.platform, aperture_s=n_pulses / cfg.platform.prf_hz))
+    return cfg
+
+
+class TestReceiverNoiseInPlace:
+    """The in-place noise is bit-identical to adding the whole matrix
+    sigma * (a + 1j b), a and b from pulse j's own substream."""
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "HH"])
+    @pytest.mark.parametrize("n_pulses", [None, 45])  # one block; a partial second block
+    def test_equals_per_pulse_matrix_sum(self, kind, foliage, n_pulses):
+        cfg = _noisy_small_config(kind, foliage, n_pulses)
+        clean = synthesize_raw(dataclasses.replace(cfg, snr_db=None)).data
+        pulse = transmitted_pulse(cfg)
+        sigma = np.sqrt(np.max(np.abs(pulse.samples) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
+                        / 2.0)
+        noise = np.empty_like(clean)
+        for j in range(len(noise)):
+            rng = substream(cfg.master_seed, "receiver_noise", j)
+            noise[j] = sigma * (rng.standard_normal(clean.shape[1])
+                                + 1j * rng.standard_normal(clean.shape[1]))
+        assert np.array_equal(synthesize_raw(cfg).data, clean + noise)
+
+    def test_seeding_does_not_grow_with_pulse_count(self, monkeypatch):
+        seed_sequence = np.random.SeedSequence
+        calls = []
+
+        def counting_seed_sequence(*args, **kwargs):
+            calls.append(kwargs)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+        counts = []
+        for n_pulses in (16, 45):
+            cfg = _noisy_small_config("noise", "HH", n_pulses)
+            calls.clear()
+            assert synthesize_raw(cfg).n_pulses == n_pulses
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestApplyFoliage:

@@ -290,15 +290,26 @@ class TestTankFixture:
 
 
 class TestRunMetrics:
-    def test_bit_identical_for_any_thread_count(self):
-        scen = preset_scenario("small").with_overrides(waveform_kind="noise",
-                                                       foliage_pol="HH")
+    @staticmethod
+    def _assert_thread_identical(scen):
         seeds = [3, 4, 5, 6, 7]
         serial = run_metrics(scen, seeds, threads=1)
         assert len(serial) == len(seeds)
         assert serial != run_metrics(scen, seeds[::-1], threads=1)
         for threads in (2, 4):
             assert run_metrics(scen, seeds, threads=threads) == serial
+
+    def test_bit_identical_for_any_thread_count(self):
+        self._assert_thread_identical(preset_scenario("small").with_overrides(
+            waveform_kind="noise", foliage_pol="HH"))
+
+    def test_bit_identical_for_any_thread_count_noisy_redrawn(self):
+        # per-pulse substreams: receiver noise and redrawn foliage
+        doc = preset_scenario("small").with_overrides(waveform_kind="noise",
+                                                      foliage_pol="HH").doc
+        doc["noise"] = {"snr_db": 20.0}
+        doc["foliage"]["redraw_per_pulse"] = True
+        self._assert_thread_identical(Scenario(doc))
 
     def test_no_peak_error_raised_for_any_thread_count(self):
         # tank scene, noise waveform, no foliage, 30 dB SNR: seed 7 has no peak
