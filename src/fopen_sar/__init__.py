@@ -23,5 +23,5 @@ from .metrics import (Profile, extract_profiles, image_metrics, islr,
                       mainlobe_width_3db, pslr, upsample_complex)
 from .scenario import (Scenario, load_scenario, preset_scenario, run_metrics,
                        run_pipeline, tank_scenario, validate_scenario)
-from .waveform import (NoiseSpec, OfdmSpec, PulseSamples, generate_bpsk_symbols,
-                       generate_noise_pulse, generate_ofdm_pulse, match_energy)
+from .waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_pulse,
+                       generate_ofdm_pulse)

@@ -56,28 +56,25 @@ def _resolve_scenario(args) -> Scenario:
     if bool(args.scenario) == bool(args.preset):
         raise SchemaError("scenario: give exactly one of --scenario or --preset")
     scen = load_scenario(args.scenario) if args.scenario else _preset(args.preset)
-    if args.waveform or args.foliage or args.seed is not None:
-        scen = scen.with_overrides(waveform_kind=args.waveform,
-                                   foliage_pol=args.foliage,
-                                   master_seed=args.seed)
-    return scen
+    return scen.with_overrides(args.waveform, args.foliage, args.seed)
 
 
 def _compare_variants(args) -> list[Scenario]:
     """compare's scenarios: each --scenario, or the --preset waveform x foliage grid."""
     if args.scenario_multi:
-        variants = [load_scenario(path) for path in args.scenario_multi]
-        if args.seed is not None:
-            variants = [v.with_overrides(master_seed=args.seed) for v in variants]
+        for flag in ("preset", "waveform", "foliage"):
+            if getattr(args, flag):
+                raise SchemaError(f"compare: --{flag} applies to --preset only")
+        variants = [load_scenario(path).with_overrides(master_seed=args.seed)
+                    for path in args.scenario_multi]
     else:
         if not args.preset:
             raise SchemaError("compare: give --preset or two or more --scenario")
         base = _preset(args.preset)
-        if args.seed is not None:
-            base = base.with_overrides(master_seed=args.seed)
+        kinds = [args.waveform] if args.waveform else SCHEMA["waveform"]["kind"][0]
         pols = [args.foliage] if args.foliage else ["off", "HH"]
-        variants = [base.with_overrides(waveform_kind=kind, foliage_pol=pol)
-                    for kind in SCHEMA["waveform"]["kind"][0] for pol in pols]
+        variants = [base.with_overrides(kind, pol, args.seed)
+                    for kind in kinds for pol in pols]
     if len(variants) < 2:
         raise SchemaError("compare: need at least 2 scenario variants")
     return variants
@@ -120,7 +117,7 @@ def _report(scen, per_seed) -> dict:
 
 
 def _seed_list(scen, args) -> list[int]:
-    return list(range(scen.master_seed, scen.master_seed + max(1, args.seeds)))
+    return list(range(scen.master_seed, scen.master_seed + args.seeds))
 
 
 # Each command runs its stage on the scenarios main resolved, writes its files
@@ -206,6 +203,12 @@ def cmd_compare(args, scens, threads, stem):
     return seeds, [path], json.dumps(diffs, indent=2, sort_keys=True)
 
 
+def _seed_count(text) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fopen-sar",
@@ -229,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario foliage section")
         p.add_argument("--seed", type=int, help="override seeds.master")
         if seeds:
-            p.add_argument("--seeds", type=int, default=1,
+            p.add_argument("--seeds", type=_seed_count, default=1,
                            help="number of consecutive seeds, from seeds.master")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1,

@@ -20,8 +20,7 @@ from .fileio import read_container, write_container, write_csv
 from .foliage import BLOCK_PULSES, FoliageChannel, FoliageParams, FoliageRealization
 from .geometry import PlatformParams, Scene, gm_vector, make_grid
 from .rng import substreams
-from .waveform import (NoiseSpec, OfdmSpec, PulseSamples, generate_noise_pulse,
-                       generate_ofdm_pulse, match_energy)
+from .waveform import OfdmSpec, generate_noise_pulse, generate_ofdm_pulse
 
 FSAR_MAGIC = b"FSAR"
 
@@ -71,18 +70,21 @@ class RawDataMatrix:
         return self.data.shape[1]
 
 
-def transmitted_pulse(config: SimulationConfig) -> PulseSamples:
-    """The pulse actually transmitted for this config.
+def transmitted_pulse(config: SimulationConfig) -> np.ndarray:
+    """The pulse actually transmitted for this config, read-only.
 
-    The noise pulse is rescaled to the energy of the config's OFDM pulse so
-    the two waveforms are compared at equal transmit energy.
+    The noise pulse, drawn from the master seed, is rescaled to the OFDM
+    pulse's energy so the two waveforms are compared at equal transmit energy.
     """
     ofdm_pulse = generate_ofdm_pulse(config.ofdm)
     if config.waveform_kind == "ofdm":
         return ofdm_pulse
-    spec = NoiseSpec(n_samples=config.ofdm.pulse_length, noise_seed=config.master_seed)
-    raw = generate_noise_pulse(spec, config.ofdm.sample_interval)
-    return match_energy(raw, ofdm_pulse)
+    noise = generate_noise_pulse(config.ofdm.pulse_length, config.master_seed)
+    e_ofdm = float(np.sum(np.abs(ofdm_pulse) ** 2))
+    e_noise = float(np.sum(np.abs(noise) ** 2))
+    pulse = noise * np.sqrt(e_ofdm / e_noise)
+    pulse.setflags(write=False)
+    return pulse
 
 
 def foliage_channel(config: SimulationConfig) -> FoliageChannel | None:
@@ -132,7 +134,7 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
 geometry_spectrum.cache_clear = _geometry_spectrum.cache_clear
 
 
-def add_receiver_noise(data: np.ndarray, config: SimulationConfig, pulse: PulseSamples):
+def add_receiver_noise(data: np.ndarray, config: SimulationConfig, pulse: np.ndarray):
     """Add complex white receiver noise to data in place: pulse j's
     "receiver_noise" substream draws its real, then its imaginary part.
 
@@ -140,7 +142,7 @@ def add_receiver_noise(data: np.ndarray, config: SimulationConfig, pulse: PulseS
     pulse, which a unit-RCS boresight target echoes unattenuated; this keeps
     the knob scene-independent. Draws fill one BLOCK_PULSES-row buffer.
     """
-    peak = float(np.max(np.abs(pulse.samples) ** 2))
+    peak = float(np.max(np.abs(pulse) ** 2))
     sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
     streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
     buf = np.empty((2, BLOCK_PULSES, data.shape[1]))
@@ -164,7 +166,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
     g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
-    s_spec = np.fft.fft(pulse.samples, n)
+    s_spec = np.fft.fft(pulse, n)
     if channel is None:
         data = g_spec * s_spec
     else:  # F's own buffer becomes the raw matrix
@@ -178,12 +180,12 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
                          config.waveform_kind)
 
 
-def synthesize_from_g(g: np.ndarray, pulse: PulseSamples) -> np.ndarray:
+def synthesize_from_g(g: np.ndarray, pulse: np.ndarray) -> np.ndarray:
     """Raw line for an explicit weighting vector (single-pulse test hook): the
     linear convolution g * s, as a circular one at its full length."""
     g = np.asarray(g, dtype=complex)
-    n = len(g) + len(pulse.samples) - 1
-    return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse.samples, n))
+    n = len(g) + len(pulse) - 1
+    return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse, n))
 
 
 def write_fsar(path, raw: RawDataMatrix) -> None:

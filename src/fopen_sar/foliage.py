@@ -218,18 +218,24 @@ class FoliageChannel:
             d = np.convolve(d, np.ones(k) / k, mode="same")
         return d
 
-    def _transfer(self, pulses: np.ndarray):
-        """Amplitude A and incoherent field w [pulse, bin]: delta_A is the outer
-        product of the per-bin draws (per-pulse substreams if redrawn) and
-        delta_eta, and the phase Phi is the angle of w."""
-        n_bins = len(self.freq_grid_hz)
+    def _draws(self, pulses: np.ndarray):
+        """(Gamma, phase) generator pairs of pulses, each stream keyed in one pass;
+        None when the per-bin draws are frozen."""
         if self._frozen_gamma is not None:
+            return None
+        return zip(substreams(self.params.seed, "foliage_gamma", pulses + 1),
+                   substreams(self.params.seed, "foliage_phase", pulses + 1))
+
+    def _transfer(self, pulses: np.ndarray, draws):
+        """Amplitude A and incoherent field w [pulse, bin]: delta_A is the outer
+        product of the per-bin draws (frozen, or one pair of draws per pulse)
+        and delta_eta, and the phase Phi is the angle of w."""
+        n_bins = len(self.freq_grid_hz)
+        if draws is None:
             d_omega, psi = self._frozen_gamma[None, :], self._frozen_psi[None, :]
-        else:
+        else:  # range first: zip then stops without taking a pair past this block
             d_omega, psi = np.empty((2, len(pulses), n_bins))
-            gammas = substreams(self.params.seed, "foliage_gamma", pulses + 1)
-            phases = substreams(self.params.seed, "foliage_phase", pulses + 1)
-            for j, (g_rng, p_rng) in enumerate(zip(gammas, phases)):
+            for j, (g_rng, p_rng) in zip(range(len(pulses)), draws):
                 d_omega[j] = self._draw_gamma(g_rng)
                 psi[j] = draw_uniform_phase(p_rng, n_bins)
         delta_a = d_omega * self._delta_eta[pulses, None]
@@ -252,9 +258,10 @@ class FoliageChannel:
         Built BLOCK_PULSES rows at a time, so only the result is a full-size array.
         """
         f = np.empty((self.n_pulses, len(self.freq_grid_hz)), dtype=complex)
+        draws = self._draws(np.arange(self.n_pulses))
         for start in range(0, self.n_pulses, BLOCK_PULSES):
             rows = np.arange(start, min(start + BLOCK_PULSES, self.n_pulses))
-            f[start:start + BLOCK_PULSES] = self._response(*self._transfer(rows))
+            f[start:start + BLOCK_PULSES] = self._response(*self._transfer(rows, draws))
         return f
 
     def realize(self, pulse_index: int) -> FoliageRealization:
@@ -262,7 +269,8 @@ class FoliageChannel:
         the arctan2 reference form, angle(w)."""
         if not 0 <= pulse_index < self.n_pulses:
             raise IndexError(f"pulse_index {pulse_index} outside [0, {self.n_pulses})")
-        amp, w = self._transfer(np.array([pulse_index]))
+        rows = np.array([pulse_index])
+        amp, w = self._transfer(rows, self._draws(rows))
         phase = np.angle(w[0])
         return FoliageRealization(self._response(amp, w)[0], amp[0], phase, pulse_index)
 

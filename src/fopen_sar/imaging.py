@@ -19,7 +19,7 @@ from .echo import RawDataMatrix
 from .fileio import atomic_write, read_container, write_container
 from .foliage import BLOCK_PULSES
 from .geometry import PlatformParams, RangeGrid
-from .waveform import OfdmSpec, PulseSamples
+from .waveform import OfdmSpec
 
 FIMG_MAGIC = b"FIMG"
 
@@ -93,7 +93,7 @@ def smooth_length(n: int) -> int:
     return best
 
 
-def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
+def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray,
                          n_cells: int) -> RangeCompressedMatrix:
     """Matched-filter each pulse against the transmitted noise replica.
 
@@ -104,21 +104,20 @@ def range_compress_noise(raw: RawDataMatrix, replica: PulseSamples,
     length L' = smooth_length(L) >= L: those lags never wrap around L'.
     Pulses are filtered BLOCK_PULSES at a time.
     """
-    rep = replica.samples
-    expect = len(rep) + n_cells - 1
+    expect = len(replica) + n_cells - 1
     if raw.line_length != expect:
         raise ValueError(
             f"raw line length {raw.line_length} incompatible with replica "
-            f"({len(rep)}) and {n_cells} cells; expected {expect}")
+            f"({len(replica)}) and {n_cells} cells; expected {expect}")
     n = smooth_length(raw.line_length)
-    rep_spec = np.conj(np.fft.fft(rep, n))
+    rep_spec = np.conj(np.fft.fft(replica, n))
     out = np.empty((raw.n_pulses, n_cells), dtype=complex)
     for start in range(0, raw.n_pulses, BLOCK_PULSES):
         spec = np.fft.fft(raw.data[start:start + BLOCK_PULSES], n, axis=1)
         spec *= rep_spec
         np.fft.ifft(spec, axis=1, out=spec)
         out[start:start + BLOCK_PULSES] = spec[:, :n_cells]
-    out /= np.sum(np.abs(rep) ** 2)
+    out /= np.sum(np.abs(replica) ** 2)
     return RangeCompressedMatrix(out)
 
 
@@ -183,7 +182,7 @@ def azimuth_compress(rd: RangeDopplerMatrix, platform: PlatformParams,
 
 def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
           grid: RangeGrid, symbols: np.ndarray | None = None,
-          replica: PulseSamples | None = None, rcmc_mode: str = "off",
+          replica: np.ndarray | None = None, rcmc_mode: str = "off",
           azimuth_window: str = "none") -> FocusedImage:
     """Full image formation for either waveform.
 

@@ -4,7 +4,8 @@ The OFDM pulse is the unitary inverse DFT of N unit-modulus symbols,
 cyclically extended by M-1 samples (a cyclic suffix: the sample index simply
 keeps running past N, so s[i+N] = s[i]). The random-noise pulse is white
 complex circular Gaussian at the same sample rate and, by construction, the
-same length, so the two waveforms are directly comparable.
+same length, so the two waveforms are directly comparable. A pulse is a
+read-only complex array.
 """
 
 from dataclasses import dataclass
@@ -30,8 +31,6 @@ class OfdmSpec:
     symbol_seed: int = 0
 
     def __post_init__(self):
-        if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be >= 1")
         if self.n_range_cells < 1:
             raise ValueError("n_range_cells must be >= 1")
         if self.n_subcarriers < self.n_range_cells:
@@ -49,42 +48,6 @@ class OfdmSpec:
         return self.n_subcarriers + self.n_range_cells - 1
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Parameters of the random-noise pulse.
-
-    n_samples must equal the OFDM pulse length (N + M - 1) for a fair
-    comparison; variance is the complex per-sample power E|s|^2.
-    """
-
-    n_samples: int
-    variance: float = 1.0
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.variance <= 0:
-            raise ValueError("variance must be > 0")
-
-
-@dataclass(frozen=True)
-class PulseSamples:
-    """A generated baseband pulse: complex samples plus bookkeeping."""
-
-    samples: np.ndarray
-    sample_interval: float
-    kind: str  # "ofdm" | "noise"
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        self.samples.setflags(write=False)
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
-
-
 def generate_bpsk_symbols(seed: int, n: int) -> np.ndarray:
     """Draw n BPSK symbols (exactly -1 or +1) deterministically from seed."""
     if n < 1:
@@ -94,12 +57,12 @@ def generate_bpsk_symbols(seed: int, n: int) -> np.ndarray:
     return np.where(bits == 0, 1.0, -1.0).astype(complex)
 
 
-def generate_ofdm_pulse(spec: OfdmSpec, symbols: np.ndarray | None = None) -> PulseSamples:
+def generate_ofdm_pulse(spec: OfdmSpec, symbols: np.ndarray | None = None) -> np.ndarray:
     """Generate the CP-OFDM pulse s_i = (1/sqrt(N)) sum_k X_k e^{j2*pi*k*i/N}.
 
     The index i runs 0 .. N+M-2, so the last M-1 samples repeat the first
     M-1 (cyclic suffix). If symbols is omitted, BPSK symbols are drawn from
-    spec.symbol_seed; if given, every entry must have unit modulus.
+    spec.symbol_seed; if given, every entry must have unit modulus. Read-only.
     """
     n = spec.n_subcarriers
     if symbols is None:
@@ -112,33 +75,14 @@ def generate_ofdm_pulse(spec: OfdmSpec, symbols: np.ndarray | None = None) -> Pu
             raise ValueError("all symbols must have unit modulus")
     core = np.sqrt(n) * np.fft.ifft(symbols)
     samples = np.concatenate([core, core[: spec.n_range_cells - 1]])
-    return PulseSamples(samples, spec.sample_interval, "ofdm")
+    samples.setflags(write=False)
+    return samples
 
 
-def generate_noise_pulse(spec: NoiseSpec, sample_interval: float) -> PulseSamples:
-    """Generate the band-limited noise pulse: white complex circular Gaussian.
-
-    I and Q are independent zero-mean Gaussians with variance/2 each, so the
-    complex per-sample power is spec.variance. Sampling white at the complex
-    rate B realizes the band limit.
-    """
-    rng = substream(spec.noise_seed, "noise_waveform")
-    scale = np.sqrt(spec.variance / 2.0)
-    s = scale * (rng.standard_normal(spec.n_samples)
-                 + 1j * rng.standard_normal(spec.n_samples))
-    return PulseSamples(s, sample_interval, "noise")
-
-
-def match_energy(pulse: PulseSamples, reference: PulseSamples) -> PulseSamples:
-    """Rescale pulse so its total energy equals the reference pulse's.
-
-    Used to give the noise pulse the same transmit energy as the OFDM pulse
-    before echo synthesis; the OFDM pulse itself is never rescaled (its
-    absolute scale carries the exact sqrt(N) recovery property).
-    """
-    e_ref = reference.energy
-    e = pulse.energy
-    if e == 0:
-        raise ValueError("cannot rescale a zero-energy pulse")
-    return PulseSamples(pulse.samples * np.sqrt(e_ref / e),
-                        pulse.sample_interval, pulse.kind)
+def generate_noise_pulse(n_samples: int, seed: int) -> np.ndarray:
+    """n_samples of white complex circular Gaussian noise at unit power (I and
+    Q of variance 1/2 each), read-only; white at the sample rate B is band-limited."""
+    rng = substream(seed, "noise_waveform")
+    s = np.sqrt(0.5) * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
+    s.setflags(write=False)
+    return s

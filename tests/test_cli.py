@@ -517,6 +517,36 @@ class TestCompare:
         assert (byl["ofdm-foliage_off"]["islr_range_db"]
                 < byl["noise-foliage_off"]["islr_range_db"])
 
+    def test_preset_grid_honours_waveform(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["compare", "--preset", "small", "--waveform", "noise",
+                     "--out", out]) == 0
+        doc = _read_json(os.path.join(out, "compare.json"))
+        labels = {v["label"] for v in doc["variants"]}
+        assert labels == {"noise-foliage_off", "noise-foliage_HH"}
+
+    @pytest.mark.parametrize("flag", [["--preset", "small"], ["--waveform", "noise"],
+                                      ["--foliage", "HH"]])
+    def test_preset_flags_rejected_with_scenarios(self, flag, small_file, tmp_path,
+                                                  capsys):
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", small_file, "--scenario", small_file,
+                     *flag, "--out", str(out)]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_two_variants(self, small_file, tmp_path):
         assert main(["compare", "--scenario", small_file,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestSeedCount:
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["metrics", "compare"])
+    def test_seed_count_below_one_rejected(self, command, count, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "small", "--seeds", count, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()

@@ -51,7 +51,7 @@ class TestSynthesizePulse:
         g = gm_vector(cfg.scene, grid, tiny_platform, eta)
         line = _line(cfg, 3)
         expected = np.zeros(cfg.line_length, dtype=complex)
-        expected[4:4 + len(pulse.samples)] = g[4] * pulse.samples
+        expected[4:4 + len(pulse)] = g[4] * pulse
         np.testing.assert_allclose(line, expected, atol=1e-14)
 
     def test_superposition(self, tiny_spec, tiny_platform):
@@ -74,11 +74,11 @@ class TestBatchedMatchesPerPulseReference:
         pulse = transmitted_pulse(cfg)
         grid = make_grid(cfg.scene.n_range_cells, cfg.ofdm.bandwidth_hz, cfg.platform)
         eta = cfg.platform.slow_time_axis()[j]
-        line = np.convolve(gm_vector(cfg.scene, grid, cfg.platform, eta), pulse.samples)
+        line = np.convolve(gm_vector(cfg.scene, grid, cfg.platform, eta), pulse)
         channel = foliage_channel(cfg)
         if channel is not None:
             line = apply_foliage(line, channel.realize(j))
-        sigma2 = np.max(np.abs(pulse.samples) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
+        sigma2 = np.max(np.abs(pulse) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
         rng = substream(cfg.master_seed, "receiver_noise", j)
         n = len(line)
         return line + np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n)
@@ -124,7 +124,7 @@ class TestReceiverNoiseInPlace:
         cfg = _noisy_small_config(kind, foliage, n_pulses)
         clean = synthesize_raw(dataclasses.replace(cfg, snr_db=None)).data
         pulse = transmitted_pulse(cfg)
-        sigma = np.sqrt(np.max(np.abs(pulse.samples) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
+        sigma = np.sqrt(np.max(np.abs(pulse) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
                         / 2.0)
         noise = np.empty_like(clean)
         for j in range(len(noise)):
@@ -221,7 +221,13 @@ class TestSynthesizeRaw:
     def test_noise_energy_matches_ofdm(self, tiny_spec, tiny_platform):
         ofdm = transmitted_pulse(_config(tiny_spec, tiny_platform))
         noise = transmitted_pulse(_config(tiny_spec, tiny_platform, kind="noise"))
-        assert noise.energy == pytest.approx(ofdm.energy, rel=1e-12)
+        assert np.sum(np.abs(noise) ** 2) == pytest.approx(np.sum(np.abs(ofdm) ** 2),
+                                                           rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    def test_transmitted_pulse_read_only(self, tiny_spec, tiny_platform, kind):
+        pulse = transmitted_pulse(_config(tiny_spec, tiny_platform, kind=kind))
+        assert not pulse.flags.writeable
 
     def test_noise_variance_calibration(self, tiny_platform):
         # empty scene + snr: per-sample noise variance within 2% over >= 1e6 samples
@@ -235,7 +241,7 @@ class TestSynthesizeRaw:
         raw = synthesize_raw(cfg)
         assert raw.data.size >= 1_000_000
         pulse = transmitted_pulse(cfg)
-        sigma2 = np.max(np.abs(pulse.samples) ** 2) / 10.0
+        sigma2 = np.max(np.abs(pulse) ** 2) / 10.0
         measured = np.mean(np.abs(raw.data) ** 2)
         assert measured == pytest.approx(sigma2, rel=0.02)
 

@@ -7,7 +7,7 @@ from fopen_sar.foliage import (AMPLITUDE_FLOOR, FoliageChannel, FoliageParams,
                                fbm_path, incoherent_field, mean_attenuation_db,
                                phase_fluctuation, sample_gamma_fluctuation,
                                unit_phasor)
-from fopen_sar.rng import substream
+from fopen_sar.rng import _philox_keys, substream
 
 
 def _structure_slope(path, lags):
@@ -265,6 +265,14 @@ class TestFoliageChannel:
         assert f.shape == (45, 64)
         for p in range(45):
             np.testing.assert_array_equal(f[p], ch.realize(p).freq_response)
+
+    def test_redrawn_response_derives_keys_once_per_stream(self, monkeypatch):
+        # 45 pulses are two blocks; each stream's keys come from one pass
+        calls = []
+        monkeypatch.setattr("fopen_sar.rng._philox_keys",
+                            lambda seed, tag, idx: calls.append(tag) or _philox_keys(seed, tag, idx))
+        self._channel(45, seed=5, redraw_per_pulse=True).response()
+        assert sorted(calls) == ["foliage_gamma", "foliage_phase"]
 
     def test_csv_dump(self, tmp_path):
         ch = self._channel()

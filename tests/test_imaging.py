@@ -12,8 +12,8 @@ from fopen_sar.imaging import (FocusedImage, azimuth_fft, migration_shift_cells,
                                read_fimg, smooth_length, write_fimg, write_pgm,
                                write_png, RangeDopplerMatrix, focus)
 from fopen_sar.scenario import preset_scenario
-from fopen_sar.waveform import (NoiseSpec, OfdmSpec, generate_bpsk_symbols,
-                                generate_noise_pulse, generate_ofdm_pulse)
+from fopen_sar.waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_pulse,
+                                generate_ofdm_pulse)
 
 from brute_force import full_chain, point_rcs_estimate
 
@@ -122,17 +122,15 @@ class TestRangeCompressNoise:
         raw = RawDataMatrix(np.vstack([raw.data, raw.data[:13]]), np.arange(45.0),
                             raw.sample_interval_s, "noise")
         pulse = transmitted_pulse(cfg)
-        rep = pulse.samples
         m, n = cfg.ofdm.n_range_cells, raw.line_length
-        want = np.fft.ifft(np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(rep, n)),
-                           axis=1)[:, :m] / np.sum(np.abs(rep) ** 2)
+        want = np.fft.ifft(np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(pulse, n)),
+                           axis=1)[:, :m] / np.sum(np.abs(pulse) ** 2)
         got = range_compress_noise(raw, pulse, m).data
         assert smooth_length(n) != n
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
     def test_autocorrelation_peak(self, tiny_spec):
-        pulse = generate_noise_pulse(NoiseSpec(tiny_spec.pulse_length, 1.0, 2),
-                                     tiny_spec.sample_interval)
+        pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
         g = np.zeros(8, complex)
         g[0] = 1.0
         raw = _single_line_raw(g, pulse, tiny_spec, kind="noise")
@@ -140,8 +138,7 @@ class TestRangeCompressNoise:
         assert abs(rc.data[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_scene_gives_zero(self, tiny_spec):
-        pulse = generate_noise_pulse(NoiseSpec(tiny_spec.pulse_length, 1.0, 2),
-                                     tiny_spec.sample_interval)
+        pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
         raw = _single_line_raw(np.zeros(8, complex), pulse, tiny_spec, "noise")
         rc = range_compress_noise(raw, pulse, 8)
         assert np.max(np.abs(rc.data)) < 1e-14
@@ -154,8 +151,7 @@ class TestRangeCompressNoise:
         g[24] = 1.0
         ratios = []
         for seed in range(100):
-            pulse = generate_noise_pulse(NoiseSpec(L, 1.0, seed),
-                                         spec.sample_interval)
+            pulse = generate_noise_pulse(L, seed)
             raw = _single_line_raw(g, pulse, spec, "noise")
             rc = range_compress_noise(raw, pulse, 48)
             side = np.delete(np.abs(rc.data[0]), 24)
@@ -164,8 +160,7 @@ class TestRangeCompressNoise:
         assert measured == pytest.approx(1.0 / np.sqrt(L), rel=0.15)
 
     def test_dimension_mismatch_rejected(self, tiny_spec):
-        pulse = generate_noise_pulse(NoiseSpec(tiny_spec.pulse_length, 1.0, 2),
-                                     tiny_spec.sample_interval)
+        pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
         raw = RawDataMatrix(np.zeros((2, 11), complex), np.array([0.0, 1.0]),
                             1.0, "noise")
         with pytest.raises(ValueError):

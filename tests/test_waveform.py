@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fopen_sar.rng import substream
-from fopen_sar.waveform import (NoiseSpec, OfdmSpec, generate_bpsk_symbols,
-                                generate_noise_pulse, generate_ofdm_pulse,
-                                match_energy)
+from fopen_sar.waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_pulse,
+                                generate_ofdm_pulse)
 
 
 class TestBpskSymbols:
@@ -32,35 +31,38 @@ class TestOfdmPulse:
     def test_all_ones_symbols_give_scaled_impulse_train(self):
         spec = OfdmSpec(4, 2, 1e9)
         p = generate_ofdm_pulse(spec, symbols=np.ones(4, dtype=complex))
-        np.testing.assert_allclose(p.samples, [2, 0, 0, 0, 2], atol=1e-12)
+        np.testing.assert_allclose(p, [2, 0, 0, 0, 2], atol=1e-12)
 
     def test_no_guard_interval_when_m_is_one(self):
         spec = OfdmSpec(4, 1, 1e9)
         p = generate_ofdm_pulse(spec, symbols=np.ones(4, dtype=complex))
-        np.testing.assert_allclose(p.samples, [2, 0, 0, 0], atol=1e-12)
-        assert len(p.samples) == 4
+        np.testing.assert_allclose(p, [2, 0, 0, 0], atol=1e-12)
+        assert len(p) == 4
 
     def test_pulse_length(self, tiny_spec):
         p = generate_ofdm_pulse(tiny_spec)
-        assert len(p.samples) == tiny_spec.pulse_length
-        assert p.kind == "ofdm"
-        assert p.sample_interval == 1.0 / tiny_spec.bandwidth_hz
+        assert len(p) == tiny_spec.pulse_length
+
+    def test_read_only(self, tiny_spec):
+        assert not generate_ofdm_pulse(tiny_spec).flags.writeable
+        ones = np.ones(tiny_spec.n_subcarriers, dtype=complex)
+        assert not generate_ofdm_pulse(tiny_spec, symbols=ones).flags.writeable
 
     @pytest.mark.parametrize("seed,n,m", [(0, 16, 4), (1, 64, 16), (2, 256, 48)])
     def test_cyclic_suffix_is_exact(self, seed, n, m):
         spec = OfdmSpec(n, m, 4e9, symbol_seed=seed)
-        s = generate_ofdm_pulse(spec).samples
+        s = generate_ofdm_pulse(spec)
         np.testing.assert_array_equal(s[n:], s[: m - 1])
 
     def test_forward_transform_recovers_symbols(self, tiny_spec):
         x = generate_bpsk_symbols(tiny_spec.symbol_seed, tiny_spec.n_subcarriers)
-        s = generate_ofdm_pulse(tiny_spec).samples
+        s = generate_ofdm_pulse(tiny_spec)
         n = tiny_spec.n_subcarriers
         x_hat = np.fft.fft(s[:n]) / np.sqrt(n)
         assert np.max(np.abs(x_hat - x)) / np.max(np.abs(x)) < 1e-10
 
     def test_core_block_energy_is_n(self, tiny_spec):
-        s = generate_ofdm_pulse(tiny_spec).samples
+        s = generate_ofdm_pulse(tiny_spec)
         n = tiny_spec.n_subcarriers
         assert np.sum(np.abs(s[:n]) ** 2) == pytest.approx(n, rel=1e-12)
 
@@ -82,45 +84,26 @@ class TestOfdmPulse:
 
 class TestNoisePulse:
     def test_moments(self):
-        spec = NoiseSpec(n_samples=100_000, variance=1.0, noise_seed=5)
-        s = generate_noise_pulse(spec, 1.0).samples
+        s = generate_noise_pulse(100_000, 5)
         assert abs(np.mean(s)) < 0.02
         assert 0.97 < np.mean(np.abs(s) ** 2) < 1.03
 
     def test_deterministic(self):
-        spec = NoiseSpec(1000, 2.0, noise_seed=9)
-        a = generate_noise_pulse(spec, 1.0).samples
-        b = generate_noise_pulse(spec, 1.0).samples
+        a = generate_noise_pulse(1000, 9)
+        b = generate_noise_pulse(1000, 9)
         np.testing.assert_array_equal(a, b)
 
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(10, 0.0)
+    def test_read_only(self):
+        assert not generate_noise_pulse(16, 1).flags.writeable
 
     def test_whiteness(self):
         n = 100_000
-        s = generate_noise_pulse(NoiseSpec(n, 1.0, noise_seed=3), 1.0).samples
+        s = generate_noise_pulse(n, 3)
         s = s - s.mean()
         denom = np.sum(np.abs(s) ** 2)
         for lag in range(1, 11):
             rho = np.sum(s[lag:] * np.conj(s[:-lag])) / denom
             assert abs(rho) < 5.0 / np.sqrt(n)
-
-
-class TestEnergyMatch:
-    def test_noise_matched_to_ofdm_energy(self, tiny_spec):
-        ofdm = generate_ofdm_pulse(tiny_spec)
-        noise = generate_noise_pulse(NoiseSpec(tiny_spec.pulse_length, 1.0, 4),
-                                     tiny_spec.sample_interval)
-        matched = match_energy(noise, ofdm)
-        assert matched.energy == pytest.approx(ofdm.energy, rel=1e-12)
-
-    def test_zero_energy_rejected(self, tiny_spec):
-        ofdm = generate_ofdm_pulse(tiny_spec)
-        from fopen_sar.waveform import PulseSamples
-        zero = PulseSamples(np.zeros(4, complex), 1.0, "noise")
-        with pytest.raises(ValueError):
-            match_energy(zero, ofdm)
 
 
 class TestSubstreams:
