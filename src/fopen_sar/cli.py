@@ -113,7 +113,7 @@ def _report(scen, per_seed) -> dict:
     """Per-seed metrics aggregated under the scenario's waveform and foliage."""
     fol = scen.doc.get("foliage")
     return aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
-                             fol["polarization"] if fol else None, fol is not None)
+                             fol["polarization"] if fol else None)
 
 
 def _seed_list(scen, args) -> list[int]:
@@ -145,7 +145,7 @@ def cmd_image(args, scens, threads, stem):
     cfg = scen.simulation_config()
     if args.raw:
         data = _read_matching(read_fsar, args.raw,
-                              (cfg.platform.n_pulses(), cfg.line_length))
+                              (cfg.platform.n_pulses(), cfg.ofdm.line_length))
         raw = RawDataMatrix(data, cfg.platform.slow_time_axis(),
                             cfg.ofdm.sample_interval, cfg.waveform_kind)
     else:

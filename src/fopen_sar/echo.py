@@ -43,10 +43,6 @@ class SimulationConfig:
         if self.scene.n_range_cells != self.ofdm.n_range_cells:
             raise ValueError("scene and waveform disagree on the range cell count")
 
-    @property
-    def line_length(self) -> int:
-        return self.ofdm.n_subcarriers + 2 * self.ofdm.n_range_cells - 2
-
 
 @dataclass(frozen=True)
 class RawDataMatrix:
@@ -91,8 +87,7 @@ def foliage_channel(config: SimulationConfig) -> FoliageChannel | None:
     """Build the per-run foliage channel on the raw-line frequency grid."""
     if config.foliage is None:
         return None
-    freqs = config.platform.carrier_hz + np.fft.fftfreq(
-        config.line_length, d=config.ofdm.sample_interval)
+    freqs = config.ofdm.line_frequencies(config.platform.carrier_hz)
     return FoliageChannel(config.foliage, freqs, config.platform.n_pulses(),
                           1.0 / config.platform.prf_hz)
 
@@ -131,9 +126,6 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
         return _geometry_spectrum(scene, platform, bandwidth_hz, n)
 
 
-geometry_spectrum.cache_clear = _geometry_spectrum.cache_clear
-
-
 def add_receiver_noise(data: np.ndarray, config: SimulationConfig, pulse: np.ndarray):
     """Add complex white receiver noise to data in place: pulse j's
     "receiver_noise" substream draws its real, then its imaginary part.
@@ -162,7 +154,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
 
     threads is the caller's worker cap; a single run uses one thread.
     """
-    n = config.line_length
+    n = config.ofdm.line_length
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
     g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
@@ -178,14 +170,6 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         add_receiver_noise(data, config, pulse)
     return RawDataMatrix(data, config.platform.slow_time_axis(), config.ofdm.sample_interval,
                          config.waveform_kind)
-
-
-def synthesize_from_g(g: np.ndarray, pulse: np.ndarray) -> np.ndarray:
-    """Raw line for an explicit weighting vector (single-pulse test hook): the
-    linear convolution g * s, as a circular one at its full length."""
-    g = np.asarray(g, dtype=complex)
-    n = len(g) + len(pulse) - 1
-    return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse, n))
 
 
 def write_fsar(path, raw: RawDataMatrix) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .echo import RawDataMatrix
 from .fileio import atomic_write, read_container, write_container
 from .foliage import BLOCK_PULSES
-from .geometry import PlatformParams, RangeGrid
+from .geometry import PlatformParams, make_grid
 from .waveform import OfdmSpec
 
 FIMG_MAGIC = b"FIMG"
@@ -65,9 +65,9 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
         raise ValueError(f"expected {n} symbols, got {symbols.shape}")
     if np.any(symbols == 0):
         raise ZeroDivisionError("symbols must be nonzero for equalization")
-    if raw.line_length != n + 2 * m - 2:
+    if raw.line_length != spec.line_length:
         raise ValueError(
-            f"raw line length {raw.line_length} != N+2M-2 = {n + 2 * m - 2}")
+            f"raw line length {raw.line_length} != N+2M-2 = {spec.line_length}")
     k = np.arange(n)
     eq = np.exp(-2j * np.pi * ((m - 1) * k % n) / n) / symbols
     zk = np.fft.fft(raw.data[:, m - 1:m - 1 + n], axis=1)
@@ -181,9 +181,8 @@ def azimuth_compress(rd: RangeDopplerMatrix, platform: PlatformParams,
 
 
 def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
-          grid: RangeGrid, symbols: np.ndarray | None = None,
-          replica: np.ndarray | None = None, rcmc_mode: str = "off",
-          azimuth_window: str = "none") -> FocusedImage:
+          symbols: np.ndarray | None = None, replica: np.ndarray | None = None,
+          rcmc_mode: str = "off", azimuth_window: str = "none") -> FocusedImage:
     """Full image formation for either waveform.
 
     The reference configuration runs with rcmc_mode="off": the raw-data
@@ -200,7 +199,8 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
             raise ValueError("noise focusing needs the transmitted replica")
         rc = range_compress_noise(raw, replica, spec.n_range_cells)
     rd = azimuth_fft(rc, platform.prf_hz)
-    rd = rcmc(rd, platform, grid.cell_extent_m, rcmc_mode)
+    cell_extent_m = make_grid(spec.n_range_cells, spec.bandwidth_hz, platform).cell_extent_m
+    rd = rcmc(rd, platform, cell_extent_m, rcmc_mode)
     return azimuth_compress(rd, platform, azimuth_window)
 
 

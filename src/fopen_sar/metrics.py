@@ -190,13 +190,14 @@ def _std(v: np.ndarray) -> float:
 
 
 def aggregate_reports(metric_dicts: list[dict], waveform: str,
-                      polarization: str | None, foliage: bool) -> dict:
-    """The metrics JSON document: mean and std of each metric over a seed set."""
+                      polarization: str | None) -> dict:
+    """The metrics JSON document: mean and std of each metric over a seed set;
+    polarization is None for a run without foliage."""
     vals = {k: np.array([d[k] for d in metric_dicts], dtype=float) for k in METRIC_KEYS}
     return {
         "waveform": waveform,
         "polarization": polarization,
-        "foliage": foliage,
+        "foliage": polarization is not None,
         **{k: _json_number(float(np.mean(v))) for k, v in vals.items()},
         "n_seeds": len(metric_dicts),
         "std": {k: _json_number(_std(v)) for k, v in vals.items()},

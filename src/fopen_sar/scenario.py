@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
-from .geometry import PlatformParams, PointTarget, RangeGrid, Scene, make_grid
+from .geometry import C_LIGHT, PlatformParams, PointTarget, RangeGrid, Scene
 from .imaging import RCMC_MODES, FocusedImage, focus
 from .metrics import image_metrics
 from .waveform import OfdmSpec, generate_bpsk_symbols
@@ -168,46 +168,32 @@ class Scenario:
     def master_seed(self) -> int:
         return self.doc["seeds"]["master"]
 
-    def ofdm_spec(self, master_seed=None) -> OfdmSpec:
-        w = self.doc["waveform"]
-        seed = self.master_seed if master_seed is None else master_seed
-        return OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"],
-                        symbol_seed=seed)
-
     def platform(self) -> PlatformParams:
         return PlatformParams(**self.doc["platform"])
 
-    def scene(self) -> Scene:
-        targets = tuple(
-            PointTarget(t["cell"], t["azimuth_m"], complex(t["rcs"][0], t["rcs"][1]))
-            for t in self.doc["scene"]["targets"])
-        return Scene(targets, self.doc["waveform"]["n_range_cells"])
-
-    def foliage_params(self, master_seed=None) -> FoliageParams | None:
-        f = self.doc.get("foliage")
-        if f is None:
-            return None
-        seed = self.master_seed if master_seed is None else master_seed
-        if f.get("grazing_angle_deg") is None:
-            p = self.doc["platform"]
-            grazing = math.asin(p["altitude_m"] / p["reference_range_m"])
-        else:
-            grazing = math.radians(f["grazing_angle_deg"])
-        return FoliageParams(f["polarization"], grazing, gamma_shape=f["gamma_shape"],
-                             hurst=f["hurst"], seed=seed,
-                             redraw_per_pulse=f["redraw_per_pulse"],
-                             spectral_smoothing_bins=f["spectral_smoothing_bins"])
-
     def simulation_config(self, master_seed=None) -> SimulationConfig:
+        """Every pipeline object of one run; master_seed overrides seeds.master."""
         seed = self.master_seed if master_seed is None else master_seed
-        noise = self.doc.get("noise") or {}
+        w, p, f = self.doc["waveform"], self.doc["platform"], self.doc.get("foliage")
+        targets = tuple(PointTarget(t["cell"], t["azimuth_m"], complex(*t["rcs"]))
+                        for t in self.doc["scene"]["targets"])
+        foliage = None
+        if f is not None:
+            grazing = (math.asin(p["altitude_m"] / p["reference_range_m"])
+                       if f["grazing_angle_deg"] is None
+                       else math.radians(f["grazing_angle_deg"]))
+            foliage = FoliageParams(f["polarization"], grazing, gamma_shape=f["gamma_shape"],
+                                    hurst=f["hurst"], seed=seed,
+                                    redraw_per_pulse=f["redraw_per_pulse"],
+                                    spectral_smoothing_bins=f["spectral_smoothing_bins"])
         return SimulationConfig(
-            waveform_kind=self.doc["waveform"]["kind"],
-            ofdm=self.ofdm_spec(seed),
-            scene=self.scene(),
+            waveform_kind=w["kind"],
+            ofdm=OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"],
+                          symbol_seed=seed),
+            scene=Scene(targets, w["n_range_cells"]),
             platform=self.platform(),
-            foliage=self.foliage_params(seed),
-            snr_db=noise.get("snr_db"),
+            foliage=foliage,
+            snr_db=(self.doc.get("noise") or {}).get("snr_db"),
             master_seed=seed,
         )
 
@@ -256,6 +242,7 @@ def validate_scenario(doc: dict) -> dict:
             continue
         out[name] = _section(doc[name], name, table)
         _after_section(name, out)
+    _float_range_rules(out)
     return out
 
 
@@ -275,8 +262,8 @@ def _after_section(name, out):
             _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
         if p["reference_range_m"] < p["altitude_m"]:
             _fail("platform.reference_range_m", "must be >= altitude_m")
-        w = out["waveform"]
-        line = w["n_subcarriers"] + 2 * w["n_range_cells"] - 2
+        w = out["waveform"]  # its rules ran first, so the spec cannot fail
+        line = OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"]).line_length
         if round(n_pulses) * line > MAX_SAMPLES:
             _fail("platform.aperture_s", f"raw matrix of {round(n_pulses)} pulses x "
                   f"{line} samples is more than the limit of {MAX_SAMPLES} samples")
@@ -284,7 +271,7 @@ def _after_section(name, out):
         # np.convolve(mode="same") returns max(bins, kernel) values, so a
         # kernel or window longer than what it smooths changes its length
         w = out["waveform"]
-        bins = w["n_subcarriers"] + 2 * w["n_range_cells"] - 2
+        bins = OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"]).line_length
         if out["foliage"]["spectral_smoothing_bins"] > bins:
             _fail("foliage.spectral_smoothing_bins",
                   f"must be <= {bins}, the bins of a range line")
@@ -316,6 +303,70 @@ def _after_section(name, out):
                 _fail(path, f"same cell and azimuth_m as {first}")
             targets.append(t)
         out["scene"]["targets"] = targets
+
+
+def _or_inf(f) -> float:
+    """f(), or inf where Python's float ** overflows or / divides by zero
+    (numpy would only warn, and go on with inf or nan)."""
+    try:
+        return f()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _float_range_rules(out):
+    """The bounds the pipeline's float arithmetic sets, checked in scalars:
+    what it divides by must be nonzero, and what it squares or takes the
+    logarithm of must be finite. They run after every section rule, so a
+    document that breaks one of those fails there first."""
+    w, p = out["waveform"], out["platform"]
+    if "foliage" in out:  # the channel takes log10 of every raw-line frequency
+        spec = OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"])
+        low = float(spec.line_frequencies(p["carrier_hz"]).min())
+        if low <= 0:
+            _fail("platform.carrier_hz", f"the lowest raw-line frequency {low:g} Hz "
+                  "(carrier_hz - bandwidth_hz / 2) must be > 0 with foliage")
+    if "noise" in out:  # the noise power is the pulse peak / factor, and is squared
+        snr_db = out["noise"]["snr_db"]
+        factor = _or_inf(lambda: 10.0 ** (snr_db / 10.0))
+        if not 0 < factor < math.inf or _or_inf(lambda: (1.0 / factor) ** 2) == math.inf:
+            _fail("noise.snr_db", "10 ** (snr_db / 10) must be a finite, nonzero float "
+                  "whose inverse has a finite square")
+    v, rc = p["velocity_mps"], p["reference_range_m"]
+    lam = C_LIGHT / p["carrier_hz"]
+    la = p["antenna_length_m"] or _or_inf(lambda: lam * rc / (v * p["aperture_s"]))
+    for field, what, value in (
+            ("carrier_hz", "the wavelength", lam),
+            ("antenna_length_m", "the Doppler bandwidth 2 v / L_a",
+             _or_inf(lambda: 2.0 * v / la)),
+            ("velocity_mps", "the azimuth chirp rate 2 v^2 / (lambda R_c)",
+             _or_inf(lambda: 2.0 * v**2 / (lam * rc)))):
+        if not 0 < value < math.inf:
+            _fail(f"platform.{field}", f"{what} must be a finite, nonzero float")
+    if math.pi * (la * math.pi / 2) / lam == math.inf:  # np.sinc multiplies by pi
+        _fail("platform.antenna_length_m", "the beam's sinc argument L_a theta / lambda "
+              "must be finite up to theta = 90 degrees")
+    n, prf = round(p["aperture_s"] * p["prf_hz"]), p["prf_hz"]
+    ends = ((0 - n / 2.0) / prf, (n - 1 - n / 2.0) / prf)  # first and last slow time
+    grid = RangeGrid(w["n_range_cells"], w["bandwidth_hz"], rc, p["altitude_m"])
+    if out["processing"]["rcmc"] == "spectral":  # pi * shift at the Doppler band edge
+        shift = lam**2 * rc * (prf / 2) ** 2 / (8.0 * v**2) / grid.cell_extent_m
+        if math.pi * shift == math.inf:
+            _fail("processing.rcmc", "the largest migration shift lambda^2 R_c (prf_hz / 2)^2 "
+                  "/ (8 v^2), in cells, must be finite")
+    for i, t in enumerate(out["scene"]["targets"]):
+        r = float(grid.slant_range_of_cell(t["cell"]))
+        if r * r == math.inf:
+            _fail("platform.reference_range_m",
+                  f"the squared slant range of scene.targets[{i}] must be finite")
+        for eta in ends:
+            du = v * eta - t["azimuth_m"]
+            if r * r + du * du == math.inf:
+                _fail(f"scene.targets[{i}].azimuth_m", "the squared slant range "
+                      f"r0^2 + (velocity_mps * {eta:g} s - azimuth_m)^2 must be finite")
+            if 4 * math.pi / lam * (math.sqrt(r * r + du * du) + rc) == math.inf:
+                _fail("platform.carrier_hz", f"the two-way phase 4 pi (R + R_c) / lambda "
+                      f"of scene.targets[{i}] must be finite")
 
 
 def load_scenario(path) -> Scenario:
@@ -397,7 +448,7 @@ def preset_scenario(name: str) -> Scenario:
 def tank_scenario(preset: str = "full") -> Scenario:
     """Preset scenario with the extended-target tank fixture."""
     doc = copy.deepcopy(PRESETS[preset])
-    cell_extent = 299792458.0 / (2 * doc["waveform"]["bandwidth_hz"])
+    cell_extent = C_LIGHT / (2 * doc["waveform"]["bandwidth_hz"])
     center = doc["waveform"]["n_range_cells"] // 2
     doc["scene"]["targets"] = tank_targets(center, cell_extent)
     return Scenario(doc)
@@ -413,10 +464,9 @@ def run_pipeline(scen: Scenario, master_seed=None, threads: int = 1) -> FocusedI
 
 
 def focus_config(scen: Scenario, cfg: SimulationConfig, raw) -> FocusedImage:
-    grid = make_grid(cfg.scene.n_range_cells, cfg.ofdm.bandwidth_hz, cfg.platform)
     symbols = generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
     replica = transmitted_pulse(cfg) if cfg.waveform_kind == "noise" else None
-    return focus(raw, cfg.ofdm, cfg.platform, grid, symbols=symbols,
+    return focus(raw, cfg.ofdm, cfg.platform, symbols=symbols,
                  replica=replica, rcmc_mode=scen.processing["rcmc"],
                  azimuth_window=scen.processing["azimuth_window"])
 

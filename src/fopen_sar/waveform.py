@@ -47,6 +47,15 @@ class OfdmSpec:
         """Samples per pulse, N + M - 1."""
         return self.n_subcarriers + self.n_range_cells - 1
 
+    @property
+    def line_length(self) -> int:
+        """Samples per raw range line, N + 2M - 2: the pulse convolved with M cells."""
+        return self.n_subcarriers + 2 * self.n_range_cells - 2
+
+    def line_frequencies(self, carrier_hz: float) -> np.ndarray:
+        """Absolute frequency of each FFT bin of a raw range line."""
+        return carrier_hz + np.fft.fftfreq(self.line_length, d=self.sample_interval)
+
 
 def generate_bpsk_symbols(seed: int, n: int) -> np.ndarray:
     """Draw n BPSK symbols (exactly -1 or +1) deterministically from seed."""

@@ -6,6 +6,8 @@ samples from the defining exponential sum, the echo from the convolution
 sum, demodulation and equalization from naive DFT sums phase-referenced to
 absolute fast time, and the inverse transform likewise. point_rcs_estimate
 inverts one compressed line cell by cell back to the scatterer's RCS.
+synthesize_from_g is the one FFT form here: the single-pulse echo of an
+explicit weighting vector, which tests feed with hand-made vectors.
 """
 
 import cmath
@@ -79,3 +81,11 @@ def point_rcs_estimate(rc_line, grid, platform, eta, n_subcarriers):
         phase = np.conj(two_way_phase(t, grid, platform, eta))
         out[m] = rc_line[m] * phase / (np.sqrt(n_subcarriers) * max(gain, 1e-300))
     return out
+
+
+def synthesize_from_g(g, pulse):
+    """Raw line for an explicit weighting vector: the linear convolution
+    g * s, as a circular one at its full length."""
+    g = np.asarray(g, dtype=complex)
+    n = len(g) + len(pulse) - 1
+    return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse, n))

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fopen_sar.echo import (RawDataMatrix, SimulationConfig, apply_foliage,
-                            synthesize_from_g, synthesize_raw)
+from fopen_sar.echo import RawDataMatrix, SimulationConfig, apply_foliage, synthesize_raw
 from fopen_sar.foliage import (FoliageParams, fbm_path, mean_attenuation_db,
                                phase_fluctuation, sample_gamma_fluctuation,
                                draw_uniform_phase)
@@ -24,7 +23,7 @@ from fopen_sar.rng import substream
 from fopen_sar.scenario import preset_scenario, run_metrics, run_pipeline
 from fopen_sar.waveform import OfdmSpec, generate_bpsk_symbols, generate_ofdm_pulse
 
-from brute_force import full_chain
+from brute_force import full_chain, synthesize_from_g
 
 SEEDS = list(range(64))
 

@@ -8,14 +8,16 @@ import pytest
 
 from fopen_sar import echo
 from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
-                            geometry_spectrum, read_fsar, synthesize_from_g,
-                            synthesize_raw, transmitted_pulse, write_fsar)
+                            geometry_spectrum, read_fsar, synthesize_raw,
+                            transmitted_pulse, write_fsar)
 from fopen_sar.fileio import FormatError
 from fopen_sar.foliage import FoliageParams, FoliageRealization
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.rng import substream
 from fopen_sar.scenario import Scenario, preset_scenario, run_metrics
 from fopen_sar.waveform import generate_ofdm_pulse
+
+from brute_force import synthesize_from_g
 
 
 def _config(tiny_spec, tiny_platform, scene=None, **kw):
@@ -50,7 +52,7 @@ class TestSynthesizePulse:
         eta = tiny_platform.slow_time_axis()[3]
         g = gm_vector(cfg.scene, grid, tiny_platform, eta)
         line = _line(cfg, 3)
-        expected = np.zeros(cfg.line_length, dtype=complex)
+        expected = np.zeros(cfg.ofdm.line_length, dtype=complex)
         expected[4:4 + len(pulse)] = g[4] * pulse
         np.testing.assert_allclose(line, expected, atol=1e-14)
 
@@ -213,7 +215,7 @@ class TestSynthesizeRaw:
     def test_matrix_shape_and_axes(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform)
         raw = synthesize_raw(cfg)
-        assert raw.data.shape == (tiny_platform.n_pulses(), cfg.line_length)
+        assert raw.data.shape == (tiny_platform.n_pulses(), cfg.ofdm.line_length)
         assert raw.line_length == 32 + 2 * 8 - 2
         np.testing.assert_array_equal(raw.slow_time_s,
                                       tiny_platform.slow_time_axis())
@@ -277,13 +279,13 @@ class TestGeometrySpectrumMemo:
         assert np.any(warm[0] != warm[1])
         np.testing.assert_array_equal(warm[0], warm[2])
         for cfg, data in ((base, warm[0]), (other, warm[1])):
-            geometry_spectrum.cache_clear()
+            echo._geometry_spectrum.cache_clear()
             np.testing.assert_array_equal(synthesize_raw(cfg).data, data)
 
     def test_cached_spectrum_is_read_only(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform)
         spec = geometry_spectrum(cfg.scene, cfg.platform, tiny_spec.bandwidth_hz,
-                                 cfg.line_length)
+                                 cfg.ofdm.line_length)
         assert not spec.flags.writeable
         with pytest.raises(ValueError):
             spec[0, 0] = 0.0
@@ -301,7 +303,7 @@ class TestGeometrySpectrumMemo:
             return gm_vector(*args)
 
         monkeypatch.setattr(echo, "gm_vector", counting_gm_vector)
-        geometry_spectrum.cache_clear()
+        echo._geometry_spectrum.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

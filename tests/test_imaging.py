@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from fopen_sar.echo import (RawDataMatrix, SimulationConfig, synthesize_from_g,
-                            synthesize_raw, transmitted_pulse, write_fsar)
+from fopen_sar.echo import (RawDataMatrix, SimulationConfig, synthesize_raw,
+                            transmitted_pulse, write_fsar)
 from fopen_sar.fileio import FormatError
 from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.imaging import (FocusedImage, azimuth_fft, migration_shift_cells,
@@ -15,7 +15,7 @@ from fopen_sar.scenario import preset_scenario
 from fopen_sar.waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_pulse,
                                 generate_ofdm_pulse)
 
-from brute_force import full_chain, point_rcs_estimate
+from brute_force import full_chain, point_rcs_estimate, synthesize_from_g
 
 
 def _single_line_raw(g, pulse, spec, kind="ofdm"):
@@ -273,10 +273,9 @@ class TestAzimuthCompressAndFocus:
         scene = scene or Scene((PointTarget(24),), 48)
         cfg = SimulationConfig(kind, spec, scene, plat, master_seed=1)
         raw = synthesize_raw(cfg)
-        grid = make_grid(48, spec.bandwidth_hz, plat)
         symbols = generate_bpsk_symbols(1, 256)
         replica = transmitted_pulse(cfg) if kind == "noise" else None
-        img = focus(raw, spec, plat, grid, symbols=symbols, replica=replica)
+        img = focus(raw, spec, plat, symbols=symbols, replica=replica)
         return img, plat
 
     def test_zero_input_zero_image(self):
@@ -285,9 +284,7 @@ class TestAzimuthCompressAndFocus:
                               15.0, 128.0)
         cfg = SimulationConfig("ofdm", spec, Scene((), 8), plat)
         raw = synthesize_raw(cfg)
-        grid = make_grid(8, spec.bandwidth_hz, plat)
-        img = focus(raw, spec, plat, grid,
-                    symbols=generate_bpsk_symbols(0, 64))
+        img = focus(raw, spec, plat, symbols=generate_bpsk_symbols(0, 64))
         assert np.max(np.abs(img.pixels)) < 1e-12
 
     def test_point_target_focuses_at_truth(self):
@@ -337,9 +334,8 @@ class TestAzimuthCompressAndFocus:
                               15.0, 128.0)
         cfg = SimulationConfig("noise", spec, Scene((PointTarget(4),), 8), plat)
         raw = synthesize_raw(cfg)
-        grid = make_grid(8, spec.bandwidth_hz, plat)
         with pytest.raises(ValueError, match="replica"):
-            focus(raw, spec, plat, grid, symbols=generate_bpsk_symbols(0, 64))
+            focus(raw, spec, plat, symbols=generate_bpsk_symbols(0, 64))
 
 
 class TestPointRcsEstimate:

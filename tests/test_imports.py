@@ -1,4 +1,5 @@
-"""Every package module but __init__ (which re-exports) uses each name it imports."""
+"""Two stdlib ast checks on every package module but __init__ (which re-exports):
+each uses every name it imports, and no function or class is defined only for tests."""
 
 import ast
 import pathlib
@@ -31,3 +32,42 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# Top-level names that only tests read, each a reference form the suite compares against.
+TEST_ONLY = {
+    ("echo.py", "apply_foliage"): "a tracer wrap point and the per-pulse foliage reference",
+    ("foliage.py", "phase_fluctuation"): "the arctan reference for unit_phasor",
+    ("metrics.py", "mainlobe_width_3db"): "the main-lobe width acceptance criterion 8 reads",
+}
+
+
+def unread_definitions(sources: dict) -> list[tuple[str, str]]:
+    """(module, name) of each top-level function or class that no module of
+    sources reads outside its own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = {}  # (module, index of top-level statement) -> names read in it
+    for name, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            reads[name, i] = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} | {
+                n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+    unread = []
+    for name, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not any(
+                    stmt.name in names for key, names in reads.items() if key != (name, i)):
+                unread.append((name, stmt.name))
+    return unread
+
+
+def test_checker_finds_unread_definitions():
+    sources = {"a.py": "def f():\n    return f()\n\ndef g():\n    pass\n\n"
+                       "class C:\n    pass\n",
+               "b.py": "from .a import g\nx = g()\ny = mod.C\n"}
+    assert unread_definitions(sources) == [("a.py", "f")]
+
+
+def test_every_definition_is_read_in_the_package():
+    sources = {m: (PACKAGE / m).read_text() for m in MODULES}
+    assert sorted(set(unread_definitions(sources)) - set(TEST_ONLY)) == []
+    assert set(TEST_ONLY) <= set(unread_definitions(sources))

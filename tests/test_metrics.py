@@ -155,7 +155,7 @@ def _seed(islr_range, pslr_range=-13.0, islr_az=-20.0, pslr_az=-23.0):
 class TestReport:
     def test_json_round_trip(self):
         dicts = [_seed(-5.5, -9.75, -15.25, -19.5)] * 10  # exact binary means
-        doc = json.loads(json.dumps(aggregate_reports(dicts, "ofdm", "HH", True)))
+        doc = json.loads(json.dumps(aggregate_reports(dicts, "ofdm", "HH")))
         assert doc == {"waveform": "ofdm", "polarization": "HH", "foliage": True,
                        "islr_range_db": -5.5, "pslr_range_db": -9.75,
                        "islr_azimuth_db": -15.25, "pslr_azimuth_db": -19.5,
@@ -163,20 +163,20 @@ class TestReport:
 
     def test_minus_inf_encoded_as_string(self):
         # a seed with no sidelobe power has ISLR -inf, whose std is undefined
-        doc = aggregate_reports([_seed(float("-inf"))], "ofdm", None, False)
+        doc = aggregate_reports([_seed(float("-inf"))], "ofdm", None)
         doc = json.loads(json.dumps(doc, allow_nan=False))
         assert doc["islr_range_db"] == "-inf"
         assert doc["std"]["islr_range_db"] == "nan"
         assert doc["pslr_range_db"] == -13.0
         assert doc["std"]["pslr_range_db"] == 0.0
-        doc = aggregate_reports([_seed(float("inf")), _seed(-9.0)], "ofdm", None, False)
+        doc = aggregate_reports([_seed(float("inf")), _seed(-9.0)], "ofdm", None)
         json.dumps(doc, allow_nan=False)
         assert doc["islr_range_db"] == "inf"
         assert doc["std"]["islr_range_db"] == "nan"
 
     def test_aggregate_mean_and_std(self):
         dicts = [_seed(-9.0, islr_az=-20.0), _seed(-11.0, islr_az=-22.0)]
-        r = aggregate_reports(dicts, "noise", None, False)
+        r = aggregate_reports(dicts, "noise", None)
         assert r["islr_range_db"] == pytest.approx(-10.0)
         assert r["std"]["islr_range_db"] == pytest.approx(1.0)
         assert r["n_seeds"] == 2

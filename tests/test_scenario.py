@@ -218,18 +218,18 @@ class TestResolution:
     def test_full_preset_sizes(self):
         scen = preset_scenario("full")
         cfg = scen.simulation_config()
-        assert cfg.line_length == 1024 + 2 * 192 - 2 == 1406
+        assert cfg.ofdm.line_length == 1024 + 2 * 192 - 2 == 1406
         assert cfg.platform.n_pulses() == 256
 
     def test_grazing_angle_derived_from_geometry(self):
         scen = preset_scenario("full").with_overrides(foliage_pol="HH")
-        fol = scen.foliage_params()
+        fol = scen.simulation_config().foliage
         assert fol.grazing_angle_rad == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_explicit_grazing_angle(self):
         doc = copy.deepcopy(SMALL_PRESET)
         doc["foliage"] = {"polarization": "HH", "grazing_angle_deg": 30.0}
-        fol = Scenario(doc).foliage_params()
+        fol = Scenario(doc).simulation_config().foliage
         assert fol.grazing_angle_rad == pytest.approx(math.radians(30.0))
 
     def test_with_overrides(self):
