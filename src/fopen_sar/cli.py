@@ -146,8 +146,7 @@ def cmd_image(args, scens, threads, stem):
     if args.raw:
         data = _read_matching(read_fsar, args.raw,
                               (cfg.platform.n_pulses(), cfg.ofdm.line_length))
-        raw = RawDataMatrix(data, cfg.platform.slow_time_axis(),
-                            cfg.ofdm.sample_interval, cfg.waveform_kind)
+        raw = RawDataMatrix(data, cfg.platform.slow_time_axis(), cfg.waveform_kind)
     else:
         raw = synthesize_raw(cfg)
     img = focus_config(scen, cfg, raw)

@@ -50,7 +50,6 @@ class RawDataMatrix:
 
     data: np.ndarray
     slow_time_s: np.ndarray
-    sample_interval_s: float
     waveform_kind: str
 
     def __post_init__(self):
@@ -168,8 +167,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
     np.fft.ifft(data, axis=1, out=data)
     if config.snr_db is not None:
         add_receiver_noise(data, config, pulse)
-    return RawDataMatrix(data, config.platform.slow_time_axis(), config.ofdm.sample_interval,
-                         config.waveform_kind)
+    return RawDataMatrix(data, config.platform.slow_time_axis(), config.waveform_kind)
 
 
 def write_fsar(path, raw: RawDataMatrix) -> None:

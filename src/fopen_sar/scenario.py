@@ -29,12 +29,21 @@ def _fail(path, msg):
     raise SchemaError(f"{path}: {msg}")
 
 
-# The scenario schema: SCHEMA[section][key] = (type, default, minimum, maximum).
-# type is int, float, bool, list (a non-empty array), complex ([re, im]) or a
-# tuple of allowed values. REQUIRED marks a required key; a default of None
-# makes a number optional and nullable. Sections are checked in this order.
 REQUIRED = object()
 OPTIONAL_SECTIONS = ("foliage", "noise")
+# Each row of scene.targets. A cell's maximum, M - 1, is a relation to the
+# waveform, so the relations pass checks it.
+TARGET = {
+    "cell": (int, REQUIRED, 0, None),
+    "azimuth_m": (float, 0.0, None, None),
+    "rcs": (complex, [1.0, 0.0], None, None),
+}
+# The scenario schema: SCHEMA[section][key] = (type, default, minimum, maximum).
+# type is int, float, bool, complex ([re, im]), a tuple of allowed values, or
+# a row table such as TARGET (a non-empty array of objects, each checked
+# against it). REQUIRED marks a required key; a default of None makes a number
+# optional and nullable. Sections are checked in this order, and every
+# default of a scenario is stated here.
 SCHEMA = {
     "waveform": {
         "kind": (("ofdm", "noise"), REQUIRED, None, None),
@@ -52,7 +61,7 @@ SCHEMA = {
         "antenna_length_m": (float, None, 1e-9, None),
         "prf_hz": (float, REQUIRED, 1e-9, None),
     },
-    "scene": {"targets": (list, REQUIRED, None, None)},
+    "scene": {"targets": (TARGET, REQUIRED, None, None)},
     "foliage": {
         "polarization": (("HH", "VV"), REQUIRED, None, None),
         "grazing_angle_deg": (float, None, 1e-9, 90.0),
@@ -75,13 +84,7 @@ SCHEMA = {
         "write_csv_profiles": (bool, True, None, None),
         "dump_foliage_csv": (bool, False, None, None),
     },
-    "seeds": {"master": (int, REQUIRED, 0, None)},
-}
-# Each scene.targets[i]; _after_section fills in the cell's maximum.
-TARGET = {
-    "cell": (int, REQUIRED, 0, None),
-    "azimuth_m": (float, 0.0, None, None),
-    "rcs": (complex, [1.0, 0.0], None, None),
+    "seeds": {"master": (int, REQUIRED, 0, 2**64 - 1)},  # its digits name output files
 }
 # The most samples a scenario may ask for in its raw matrix (pulses x line
 # length) and in its upsampled profile (max(pulses, M) x upsample): 512 MiB
@@ -123,10 +126,10 @@ def _field(v, path, kind, default, minimum, maximum):
         if not isinstance(v, bool):
             _fail(path, "must be a boolean")
         return v
-    if kind is list:
+    if isinstance(kind, dict):
         if not isinstance(v, list) or not v:
             _fail(path, "must be a non-empty array")
-        return v
+        return [_section(row, f"{path}[{i}]", kind) for i, row in enumerate(v)]
     if kind is complex:
         if (not isinstance(v, list) or len(v) != 2
                 or not all(_is_real(x) and _finite(x) for x in v)):
@@ -217,10 +220,8 @@ class Scenario:
         if foliage_pol is not None:
             if foliage_pol == "off":
                 doc.pop("foliage", None)
-            else:
-                base = doc.get("foliage") or default_foliage_section()
-                base["polarization"] = foliage_pol
-                doc["foliage"] = base
+            else:  # validation fills in the defaults of a new section
+                doc["foliage"] = {**doc.get("foliage", {}), "polarization": foliage_pol}
         if master_seed is not None:
             doc["seeds"]["master"] = int(master_seed)
         return Scenario(doc)
@@ -232,77 +233,19 @@ class Scenario:
 
 
 def validate_scenario(doc: dict) -> dict:
-    """Validate and normalize a scenario document (returns a deep copy)."""
+    """Validate and normalize a scenario document (returns a deep copy).
+
+    Two passes: every key of every present section against its SCHEMA table,
+    in SCHEMA order, then the relations between the values (_relations). So a
+    key error is reported before any relation error.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("scenario: must be a JSON object")
     _keys(doc, "scenario", SCHEMA, [s for s in SCHEMA if s not in OPTIONAL_SECTIONS])
-    out = {}
-    for name, table in SCHEMA.items():
-        if name in OPTIONAL_SECTIONS and doc.get(name) is None:
-            continue
-        out[name] = _section(doc[name], name, table)
-        _after_section(name, out)
-    _float_range_rules(out)
+    out = {name: _section(doc[name], name, table) for name, table in SCHEMA.items()
+           if name not in OPTIONAL_SECTIONS or doc.get(name) is not None}
+    _relations(out)
     return out
-
-
-def _after_section(name, out):
-    """The rules that relate fields, run after their section, and the walk of
-    scene.targets[i], whose cell maximum M-1 comes from the waveform and whose
-    closest-approach slant range may not fall below the platform altitude."""
-    if name == "waveform":
-        if out["waveform"]["n_subcarriers"] < out["waveform"]["n_range_cells"]:
-            _fail("waveform.n_subcarriers", "must be >= n_range_cells")
-    elif name == "platform":
-        p = out["platform"]
-        n_pulses = p["aperture_s"] * p["prf_hz"]
-        if not _finite(n_pulses):
-            _fail("platform.aperture_s", "aperture_s * prf_hz must be finite")
-        if round(n_pulses) < 2:
-            _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
-        if p["reference_range_m"] < p["altitude_m"]:
-            _fail("platform.reference_range_m", "must be >= altitude_m")
-        w = out["waveform"]  # its rules ran first, so the spec cannot fail
-        line = OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"]).line_length
-        if round(n_pulses) * line > MAX_SAMPLES:
-            _fail("platform.aperture_s", f"raw matrix of {round(n_pulses)} pulses x "
-                  f"{line} samples is more than the limit of {MAX_SAMPLES} samples")
-    elif name == "foliage":
-        # np.convolve(mode="same") returns max(bins, kernel) values, so a
-        # kernel or window longer than what it smooths changes its length
-        w = out["waveform"]
-        bins = OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"]).line_length
-        if out["foliage"]["spectral_smoothing_bins"] > bins:
-            _fail("foliage.spectral_smoothing_bins",
-                  f"must be <= {bins}, the bins of a range line")
-    elif name == "processing":
-        p, proc = out["platform"], out["processing"]
-        cuts = (round(p["aperture_s"] * p["prf_hz"]), out["waveform"]["n_range_cells"])
-        up = proc["upsample"]
-        if max(cuts) * up > MAX_SAMPLES:
-            _fail("processing.upsample", f"profile of {max(cuts)} x {up} samples is "
-                  f"more than the limit of {MAX_SAMPLES} samples")
-        if proc["smooth_window"] > min(cuts) * up:
-            _fail("processing.smooth_window", f"must be <= {min(cuts) * up}, "
-                  "the samples of the shorter upsampled profile")
-    elif name == "scene":
-        w, p = out["waveform"], out["platform"]
-        m = w["n_range_cells"]
-        grid = RangeGrid(m, w["bandwidth_hz"], p["reference_range_m"], p["altitude_m"])
-        table = dict(TARGET, cell=(int, REQUIRED, 0, m - 1))
-        targets, seen = [], {}
-        for i, t in enumerate(out["scene"]["targets"]):
-            path = f"scene.targets[{i}]"
-            t = _section(t, path, table)
-            r = grid.slant_range_of_cell(t["cell"])
-            if r < p["altitude_m"]:
-                _fail(f"{path}.cell", f"closest-approach slant range {r:.6f} m is "
-                      f"below platform.altitude_m ({p['altitude_m']} m), past nadir")
-            first = seen.setdefault((t["cell"], t["azimuth_m"]), path)
-            if first != path:
-                _fail(path, f"same cell and azimuth_m as {first}")
-            targets.append(t)
-        out["scene"]["targets"] = targets
 
 
 def _or_inf(f) -> float:
@@ -314,14 +257,57 @@ def _or_inf(f) -> float:
         return math.inf
 
 
-def _float_range_rules(out):
-    """The bounds the pipeline's float arithmetic sets, checked in scalars:
-    what it divides by must be nonzero, and what it squares or takes the
-    logarithm of must be finite. They run after every section rule, so a
-    document that breaks one of those fails there first."""
-    w, p = out["waveform"], out["platform"]
+def _relations(out):
+    """The rules that relate fields, on values derived once, in this order:
+    the waveform's, the platform's, each target's (its cell maximum M - 1, its
+    closest-approach slant range, which may not fall below the platform
+    altitude, and its uniqueness), the smoothing lengths, and last the bounds
+    the pipeline's float arithmetic sets. Those are checked in scalars: what
+    it divides by must be nonzero, and what it squares or takes the logarithm
+    of must be finite."""
+    w, p, proc = out["waveform"], out["platform"], out["processing"]
+    m, v, rc, prf = w["n_range_cells"], p["velocity_mps"], p["reference_range_m"], p["prf_hz"]
+    if w["n_subcarriers"] < m:
+        _fail("waveform.n_subcarriers", "must be >= n_range_cells")
+    spec = OfdmSpec(w["n_subcarriers"], m, w["bandwidth_hz"])
+    line = spec.line_length
+    n = p["aperture_s"] * prf
+    if not _finite(n):
+        _fail("platform.aperture_s", "aperture_s * prf_hz must be finite")
+    n = round(n)
+    if n < 2:
+        _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
+    if rc < p["altitude_m"]:
+        _fail("platform.reference_range_m", "must be >= altitude_m")
+    if n * line > MAX_SAMPLES:
+        _fail("platform.aperture_s", f"raw matrix of {n} pulses x "
+              f"{line} samples is more than the limit of {MAX_SAMPLES} samples")
+    grid = RangeGrid(m, w["bandwidth_hz"], rc, p["altitude_m"])
+    ranges, seen = [], {}
+    for i, t in enumerate(out["scene"]["targets"]):
+        path = f"scene.targets[{i}]"
+        if t["cell"] > m - 1:
+            _fail(f"{path}.cell", f"must be <= {m - 1}")
+        ranges.append(float(grid.slant_range_of_cell(t["cell"])))
+        if ranges[-1] < p["altitude_m"]:
+            _fail(f"{path}.cell", f"closest-approach slant range {ranges[-1]:.6f} m is "
+                  f"below platform.altitude_m ({p['altitude_m']} m), past nadir")
+        first = seen.setdefault((t["cell"], t["azimuth_m"]), path)
+        if first != path:
+            _fail(path, f"same cell and azimuth_m as {first}")
+    # np.convolve(mode="same") returns max(bins, kernel) values, so a
+    # kernel or window longer than what it smooths changes its length
+    if "foliage" in out and out["foliage"]["spectral_smoothing_bins"] > line:
+        _fail("foliage.spectral_smoothing_bins", f"must be <= {line}, the bins of a range line")
+    cuts, up = (n, m), proc["upsample"]
+    if max(cuts) * up > MAX_SAMPLES:
+        _fail("processing.upsample", f"profile of {max(cuts)} x {up} samples is "
+              f"more than the limit of {MAX_SAMPLES} samples")
+    if proc["smooth_window"] > min(cuts) * up:
+        _fail("processing.smooth_window", f"must be <= {min(cuts) * up}, "
+              "the samples of the shorter upsampled profile")
+    # the float bounds
     if "foliage" in out:  # the channel takes log10 of every raw-line frequency
-        spec = OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"])
         low = float(spec.line_frequencies(p["carrier_hz"]).min())
         if low <= 0:
             _fail("platform.carrier_hz", f"the lowest raw-line frequency {low:g} Hz "
@@ -332,7 +318,6 @@ def _float_range_rules(out):
         if not 0 < factor < math.inf or _or_inf(lambda: (1.0 / factor) ** 2) == math.inf:
             _fail("noise.snr_db", "10 ** (snr_db / 10) must be a finite, nonzero float "
                   "whose inverse has a finite square")
-    v, rc = p["velocity_mps"], p["reference_range_m"]
     lam = C_LIGHT / p["carrier_hz"]
     la = p["antenna_length_m"] or _or_inf(lambda: lam * rc / (v * p["aperture_s"]))
     for field, what, value in (
@@ -346,16 +331,13 @@ def _float_range_rules(out):
     if math.pi * (la * math.pi / 2) / lam == math.inf:  # np.sinc multiplies by pi
         _fail("platform.antenna_length_m", "the beam's sinc argument L_a theta / lambda "
               "must be finite up to theta = 90 degrees")
-    n, prf = round(p["aperture_s"] * p["prf_hz"]), p["prf_hz"]
     ends = ((0 - n / 2.0) / prf, (n - 1 - n / 2.0) / prf)  # first and last slow time
-    grid = RangeGrid(w["n_range_cells"], w["bandwidth_hz"], rc, p["altitude_m"])
-    if out["processing"]["rcmc"] == "spectral":  # pi * shift at the Doppler band edge
+    if proc["rcmc"] == "spectral":  # pi * shift at the Doppler band edge
         shift = lam**2 * rc * (prf / 2) ** 2 / (8.0 * v**2) / grid.cell_extent_m
         if math.pi * shift == math.inf:
             _fail("processing.rcmc", "the largest migration shift lambda^2 R_c (prf_hz / 2)^2 "
                   "/ (8 v^2), in cells, must be finite")
-    for i, t in enumerate(out["scene"]["targets"]):
-        r = float(grid.slant_range_of_cell(t["cell"]))
+    for i, (t, r) in enumerate(zip(out["scene"]["targets"], ranges)):
         if r * r == math.inf:
             _fail("platform.reference_range_m",
                   f"the squared slant range of scene.targets[{i}] must be finite")
@@ -378,21 +360,19 @@ def load_scenario(path) -> Scenario:
     return Scenario(doc)
 
 
-def default_foliage_section() -> dict:
-    return _section({"polarization": "HH"}, "foliage", SCHEMA["foliage"])
-
-
 def tank_targets(center_cell: int = 96, cell_extent_m: float = 0.0375,
-                 azimuth_res_m: float = 0.85) -> list[dict]:
+                 n_range_cells: int = 192, azimuth_res_m: float = 0.85) -> list[dict]:
     """Point-target arrangement sketching a tank silhouette (side-on).
 
     Our own construction (the reference arrangement was never published):
     hull outline, turret block and gun barrel, about 30 unit scatterers.
     Spacings keep neighbors separated by at least a resolution cell in
-    range and about one azimuth resolution in azimuth.
+    range and about one azimuth resolution in azimuth. The range step is a
+    quarter of the 2 m hull half-length, shortened where the hull (4 steps
+    below the center) or the barrel (7 above) would leave the M cells.
     """
-    hull_half_m = 2.0
-    step = max(1, int(round(hull_half_m / 4 / cell_extent_m)))
+    step = min(round(2.0 / 4 / cell_extent_m), (n_range_cells - 1 - center_cell) // 7,
+               center_cell // 4)
     hull_cells = [center_cell + k * step for k in range(-4, 5)]
     a = azimuth_res_m
     pts = []
@@ -448,9 +428,10 @@ def preset_scenario(name: str) -> Scenario:
 def tank_scenario(preset: str = "full") -> Scenario:
     """Preset scenario with the extended-target tank fixture."""
     doc = copy.deepcopy(PRESETS[preset])
-    cell_extent = C_LIGHT / (2 * doc["waveform"]["bandwidth_hz"])
-    center = doc["waveform"]["n_range_cells"] // 2
-    doc["scene"]["targets"] = tank_targets(center, cell_extent)
+    w, p = doc["waveform"], doc["platform"]
+    m = w["n_range_cells"]
+    grid = RangeGrid(m, w["bandwidth_hz"], p["reference_range_m"], p["altitude_m"])
+    doc["scene"]["targets"] = tank_targets(m // 2, grid.cell_extent_m, m)
     return Scenario(doc)
 
 

@@ -73,8 +73,7 @@ class TestCriterion1CpExactness:
         g = gm_vector(scene, grid, plat, 0.02)
         pulse = generate_ofdm_pulse(spec)
         line = synthesize_from_g(g, pulse)
-        raw = RawDataMatrix(line[None, :], np.array([0.02]),
-                            spec.sample_interval, "ofdm")
+        raw = RawDataMatrix(line[None, :], np.array([0.02]), "ofdm")
         x = generate_bpsk_symbols(5, 1024)
         ghat = range_compress_ofdm(raw, spec, x).data[0]
         elapsed = time.perf_counter() - t0
@@ -103,8 +102,7 @@ class TestCriterion2ToyOracle:
                 g[m2] += sig2
                 z_brute, ghat_brute = full_chain(x, g, n, m)
                 line = synthesize_from_g(g, pulse)
-                raw = RawDataMatrix(line[None, :], np.zeros(1),
-                                    spec.sample_interval, "ofdm")
+                raw = RawDataMatrix(line[None, :], np.zeros(1), "ofdm")
                 ghat = range_compress_ofdm(raw, spec, x).data[0]
                 worst = max(worst,
                             np.max(np.abs(line - z_brute)),

@@ -18,10 +18,10 @@ from fopen_sar.waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_
 from brute_force import full_chain, point_rcs_estimate, synthesize_from_g
 
 
-def _single_line_raw(g, pulse, spec, kind="ofdm"):
+def _single_line_raw(g, pulse, kind="ofdm"):
     line = synthesize_from_g(g, pulse)
     data = np.vstack([line, line])
-    return RawDataMatrix(data, np.array([0.0, 1.0]), spec.sample_interval, kind)
+    return RawDataMatrix(data, np.array([0.0, 1.0]), kind)
 
 
 class TestRangeCompressOfdm:
@@ -31,7 +31,7 @@ class TestRangeCompressOfdm:
         g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         x = generate_bpsk_symbols(tiny_spec.symbol_seed, n)
         pulse = generate_ofdm_pulse(tiny_spec)
-        raw = _single_line_raw(g, pulse, tiny_spec)
+        raw = _single_line_raw(g, pulse)
         rc = range_compress_ofdm(raw, tiny_spec, x)
         err = np.max(np.abs(rc.data[0] - np.sqrt(n) * g)) / np.max(np.abs(g))
         assert err < 1e-10
@@ -42,7 +42,7 @@ class TestRangeCompressOfdm:
         g[2] = 1.0
         g[6] = -0.5j
         x = generate_bpsk_symbols(tiny_spec.symbol_seed, n)
-        raw = _single_line_raw(g, generate_ofdm_pulse(tiny_spec), tiny_spec)
+        raw = _single_line_raw(g, generate_ofdm_pulse(tiny_spec))
         rc = range_compress_ofdm(raw, tiny_spec, x)
         peak = np.max(np.abs(rc.data[0]))
         others = np.delete(np.abs(rc.data[0]), [2, 6])
@@ -50,8 +50,7 @@ class TestRangeCompressOfdm:
 
     def test_empty_scene_gives_zero(self, tiny_spec):
         x = generate_bpsk_symbols(tiny_spec.symbol_seed, tiny_spec.n_subcarriers)
-        raw = _single_line_raw(np.zeros(8, complex),
-                               generate_ofdm_pulse(tiny_spec), tiny_spec)
+        raw = _single_line_raw(np.zeros(8, complex), generate_ofdm_pulse(tiny_spec))
         rc = range_compress_ofdm(raw, tiny_spec, x)
         np.testing.assert_array_equal(rc.data, np.zeros_like(rc.data))
 
@@ -63,14 +62,13 @@ class TestRangeCompressOfdm:
         g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         z_brute, ghat_brute = full_chain(x, g, n, m)
         pulse = generate_ofdm_pulse(spec)
-        raw = _single_line_raw(g, pulse, spec)
+        raw = _single_line_raw(g, pulse)
         np.testing.assert_allclose(raw.data[0], z_brute, atol=1e-10)
         rc = range_compress_ofdm(raw, spec, x)
         np.testing.assert_allclose(rc.data[0], ghat_brute, atol=1e-10)
 
     def test_wrong_line_length_rejected(self, tiny_spec):
-        raw = RawDataMatrix(np.zeros((2, 10), complex), np.array([0.0, 1.0]),
-                            1.0, "ofdm")
+        raw = RawDataMatrix(np.zeros((2, 10), complex), np.array([0.0, 1.0]), "ofdm")
         x = generate_bpsk_symbols(0, tiny_spec.n_subcarriers)
         with pytest.raises(ValueError, match="line length"):
             range_compress_ofdm(raw, tiny_spec, x)
@@ -78,8 +76,7 @@ class TestRangeCompressOfdm:
     def test_zero_symbol_rejected(self, tiny_spec):
         x = generate_bpsk_symbols(0, tiny_spec.n_subcarriers).copy()
         x[5] = 0.0
-        raw = _single_line_raw(np.zeros(8, complex),
-                               generate_ofdm_pulse(tiny_spec), tiny_spec)
+        raw = _single_line_raw(np.zeros(8, complex), generate_ofdm_pulse(tiny_spec))
         with pytest.raises(ZeroDivisionError):
             range_compress_ofdm(raw, tiny_spec, x)
 
@@ -119,8 +116,7 @@ class TestRangeCompressNoise:
         cfg = scen.simulation_config()
         raw = synthesize_raw(cfg)
         # 45 pulses: a full block of 32 and a partial one
-        raw = RawDataMatrix(np.vstack([raw.data, raw.data[:13]]), np.arange(45.0),
-                            raw.sample_interval_s, "noise")
+        raw = RawDataMatrix(np.vstack([raw.data, raw.data[:13]]), np.arange(45.0), "noise")
         pulse = transmitted_pulse(cfg)
         m, n = cfg.ofdm.n_range_cells, raw.line_length
         want = np.fft.ifft(np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(pulse, n)),
@@ -133,13 +129,13 @@ class TestRangeCompressNoise:
         pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
         g = np.zeros(8, complex)
         g[0] = 1.0
-        raw = _single_line_raw(g, pulse, tiny_spec, kind="noise")
+        raw = _single_line_raw(g, pulse, kind="noise")
         rc = range_compress_noise(raw, pulse, 8)
         assert abs(rc.data[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_scene_gives_zero(self, tiny_spec):
         pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
-        raw = _single_line_raw(np.zeros(8, complex), pulse, tiny_spec, "noise")
+        raw = _single_line_raw(np.zeros(8, complex), pulse, "noise")
         rc = range_compress_noise(raw, pulse, 8)
         assert np.max(np.abs(rc.data)) < 1e-14
 
@@ -152,7 +148,7 @@ class TestRangeCompressNoise:
         ratios = []
         for seed in range(100):
             pulse = generate_noise_pulse(L, seed)
-            raw = _single_line_raw(g, pulse, spec, "noise")
+            raw = _single_line_raw(g, pulse, "noise")
             rc = range_compress_noise(raw, pulse, 48)
             side = np.delete(np.abs(rc.data[0]), 24)
             ratios.append(np.sqrt(np.mean(side**2)))
@@ -161,8 +157,7 @@ class TestRangeCompressNoise:
 
     def test_dimension_mismatch_rejected(self, tiny_spec):
         pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
-        raw = RawDataMatrix(np.zeros((2, 11), complex), np.array([0.0, 1.0]),
-                            1.0, "noise")
+        raw = RawDataMatrix(np.zeros((2, 11), complex), np.array([0.0, 1.0]), "noise")
         with pytest.raises(ValueError):
             range_compress_noise(raw, pulse, 8)
 
@@ -375,7 +370,7 @@ class TestImageIo:
 
     def test_fsar_is_not_an_image(self, tmp_path):
         path = tmp_path / "raw.fsar"
-        write_fsar(path, RawDataMatrix(self._image().pixels, np.arange(8.0), 1.0, "ofdm"))
+        write_fsar(path, RawDataMatrix(self._image().pixels, np.arange(8.0), "ofdm"))
         msg = f"{path}: bad magic b'FSAR', expected b'FIMG'"
         with pytest.raises(FormatError, match=re.escape(msg)):
             read_fimg(path)

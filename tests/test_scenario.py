@@ -142,26 +142,37 @@ class TestValidation:
                                rf"limit of {1 << 25} samples$"):
                 validate_scenario(doc)
 
-    @pytest.mark.parametrize("field,value,ok", [
+    @pytest.mark.parametrize("field,value,limit", [
         # the small preset's line has 256 + 2 * 48 - 2 = 350 bins
-        ("foliage.spectral_smoothing_bins", 350, True),
-        ("foliage.spectral_smoothing_bins", 351, False),
+        ("foliage.spectral_smoothing_bins", 350, None),
+        ("foliage.spectral_smoothing_bins", 351, 350),
         # its shorter upsampled profile is min(32 pulses, 48 cells) x 16 = 512
-        ("processing.smooth_window", 512, True),
-        ("processing.smooth_window", 513, False),
+        ("processing.smooth_window", 512, None),
+        ("processing.smooth_window", 513, 512),
+        # the seed's digits go into every output file name
+        ("seeds.master", 2**64 - 1, None),
+        ("seeds.master", 10**300, 2**64 - 1),
     ], ids=["bins_at_line", "bins_over_line", "window_at_profile",
-            "window_over_profile"])
-    def test_smoothing_lengths_bounded(self, field, value, ok):
+            "window_over_profile", "seed_at_max", "seed_10^300"])
+    def test_smoothing_lengths_bounded(self, field, value, limit):
         section, key = field.split(".")
         doc = copy.deepcopy(SMALL_PRESET)
         doc["foliage"] = {"polarization": "HH"}
         doc[section][key] = value
-        if ok:
+        if limit is None:
             assert validate_scenario(doc)[section][key] == value
         else:
             with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: must be <= "
-                               rf"{value - 1}, "):
+                               rf"{limit}(, |$)"):
                 validate_scenario(doc)
+
+    def test_key_errors_reported_before_relations(self):
+        # a relation error in platform, a key error in the later processing
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["platform"]["aperture_s"] = 0.005  # rounds to 1 pulse at 128 Hz
+        doc["processing"]["upsample"] = "x"
+        with pytest.raises(SchemaError, match=r"^processing\.upsample: must be a number$"):
+            validate_scenario(doc)
 
     def test_foliage_defaults_fill_in(self):
         doc = copy.deepcopy(SMALL_PRESET)
@@ -283,8 +294,9 @@ class TestTankFixture:
         keys = {(p["cell"], p["azimuth_m"]) for p in pts}
         assert len(keys) == len(pts)
 
-    def test_tank_scenario_validates(self):
-        scen = tank_scenario("full")
+    @pytest.mark.parametrize("preset", ["full", "small"])
+    def test_tank_scenario_validates(self, preset):
+        scen = tank_scenario(preset)
         assert len(scen.doc["scene"]["targets"]) >= 25
         scen.simulation_config()
 
