@@ -124,7 +124,7 @@ def _seed_list(scen, args) -> list[int]:
 # (named from stem, "<out>/<label>-seed<N>" of the first scenario) and returns
 # (seeds, files, stdout summary); main does everything around it.
 
-def cmd_simulate(args, scens, threads, stem):
+def cmd_simulate(args, scens, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
     raw = synthesize_raw(cfg)
@@ -140,7 +140,7 @@ def cmd_simulate(args, scens, threads, stem):
     return [scen.master_seed], files, summary
 
 
-def cmd_image(args, scens, threads, stem):
+def cmd_image(args, scens, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
     if args.raw:
@@ -166,7 +166,7 @@ def cmd_image(args, scens, threads, stem):
     return [scen.master_seed], files, summary
 
 
-def cmd_metrics(args, scens, threads, stem):
+def cmd_metrics(args, scens, stem):
     scen = scens[0]
     if args.image:
         pixels = _read_matching(read_fimg, args.image, (
@@ -176,18 +176,18 @@ def cmd_metrics(args, scens, threads, stem):
         seeds = [scen.master_seed]
     else:
         seeds = _seed_list(scen, args)
-        per_seed = run_metrics(scen, seeds, threads=threads)
+        per_seed = run_metrics(scen, seeds, threads=args.threads)
     report = _report(scen, per_seed)
     path = f"{stem}_metrics.json"
     write_json(path, report)
     return seeds, [path], json.dumps(report, indent=2, sort_keys=True)
 
 
-def cmd_compare(args, scens, threads, stem):
+def cmd_compare(args, scens, stem):
     entries = []
     for scen in scens:
         seeds = _seed_list(scen, args)
-        per_seed = run_metrics(scen, seeds, threads=threads)
+        per_seed = run_metrics(scen, seeds, threads=args.threads)
         entries.append({"label": scen.label(), "seeds": seeds,
                         "metrics": _report(scen, per_seed)})
     diffs = [{"pair": [a["label"], b["label"]],
@@ -202,7 +202,7 @@ def cmd_compare(args, scens, threads, stem):
     return seeds, [path], json.dumps(diffs, indent=2, sort_keys=True)
 
 
-def _seed_count(text) -> int:
+def _positive_int(text) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return int(text)
@@ -231,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario foliage section")
         p.add_argument("--seed", type=int, help="override seeds.master")
         if seeds:
-            p.add_argument("--seeds", type=_seed_count, default=1,
+            p.add_argument("--seeds", type=_positive_int, default=1,
                            help="number of consecutive seeds, from seeds.master")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker threads over independent seeds")
 
     p = sub.add_parser("simulate", help="synthesize the raw data matrix")
@@ -271,14 +271,15 @@ def main(argv=None) -> int:
             scens = _compare_variants(args)
         else:
             scens = [_resolve_scenario(args)]
-        threads = max(1, args.threads)
+        if getattr(args, "image", None) and args.seeds != 1:
+            raise SchemaError("metrics: --seeds must be 1 with --image")
         os.makedirs(args.out, exist_ok=True)
         manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
         with contextlib.suppress(FileNotFoundError):
             os.remove(manifest_path)
         stem = os.path.join(args.out, f"{scens[0].label()}-seed{scens[0].master_seed}")
         t0 = time.perf_counter()
-        seeds, files, summary = args.func(args, scens, threads, stem)
+        seeds, files, summary = args.func(args, scens, stem)
         seconds = time.perf_counter() - t0
         write_json(manifest_path, {
             "tool": "fopen-sar",
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "scenarios": [s.doc for s in scens],
             "seeds": seeds,
-            "threads": threads,
+            "threads": args.threads,
             "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p),
                          "bytes": os.path.getsize(p)} for p in files],
             "timings_s": {args.command: seconds},

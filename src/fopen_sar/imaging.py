@@ -6,7 +6,7 @@ inverse transform, keep the first M outputs. For a noiseless, foliage-free
 line this recovers sqrt(N) times the weighting coefficient vector exactly.
 Noise-waveform lines are compressed by correlation with the transmitted
 replica, as a product of spectra. Azimuth processing is a fixed-reference
-range-Doppler chain.
+range-Doppler chain kept in FFT bin order.
 """
 
 import struct
@@ -29,14 +29,6 @@ RCMC_MODES = ("off", "spectral")
 @dataclass(frozen=True)
 class RangeCompressedMatrix:
     data: np.ndarray  # [pulse, range_cell]
-
-
-@dataclass(frozen=True)
-class RangeDopplerMatrix:
-    """Azimuth-FFT'd data; rows ordered by the attached Doppler axis."""
-
-    data: np.ndarray  # [doppler, range_cell]
-    doppler_hz: np.ndarray  # monotonically increasing, 0 at the center bin
 
 
 @dataclass(frozen=True)
@@ -121,14 +113,11 @@ def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray,
     return RangeCompressedMatrix(out)
 
 
-def azimuth_fft(rc: RangeCompressedMatrix, prf_hz: float) -> RangeDopplerMatrix:
-    """Transform each range cell to the Doppler domain (axis centered at 0)."""
-    n_pulses = rc.data.shape[0]
-    if n_pulses < 2:
+def azimuth_fft(rc: RangeCompressedMatrix) -> np.ndarray:
+    """Transform each range cell to the Doppler domain, rows in FFT bin order."""
+    if rc.data.shape[0] < 2:
         raise ValueError("need at least 2 pulses for azimuth processing")
-    spec = np.fft.fftshift(np.fft.fft(rc.data, axis=0), axes=0)
-    fd = np.fft.fftshift(np.fft.fftfreq(n_pulses, d=1.0 / prf_hz))
-    return RangeDopplerMatrix(spec, fd)
+    return np.fft.fft(rc.data, axis=0)
 
 
 def migration_shift_cells(platform: PlatformParams, cell_extent_m: float,
@@ -140,50 +129,48 @@ def migration_shift_cells(platform: PlatformParams, cell_extent_m: float,
     return dr / cell_extent_m
 
 
-def rcmc(rd: RangeDopplerMatrix, platform: PlatformParams, cell_extent_m: float,
-         mode: str = "spectral") -> RangeDopplerMatrix:
+def rcmc(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformParams,
+         cell_extent_m: float, mode: str = "spectral") -> np.ndarray:
     """Range cell migration correction at the fixed reference range.
 
-    Every Doppler row is advanced in range by the reference-range migration
-    law. Modes: "spectral" (exact circular FFT phase-ramp shift), "off"
-    (identity).
+    Row i of rd (Doppler doppler_hz[i]) is advanced in range by the
+    reference-range migration law. Modes: "spectral" (exact circular FFT
+    phase-ramp shift), "off" (identity).
     """
     if mode not in RCMC_MODES:
         raise ValueError(f"rcmc mode must be one of {RCMC_MODES}")
     if mode == "off":
         return rd
-    shifts = migration_shift_cells(platform, cell_extent_m, rd.doppler_hz)
-    nu = np.fft.fftfreq(rd.data.shape[1])
-    ramp = np.exp(2j * np.pi * np.outer(shifts, nu))
-    out = np.fft.ifft(np.fft.fft(rd.data, axis=1) * ramp, axis=1)
-    return RangeDopplerMatrix(out, rd.doppler_hz)
+    shifts = migration_shift_cells(platform, cell_extent_m, doppler_hz)
+    ramp = np.exp(2j * np.pi * np.outer(shifts, np.fft.fftfreq(rd.shape[1])))
+    return np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
 
 
-def azimuth_compress(rd: RangeDopplerMatrix, platform: PlatformParams,
+def azimuth_compress(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformParams,
                      window: str = "none") -> FocusedImage:
     """Apply the reference-range azimuth matched filter and invert the FFT.
 
     H(f) = exp(-j pi f^2 / K_a) with K_a = 2 v^2 / (lambda R_c); the static
     phase exp(+j 4 pi f_c R_c / c) plus the quadratic-chirp stationary-phase
     constant exp(+j pi / 4) then make a boresight reference point's peak
-    real-positive.
+    real-positive. The Hann window's centre sample falls on zero Doppler.
     """
     ka = platform.doppler_rate_hz_per_s
-    h = np.exp(-1j * np.pi * rd.doppler_hz**2 / ka)
+    h = np.exp(-1j * np.pi * doppler_hz**2 / ka)
     if window == "hann":
-        h = h * np.hanning(len(h))
+        h = h * np.fft.ifftshift(np.hanning(len(h)))
     elif window != "none":
         raise ValueError("window must be 'none' or 'hann'")
-    spec = np.fft.ifftshift(rd.data * h[:, None], axes=0)
-    img = np.fft.ifft(spec, axis=0)
+    img = np.fft.ifft(rd * h[:, None], axis=0)
     img = img * (np.conj(platform.reference_phasor) * np.exp(1j * np.pi / 4))
     return FocusedImage(img)
 
 
 def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
-          symbols: np.ndarray | None = None, replica: np.ndarray | None = None,
-          rcmc_mode: str = "off", azimuth_window: str = "none") -> FocusedImage:
-    """Full image formation for either waveform.
+          reference: np.ndarray, rcmc_mode: str = "off",
+          azimuth_window: str = "none") -> FocusedImage:
+    """Full image formation for either waveform, given its reference: the
+    transmitted symbols for OFDM data, the transmitted pulse for noise data.
 
     The reference configuration runs with rcmc_mode="off": the raw-data
     model places every scatterer at a fixed range cell (no envelope walk),
@@ -191,17 +178,14 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
     that actually migrates.
     """
     if raw.waveform_kind == "ofdm":
-        if symbols is None:
-            raise ValueError("OFDM focusing needs the transmitted symbols")
-        rc = range_compress_ofdm(raw, spec, symbols)
+        rc = range_compress_ofdm(raw, spec, reference)
     else:
-        if replica is None:
-            raise ValueError("noise focusing needs the transmitted replica")
-        rc = range_compress_noise(raw, replica, spec.n_range_cells)
-    rd = azimuth_fft(rc, platform.prf_hz)
+        rc = range_compress_noise(raw, reference, spec.n_range_cells)
+    rd = azimuth_fft(rc)
+    doppler_hz = np.fft.fftfreq(len(rd), 1.0 / platform.prf_hz)
     cell_extent_m = make_grid(spec.n_range_cells, spec.bandwidth_hz, platform).cell_extent_m
-    rd = rcmc(rd, platform, cell_extent_m, rcmc_mode)
-    return azimuth_compress(rd, platform, azimuth_window)
+    rd = rcmc(rd, doppler_hz, platform, cell_extent_m, rcmc_mode)
+    return azimuth_compress(rd, doppler_hz, platform, azimuth_window)
 
 
 def write_fimg(path, img: FocusedImage) -> None:

@@ -321,7 +321,6 @@ def _relations(out):
     lam = C_LIGHT / p["carrier_hz"]
     la = p["antenna_length_m"] or _or_inf(lambda: lam * rc / (v * p["aperture_s"]))
     for field, what, value in (
-            ("carrier_hz", "the wavelength", lam),
             ("antenna_length_m", "the Doppler bandwidth 2 v / L_a",
              _or_inf(lambda: 2.0 * v / la)),
             ("velocity_mps", "the azimuth chirp rate 2 v^2 / (lambda R_c)",
@@ -352,10 +351,10 @@ def _relations(out):
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad bytes, syntax, depth, digits
             raise SchemaError(f"scenario: invalid JSON ({e})") from e
     return Scenario(doc)
 
@@ -445,11 +444,12 @@ def run_pipeline(scen: Scenario, master_seed=None, threads: int = 1) -> FocusedI
 
 
 def focus_config(scen: Scenario, cfg: SimulationConfig, raw) -> FocusedImage:
-    symbols = generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
-    replica = transmitted_pulse(cfg) if cfg.waveform_kind == "noise" else None
-    return focus(raw, cfg.ofdm, cfg.platform, symbols=symbols,
-                 replica=replica, rcmc_mode=scen.processing["rcmc"],
-                 azimuth_window=scen.processing["azimuth_window"])
+    if cfg.waveform_kind == "ofdm":
+        reference = generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
+    else:
+        reference = transmitted_pulse(cfg)
+    return focus(raw, cfg.ofdm, cfg.platform, reference, scen.processing["rcmc"],
+                 scen.processing["azimuth_window"])
 
 
 def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict]:

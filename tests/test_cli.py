@@ -207,6 +207,17 @@ class TestMetricsCmd:
         doc = _read_json(os.path.join(out, "ofdm-foliage_off-seed0_metrics.json"))
         assert doc["n_seeds"] == 1
 
+    def test_seeds_rejected_with_image(self, small_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["image", "--scenario", small_file, "--out", str(out)])
+        img = out / "ofdm-foliage_off-seed0_image.fimg"
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert main(["metrics", "--scenario", small_file, "--image", str(img),
+                     "--seeds", "7", "--out", str(out)]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+
     def test_image_scenario_mismatch_exit_4(self, small_file, tmp_path, capsys):
         out = tmp_path / "out"
         main(["image", "--scenario", small_file, "--out", str(out)])
@@ -542,11 +553,16 @@ class TestCompare:
 
 class TestSeedCount:
     @pytest.mark.parametrize("count", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["metrics", "compare"])
-    def test_seed_count_below_one_rejected(self, command, count, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, command", [
+        pytest.param("--seeds", command, id=command) for command in ("metrics", "compare")
+    ] + [
+        pytest.param("--threads", command, id=f"threads-{command}")
+        for command in ("simulate", "image", "metrics", "compare")
+    ])
+    def test_seed_count_below_one_rejected(self, flag, command, count, tmp_path, capsys):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            main([command, "--preset", "small", "--seeds", count, "--out", str(out)])
+            main([command, "--preset", "small", flag, count, "--out", str(out)])
         assert exc.value.code == 2
-        assert "--seeds" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not out.exists()

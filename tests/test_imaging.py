@@ -10,7 +10,7 @@ from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, ma
 from fopen_sar.imaging import (FocusedImage, azimuth_fft, migration_shift_cells,
                                range_compress_noise, range_compress_ofdm, rcmc,
                                read_fimg, smooth_length, write_fimg, write_pgm,
-                               write_png, RangeDopplerMatrix, focus)
+                               write_png, azimuth_compress, focus)
 from fopen_sar.scenario import preset_scenario
 from fopen_sar.waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_pulse,
                                 generate_ofdm_pulse)
@@ -169,29 +169,28 @@ class TestAzimuthFft:
 
     def test_constant_column_impulse_at_zero(self):
         data = np.ones((32, 3), complex)
-        rd = azimuth_fft(self._rc(data), 64.0)
-        col = np.abs(rd.data[:, 0])
-        assert rd.doppler_hz[np.argmax(col)] == 0.0
+        col = np.abs(azimuth_fft(self._rc(data))[:, 0])
+        assert np.fft.fftfreq(32, 1 / 64.0)[np.argmax(col)] == 0.0
         assert np.sum(col > 1e-9) == 1
 
     def test_on_bin_tone_lands_on_its_bin(self):
         n, prf, f0 = 64, 128.0, 16.0
         eta = (np.arange(n) - n / 2) / prf
         data = np.exp(2j * np.pi * f0 * eta)[:, None]
-        rd = azimuth_fft(self._rc(data), prf)
-        assert rd.doppler_hz[np.argmax(np.abs(rd.data[:, 0]))] == pytest.approx(f0)
+        rd = azimuth_fft(self._rc(data))
+        assert np.fft.fftfreq(n, 1 / prf)[np.argmax(np.abs(rd[:, 0]))] == pytest.approx(f0)
 
     def test_parseval_per_column(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((32, 4)) + 1j * rng.standard_normal((32, 4))
-        rd = azimuth_fft(self._rc(data), 64.0)
+        rd = azimuth_fft(self._rc(data))
         for c in range(4):
-            assert np.sum(np.abs(rd.data[:, c]) ** 2) / 32 == pytest.approx(
+            assert np.sum(np.abs(rd[:, c]) ** 2) / 32 == pytest.approx(
                 np.sum(np.abs(data[:, c]) ** 2), rel=1e-10)
 
     def test_single_pulse_rejected(self):
         with pytest.raises(ValueError):
-            azimuth_fft(self._rc(np.ones((1, 3), complex)), 64.0)
+            azimuth_fft(self._rc(np.ones((1, 3), complex)))
 
 
 class TestRcmc:
@@ -214,9 +213,8 @@ class TestRcmc:
         data = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
         fd = np.linspace(-128, 127, 8)
         fd[3] = 0.0
-        rd = RangeDopplerMatrix(data, fd)
-        out = rcmc(rd, p, 0.0375, "spectral")
-        np.testing.assert_allclose(out.data[3], data[3], atol=1e-12)
+        out = rcmc(data, fd, p, 0.0375, "spectral")
+        np.testing.assert_allclose(out[3], data[3], atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["spectral"])
     def test_impulse_moves_by_the_migration_shift(self, mode):
@@ -225,10 +223,9 @@ class TestRcmc:
         data = np.zeros((4, 64), complex)
         fd = np.array([-f0, 0.0, f0, 10.0])
         data[2, cell0] = 1.0
-        rd = RangeDopplerMatrix(data, fd)
         shift = migration_shift_cells(p, 0.0375, np.array([f0]))[0]
-        out = rcmc(rd, p, 0.0375, mode)
-        peak = int(np.argmax(np.abs(out.data[2])))
+        out = rcmc(data, fd, p, 0.0375, mode)
+        peak = int(np.argmax(np.abs(out[2])))
         assert peak == int(round(cell0 - shift))
 
     def test_spectral_equals_roll_for_integer_shift(self):
@@ -239,25 +236,21 @@ class TestRcmc:
         lam = p.wavelength_m
         f = np.sqrt(3 * 0.0375 * 8 * p.velocity_mps**2
                     / (lam**2 * p.reference_range_m))
-        rd = RangeDopplerMatrix(row[None, :], np.array([f]))
-        out = rcmc(rd, p, 0.0375, "spectral")
-        np.testing.assert_allclose(out.data[0], np.roll(row, -3), atol=1e-9)
+        out = rcmc(row[None, :], np.array([f]), p, 0.0375, "spectral")
+        np.testing.assert_allclose(out[0], np.roll(row, -3), atol=1e-9)
 
     def test_off_mode_is_identity(self):
         p = self._platform()
         rng = np.random.default_rng(2)
         data = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        rd = RangeDopplerMatrix(data, np.linspace(-10, 10, 4))
-        out = rcmc(rd, p, 0.0375, "off")
-        assert out.data is data
+        out = rcmc(data, np.linspace(-10, 10, 4), p, 0.0375, "off")
+        assert out is data
 
     def test_unknown_mode_rejected(self):
         p = self._platform()
-        rd = RangeDopplerMatrix(np.zeros((2, 4), complex),
-                                np.array([0.0, 1.0]))
         for mode in ("cubic", "sinc8"):
             with pytest.raises(ValueError, match="rcmc mode"):
-                rcmc(rd, p, 0.0375, mode)
+                rcmc(np.zeros((2, 4), complex), np.array([0.0, 1.0]), p, 0.0375, mode)
 
 
 class TestAzimuthCompressAndFocus:
@@ -268,9 +261,9 @@ class TestAzimuthCompressAndFocus:
         scene = scene or Scene((PointTarget(24),), 48)
         cfg = SimulationConfig(kind, spec, scene, plat, master_seed=1)
         raw = synthesize_raw(cfg)
-        symbols = generate_bpsk_symbols(1, 256)
-        replica = transmitted_pulse(cfg) if kind == "noise" else None
-        img = focus(raw, spec, plat, symbols=symbols, replica=replica)
+        reference = (transmitted_pulse(cfg) if kind == "noise"
+                     else generate_bpsk_symbols(1, 256))
+        img = focus(raw, spec, plat, reference)
         return img, plat
 
     def test_zero_input_zero_image(self):
@@ -279,7 +272,7 @@ class TestAzimuthCompressAndFocus:
                               15.0, 128.0)
         cfg = SimulationConfig("ofdm", spec, Scene((), 8), plat)
         raw = synthesize_raw(cfg)
-        img = focus(raw, spec, plat, symbols=generate_bpsk_symbols(0, 64))
+        img = focus(raw, spec, plat, generate_bpsk_symbols(0, 64))
         assert np.max(np.abs(img.pixels)) < 1e-12
 
     def test_point_target_focuses_at_truth(self):
@@ -318,19 +311,34 @@ class TestAzimuthCompressAndFocus:
         data = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
         from fopen_sar.imaging import RangeCompressedMatrix
         rc = RangeCompressedMatrix(data)
-        rd = azimuth_fft(rc, 64.0)
-        spec = np.fft.ifftshift(rd.data, axes=0)
-        back = np.fft.ifft(spec, axis=0)
+        back = np.fft.ifft(azimuth_fft(rc), axis=0)
         np.testing.assert_allclose(back, data, atol=1e-12)
 
     def test_noise_waveform_replica_required(self):
+        # the OFDM reference, N symbols, is no noise replica of N+M-1 samples
         spec = OfdmSpec(64, 8, 4e9, symbol_seed=0)
         plat = PlatformParams(5000.0, 150.0, 0.25, 9e9, 5000.0 * np.sqrt(2.0),
                               15.0, 128.0)
         cfg = SimulationConfig("noise", spec, Scene((PointTarget(4),), 8), plat)
         raw = synthesize_raw(cfg)
         with pytest.raises(ValueError, match="replica"):
-            focus(raw, spec, plat, symbols=generate_bpsk_symbols(0, 64))
+            focus(raw, spec, plat, generate_bpsk_symbols(0, 64))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_hann_window_centred_on_zero_doppler(self, n):
+        # the weights a unit Doppler column gets, read back through the FFT
+        plat = PlatformParams(5000.0, 150.0, 0.25, 9e9, 5000.0 * np.sqrt(2.0),
+                              15.0, 128.0)
+        fd = np.fft.fftfreq(n, 1 / plat.prf_hz)
+        ones = np.ones((n, 1), complex)
+        w = (np.fft.fft(azimuth_compress(ones, fd, plat, "hann").pixels, axis=0)
+             / np.fft.fft(azimuth_compress(ones, fd, plat).pixels, axis=0))[:, 0]
+        np.testing.assert_allclose(w.imag, 0.0, atol=1e-12)
+        assert w[0].real == pytest.approx(np.hanning(n)[n // 2], rel=1e-12)
+        # np.hanning(n) is symmetric about sample (n - 1) / 2: in +-f for odd
+        # n, and for even n about half a bin below zero Doppler
+        mirror = -np.arange(n) if n % 2 else -1 - np.arange(n)
+        np.testing.assert_allclose(w.real, w.real[mirror], rtol=1e-12, atol=1e-12)
 
 
 class TestPointRcsEstimate:

@@ -277,9 +277,15 @@ class TestResolution:
         scen = load_scenario(path)
         assert scen.doc["waveform"]["n_subcarriers"] == 256
 
-    def test_load_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("blob", [
+        b"{nope",
+        b"\xff\xfe" + json.dumps(SMALL_PRESET).encode(),
+        b"[" * 100_000 + b"]" * 100_000,
+        b"5" * 5000,
+    ], ids=["syntax", "not_utf8", "nested_100000", "int_5000_digits"])
+    def test_load_invalid_json(self, tmp_path, blob):
         path = tmp_path / "bad.json"
-        path.write_text("{nope")
+        path.write_bytes(blob)
         with pytest.raises(SchemaError, match="invalid JSON"):
             load_scenario(path)
 
