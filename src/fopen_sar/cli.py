@@ -203,9 +203,12 @@ def cmd_compare(args, scens, stem):
 
 
 def _positive_int(text) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,8 @@
 
 Each range line is the linear convolution of the transmitted pulse (length
 N+M-1) with the length-M weighting RCS coefficient vector evaluated at that
-pulse's slow time, giving L = N+2M-2 samples; all pulses are formed in one
-pass, raw = IFFT(FFT(G, L) * FFT(s, L) * F). FFT(G, L) depends on the
+pulse's slow time, giving L = N+2M-2 samples; pulses are formed a block at
+a time, raw = IFFT(FFT(G, L) * FFT(s, L) * F). FFT(G, L) depends on the
 geometry alone, so it is computed once and reused by every seed of that
 geometry. Foliage, when configured, is the per-pulse spectral multiplier F;
 receiver noise is added after the foliage, matching the signal-flow order
@@ -125,48 +125,41 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
         return _geometry_spectrum(scene, platform, bandwidth_hz, n)
 
 
-def add_receiver_noise(data: np.ndarray, config: SimulationConfig, pulse: np.ndarray):
-    """Add complex white receiver noise to data in place: pulse j's
-    "receiver_noise" substream draws its real, then its imaginary part.
-
-    SNR is referenced to the peak instantaneous power of the transmitted
-    pulse, which a unit-RCS boresight target echoes unattenuated; this keeps
-    the knob scene-independent. Draws fill one BLOCK_PULSES-row buffer.
-    """
-    peak = float(np.max(np.abs(pulse) ** 2))
-    sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
-    streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
-    buf = np.empty((2, BLOCK_PULSES, data.shape[1]))
-    for start in range(0, len(data), BLOCK_PULSES):
-        rows = data[start:start + BLOCK_PULSES]
-        block = buf[:, :len(rows)]
-        for re, im, rng in zip(block[0], block[1], streams):  # streams advance last
-            rng.standard_normal(out=re)
-            rng.standard_normal(out=im)
-        block *= sigma
-        rows.real += block[0]
-        rows.imag += block[1]
-
-
 def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
-    """Synthesize all pulses into the raw data matrix in one batched pass.
-
-    threads is the caller's worker cap; a single run uses one thread.
-    """
+    """Synthesize the raw data matrix in place, BLOCK_PULSES rows at a time: F
+    rows (if any) times FFT(G, L) rows and FFT(s, L), inverse-transformed, plus
+    receiver noise. It is the one full-size array a run allocates besides the
+    shared FFT(G, L). threads is the caller's worker cap; a run uses one thread."""
     n = config.ofdm.line_length
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
     g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
     s_spec = np.fft.fft(pulse, n)
-    if channel is None:
-        data = g_spec * s_spec
-    else:  # F's own buffer becomes the raw matrix
-        data = channel.response()
-        data *= g_spec
-        data *= s_spec
-    np.fft.ifft(data, axis=1, out=data)
+    data = np.empty(g_spec.shape, dtype=complex)
+    fill = None if channel is None else channel.filler()
     if config.snr_db is not None:
-        add_receiver_noise(data, config, pulse)
+        # SNR is referenced to the transmitted pulse's peak power, which a
+        # unit-RCS boresight target echoes unattenuated: scene-independent.
+        peak = float(np.max(np.abs(pulse) ** 2))
+        sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
+        streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
+        noise = np.empty((BLOCK_PULSES, 2, n))
+    for start in range(0, len(data), BLOCK_PULSES):
+        rows, g_rows = data[start:start + BLOCK_PULSES], g_spec[start:start + BLOCK_PULSES]
+        if fill is None:
+            np.multiply(g_rows, s_spec, out=rows)
+        else:
+            fill(rows)
+            rows *= g_rows
+            rows *= s_spec
+        np.fft.ifft(rows, axis=1, out=rows)
+        if config.snr_db is not None:  # pulse j's substream draws its real, then imaginary part
+            block = noise[:len(rows)]
+            for re_im, rng in zip(block, streams):  # rows first: streams advance last
+                rng.standard_normal(out=re_im)
+            block *= sigma
+            rows.real += block[:, 0]
+            rows.imag += block[:, 1]
     return RawDataMatrix(data, config.platform.slow_time_axis(), config.waveform_kind)
 
 

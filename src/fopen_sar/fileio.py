@@ -48,24 +48,27 @@ def write_container(path, magic: bytes, data: np.ndarray) -> None:
 
 
 def read_container(path, magic: bytes) -> np.ndarray:
-    """Read a matrix written by write_container with the same magic."""
+    """Read a matrix written by write_container with the same magic into one array."""
+    name = magic.decode()
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
-        body = fh.read()
-    name = magic.decode()
-    if len(head) != _HEADER.size:
-        raise FormatError(f"{path}: truncated {name} header "
-                          f"({len(head)} of {_HEADER.size} bytes)")
-    got, version, rows, cols, _ = _HEADER.unpack(head)
-    if got != magic:
-        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: {name} version {version} is not supported "
-                          f"(expected {VERSION})")
-    if len(body) != rows * cols * 16:
-        raise FormatError(f"{path}: {name} payload has {len(body)} bytes, "
-                          f"expected {rows * cols * 16} for {rows} x {cols}")
-    return np.frombuffer(body, dtype="<c16").reshape(rows, cols).astype(complex)
+        if len(head) != _HEADER.size:
+            raise FormatError(f"{path}: truncated {name} header "
+                              f"({len(head)} of {_HEADER.size} bytes)")
+        got, version, rows, cols, _ = _HEADER.unpack(head)
+        if got != magic:
+            raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"{path}: {name} version {version} is not supported "
+                              f"(expected {VERSION})")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != rows * cols * 16:
+            raise FormatError(f"{path}: {name} payload has {size} bytes, "
+                              f"expected {rows * cols * 16} for {rows} x {cols}")
+        data = np.empty((rows, cols), dtype="<c16")
+        if fh.readinto(data.reshape(-1).view(np.uint8)) != size:
+            raise FormatError(f"{path}: {name} payload changed while it was read")
+    return data.astype(complex, copy=False)
 
 
 def write_csv(path, header: list[str], columns) -> None:

@@ -160,12 +160,13 @@ def phase_fluctuation(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.angle(incoherent_field(delta_a, psi))
 
 
-def unit_phasor(w: np.ndarray) -> np.ndarray:
-    """w / |w| in place: exp(j angle(w)) without the arctangent.
+def unit_phasor(w: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
+    """w / |w| in place: exp(j angle(w)) without the arctangent; |w| goes to
+    mag when given.
 
     Where w = 0 (dA = -1, psi = 0) the phasor is 1, as arctan2(0, 0) = 0 gives.
     """
-    mag = np.abs(w)
+    mag = np.abs(w, out=mag)
     zero = mag == 0
     w[zero], mag[zero] = 1.0, 1.0
     w.real /= mag
@@ -180,10 +181,9 @@ def draw_uniform_phase(rng: np.random.Generator, n: int) -> np.ndarray:
 class FoliageChannel:
     """Per-run foliage realization factory for a fixed frequency grid.
 
-    The fBm flight path (and, unless redraw_per_pulse, the per-bin Gamma
-    and uniform-phase draws) is generated once up front. response() gives
-    every pulse's transfer function in one array pass; realize(p) is its
-    row p, kept as the per-pulse reference form.
+    The fBm flight path (and, unless redraw_per_pulse, the per-bin Gamma and
+    uniform-phase draws) is generated once up front. filler() writes F[pulse,
+    bin] a block at a time; realize(p) is its row p, the per-pulse reference.
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -201,78 +201,89 @@ class FoliageChannel:
         else:
             path = np.zeros(1)
         self._delta_eta = np.exp(path)
-        self._frozen_gamma = None
-        self._frozen_psi = None
+        self._frozen_gamma = self._frozen_psi = None
         if not params.redraw_per_pulse:
-            self._frozen_gamma = self._draw_gamma(
-                substream(params.seed, "foliage_gamma", 0))
+            n_bins = len(self.freq_grid_hz)
+            self._frozen_gamma = self._centre(sample_gamma_fluctuation(
+                params, n_bins, substream(params.seed, "foliage_gamma", 0)))
             self._frozen_psi = draw_uniform_phase(
-                substream(params.seed, "foliage_phase", 0), len(self.freq_grid_hz))
+                substream(params.seed, "foliage_phase", 0), n_bins)
 
-    def _draw_gamma(self, rng: np.random.Generator) -> np.ndarray:
-        raw = sample_gamma_fluctuation(self.params, len(self.freq_grid_hz), rng)
+    def _centre(self, d: np.ndarray) -> np.ndarray:
+        """Gamma draws to relative fluctuations (x - ab) / ab in place, rows smoothed."""
         mean = self.params.gamma_shape * self.params.gamma_scale
-        d = (raw - mean) / mean  # zero-mean, relative scale; std = 1/sqrt(a)
+        d -= mean
+        d /= mean
         k = self.params.spectral_smoothing_bins
         if k > 1:
-            d = np.convolve(d, np.ones(k) / k, mode="same")
+            for row in np.atleast_2d(d):
+                row[:] = np.convolve(row, np.ones(k) / k, mode="same")
         return d
 
-    def _draws(self, pulses: np.ndarray):
-        """(Gamma, phase) generator pairs of pulses, each stream keyed in one pass;
-        None when the per-bin draws are frozen."""
-        if self._frozen_gamma is not None:
-            return None
-        return zip(substreams(self.params.seed, "foliage_gamma", pulses + 1),
-                   substreams(self.params.seed, "foliage_phase", pulses + 1))
+    def filler(self, first: int = 0):
+        """A function fill(f) that writes F = A w / |w| of the next len(f) <=
+        BLOCK_PULSES pulses, from pulse `first` on, into f and returns their A.
 
-    def _transfer(self, pulses: np.ndarray, draws):
-        """Amplitude A and incoherent field w [pulse, bin]: delta_A is the outer
-        product of the per-bin draws (frozen, or one pair of draws per pulse)
-        and delta_eta, and the phase Phi is the angle of w."""
-        n_bins = len(self.freq_grid_hz)
-        if draws is None:
-            d_omega, psi = self._frozen_gamma[None, :], self._frozen_psi[None, :]
-        else:  # range first: zip then stops without taking a pair past this block
-            d_omega, psi = np.empty((2, len(pulses), n_bins))
-            for j, (g_rng, p_rng) in zip(range(len(pulses)), draws):
-                d_omega[j] = self._draw_gamma(g_rng)
-                psi[j] = draw_uniform_phase(p_rng, n_bins)
-        delta_a = d_omega * self._delta_eta[pulses, None]
-        amp = delta_a + 1.0
-        amp *= self._a0_linear
-        np.maximum(amp, AMPLITUDE_FLOOR * self._a0_linear, out=amp)
-        return amp, incoherent_field(delta_a, psi)
+        delta_A is the outer product of the per-bin draws (frozen, or one pair
+        per pulse) and delta_eta. Redrawn draws go into reused block buffers, one
+        call per stream per pulse: standard_gamma times the scale is gamma(a, b),
+        and 2 pi u - pi is uniform(-pi, pi), bit for bit; trig and |w| reuse them."""
+        p, n_bins = self.params, len(self.freq_grid_hz)
+        delta_a, psi, tmp = np.empty((3, min(BLOCK_PULSES, self.n_pulses - first), n_bins))
+        frozen = self._frozen_gamma is not None
+        if not frozen:
+            keys = np.arange(first + 1, self.n_pulses + 1)
+            draws = zip(substreams(p.seed, "foliage_gamma", keys),
+                        substreams(p.seed, "foliage_phase", keys))
+        done = first
 
-    @staticmethod
-    def _response(amp: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """F = A w / |w|, built in w's buffer."""
-        f = unit_phasor(w)
-        f.real *= amp
-        f.imag *= amp
-        return f
+        def fill(f):
+            nonlocal done
+            d, ps, amp = delta_a[:len(f)], psi[:len(f)], tmp[:len(f)]
+            eta = self._delta_eta[done:done + len(f), None]
+            done += len(f)
+            if frozen:
+                np.multiply(self._frozen_gamma, eta, out=d)
+                cos, sin = np.cos(self._frozen_psi), np.sin(self._frozen_psi)
+            else:  # rows first: zip then stops without taking a pair past this block
+                for g_row, p_row, (g_rng, p_rng) in zip(d, ps, draws):
+                    g_rng.standard_gamma(p.gamma_shape, out=g_row)
+                    p_rng.random(out=p_row)
+                d *= p.gamma_scale
+                self._centre(d)
+                d *= eta
+                ps *= 2.0 * np.pi
+                ps -= np.pi
+                cos, sin = np.cos(ps, out=amp), np.sin(ps, out=ps)
+            np.multiply(d, cos, out=f.real)  # w = 1 + dA exp(j psi)
+            f.real += 1.0
+            np.multiply(d, sin, out=f.imag)
+            np.add(d, 1.0, out=amp)
+            amp *= self._a0_linear
+            np.maximum(amp, AMPLITUDE_FLOOR * self._a0_linear, out=amp)
+            unit_phasor(f, mag=ps)
+            f.real *= amp
+            f.imag *= amp
+            return amp
+
+        return fill
 
     def response(self) -> np.ndarray:
-        """F[pulse, bin] for every pulse; row p is realize(p).freq_response.
-
-        Built BLOCK_PULSES rows at a time, so only the result is a full-size array.
-        """
+        """F[pulse, bin] for every pulse; row p is realize(p).freq_response."""
         f = np.empty((self.n_pulses, len(self.freq_grid_hz)), dtype=complex)
-        draws = self._draws(np.arange(self.n_pulses))
+        fill = self.filler()
         for start in range(0, self.n_pulses, BLOCK_PULSES):
-            rows = np.arange(start, min(start + BLOCK_PULSES, self.n_pulses))
-            f[start:start + BLOCK_PULSES] = self._response(*self._transfer(rows, draws))
+            fill(f[start:start + BLOCK_PULSES])
         return f
 
     def realize(self, pulse_index: int) -> FoliageRealization:
-        """Transfer function F_k = A_k exp(j Phi_k) for one pulse; its phase is
-        the arctan2 reference form, angle(w)."""
+        """Transfer function F_k = A_k exp(j Phi_k) of one pulse, from that
+        pulse's own draws; Phi is taken with the arctangent, angle(F)."""
         if not 0 <= pulse_index < self.n_pulses:
             raise IndexError(f"pulse_index {pulse_index} outside [0, {self.n_pulses})")
-        rows = np.array([pulse_index])
-        amp, w = self._transfer(rows, self._draws(rows))
-        phase = np.angle(w[0])
-        return FoliageRealization(self._response(amp, w)[0], amp[0], phase, pulse_index)
+        f = np.empty((1, len(self.freq_grid_hz)), dtype=complex)
+        amp = self.filler(pulse_index)(f)
+        return FoliageRealization(f[0], amp[0], np.angle(f[0]), pulse_index)
 
 
 def dump_realizations_csv(path, channel: FoliageChannel):

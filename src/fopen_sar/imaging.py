@@ -62,10 +62,18 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
             f"raw line length {raw.line_length} != N+2M-2 = {spec.line_length}")
     k = np.arange(n)
     eq = np.exp(-2j * np.pi * ((m - 1) * k % n) / n) / symbols
-    zk = np.fft.fft(raw.data[:, m - 1:m - 1 + n], axis=1)
-    zk *= eq
-    np.fft.ifft(zk, axis=1, out=zk)
-    return RangeCompressedMatrix(np.ascontiguousarray(zk[:, :m]))
+    return RangeCompressedMatrix(_filter_rows(raw.data[:, m - 1:m - 1 + n], n, eq, m))
+
+
+def _filter_rows(lines: np.ndarray, n: int, response: np.ndarray, n_out: int) -> np.ndarray:
+    """IFFT(FFT(line, n) * response)[:n_out] of every row, BLOCK_PULSES rows at a time."""
+    out = np.empty((len(lines), n_out), dtype=complex)
+    for start in range(0, len(lines), BLOCK_PULSES):
+        block = np.fft.fft(lines[start:start + BLOCK_PULSES], n, axis=1)
+        block *= response
+        np.fft.ifft(block, axis=1, out=block)
+        out[start:start + BLOCK_PULSES] = block[:, :n_out]
+    return out
 
 
 def smooth_length(n: int) -> int:
@@ -102,13 +110,7 @@ def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray,
             f"raw line length {raw.line_length} incompatible with replica "
             f"({len(replica)}) and {n_cells} cells; expected {expect}")
     n = smooth_length(raw.line_length)
-    rep_spec = np.conj(np.fft.fft(replica, n))
-    out = np.empty((raw.n_pulses, n_cells), dtype=complex)
-    for start in range(0, raw.n_pulses, BLOCK_PULSES):
-        spec = np.fft.fft(raw.data[start:start + BLOCK_PULSES], n, axis=1)
-        spec *= rep_spec
-        np.fft.ifft(spec, axis=1, out=spec)
-        out[start:start + BLOCK_PULSES] = spec[:, :n_cells]
+    out = _filter_rows(raw.data, n, np.conj(np.fft.fft(replica, n)), n_cells)
     out /= np.sum(np.abs(replica) ** 2)
     return RangeCompressedMatrix(out)
 
@@ -161,8 +163,9 @@ def azimuth_compress(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformP
         h = h * np.fft.ifftshift(np.hanning(len(h)))
     elif window != "none":
         raise ValueError("window must be 'none' or 'hann'")
-    img = np.fft.ifft(rd * h[:, None], axis=0)
-    img = img * (np.conj(platform.reference_phasor) * np.exp(1j * np.pi / 4))
+    img = rd * h[:, None]
+    np.fft.ifft(img, axis=0, out=img)
+    img *= np.conj(platform.reference_phasor) * np.exp(1j * np.pi / 4)
     return FocusedImage(img)
 
 
@@ -177,11 +180,8 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
     so the matched migration correction is zero. Enable RCMC only for data
     that actually migrates.
     """
-    if raw.waveform_kind == "ofdm":
-        rc = range_compress_ofdm(raw, spec, reference)
-    else:
-        rc = range_compress_noise(raw, reference, spec.n_range_cells)
-    rd = azimuth_fft(rc)
+    rd = azimuth_fft(range_compress_ofdm(raw, spec, reference) if raw.waveform_kind == "ofdm"
+                     else range_compress_noise(raw, reference, spec.n_range_cells))
     doppler_hz = np.fft.fftfreq(len(rd), 1.0 / platform.prf_hz)
     cell_extent_m = make_grid(spec.n_range_cells, spec.bandwidth_hz, platform).cell_extent_m
     rd = rcmc(rd, doppler_hz, platform, cell_extent_m, rcmc_mode)

@@ -566,3 +566,17 @@ class TestSeedCount:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, command, text", [
+        ("--threads", "simulate", "x"), ("--seeds", "metrics", "2.5")])
+    def test_non_integer_rejected_with_the_rule(self, flag, command, text, tmp_path,
+                                                capsys):
+        # argparse once named the private type function: "invalid _positive_int value"
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "small", flag, text, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer >= 1, got '{text}'" in err
+        assert "_positive_int" not in err
+        assert not out.exists()

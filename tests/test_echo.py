@@ -87,16 +87,30 @@ class TestBatchedMatchesPerPulseReference:
                                               + 1j * rng.standard_normal(n))
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
-    @pytest.mark.parametrize("foliage", ["off", "frozen", "redraw"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redraw", "redraw-smoothed"])
     def test_rows_match_reference(self, kind, foliage):
+        self._check_rows(kind, foliage)  # 32 pulses: one block
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redraw", "redraw-smoothed"])
+    def test_rows_match_reference_across_a_block_seam(self, kind, foliage):
+        self._check_rows(kind, foliage, n_pulses=45)  # a full block and a partial one
+
+    def _check_rows(self, kind, foliage, n_pulses=None):
         doc = preset_scenario("small").with_overrides(
             waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH",
             master_seed=4).doc
         doc["noise"] = {"snr_db": 20.0}
-        if foliage == "redraw":
+        if foliage.startswith("redraw"):
             doc["foliage"]["redraw_per_pulse"] = True
+        if foliage == "redraw-smoothed":
+            doc["foliage"]["spectral_smoothing_bins"] = 3
         cfg = Scenario(doc).simulation_config()
+        if n_pulses is not None:
+            cfg = dataclasses.replace(cfg, platform=dataclasses.replace(
+                cfg.platform, aperture_s=n_pulses / cfg.platform.prf_hz))
         raw = synthesize_raw(cfg)
+        assert raw.n_pulses == (n_pulses or 32)
         for j in range(raw.n_pulses):
             assert _max_rel_err(raw.data[j], self._reference_line(cfg, j)) < 1e-12, j
 
@@ -362,6 +376,12 @@ class TestFsarIo:
     def test_short_payload_rejected(self, tiny_spec, tiny_platform, tmp_path):
         path = self._written(tiny_spec, tiny_platform, tmp_path)
         path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: FSAR payload has")):
+            read_fsar(path)
+
+    def test_long_payload_rejected(self, tiny_spec, tiny_platform, tmp_path):
+        path = self._written(tiny_spec, tiny_platform, tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(FormatError, match=re.escape(f"{path}: FSAR payload has")):
             read_fsar(path)
 

@@ -266,6 +266,28 @@ class TestFoliageChannel:
         for p in range(45):
             np.testing.assert_array_equal(f[p], ch.realize(p).freq_response)
 
+    @pytest.mark.parametrize("smoothing", [0, 3])
+    def test_redrawn_rows_match_gamma_and_uniform_draws(self, smoothing):
+        # the block draws are standard_gamma times the scale and 2 pi u - pi;
+        # row p must equal the form drawn with gamma(a, b) and uniform(-pi, pi)
+        ch = self._channel(45, seed=5, redraw_per_pulse=True,
+                           spectral_smoothing_bins=smoothing)
+        f = ch.response()
+        mean = ch.params.gamma_shape * ch.params.gamma_scale
+        for p in range(45):
+            x = sample_gamma_fluctuation(ch.params, 64, substream(5, "foliage_gamma", p + 1))
+            d = (x - mean) / mean
+            if smoothing:
+                d = np.convolve(d, np.ones(smoothing) / smoothing, mode="same")
+            psi = draw_uniform_phase(substream(5, "foliage_phase", p + 1), 64)
+            delta_a = d * ch._delta_eta[p]
+            amp = np.maximum((delta_a + 1.0) * ch._a0_linear,
+                             AMPLITUDE_FLOOR * ch._a0_linear)
+            want = unit_phasor(incoherent_field(delta_a, psi))
+            want.real *= amp
+            want.imag *= amp
+            np.testing.assert_array_equal(f[p], want)
+
     def test_redrawn_response_derives_keys_once_per_stream(self, monkeypatch):
         # 45 pulses are two blocks; each stream's keys come from one pass
         calls = []

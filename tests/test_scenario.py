@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
                                 SchemaError, Scenario, load_scenario,
-                                preset_scenario, run_metrics, tank_scenario,
-                                tank_targets, validate_scenario)
+                                preset_scenario, run_metrics, run_pipeline,
+                                tank_scenario, tank_targets, validate_scenario)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -342,3 +343,27 @@ class TestRunMetrics:
             messages.add(str(err.value))
         assert len(messages) == 1
         assert len(run_metrics(scen, [5, 6, 8], threads=2)) == 3
+
+
+class TestMemoryModel:
+    """A run allocates the raw matrix and block-sized temporaries: every
+    [pulse, bin] stage streams BLOCK_PULSES rows, and FFT(G, L) is the shared
+    geometry memo, warm before the traced run."""
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_full_preset_peak_is_raw_plus_blocks(self, kind, foliage):
+        doc = preset_scenario("full").with_overrides(
+            waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
+        if foliage == "redrawn":
+            doc["foliage"]["redraw_per_pulse"] = True
+            doc["noise"] = {"snr_db": 30.0}
+        scen = Scenario(doc)
+        raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
+        tracemalloc.start()
+        try:
+            run_pipeline(scen, master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
