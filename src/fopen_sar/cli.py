@@ -6,8 +6,8 @@ writes artifacts under --out, and records a manifest with the resolved
 configuration, seeds, output hashes and timings.
 
 Exit codes: 0 success, 2 scenario/schema violation, 3 I/O failure or a
-malformed FSAR/FIMG file, 4 input-file/scenario mismatch, 5 no peak in the
-image.
+malformed FSAR/FIMG file (non-finite samples count as malformed), 4
+input-file/scenario mismatch, 5 no peak in the image.
 """
 
 import argparse
@@ -81,10 +81,12 @@ def _compare_variants(args) -> list[Scenario]:
 
 
 def _read_matching(read, path, shape):
-    """The matrix read(path) gives, which must have the scenario's shape."""
+    """The matrix read(path) gives, which must have the scenario's shape and be finite."""
     data = read(path)
     if data.shape != shape:
         raise MismatchError(f"{path} has shape {data.shape}, scenario expects {shape}")
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: holds non-finite samples (NaN or infinity)")
     return data
 
 

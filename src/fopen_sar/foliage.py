@@ -11,9 +11,9 @@ cos psi)) with psi uniform on [-pi, pi]: the angle of the incoherent field
 w = 1 + dA exp(j psi). F carries it as the unit phasor w / |w|, which needs
 no arctangent.
 
-The per-bin draws (delta_omega and psi) model a fixed foliage environment
-and are frozen per run by default; pulse-to-pulse variation enters through
-delta_eta. Set redraw_per_pulse=True for fully independent pulses.
+The per-bin draws (delta_omega and psi) model a fixed foliage environment:
+by default key 0's draws serve every pulse, and pulse-to-pulse variation
+enters through delta_eta. redraw_per_pulse=True draws pulse p from key p + 1.
 """
 
 from dataclasses import dataclass
@@ -181,9 +181,9 @@ def draw_uniform_phase(rng: np.random.Generator, n: int) -> np.ndarray:
 class FoliageChannel:
     """Per-run foliage realization factory for a fixed frequency grid.
 
-    The fBm flight path (and, unless redraw_per_pulse, the per-bin Gamma and
-    uniform-phase draws) is generated once up front. filler() writes F[pulse,
-    bin] a block at a time; realize(p) is its row p, the per-pulse reference.
+    The fBm flight path (and, unless redraw_per_pulse, _draw's per-bin draws
+    and the cos and sin of psi) is generated once up front. filler() writes
+    F[pulse, bin] a block at a time; realize(p) is its row p, the reference.
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -201,37 +201,43 @@ class FoliageChannel:
         else:
             path = np.zeros(1)
         self._delta_eta = np.exp(path)
-        self._frozen_gamma = self._frozen_psi = None
-        if not params.redraw_per_pulse:
-            n_bins = len(self.freq_grid_hz)
-            self._frozen_gamma = self._centre(sample_gamma_fluctuation(
-                params, n_bins, substream(params.seed, "foliage_gamma", 0)))
-            self._frozen_psi = draw_uniform_phase(
-                substream(params.seed, "foliage_phase", 0), n_bins)
+        self._frozen = None
+        if not params.redraw_per_pulse:  # key 0's draws serve every pulse
+            d, psi = np.empty((2, 1, len(self.freq_grid_hz)))
+            self._draw(d, psi, [(substream(params.seed, "foliage_gamma", 0),
+                                 substream(params.seed, "foliage_phase", 0))])
+            self._frozen = (d[0], np.cos(psi[0]), np.sin(psi[0]))
 
-    def _centre(self, d: np.ndarray) -> np.ndarray:
-        """Gamma draws to relative fluctuations (x - ab) / ab in place, rows smoothed."""
-        mean = self.params.gamma_shape * self.params.gamma_scale
+    def _draw(self, d: np.ndarray, psi: np.ndarray, streams) -> None:
+        """Fill each row of d with smoothed relative Gamma fluctuations (x - ab) / ab,
+        and of psi with phases, from one (gamma, phase) stream pair per row. Bit for
+        bit, standard_gamma times b is gamma(a, b) and 2 pi u - pi is uniform(-pi, pi)."""
+        p = self.params
+        # rows first: zip then stops without taking a pair past the last row
+        for g_row, p_row, (g_rng, p_rng) in zip(d, psi, streams):
+            g_rng.standard_gamma(p.gamma_shape, out=g_row)
+            p_rng.random(out=p_row)
+        mean = p.gamma_shape * p.gamma_scale
+        d *= p.gamma_scale
         d -= mean
         d /= mean
-        k = self.params.spectral_smoothing_bins
+        k = p.spectral_smoothing_bins
         if k > 1:
-            for row in np.atleast_2d(d):
+            for row in d:
                 row[:] = np.convolve(row, np.ones(k) / k, mode="same")
-        return d
+        psi *= 2.0 * np.pi
+        psi -= np.pi
 
     def filler(self, first: int = 0):
         """A function fill(f) that writes F = A w / |w| of the next len(f) <=
         BLOCK_PULSES pulses, from pulse `first` on, into f and returns their A.
 
-        delta_A is the outer product of the per-bin draws (frozen, or one pair
-        per pulse) and delta_eta. Redrawn draws go into reused block buffers, one
-        call per stream per pulse: standard_gamma times the scale is gamma(a, b),
-        and 2 pi u - pi is uniform(-pi, pi), bit for bit; trig and |w| reuse them."""
+        delta_A is the outer product of the per-bin draws (frozen, or drawn per
+        block) and delta_eta. Block draws, their trig and |w| reuse the block
+        buffers."""
         p, n_bins = self.params, len(self.freq_grid_hz)
         delta_a, psi, tmp = np.empty((3, min(BLOCK_PULSES, self.n_pulses - first), n_bins))
-        frozen = self._frozen_gamma is not None
-        if not frozen:
+        if self._frozen is None:
             keys = np.arange(first + 1, self.n_pulses + 1)
             draws = zip(substreams(p.seed, "foliage_gamma", keys),
                         substreams(p.seed, "foliage_phase", keys))
@@ -240,21 +246,14 @@ class FoliageChannel:
         def fill(f):
             nonlocal done
             d, ps, amp = delta_a[:len(f)], psi[:len(f)], tmp[:len(f)]
-            eta = self._delta_eta[done:done + len(f), None]
-            done += len(f)
-            if frozen:
-                np.multiply(self._frozen_gamma, eta, out=d)
-                cos, sin = np.cos(self._frozen_psi), np.sin(self._frozen_psi)
-            else:  # rows first: zip then stops without taking a pair past this block
-                for g_row, p_row, (g_rng, p_rng) in zip(d, ps, draws):
-                    g_rng.standard_gamma(p.gamma_shape, out=g_row)
-                    p_rng.random(out=p_row)
-                d *= p.gamma_scale
-                self._centre(d)
-                d *= eta
-                ps *= 2.0 * np.pi
-                ps -= np.pi
+            if self._frozen is None:
+                self._draw(d, ps, draws)
                 cos, sin = np.cos(ps, out=amp), np.sin(ps, out=ps)
+            else:
+                delta_omega, cos, sin = self._frozen
+                d[:] = delta_omega
+            d *= self._delta_eta[done:done + len(f), None]
+            done += len(f)
             np.multiply(d, cos, out=f.real)  # w = 1 + dA exp(j psi)
             f.real += 1.0
             np.multiply(d, sin, out=f.imag)

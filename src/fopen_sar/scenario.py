@@ -32,18 +32,20 @@ def _fail(path, msg):
 REQUIRED = object()
 OPTIONAL_SECTIONS = ("foliage", "noise")
 # Each row of scene.targets. A cell's maximum, M - 1, is a relation to the
-# waveform, so the relations pass checks it.
+# waveform, so the relations pass checks it. Each part of rcs is at most 1e100
+# in size: the image peaks at a few hundred per unit rcs (full preset and tank),
+# and the metrics square it, which overflows past about 1e154.
 TARGET = {
     "cell": (int, REQUIRED, 0, None),
     "azimuth_m": (float, 0.0, None, None),
-    "rcs": (complex, [1.0, 0.0], None, None),
+    "rcs": (complex, [1.0, 0.0], -1e100, 1e100),
 }
 # The scenario schema: SCHEMA[section][key] = (type, default, minimum, maximum).
-# type is int, float, bool, complex ([re, im]), a tuple of allowed values, or
-# a row table such as TARGET (a non-empty array of objects, each checked
-# against it). REQUIRED marks a required key; a default of None makes a number
-# optional and nullable. Sections are checked in this order, and every
-# default of a scenario is stated here.
+# type is int, float, bool, complex ([re, im], the bounds applying to each
+# part), a tuple of allowed values, or a row table such as TARGET (a non-empty
+# array of objects, each checked against it). REQUIRED marks a required key; a
+# default of None makes a number optional and nullable. Sections are checked in
+# this order, and every default of a scenario is stated here.
 SCHEMA = {
     "waveform": {
         "kind": (("ofdm", "noise"), REQUIRED, None, None),
@@ -134,6 +136,8 @@ def _field(v, path, kind, default, minimum, maximum):
         if (not isinstance(v, list) or len(v) != 2
                 or not all(_is_real(x) and _finite(x) for x in v)):
             _fail(path, "must be [re, im] with finite numbers")
+        if not all(minimum <= x <= maximum for x in v):
+            _fail(path, f"each part must be in [{minimum:g}, {maximum:g}]")
         return [float(v[0]), float(v[1])]
     if v is None:
         if default is REQUIRED:

@@ -1,7 +1,9 @@
 import copy
 import importlib.util
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -396,17 +398,22 @@ class TestMalformedFiles:
         (["image", "--raw"], lambda blob: blob[:-16]),
         (["image", "--raw"], lambda blob: blob[:20]),
         (["metrics", "--image"], lambda blob: blob),
-    ], ids=["image_short_raw", "image_truncated_raw", "metrics_fsar_as_image"])
+        (["image", "--raw"], lambda blob: blob[:32] + struct.pack("<d", math.nan) + blob[40:]),
+        (["image", "--raw"], lambda blob: blob[:-8] + struct.pack("<d", -math.inf)),
+    ], ids=["image_short_raw", "image_truncated_raw", "metrics_fsar_as_image",
+            "image_nan_raw", "image_inf_raw"])
     def test_exit_3_names_file(self, argv, damage, small_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         main(["simulate", "--scenario", small_file, "--out", out])
         path = tmp_path / "input.bin"
         raw = os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar")
         path.write_bytes(damage(open(raw, "rb").read()))
+        written = sorted(os.listdir(out))
         capsys.readouterr()
         assert main(argv[:1] + ["--scenario", small_file] + argv[1:]
                     + [str(path), "--out", out]) == 3
         assert f"error: malformed file: {path}: " in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == written
 
 
 class TestFrame:

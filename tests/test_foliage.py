@@ -204,7 +204,7 @@ class TestFoliageChannel:
 
     def test_no_fluctuation_reduces_to_mean_attenuation(self):
         ch = self._channel()
-        ch._frozen_gamma = np.zeros(64)
+        ch._frozen[0][:] = 0.0  # delta_omega
         r = ch.realize(0)
         a0 = 10 ** (-mean_attenuation_db(ch.freq_grid_hz, ch.params) / 20.0)
         np.testing.assert_allclose(r.freq_response, a0, rtol=1e-12)
@@ -266,27 +266,41 @@ class TestFoliageChannel:
         for p in range(45):
             np.testing.assert_array_equal(f[p], ch.realize(p).freq_response)
 
+    @staticmethod
+    def _reference_row(ch, key, p):
+        """Row p of F rebuilt from the gamma(a, b) and uniform(-pi, pi) draws of
+        key, centred and smoothed, times delta_eta[p]."""
+        params = ch.params
+        k, mean = params.spectral_smoothing_bins, params.gamma_shape * params.gamma_scale
+        x = sample_gamma_fluctuation(params, 64, substream(params.seed, "foliage_gamma", key))
+        d = (x - mean) / mean
+        if k:
+            d = np.convolve(d, np.ones(k) / k, mode="same")
+        psi = draw_uniform_phase(substream(params.seed, "foliage_phase", key), 64)
+        delta_a = d * ch._delta_eta[p]
+        amp = np.maximum((delta_a + 1.0) * ch._a0_linear, AMPLITUDE_FLOOR * ch._a0_linear)
+        want = unit_phasor(incoherent_field(delta_a, psi))
+        want.real *= amp
+        want.imag *= amp
+        return want
+
     @pytest.mark.parametrize("smoothing", [0, 3])
     def test_redrawn_rows_match_gamma_and_uniform_draws(self, smoothing):
-        # the block draws are standard_gamma times the scale and 2 pi u - pi;
-        # row p must equal the form drawn with gamma(a, b) and uniform(-pi, pi)
+        # the block draws are standard_gamma times the scale and 2 pi u - pi; row p
+        # must equal the form drawn with gamma(a, b) and uniform(-pi, pi) at key p + 1
         ch = self._channel(45, seed=5, redraw_per_pulse=True,
                            spectral_smoothing_bins=smoothing)
         f = ch.response()
-        mean = ch.params.gamma_shape * ch.params.gamma_scale
         for p in range(45):
-            x = sample_gamma_fluctuation(ch.params, 64, substream(5, "foliage_gamma", p + 1))
-            d = (x - mean) / mean
-            if smoothing:
-                d = np.convolve(d, np.ones(smoothing) / smoothing, mode="same")
-            psi = draw_uniform_phase(substream(5, "foliage_phase", p + 1), 64)
-            delta_a = d * ch._delta_eta[p]
-            amp = np.maximum((delta_a + 1.0) * ch._a0_linear,
-                             AMPLITUDE_FLOOR * ch._a0_linear)
-            want = unit_phasor(incoherent_field(delta_a, psi))
-            want.real *= amp
-            want.imag *= amp
-            np.testing.assert_array_equal(f[p], want)
+            np.testing.assert_array_equal(f[p], self._reference_row(ch, p + 1, p))
+
+    @pytest.mark.parametrize("smoothing", [0, 3])
+    def test_frozen_rows_match_key_0_gamma_and_uniform_draws(self, smoothing):
+        # a frozen channel draws once, at key 0, through the same draw routine
+        ch = self._channel(45, seed=5, spectral_smoothing_bins=smoothing)
+        f = ch.response()
+        for p in range(45):
+            np.testing.assert_array_equal(f[p], self._reference_row(ch, 0, p))
 
     def test_redrawn_response_derives_keys_once_per_stream(self, monkeypatch):
         # 45 pulses are two blocks; each stream's keys come from one pass

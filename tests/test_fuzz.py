@@ -15,6 +15,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import random
 import struct
@@ -28,7 +29,7 @@ from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET
 
 EXITS = {0, 2, 3, 4, 5}
 VALUES = (0, -1, 1e300, -1e300, 1e-300, 2**63, 2**70,
-          "x", None, True, {}, [1.0, 0.0])
+          "x", None, True, {}, [1.0, 0.0], [1e300, 0.0], [0.0, -1e200])
 # The most raw samples a case may ask for; larger documents are skipped
 # before anything runs. With these counts the fuzz takes about 3 s.
 MAX_RAW_SAMPLES = 1 << 19
@@ -149,11 +150,17 @@ def test_scenario_documents_exit_cleanly(tmp_path):
     ({("noise", "snr_db"): 3082}, None),
     ({("noise", "snr_db"): 3083}, "noise.snr_db"),
     ({("platform", "carrier_hz"): 2.0e9}, None),
+    # rcs: past its bound the metrics' squares overflowed; both edges of the bound
+    ({("scene", "targets", 0, "rcs"): [1e300, 0.0]}, "scene.targets[0].rcs"),
+    ({("scene", "targets", 0, "rcs"): [1e100, -1e100]}, None),
+    ({("scene", "targets", 0, "rcs"): [0.0, math.nextafter(-1e100, -math.inf)]},
+     "scene.targets[0].rcs"),
 ], ids=["carrier_1.9GHz", "bandwidth_1e300", "snr_3090", "snr_-4000", "snr_-3100",
         "velocity_1e300", "azimuth_1e300", "reference_range_1e300",
         "reference_range_and_antenna_1e300", "antenna_1e300_carrier_2^70",
         "carrier_1e300_azimuth_1e150", "rcmc_bandwidth_1e300_velocity_1e-9",
-        "snr_-1541", "snr_-1542", "snr_3082", "snr_3083", "carrier_2GHz"])
+        "snr_-1541", "snr_-1542", "snr_3082", "snr_3083", "carrier_2GHz",
+        "rcs_1e300", "rcs_at_bound", "rcs_past_bound"])
 def test_float_range_rules(tmp_path, edits, field):
     doc = base_document()
     for path, value in edits.items():

@@ -38,6 +38,10 @@ def test_no_unused_imports(module):
 TEST_ONLY = {
     ("echo.py", "apply_foliage"): "a tracer wrap point and the per-pulse foliage reference",
     ("foliage.py", "phase_fluctuation"): "the arctan reference for unit_phasor",
+    ("foliage.py", "sample_gamma_fluctuation"):
+        "the gamma(a, b) reference for FoliageChannel._draw, read by criterion 6",
+    ("foliage.py", "draw_uniform_phase"):
+        "the uniform(-pi, pi) reference for FoliageChannel._draw, read by criterion 6",
     ("metrics.py", "mainlobe_width_3db"): "the main-lobe width acceptance criterion 8 reads",
 }
 
