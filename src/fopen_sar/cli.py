@@ -149,9 +149,14 @@ def cmd_image(args, scens, stem):
         data = _read_matching(read_fsar, args.raw,
                               (cfg.platform.n_pulses(), cfg.ofdm.line_length))
         raw = RawDataMatrix(data, cfg.platform.slow_time_axis(), cfg.waveform_kind)
+        # finite samples near the float64 limit can overflow in the FFTs
+        with np.errstate(over="ignore", invalid="ignore"):
+            img = focus_config(scen, cfg, raw)
+        if not np.isfinite(img.pixels).all():
+            raise FormatError(f"{args.raw}: focuses to a non-finite image "
+                              "(samples too large)")
     else:
-        raw = synthesize_raw(cfg)
-    img = focus_config(scen, cfg, raw)
+        img = focus_config(scen, cfg, synthesize_raw(cfg))
     files = [f"{stem}_image.fimg"]
     write_fimg(files[-1], img)
     floor = scen.outputs["db_floor"]

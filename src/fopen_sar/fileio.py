@@ -9,7 +9,6 @@ atomic_write: a reader sees the old file or the whole new one, never a part.
 """
 
 import contextlib
-import csv
 import json
 import os
 import struct
@@ -72,11 +71,13 @@ def read_container(path, magic: bytes) -> np.ndarray:
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns as CSV rows under a header line."""
+    """Write equal-length columns of numbers as CSV rows under a header line,
+    in csv.writer's bytes: each number's repr, CRLF line ends, nothing
+    quoted (no header name or number holds a comma, quote or line break)."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
     with atomic_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_json(path, doc) -> None:

@@ -97,12 +97,12 @@ def mean_attenuation_db(freq_hz: float | np.ndarray, params: FoliageParams) -> n
 
 
 def sample_gamma_fluctuation(params: FoliageParams, n: int,
-                             rng: np.random.Generator) -> np.ndarray:
+                             rng: "np.random.Generator") -> np.ndarray:
     """n i.i.d. Gamma(shape a, scale b) samples; mean a*b, variance a*b^2."""
     return rng.gamma(params.gamma_shape, params.gamma_scale, size=n)
 
 
-def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+def _fgn_davies_harte(n: int, hurst: float, rng: "np.random.Generator") -> np.ndarray:
     """Exact fractional Gaussian noise by circulant embedding, unit variance."""
     k = np.arange(n + 1, dtype=float)
     rho = 0.5 * ((k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst)
@@ -123,7 +123,7 @@ def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndar
 
 
 def fbm_path(hurst: float, n: int, step_s: float,
-             rng: np.random.Generator) -> np.ndarray:
+             rng: "np.random.Generator") -> np.ndarray:
     """Fractional Brownian motion sampled at n points, step_s apart.
 
     path[0] = 0; increments are exact fGn scaled so the structure function
@@ -174,7 +174,7 @@ def unit_phasor(w: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
     return w
 
 
-def draw_uniform_phase(rng: np.random.Generator, n: int) -> np.ndarray:
+def draw_uniform_phase(rng: "np.random.Generator", n: int) -> np.ndarray:
     return rng.uniform(-np.pi, np.pi, size=n)
 
 

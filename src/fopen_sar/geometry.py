@@ -47,7 +47,7 @@ class PlatformParams:
             warnings.warn(
                 f"prf {self.prf_hz:.1f} Hz below Doppler bandwidth "
                 f"{self.doppler_bandwidth_hz:.1f} Hz (2*v/L_a): azimuth aliasing",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
     @property

@@ -155,12 +155,14 @@ def azimuth_compress(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformP
     H(f) = exp(-j pi f^2 / K_a) with K_a = 2 v^2 / (lambda R_c); the static
     phase exp(+j 4 pi f_c R_c / c) plus the quadratic-chirp stationary-phase
     constant exp(+j pi / 4) then make a boresight reference point's peak
-    real-positive. The Hann window's centre sample falls on zero Doppler.
+    real-positive. The Hann window is the periodic one on the Doppler axis,
+    0.5 + 0.5 cos(2 pi f / prf): 1 at zero Doppler and even in f for any
+    pulse count.
     """
     ka = platform.doppler_rate_hz_per_s
     h = np.exp(-1j * np.pi * doppler_hz**2 / ka)
     if window == "hann":
-        h = h * np.fft.ifftshift(np.hanning(len(h)))
+        h *= 0.5 + 0.5 * np.cos(2 * np.pi * doppler_hz / platform.prf_hz)
     elif window != "none":
         raise ValueError("window must be 'none' or 'hann'")
     img = rd * h[:, None]

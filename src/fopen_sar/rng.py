@@ -5,10 +5,11 @@ from (master_seed, module_tag, index). Streams are backed by the Philox
 counter-based bit generator, so realizations are bit-reproducible for a
 given master seed and independent of evaluation order or thread count.
 ``substreams`` gives many indices' streams from keys derived in one pass.
+numpy.random loads at the first draw, not at import: annotations that name
+it are strings.
 """
 
 import itertools
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -28,7 +29,7 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
-def substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
+def substream(master_seed: int, tag: str, index: int = 0) -> "np.random.Generator":
     """Return the Generator for (master_seed, tag, index).
 
     Parameters
@@ -83,7 +84,7 @@ def _philox_keys(seed: int, tag: str, indices: np.ndarray) -> np.ndarray:
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
-def substreams(master_seed: int, tag: str, indices) -> Iterator[np.random.Generator]:
+def substreams(master_seed: int, tag: str, indices):
     """Yield, per index in [0, 2**32), a Generator that draws what
     ``substream(master_seed, tag, index)`` draws, bit for bit.
 

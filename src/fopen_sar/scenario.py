@@ -11,7 +11,6 @@ configuration) and "small" (a desk-scale variant for CI).
 import copy
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
@@ -470,5 +469,6 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
 
     if threads <= 1 or len(seeds) <= 1:
         return [one(seed) for seed in seeds]
+    from concurrent.futures import ThreadPoolExecutor  # imported late: it loads logging
     with ThreadPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
         return list(pool.map(one, seeds))

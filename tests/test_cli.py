@@ -391,6 +391,15 @@ class TestEveryKeyChangesAnOutput:
         assert _command_outputs(doc, tmp_path) != every_key_baseline
 
 
+def _mid_line_sample(value):
+    """Damage that sets the real part of the middle pulse's middle sample."""
+    def damage(blob):
+        rows, cols = struct.unpack_from("<II", blob, 8)
+        at = 32 + 16 * (rows // 2 * cols + cols // 2)
+        return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    return damage
+
+
 class TestMalformedFiles:
     """A malformed FSAR/FIMG file exits 3 and names the file."""
 
@@ -400,8 +409,10 @@ class TestMalformedFiles:
         (["metrics", "--image"], lambda blob: blob),
         (["image", "--raw"], lambda blob: blob[:32] + struct.pack("<d", math.nan) + blob[40:]),
         (["image", "--raw"], lambda blob: blob[:-8] + struct.pack("<d", -math.inf)),
+        # finite, but it overflows while focusing
+        (["image", "--raw"], _mid_line_sample(1e307)),
     ], ids=["image_short_raw", "image_truncated_raw", "metrics_fsar_as_image",
-            "image_nan_raw", "image_inf_raw"])
+            "image_nan_raw", "image_inf_raw", "image_huge_raw"])
     def test_exit_3_names_file(self, argv, damage, small_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         main(["simulate", "--scenario", small_file, "--out", out])
@@ -499,15 +510,51 @@ class TestTraceWrapPoints:
         assert called == names
 
 
+def _fresh_python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports the package from src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 class TestImport:
     def test_package_import_pulls_in_no_scipy(self):
         code = ("import sys, fopen_sar; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert _fresh_python(code).strip() == "[]"
+
+    def test_resolve_and_metrics_image_load_no_random_pool_or_csv(self, small_file, tmp_path):
+        # neither resolving a scenario nor scoring a stored image draws or
+        # starts a seed pool, and no command needs the csv module
+        main(["image", "--scenario", small_file, "--out", str(tmp_path)])
+        img = tmp_path / "ofdm-foliage_off-seed0_image.fimg"
+        code = f"""
+import sys, fopen_sar
+from fopen_sar.cli import main
+def loaded():
+    return [m for m in ("numpy.random", "concurrent.futures", "csv") if m in sys.modules]
+fopen_sar.preset_scenario("full").simulation_config()
+after_resolve = loaded()
+assert main(["metrics", "--scenario", {small_file!r}, "--image", {str(img)!r},
+             "--out", {str(tmp_path / "m")!r}]) == 0
+print(after_resolve, loaded())
+"""
+        assert _fresh_python(code).splitlines()[-1] == "[] []"
+
+    def test_first_draws_from_two_threads_match_one_thread(self, tmp_path):
+        # the seed pool's threads are the first to import numpy.random
+        name = "ofdm-foliage_off-seed0_metrics.json"
+        code = f"""
+from fopen_sar.cli import main
+assert main(["metrics", "--preset", "small", "--seeds", "2", "--threads", "2",
+             "--out", {str(tmp_path / "t2")!r}]) == 0
+"""
+        _fresh_python(code)
+        assert main(["metrics", "--preset", "small", "--seeds", "2", "--threads", "1",
+                     "--out", str(tmp_path / "t1")]) == 0
+        assert ((tmp_path / "t2" / name).read_bytes()
+                == (tmp_path / "t1" / name).read_bytes())
 
 
 class TestCompare:

@@ -10,7 +10,7 @@ from fopen_sar import echo
 from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
                             geometry_spectrum, read_fsar, synthesize_raw,
                             transmitted_pulse, write_fsar)
-from fopen_sar.fileio import FormatError
+from fopen_sar.fileio import FormatError, write_csv
 from fopen_sar.foliage import FoliageParams, FoliageRealization
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.rng import substream
@@ -391,6 +391,21 @@ class TestFsarIo:
         path.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
         with pytest.raises(FormatError, match=re.escape(f"{path}: FSAR version 2")):
             read_fsar(path)
+
+
+class TestCsvIo:
+    def test_write_csv_matches_csv_writer(self, tmp_path):
+        import csv  # the reference; the package does not import it
+        header = ["n", "x", "power_db"]
+        columns = [np.arange(-3, 4),
+                   np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1]),
+                   np.array([1, -2, 3, -4, 5, -6, 7]) / 3]
+        write_csv(tmp_path / "got.csv", header, columns)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSynthesizeFromG:

@@ -334,11 +334,11 @@ class TestAzimuthCompressAndFocus:
         w = (np.fft.fft(azimuth_compress(ones, fd, plat, "hann").pixels, axis=0)
              / np.fft.fft(azimuth_compress(ones, fd, plat).pixels, axis=0))[:, 0]
         np.testing.assert_allclose(w.imag, 0.0, atol=1e-12)
-        assert w[0].real == pytest.approx(np.hanning(n)[n // 2], rel=1e-12)
-        # np.hanning(n) is symmetric about sample (n - 1) / 2: in +-f for odd
-        # n, and for even n about half a bin below zero Doppler
-        mirror = -np.arange(n) if n % 2 else -1 - np.arange(n)
-        np.testing.assert_allclose(w.real, w.real[mirror], rtol=1e-12, atol=1e-12)
+        assert w[0].real == pytest.approx(1.0, rel=1e-12)
+        # w(f_k) = w(f_-k) for even n too: bin -k is index -k mod n
+        np.testing.assert_allclose(w.real, w.real[-np.arange(n)], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.real, 0.5 + 0.5 * np.cos(2 * np.pi * fd / plat.prf_hz),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestPointRcsEstimate:
