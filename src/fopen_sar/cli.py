@@ -47,6 +47,12 @@ class MismatchError(ValueError):
     """An input FSAR/FIMG file and the scenario disagree on its shape."""
 
 
+# main's exit code and stderr message prefix for each error a command may raise.
+_ERRORS = {SchemaError: (EXIT_SCHEMA, ""), MismatchError: (EXIT_MISMATCH, ""),
+           NoPeakError: (EXIT_NO_PEAK, "no peak: "),
+           FormatError: (EXIT_IO, "malformed file: "), OSError: (EXIT_IO, "i/o: ")}
+
+
 def _preset(name) -> Scenario:
     """A --preset scenario: a preset, or "tank" (the full preset's tank scene)."""
     return tank_scenario("full") if name == "tank" else preset_scenario(name)
@@ -304,21 +310,10 @@ def main(argv=None) -> int:
         })
         print(summary)
         return EXIT_OK
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except MismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except NoPeakError as e:
-        print(f"error: no peak: {e}", file=sys.stderr)
-        return EXIT_NO_PEAK
-    except FormatError as e:
-        print(f"error: malformed file: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
-        print(f"error: i/o: {e}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(_ERRORS) as e:
+        code, prefix = next(v for t, v in _ERRORS.items() if isinstance(e, t))
+        print(f"error: {prefix}{e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

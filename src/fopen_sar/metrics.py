@@ -58,53 +58,52 @@ def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return np.asarray(x, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    n = len(x)
+    if factor == 1:
+        return x
+    n, h = len(x), len(x) // 2
     spec = np.fft.fft(x)
     out = np.zeros(n * factor, dtype=complex)
-    h = n // 2
+    out[:h + 1] = spec[:h + 1]
+    out[len(out) - (n - h - 1):] = spec[h + 1:]
     if n % 2 == 0:
-        out[:h] = spec[:h]
-        out[h] = 0.5 * spec[h]
-        out[n * factor - h] = 0.5 * spec[h]
-        out[n * factor - h + 1:] = spec[h + 1:]
-    else:
-        out[:h + 1] = spec[:h + 1]
-        out[n * factor - h:] = spec[h + 1:]
+        out[h] = out[len(out) - h] = 0.5 * spec[h]
     return np.fft.ifft(out) * factor
 
 
-def _smooth(p: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return p
-    k = np.ones(window) / window
-    return np.convolve(p, k, mode="same")
+def _leading_run(mask: np.ndarray) -> int:
+    """Length of the leading run of True in a boolean mask."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
 
 
 def find_mainlobe(power: np.ndarray, peak: int, smooth_window: int = 3):
     """First local minima on each side of the peak (on a smoothed copy)."""
-    p = _smooth(power, smooth_window)
-    right = peak
-    while right + 1 < len(p) and p[right + 1] < p[right]:
-        right += 1
-    left = peak
-    while left - 1 >= 0 and p[left - 1] < p[left]:
-        left -= 1
-    if left == peak or right == peak:
+    p = np.convolve(power, np.ones(smooth_window) / smooth_window, mode="same")
+    # each side runs outward from the peak; the left one reversed
+    right, left = (_leading_run(side[1:] < side[:-1])
+                   for side in (p[peak:], p[:peak + 1][::-1]))
+    if not left or not right:
         raise NoPeakError("peak has no descending neighborhood")
-    return left, right
+    return peak - left, peak + right
+
+
+# Inside 2^+-400 a cut's upsampled peak, at most n < 2^25 times its largest
+# part, squares to a normal float; profile_from_cut scales cuts outside it.
+_EXPONENT_BAND = 400
 
 
 def profile_from_cut(cut: np.ndarray, axis_unit: str, upsample: int = 16,
                      smooth_window: int = 3) -> Profile:
-    """Build a Profile from a complex image cut."""
-    cut = np.asarray(cut, dtype=complex)
-    if np.all(cut == 0):
-        raise NoPeakError("cut is identically zero")
-    fine = upsample_complex(cut, upsample)
-    power = np.abs(fine) ** 2
+    """Build a Profile from a complex image cut.
+
+    A cut outside the exponent band is first scaled by 2^-e, e the exponent
+    of its largest real or imaginary part: exact, so only values change.
+    """
+    parts = np.ascontiguousarray(cut, dtype=complex).view(float)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    if abs(e) > _EXPONENT_BAND:
+        parts = np.ldexp(parts, -e)
+    power = np.abs(upsample_complex(parts.view(complex), upsample)) ** 2
     peak = int(np.argmax(power))
     left, right = find_mainlobe(power, peak, smooth_window)
     axis = np.arange(len(power)) / upsample
@@ -122,8 +121,6 @@ def extract_profiles(pixels: np.ndarray, upsample: int = 16,
     if pixels.ndim != 2:
         raise ValueError("image must be 2-D [azimuth, range]")
     mag = np.abs(pixels)
-    if mag.max() == 0:
-        raise NoPeakError("image is identically zero")
     az, rg = np.unravel_index(int(np.argmax(mag)), mag.shape)
     rng_profile = profile_from_cut(pixels[az, :], "cells", upsample, smooth_window)
     az_profile = profile_from_cut(pixels[:, rg], "pulses", upsample, smooth_window)
@@ -159,17 +156,10 @@ def pslr(profile: Profile) -> float:
 
 def mainlobe_width_3db(profile: Profile) -> float:
     """-3 dB main-lobe width in native axis units (diagnostic)."""
-    p = profile.values
-    half = p[profile.peak_index] / 2.0
-    i = profile.peak_index
-    while i + 1 < len(p) and p[i + 1] >= half:
-        i += 1
-    right = i
-    i = profile.peak_index
-    while i - 1 >= 0 and p[i - 1] >= half:
-        i -= 1
-    left = i
-    return float(profile.axis[right] - profile.axis[left])
+    p, i = profile.values, profile.peak_index
+    right, left = (_leading_run(side[1:] >= p[i] / 2.0)
+                   for side in (p[i:], p[:i + 1][::-1]))
+    return float(profile.axis[i + right] - profile.axis[i - left])
 
 
 def image_metrics(pixels: np.ndarray, upsample: int = 16,

@@ -32,8 +32,8 @@ REQUIRED = object()
 OPTIONAL_SECTIONS = ("foliage", "noise")
 # Each row of scene.targets. A cell's maximum, M - 1, is a relation to the
 # waveform, so the relations pass checks it. Each part of rcs is at most 1e100
-# in size: the image peaks at a few hundred per unit rcs (full preset and tank),
-# and the metrics square it, which overflows past about 1e154.
+# in size. The metrics do not square raw magnitudes; the bound keeps the FFTs of
+# synthesis and focusing, which overflow near an rcs of 1e303, far from the limit.
 TARGET = {
     "cell": (int, REQUIRED, 0, None),
     "azimuth_m": (float, 0.0, None, None),

@@ -427,6 +427,49 @@ class TestMalformedFiles:
         assert sorted(os.listdir(out)) == written
 
 
+def _sample(value, pulse, index):
+    """Damage that sets the real part of one sample."""
+    def damage(blob):
+        at = 32 + 16 * (pulse * struct.unpack_from("<I", blob, 12)[0] + index)
+        return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    return damage
+
+
+def _scaled(factor):
+    """Damage that multiplies every sample by factor."""
+    return lambda blob: blob[:32] + (np.frombuffer(blob[32:], "<f8") * factor).tobytes()
+
+
+class TestFloatRange:
+    """Finite inputs whose squares leave the float64 range still give finite
+    profiles and metrics; this suite raises RuntimeWarning as an error."""
+
+    @pytest.mark.parametrize("argv,damage", [
+        (["image", "--raw"], _sample(1e160, 5, 100)),
+        (["metrics", "--image"], _mid_line_sample(1e300)),
+        (["metrics", "--image"], _scaled(1e200)),
+        (["metrics", "--image"], _scaled(1e-170)),
+    ], ids=["image_raw_1e160", "metrics_image_1e300", "metrics_image_x1e200",
+            "metrics_image_x1e-170"])
+    def test_exit_0_with_finite_results(self, argv, damage, small_file, tmp_path):
+        out = tmp_path / "out"
+        raw = argv[0] == "image"  # image reads an FSAR, metrics a FIMG file
+        main(["simulate" if raw else "image", "--scenario", small_file, "--out", str(out)])
+        source = out / ("ofdm-foliage_off-seed0_" + ("raw.fsar" if raw else "image.fimg"))
+        path = tmp_path / "input.bin"
+        path.write_bytes(damage(source.read_bytes()))
+        assert main(argv[:1] + ["--scenario", small_file] + argv[1:]
+                    + [str(path), "--out", str(out)]) == 0
+        if raw:
+            for cut in ("range", "azimuth"):
+                table = np.loadtxt(out / f"ofdm-foliage_off-seed0_{cut}_profile.csv",
+                                   delimiter=",", skiprows=1)
+                assert np.isfinite(table[:, 1]).all() and table[:, 2].max() == 0.0
+        else:
+            doc = _read_json(out / "ofdm-foliage_off-seed0_metrics.json")
+            assert all(math.isfinite(doc[k]) for k in cli.METRIC_KEYS)
+
+
 class TestFrame:
     """What main does around every command: the manifest and atomic writes."""
 

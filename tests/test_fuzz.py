@@ -5,10 +5,12 @@ Each scenario case changes 1-3 fields of the small preset with HH foliage and
 20 dB receiver noise to a boundary value or a value of the wrong type, and runs
 `metrics` on it through cli.main in process. Each container case changes one
 header field of a valid FSAR or FIMG file, or truncates it, and reads it with
-`image --raw` or `metrics --image`. Every case must end in an exit code the CLI
-documents. The cases come from random.Random(0), so every run checks the same
-inputs. `PYTHONPATH=src python tests/test_fuzz.py N` runs N scenario cases and
-prints each one that fails.
+`image --raw` or `metrics --image`; each payload case writes NaN, an
+infinity, a value near the float64 limits or a subnormal over seeded random
+payload samples of those files. Every case must end in an exit code the CLI
+documents. The cases come from fixed random.Random seeds, so every run checks
+the same inputs. `PYTHONPATH=src python tests/test_fuzz.py N` runs N scenario
+cases and prints each one that fails.
 """
 
 import contextlib
@@ -193,22 +195,58 @@ def mutated_header(rng: random.Random, blob: bytes) -> bytes:
     return HEADER.pack(*fields) + blob[HEADER.size:]
 
 
-def test_container_headers_exit_cleanly(tmp_path):
-    scen, out = str(tmp_path / "doc.json"), tmp_path / "out"
-    (tmp_path / "doc.json").write_text(json.dumps(base_document()))
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """(scenario path, out dir, readers): the readers run `image --raw` on the
+    FSAR and `metrics --image` on the FIMG file of base_document()'s run."""
+    tmp = tmp_path_factory.mktemp("containers")
+    scen, out = str(tmp / "doc.json"), tmp / "out"
+    (tmp / "doc.json").write_text(json.dumps(base_document()))
     for command in ("simulate", "image"):
         assert run_cli([command, "--scenario", scen, "--out", str(out)])[0] == 0
     readers = [("image", "--raw", (out / "ofdm-foliage_HH-seed0_raw.fsar").read_bytes()),
                ("metrics", "--image", (out / "ofdm-foliage_HH-seed0_image.fimg").read_bytes())]
+    return scen, str(out), readers
+
+
+def test_container_headers_exit_cleanly(containers, tmp_path):
+    scen, out, readers = containers
     rng = random.Random(0)
     path = tmp_path / "input.bin"
     bad = []
     for k in range(N_HEADERS):
         command, flag, blob = readers[k % 2]
         path.write_bytes(mutated_header(rng, blob))
-        code, _ = run_cli([command, "--scenario", scen, flag, str(path), "--out", str(out)])
+        code, _ = run_cli([command, "--scenario", scen, flag, str(path), "--out", out])
         if code not in EXITS:
             bad.append((command, k, repr(code)))
+    assert bad == []
+
+
+# Payload values: non-finite ones, ones whose squares leave the float64 range,
+# and the smallest subnormal.
+PAYLOAD_VALUES = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e160, 5e-324)
+N_PAYLOAD_POSITIONS = 4
+
+
+def with_payload_value(rng: random.Random, blob: bytes, value: float) -> bytes:
+    """blob with value written over one float64 of its payload."""
+    at = HEADER.size + 8 * rng.randrange((len(blob) - HEADER.size) // 8)
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+
+
+@pytest.mark.parametrize("value", PAYLOAD_VALUES, ids=repr)
+def test_container_payloads_exit_cleanly(value, containers, tmp_path):
+    scen, out, readers = containers
+    rng = random.Random(repr(value))
+    path = tmp_path / "input.bin"
+    bad = []
+    for command, flag, blob in readers:
+        for _ in range(N_PAYLOAD_POSITIONS):
+            path.write_bytes(with_payload_value(rng, blob, value))
+            code, _ = run_cli([command, "--scenario", scen, flag, str(path), "--out", out])
+            if code not in EXITS:
+                bad.append((command, repr(code)))
     assert bad == []
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,72 @@ class TestProfiles:
     def test_peak_with_no_descent_rejected(self):
         with pytest.raises(NoPeakError):
             find_mainlobe(np.ones(16), 0)
+
+
+class TestMainlobeWalk:
+    """Hand-made power profiles, unsmoothed, with the expected nulls written out."""
+
+    @pytest.mark.parametrize("power,peak,nulls", [
+        # the descent is strict: it stops where a plateau starts
+        ([1, 3, 4, 9, 4, 4, 2, 1], 3, (0, 4)),
+        ([1, 2, 5, 4, 4, 9, 3, 1], 5, (4, 7)),
+        # a NaN compares false, so the walk stops beside it
+        ([np.nan, 4, 9, 4, 1, 2], 2, (1, 4)),
+        ([2, 1, 4, 9, 6, np.nan], 3, (1, 4)),
+    ], ids=["plateau_right", "plateau_left", "nan_left", "nan_right"])
+    def test_nulls(self, power, peak, nulls):
+        assert find_mainlobe(np.array(power, float), peak, smooth_window=1) == nulls
+
+    @pytest.mark.parametrize("power,peak", [
+        ([1, 9, 9, 2], 1),  # a plateau at the peak itself
+        ([1, 2, 9, np.nan, 3, 1], 2),
+        ([9, 4, 1, 3], 0),  # the left side must not wrap round to the end
+        ([3, 1, 4, 9], 3),
+    ], ids=["plateau_at_peak", "nan_beside_peak", "peak_first", "peak_last"])
+    def test_no_descent_rejected(self, power, peak):
+        with pytest.raises(NoPeakError):
+            find_mainlobe(np.array(power, float), peak, smooth_window=1)
+
+    @pytest.mark.parametrize("values,nulls,width", [
+        # the nulls only have to bracket the peak, so one may lie off the array;
+        # the side beyond the end is then empty and must not wrap round it
+        ([10, 8, 6, 1, 9], (-1, 3), 2.0),
+        ([9, 1, 6, 8, 10], (1, 5), 2.0),
+        # every sample from the peak to the array's end is at least half the peak
+        ([6, 8, 10, 7, 0, 1], (0, 4), 3.0),
+        ([1, 0, 7, 10, 8, 6], (1, 5), 3.0),
+        ([9, 4, 5, 10, 5, 4.9, 9], (1, 5), 2.0),
+    ], ids=["peak_first", "peak_last", "half_to_first", "half_to_last", "below_half"])
+    def test_width(self, values, nulls, width):
+        assert mainlobe_width_3db(_profile(values, *nulls)) == width
+
+
+class TestFloatRange:
+    """A cut outside 2^+-400 is scaled by a power of two before its power is taken."""
+
+    @staticmethod
+    def _image():
+        rng = np.random.default_rng(3)
+        img = rng.standard_normal((32, 24)) + 1j * rng.standard_normal((32, 24))
+        img[16, 12] = 30.0
+        return img
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_metrics_unchanged_by_power_of_two(self, k):
+        img = self._image()
+        assert image_metrics(img * 2.0 ** k) == image_metrics(img)
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_values_scaled_by_two_to_minus_2e(self, k):
+        cut = self._image()[16]
+        e = math.frexp(np.abs(cut.view(float)).max())[1]
+        np.testing.assert_array_equal(profile_from_cut(cut * 2.0 ** k, "cells").values,
+                                      profile_from_cut(cut, "cells").values * 2.0 ** (-2 * e))
+
+    def test_inside_band_unscaled(self):
+        cut = self._image()[16] * 2.0 ** 390
+        np.testing.assert_array_equal(profile_from_cut(cut, "cells").values,
+                                      np.abs(upsample_complex(cut, 16)) ** 2)
 
 
 class TestIslrPslr:
