@@ -119,7 +119,6 @@ class RangeGrid:
     n_cells: int
     bandwidth_hz: float
     reference_range_m: float
-    altitude_m: float
 
     @property
     def cell_extent_m(self) -> float:
@@ -129,25 +128,17 @@ class RangeGrid:
         """Slant range at closest approach for a target in the given cell."""
         return self.reference_range_m + (np.asarray(cell) - self.n_cells // 2) * self.cell_extent_m
 
-    def ground_x_of_cell(self, cell: int | np.ndarray) -> np.ndarray:
-        """Ground-plane across-track coordinate x_m of a cell."""
-        r = self.slant_range_of_cell(cell)
-        arg = r**2 - self.altitude_m**2
-        if np.any(arg < 0):
-            raise ValueError("range grid extends above the nadir point")
-        return np.sqrt(arg)
-
 
 def make_grid(n_cells: int, bandwidth_hz: float, platform: PlatformParams) -> RangeGrid:
-    return RangeGrid(n_cells, bandwidth_hz, platform.reference_range_m, platform.altitude_m)
+    return RangeGrid(n_cells, bandwidth_hz, platform.reference_range_m)
 
 
 def slant_range(target: PointTarget, grid: RangeGrid, platform: PlatformParams,
                 eta: float | np.ndarray) -> np.ndarray:
-    """R(eta) = sqrt(x_m^2 + H_p^2 + v_p^2 (eta - y/v_p)^2) for the target."""
-    x = grid.ground_x_of_cell(target.range_cell)
+    """R(eta) = sqrt(r0^2 + (v_p eta - y)^2), r0 the cell's closest-approach slant range."""
+    r0 = grid.slant_range_of_cell(target.range_cell)
     du = platform.velocity_mps * np.asarray(eta) - target.azimuth_m
-    return np.sqrt(x**2 + platform.altitude_m**2 + du**2)
+    return np.sqrt(r0**2 + du**2)
 
 
 def azimuth_gain(platform: PlatformParams, target: PointTarget, grid: RangeGrid,

@@ -5,7 +5,7 @@ peak. The complex cuts are band-limited upsampled (zero-padded FFT) before
 the power is taken: the exactly-compressed response of an on-grid point is
 a Kronecker delta on the cell grid, and only interpolation reveals the
 underlying sinc structure that the sidelobe metrics quantify. Main-lobe
-nulls are the first local minima on either side of the peak.
+nulls are the first local minima either side of the peak on the periodic cut.
 """
 
 import math
@@ -31,9 +31,9 @@ class UndefinedMetricError(ValueError):
 class Profile:
     """1-D power profile with its main-lobe bracket.
 
-    values are |pixel|^2 on the (possibly upsampled) grid; axis holds the
-    sample coordinates in native units (range cells or pulses); peak_index,
-    null_left and null_right index into values.
+    values are |pixel|^2 on the (possibly upsampled) periodic grid; axis holds
+    the uniform sample coordinates in native units (range cells or pulses);
+    peak_index, null_left and null_right index values modulo its length.
     """
 
     values: np.ndarray
@@ -71,17 +71,20 @@ def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.ifft(out) * factor
 
 
-def _leading_run(mask: np.ndarray) -> int:
-    """Length of the leading run of True in a boolean mask."""
-    return len(mask) if mask.all() else int(np.argmin(mask))
+def _runs(p: np.ndarray, holds) -> tuple[int, int]:
+    """(left, right): lengths of the leading runs of True in holds(side), the
+    sides walked outward from p's middle sample len // 2."""
+    c = len(p) // 2
+    masks = (holds(side) for side in (p[:c + 1][::-1], p[c:]))
+    return tuple(len(m) if m.all() else int(np.argmin(m)) for m in masks)
 
 
 def find_mainlobe(power: np.ndarray, peak: int, smooth_window: int = 3):
-    """First local minima on each side of the peak (on a smoothed copy)."""
-    p = np.convolve(power, np.ones(smooth_window) / smooth_window, mode="same")
-    # each side runs outward from the peak; the left one reversed
-    right, left = (_leading_run(side[1:] < side[:-1])
-                   for side in (p[peak:], p[:peak + 1][::-1]))
+    """First local minima on each side of the peak, round the periodic power
+    rolled to put the peak mid-array and smoothed; they may lie off its ends."""
+    rolled = np.roll(power, len(power) // 2 - peak)
+    p = np.convolve(rolled, np.ones(smooth_window) / smooth_window, mode="same")
+    left, right = _runs(p, lambda side: side[1:] < side[:-1])
     if not left or not right:
         raise NoPeakError("peak has no descending neighborhood")
     return peak - left, peak + right
@@ -127,13 +130,19 @@ def extract_profiles(pixels: np.ndarray, upsample: int = 16,
     return rng_profile, az_profile
 
 
+def _lobes(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """The main lobe, values[null_left .. null_right] round the circle, and the rest."""
+    v = np.roll(profile.values, -profile.null_left)
+    return np.split(v, [profile.null_right - profile.null_left + 1])
+
+
 def islr(profile: Profile) -> float:
     """Integrated sidelobe ratio: 10 log10(sidelobe power / main-lobe power).
 
-    The main lobe is values[null_left .. null_right] inclusive; everything
-    else is sidelobe. Returns -inf when there is no sidelobe power.
+    The main lobe is values[null_left .. null_right] round the circle; the
+    rest is sidelobe. Returns -inf when there is no sidelobe power.
     """
-    main = float(np.sum(profile.values[profile.null_left:profile.null_right + 1]))
+    main = float(np.sum(_lobes(profile)[0]))
     if main <= 0:
         raise UndefinedMetricError("main-lobe power is zero")
     side = float(np.sum(profile.values)) - main
@@ -147,19 +156,17 @@ def pslr(profile: Profile) -> float:
     peak = float(profile.values[profile.peak_index])
     if peak <= 0:
         raise UndefinedMetricError("peak power is zero")
-    side = np.concatenate([profile.values[:profile.null_left],
-                           profile.values[profile.null_right + 1:]])
+    side = _lobes(profile)[1]
     if side.size == 0 or side.max() <= 0:
         return float("-inf")
     return 10.0 * np.log10(float(side.max()) / peak)
 
 
 def mainlobe_width_3db(profile: Profile) -> float:
-    """-3 dB main-lobe width in native axis units (diagnostic)."""
+    """-3 dB main-lobe width in native axis units (diagnostic), round the circle."""
     p, i = profile.values, profile.peak_index
-    right, left = (_leading_run(side[1:] >= p[i] / 2.0)
-                   for side in (p[i:], p[:i + 1][::-1]))
-    return float(profile.axis[i + right] - profile.axis[i - left])
+    left, right = _runs(np.roll(p, len(p) // 2 - i), lambda side: side[1:] >= p[i] / 2.0)
+    return float((left + right) * (profile.axis[1] - profile.axis[0]))
 
 
 def image_metrics(pixels: np.ndarray, upsample: int = 16,

@@ -285,7 +285,7 @@ def _relations(out):
     if n * line > MAX_SAMPLES:
         _fail("platform.aperture_s", f"raw matrix of {n} pulses x "
               f"{line} samples is more than the limit of {MAX_SAMPLES} samples")
-    grid = RangeGrid(m, w["bandwidth_hz"], rc, p["altitude_m"])
+    grid = RangeGrid(m, w["bandwidth_hz"], rc)
     ranges, seen = [], {}
     for i, t in enumerate(out["scene"]["targets"]):
         path = f"scene.targets[{i}]"
@@ -432,7 +432,7 @@ def tank_scenario(preset: str = "full") -> Scenario:
     doc = copy.deepcopy(PRESETS[preset])
     w, p = doc["waveform"], doc["platform"]
     m = w["n_range_cells"]
-    grid = RangeGrid(m, w["bandwidth_hz"], p["reference_range_m"], p["altitude_m"])
+    grid = RangeGrid(m, w["bandwidth_hz"], p["reference_range_m"])
     doc["scene"]["targets"] = tank_targets(m // 2, grid.cell_extent_m, m)
     return Scenario(doc)
 

@@ -449,8 +449,10 @@ class TestFloatRange:
         (["metrics", "--image"], _mid_line_sample(1e300)),
         (["metrics", "--image"], _scaled(1e200)),
         (["metrics", "--image"], _scaled(1e-170)),
+        # the peak at pulse 0: its main lobe runs round the cut's end
+        (["metrics", "--image"], _sample(1e300, 0, 24)),
     ], ids=["image_raw_1e160", "metrics_image_1e300", "metrics_image_x1e200",
-            "metrics_image_x1e-170"])
+            "metrics_image_x1e-170", "metrics_image_1e300_pulse_0"])
     def test_exit_0_with_finite_results(self, argv, damage, small_file, tmp_path):
         out = tmp_path / "out"
         raw = argv[0] == "image"  # image reads an FSAR, metrics a FIMG file
@@ -468,6 +470,33 @@ class TestFloatRange:
         else:
             doc = _read_json(out / "ofdm-foliage_off-seed0_metrics.json")
             assert all(math.isfinite(doc[k]) for k in cli.METRIC_KEYS)
+
+
+class TestPeakAtCutEnd:
+    """A cut is periodic: a peak at or near either end of it keeps the part of
+    its main lobe that lies round the other end."""
+
+    @staticmethod
+    def _metrics(tmp_path, name, **target):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["scene"]["targets"][0].update(target)
+        scen = tmp_path / f"{name}.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert main(["metrics", "--scenario", str(scen), "--out", str(out)]) == 0
+        return _read_json(out / "ofdm-foliage_off-seed0_metrics.json")
+
+    def test_target_in_cell_0_matches_cell_1(self, tmp_path):
+        first = self._metrics(tmp_path, "cell0", cell=0)
+        second = self._metrics(tmp_path, "cell1", cell=1)
+        for key in cli.METRIC_KEYS:
+            assert first[key] == pytest.approx(second[key], abs=0.01)
+
+    def test_main_lobe_past_pulse_0_is_not_sidelobe(self, tmp_path):
+        # at the aperture's edge, about half the azimuth main lobe lies
+        # before pulse 0; counted as sidelobe, ISLR read -0.17 dB
+        doc = self._metrics(tmp_path, "edge", azimuth_m=-18.5)
+        assert doc["islr_azimuth_db"] == pytest.approx(-10.71, abs=0.05)
 
 
 class TestFrame:

@@ -15,27 +15,36 @@ def _flat_platform(x, h, v=1.0, la=1.0, f_c=1e9, prf=2048.0, ta=1.0):
 class TestSlantRange:
     def test_pythagoras_at_closest_approach(self):
         p = _flat_platform(3.0, 4.0)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0)
         assert slant_range(t, grid, p, 0.0) == pytest.approx(5.0, abs=1e-12)
 
     def test_three_four_twelve_thirteen(self):
         p = _flat_platform(3.0, 4.0, v=1.0)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0)
         assert slant_range(t, grid, p, 12.0) == pytest.approx(13.0, abs=1e-12)
 
     def test_nadir_degenerate(self):
         p = _flat_platform(0.0, 5000.0)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0, azimuth_m=7.0)
         eta = 7.0 / p.velocity_mps
         assert slant_range(t, grid, p, eta) == pytest.approx(5000.0, abs=1e-9)
 
+    @pytest.mark.parametrize("cell", [3, 4, 7])  # short of, at and beyond R_c
+    def test_hyperbola_in_the_slant_plane(self, tiny_platform, tiny_grid, cell):
+        t = PointTarget(cell, azimuth_m=2.5)
+        eta = tiny_platform.slow_time_axis()
+        r0 = tiny_grid.slant_range_of_cell(cell)
+        du = tiny_platform.velocity_mps * eta - t.azimuth_m
+        np.testing.assert_array_equal(slant_range(t, tiny_grid, tiny_platform, eta),
+                                      np.sqrt(r0**2 + du**2))
+
     @pytest.mark.parametrize("delta", [0.001, 0.1, 1.0, 10.0])
     def test_even_around_closest_approach(self, delta):
         p = _flat_platform(3000.0, 4000.0, v=150.0)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0, azimuth_m=42.0)
         eta_c = t.azimuth_m / p.velocity_mps
         a = slant_range(t, grid, p, eta_c + delta)
@@ -51,7 +60,7 @@ class TestAzimuthGain:
     def test_first_null(self):
         # choose geometry so L_a * theta / lambda = 1 exactly
         p = _flat_platform(3000.0, 4000.0, v=100.0, f_c=1e9)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         r0 = p.reference_range_m
         theta = p.wavelength_m / p.antenna_length_m
         eta = r0 * np.tan(theta) / p.velocity_mps
@@ -60,7 +69,7 @@ class TestAzimuthGain:
 
     def test_half_argument_value(self):
         p = _flat_platform(3000.0, 4000.0, v=100.0, f_c=1e9)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         theta = 0.5 * p.wavelength_m / p.antenna_length_m
         eta = p.reference_range_m * np.tan(theta) / p.velocity_mps
         g = azimuth_gain(p, PointTarget(0), grid, eta)
@@ -85,7 +94,7 @@ class TestWeightingCoefficient:
         f_c = 1e9
         r = C_LIGHT / (8.0 * f_c)
         p = PlatformParams(r / 2.0, 1.0, 1.0, f_c, r, 1.0, 64.0)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         g = weighting_coefficient(PointTarget(0), grid, p, 0.0)
         assert g == pytest.approx(-1j, abs=1e-9)
 
@@ -95,7 +104,7 @@ class TestWeightingCoefficient:
         lam = C_LIGHT / f_c
         r = 1000.0 * lam / 2.0
         p = PlatformParams(r / 2.0, 1.0, 1.0, f_c, r, 1.0, 64.0)
-        grid = RangeGrid(1, 4e9, p.reference_range_m, p.altitude_m)
+        grid = RangeGrid(1, 4e9, p.reference_range_m)
         g = weighting_coefficient(PointTarget(0), grid, p, 0.0)
         assert g == pytest.approx(1.0, abs=1e-9)
 
@@ -155,18 +164,10 @@ class TestGmVector:
 class TestGridAndPlatform:
     def test_center_cell_at_reference_range(self, tiny_grid, tiny_platform):
         r = tiny_grid.slant_range_of_cell(tiny_grid.n_cells // 2)
-        x = tiny_grid.ground_x_of_cell(tiny_grid.n_cells // 2)
-        assert np.hypot(x, tiny_platform.altitude_m) == pytest.approx(
-            tiny_platform.reference_range_m, rel=1e-12)
         assert r == pytest.approx(tiny_platform.reference_range_m, rel=1e-12)
 
     def test_cell_extent(self, tiny_grid):
         assert tiny_grid.cell_extent_m == pytest.approx(C_LIGHT / 8e9, rel=1e-12)
-
-    def test_grid_above_nadir_rejected(self):
-        grid = RangeGrid(100, 4e9, 5.0, 4.999)
-        with pytest.raises(ValueError):
-            grid.ground_x_of_cell(0)
 
     def test_derived_antenna_length_full_geometry(self):
         p = PlatformParams(5000.0, 150.0, 1.0, 9e9, 5000.0 * np.sqrt(2.0),

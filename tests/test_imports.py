@@ -1,8 +1,10 @@
 """Two stdlib ast checks on every package module but __init__ (which re-exports):
-each uses every name it imports, and no function or class is defined only for tests."""
+each uses every name it imports, and no function, class, method or property is
+defined only for tests."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -34,9 +36,12 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-# Top-level names that only tests read, each a reference form the suite compares against.
+# Names, top-level or Class.method, that only tests read, each a reference form the
+# suite compares against.
 TEST_ONLY = {
     ("echo.py", "apply_foliage"): "a tracer wrap point and the per-pulse foliage reference",
+    ("foliage.py", "FoliageChannel.realize"):
+        "a tracer wrap point and the per-pulse foliage reference",
     ("foliage.py", "phase_fluctuation"): "the arctan reference for unit_phasor",
     ("foliage.py", "sample_gamma_fluctuation"):
         "the gamma(a, b) reference for FoliageChannel._draw, read by criterion 6",
@@ -46,29 +51,44 @@ TEST_ONLY = {
 }
 
 
+def _attributes(node) -> Counter:
+    """How often each attribute name is read in node."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def unread_definitions(sources: dict) -> list[tuple[str, str]]:
     """(module, name) of each top-level function or class that no module of
-    sources reads outside its own definition."""
+    sources reads outside its own definition, and (module, "Class.method") of
+    each non-dunder method or property whose name no attribute outside its
+    own body reads."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     reads = {}  # (module, index of top-level statement) -> names read in it
     for name, tree in trees.items():
         for i, stmt in enumerate(tree.body):
-            reads[name, i] = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} | {
-                n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            reads[name, i] = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} | set(
+                _attributes(stmt))
+    attributes = sum(map(_attributes, trees.values()), Counter())
     unread = []
     for name, tree in trees.items():
         for i, stmt in enumerate(tree.body):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not any(
                     stmt.name in names for key, names in reads.items() if key != (name, i)):
                 unread.append((name, stmt.name))
+            for fn in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+                        and attributes[fn.name] == _attributes(fn)[fn.name]):
+                    unread.append((name, f"{stmt.name}.{fn.name}"))
     return unread
 
 
 def test_checker_finds_unread_definitions():
     sources = {"a.py": "def f():\n    return f()\n\ndef g():\n    pass\n\n"
-                       "class C:\n    pass\n",
-               "b.py": "from .a import g\nx = g()\ny = mod.C\n"}
-    assert unread_definitions(sources) == [("a.py", "f")]
+                       "class C:\n    def __init__(self):\n        pass\n\n"
+                       "    def m(self):\n        return self.m()\n\n"
+                       "    @property\n    def p(self):\n        return self.n()\n\n"
+                       "    def n(self):\n        pass\n",
+               "b.py": "from .a import g\nx = g()\ny = mod.C().p\n"}
+    assert unread_definitions(sources) == [("a.py", "f"), ("a.py", "C.m")]
 
 
 def test_every_definition_is_read_in_the_package():

@@ -93,15 +93,19 @@ class TestMainlobeWalk:
         # a NaN compares false, so the walk stops beside it
         ([np.nan, 4, 9, 4, 1, 2], 2, (1, 4)),
         ([2, 1, 4, 9, 6, np.nan], 3, (1, 4)),
-    ], ids=["plateau_right", "plateau_left", "nan_left", "nan_right"])
+        # the power is periodic: a peak at either end descends round the other
+        ([9, 4, 1, 3], 0, (-2, 1)),
+        ([3, 1, 4, 9], 3, (1, 4)),
+    ], ids=["plateau_right", "plateau_left", "nan_left", "nan_right",
+            "wrap_left", "wrap_right"])
     def test_nulls(self, power, peak, nulls):
         assert find_mainlobe(np.array(power, float), peak, smooth_window=1) == nulls
 
     @pytest.mark.parametrize("power,peak", [
         ([1, 9, 9, 2], 1),  # a plateau at the peak itself
         ([1, 2, 9, np.nan, 3, 1], 2),
-        ([9, 4, 1, 3], 0),  # the left side must not wrap round to the end
-        ([3, 1, 4, 9], 3),
+        ([9, 4, 1, 9], 0),  # the left side wraps round to a plateau at the end
+        ([9, 1, 4, 9], 3),
     ], ids=["plateau_at_peak", "nan_beside_peak", "peak_first", "peak_last"])
     def test_no_descent_rejected(self, power, peak):
         with pytest.raises(NoPeakError):
@@ -109,9 +113,9 @@ class TestMainlobeWalk:
 
     @pytest.mark.parametrize("values,nulls,width", [
         # the nulls only have to bracket the peak, so one may lie off the array;
-        # the side beyond the end is then empty and must not wrap round it
-        ([10, 8, 6, 1, 9], (-1, 3), 2.0),
-        ([9, 1, 6, 8, 10], (1, 5), 2.0),
+        # the half-power run then wraps round the end
+        ([10, 8, 6, 1, 9], (-1, 3), 3.0),
+        ([9, 1, 6, 8, 10], (1, 5), 3.0),
         # every sample from the peak to the array's end is at least half the peak
         ([6, 8, 10, 7, 0, 1], (0, 4), 3.0),
         ([1, 0, 7, 10, 8, 6], (1, 5), 3.0),
@@ -182,6 +186,13 @@ class TestIslrPslr:
         vals[2] = 1.0
         p = _profile(vals, 0, 4)
         assert pslr(p) == float("-inf")
+
+    def test_main_lobe_wraps_round_the_end(self):
+        # nulls at -1 (index 4) and 1 bracket the peak at 0: the main lobe is
+        # samples 4, 0, 1 and the sidelobes are samples 2 and 3
+        p = _profile([10.0, 1.0, 0.5, 0.2, 2.0], -1, 1)
+        assert islr(p) == pytest.approx(10 * np.log10(0.7 / 13.0), abs=1e-12)
+        assert pslr(p) == pytest.approx(10 * np.log10(0.5 / 10.0), abs=1e-12)
 
     def test_single_sidelobe_sample_makes_islr_equal_pslr(self):
         vals = np.zeros(9)
