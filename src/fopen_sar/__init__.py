@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .echo import (RawDataMatrix, SimulationConfig, apply_foliage, read_fsar,
                    synthesize_raw, write_fsar)
-from .foliage import (FoliageChannel, FoliageParams, FoliageRealization,
-                      fbm_path, mean_attenuation_db, phase_fluctuation,
-                      sample_gamma_fluctuation)
+from .foliage import FoliageChannel, FoliageParams, fbm_path, mean_attenuation_db
 from .geometry import (PlatformParams, PointTarget, RangeGrid, Scene,
                        azimuth_gain, gm_vector, make_grid, slant_range,
                        weighting_coefficient)

@@ -125,7 +125,12 @@ def _report(scen, per_seed) -> dict:
 
 
 def _seed_list(scen, args) -> list[int]:
-    return list(range(scen.master_seed, scen.master_seed + args.seeds))
+    """The --seeds consecutive seeds from seeds.master, each within its schema bound."""
+    last, maximum = scen.master_seed + args.seeds - 1, SCHEMA["seeds"]["master"][3]
+    if last > maximum:
+        raise SchemaError(f"seeds.master: --seeds {args.seeds} from {scen.master_seed} "
+                          f"runs to {last}, past the maximum {maximum}")
+    return list(range(scen.master_seed, last + 1))
 
 
 # Each command runs its stage on the scenarios main resolved, writes its files
@@ -197,9 +202,9 @@ def cmd_metrics(args, scens, stem):
 
 
 def cmd_compare(args, scens, stem):
+    seed_lists = [_seed_list(scen, args) for scen in scens]  # every range checked first
     entries = []
-    for scen in scens:
-        seeds = _seed_list(scen, args)
+    for scen, seeds in zip(scens, seed_lists):
         per_seed = run_metrics(scen, seeds, threads=args.threads)
         entries.append({"label": scen.label(), "seeds": seeds,
                         "metrics": _report(scen, per_seed)})

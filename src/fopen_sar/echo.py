@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import read_container, write_container, write_csv
-from .foliage import BLOCK_PULSES, FoliageChannel, FoliageParams, FoliageRealization
+from .foliage import BLOCK_PULSES, FoliageChannel, FoliageParams
 from .geometry import PlatformParams, Scene, gm_vector, make_grid
 from .rng import substreams
 from .waveform import OfdmSpec, generate_noise_pulse, generate_ofdm_pulse
@@ -91,14 +91,12 @@ def foliage_channel(config: SimulationConfig) -> FoliageChannel | None:
                           1.0 / config.platform.prf_hz)
 
 
-def apply_foliage(line: np.ndarray, realization: FoliageRealization) -> np.ndarray:
-    """Multiply the range line by F_k in the frequency domain."""
+def apply_foliage(line: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Multiply the range line by one pulse's F_k in the frequency domain."""
     line = np.asarray(line)
-    if realization.freq_response.shape != line.shape:
-        raise ValueError(
-            f"foliage realization length {realization.freq_response.shape} "
-            f"does not match line length {line.shape}")
-    return np.fft.ifft(np.fft.fft(line) * realization.freq_response)
+    if np.shape(f) != line.shape:
+        raise ValueError(f"foliage length {np.shape(f)} does not match line length {line.shape}")
+    return np.fft.ifft(np.fft.fft(line) * f)
 
 
 @functools.lru_cache(maxsize=1)

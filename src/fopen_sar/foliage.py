@@ -72,21 +72,6 @@ class FoliageParams:
         return ATTENUATION_CONSTANTS[self.polarization][1]
 
 
-@dataclass(frozen=True)
-class FoliageRealization:
-    """One pulse's transfer function with its polar decomposition."""
-
-    freq_response: np.ndarray
-    amplitude: np.ndarray
-    phase: np.ndarray
-    pulse_index: int
-
-    def __post_init__(self):
-        for name in ("freq_response", "amplitude", "phase"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
-
-
 def mean_attenuation_db(freq_hz: float | np.ndarray, params: FoliageParams) -> np.ndarray:
     """Mean foliage attenuation beta * f_GHz^alpha * sin(45 deg)/sin(gamma_g), in dB."""
     f = np.asarray(freq_hz, dtype=float)
@@ -94,12 +79,6 @@ def mean_attenuation_db(freq_hz: float | np.ndarray, params: FoliageParams) -> n
         raise ValueError("frequency must be > 0")
     return params.beta * (f / 1e9) ** params.alpha * (
         np.sin(np.pi / 4) / np.sin(params.grazing_angle_rad))
-
-
-def sample_gamma_fluctuation(params: FoliageParams, n: int,
-                             rng: "np.random.Generator") -> np.ndarray:
-    """n i.i.d. Gamma(shape a, scale b) samples; mean a*b, variance a*b^2."""
-    return rng.gamma(params.gamma_shape, params.gamma_scale, size=n)
 
 
 def _fgn_davies_harte(n: int, hurst: float, rng: "np.random.Generator") -> np.ndarray:
@@ -142,24 +121,6 @@ def fbm_path(hurst: float, n: int, step_s: float,
     return path
 
 
-def incoherent_field(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """w = 1 + dA exp(j psi): the field whose angle is the fluctuation phase."""
-    w = np.empty(np.broadcast_shapes(np.shape(delta_a), np.shape(psi)), dtype=complex)
-    np.multiply(delta_a, np.cos(psi), out=w.real)
-    w.real += 1.0
-    np.multiply(delta_a, np.sin(psi), out=w.imag)
-    return w
-
-
-def phase_fluctuation(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Incoherent-field phase arctan(dA sin psi / (1 + dA cos psi)).
-
-    Uses the two-argument arctangent, so the result stays in (-pi, pi] even
-    when 1 + dA cos(psi) goes negative; for |dA| < 1 it lies in (-pi/2, pi/2).
-    """
-    return np.angle(incoherent_field(delta_a, psi))
-
-
 def unit_phasor(w: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
     """w / |w| in place: exp(j angle(w)) without the arctangent; |w| goes to
     mag when given.
@@ -174,16 +135,12 @@ def unit_phasor(w: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
     return w
 
 
-def draw_uniform_phase(rng: "np.random.Generator", n: int) -> np.ndarray:
-    return rng.uniform(-np.pi, np.pi, size=n)
-
-
 class FoliageChannel:
-    """Per-run foliage realization factory for a fixed frequency grid.
+    """Per-run foliage transfer function on a range line's FFT bin grid.
 
     The fBm flight path (and, unless redraw_per_pulse, _draw's per-bin draws
     and the cos and sin of psi) is generated once up front. filler() writes
-    F[pulse, bin] a block at a time; realize(p) is its row p, the reference.
+    F[pulse, bin] a block at a time; realize(p) is row p of response().
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -211,7 +168,9 @@ class FoliageChannel:
     def _draw(self, d: np.ndarray, psi: np.ndarray, streams) -> None:
         """Fill each row of d with smoothed relative Gamma fluctuations (x - ab) / ab,
         and of psi with phases, from one (gamma, phase) stream pair per row. Bit for
-        bit, standard_gamma times b is gamma(a, b) and 2 pi u - pi is uniform(-pi, pi)."""
+        bit, standard_gamma times b is gamma(a, b) and 2 pi u - pi is uniform(-pi, pi).
+        The moving average runs along frequency (the bins in fftshift order), zero
+        padded past the band's two edges."""
         p = self.params
         # rows first: zip then stops without taking a pair past the last row
         for g_row, p_row, (g_rng, p_rng) in zip(d, psi, streams):
@@ -224,24 +183,25 @@ class FoliageChannel:
         k = p.spectral_smoothing_bins
         if k > 1:
             for row in d:
-                row[:] = np.convolve(row, np.ones(k) / k, mode="same")
+                row[:] = np.fft.ifftshift(
+                    np.convolve(np.fft.fftshift(row), np.ones(k) / k, mode="same"))
         psi *= 2.0 * np.pi
         psi -= np.pi
 
-    def filler(self, first: int = 0):
+    def filler(self):
         """A function fill(f) that writes F = A w / |w| of the next len(f) <=
-        BLOCK_PULSES pulses, from pulse `first` on, into f and returns their A.
+        BLOCK_PULSES pulses, from pulse 0 on, into f.
 
         delta_A is the outer product of the per-bin draws (frozen, or drawn per
         block) and delta_eta. Block draws, their trig and |w| reuse the block
         buffers."""
         p, n_bins = self.params, len(self.freq_grid_hz)
-        delta_a, psi, tmp = np.empty((3, min(BLOCK_PULSES, self.n_pulses - first), n_bins))
+        delta_a, psi, tmp = np.empty((3, min(BLOCK_PULSES, self.n_pulses), n_bins))
         if self._frozen is None:
-            keys = np.arange(first + 1, self.n_pulses + 1)
+            keys = np.arange(1, self.n_pulses + 1)
             draws = zip(substreams(p.seed, "foliage_gamma", keys),
                         substreams(p.seed, "foliage_phase", keys))
-        done = first
+        done = 0
 
         def fill(f):
             nonlocal done
@@ -263,26 +223,24 @@ class FoliageChannel:
             unit_phasor(f, mag=ps)
             f.real *= amp
             f.imag *= amp
-            return amp
 
         return fill
 
     def response(self) -> np.ndarray:
-        """F[pulse, bin] for every pulse; row p is realize(p).freq_response."""
+        """F[pulse, bin] for every pulse."""
         f = np.empty((self.n_pulses, len(self.freq_grid_hz)), dtype=complex)
         fill = self.filler()
         for start in range(0, self.n_pulses, BLOCK_PULSES):
             fill(f[start:start + BLOCK_PULSES])
         return f
 
-    def realize(self, pulse_index: int) -> FoliageRealization:
-        """Transfer function F_k = A_k exp(j Phi_k) of one pulse, from that
-        pulse's own draws; Phi is taken with the arctangent, angle(F)."""
+    def realize(self, pulse_index: int) -> np.ndarray:
+        """One pulse's transfer function F_k, read-only: row pulse_index of response()."""
         if not 0 <= pulse_index < self.n_pulses:
             raise IndexError(f"pulse_index {pulse_index} outside [0, {self.n_pulses})")
-        f = np.empty((1, len(self.freq_grid_hz)), dtype=complex)
-        amp = self.filler(pulse_index)(f)
-        return FoliageRealization(f[0], amp[0], np.angle(f[0]), pulse_index)
+        f = self.response()[pulse_index]
+        f.setflags(write=False)
+        return f
 
 
 def dump_realizations_csv(path, channel: FoliageChannel):

@@ -8,12 +8,18 @@ absolute fast time, and the inverse transform likewise. point_rcs_estimate
 inverts one compressed line cell by cell back to the scatterer's RCS.
 synthesize_from_g is the one FFT form here: the single-pulse echo of an
 explicit weighting vector, which tests feed with hand-made vectors.
+
+The foliage draw references close the file: gamma(a, b) and uniform(-pi, pi)
+draws in numpy's own forms, which the channel's standard_gamma and random
+draws must equal bit for bit, and the incoherent-field phase taken with the
+arctangent, which the channel's unit phasor w / |w| must equal to rounding.
 """
 
 import cmath
 
 import numpy as np
 
+from fopen_sar.foliage import FoliageParams
 from fopen_sar.geometry import PointTarget, azimuth_gain, two_way_phase
 
 
@@ -89,3 +95,31 @@ def synthesize_from_g(g, pulse):
     g = np.asarray(g, dtype=complex)
     n = len(g) + len(pulse) - 1
     return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse, n))
+
+
+def sample_gamma_fluctuation(params: FoliageParams, n: int,
+                             rng: "np.random.Generator") -> np.ndarray:
+    """n i.i.d. Gamma(shape a, scale b) samples; mean a*b, variance a*b^2."""
+    return rng.gamma(params.gamma_shape, params.gamma_scale, size=n)
+
+
+def draw_uniform_phase(rng: "np.random.Generator", n: int) -> np.ndarray:
+    return rng.uniform(-np.pi, np.pi, size=n)
+
+
+def incoherent_field(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """w = 1 + dA exp(j psi): the field whose angle is the fluctuation phase."""
+    w = np.empty(np.broadcast_shapes(np.shape(delta_a), np.shape(psi)), dtype=complex)
+    np.multiply(delta_a, np.cos(psi), out=w.real)
+    w.real += 1.0
+    np.multiply(delta_a, np.sin(psi), out=w.imag)
+    return w
+
+
+def phase_fluctuation(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Incoherent-field phase arctan(dA sin psi / (1 + dA cos psi)).
+
+    Uses the two-argument arctangent, so the result stays in (-pi, pi] even
+    when 1 + dA cos(psi) goes negative; for |dA| < 1 it lies in (-pi/2, pi/2).
+    """
+    return np.angle(incoherent_field(delta_a, psi))

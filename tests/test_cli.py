@@ -14,7 +14,8 @@ from fopen_sar import cli
 from fopen_sar.cli import main
 from fopen_sar.echo import read_fsar
 from fopen_sar.imaging import read_fimg
-from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET
+from fopen_sar.metrics import NoPeakError
+from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, run_metrics
 
 
 @pytest.fixture
@@ -539,13 +540,38 @@ class TestFrame:
         assert not list(out.glob("*.tmp"))
 
 
+def _perfbench(name):
+    """Module perfbench/<name>.py, loaded by path without touching perfbench."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _wrap_points():
-    """perfbench/tracer.py's wrap points, loaded without touching perfbench."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.wrap_points()
+    """perfbench/tracer.py's wrap points."""
+    return _perfbench("tracer").wrap_points()
+
+
+class TestBenchmarkReference:
+    """The benchmark's correctness gate on its default workload seed: every table
+    and tank config at seed 0, and at each seed whose recorded outcome is a
+    NoPeakError (null), matches perfbench/reference.json."""
+
+    @pytest.mark.parametrize("workload", ["table", "tank"])
+    def test_runs_match_the_recorded_reference(self, workload):
+        workloads, checks = _perfbench("workloads"), _perfbench("checks")
+        ref = checks.load_reference()[workload]
+        for scen in workloads.configs(workload):
+            want = ref[scen.label()]
+            for seed in [0] + [int(s) for s, m in want.items() if m is None and s != "0"]:
+                try:
+                    got = run_metrics(scen, [seed])[0]
+                except NoPeakError:
+                    got = None
+                assert checks.reference_mismatch(got, want[str(seed)]) is None, (
+                    scen.label(), seed)
 
 
 class TestTraceWrapPoints:
@@ -692,6 +718,17 @@ class TestSeedCount:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "compare"])
+    def test_range_past_the_seed_maximum_rejected(self, command, tmp_path, capsys):
+        # 2^64 - 2 and two more seeds run to 2^64, which seeds.master may not hold
+        out = tmp_path / "o"
+        assert main([command, "--preset", "small", "--seed", str(2**64 - 2), "--seeds", "3",
+                     "--out", str(out)]) == 2
+        assert "seeds.master" in capsys.readouterr().err
+        assert not (out / f"{command}_manifest.json").exists()
+        assert main([command, "--preset", "small", "--seed", str(2**64 - 3), "--seeds", "3",
+                     "--out", str(out)]) == 0  # the range ends on the maximum
 
     @pytest.mark.parametrize("flag, command, text", [
         ("--threads", "simulate", "x"), ("--seeds", "metrics", "2.5")])

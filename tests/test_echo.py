@@ -11,7 +11,7 @@ from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
                             geometry_spectrum, read_fsar, synthesize_raw,
                             transmitted_pulse, write_fsar)
 from fopen_sar.fileio import FormatError, write_csv
-from fopen_sar.foliage import FoliageParams, FoliageRealization
+from fopen_sar.foliage import FoliageParams
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.rng import substream
 from fopen_sar.scenario import Scenario, preset_scenario, run_metrics
@@ -168,20 +168,16 @@ class TestReceiverNoiseInPlace:
 
 
 class TestApplyFoliage:
-    def _realization(self, f):
-        return FoliageRealization(np.asarray(f, complex), np.abs(np.asarray(f)),
-                                  np.angle(np.asarray(f)), 0)
-
     def test_identity_channel(self):
         rng = np.random.default_rng(0)
         line = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        out = apply_foliage(line, self._realization(np.ones(64)))
+        out = apply_foliage(line, np.ones(64, complex))
         assert np.max(np.abs(out - line)) / np.max(np.abs(line)) < 1e-12
 
     def test_scalar_channel(self):
         rng = np.random.default_rng(1)
         line = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        out = apply_foliage(line, self._realization(np.full(32, 0.5)))
+        out = apply_foliage(line, np.full(32, 0.5 + 0j))
         np.testing.assert_allclose(out, 0.5 * line, rtol=1e-12)
 
     def test_delay_ramp_is_circular_shift(self):
@@ -189,12 +185,12 @@ class TestApplyFoliage:
         rng = np.random.default_rng(2)
         line = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ramp = np.exp(-2j * np.pi * np.arange(n) * d / n)
-        out = apply_foliage(line, self._realization(ramp))
+        out = apply_foliage(line, ramp)
         np.testing.assert_allclose(out, np.roll(line, d), atol=1e-10)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_foliage(np.zeros(8, complex), self._realization(np.ones(9)))
+            apply_foliage(np.zeros(8, complex), np.ones(9, complex))
 
 
 class TestSynthesizeRaw:

@@ -2,12 +2,32 @@ import numpy as np
 import pytest
 
 from fopen_sar.foliage import (AMPLITUDE_FLOOR, FoliageChannel, FoliageParams,
-                               _fgn_davies_harte,
-                               dump_realizations_csv, draw_uniform_phase,
-                               fbm_path, incoherent_field, mean_attenuation_db,
-                               phase_fluctuation, sample_gamma_fluctuation,
-                               unit_phasor)
+                               _fgn_davies_harte, dump_realizations_csv, fbm_path,
+                               mean_attenuation_db, unit_phasor)
 from fopen_sar.rng import _philox_keys, substream
+
+from brute_force import (draw_uniform_phase, incoherent_field, phase_fluctuation,
+                         sample_gamma_fluctuation)
+
+
+def _reference_row(ch, key, p):
+    """Row p of F and its amplitude A, rebuilt from the gamma(a, b) and
+    uniform(-pi, pi) draws of key, centred and smoothed along frequency, times
+    delta_eta[p]."""
+    params = ch.params
+    k, mean = params.spectral_smoothing_bins, params.gamma_shape * params.gamma_scale
+    n = len(ch.freq_grid_hz)
+    x = sample_gamma_fluctuation(params, n, substream(params.seed, "foliage_gamma", key))
+    d = (x - mean) / mean
+    if k:
+        d = np.fft.ifftshift(np.convolve(np.fft.fftshift(d), np.ones(k) / k, mode="same"))
+    psi = draw_uniform_phase(substream(params.seed, "foliage_phase", key), n)
+    delta_a = d * ch._delta_eta[p]
+    amp = np.maximum((delta_a + 1.0) * ch._a0_linear, AMPLITUDE_FLOOR * ch._a0_linear)
+    want = unit_phasor(incoherent_field(delta_a, psi))
+    want.real *= amp
+    want.imag *= amp
+    return want, amp
 
 
 def _structure_slope(path, lags):
@@ -183,15 +203,14 @@ class TestUnitPhasor:
         assert got[0] == 1.0 and want[0] == 1.0
 
     def test_clamped_channel_bins(self):
+        # every row equals the reference, whose amplitude sits on the floor in some bins
         ch = FoliageChannel(FoliageParams(gamma_shape=0.2, seed=3),
                             9e9 + np.fft.fftfreq(64, d=0.25e-9), 16, 1 / 256.0)
-        a0 = 10 ** (-mean_attenuation_db(ch.freq_grid_hz, ch.params) / 20.0)
         clamped = 0
         for p in range(16):
-            r = ch.realize(p)
-            clamped += np.sum(r.amplitude == AMPLITUDE_FLOOR * a0)
-            assert np.max(np.abs(r.freq_response - r.amplitude * np.exp(1j * r.phase))
-                          / r.amplitude) <= 1e-15
+            want, amp = _reference_row(ch, 0, p)
+            np.testing.assert_array_equal(ch.realize(p), want)
+            clamped += np.sum(amp == AMPLITUDE_FLOOR * ch._a0_linear)
         assert clamped > 0
 
 
@@ -205,44 +224,36 @@ class TestFoliageChannel:
     def test_no_fluctuation_reduces_to_mean_attenuation(self):
         ch = self._channel()
         ch._frozen[0][:] = 0.0  # delta_omega
-        r = ch.realize(0)
+        f = ch.realize(0)
         a0 = 10 ** (-mean_attenuation_db(ch.freq_grid_hz, ch.params) / 20.0)
-        np.testing.assert_allclose(r.freq_response, a0, rtol=1e-12)
-        assert np.all(r.phase == 0.0)
+        np.testing.assert_allclose(f, a0, rtol=1e-12)
+        assert np.all(np.angle(f) == 0.0)
         # at exactly 9 GHz the HH/45deg field amplitude is 10^(-0.2837/20)
         k9 = int(np.argmin(np.abs(ch.freq_grid_hz - 9e9)))
-        assert r.amplitude[k9] == pytest.approx(0.9679, abs=2e-4)
-
-    def test_polar_decomposition_exact(self):
-        ch = self._channel()
-        r = ch.realize(3)
-        np.testing.assert_allclose(r.freq_response,
-                                   r.amplitude * np.exp(1j * r.phase), rtol=1e-15)
+        assert abs(f[k9]) == pytest.approx(0.9679, abs=2e-4)
 
     def test_amplitude_always_positive(self):
         # heavy fluctuation: gamma std 1/sqrt(0.2) > 1 forces clamping
         ch = self._channel(gamma_shape=0.2, gamma_scale=5.0)
         for p in range(ch.n_pulses):
-            assert np.all(ch.realize(p).amplitude > 0.0)
+            assert np.all(np.abs(ch.realize(p)) > 0.0)
 
     def test_deterministic_per_pulse(self):
         a = self._channel(seed=9).realize(5)
         b = self._channel(seed=9).realize(5)
-        np.testing.assert_array_equal(a.freq_response, b.freq_response)
+        np.testing.assert_array_equal(a, b)
 
     def test_pulses_differ(self):
         ch = self._channel()
-        assert np.any(ch.realize(0).freq_response != ch.realize(8).freq_response)
+        assert np.any(ch.realize(0) != ch.realize(8))
 
     def test_frozen_vs_redraw(self):
         frozen = self._channel()
         frozen._delta_eta = np.ones(16)
-        np.testing.assert_array_equal(frozen.realize(0).freq_response,
-                                      frozen.realize(7).freq_response)
+        np.testing.assert_array_equal(frozen.realize(0), frozen.realize(7))
         redraw = self._channel(redraw_per_pulse=True)
         redraw._delta_eta = np.ones(16)
-        assert np.any(redraw.realize(0).freq_response
-                      != redraw.realize(7).freq_response)
+        assert np.any(redraw.realize(0) != redraw.realize(7))
 
     def test_flight_path_factor_starts_at_one(self):
         ch = self._channel()
@@ -251,38 +262,46 @@ class TestFoliageChannel:
     def test_out_of_range_pulse_rejected(self):
         with pytest.raises(IndexError):
             self._channel().realize(16)
+        with pytest.raises(IndexError):
+            self._channel().realize(-1)
+
+    def test_realize_is_a_read_only_row_of_the_response(self):
+        ch = self._channel(45, seed=5, redraw_per_pulse=True)
+        f = ch.realize(40)
+        assert not f.flags.writeable
+        np.testing.assert_array_equal(f, ch.response()[40])
 
     def test_spectral_smoothing_reduces_bin_variance(self):
         rough = self._channel(seed=4)
         smooth = self._channel(seed=4, spectral_smoothing_bins=8)
-        assert (np.var(np.abs(smooth.realize(0).freq_response))
-                < np.var(np.abs(rough.realize(0).freq_response)))
+        assert np.var(np.abs(smooth.realize(0))) < np.var(np.abs(rough.realize(0)))
 
-    @pytest.mark.parametrize("redraw", [False, True])
-    def test_response_rows_are_realizations(self, redraw):
-        ch = self._channel(45, seed=5, redraw_per_pulse=redraw)  # a full block and a partial
-        f = ch.response()
-        assert f.shape == (45, 64)
-        for p in range(45):
-            np.testing.assert_array_equal(f[p], ch.realize(p).freq_response)
+    class _ImpulseStreams:
+        """One row's (gamma, phase) stream pair: Gamma draws of the shape in every
+        bin but `bin`, which draws twice it (relative fluctuations 0 and 1), and u = 0."""
 
-    @staticmethod
-    def _reference_row(ch, key, p):
-        """Row p of F rebuilt from the gamma(a, b) and uniform(-pi, pi) draws of
-        key, centred and smoothed, times delta_eta[p]."""
-        params = ch.params
-        k, mean = params.spectral_smoothing_bins, params.gamma_shape * params.gamma_scale
-        x = sample_gamma_fluctuation(params, 64, substream(params.seed, "foliage_gamma", key))
-        d = (x - mean) / mean
-        if k:
-            d = np.convolve(d, np.ones(k) / k, mode="same")
-        psi = draw_uniform_phase(substream(params.seed, "foliage_phase", key), 64)
-        delta_a = d * ch._delta_eta[p]
-        amp = np.maximum((delta_a + 1.0) * ch._a0_linear, AMPLITUDE_FLOOR * ch._a0_linear)
-        want = unit_phasor(incoherent_field(delta_a, psi))
-        want.real *= amp
-        want.imag *= amp
-        return want
+        def __init__(self, bin_):
+            self.bin = bin_
+
+        def standard_gamma(self, shape, out):
+            out[:] = shape
+            out[self.bin] = 2.0 * shape
+
+        def random(self, out):
+            out[:] = 0.0
+
+    @pytest.mark.parametrize("bin_", [0, 31, 32, 63])  # carrier, top edge, bottom edge, below carrier
+    def test_smoothing_averages_neighbours_in_frequency(self, bin_):
+        # a 3-bin moving average spreads one bin to its neighbours in frequency, never
+        # across the band edge between the top (bin 31) and bottom (bin 32) frequencies
+        ch = self._channel(spectral_smoothing_bins=3)
+        d, psi = np.empty((2, 1, 64))
+        streams = self._ImpulseStreams(bin_)
+        ch._draw(d, psi, [(streams, streams)])
+        step = ch.freq_grid_hz[1] - ch.freq_grid_hz[0]
+        near = np.abs(ch.freq_grid_hz - ch.freq_grid_hz[bin_]) < 1.5 * step
+        np.testing.assert_array_equal(np.flatnonzero(d[0]), np.flatnonzero(near))
+        np.testing.assert_array_equal(d[0][near], 1.0 / 3.0)
 
     @pytest.mark.parametrize("smoothing", [0, 3])
     def test_redrawn_rows_match_gamma_and_uniform_draws(self, smoothing):
@@ -292,7 +311,7 @@ class TestFoliageChannel:
                            spectral_smoothing_bins=smoothing)
         f = ch.response()
         for p in range(45):
-            np.testing.assert_array_equal(f[p], self._reference_row(ch, p + 1, p))
+            np.testing.assert_array_equal(f[p], _reference_row(ch, p + 1, p)[0])
 
     @pytest.mark.parametrize("smoothing", [0, 3])
     def test_frozen_rows_match_key_0_gamma_and_uniform_draws(self, smoothing):
@@ -300,7 +319,7 @@ class TestFoliageChannel:
         ch = self._channel(45, seed=5, spectral_smoothing_bins=smoothing)
         f = ch.response()
         for p in range(45):
-            np.testing.assert_array_equal(f[p], self._reference_row(ch, 0, p))
+            np.testing.assert_array_equal(f[p], _reference_row(ch, 0, p)[0])
 
     def test_redrawn_response_derives_keys_once_per_stream(self, monkeypatch):
         # 45 pulses are two blocks; each stream's keys come from one pass
@@ -320,5 +339,5 @@ class TestFoliageChannel:
         rows = [line.split(",") for line in lines[1:]]
         for i, (p, k, re, im) in enumerate(rows):
             assert (int(p), int(k)) == divmod(i, 64)
-            f = ch.realize(int(p)).freq_response[int(k)]
+            f = ch.realize(int(p))[int(k)]
             assert (float(re), float(im)) == (f.real, f.imag)

@@ -39,14 +39,9 @@ def test_no_unused_imports(module):
 # Names, top-level or Class.method, that only tests read, each a reference form the
 # suite compares against.
 TEST_ONLY = {
-    ("echo.py", "apply_foliage"): "a tracer wrap point and the per-pulse foliage reference",
+    ("echo.py", "apply_foliage"): "a tracer wrap point and the per-pulse echo reference's F",
     ("foliage.py", "FoliageChannel.realize"):
-        "a tracer wrap point and the per-pulse foliage reference",
-    ("foliage.py", "phase_fluctuation"): "the arctan reference for unit_phasor",
-    ("foliage.py", "sample_gamma_fluctuation"):
-        "the gamma(a, b) reference for FoliageChannel._draw, read by criterion 6",
-    ("foliage.py", "draw_uniform_phase"):
-        "the uniform(-pi, pi) reference for FoliageChannel._draw, read by criterion 6",
+        "a tracer wrap point and the per-pulse echo reference's F",
     ("metrics.py", "mainlobe_width_3db"): "the main-lobe width acceptance criterion 8 reads",
 }
 
