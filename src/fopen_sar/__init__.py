@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .echo import (RawDataMatrix, SimulationConfig, apply_foliage, read_fsar,
                    synthesize_raw, write_fsar)
 from .foliage import FoliageChannel, FoliageParams, fbm_path, mean_attenuation_db
-from .geometry import (PlatformParams, PointTarget, RangeGrid, Scene,
-                       azimuth_gain, gm_vector, make_grid, slant_range,
-                       weighting_coefficient)
+from .geometry import (PlatformParams, PointTarget, RangeGrid, Scene, gm_vector,
+                       make_grid)
 from .imaging import (FocusedImage, RangeCompressedMatrix, azimuth_compress,
                       azimuth_fft, focus, range_compress_noise,
                       range_compress_ofdm, rcmc, read_fimg, write_fimg)

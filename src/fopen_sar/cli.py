@@ -41,6 +41,8 @@ EXIT_NO_PEAK = 5
 
 # CSV threshold below which simulate also writes a plain-text copy.
 _CSV_MAX_SAMPLES = 1 << 16
+# Most seeds one metrics or compare run takes; its manifest lists every seed.
+_MAX_SEEDS = 1 << 20
 
 
 class MismatchError(ValueError):
@@ -126,6 +128,8 @@ def _report(scen, per_seed) -> dict:
 
 def _seed_list(scen, args) -> list[int]:
     """The --seeds consecutive seeds from seeds.master, each within its schema bound."""
+    if args.seeds > _MAX_SEEDS:
+        raise SchemaError(f"--seeds {args.seeds} is above the limit {_MAX_SEEDS}")
     last, maximum = scen.master_seed + args.seeds - 1, SCHEMA["seeds"]["master"][3]
     if last > maximum:
         raise SchemaError(f"seeds.master: --seeds {args.seeds} from {scen.master_seed} "

@@ -133,59 +133,35 @@ def make_grid(n_cells: int, bandwidth_hz: float, platform: PlatformParams) -> Ra
     return RangeGrid(n_cells, bandwidth_hz, platform.reference_range_m)
 
 
-def slant_range(target: PointTarget, grid: RangeGrid, platform: PlatformParams,
-                eta: float | np.ndarray) -> np.ndarray:
-    """R(eta) = sqrt(r0^2 + (v_p eta - y)^2), r0 the cell's closest-approach slant range."""
-    r0 = grid.slant_range_of_cell(target.range_cell)
-    du = platform.velocity_mps * np.asarray(eta) - target.azimuth_m
-    return np.sqrt(r0**2 + du**2)
-
-
-def azimuth_gain(platform: PlatformParams, target: PointTarget, grid: RangeGrid,
-                 eta: float | np.ndarray) -> np.ndarray:
-    """Two-way azimuth beam weighting sinc(L_a * theta / lambda)^2.
-
-    theta is the off-boresight angle in the slant plane relative to the
-    target's closest-approach range; normalized sinc, so boresight gives 1.
-    """
-    r0 = grid.slant_range_of_cell(target.range_cell)
-    du = platform.velocity_mps * np.asarray(eta) - target.azimuth_m
-    theta = np.arctan2(du, r0)
-    return np.sinc(platform.antenna_length_m * theta / platform.wavelength_m) ** 2
-
-
-def two_way_phase(target: PointTarget, grid: RangeGrid, platform: PlatformParams,
-                  eta: float | np.ndarray) -> np.ndarray:
-    """exp(-j 4 pi f_c R(eta) / c) as the reference phasor times the phase of
-    R - R_c = ((r0 - R_c)(r0 + R_c) + du^2) / (R + R_c): a small exponent,
-    free of cancellation, on which scalar and vector exp agree to rounding."""
-    r = slant_range(target, grid, platform, eta)
-    r0 = grid.slant_range_of_cell(target.range_cell)
-    rc = grid.reference_range_m
-    du = platform.velocity_mps * np.asarray(eta) - target.azimuth_m
-    dr0 = (target.range_cell - grid.n_cells // 2) * grid.cell_extent_m
-    dr = (dr0 * (r0 + rc) + du**2) / (r + rc)
-    return platform.reference_phasor * np.exp(-1j * (4.0 * np.pi / platform.wavelength_m * dr))
-
-
-def weighting_coefficient(target: PointTarget, grid: RangeGrid,
-                          platform: PlatformParams,
-                          eta: float | np.ndarray) -> np.ndarray:
-    """g_m = sigma_m * eps_a(eta) * exp(-j 4 pi f_c R_m(eta) / c)."""
-    gain = azimuth_gain(platform, target, grid, eta)
-    return target.rcs * gain * two_way_phase(target, grid, platform, eta)
-
-
 def gm_vector(scene: Scene, grid: RangeGrid, platform: PlatformParams,
               eta: float | np.ndarray) -> np.ndarray:
-    """Weighting RCS coefficient vector g at slow time eta.
+    """Weighting coefficients g_m = sigma_m * eps_a(eta) * exp(-j 4 pi f_c R_m(eta) / c).
 
-    A scalar eta gives the length-M vector; an array of slow times gives
-    G[pulse, cell]. Cell m holds the coherent sum over all targets in that
-    cell; empty cells are zero.
+    R(eta) = sqrt(r0^2 + du^2), du = v_p eta - y, is a target's range history
+    in the slant plane, r0 its cell's closest-approach slant range. The
+    two-way beam is sinc(L_a * theta / lambda)^2, theta = arctan2(du, r0) the
+    off-boresight angle (normalized sinc, so boresight gives 1). The carrier
+    phase is the reference phasor times the phase of
+    R - R_c = ((r0 - R_c)(r0 + R_c) + du^2) / (R + R_c): a small exponent,
+    free of cancellation.
+
+    A scalar eta gives the length-M vector, bit for bit the array form's row
+    at that slow time; an array of slow times gives G[pulse, cell]. All
+    targets are formed in one pass over a [..., target] array and added into
+    their cells in scene order; empty cells are zero.
     """
     eta = np.asarray(eta, dtype=float)
     g = np.zeros(eta.shape + (scene.n_range_cells,), dtype=complex)
-    for t in scene.targets:
-        g[..., t.range_cell] += weighting_coefficient(t, grid, platform, eta)
+    cells = np.array([t.range_cell for t in scene.targets], dtype=int)
+    y = np.array([t.azimuth_m for t in scene.targets], dtype=float)
+    rcs = np.array([t.rcs for t in scene.targets], dtype=complex)
+    rc = grid.reference_range_m
+    dr0 = (cells - grid.n_cells // 2) * grid.cell_extent_m
+    r0 = rc + dr0
+    du = platform.velocity_mps * eta[..., None] - y
+    r = np.sqrt(r0**2 + du**2)
+    gain = np.sinc(platform.antenna_length_m * np.arctan2(du, r0) / platform.wavelength_m) ** 2
+    dr = (dr0 * (r0 + rc) + du**2) / (r + rc)
+    phase = platform.reference_phasor * np.exp(-1j * (4.0 * np.pi / platform.wavelength_m * dr))
+    np.add.at(g, (..., cells), rcs * gain * phase)
     return g

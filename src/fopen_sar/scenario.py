@@ -362,8 +362,7 @@ def load_scenario(path) -> Scenario:
     return Scenario(doc)
 
 
-def tank_targets(center_cell: int = 96, cell_extent_m: float = 0.0375,
-                 n_range_cells: int = 192, azimuth_res_m: float = 0.85) -> list[dict]:
+def tank_targets(center_cell: int, cell_extent_m: float, n_range_cells: int) -> list[dict]:
     """Point-target arrangement sketching a tank silhouette (side-on).
 
     Our own construction (the reference arrangement was never published):
@@ -376,7 +375,7 @@ def tank_targets(center_cell: int = 96, cell_extent_m: float = 0.0375,
     step = min(round(2.0 / 4 / cell_extent_m), (n_range_cells - 1 - center_cell) // 7,
                center_cell // 4)
     hull_cells = [center_cell + k * step for k in range(-4, 5)]
-    a = azimuth_res_m
+    a = 0.85  # azimuth resolution, m
     pts = []
     for c in hull_cells:  # hull top and bottom edges
         pts.append({"cell": c, "azimuth_m": -1.5 * a, "rcs": [1.0, 0.0]})

@@ -66,23 +66,15 @@ def generate_bpsk_symbols(seed: int, n: int) -> np.ndarray:
     return np.where(bits == 0, 1.0, -1.0).astype(complex)
 
 
-def generate_ofdm_pulse(spec: OfdmSpec, symbols: np.ndarray | None = None) -> np.ndarray:
+def generate_ofdm_pulse(spec: OfdmSpec) -> np.ndarray:
     """Generate the CP-OFDM pulse s_i = (1/sqrt(N)) sum_k X_k e^{j2*pi*k*i/N}.
 
-    The index i runs 0 .. N+M-2, so the last M-1 samples repeat the first
-    M-1 (cyclic suffix). If symbols is omitted, BPSK symbols are drawn from
-    spec.symbol_seed; if given, every entry must have unit modulus. Read-only.
+    X_k are the BPSK symbols drawn from spec.symbol_seed. The index i runs
+    0 .. N+M-2, so the last M-1 samples repeat the first M-1 (cyclic
+    suffix). Read-only.
     """
     n = spec.n_subcarriers
-    if symbols is None:
-        symbols = generate_bpsk_symbols(spec.symbol_seed, n)
-    else:
-        symbols = np.asarray(symbols, dtype=complex)
-        if symbols.shape != (n,):
-            raise ValueError(f"expected {n} symbols, got shape {symbols.shape}")
-        if not np.allclose(np.abs(symbols), 1.0, rtol=0, atol=1e-12):
-            raise ValueError("all symbols must have unit modulus")
-    core = np.sqrt(n) * np.fft.ifft(symbols)
+    core = np.sqrt(n) * np.fft.ifft(generate_bpsk_symbols(spec.symbol_seed, n))
     samples = np.concatenate([core, core[: spec.n_range_cells - 1]])
     samples.setflags(write=False)
     return samples

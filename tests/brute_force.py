@@ -5,9 +5,10 @@ convolution) so it stays independent of the pipeline it checks: transmit
 samples from the defining exponential sum, the echo from the convolution
 sum, demodulation and equalization from naive DFT sums phase-referenced to
 absolute fast time, and the inverse transform likewise. point_rcs_estimate
-inverts one compressed line cell by cell back to the scatterer's RCS.
-synthesize_from_g is the one FFT form here: the single-pulse echo of an
-explicit weighting vector, which tests feed with hand-made vectors.
+divides one compressed line by the unit-target coefficients gm_vector gives,
+back to the scatterer's RCS. synthesize_from_g is the one FFT form here:
+the single-pulse echo of an explicit weighting vector, which tests feed
+with hand-made vectors.
 
 The foliage draw references close the file: gamma(a, b) and uniform(-pi, pi)
 draws in numpy's own forms, which the channel's standard_gamma and random
@@ -20,7 +21,7 @@ import cmath
 import numpy as np
 
 from fopen_sar.foliage import FoliageParams
-from fopen_sar.geometry import PointTarget, azimuth_gain, two_way_phase
+from fopen_sar.geometry import PointTarget, Scene, gm_vector
 
 
 def ofdm_samples(symbols, n, m):
@@ -78,15 +79,13 @@ def full_chain(symbols, g, n, m):
 
 
 def point_rcs_estimate(rc_line, grid, platform, eta, n_subcarriers):
-    """Single-pulse RCS estimate: undo the sqrt(N) scale, two-way carrier
-    phase, and beam gain of each cell's weighting coefficient."""
-    out = np.empty(len(rc_line), dtype=complex)
-    for m in range(len(rc_line)):
-        t = PointTarget(range_cell=m)
-        gain = azimuth_gain(platform, t, grid, eta)
-        phase = np.conj(two_way_phase(t, grid, platform, eta))
-        out[m] = rc_line[m] * phase / (np.sqrt(n_subcarriers) * max(gain, 1e-300))
-    return out
+    """Single-pulse RCS estimate: divide each cell by sqrt(N) times the
+    weighting coefficient of a unit target in that cell (its beam gain and
+    two-way carrier phase), with magnitudes below 1e-300 raised to 1e-300."""
+    m = len(rc_line)
+    unit = gm_vector(Scene(tuple(PointTarget(c) for c in range(m)), m), grid, platform, eta)
+    unit = np.where(np.abs(unit) < 1e-300, 1e-300, unit)
+    return rc_line / (np.sqrt(n_subcarriers) * unit)
 
 
 def synthesize_from_g(g, pulse):

@@ -730,6 +730,17 @@ class TestSeedCount:
         assert main([command, "--preset", "small", "--seed", str(2**64 - 3), "--seeds", "3",
                      "--out", str(out)]) == 0  # the range ends on the maximum
 
+    @pytest.mark.parametrize("command", ["metrics", "compare"])
+    def test_count_above_the_limit_rejected(self, command, tmp_path, capsys):
+        # the seed list was once built first: 10^15 seeds died in a MemoryError
+        out = tmp_path / "o"
+        assert main([command, "--preset", "small", "--seeds", str(10**15),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--seeds {10**15} is above the limit {2**20}" in err
+        assert "Traceback" not in err
+        assert not (out / f"{command}_manifest.json").exists()
+
     @pytest.mark.parametrize("flag, command, text", [
         ("--threads", "simulate", "x"), ("--seeds", "metrics", "2.5")])
     def test_non_integer_rejected_with_the_rule(self, flag, command, text, tmp_path,

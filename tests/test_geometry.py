@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fopen_sar.geometry import (C_LIGHT, PlatformParams, PointTarget, RangeGrid,
-                                Scene, azimuth_gain, gm_vector, make_grid,
-                                slant_range, weighting_coefficient)
+                                Scene, gm_vector, make_grid)
 
 
 def _flat_platform(x, h, v=1.0, la=1.0, f_c=1e9, prf=2048.0, ta=1.0):
@@ -12,25 +11,43 @@ def _flat_platform(x, h, v=1.0, la=1.0, f_c=1e9, prf=2048.0, ta=1.0):
     return PlatformParams(h, v, ta, f_c, rc, la, prf)
 
 
+def _coefficient(t, grid, p, eta):
+    """g of target t alone: its cell of gm_vector on a one-target scene."""
+    return gm_vector(Scene((t,), grid.n_cells), grid, p, eta)[..., t.range_cell]
+
+
+def _slant_range(t, grid, p, eta):
+    """R read back from the carrier phase of a unit target's g, which is
+    -4 pi (R - R_c) / lambda off the reference phasor; unambiguous while
+    |R - R_c| < lambda / 4, so the callers pick a low carrier."""
+    dphase = np.angle(_coefficient(t, grid, p, eta) / p.reference_phasor)
+    return grid.reference_range_m - dphase * p.wavelength_m / (4.0 * np.pi)
+
+
+def _gain(t, grid, p, eta):
+    """Two-way beam gain of a unit target: the magnitude of its g."""
+    return np.abs(_coefficient(t, grid, p, eta))
+
+
 class TestSlantRange:
     def test_pythagoras_at_closest_approach(self):
         p = _flat_platform(3.0, 4.0)
         grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0)
-        assert slant_range(t, grid, p, 0.0) == pytest.approx(5.0, abs=1e-12)
+        assert _slant_range(t, grid, p, 0.0) == pytest.approx(5.0, abs=1e-12)
 
     def test_three_four_twelve_thirteen(self):
-        p = _flat_platform(3.0, 4.0, v=1.0)
+        p = _flat_platform(3.0, 4.0, v=1.0, f_c=1e6)
         grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0)
-        assert slant_range(t, grid, p, 12.0) == pytest.approx(13.0, abs=1e-12)
+        assert _slant_range(t, grid, p, 12.0) == pytest.approx(13.0, abs=1e-12)
 
     def test_nadir_degenerate(self):
         p = _flat_platform(0.0, 5000.0)
         grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0, azimuth_m=7.0)
         eta = 7.0 / p.velocity_mps
-        assert slant_range(t, grid, p, eta) == pytest.approx(5000.0, abs=1e-9)
+        assert _slant_range(t, grid, p, eta) == pytest.approx(5000.0, abs=1e-9)
 
     @pytest.mark.parametrize("cell", [3, 4, 7])  # short of, at and beyond R_c
     def test_hyperbola_in_the_slant_plane(self, tiny_platform, tiny_grid, cell):
@@ -38,24 +55,30 @@ class TestSlantRange:
         eta = tiny_platform.slow_time_axis()
         r0 = tiny_grid.slant_range_of_cell(cell)
         du = tiny_platform.velocity_mps * eta - t.azimuth_m
-        np.testing.assert_array_equal(slant_range(t, tiny_grid, tiny_platform, eta),
-                                      np.sqrt(r0**2 + du**2))
+        r = np.sqrt(r0**2 + du**2)
+        gain = np.sinc(tiny_platform.antenna_length_m * np.arctan2(du, r0)
+                       / tiny_platform.wavelength_m) ** 2
+        # the plain exponent 4 pi R / lambda, near 3e6 rad, carries rounding
+        # near 5e-10 rad; a range 10 pm off the hyperbola already fails
+        expected = gain * np.exp(-1j * (4.0 * np.pi / tiny_platform.wavelength_m * r))
+        np.testing.assert_allclose(_coefficient(t, tiny_grid, tiny_platform, eta),
+                                   expected, rtol=2e-9, atol=0)
 
     @pytest.mark.parametrize("delta", [0.001, 0.1, 1.0, 10.0])
     def test_even_around_closest_approach(self, delta):
-        p = _flat_platform(3000.0, 4000.0, v=150.0)
+        p = _flat_platform(3000.0, 4000.0, v=150.0, f_c=1e5)
         grid = RangeGrid(1, 4e9, p.reference_range_m)
         t = PointTarget(0, azimuth_m=42.0)
         eta_c = t.azimuth_m / p.velocity_mps
-        a = slant_range(t, grid, p, eta_c + delta)
-        b = slant_range(t, grid, p, eta_c - delta)
+        a = _slant_range(t, grid, p, eta_c + delta)
+        b = _slant_range(t, grid, p, eta_c - delta)
         assert a == pytest.approx(b, rel=1e-15)
 
 
 class TestAzimuthGain:
     def test_boresight_unity(self, tiny_platform, tiny_grid):
         t = PointTarget(4)
-        assert azimuth_gain(tiny_platform, t, tiny_grid, 0.0) == pytest.approx(1.0)
+        assert _gain(t, tiny_grid, tiny_platform, 0.0) == pytest.approx(1.0)
 
     def test_first_null(self):
         # choose geometry so L_a * theta / lambda = 1 exactly
@@ -65,20 +88,20 @@ class TestAzimuthGain:
         theta = p.wavelength_m / p.antenna_length_m
         eta = r0 * np.tan(theta) / p.velocity_mps
         t = PointTarget(0)
-        assert azimuth_gain(p, t, grid, eta) == pytest.approx(0.0, abs=1e-12)
+        assert _gain(t, grid, p, eta) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_argument_value(self):
         p = _flat_platform(3000.0, 4000.0, v=100.0, f_c=1e9)
         grid = RangeGrid(1, 4e9, p.reference_range_m)
         theta = 0.5 * p.wavelength_m / p.antenna_length_m
         eta = p.reference_range_m * np.tan(theta) / p.velocity_mps
-        g = azimuth_gain(p, PointTarget(0), grid, eta)
+        g = _gain(PointTarget(0), grid, p, eta)
         assert g == pytest.approx((2.0 / np.pi) ** 2, rel=1e-9)
 
     def test_bounded_and_unity_only_at_boresight(self, tiny_platform, tiny_grid):
         t = PointTarget(4, azimuth_m=3.0)
         etas = np.linspace(-0.5, 0.5, 101)
-        g = azimuth_gain(tiny_platform, t, tiny_grid, etas)
+        g = _gain(t, tiny_grid, tiny_platform, etas)
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
         boresight = np.isclose(etas, t.azimuth_m / tiny_platform.velocity_mps)
         assert np.all(g[~boresight] < 1.0)
@@ -87,7 +110,7 @@ class TestAzimuthGain:
 class TestWeightingCoefficient:
     def test_zero_rcs(self, tiny_platform, tiny_grid):
         t = PointTarget(4, rcs=0.0)
-        assert weighting_coefficient(t, tiny_grid, tiny_platform, 0.123) == 0.0
+        assert _coefficient(t, tiny_grid, tiny_platform, 0.123) == 0.0
 
     def test_quarter_cycle_phase(self):
         # R = c / (8 f_c) makes the two-way phase exactly pi/2
@@ -95,7 +118,7 @@ class TestWeightingCoefficient:
         r = C_LIGHT / (8.0 * f_c)
         p = PlatformParams(r / 2.0, 1.0, 1.0, f_c, r, 1.0, 64.0)
         grid = RangeGrid(1, 4e9, p.reference_range_m)
-        g = weighting_coefficient(PointTarget(0), grid, p, 0.0)
+        g = _coefficient(PointTarget(0), grid, p, 0.0)
         assert g == pytest.approx(-1j, abs=1e-9)
 
     def test_whole_cycle_phase(self):
@@ -105,14 +128,14 @@ class TestWeightingCoefficient:
         r = 1000.0 * lam / 2.0
         p = PlatformParams(r / 2.0, 1.0, 1.0, f_c, r, 1.0, 64.0)
         grid = RangeGrid(1, 4e9, p.reference_range_m)
-        g = weighting_coefficient(PointTarget(0), grid, p, 0.0)
+        g = _coefficient(PointTarget(0), grid, p, 0.0)
         assert g == pytest.approx(1.0, abs=1e-9)
 
     def test_magnitude_bounded_by_rcs(self, tiny_platform, tiny_grid):
         t = PointTarget(4, azimuth_m=1.0, rcs=2.0 - 1.0j)
         etas = np.linspace(-0.5, 0.5, 37)
         for eta in etas:
-            g = weighting_coefficient(t, tiny_grid, tiny_platform, eta)
+            g = _coefficient(t, tiny_grid, tiny_platform, eta)
             assert abs(g) <= abs(t.rcs) + 1e-12
 
 
@@ -142,8 +165,7 @@ class TestGmVector:
         t2 = PointTarget(4, y2)
         scene = Scene((t1, t2), tiny_spec.n_range_cells)
         g = gm_vector(scene, grid, p, 0.0)
-        expected = (weighting_coefficient(t1, grid, p, 0.0)
-                    + weighting_coefficient(t2, grid, p, 0.0))
+        expected = _coefficient(t1, grid, p, 0.0) + _coefficient(t2, grid, p, 0.0)
         assert g[4] == pytest.approx(expected, rel=1e-12)
         assert abs(g[4]) < 0.01  # residual from the slightly unequal beam gains
 
@@ -159,6 +181,31 @@ class TestGmVector:
             for m in range(8):
                 bound = sum(abs(t.rcs) for t in targets if t.range_cell == m)
                 assert abs(g[m]) <= bound + 1e-12
+
+
+    @staticmethod
+    def _shared_cell_scene(n_cells):
+        rng = np.random.default_rng(7)
+        targets = tuple(PointTarget(int(c), float(y), complex(*rng.normal(size=2)))
+                        for c, y in zip(rng.integers(2, 6, 16), np.arange(16) - 7.5))
+        return Scene(targets, n_cells)
+
+    def test_sum_of_one_target_gs(self, tiny_spec, tiny_platform, tiny_grid):
+        scene = self._shared_cell_scene(tiny_spec.n_range_cells)
+        eta = tiny_platform.slow_time_axis()
+        total = np.zeros((len(eta), tiny_spec.n_range_cells), complex)
+        for t in scene.targets:  # in scene order
+            total = total + gm_vector(Scene((t,), scene.n_range_cells), tiny_grid,
+                                      tiny_platform, eta)
+        assert gm_vector(scene, tiny_grid, tiny_platform, eta).tobytes() == total.tobytes()
+
+    def test_scalar_eta_gives_the_row_of_the_array_form(self, tiny_spec, tiny_platform,
+                                                          tiny_grid):
+        scene = self._shared_cell_scene(tiny_spec.n_range_cells)
+        eta = tiny_platform.slow_time_axis()
+        g = gm_vector(scene, tiny_grid, tiny_platform, eta)
+        for j, eta_j in enumerate(eta):
+            assert gm_vector(scene, tiny_grid, tiny_platform, eta_j).tobytes() == g[j].tobytes()
 
 
 class TestGridAndPlatform:

@@ -293,7 +293,7 @@ class TestResolution:
 
 class TestTankFixture:
     def test_target_count_and_bounds(self):
-        pts = tank_targets(96, 0.0375)
+        pts = tank_targets(96, 0.0375, 192)
         assert 25 <= len(pts) <= 35
         cells = [p["cell"] for p in pts]
         assert min(cells) >= 0 and max(cells) <= 191
