@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 C_LIGHT = 299792458.0
+TARGET_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,10 @@ def gm_vector(scene: Scene, grid: RangeGrid, platform: PlatformParams,
     free of cancellation.
 
     A scalar eta gives the length-M vector, bit for bit the array form's row
-    at that slow time; an array of slow times gives G[pulse, cell]. All
-    targets are formed in one pass over a [..., target] array and added into
-    their cells in scene order; empty cells are zero.
+    at that slow time; an array of slow times gives G[pulse, cell]. Targets
+    are formed on [..., target] arrays, in blocks of about
+    TARGET_BLOCK_ELEMENTS entries so memory does not grow with the target
+    count, and added into their cells in scene order; empty cells are zero.
     """
     eta = np.asarray(eta, dtype=float)
     g = np.zeros(eta.shape + (scene.n_range_cells,), dtype=complex)
@@ -156,12 +158,14 @@ def gm_vector(scene: Scene, grid: RangeGrid, platform: PlatformParams,
     y = np.array([t.azimuth_m for t in scene.targets], dtype=float)
     rcs = np.array([t.rcs for t in scene.targets], dtype=complex)
     rc = grid.reference_range_m
-    dr0 = (cells - grid.n_cells // 2) * grid.cell_extent_m
-    r0 = rc + dr0
-    du = platform.velocity_mps * eta[..., None] - y
-    r = np.sqrt(r0**2 + du**2)
-    gain = np.sinc(platform.antenna_length_m * np.arctan2(du, r0) / platform.wavelength_m) ** 2
-    dr = (dr0 * (r0 + rc) + du**2) / (r + rc)
-    phase = platform.reference_phasor * np.exp(-1j * (4.0 * np.pi / platform.wavelength_m * dr))
-    np.add.at(g, (..., cells), rcs * gain * phase)
+    step = max(1, TARGET_BLOCK_ELEMENTS // max(eta.size, 1))
+    for b in (slice(i, i + step) for i in range(0, cells.size, step)):
+        dr0 = (cells[b] - grid.n_cells // 2) * grid.cell_extent_m
+        r0 = grid.slant_range_of_cell(cells[b])
+        du = platform.velocity_mps * eta[..., None] - y[b]
+        r = np.sqrt(r0**2 + du**2)
+        gain = np.sinc(platform.antenna_length_m * np.arctan2(du, r0) / platform.wavelength_m) ** 2
+        dr = (dr0 * (r0 + rc) + du**2) / (r + rc)
+        phase = platform.reference_phasor * np.exp(-1j * (4.0 * np.pi / platform.wavelength_m * dr))
+        np.add.at(g, (..., cells[b]), rcs[b] * gain * phase)
     return g

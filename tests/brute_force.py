@@ -81,10 +81,11 @@ def full_chain(symbols, g, n, m):
 def point_rcs_estimate(rc_line, grid, platform, eta, n_subcarriers):
     """Single-pulse RCS estimate: divide each cell by sqrt(N) times the
     weighting coefficient of a unit target in that cell (its beam gain and
-    two-way carrier phase), with magnitudes below 1e-300 raised to 1e-300."""
+    two-way carrier phase), with magnitudes below 1e-300 raised to 1e-300
+    and the phase kept."""
     m = len(rc_line)
     unit = gm_vector(Scene(tuple(PointTarget(c) for c in range(m)), m), grid, platform, eta)
-    unit = np.where(np.abs(unit) < 1e-300, 1e-300, unit)
+    unit = np.where(np.abs(unit) < 1e-300, 1e-300 * np.exp(1j * np.angle(unit)), unit)
     return rc_line / (np.sqrt(n_subcarriers) * unit)
 
 

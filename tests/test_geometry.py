@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fopen_sar import geometry
 from fopen_sar.geometry import (C_LIGHT, PlatformParams, PointTarget, RangeGrid,
                                 Scene, gm_vector, make_grid)
 
@@ -58,11 +61,18 @@ class TestSlantRange:
         r = np.sqrt(r0**2 + du**2)
         gain = np.sinc(tiny_platform.antenna_length_m * np.arctan2(du, r0)
                        / tiny_platform.wavelength_m) ** 2
+        k = 4.0 * np.pi / tiny_platform.wavelength_m
+        g = _coefficient(t, tiny_grid, tiny_platform, eta)
+        # bit for bit: R - R_c from that R in the cancellation-free form
+        # ((r0 - R_c)(r0 + R_c) + du^2) / (R + R_c), off the reference phasor
+        rc = tiny_grid.reference_range_m
+        dr0 = (cell - tiny_grid.n_cells // 2) * tiny_grid.cell_extent_m
+        dr = (dr0 * (r0 + rc) + du**2) / (r + rc)
+        np.testing.assert_array_equal(
+            g, gain * (tiny_platform.reference_phasor * np.exp(-1j * (k * dr))))
         # the plain exponent 4 pi R / lambda, near 3e6 rad, carries rounding
         # near 5e-10 rad; a range 10 pm off the hyperbola already fails
-        expected = gain * np.exp(-1j * (4.0 * np.pi / tiny_platform.wavelength_m * r))
-        np.testing.assert_allclose(_coefficient(t, tiny_grid, tiny_platform, eta),
-                                   expected, rtol=2e-9, atol=0)
+        np.testing.assert_allclose(g, gain * np.exp(-1j * (k * r)), rtol=2e-9, atol=0)
 
     @pytest.mark.parametrize("delta", [0.001, 0.1, 1.0, 10.0])
     def test_even_around_closest_approach(self, delta):
@@ -198,6 +208,26 @@ class TestGmVector:
             total = total + gm_vector(Scene((t,), scene.n_range_cells), tiny_grid,
                                       tiny_platform, eta)
         assert gm_vector(scene, tiny_grid, tiny_platform, eta).tobytes() == total.tobytes()
+
+    def test_many_targets_form_in_blocks(self, monkeypatch, tiny_spec, tiny_platform,
+                                         tiny_grid):
+        # 64 pulses x 16384 targets: sixteen blocks of 1024 targets. G has the
+        # bits of the one-block form, and no [pulse, target] array is held
+        rng = np.random.default_rng(11)
+        n = 1 << 14
+        scene = Scene(tuple(PointTarget(int(c), float(y)) for c, y in
+                            zip(rng.integers(0, 8, n), rng.normal(0.0, 5.0, n))),
+                      tiny_spec.n_range_cells)
+        eta = np.linspace(-0.0625, 0.0625, 64)
+        tracemalloc.start()
+        try:
+            g = gm_vector(scene, tiny_grid, tiny_platform, eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < eta.size * n * np.dtype(complex).itemsize
+        monkeypatch.setattr(geometry, "TARGET_BLOCK_ELEMENTS", eta.size * n)
+        assert g.tobytes() == gm_vector(scene, tiny_grid, tiny_platform, eta).tobytes()
 
     def test_scalar_eta_gives_the_row_of_the_array_form(self, tiny_spec, tiny_platform,
                                                           tiny_grid):
