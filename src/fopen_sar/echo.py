@@ -27,7 +27,8 @@ FSAR_MAGIC = b"FSAR"
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything needed to synthesize one raw data matrix."""
+    """Everything needed to synthesize one raw data matrix, taken as given
+    (validate_scenario checks it)."""
 
     waveform_kind: str  # "ofdm" | "noise"
     ofdm: OfdmSpec
@@ -36,12 +37,6 @@ class SimulationConfig:
     foliage: FoliageParams | None = None
     snr_db: float | None = None  # None disables receiver noise
     master_seed: int = 0
-
-    def __post_init__(self):
-        if self.waveform_kind not in ("ofdm", "noise"):
-            raise ValueError("waveform_kind must be 'ofdm' or 'noise'")
-        if self.scene.n_range_cells != self.ofdm.n_range_cells:
-            raise ValueError("scene and waveform disagree on the range cell count")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ BLOCK_PULSES = 32
 
 @dataclass(frozen=True)
 class FoliageParams:
+    """Foliage model parameters, taken as given (validate_scenario checks them)."""
+
     polarization: str = "HH"
     grazing_angle_rad: float = np.pi / 4
     gamma_shape: float = 4.0
@@ -50,18 +52,6 @@ class FoliageParams:
     seed: int = 0
     redraw_per_pulse: bool = False
     spectral_smoothing_bins: int = 0
-
-    def __post_init__(self):
-        if self.polarization not in ATTENUATION_CONSTANTS:
-            raise ValueError(f"polarization must be one of {sorted(ATTENUATION_CONSTANTS)}")
-        if not 0.0 < self.grazing_angle_rad <= np.pi / 2:
-            raise ValueError("grazing_angle_rad must be in (0, pi/2]")
-        if self.gamma_shape <= 0 or self.gamma_scale <= 0:
-            raise ValueError("gamma_shape and gamma_scale must be > 0")
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError("hurst must be in (0, 1)")
-        if self.spectral_smoothing_bins < 0:
-            raise ValueError("spectral_smoothing_bins must be >= 0")
 
     @property
     def alpha(self) -> float:
@@ -75,8 +65,6 @@ class FoliageParams:
 def mean_attenuation_db(freq_hz: float | np.ndarray, params: FoliageParams) -> np.ndarray:
     """Mean foliage attenuation beta * f_GHz^alpha * sin(45 deg)/sin(gamma_g), in dB."""
     f = np.asarray(freq_hz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("frequency must be > 0")
     return params.beta * (f / 1e9) ** params.alpha * (
         np.sin(np.pi / 4) / np.sin(params.grazing_angle_rad))
 
@@ -108,12 +96,6 @@ def fbm_path(hurst: float, n: int, step_s: float,
     path[0] = 0; increments are exact fGn scaled so the structure function
     is E[(B(t+tau) - B(t))^2] = tau^(2H) with tau in seconds.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError("hurst must be in (0, 1)")
-    if n < 2:
-        raise ValueError("need at least 2 path points")
-    if step_s <= 0:
-        raise ValueError("step_s must be > 0")
     fgn = _fgn_davies_harte(n - 1, hurst, rng)
     path = np.empty(n)
     path[0] = 0.0
@@ -145,8 +127,6 @@ class FoliageChannel:
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
                  n_pulses: int, pulse_interval_s: float):
-        if n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
         self.params = params
         self.freq_grid_hz = np.asarray(freq_grid_hz, dtype=float)
         self.n_pulses = n_pulses

@@ -18,6 +18,8 @@ TARGET_BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class PlatformParams:
+    """Radar platform; its values are taken as given (validate_scenario checks them)."""
+
     altitude_m: float
     velocity_mps: float
     aperture_s: float
@@ -27,22 +29,8 @@ class PlatformParams:
     prf_hz: float = 256.0
 
     def __post_init__(self):
-        if self.altitude_m <= 0:
-            raise ValueError("altitude_m must be > 0")
-        if self.velocity_mps <= 0:
-            raise ValueError("velocity_mps must be > 0")
-        if self.aperture_s <= 0:
-            raise ValueError("aperture_s must be > 0")
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be > 0")
-        if self.reference_range_m < self.altitude_m:
-            raise ValueError("reference_range_m must be >= altitude_m")
-        if self.prf_hz <= 0:
-            raise ValueError("prf_hz must be > 0")
         if self.antenna_length_m is None:
             object.__setattr__(self, "antenna_length_m", self.derived_antenna_length())
-        elif self.antenna_length_m <= 0:
-            raise ValueError("antenna_length_m must be > 0")
         # Azimuth Nyquist check is advisory: desk-scale runs may under-sample.
         if self.prf_hz < self.doppler_bandwidth_hz:
             warnings.warn(
@@ -95,22 +83,13 @@ class PointTarget:
 
 @dataclass(frozen=True)
 class Scene:
+    """Point targets on an M-cell grid, taken as given (validate_scenario checks them)."""
+
     targets: tuple
     n_range_cells: int
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        for t in self.targets:
-            if not 0 <= t.range_cell <= self.n_range_cells - 1:
-                raise ValueError(
-                    f"target cell {t.range_cell} outside [0, {self.n_range_cells - 1}]")
-        seen = {}
-        for t in self.targets:
-            key = (t.range_cell, float(t.azimuth_m))
-            if key in seen:
-                raise ValueError(
-                    f"two targets share cell {t.range_cell} and azimuth {t.azimuth_m} m")
-            seen[key] = t
+        object.__setattr__(self, "targets", tuple(self.targets))  # the geometry memo hashes it
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,6 @@ def azimuth_compress(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformP
     h = np.exp(-1j * np.pi * doppler_hz**2 / ka)
     if window == "hann":
         h *= 0.5 + 0.5 * np.cos(2 * np.pi * doppler_hz / platform.prf_hz)
-    elif window != "none":
-        raise ValueError("window must be 'none' or 'hann'")
     img = rd * h[:, None]
     np.fft.ifft(img, axis=0, out=img)
     img *= np.conj(platform.reference_phasor) * np.exp(1j * np.pi / 4)

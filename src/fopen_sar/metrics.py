@@ -56,8 +56,6 @@ def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:
     Even-length inputs split the Nyquist bin symmetrically so real inputs
     stay real and the interpolation is the exact band-limited one.
     """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
     x = np.asarray(x, dtype=complex)
     if factor == 1:
         return x

@@ -22,21 +22,14 @@ class OfdmSpec:
     n_subcarriers is N, n_range_cells is M (the cyclic extension is M-1
     samples), bandwidth_hz is B (the complex sample rate), symbol_seed feeds
     the BPSK symbol draw. N >= M: range compression keeps M of the N
-    equalized outputs.
+    equalized outputs. The values are taken as given (validate_scenario
+    checks them).
     """
 
     n_subcarriers: int
     n_range_cells: int
     bandwidth_hz: float
     symbol_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_range_cells < 1:
-            raise ValueError("n_range_cells must be >= 1")
-        if self.n_subcarriers < self.n_range_cells:
-            raise ValueError("n_subcarriers must be >= n_range_cells")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
 
     @property
     def sample_interval(self) -> float:
@@ -59,8 +52,6 @@ class OfdmSpec:
 
 def generate_bpsk_symbols(seed: int, n: int) -> np.ndarray:
     """Draw n BPSK symbols (exactly -1 or +1) deterministically from seed."""
-    if n < 1:
-        raise ValueError("symbol count must be >= 1")
     rng = substream(seed, "bpsk_symbols")
     bits = rng.integers(0, 2, size=n)
     return np.where(bits == 0, 1.0, -1.0).astype(complex)

@@ -246,6 +246,10 @@ def _set(section, key, value):
     return lambda d: d.setdefault(section, {}).update({key: value})
 
 
+def _foliage(**fields):
+    return lambda d: d.update(foliage={"polarization": "HH", **fields})
+
+
 SCHEMA_HOLES = [
     pytest.param(_set("platform", "aperture_s", 0.005), "platform.aperture_s",
                  id="too_few_pulses"),
@@ -285,11 +289,39 @@ SCHEMA_HOLES = [
     for section, key in (("waveform", "kind"), ("foliage", "polarization"),
                          ("processing", "rcmc"), ("processing", "azimuth_window"))
     for value in ([], {"a": 1})
+] + [
+    # the rules the pipeline's constructors and helpers once repeated
+    pytest.param(_set("platform", key, 0), f"platform.{key}", id=f"zero_{key}")
+    for key in ("altitude_m", "velocity_mps", "aperture_s", "carrier_hz",
+                "antenna_length_m", "prf_hz")
+] + [
+    pytest.param(_set("platform", "reference_range_m", 4000.0),
+                 "platform.reference_range_m", id="reference_range_below_altitude"),
+    pytest.param(_set("waveform", "n_range_cells", 0), "waveform.n_range_cells",
+                 id="zero_n_range_cells"),
+    pytest.param(_set("waveform", "bandwidth_hz", 0), "waveform.bandwidth_hz",
+                 id="zero_bandwidth_hz"),
+    pytest.param(lambda d: d["scene"]["targets"][0].update(cell=d["waveform"]["n_range_cells"]),
+                 "scene.targets[0].cell", id="cell_past_grid"),
+    pytest.param(_foliage(grazing_angle_deg=0), "foliage.grazing_angle_deg",
+                 id="zero_grazing"),
+    pytest.param(_foliage(grazing_angle_deg=90.5), "foliage.grazing_angle_deg",
+                 id="grazing_past_90"),
+    pytest.param(_foliage(hurst=0), "foliage.hurst", id="zero_hurst"),
+    pytest.param(_foliage(hurst=1), "foliage.hurst", id="unit_hurst"),
+    pytest.param(_foliage(gamma_shape=0), "foliage.gamma_shape", id="zero_gamma_shape"),
+    pytest.param(_foliage(spectral_smoothing_bins=-1), "foliage.spectral_smoothing_bins",
+                 id="negative_smoothing"),
+    pytest.param(_foliage(polarization="HV"), "foliage.polarization", id="HV_polarization"),
+    pytest.param(_set("processing", "upsample", 0), "processing.upsample", id="zero_upsample"),
+    pytest.param(_set("processing", "azimuth_window", "hamming"), "processing.azimuth_window",
+                 id="hamming_window"),
 ]
 
 
 class TestSchemaHoles:
-    """Inputs that once crashed or ran on: exit 2 with the field path."""
+    """Inputs that once crashed or ran on, and every rule the pipeline's
+    constructors and helpers once repeated: exit 2 with the field path."""
 
     @pytest.mark.parametrize("edit,field", SCHEMA_HOLES)
     def test_metrics_exit_2_names_field(self, edit, field, tmp_path, capsys):

@@ -267,12 +267,6 @@ class TestSynthesizeRaw:
         want = apply_foliage(_line(clean, 3), ch.realize(3))
         np.testing.assert_allclose(_line(cfg, 3), want, rtol=1e-12, atol=1e-15)
 
-    def test_scene_waveform_cell_count_mismatch_rejected(self, tiny_spec,
-                                                         tiny_platform):
-        with pytest.raises(ValueError):
-            SimulationConfig("ofdm", tiny_spec, Scene((PointTarget(0),), 9),
-                             tiny_platform)
-
 
 class TestGeometrySpectrumMemo:
     """FFT(G, L) is computed once per geometry and shared by every seed."""

@@ -9,8 +9,13 @@ header field of a valid FSAR or FIMG file, or truncates it, and reads it with
 infinity, a value near the float64 limits or a subnormal over seeded random
 payload samples of those files. Every case must end in an exit code the CLI
 documents. The cases come from fixed random.Random seeds, so every run checks
-the same inputs. `PYTHONPATH=src python tests/test_fuzz.py N` runs N scenario
-cases and prints each one that fails.
+the same inputs.
+
+`PYTHONPATH=src python tests/test_fuzz.py N` runs N scenario cases and prints
+one tab-separated line per case it runs: the edits, the exit code (or the
+exception in its place) and the first stderr line that starts with "error:"
+(empty when there is none). Warning lines, which carry the checkout's file
+paths, are left out, so two checkouts' outputs can be diffed.
 """
 
 import contextlib
@@ -105,25 +110,27 @@ def run_cli(argv):
 
 
 def fuzz_documents(tmp_dir, n, seed=0):
-    """(edits, outcome) of every case whose outcome is not a documented exit."""
+    """(edits, outcome, error line) of every case that runs: outcome as
+    run_cli returns it, and the first stderr line that starts with "error:",
+    or "" when there is none."""
     rng = random.Random(seed)
     path = os.path.join(tmp_dir, "doc.json")
     out = os.path.join(tmp_dir, "out")
-    bad = []
     for edits, doc in mutated_documents(rng, n):
         size = raw_samples(doc)
         if size is not None and size > MAX_RAW_SAMPLES:
             continue
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        code, _ = run_cli(["metrics", "--scenario", path, "--out", out])
-        if code not in EXITS:
-            bad.append((edits, repr(code)))
-    return bad
+        code, err = run_cli(["metrics", "--scenario", path, "--out", out])
+        yield edits, code, next((line for line in err.splitlines()
+                                 if line.startswith("error:")), "")
 
 
 def test_scenario_documents_exit_cleanly(tmp_path):
-    assert fuzz_documents(str(tmp_path), N_DOCUMENTS) == []
+    bad = [(edits, repr(code)) for edits, code, _ in fuzz_documents(str(tmp_path), N_DOCUMENTS)
+           if code not in EXITS]
+    assert bad == []
 
 
 @pytest.mark.parametrize("edits,field", [
@@ -254,5 +261,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for edits, outcome in fuzz_documents(tmp, int(sys.argv[1])):
-            print(outcome, edits)
+        for edits, code, error in fuzz_documents(tmp, int(sys.argv[1])):
+            print(edits, repr(code), error, sep="\t")

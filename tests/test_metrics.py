@@ -51,10 +51,6 @@ class TestUpsample:
         fine = upsample_complex(x, 4)
         np.testing.assert_allclose(fine[::4], x, atol=1e-12)
 
-    def test_bad_factor_rejected(self):
-        with pytest.raises(ValueError):
-            upsample_complex(np.ones(4), 0)
-
 
 class TestProfiles:
     def test_separable_sinc_squared_sections(self):

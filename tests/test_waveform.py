@@ -24,10 +24,6 @@ class TestBpskSymbols:
         b = generate_bpsk_symbols(2, 1024)
         assert np.count_nonzero(a != b) > 0
 
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            generate_bpsk_symbols(1, 0)
-
 
 class TestOfdmPulse:
     def test_matches_the_defining_sum(self):
@@ -67,16 +63,6 @@ class TestOfdmPulse:
         s = generate_ofdm_pulse(tiny_spec)
         n = tiny_spec.n_subcarriers
         assert np.sum(np.abs(s[:n]) ** 2) == pytest.approx(n, rel=1e-12)
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            OfdmSpec(0, 2, 1e9)
-        with pytest.raises(ValueError):
-            OfdmSpec(4, 0, 1e9)
-        with pytest.raises(ValueError):
-            OfdmSpec(4, 2, 0.0)
-        with pytest.raises(ValueError, match="n_subcarriers must be >= n_range_cells"):
-            OfdmSpec(47, 48, 1e9)
 
 
 class TestNoisePulse:
