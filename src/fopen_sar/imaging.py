@@ -1,4 +1,4 @@
-"""Image formation: range compression, azimuth FFT, RCMC, azimuth compression.
+"""Image formation: range compression, azimuth FFT, azimuth compression.
 
 CP-OFDM range lines are compressed by per-subcarrier equalization: drop the
 M-1 guard samples at each end, transform, divide by the known symbols,
@@ -18,12 +18,10 @@ import numpy as np
 from .echo import RawDataMatrix
 from .fileio import atomic_write, read_container, write_container
 from .foliage import BLOCK_PULSES
-from .geometry import PlatformParams, make_grid
+from .geometry import PlatformParams
 from .waveform import OfdmSpec
 
 FIMG_MAGIC = b"FIMG"
-
-RCMC_MODES = ("off", "spectral")
 
 
 @dataclass(frozen=True)
@@ -132,17 +130,10 @@ def migration_shift_cells(platform: PlatformParams, cell_extent_m: float,
 
 
 def rcmc(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformParams,
-         cell_extent_m: float, mode: str = "spectral") -> np.ndarray:
-    """Range cell migration correction at the fixed reference range.
-
-    Row i of rd (Doppler doppler_hz[i]) is advanced in range by the
-    reference-range migration law. Modes: "spectral" (exact circular FFT
-    phase-ramp shift), "off" (identity).
-    """
-    if mode not in RCMC_MODES:
-        raise ValueError(f"rcmc mode must be one of {RCMC_MODES}")
-    if mode == "off":
-        return rd
+         cell_extent_m: float) -> np.ndarray:
+    """Range cell migration correction at the fixed reference range: row i of
+    rd (Doppler doppler_hz[i]) is advanced by the migration law, as an exact
+    circular FFT phase-ramp shift. focus does not call it: no echo migrates."""
     shifts = migration_shift_cells(platform, cell_extent_m, doppler_hz)
     ramp = np.exp(2j * np.pi * np.outer(shifts, np.fft.fftfreq(rd.shape[1])))
     return np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
@@ -170,21 +161,14 @@ def azimuth_compress(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformP
 
 
 def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
-          reference: np.ndarray, rcmc_mode: str = "off",
-          azimuth_window: str = "none") -> FocusedImage:
+          reference: np.ndarray, azimuth_window: str = "none") -> FocusedImage:
     """Full image formation for either waveform, given its reference: the
     transmitted symbols for OFDM data, the transmitted pulse for noise data.
-
-    The reference configuration runs with rcmc_mode="off": the raw-data
-    model places every scatterer at a fixed range cell (no envelope walk),
-    so the matched migration correction is zero. Enable RCMC only for data
-    that actually migrates.
+    No migration stage: the echo model keeps every scatterer in its range cell.
     """
     rd = azimuth_fft(range_compress_ofdm(raw, spec, reference) if raw.waveform_kind == "ofdm"
                      else range_compress_noise(raw, reference, spec.n_range_cells))
     doppler_hz = np.fft.fftfreq(len(rd), 1.0 / platform.prf_hz)
-    cell_extent_m = make_grid(spec.n_range_cells, spec.bandwidth_hz, platform).cell_extent_m
-    rd = rcmc(rd, doppler_hz, platform, cell_extent_m, rcmc_mode)
     return azimuth_compress(rd, doppler_hz, platform, azimuth_window)
 
 

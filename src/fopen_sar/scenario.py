@@ -15,7 +15,7 @@ import math
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
 from .geometry import C_LIGHT, PlatformParams, PointTarget, RangeGrid, Scene
-from .imaging import RCMC_MODES, FocusedImage, focus
+from .imaging import FocusedImage, focus
 from .metrics import image_metrics
 from .waveform import OfdmSpec, generate_bpsk_symbols
 
@@ -73,7 +73,6 @@ SCHEMA = {
     },
     "noise": {"snr_db": (float, REQUIRED, None, None)},
     "processing": {
-        "rcmc": (RCMC_MODES, "off", None, None),
         "azimuth_window": (("none", "hann"), "none", None, None),
         "upsample": (int, 16, 1, None),
         "smooth_window": (int, 3, 1, None),
@@ -334,11 +333,6 @@ def _relations(out):
         _fail("platform.antenna_length_m", "the beam's sinc argument L_a theta / lambda "
               "must be finite up to theta = 90 degrees")
     ends = ((0 - n / 2.0) / prf, (n - 1 - n / 2.0) / prf)  # first and last slow time
-    if proc["rcmc"] == "spectral":  # pi * shift at the Doppler band edge
-        shift = lam**2 * rc * (prf / 2) ** 2 / (8.0 * v**2) / grid.cell_extent_m
-        if math.pi * shift == math.inf:
-            _fail("processing.rcmc", "the largest migration shift lambda^2 R_c (prf_hz / 2)^2 "
-                  "/ (8 v^2), in cells, must be finite")
     for i, (t, r) in enumerate(zip(out["scene"]["targets"], ranges)):
         if r * r == math.inf:
             _fail("platform.reference_range_m",
@@ -450,8 +444,7 @@ def focus_config(scen: Scenario, cfg: SimulationConfig, raw) -> FocusedImage:
         reference = generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
     else:
         reference = transmitted_pulse(cfg)
-    return focus(raw, cfg.ofdm, cfg.platform, reference, scen.processing["rcmc"],
-                 scen.processing["azimuth_window"])
+    return focus(raw, cfg.ofdm, cfg.platform, reference, scen.processing["azimuth_window"])
 
 
 def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict]:

@@ -278,6 +278,11 @@ SCHEMA_HOLES = [
                  "waveform.noise_variance: unknown key", id="noise_variance"),
     pytest.param(lambda d: d.update(foliage={"polarization": "HH", "gamma_scale": 0.5}),
                  "foliage.gamma_scale: unknown key", id="gamma_scale"),
+    # no echo this tool forms migrates, and "spectral" worsened every metric
+    pytest.param(_set("processing", "rcmc", "off"), "processing.rcmc: unknown key",
+                 id="rcmc_off"),
+    pytest.param(_set("processing", "rcmc", "spectral"), "processing.rcmc: unknown key",
+                 id="rcmc_spectral"),
     # cell 0 sits 24 cells nearer than a reference range at the altitude:
     # once a bare ValueError traceback from the geometry
     pytest.param(lambda d: (d["platform"].update(reference_range_m=5000.0),
@@ -369,7 +374,6 @@ KEY_CHANGES = {
     "foliage.redraw_per_pulse": True,
     "foliage.spectral_smoothing_bins": 4,
     "noise.snr_db": 10.0,
-    "processing.rcmc": "spectral",
     "processing.azimuth_window": "hann",
     "processing.upsample": 8,
     "processing.smooth_window": 5,

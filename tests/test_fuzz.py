@@ -75,12 +75,20 @@ def _set(doc, path, value):
         node[path[-1]] = value
 
 
-def mutated_documents(rng: random.Random, n: int):
-    """n documents, each base_document() with 1-3 fields set from VALUES."""
-    for _ in range(n):
+def mutated_documents(n: int):
+    """n documents, each base_document() with 1-3 fields set from VALUES.
+
+    Document i draws its edit count from a random.Random seeded on i, and
+    each field's rank and value from one seeded on (i, field); it edits its
+    first-ranked fields. So adding or deleting a schema key changes only the
+    documents that edit it, and two checkouts' outputs stay diffable.
+    """
+    for i in range(n):
         doc = base_document()
-        edits = [(path, rng.choice(VALUES))
-                 for path in rng.sample(FIELDS, rng.randint(1, 3))]
+        draws = {path: random.Random(f"{i} {path}") for path in FIELDS}
+        ranked = sorted(FIELDS, key=lambda path: draws[path].random())
+        edits = [(path, draws[path].choice(VALUES))
+                 for path in ranked[:random.Random(str(i)).randint(1, 3)]]
         for path, value in edits:
             _set(doc, path, copy.deepcopy(value))
         yield edits, doc
@@ -109,14 +117,13 @@ def run_cli(argv):
             return e, err.getvalue()
 
 
-def fuzz_documents(tmp_dir, n, seed=0):
+def fuzz_documents(tmp_dir, n):
     """(edits, outcome, error line) of every case that runs: outcome as
     run_cli returns it, and the first stderr line that starts with "error:",
     or "" when there is none."""
-    rng = random.Random(seed)
     path = os.path.join(tmp_dir, "doc.json")
     out = os.path.join(tmp_dir, "out")
-    for edits, doc in mutated_documents(rng, n):
+    for edits, doc in mutated_documents(n):
         size = raw_samples(doc)
         if size is not None and size > MAX_RAW_SAMPLES:
             continue
@@ -149,9 +156,6 @@ def test_scenario_documents_exit_cleanly(tmp_path):
      "platform.antenna_length_m"),
     ({("platform", "carrier_hz"): 1e300, ("scene", "targets", 0, "azimuth_m"): 1e150},
      "platform.carrier_hz"),
-    ({("processing", "rcmc"): "spectral", ("foliage",): None,
-      ("waveform", "bandwidth_hz"): 1e300, ("platform", "velocity_mps"): 1e-9},
-     "processing.rcmc"),
     # the edges of the noise rule, and a carrier of exactly half the bandwidth,
     # whose lowest raw-line bin rounds to just above 0 Hz
     ({("noise", "snr_db"): -1541}, None),
@@ -167,7 +171,7 @@ def test_scenario_documents_exit_cleanly(tmp_path):
 ], ids=["carrier_1.9GHz", "bandwidth_1e300", "snr_3090", "snr_-4000", "snr_-3100",
         "velocity_1e300", "azimuth_1e300", "reference_range_1e300",
         "reference_range_and_antenna_1e300", "antenna_1e300_carrier_2^70",
-        "carrier_1e300_azimuth_1e150", "rcmc_bandwidth_1e300_velocity_1e-9",
+        "carrier_1e300_azimuth_1e150",
         "snr_-1541", "snr_-1542", "snr_3082", "snr_3083", "carrier_2GHz",
         "rcs_1e300", "rcs_at_bound", "rcs_past_bound"])
 def test_float_range_rules(tmp_path, edits, field):

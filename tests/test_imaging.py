@@ -213,18 +213,17 @@ class TestRcmc:
         data = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
         fd = np.linspace(-128, 127, 8)
         fd[3] = 0.0
-        out = rcmc(data, fd, p, 0.0375, "spectral")
+        out = rcmc(data, fd, p, 0.0375)
         np.testing.assert_allclose(out[3], data[3], atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["spectral"])
-    def test_impulse_moves_by_the_migration_shift(self, mode):
+    def test_impulse_moves_by_the_migration_shift(self):
         p = self._platform()
         cell0, f0 = 40, 95.0
         data = np.zeros((4, 64), complex)
         fd = np.array([-f0, 0.0, f0, 10.0])
         data[2, cell0] = 1.0
         shift = migration_shift_cells(p, 0.0375, np.array([f0]))[0]
-        out = rcmc(data, fd, p, 0.0375, mode)
+        out = rcmc(data, fd, p, 0.0375)
         peak = int(np.argmax(np.abs(out[2])))
         assert peak == int(round(cell0 - shift))
 
@@ -236,21 +235,8 @@ class TestRcmc:
         lam = p.wavelength_m
         f = np.sqrt(3 * 0.0375 * 8 * p.velocity_mps**2
                     / (lam**2 * p.reference_range_m))
-        out = rcmc(row[None, :], np.array([f]), p, 0.0375, "spectral")
+        out = rcmc(row[None, :], np.array([f]), p, 0.0375)
         np.testing.assert_allclose(out[0], np.roll(row, -3), atol=1e-9)
-
-    def test_off_mode_is_identity(self):
-        p = self._platform()
-        rng = np.random.default_rng(2)
-        data = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        out = rcmc(data, np.linspace(-10, 10, 4), p, 0.0375, "off")
-        assert out is data
-
-    def test_unknown_mode_rejected(self):
-        p = self._platform()
-        for mode in ("cubic", "sinc8"):
-            with pytest.raises(ValueError, match="rcmc mode"):
-                rcmc(np.zeros((2, 4), complex), np.array([0.0, 1.0]), p, 0.0375, mode)
 
 
 class TestAzimuthCompressAndFocus:

@@ -43,6 +43,8 @@ TEST_ONLY = {
     ("foliage.py", "FoliageChannel.realize"):
         "a tracer wrap point and the per-pulse echo reference's F",
     ("metrics.py", "mainlobe_width_3db"): "the main-lobe width acceptance criterion 8 reads",
+    ("imaging.py", "rcmc"): "a tracer wrap point that perfbench resolves by name; focus has "
+                            "no migration stage",
 }
 
 
