@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="number of consecutive seeds, from seeds.master")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker threads over independent seeds")
+                       help="threads over independent seeds, the main thread included")
 
     p = sub.add_parser("simulate", help="synthesize the raw data matrix")
     common(p)

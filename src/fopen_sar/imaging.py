@@ -64,10 +64,13 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
 
 
 def _filter_rows(lines: np.ndarray, n: int, response: np.ndarray, n_out: int) -> np.ndarray:
-    """IFFT(FFT(line, n) * response)[:n_out] of every row, BLOCK_PULSES rows at a time."""
+    """IFFT(FFT(line, n) * response)[:n_out] of every row, BLOCK_PULSES rows at a
+    time in one reused block buffer."""
     out = np.empty((len(lines), n_out), dtype=complex)
+    buf = np.empty((min(BLOCK_PULSES, len(lines)), n), dtype=complex)
     for start in range(0, len(lines), BLOCK_PULSES):
-        block = np.fft.fft(lines[start:start + BLOCK_PULSES], n, axis=1)
+        rows = lines[start:start + BLOCK_PULSES]
+        block = np.fft.fft(rows, n, axis=1, out=buf[:len(rows)])
         block *= response
         np.fft.ifft(block, axis=1, out=block)
         out[start:start + BLOCK_PULSES] = block[:, :n_out]

@@ -69,23 +69,37 @@ def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.ifft(out) * factor
 
 
-def _runs(p: np.ndarray, holds) -> tuple[int, int]:
-    """(left, right): lengths of the leading runs of True in holds(side), the
-    sides walked outward from p's middle sample len // 2."""
+def _sides(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right): p walked outward from its middle sample len // 2, each
+    side starting at that sample."""
     c = len(p) // 2
-    masks = (holds(side) for side in (p[:c + 1][::-1], p[c:]))
-    return tuple(len(m) if m.all() else int(np.argmin(m)) for m in masks)
+    return p[:c + 1][::-1], p[c:]
+
+
+def _run(mask: np.ndarray) -> int:
+    """Length of mask's leading run of True."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
 
 
 def find_mainlobe(power: np.ndarray, peak: int, smooth_window: int = 3):
     """First local minima on each side of the peak, round the periodic power
-    rolled to put the peak mid-array and smoothed; they may lie off its ends."""
+    rolled to put the peak mid-array and smoothed; they may lie off its ends.
+
+    Each side first walks over the samples equal to the middle one, a flat top
+    such as an even smoothing window leaves, then descends strictly. A flat
+    top must fall before the end of the rolled cut: the zero-padded smoothing
+    pulls the end samples down, and the two sides meet there.
+    """
     rolled = np.roll(power, len(power) // 2 - peak)
     p = np.convolve(rolled, np.ones(smooth_window) / smooth_window, mode="same")
-    left, right = _runs(p, lambda side: side[1:] < side[:-1])
-    if not left or not right:
-        raise NoPeakError("peak has no descending neighborhood")
-    return peak - left, peak + right
+    lobe = []
+    for side in _sides(p):
+        top = _run(side[1:] == side[0])
+        fall = _run(side[top + 1:] < side[top:-1])
+        if not fall or (top and top + 2 == len(side)):
+            raise NoPeakError("peak has no descending neighborhood")
+        lobe.append(top + fall)
+    return peak - lobe[0], peak + lobe[1]
 
 
 # Inside 2^+-400 a cut's upsampled peak, at most n < 2^25 times its largest
@@ -163,7 +177,8 @@ def pslr(profile: Profile) -> float:
 def mainlobe_width_3db(profile: Profile) -> float:
     """-3 dB main-lobe width in native axis units (diagnostic), round the circle."""
     p, i = profile.values, profile.peak_index
-    left, right = _runs(np.roll(p, len(p) // 2 - i), lambda side: side[1:] >= p[i] / 2.0)
+    rolled = np.roll(p, len(p) // 2 - i)
+    left, right = (_run(side[1:] >= p[i] / 2.0) for side in _sides(rolled))
     return float((left + right) * (profile.axis[1] - profile.axis[0]))
 
 

@@ -11,6 +11,7 @@ configuration) and "small" (a desk-scale variant for CI).
 import copy
 import json
 import math
+import threading
 
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
@@ -450,17 +451,40 @@ def focus_config(scen: Scenario, cfg: SimulationConfig, raw) -> FocusedImage:
 def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict]:
     """Per-seed metric dicts for a scenario over a seed list, in seed order.
 
-    Seeds are independent runs, spread over up to `threads` worker threads;
-    each result depends only on its seed, so the list is bit-identical for
-    any thread count. The first error in seed order is raised.
+    Seeds are independent runs, spread over `threads` threads in all: the
+    calling thread and up to threads - 1 workers, each taking the next seed
+    until none are left. Each seed thread holds one raw matrix plus one block
+    of temporaries at a time. Each result depends only on its seed, so the
+    list is bit-identical for any thread count. The first error in seed order
+    is raised.
     """
-    def one(seed):
-        img = run_pipeline(scen, master_seed=seed)
-        return image_metrics(img.pixels, scen.processing["upsample"],
-                             scen.processing["smooth_window"])
+    results = [None] * len(seeds)
+    lock = threading.Lock()
+    order = iter(range(len(seeds)))
 
-    if threads <= 1 or len(seeds) <= 1:
-        return [one(seed) for seed in seeds]
-    from concurrent.futures import ThreadPoolExecutor  # imported late: it loads logging
-    with ThreadPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
-        return list(pool.map(one, seeds))
+    def share():
+        # Seeds are taken in order, so when a thread stops at its first error
+        # every earlier seed has been taken, and runs, on some thread.
+        while True:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                img = run_pipeline(scen, master_seed=seeds[i])
+                results[i] = image_metrics(img.pixels, scen.processing["upsample"],
+                                           scen.processing["smooth_window"])
+            except BaseException as exc:  # re-raised below, in seed order
+                results[i] = exc
+                return
+
+    workers = [threading.Thread(target=share) for _ in range(min(threads, len(seeds)) - 1)]
+    for w in workers:
+        w.start()
+    share()
+    for w in workers:
+        w.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results

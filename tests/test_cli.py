@@ -241,6 +241,24 @@ class TestMetricsCmd:
         assert main(["metrics", "--scenario", str(scen),
                      "--out", str(tmp_path / "o")]) == 5
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("ofdm", "smooth_window", 2), ("ofdm", "smooth_window", 4),
+        ("noise", "smooth_window", 2), ("noise", "smooth_window", 4),
+        ("ofdm", "upsample", 1),
+    ], ids=["ofdm_window_2", "ofdm_window_4", "noise_window_2", "noise_window_4",
+            "ofdm_upsample_1"])
+    def test_flat_topped_main_lobe_has_a_peak(self, tmp_path, kind, key, value):
+        # an even smoothing window, or no upsampling, leaves two or three
+        # equal samples at the top of the clear main lobe
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["waveform"]["kind"] = kind
+        doc["processing"][key] = value
+        scen = tmp_path / "flat.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["metrics", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert _read_json(out / f"{kind}-foliage_off-seed0_metrics.json")["n_seeds"] == 1
+
 
 def _set(section, key, value):
     return lambda d: d.setdefault(section, {}).update({key: value})
@@ -677,7 +695,7 @@ print(after_resolve, loaded())
         assert _fresh_python(code).splitlines()[-1] == "[] []"
 
     def test_first_draws_from_two_threads_match_one_thread(self, tmp_path):
-        # the seed pool's threads are the first to import numpy.random
+        # the seed threads are the first to import numpy.random
         name = "ofdm-foliage_off-seed0_metrics.json"
         code = f"""
 from fopen_sar.cli import main

@@ -92,13 +92,16 @@ class TestMainlobeWalk:
         # the power is periodic: a peak at either end descends round the other
         ([9, 4, 1, 3], 0, (-2, 1)),
         ([3, 1, 4, 9], 3, (1, 4)),
+        # a flat top at the peak is walked over, then the descent is strict
+        ([1, 0, 2, 9, 9, 4, 1, 3, 2, 2], 3, (1, 6)),
+        ([2, 2, 1, 9, 9, 9, 2, 0, 1, 3], 4, (2, 7)),
     ], ids=["plateau_right", "plateau_left", "nan_left", "nan_right",
-            "wrap_left", "wrap_right"])
+            "wrap_left", "wrap_right", "flat_top", "flat_top_both_sides"])
     def test_nulls(self, power, peak, nulls):
         assert find_mainlobe(np.array(power, float), peak, smooth_window=1) == nulls
 
     @pytest.mark.parametrize("power,peak", [
-        ([1, 9, 9, 2], 1),  # a plateau at the peak itself
+        ([1, 9, 9, 2], 1),  # a flat top at the peak that runs to the end
         ([1, 2, 9, np.nan, 3, 1], 2),
         ([9, 4, 1, 9], 0),  # the left side wraps round to a plateau at the end
         ([9, 1, 4, 9], 3),

@@ -6,11 +6,15 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from fopen_sar import scenario
 from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
@@ -343,6 +347,63 @@ class TestRunMetrics:
             messages.add(str(err.value))
         assert len(messages) == 1
         assert len(run_metrics(scen, [5, 6, 8], threads=2)) == 3
+
+    @staticmethod
+    def _fake_runs(monkeypatch, run):
+        """Replace the pipeline by run(seed) and the metrics by the seed's image."""
+        monkeypatch.setattr(scenario, "run_pipeline",
+                            lambda scen, master_seed: types.SimpleNamespace(
+                                pixels=run(master_seed)))
+        monkeypatch.setattr(scenario, "image_metrics",
+                            lambda pixels, upsample, smooth_window: {"seed": pixels})
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_caller_is_one_of_the_threads(self, monkeypatch, threads):
+        # threads=N is N threads in all: the caller runs seeds too
+        ran_on = {}
+
+        def run(seed):
+            ran_on[seed] = threading.get_ident()
+            time.sleep(0.01)
+            return seed
+
+        self._fake_runs(monkeypatch, run)
+        seeds = list(range(10, 17))
+        got = run_metrics(preset_scenario("small"), seeds, threads=threads)
+        assert got == [{"seed": s} for s in seeds]
+        assert sorted(ran_on) == seeds
+        idents = set(ran_on.values())
+        assert threading.get_ident() in idents
+        assert len(idents - {threading.get_ident()}) <= threads - 1
+
+    def test_every_seed_runs_once_under_frequent_switches(self, monkeypatch):
+        # more threads than cores share the seed index
+        ran = []
+        self._fake_runs(monkeypatch, lambda seed: ran.append(seed) or seed)
+        seeds = list(range(400))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_metrics(preset_scenario("small"), seeds, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [{"seed": s} for s in seeds]
+        assert sorted(ran) == seeds
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_first_error_in_seed_order_not_in_time(self, monkeypatch, threads):
+        # on more than one thread seed 22 fails first in time, but seed 21's
+        # error is the one raised
+        def run(seed):
+            if seed == 21:
+                time.sleep(0.2)
+            if seed in (21, 22):
+                raise NoPeakError(f"seed {seed}")
+            return seed
+
+        self._fake_runs(monkeypatch, run)
+        with pytest.raises(NoPeakError, match="^seed 21$"):
+            run_metrics(preset_scenario("small"), list(range(20, 25)), threads=threads)
 
 
 class TestMemoryModel:
