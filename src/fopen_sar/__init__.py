@@ -8,14 +8,13 @@ performance (ISLR / PSLR).
 
 __version__ = "0.1.0"
 
-from .echo import (RawDataMatrix, SimulationConfig, apply_foliage, read_fsar,
-                   synthesize_raw, write_fsar)
+from .echo import RawDataMatrix, SimulationConfig, apply_foliage, synthesize_raw
+from .fileio import read_fimg, read_fsar, write_fimg, write_fsar
 from .foliage import FoliageChannel, FoliageParams, fbm_path, mean_attenuation_db
 from .geometry import (PlatformParams, PointTarget, RangeGrid, Scene, gm_vector,
                        make_grid)
 from .imaging import (FocusedImage, RangeCompressedMatrix, azimuth_compress,
-                      azimuth_fft, focus, range_compress_noise,
-                      range_compress_ofdm, read_fimg, write_fimg)
+                      azimuth_fft, focus, range_compress_noise, range_compress_ofdm)
 from .metrics import (Profile, extract_profiles, image_metrics, islr,
                       mainlobe_width_3db, pslr, upsample_complex)
 from .scenario import (Scenario, load_scenario, preset_scenario, run_metrics,

@@ -22,16 +22,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .echo import (RawDataMatrix, foliage_channel, read_fsar, synthesize_raw,
-                   write_fsar, write_raw_csv)
-from .fileio import FormatError, write_csv, write_json
-from .foliage import dump_realizations_csv
-from .imaging import read_fimg, write_fimg, write_pgm, write_png
+from .echo import RawDataMatrix, foliage_channel, synthesize_raw
+from .fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar, write_csv,
+                     write_fimg, write_fsar, write_json, write_pgm, write_png, write_raw_csv)
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
                       extract_profiles, image_metrics)
 from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_config,
-                       load_scenario, preset_scenario, run_metrics,
-                       tank_scenario)
+                       load_scenario, preset_scenario, run_metrics)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -55,15 +52,10 @@ _ERRORS = {SchemaError: (EXIT_SCHEMA, ""), MismatchError: (EXIT_MISMATCH, ""),
            FormatError: (EXIT_IO, "malformed file: "), OSError: (EXIT_IO, "i/o: ")}
 
 
-def _preset(name) -> Scenario:
-    """A --preset scenario: a preset, or "tank" (the full preset's tank scene)."""
-    return tank_scenario("full") if name == "tank" else preset_scenario(name)
-
-
 def _resolve_scenario(args) -> Scenario:
     if bool(args.scenario) == bool(args.preset):
         raise SchemaError("scenario: give exactly one of --scenario or --preset")
-    scen = load_scenario(args.scenario) if args.scenario else _preset(args.preset)
+    scen = load_scenario(args.scenario) if args.scenario else preset_scenario(args.preset)
     return scen.with_overrides(args.waveform, args.foliage, args.seed)
 
 
@@ -78,7 +70,7 @@ def _compare_variants(args) -> list[Scenario]:
     else:
         if not args.preset:
             raise SchemaError("compare: give --preset or two or more --scenario")
-        base = _preset(args.preset)
+        base = preset_scenario(args.preset)
         kinds = [args.waveform] if args.waveform else SCHEMA["waveform"]["kind"][0]
         pols = [args.foliage] if args.foliage else ["off", "HH"]
         variants = [base.with_overrides(kind, pol, args.seed)
@@ -146,14 +138,14 @@ def cmd_simulate(args, scens, stem):
     cfg = scen.simulation_config()
     raw = synthesize_raw(cfg)
     files = [f"{stem}_raw.fsar"]
-    write_fsar(files[-1], raw)
+    write_fsar(files[-1], raw.data)
     if raw.data.size <= _CSV_MAX_SAMPLES:
         files.append(f"{stem}_raw.csv")
-        write_raw_csv(files[-1], raw)
+        write_raw_csv(files[-1], raw.data)
     if scen.outputs["dump_foliage_csv"] and cfg.foliage is not None:
         files.append(f"{stem}_foliage.csv")
-        dump_realizations_csv(files[-1], foliage_channel(cfg))
-    summary = f"wrote {files[0]} ({raw.n_pulses} pulses x {raw.line_length} samples)"
+        dump_realizations_csv(files[-1], foliage_channel(cfg).response())
+    summary = "wrote {} ({} pulses x {} samples)".format(files[0], *raw.data.shape)
     return [scen.master_seed], files, summary
 
 
@@ -173,18 +165,18 @@ def cmd_image(args, scens, stem):
     else:
         img = focus_config(scen, cfg, synthesize_raw(cfg))
     files = [f"{stem}_image.fimg"]
-    write_fimg(files[-1], img)
+    write_fimg(files[-1], img.pixels)
     floor = scen.outputs["db_floor"]
     if scen.outputs["write_pgm"]:
         files.append(f"{stem}_image.pgm")
-        write_pgm(files[-1], img, floor)
+        write_pgm(files[-1], img.pixels, floor)
     if scen.outputs["write_png"]:
         files.append(f"{stem}_image.png")
-        write_png(files[-1], img, floor)
+        write_png(files[-1], img.pixels, floor)
     if scen.outputs["write_csv_profiles"]:
         files += _write_profiles_csv(stem, img.pixels, scen.processing["upsample"],
                                      scen.processing["smooth_window"])
-    summary = f"wrote {files[0]} ({img.shape[0]} x {img.shape[1]})"
+    summary = "wrote {} ({} x {})".format(files[0], *img.pixels.shape)
     return [scen.master_seed], files, summary
 
 
@@ -247,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="PATH", help="scenario JSON (repeatable)")
         else:
             p.add_argument("--scenario", metavar="PATH", help="scenario JSON")
-        p.add_argument("--preset", choices=sorted(PRESETS) + ["tank"],
+        p.add_argument("--preset", choices=sorted(PRESETS),
                        help="built-in scenario preset")
         p.add_argument("--waveform", choices=SCHEMA["waveform"]["kind"][0],
                        help="override the scenario waveform kind")

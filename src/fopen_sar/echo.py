@@ -16,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_container, write_container, write_csv
 from .foliage import BLOCK_PULSES, FoliageChannel, FoliageParams
 from .geometry import PlatformParams, Scene, gm_vector, make_grid
 from .rng import substreams
 from .waveform import OfdmSpec, generate_noise_pulse, generate_ofdm_pulse
-
-FSAR_MAGIC = b"FSAR"
 
 
 @dataclass(frozen=True)
@@ -50,10 +47,6 @@ class RawDataMatrix:
     def __post_init__(self):
         if self.data.ndim != 2:
             raise ValueError("raw data must be 2-D [pulse, fast-time]")
-
-    @property
-    def n_pulses(self) -> int:
-        return self.data.shape[0]
 
     @property
     def line_length(self) -> int:
@@ -154,21 +147,3 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
             rows.real += block[:, 0]
             rows.imag += block[:, 1]
     return RawDataMatrix(data, config.platform.slow_time_axis(), config.waveform_kind)
-
-
-def write_fsar(path, raw: RawDataMatrix) -> None:
-    """Binary export in the FSAR container (see fileio)."""
-    write_container(path, FSAR_MAGIC, raw.data)
-
-
-def read_fsar(path) -> np.ndarray:
-    """Read an FSAR file's complex matrix."""
-    return read_container(path, FSAR_MAGIC)
-
-
-def write_raw_csv(path, raw: RawDataMatrix) -> None:
-    """CSV export for small matrices: pulse, sample, re, im."""
-    pulse, sample = np.indices(raw.data.shape)
-    write_csv(path, ["pulse", "sample", "re", "im"],
-              [pulse.ravel(), sample.ravel(), raw.data.real.ravel(),
-               raw.data.imag.ravel()])

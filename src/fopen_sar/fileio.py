@@ -1,10 +1,12 @@
-"""File formats shared by the raw-data and image exports.
+"""Every file format the simulator reads or writes, on plain arrays.
 
 FSAR (raw echoes) and FIMG (focused images) are one binary container that
 differs only in its magic number: a 32-byte header (magic, version u32,
 rows u32, cols u32, 16 reserved bytes), then row-major little-endian
-complex128, i.e. float64 (Re, Im) pairs. CSV exports write Python floats,
-so every value reads back bit for bit. Every file is written through
+complex128, i.e. float64 (Re, Im) pairs. PGM and PNG hold an image's
+magnitude in dB re its peak as 16-bit gray levels. CSV (raw matrix, foliage
+F, image profiles) writes Python floats, so every value reads back bit for
+bit; JSON holds reports and manifests. Every file is written through
 atomic_write: a reader sees the old file or the whole new one, never a part.
 """
 
@@ -12,11 +14,14 @@ import contextlib
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 
 VERSION = 1
 _HEADER = struct.Struct("<4sIII16s")  # magic, version, rows, cols, reserved
+FSAR_MAGIC = b"FSAR"
+FIMG_MAGIC = b"FIMG"
 
 
 class FormatError(ValueError):
@@ -70,6 +75,63 @@ def read_container(path, magic: bytes) -> np.ndarray:
     return data.astype(complex, copy=False)
 
 
+def write_fsar(path, data: np.ndarray) -> None:
+    """Write a raw matrix [pulse, sample] as FSAR."""
+    write_container(path, FSAR_MAGIC, data)
+
+
+def read_fsar(path) -> np.ndarray:
+    """Read an FSAR file's complex matrix."""
+    return read_container(path, FSAR_MAGIC)
+
+
+def write_fimg(path, pixels: np.ndarray) -> None:
+    """Write a focused image [azimuth, range cell] as FIMG."""
+    write_container(path, FIMG_MAGIC, pixels)
+
+
+def read_fimg(path) -> np.ndarray:
+    """Read a FIMG file's complex matrix."""
+    return read_container(path, FIMG_MAGIC)
+
+
+def _db_levels(pixels: np.ndarray, floor_db: float) -> np.ndarray:
+    """Magnitude in dB re the image peak, clipped at floor_db, as big-endian
+    16-bit levels (floor_db -> 0, peak -> 65535)."""
+    mag = np.abs(pixels)
+    peak = mag.max()
+    if peak == 0:
+        return np.zeros(mag.shape, ">u2")
+    db = 20.0 * np.log10(np.maximum(mag / peak, 10.0 ** (floor_db / 20.0)))
+    return np.round((db - floor_db) / (-floor_db) * 65535.0).astype(">u2")
+
+
+def write_pgm(path, pixels: np.ndarray, floor_db: float) -> None:
+    """16-bit binary PGM of the dB-scaled magnitude."""
+    levels = _db_levels(pixels, floor_db)
+    with atomic_write(path, "wb") as fh:
+        fh.write(f"P5\n{levels.shape[1]} {levels.shape[0]}\n65535\n".encode())
+        fh.write(levels)
+
+
+def write_png(path, pixels: np.ndarray, floor_db: float) -> None:
+    """16-bit grayscale PNG of the dB-scaled magnitude (stdlib encoder)."""
+    levels = _db_levels(pixels, floor_db)
+    h, w = levels.shape
+    rows = np.zeros((h, 1 + 2 * w), np.uint8)  # filter byte 0, then the row
+    rows[:, 1:] = levels.view(np.uint8)
+    with atomic_write(path, "wb") as fh:
+        def chunk(tag, payload):
+            fh.write(struct.pack(">I", len(payload)) + tag)
+            fh.write(payload)
+            fh.write(struct.pack(">I", zlib.crc32(payload, zlib.crc32(tag))))
+
+        fh.write(b"\x89PNG\r\n\x1a\n")
+        chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 16, 0, 0, 0, 0))  # 16-bit gray
+        chunk(b"IDAT", zlib.compress(rows, 6))
+        chunk(b"IEND", b"")
+
+
 def write_csv(path, header: list[str], columns) -> None:
     """Write equal-length columns of numbers as CSV rows under a header line,
     in csv.writer's bytes: each number's repr, CRLF line ends, nothing
@@ -78,6 +140,23 @@ def write_csv(path, header: list[str], columns) -> None:
     with atomic_write(path) as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def _matrix_csv(path, row_name: str, col_name: str, data: np.ndarray) -> None:
+    """One CSV row per entry of a complex matrix, row-major: row, col, re, im."""
+    row, col = np.indices(data.shape)
+    write_csv(path, [row_name, col_name, "re", "im"],
+              [row.ravel(), col.ravel(), data.real.ravel(), data.imag.ravel()])
+
+
+def write_raw_csv(path, data: np.ndarray) -> None:
+    """CSV export of a small raw matrix: pulse, sample, re, im."""
+    _matrix_csv(path, "pulse", "sample", data)
+
+
+def dump_realizations_csv(path, response: np.ndarray) -> None:
+    """CSV export of a foliage response F[pulse, bin]: pulse_index, bin, re, im."""
+    _matrix_csv(path, "pulse_index", "bin", response)
 
 
 def write_json(path, doc) -> None:

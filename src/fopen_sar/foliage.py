@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_csv
 from .rng import substream, substreams
 
 # Mean-attenuation power-law constants (dB, f in GHz) per polarization.
@@ -221,11 +220,3 @@ class FoliageChannel:
         f = self.response()[pulse_index]
         f.setflags(write=False)
         return f
-
-
-def dump_realizations_csv(path, channel: FoliageChannel):
-    """Write (pulse_index, bin, Re F, Im F) rows of every pulse for inspection."""
-    f = channel.response()
-    pulse, k = np.indices(f.shape)
-    write_csv(path, ["pulse_index", "bin", "re", "im"],
-              [pulse.ravel(), k.ravel(), f.real.ravel(), f.imag.ravel()])

@@ -9,19 +9,14 @@ replica, as a product of spectra. Azimuth processing is a fixed-reference
 range-Doppler chain kept in FFT bin order.
 """
 
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .echo import RawDataMatrix
-from .fileio import atomic_write, read_container, write_container
 from .foliage import BLOCK_PULSES
 from .geometry import PlatformParams
 from .waveform import OfdmSpec
-
-FIMG_MAGIC = b"FIMG"
 
 
 @dataclass(frozen=True)
@@ -32,10 +27,6 @@ class RangeCompressedMatrix:
 @dataclass(frozen=True)
 class FocusedImage:
     pixels: np.ndarray  # [azimuth, range_cell]
-
-    @property
-    def shape(self):
-        return self.pixels.shape
 
 
 def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
@@ -173,49 +164,3 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
                      else range_compress_noise(raw, reference, spec.n_range_cells))
     doppler_hz = np.fft.fftfreq(len(rd), 1.0 / platform.prf_hz)
     return azimuth_compress(rd, doppler_hz, platform, azimuth_window)
-
-
-def write_fimg(path, img: FocusedImage) -> None:
-    """Binary image export in the FIMG container (see fileio)."""
-    write_container(path, FIMG_MAGIC, img.pixels)
-
-
-def read_fimg(path) -> np.ndarray:
-    return read_container(path, FIMG_MAGIC)
-
-
-def _db_levels(pixels: np.ndarray, floor_db: float) -> np.ndarray:
-    """Magnitude in dB re the image peak, clipped at floor_db, as big-endian
-    16-bit levels (floor_db -> 0, peak -> 65535)."""
-    mag = np.abs(pixels)
-    peak = mag.max()
-    if peak == 0:
-        return np.zeros(mag.shape, ">u2")
-    db = 20.0 * np.log10(np.maximum(mag / peak, 10.0 ** (floor_db / 20.0)))
-    return np.round((db - floor_db) / (-floor_db) * 65535.0).astype(">u2")
-
-
-def write_pgm(path, img: FocusedImage, floor_db: float = -50.0) -> None:
-    """16-bit binary PGM of the dB-scaled magnitude."""
-    levels = _db_levels(img.pixels, floor_db)
-    with atomic_write(path, "wb") as fh:
-        fh.write(f"P5\n{levels.shape[1]} {levels.shape[0]}\n65535\n".encode())
-        fh.write(levels)
-
-
-def write_png(path, img: FocusedImage, floor_db: float = -50.0) -> None:
-    """16-bit grayscale PNG of the dB-scaled magnitude (stdlib encoder)."""
-    levels = _db_levels(img.pixels, floor_db)
-    h, w = levels.shape
-    rows = np.zeros((h, 1 + 2 * w), np.uint8)  # filter byte 0, then the row
-    rows[:, 1:] = levels.view(np.uint8)
-    with atomic_write(path, "wb") as fh:
-        def chunk(tag, payload):
-            fh.write(struct.pack(">I", len(payload)) + tag)
-            fh.write(payload)
-            fh.write(struct.pack(">I", zlib.crc32(payload, zlib.crc32(tag))))
-
-        fh.write(b"\x89PNG\r\n\x1a\n")
-        chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 16, 0, 0, 0, 0))  # 16-bit gray
-        chunk(b"IDAT", zlib.compress(rows, 6))
-        chunk(b"IEND", b"")

@@ -4,8 +4,9 @@ A scenario is a JSON document with sections {waveform, platform, scene,
 foliage?, noise?, processing, outputs, seeds}, stated once in SCHEMA.
 Validation is strict: unknown keys are rejected, and every error names the
 offending field path.
-The two shipped presets are "full" (the reference ultra-wideband stripmap
-configuration) and "small" (a desk-scale variant for CI).
+The shipped presets are "full" (the reference ultra-wideband stripmap
+configuration), "small" (a desk-scale variant for CI) and "tank" (the full
+preset with an extended tank-shaped target).
 """
 
 import copy
@@ -386,6 +387,14 @@ def tank_targets(center_cell: int, cell_extent_m: float, n_range_cells: int) -> 
     return pts
 
 
+def _with_tank(doc: dict) -> dict:
+    """doc with its scene replaced by the tank fixture, centred in range."""
+    w, p = doc["waveform"], doc["platform"]
+    m = w["n_range_cells"]
+    grid = RangeGrid(m, w["bandwidth_hz"], p["reference_range_m"])
+    return {**doc, "scene": {"targets": tank_targets(m // 2, grid.cell_extent_m, m)}}
+
+
 FULL_PRESET = {
     "waveform": {"kind": "ofdm", "n_subcarriers": 1024, "n_range_cells": 192,
                  "bandwidth_hz": 4.0e9},
@@ -412,7 +421,7 @@ SMALL_PRESET = {
     "seeds": {"master": 0},
 }
 
-PRESETS = {"full": FULL_PRESET, "small": SMALL_PRESET}
+PRESETS = {"full": FULL_PRESET, "small": SMALL_PRESET, "tank": _with_tank(FULL_PRESET)}
 
 
 def preset_scenario(name: str) -> Scenario:
@@ -423,12 +432,7 @@ def preset_scenario(name: str) -> Scenario:
 
 def tank_scenario(preset: str = "full") -> Scenario:
     """Preset scenario with the extended-target tank fixture."""
-    doc = copy.deepcopy(PRESETS[preset])
-    w, p = doc["waveform"], doc["platform"]
-    m = w["n_range_cells"]
-    grid = RangeGrid(m, w["bandwidth_hz"], p["reference_range_m"])
-    doc["scene"]["targets"] = tank_targets(m // 2, grid.cell_extent_m, m)
-    return Scenario(doc)
+    return Scenario(copy.deepcopy(_with_tank(PRESETS[preset])))
 
 
 # -- end-to-end helpers shared by the CLI and the test suite -------------

@@ -12,8 +12,7 @@ import pytest
 
 from fopen_sar import cli
 from fopen_sar.cli import main
-from fopen_sar.echo import read_fsar
-from fopen_sar.imaging import read_fimg
+from fopen_sar.fileio import read_fimg, read_fsar
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, run_metrics
 

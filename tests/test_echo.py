@@ -8,9 +8,8 @@ import pytest
 
 from fopen_sar import echo
 from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
-                            geometry_spectrum, read_fsar, synthesize_raw,
-                            transmitted_pulse, write_fsar)
-from fopen_sar.fileio import FormatError, write_csv
+                            geometry_spectrum, synthesize_raw, transmitted_pulse)
+from fopen_sar.fileio import FormatError, read_fsar, write_csv, write_fsar
 from fopen_sar.foliage import FoliageParams
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.rng import substream
@@ -110,8 +109,8 @@ class TestBatchedMatchesPerPulseReference:
             cfg = dataclasses.replace(cfg, platform=dataclasses.replace(
                 cfg.platform, aperture_s=n_pulses / cfg.platform.prf_hz))
         raw = synthesize_raw(cfg)
-        assert raw.n_pulses == (n_pulses or 32)
-        for j in range(raw.n_pulses):
+        assert len(raw.data) == (n_pulses or 32)
+        for j in range(len(raw.data)):
             assert _max_rel_err(raw.data[j], self._reference_line(cfg, j)) < 1e-12, j
 
 
@@ -162,7 +161,7 @@ class TestReceiverNoiseInPlace:
         for n_pulses in (16, 45):
             cfg = _noisy_small_config("noise", "HH", n_pulses)
             calls.clear()
-            assert synthesize_raw(cfg).n_pulses == n_pulses
+            assert len(synthesize_raw(cfg).data) == n_pulses
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
@@ -333,7 +332,7 @@ class TestFsarIo:
         cfg = _config(tiny_spec, tiny_platform, kind="noise", master_seed=8)
         raw = synthesize_raw(cfg)
         path = tmp_path / "raw.fsar"
-        write_fsar(path, raw)
+        write_fsar(path, raw.data)
         data = read_fsar(path)
         np.testing.assert_array_equal(data, raw.data)
 
@@ -341,7 +340,7 @@ class TestFsarIo:
         cfg = _config(tiny_spec, tiny_platform)
         raw = synthesize_raw(cfg)
         path = tmp_path / "raw.fsar"
-        write_fsar(path, raw)
+        write_fsar(path, raw.data)
         blob = path.read_bytes()
         assert blob[:4] == b"FSAR"
         assert len(blob) == 32 + raw.data.size * 16
@@ -360,7 +359,7 @@ class TestFsarIo:
 
     def _written(self, tiny_spec, tiny_platform, tmp_path):
         path = tmp_path / "raw.fsar"
-        write_fsar(path, synthesize_raw(_config(tiny_spec, tiny_platform)))
+        write_fsar(path, synthesize_raw(_config(tiny_spec, tiny_platform)).data)
         return path
 
     def test_short_payload_rejected(self, tiny_spec, tiny_platform, tmp_path):

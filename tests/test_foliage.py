@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fopen_sar.fileio import dump_realizations_csv
 from fopen_sar.foliage import (AMPLITUDE_FLOOR, FoliageChannel, FoliageParams,
-                               _fgn_davies_harte, dump_realizations_csv, fbm_path,
-                               mean_attenuation_db, unit_phasor)
+                               _fgn_davies_harte, fbm_path, mean_attenuation_db,
+                               unit_phasor)
 from fopen_sar.rng import _philox_keys, substream
 
 from brute_force import (draw_uniform_phase, incoherent_field, phase_fluctuation,
@@ -313,7 +314,7 @@ class TestFoliageChannel:
     def test_csv_dump(self, tmp_path):
         ch = self._channel()
         out = tmp_path / "foliage.csv"
-        dump_realizations_csv(out, ch)
+        dump_realizations_csv(out, ch.response())
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pulse_index,bin,re,im"
         assert len(lines) == 1 + 16 * 64

@@ -3,14 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from fopen_sar.echo import (RawDataMatrix, SimulationConfig, synthesize_raw,
-                            transmitted_pulse, write_fsar)
-from fopen_sar.fileio import FormatError
+from fopen_sar.echo import RawDataMatrix, SimulationConfig, synthesize_raw, transmitted_pulse
+from fopen_sar.fileio import (FormatError, read_fimg, write_fimg, write_fsar, write_pgm,
+                              write_png)
 from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, make_grid
-from fopen_sar.imaging import (FocusedImage, azimuth_fft, migration_shift_cells,
+from fopen_sar.imaging import (azimuth_fft, migration_shift_cells,
                                range_compress_noise, range_compress_ofdm, rcmc,
-                               read_fimg, smooth_length, write_fimg, write_pgm,
-                               write_png, azimuth_compress, focus)
+                               smooth_length, azimuth_compress, focus)
 from fopen_sar.scenario import preset_scenario
 from fopen_sar.waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_pulse,
                                 generate_ofdm_pulse)
@@ -347,32 +346,30 @@ class TestPointRcsEstimate:
 class TestImageIo:
     def _image(self):
         rng = np.random.default_rng(0)
-        px = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-        return FocusedImage(px)
+        return rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
 
     def test_fimg_round_trip(self, tmp_path):
-        img = self._image()
+        px = self._image()
         path = tmp_path / "img.fimg"
-        write_fimg(path, img)
-        np.testing.assert_array_equal(read_fimg(path), img.pixels)
+        write_fimg(path, px)
+        np.testing.assert_array_equal(read_fimg(path), px)
 
     def test_fimg_round_trip_keeps_every_bit(self, tmp_path):
         px = np.array([[complex(-0.0, 1.0), complex(1.0, np.inf)]])
         path = tmp_path / "img.fimg"
-        write_fimg(path, FocusedImage(px))
+        write_fimg(path, px)
         assert read_fimg(path).tobytes() == px.tobytes()
 
     def test_fsar_is_not_an_image(self, tmp_path):
         path = tmp_path / "raw.fsar"
-        write_fsar(path, RawDataMatrix(self._image().pixels, np.arange(8.0), "ofdm"))
+        write_fsar(path, self._image())
         msg = f"{path}: bad magic b'FSAR', expected b'FIMG'"
         with pytest.raises(FormatError, match=re.escape(msg)):
             read_fimg(path)
 
     def test_pgm_format(self, tmp_path):
-        img = self._image()
         path = tmp_path / "img.pgm"
-        write_pgm(path, img)
+        write_pgm(path, self._image(), -50.0)
         blob = path.read_bytes()
         header = b"P5\n6 8\n65535\n"
         assert blob.startswith(header)
@@ -381,9 +378,8 @@ class TestImageIo:
     def test_png_structure(self, tmp_path):
         import struct
         import zlib
-        img = self._image()
         path = tmp_path / "img.png"
-        write_png(path, img)
+        write_png(path, self._image(), -50.0)
         blob = path.read_bytes()
         assert blob[:8] == b"\x89PNG\r\n\x1a\n"
         w, h = struct.unpack(">II", blob[16:24])
@@ -396,9 +392,8 @@ class TestImageIo:
     def test_pgm_peak_location_matches_image(self, tmp_path):
         px = np.full((5, 7), 0.01, complex)
         px[3, 2] = 1.0
-        img = FocusedImage(px)
         path = tmp_path / "img.pgm"
-        write_pgm(path, img)
+        write_pgm(path, px, -50.0)
         blob = path.read_bytes()
         header = b"P5\n7 5\n65535\n"
         vals = np.frombuffer(blob[len(header):], dtype=">u2").reshape(5, 7)

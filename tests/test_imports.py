@@ -1,6 +1,7 @@
-"""Two stdlib ast checks on every package module but __init__ (which re-exports):
-each uses every name it imports, and no function, class, method or property is
-defined only for tests."""
+"""Stdlib ast checks on the package modules. Every module but __init__ (which
+re-exports) uses every name it imports, and no function, class, method or
+property is defined only for tests. Every module but fileio leaves file
+formats to fileio."""
 
 import ast
 import pathlib
@@ -45,6 +46,8 @@ TEST_ONLY = {
     ("metrics.py", "mainlobe_width_3db"): "the main-lobe width acceptance criterion 8 reads",
     ("imaging.py", "rcmc"): "a tracer wrap point that perfbench resolves by name; focus has "
                             "no migration stage",
+    ("scenario.py", "tank_scenario"): "the tank scene on any preset, which perfbench's "
+                                      "workloads and tools/bit_identity.py build",
 }
 
 
@@ -92,3 +95,37 @@ def test_every_definition_is_read_in_the_package():
     sources = {m: (PACKAGE / m).read_text() for m in MODULES}
     assert sorted(set(unread_definitions(sources)) - set(TEST_ONLY)) == []
     assert set(TEST_ONLY) <= set(unread_definitions(sources))
+
+
+# What only fileio.py, the home of every file format, may import or name.
+FILE_CODE = {"struct", "zlib", "atomic_write", "write_container", "read_container"}
+
+
+def file_code(source: str) -> list[str]:
+    """The FILE_CODE modules source imports and the FILE_CODE names it binds or reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add((node.module or "").split(".")[0])
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return sorted(found & FILE_CODE)
+
+
+def test_checker_finds_file_code():
+    source = ("import zlib\nfrom struct import pack\nfrom .fileio import atomic_write\n"
+              "from . import fileio\nfileio.write_container(p, m, d)\nread_container(p, m)\n"
+              "from .fileio import write_fsar\nwrite_fsar(p, d)\n")
+    assert file_code(source) == ["atomic_write", "read_container", "struct",
+                                 "write_container", "zlib"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "fileio.py"))
+def test_file_formats_live_in_fileio(module):
+    assert file_code((PACKAGE / module).read_text()) == []

@@ -311,6 +311,9 @@ class TestTankFixture:
         assert len(scen.doc["scene"]["targets"]) >= 25
         scen.simulation_config()
 
+    def test_tank_preset_is_the_full_tank_scenario(self):
+        assert preset_scenario("tank").doc == tank_scenario("full").doc
+
 
 class TestRunMetrics:
     @staticmethod

@@ -20,3 +20,21 @@ class TestBitIdentity:
         assert len(first) == 1
         assert first[0].startswith("small ofdm-foliage_off seed=0 raw=")
         assert " image=" in first[0] and "islr_range_db=" in first[0]
+
+    def test_file_mode_hashes_every_written_file_the_same_twice(self, tmp_path):
+        bi = _bit_identity()
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = list(bi.file_lines(str(tmp_path / "a")))
+        assert first == list(bi.file_lines(str(tmp_path / "b")))  # timings_s left out
+        assert [line for line in first if " exit=" in line] == [
+            f"{name} exit=0" for name, _ in bi.FILE_COMMANDS]
+        names = {line.split()[0] for line in first if " exit=" not in line}
+        for name in ("simulate-small/ofdm-foliage_off-seed0_raw.csv",
+                     "simulate-foliage/ofdm-foliage_HH-seed0_foliage.csv",
+                     "simulate-full/ofdm-foliage_off-seed0_raw.fsar",
+                     "image-full/ofdm-foliage_off-seed0_image.png",
+                     "image-full/ofdm-foliage_off-seed0_range_profile.csv",
+                     "metrics-full/metrics_manifest.json", "compare-small/compare.json"):
+            assert name in names
+        assert all(len(line.split()[1]) == 64 for line in first if " exit=" not in line)

@@ -11,12 +11,27 @@ lines produce the same bits on every run; diffing their outputs is the check:
 
 The sweep is the small preset at seeds 0-59, the full preset at seeds 0-5
 and the full tank scene at seeds 0-11 with 30 dB receiver noise and foliage
-redrawn per pulse, each over {ofdm, noise} x {off, HH, VV}: 468 runs. It
-needs numpy and the fopen_sar package only.
+redrawn per pulse, each over {ofdm, noise} x {off, HH, VV}: 468 runs.
+
+The file mode fingerprints the files the command line writes instead:
+
+    PYTHONPATH=src python tools/bit_identity.py files > after_files.txt
+
+It runs FILE_COMMANDS in a temporary directory and prints one line per
+command with its exit code, then one "<command>/<file> <sha256>" line per
+file the command wrote, manifests hashed without their timings_s. Both
+modes need numpy and the fopen_sar package only.
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
+import json
+import os
+import tempfile
 
+from fopen_sar.cli import main
 from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError, image_metrics
 from fopen_sar.scenario import Scenario, focus_config, preset_scenario, tank_scenario
@@ -61,6 +76,51 @@ def lines(run_list):
                f"image={_sha256(img.pixels)} {metrics}")
 
 
+# (name, arguments) of each command, run in order with --out <dir>/<name>;
+# "{dir}" is the temporary directory. The foliage scenario is the small preset
+# with HH foliage and its foliage CSV switched on.
+FILE_COMMANDS = (
+    ("simulate-small", ["simulate", "--preset", "small"]),
+    ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
+    ("simulate-full", ["simulate", "--preset", "full"]),
+    ("image-full", ["image", "--preset", "full", "--raw",
+                    "{dir}/simulate-full/ofdm-foliage_off-seed0_raw.fsar"]),
+    ("metrics-full", ["metrics", "--preset", "full", "--image",
+                      "{dir}/image-full/ofdm-foliage_off-seed0_image.fimg"]),
+    ("compare-small", ["compare", "--preset", "small"]),
+)
+
+
+def file_lines(tmp):
+    """Run FILE_COMMANDS in the directory tmp; yield each command's exit code
+    line, then a name and sha256 line for each file it wrote, by file name."""
+    doc = preset_scenario("small").with_overrides(foliage_pol="HH").doc
+    doc["outputs"]["dump_foliage_csv"] = True
+    with open(os.path.join(tmp, "foliage.json"), "w") as fh:
+        json.dump(doc, fh)
+    for name, argv in FILE_COMMANDS:
+        out = os.path.join(tmp, name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([a.format(dir=tmp) for a in argv] + ["--out", out])
+        yield f"{name} exit={code}"
+        for file in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+            with open(os.path.join(out, file), "rb") as fh:
+                blob = fh.read()
+            if file.endswith("_manifest.json"):
+                manifest = json.loads(blob)
+                del manifest["timings_s"]
+                blob = json.dumps(manifest, indent=2, sort_keys=True).encode()
+            yield f"{name}/{file} {hashlib.sha256(blob).hexdigest()}"
+
+
 if __name__ == "__main__":
-    for line in lines(runs()):
-        print(line, flush=True)
+    parser = argparse.ArgumentParser(description="Fingerprint a fixed sweep of runs, "
+                                     "or the files the command line writes.")
+    parser.add_argument("mode", nargs="?", choices=("runs", "files"), default="runs")
+    if parser.parse_args().mode == "runs":
+        for line in lines(runs()):
+            print(line, flush=True)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            for line in file_lines(tmp):
+                print(line, flush=True)
