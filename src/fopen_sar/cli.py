@@ -101,12 +101,11 @@ def _sha256(path) -> str:
 def _write_profiles_csv(stem, pixels, upsample, smooth):
     rng_p, az_p = extract_profiles(pixels, upsample, smooth)
     paths = []
-    for name, prof in (("range", rng_p), ("azimuth", az_p)):
+    for name, axis, prof in (("range", "axis_cells", rng_p), ("azimuth", "axis_pulses", az_p)):
         path = f"{stem}_{name}_profile.csv"
         v = prof.values
         db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
-        write_csv(path, [f"axis_{prof.axis_unit}", "power", "power_db"],
-                  [prof.axis, v, db])
+        write_csv(path, [axis, "power", "power_db"], [np.arange(len(v)) / upsample, v, db])
         paths.append(path)
     return paths
 

@@ -48,10 +48,6 @@ class RawDataMatrix:
         if self.data.ndim != 2:
             raise ValueError("raw data must be 2-D [pulse, fast-time]")
 
-    @property
-    def line_length(self) -> int:
-        return self.data.shape[1]
-
 
 def transmitted_pulse(config: SimulationConfig) -> np.ndarray:
     """The pulse actually transmitted for this config, read-only.

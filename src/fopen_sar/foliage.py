@@ -52,19 +52,12 @@ class FoliageParams:
     redraw_per_pulse: bool = False
     spectral_smoothing_bins: int = 0
 
-    @property
-    def alpha(self) -> float:
-        return ATTENUATION_CONSTANTS[self.polarization][0]
-
-    @property
-    def beta(self) -> float:
-        return ATTENUATION_CONSTANTS[self.polarization][1]
-
 
 def mean_attenuation_db(freq_hz: float | np.ndarray, params: FoliageParams) -> np.ndarray:
     """Mean foliage attenuation beta * f_GHz^alpha * sin(45 deg)/sin(gamma_g), in dB."""
+    alpha, beta = ATTENUATION_CONSTANTS[params.polarization]
     f = np.asarray(freq_hz, dtype=float)
-    return params.beta * (f / 1e9) ** params.alpha * (
+    return beta * (f / 1e9) ** alpha * (
         np.sin(np.pi / 4) / np.sin(params.grazing_angle_rad))
 
 

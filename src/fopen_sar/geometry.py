@@ -29,8 +29,9 @@ class PlatformParams:
     prf_hz: float = 256.0
 
     def __post_init__(self):
-        if self.antenna_length_m is None:
-            object.__setattr__(self, "antenna_length_m", self.derived_antenna_length())
+        if self.antenna_length_m is None:  # the 3-dB footprint dwell equals T_a
+            object.__setattr__(self, "antenna_length_m", self.wavelength_m
+                               * self.reference_range_m / (self.velocity_mps * self.aperture_s))
         # Azimuth Nyquist check is advisory: desk-scale runs may under-sample.
         if self.prf_hz < self.doppler_bandwidth_hz:
             warnings.warn(
@@ -57,11 +58,6 @@ class PlatformParams:
     def doppler_rate_hz_per_s(self) -> float:
         """Azimuth chirp rate K_a = 2*v_p^2/(lambda*R_c) at the reference range."""
         return 2.0 * self.velocity_mps**2 / (self.wavelength_m * self.reference_range_m)
-
-    def derived_antenna_length(self) -> float:
-        """Antenna length that makes the 3-dB footprint dwell equal T_a."""
-        return self.wavelength_m * self.reference_range_m / (
-            self.velocity_mps * self.aperture_s)
 
     def n_pulses(self) -> int:
         return int(round(self.aperture_s * self.prf_hz))

@@ -46,17 +46,18 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
         raise ValueError(f"expected {n} symbols, got {symbols.shape}")
     if np.any(symbols == 0):
         raise ZeroDivisionError("symbols must be nonzero for equalization")
-    if raw.line_length != spec.line_length:
+    if raw.data.shape[1] != spec.line_length:
         raise ValueError(
-            f"raw line length {raw.line_length} != N+2M-2 = {spec.line_length}")
+            f"raw line length {raw.data.shape[1]} != N+2M-2 = {spec.line_length}")
     k = np.arange(n)
     eq = np.exp(-2j * np.pi * ((m - 1) * k % n) / n) / symbols
-    return RangeCompressedMatrix(_filter_rows(raw.data[:, m - 1:m - 1 + n], n, eq, m))
+    return RangeCompressedMatrix(_filter_rows(raw.data[:, m - 1:m - 1 + n], eq, m))
 
 
-def _filter_rows(lines: np.ndarray, n: int, response: np.ndarray, n_out: int) -> np.ndarray:
-    """IFFT(FFT(line, n) * response)[:n_out] of every row, BLOCK_PULSES rows at a
-    time in one reused block buffer."""
+def _filter_rows(lines: np.ndarray, response: np.ndarray, n_out: int) -> np.ndarray:
+    """IFFT(FFT(line, n) * response)[:n_out] of every row, n = len(response),
+    BLOCK_PULSES rows at a time in one reused block buffer."""
+    n = len(response)
     out = np.empty((len(lines), n_out), dtype=complex)
     buf = np.empty((min(BLOCK_PULSES, len(lines)), n), dtype=complex)
     for start in range(0, len(lines), BLOCK_PULSES):
@@ -85,24 +86,21 @@ def smooth_length(n: int) -> int:
     return best
 
 
-def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray,
-                         n_cells: int) -> RangeCompressedMatrix:
+def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray) -> RangeCompressedMatrix:
     """Matched-filter each pulse against the transmitted noise replica.
 
-    The correlation is sampled at lags 0 .. M-1 (the valid overlap of the
-    N+2M-2 line with the N+M-1 replica) and normalized by the replica
-    energy, so a unit single-tap channel gives a unit-magnitude peak. It is
-    computed as IFFT(FFT(line, L') * conj(FFT(replica, L'))) at the fast
-    length L' = smooth_length(L) >= L: those lags never wrap around L'.
-    Pulses are filtered BLOCK_PULSES at a time.
+    The correlation is sampled at the M = L - len(replica) + 1 lags where the
+    replica lies wholly inside the L-sample line (M cells for N+2M-2 against
+    N+M-1), normalized by the replica energy so a unit single-tap channel gives
+    a unit-magnitude peak. It is IFFT(FFT(line, L') * conj(FFT(replica, L')))
+    at the fast length L' = smooth_length(L) >= L: those lags never wrap around
+    L'. Pulses are filtered BLOCK_PULSES at a time.
     """
-    expect = len(replica) + n_cells - 1
-    if raw.line_length != expect:
-        raise ValueError(
-            f"raw line length {raw.line_length} incompatible with replica "
-            f"({len(replica)}) and {n_cells} cells; expected {expect}")
-    n = smooth_length(raw.line_length)
-    out = _filter_rows(raw.data, n, np.conj(np.fft.fft(replica, n)), n_cells)
+    length = raw.data.shape[1]
+    if length < len(replica):
+        raise ValueError(f"raw line length {length} is shorter than the replica ({len(replica)})")
+    n = smooth_length(length)
+    out = _filter_rows(raw.data, np.conj(np.fft.fft(replica, n)), length - len(replica) + 1)
     out /= np.sum(np.abs(replica) ** 2)
     return RangeCompressedMatrix(out)
 
@@ -133,10 +131,11 @@ def rcmc(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformParams,
     return np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
 
 
-def azimuth_compress(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformParams,
+def azimuth_compress(rd: np.ndarray, platform: PlatformParams,
                      window: str = "none") -> FocusedImage:
     """Apply the reference-range azimuth matched filter and invert the FFT.
 
+    rd's rows are the Doppler bins f = fftfreq(len(rd), 1 / prf), in FFT order.
     H(f) = exp(-j pi f^2 / K_a) with K_a = 2 v^2 / (lambda R_c); the static
     phase exp(+j 4 pi f_c R_c / c) plus the quadratic-chirp stationary-phase
     constant exp(+j pi / 4) then make a boresight reference point's peak
@@ -144,6 +143,7 @@ def azimuth_compress(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformP
     0.5 + 0.5 cos(2 pi f / prf): 1 at zero Doppler and even in f for any
     pulse count.
     """
+    doppler_hz = np.fft.fftfreq(len(rd), 1.0 / platform.prf_hz)
     ka = platform.doppler_rate_hz_per_s
     h = np.exp(-1j * np.pi * doppler_hz**2 / ka)
     if window == "hann":
@@ -160,7 +160,8 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
     transmitted symbols for OFDM data, the transmitted pulse for noise data.
     No migration stage: the echo model keeps every scatterer in its range cell.
     """
+    if raw.waveform_kind == "noise" and len(reference) != spec.pulse_length:
+        raise ValueError(f"replica of {len(reference)} samples, not N+M-1 = {spec.pulse_length}")
     rd = azimuth_fft(range_compress_ofdm(raw, spec, reference) if raw.waveform_kind == "ofdm"
-                     else range_compress_noise(raw, reference, spec.n_range_cells))
-    doppler_hz = np.fft.fftfreq(len(rd), 1.0 / platform.prf_hz)
-    return azimuth_compress(rd, doppler_hz, platform, azimuth_window)
+                     else range_compress_noise(raw, reference))
+    return azimuth_compress(rd, platform, azimuth_window)

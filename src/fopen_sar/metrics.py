@@ -31,14 +31,13 @@ class UndefinedMetricError(ValueError):
 class Profile:
     """1-D power profile with its main-lobe bracket.
 
-    values are |pixel|^2 on the (possibly upsampled) periodic grid; axis holds
-    the uniform sample coordinates in native units (range cells or pulses);
-    peak_index, null_left and null_right index values modulo its length.
+    values are |pixel|^2 on the periodic grid upsampled by upsample, so sample
+    i sits at i / upsample range cells or pulses; peak_index, null_left and
+    null_right index values modulo its length.
     """
 
     values: np.ndarray
-    axis: np.ndarray
-    axis_unit: str  # "cells" | "pulses"
+    upsample: int
     peak_index: int
     null_left: int
     null_right: int
@@ -107,9 +106,8 @@ def find_mainlobe(power: np.ndarray, peak: int, smooth_window: int = 3):
 _EXPONENT_BAND = 400
 
 
-def profile_from_cut(cut: np.ndarray, axis_unit: str, upsample: int = 16,
-                     smooth_window: int = 3) -> Profile:
-    """Build a Profile from a complex image cut.
+def profile_from_cut(cut: np.ndarray, upsample: int = 16, smooth_window: int = 3) -> Profile:
+    """Build a Profile from a complex image cut, a range row or an azimuth column.
 
     A cut outside the exponent band is first scaled by 2^-e, e the exponent
     of its largest real or imaginary part: exact, so only values change.
@@ -121,8 +119,7 @@ def profile_from_cut(cut: np.ndarray, axis_unit: str, upsample: int = 16,
     power = np.abs(upsample_complex(parts.view(complex), upsample)) ** 2
     peak = int(np.argmax(power))
     left, right = find_mainlobe(power, peak, smooth_window)
-    axis = np.arange(len(power)) / upsample
-    return Profile(power, axis, axis_unit, peak, left, right)
+    return Profile(power, upsample, peak, left, right)
 
 
 def extract_profiles(pixels: np.ndarray, upsample: int = 16,
@@ -137,8 +134,8 @@ def extract_profiles(pixels: np.ndarray, upsample: int = 16,
         raise ValueError("image must be 2-D [azimuth, range]")
     mag = np.abs(pixels)
     az, rg = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    rng_profile = profile_from_cut(pixels[az, :], "cells", upsample, smooth_window)
-    az_profile = profile_from_cut(pixels[:, rg], "pulses", upsample, smooth_window)
+    rng_profile = profile_from_cut(pixels[az, :], upsample, smooth_window)
+    az_profile = profile_from_cut(pixels[:, rg], upsample, smooth_window)
     return rng_profile, az_profile
 
 
@@ -175,11 +172,11 @@ def pslr(profile: Profile) -> float:
 
 
 def mainlobe_width_3db(profile: Profile) -> float:
-    """-3 dB main-lobe width in native axis units (diagnostic), round the circle."""
+    """-3 dB main-lobe width in range cells or pulses (diagnostic), round the circle."""
     p, i = profile.values, profile.peak_index
     rolled = np.roll(p, len(p) // 2 - i)
     left, right = (_run(side[1:] >= p[i] / 2.0) for side in _sides(rolled))
-    return float((left + right) * (profile.axis[1] - profile.axis[0]))
+    return float((left + right) * (1 / profile.upsample))
 
 
 def image_metrics(pixels: np.ndarray, upsample: int = 16,

@@ -347,6 +347,12 @@ def _relations(out):
             if 4 * math.pi / lam * (math.sqrt(r * r + du * du) + rc) == math.inf:
                 _fail("platform.carrier_hz", f"the two-way phase 4 pi (R + R_c) / lambda "
                       f"of scene.targets[{i}] must be finite")
+    # exp of foliage's fBm path overflows past ln(float max) = 709.78. The path's std at the
+    # aperture's end is at most aperture_s ** hurst (tau^2H, tau in s); at <= 2^25 pulses and
+    # 2^64 seeds, 2^89 Q(k) samples pass k std, < 1 first at k = 11 (0.12; Q the normal tail).
+    if "foliage" in out and 11 * p["aperture_s"] ** out["foliage"]["hurst"] > 709.78:
+        _fail("platform.aperture_s", "11 * aperture_s ** foliage.hurst must be <= 709.78, "
+              "so that exp of the foliage's fBm path stays finite")
 
 
 def load_scenario(path) -> Scenario:

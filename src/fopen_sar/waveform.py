@@ -32,10 +32,6 @@ class OfdmSpec:
     symbol_seed: int = 0
 
     @property
-    def sample_interval(self) -> float:
-        return 1.0 / self.bandwidth_hz
-
-    @property
     def pulse_length(self) -> int:
         """Samples per pulse, N + M - 1."""
         return self.n_subcarriers + self.n_range_cells - 1
@@ -47,7 +43,7 @@ class OfdmSpec:
 
     def line_frequencies(self, carrier_hz: float) -> np.ndarray:
         """Absolute frequency of each FFT bin of a raw range line."""
-        return carrier_hz + np.fft.fftfreq(self.line_length, d=self.sample_interval)
+        return carrier_hz + np.fft.fftfreq(self.line_length, d=1.0 / self.bandwidth_hz)
 
 
 def generate_bpsk_symbols(seed: int, n: int) -> np.ndarray:

@@ -295,6 +295,10 @@ SCHEMA_HOLES = [
                  "waveform.noise_variance: unknown key", id="noise_variance"),
     pytest.param(lambda d: d.update(foliage={"polarization": "HH", "gamma_scale": 0.5}),
                  "foliage.gamma_scale: unknown key", id="gamma_scale"),
+    # 100 pulses over 1000 s: exp of the fBm path overflowed, then exit 5 "no peak"
+    pytest.param(lambda d: (d.update(foliage={"polarization": "HH", "hurst": 0.99}),
+                            d["platform"].update(aperture_s=1000.0, prf_hz=0.1)),
+                 "platform.aperture_s", id="fbm_past_exp_range"),
     # no echo this tool forms migrates, and "spectral" worsened every metric
     pytest.param(_set("processing", "rcmc", "off"), "processing.rcmc: unknown key",
                  id="rcmc_off"),
@@ -309,7 +313,7 @@ SCHEMA_HOLES = [
     pytest.param(_set(section, key, value), f"{section}.{key}",
                  id=f"{type(value).__name__}_{key}")
     for section, key in (("waveform", "kind"), ("foliage", "polarization"),
-                         ("processing", "rcmc"), ("processing", "azimuth_window"))
+                         ("processing", "azimuth_window"))
     for value in ([], {"a": 1})
 ] + [
     # the rules the pipeline's constructors and helpers once repeated

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fopen_sar.fileio import dump_realizations_csv
-from fopen_sar.foliage import (AMPLITUDE_FLOOR, FoliageChannel, FoliageParams,
-                               _fgn_davies_harte, fbm_path, mean_attenuation_db,
+from fopen_sar.foliage import (AMPLITUDE_FLOOR, ATTENUATION_CONSTANTS, FoliageChannel,
+                               FoliageParams, _fgn_davies_harte, fbm_path, mean_attenuation_db,
                                unit_phasor)
 from fopen_sar.rng import _philox_keys, substream
 
@@ -48,7 +48,8 @@ class TestMeanAttenuation:
         for pol in ("HH", "VV"):
             p = FoliageParams(pol, np.pi / 4)
             v = mean_attenuation_db(9e9, p)
-            assert v == pytest.approx(p.beta * 9.0**p.alpha, rel=1e-12)
+            alpha, beta = ATTENUATION_CONSTANTS[pol]
+            assert v == pytest.approx(beta * 9.0**alpha, rel=1e-12)
 
     def test_hh_9ghz_90deg(self):
         p = FoliageParams("HH", np.pi / 2)
@@ -62,10 +63,7 @@ class TestMeanAttenuation:
         assert np.all(np.diff(vals) < 0)
 
     def test_polarization_presets(self):
-        assert FoliageParams("HH").alpha == 0.79
-        assert FoliageParams("HH").beta == 0.05
-        assert FoliageParams("VV").alpha == 0.5
-        assert FoliageParams("VV").beta == 0.45
+        assert ATTENUATION_CONSTANTS == {"HH": (0.79, 0.05), "VV": (0.5, 0.45)}
 
 
 class TestGammaFluctuation:

@@ -168,12 +168,22 @@ def test_scenario_documents_exit_cleanly(tmp_path):
     ({("scene", "targets", 0, "rcs"): [1e100, -1e100]}, None),
     ({("scene", "targets", 0, "rcs"): [0.0, math.nextafter(-1e100, -math.inf)]},
      "scene.targets[0].rcs"),
+    # 100 pulses whose fBm path overflowed exp, then exited 5; both edges of the rule
+    ({("foliage", "hurst"): 0.99, ("platform", "aperture_s"): 1000, ("platform", "prf_hz"): 0.1},
+     "platform.aperture_s"),
+    ({("platform", "aperture_s"): 1e8, ("platform", "prf_hz"): 1e-6}, "platform.aperture_s"),
+    ({("foliage", "hurst"): 0.99, ("platform", "aperture_s"): 67, ("platform", "prf_hz"): 1.5},
+     None),
+    ({("foliage", "hurst"): 0.99, ("platform", "aperture_s"): 68, ("platform", "prf_hz"): 1.5},
+     "platform.aperture_s"),
 ], ids=["carrier_1.9GHz", "bandwidth_1e300", "snr_3090", "snr_-4000", "snr_-3100",
         "velocity_1e300", "azimuth_1e300", "reference_range_1e300",
         "reference_range_and_antenna_1e300", "antenna_1e300_carrier_2^70",
         "carrier_1e300_azimuth_1e150",
         "snr_-1541", "snr_-1542", "snr_3082", "snr_3083", "carrier_2GHz",
-        "rcs_1e300", "rcs_at_bound", "rcs_past_bound"])
+        "rcs_1e300", "rcs_at_bound", "rcs_past_bound",
+        "fbm_hurst_0.99_aperture_1000", "fbm_aperture_1e8", "fbm_inside_bound",
+        "fbm_past_bound"])
 def test_float_range_rules(tmp_path, edits, field):
     doc = base_document()
     for path, value in edits.items():

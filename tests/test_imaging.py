@@ -1,11 +1,7 @@
-import re
-
 import numpy as np
 import pytest
 
 from fopen_sar.echo import RawDataMatrix, SimulationConfig, synthesize_raw, transmitted_pulse
-from fopen_sar.fileio import (FormatError, read_fimg, write_fimg, write_fsar, write_pgm,
-                              write_png)
 from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.imaging import (azimuth_fft, migration_shift_cells,
                                range_compress_noise, range_compress_ofdm, rcmc,
@@ -117,10 +113,10 @@ class TestRangeCompressNoise:
         # 45 pulses: a full block of 32 and a partial one
         raw = RawDataMatrix(np.vstack([raw.data, raw.data[:13]]), np.arange(45.0), "noise")
         pulse = transmitted_pulse(cfg)
-        m, n = cfg.ofdm.n_range_cells, raw.line_length
+        m, n = cfg.ofdm.n_range_cells, raw.data.shape[1]
         want = np.fft.ifft(np.fft.fft(raw.data, axis=1) * np.conj(np.fft.fft(pulse, n)),
                            axis=1)[:, :m] / np.sum(np.abs(pulse) ** 2)
-        got = range_compress_noise(raw, pulse, m).data
+        got = range_compress_noise(raw, pulse).data
         assert smooth_length(n) != n
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
@@ -129,13 +125,13 @@ class TestRangeCompressNoise:
         g = np.zeros(8, complex)
         g[0] = 1.0
         raw = _single_line_raw(g, pulse, kind="noise")
-        rc = range_compress_noise(raw, pulse, 8)
+        rc = range_compress_noise(raw, pulse)
         assert abs(rc.data[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_scene_gives_zero(self, tiny_spec):
         pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
         raw = _single_line_raw(np.zeros(8, complex), pulse, "noise")
-        rc = range_compress_noise(raw, pulse, 8)
+        rc = range_compress_noise(raw, pulse)
         assert np.max(np.abs(rc.data)) < 1e-14
 
     def test_sidelobe_floor_scales_with_pulse_length(self):
@@ -148,17 +144,20 @@ class TestRangeCompressNoise:
         for seed in range(100):
             pulse = generate_noise_pulse(L, seed)
             raw = _single_line_raw(g, pulse, "noise")
-            rc = range_compress_noise(raw, pulse, 48)
+            rc = range_compress_noise(raw, pulse)
             side = np.delete(np.abs(rc.data[0]), 24)
             ratios.append(np.sqrt(np.mean(side**2)))
         measured = np.mean(ratios)
         assert measured == pytest.approx(1.0 / np.sqrt(L), rel=0.15)
 
     def test_dimension_mismatch_rejected(self, tiny_spec):
+        # M = L - 39 + 1 cells: a line shorter than the replica has none
         pulse = generate_noise_pulse(tiny_spec.pulse_length, 2)
-        raw = RawDataMatrix(np.zeros((2, 11), complex), np.array([0.0, 1.0]), "noise")
-        with pytest.raises(ValueError):
-            range_compress_noise(raw, pulse, 8)
+        raw = RawDataMatrix(np.zeros((2, 38), complex), np.array([0.0, 1.0]), "noise")
+        with pytest.raises(ValueError, match=r"raw line length 38 .*replica \(39\)"):
+            range_compress_noise(raw, pulse)
+        raw = RawDataMatrix(np.zeros((2, 39), complex), np.array([0.0, 1.0]), "noise")
+        assert range_compress_noise(raw, pulse).data.shape == (2, 1)
 
 
 class TestAzimuthFft:
@@ -316,8 +315,8 @@ class TestAzimuthCompressAndFocus:
                               15.0, 128.0)
         fd = np.fft.fftfreq(n, 1 / plat.prf_hz)
         ones = np.ones((n, 1), complex)
-        w = (np.fft.fft(azimuth_compress(ones, fd, plat, "hann").pixels, axis=0)
-             / np.fft.fft(azimuth_compress(ones, fd, plat).pixels, axis=0))[:, 0]
+        w = (np.fft.fft(azimuth_compress(ones, plat, "hann").pixels, axis=0)
+             / np.fft.fft(azimuth_compress(ones, plat).pixels, axis=0))[:, 0]
         np.testing.assert_allclose(w.imag, 0.0, atol=1e-12)
         assert w[0].real == pytest.approx(1.0, rel=1e-12)
         # w(f_k) = w(f_-k) for even n too: bin -k is index -k mod n
@@ -341,60 +340,3 @@ class TestPointRcsEstimate:
         est = point_rcs_estimate(rc.data[j], grid, tiny_platform, eta,
                                  tiny_spec.n_subcarriers)
         assert est[4] == pytest.approx(sigma, rel=1e-9)
-
-
-class TestImageIo:
-    def _image(self):
-        rng = np.random.default_rng(0)
-        return rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-
-    def test_fimg_round_trip(self, tmp_path):
-        px = self._image()
-        path = tmp_path / "img.fimg"
-        write_fimg(path, px)
-        np.testing.assert_array_equal(read_fimg(path), px)
-
-    def test_fimg_round_trip_keeps_every_bit(self, tmp_path):
-        px = np.array([[complex(-0.0, 1.0), complex(1.0, np.inf)]])
-        path = tmp_path / "img.fimg"
-        write_fimg(path, px)
-        assert read_fimg(path).tobytes() == px.tobytes()
-
-    def test_fsar_is_not_an_image(self, tmp_path):
-        path = tmp_path / "raw.fsar"
-        write_fsar(path, self._image())
-        msg = f"{path}: bad magic b'FSAR', expected b'FIMG'"
-        with pytest.raises(FormatError, match=re.escape(msg)):
-            read_fimg(path)
-
-    def test_pgm_format(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        write_pgm(path, self._image(), -50.0)
-        blob = path.read_bytes()
-        header = b"P5\n6 8\n65535\n"
-        assert blob.startswith(header)
-        assert len(blob) == len(header) + 8 * 6 * 2
-
-    def test_png_structure(self, tmp_path):
-        import struct
-        import zlib
-        path = tmp_path / "img.png"
-        write_png(path, self._image(), -50.0)
-        blob = path.read_bytes()
-        assert blob[:8] == b"\x89PNG\r\n\x1a\n"
-        w, h = struct.unpack(">II", blob[16:24])
-        assert (w, h) == (6, 8)
-        idat = blob.index(b"IDAT")
-        size = struct.unpack(">I", blob[idat - 4:idat])[0]
-        raw = zlib.decompress(blob[idat + 4:idat + 4 + size])
-        assert len(raw) == 8 * (1 + 6 * 2)
-
-    def test_pgm_peak_location_matches_image(self, tmp_path):
-        px = np.full((5, 7), 0.01, complex)
-        px[3, 2] = 1.0
-        path = tmp_path / "img.pgm"
-        write_pgm(path, px, -50.0)
-        blob = path.read_bytes()
-        header = b"P5\n7 5\n65535\n"
-        vals = np.frombuffer(blob[len(header):], dtype=">u2").reshape(5, 7)
-        assert np.unravel_index(np.argmax(vals), vals.shape) == (3, 2)

@@ -14,8 +14,7 @@ from fopen_sar.metrics import (METRIC_KEYS, NoPeakError, Profile,
 def _profile(values, null_left, null_right, peak=None):
     values = np.asarray(values, dtype=float)
     peak = int(np.argmax(values)) if peak is None else peak
-    return Profile(values, np.arange(len(values), dtype=float), "cells",
-                   peak, null_left, null_right)
+    return Profile(values, 1, peak, null_left, null_right)
 
 
 class TestUpsample:
@@ -70,9 +69,9 @@ class TestProfiles:
         cut = np.zeros(64, complex)
         cut[32] = 1.0
         u = 16
-        prof = profile_from_cut(cut, "cells", upsample=u, smooth_window=3)
-        assert abs(prof.axis[prof.null_left] - 31.0) <= 1.0 / u + 1e-9
-        assert abs(prof.axis[prof.null_right] - 33.0) <= 1.0 / u + 1e-9
+        prof = profile_from_cut(cut, upsample=u, smooth_window=3)
+        assert abs(prof.null_left / u - 31.0) <= 1.0 / u + 1e-9
+        assert abs(prof.null_right / u - 33.0) <= 1.0 / u + 1e-9
 
     def test_peak_with_no_descent_rejected(self):
         with pytest.raises(NoPeakError):
@@ -143,12 +142,12 @@ class TestFloatRange:
     def test_values_scaled_by_two_to_minus_2e(self, k):
         cut = self._image()[16]
         e = math.frexp(np.abs(cut.view(float)).max())[1]
-        np.testing.assert_array_equal(profile_from_cut(cut * 2.0 ** k, "cells").values,
-                                      profile_from_cut(cut, "cells").values * 2.0 ** (-2 * e))
+        np.testing.assert_array_equal(profile_from_cut(cut * 2.0 ** k).values,
+                                      profile_from_cut(cut).values * 2.0 ** (-2 * e))
 
     def test_inside_band_unscaled(self):
         cut = self._image()[16] * 2.0 ** 390
-        np.testing.assert_array_equal(profile_from_cut(cut, "cells").values,
+        np.testing.assert_array_equal(profile_from_cut(cut).values,
                                       np.abs(upsample_complex(cut, 16)) ** 2)
 
 
@@ -169,7 +168,7 @@ class TestIslrPslr:
     def test_islr_zero_mainlobe_undefined(self):
         vals = np.zeros(7)
         vals[5] = 1.0
-        p = Profile(vals, np.arange(7.0), "cells", 1, 0, 2)
+        p = Profile(vals, 1, 1, 0, 2)
         with pytest.raises(UndefinedMetricError):
             islr(p)
 
@@ -213,14 +212,14 @@ class TestIslrPslr:
         # continuous sinc^2 profile: ISLR ~ -9.7 dB, PSLR -13.26 dB
         cut = np.zeros(192, complex)
         cut[96] = 1.0
-        prof = profile_from_cut(cut, "cells", upsample=16, smooth_window=3)
+        prof = profile_from_cut(cut, upsample=16, smooth_window=3)
         assert islr(prof) == pytest.approx(-9.73, abs=0.15)
         assert pslr(prof) == pytest.approx(-13.26, abs=0.05)
 
     def test_mainlobe_width_of_sinc(self):
         cut = np.zeros(192, complex)
         cut[96] = 1.0
-        prof = profile_from_cut(cut, "cells", upsample=16, smooth_window=1)
+        prof = profile_from_cut(cut, upsample=16, smooth_window=1)
         assert mainlobe_width_3db(prof) == pytest.approx(0.886, abs=0.07)
 
 
@@ -260,6 +259,6 @@ class TestReport:
 
     def test_profile_invariants(self):
         with pytest.raises(ValueError):
-            Profile(np.ones(5), np.arange(5.0), "cells", 0, 0, 2)
+            Profile(np.ones(5), 1, 0, 0, 2)
         with pytest.raises(ValueError):
-            Profile(-np.ones(5), np.arange(5.0), "cells", 1, 0, 2)
+            Profile(-np.ones(5), 1, 1, 0, 2)

@@ -11,7 +11,10 @@ lines produce the same bits on every run; diffing their outputs is the check:
 
 The sweep is the small preset at seeds 0-59, the full preset at seeds 0-5
 and the full tank scene at seeds 0-11 with 30 dB receiver noise and foliage
-redrawn per pulse, each over {ofdm, noise} x {off, HH, VV}: 468 runs.
+redrawn per pulse, each over {ofdm, noise} x {off, HH, VV}: 468 runs. A
+"branches" set then runs the small preset with the settings no preset uses
+(the Hann azimuth window, HH foliage smoothed over 4 bins and an antenna
+length derived from the aperture) over {ofdm, noise} at seeds 0-19: 40 runs.
 
 The file mode fingerprints the files the command line writes instead:
 
@@ -36,21 +39,26 @@ from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError, image_metrics
 from fopen_sar.scenario import Scenario, focus_config, preset_scenario, tank_scenario
 
-SEEDS = {"small": range(60), "full": range(6), "tank": range(12)}
+SEEDS = {"small": range(60), "full": range(6), "tank": range(12), "branches": range(20)}
 TANK_SNR_DB = 30.0
 
 
 def runs():
     """(set name, scenario, seed) of every run, in output order."""
     for name, seeds in SEEDS.items():
-        base = tank_scenario("full") if name == "tank" else preset_scenario(name)
+        base = (tank_scenario("full") if name == "tank"
+                else preset_scenario("small" if name == "branches" else name))
         for kind in ("ofdm", "noise"):
-            for pol in ("off", "HH", "VV"):
+            for pol in ("HH",) if name == "branches" else ("off", "HH", "VV"):
                 doc = base.with_overrides(kind, pol).doc
                 if name == "tank":
                     doc["noise"] = {"snr_db": TANK_SNR_DB}
                     if pol != "off":
                         doc["foliage"]["redraw_per_pulse"] = True
+                if name == "branches":
+                    doc["processing"]["azimuth_window"] = "hann"
+                    doc["foliage"]["spectral_smoothing_bins"] = 4
+                    doc["platform"]["antenna_length_m"] = None
                 scen = Scenario(doc)
                 for seed in seeds:
                     yield name, scen, seed
