@@ -27,7 +27,7 @@ from .fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar, w
                      write_fimg, write_fsar, write_json, write_pgm, write_png, write_raw_csv)
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
                       extract_profiles, image_metrics)
-from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_config,
+from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_scenario,
                        load_scenario, preset_scenario, run_metrics)
 
 EXIT_OK = 0
@@ -141,10 +141,11 @@ def cmd_simulate(args, scens, stem):
     if raw.data.size <= _CSV_MAX_SAMPLES:
         files.append(f"{stem}_raw.csv")
         write_raw_csv(files[-1], raw.data)
+    summary = "wrote {} ({} pulses x {} samples)".format(files[0], *raw.data.shape)
+    del raw  # freed before the foliage CSV, which streams F a block at a time
     if scen.outputs["dump_foliage_csv"] and cfg.foliage is not None:
         files.append(f"{stem}_foliage.csv")
-        dump_realizations_csv(files[-1], foliage_channel(cfg).response())
-    summary = "wrote {} ({} pulses x {} samples)".format(files[0], *raw.data.shape)
+        dump_realizations_csv(files[-1], foliage_channel(cfg).blocks())
     return [scen.master_seed], files, summary
 
 
@@ -152,17 +153,17 @@ def cmd_image(args, scens, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
     if args.raw:
-        data = _read_matching(read_fsar, args.raw,
-                              (cfg.platform.n_pulses(), cfg.ofdm.line_length))
-        raw = RawDataMatrix(data, cfg.platform.slow_time_axis(), cfg.waveform_kind)
+        shape = (cfg.platform.n_pulses(), cfg.ofdm.line_length)
         # finite samples near the float64 limit can overflow in the FFTs
         with np.errstate(over="ignore", invalid="ignore"):
-            img = focus_config(scen, cfg, raw)
+            img = focus_scenario(scen, cfg, lambda: RawDataMatrix(
+                _read_matching(read_fsar, args.raw, shape), cfg.platform.slow_time_axis(),
+                cfg.waveform_kind))
         if not np.isfinite(img.pixels).all():
             raise FormatError(f"{args.raw}: focuses to a non-finite image "
                               "(samples too large)")
     else:
-        img = focus_config(scen, cfg, synthesize_raw(cfg))
+        img = focus_scenario(scen, cfg, lambda: synthesize_raw(cfg))
     files = [f"{stem}_image.fimg"]
     write_fimg(files[-1], img.pixels)
     floor = scen.outputs["db_floor"]

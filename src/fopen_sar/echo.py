@@ -3,14 +3,15 @@
 Each range line is the linear convolution of the transmitted pulse (length
 N+M-1) with the length-M weighting RCS coefficient vector evaluated at that
 pulse's slow time, giving L = N+2M-2 samples; pulses are formed a block at
-a time, raw = IFFT(FFT(G, L) * FFT(s, L) * F). FFT(G, L) depends on the
-geometry alone, so it is computed once and reused by every seed of that
-geometry. Foliage, when configured, is the per-pulse spectral multiplier F;
-receiver noise is added after the foliage, matching the signal-flow order
-of the channel model.
+a time, raw = IFFT(FFT(G, L) * FFT(s, L) * F). No seed enters G, so the
+last geometry's G is kept for every seed of that geometry. Its spectrum
+FFT(G, L), as large as the raw matrix, takes G's place only when a second
+synthesis asks for the same geometry; until then a run transforms its own
+G rows a block at a time, to the same bits. Foliage, when configured, is
+the per-pulse spectral multiplier F; receiver noise is added after the
+foliage, matching the signal-flow order of the channel model.
 """
 
-import functools
 import threading
 from dataclasses import dataclass
 
@@ -83,42 +84,56 @@ def apply_foliage(line: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(line) * f)
 
 
-@functools.lru_cache(maxsize=1)
-def _geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: float,
-                       n: int) -> np.ndarray:
-    grid = make_grid(scene.n_range_cells, bandwidth_hz, platform)
-    spec = np.fft.fft(gm_vector(scene, grid, platform, platform.slow_time_axis()), n,
-                      axis=-1)
-    spec.setflags(write=False)
-    return spec
-
-
+# The last geometry's memo: its key, and G[pulse, cell] until a second
+# synthesis of that geometry puts FFT(G, n) in its place.
+_geometry = {}
 _geometry_lock = threading.Lock()
 
 
 def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: float,
-                      n: int) -> np.ndarray:
-    """FFT(G, n) of the weighting matrix G[pulse, cell], read-only.
+                      n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(G, None) on the first call for a geometry, (None, FFT(G, n)) on every
+    later one: the weighting matrix G[pulse, cell] or its spectrum, read-only.
 
-    No seed enters G, so the last geometry's spectrum is kept and shared by
-    every run (and every seed thread) until the geometry changes.
+    No seed enters G, so the last geometry's memo is shared by every run (and
+    every seed thread) until the geometry changes. FFT(G, n) is as large as a
+    raw matrix, so it is built only when a second run asks for the geometry:
+    a one-run process never holds it, and a run of many seeds transforms G
+    once. Both are built under one lock.
     """
+    key = (scene, platform, bandwidth_hz, n)
     with _geometry_lock:
-        return _geometry_spectrum(scene, platform, bandwidth_hz, n)
+        if _geometry.get("key") != key:
+            _geometry.clear()
+            grid = make_grid(scene.n_range_cells, bandwidth_hz, platform)
+            g = gm_vector(scene, grid, platform, platform.slow_time_axis())
+            g.setflags(write=False)
+            _geometry.update(key=key, g=g, spec=None)
+            return g, None
+        if _geometry["spec"] is None:
+            spec = np.fft.fft(_geometry["g"], n, axis=-1)
+            spec.setflags(write=False)
+            _geometry.update(g=None, spec=spec)
+        return None, _geometry["spec"]
 
 
 def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
     """Synthesize the raw data matrix in place, BLOCK_PULSES rows at a time: F
     rows (if any) times FFT(G, L) rows and FFT(s, L), inverse-transformed, plus
-    receiver noise. It is the one full-size array a run allocates besides the
-    shared FFT(G, L). threads is the caller's worker cap; a run uses one thread."""
+    receiver noise. It is the one full-size array a run allocates: the FFT(G, L)
+    rows come from the geometry memo when a synthesis has used this geometry
+    before, else from G a block at a time, into the raw rows themselves or,
+    with foliage, into one block buffer, to the same bits. threads is the
+    caller's worker cap; a run uses one thread."""
     n = config.ofdm.line_length
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
-    g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
+    g, g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
     s_spec = np.fft.fft(pulse, n)
-    data = np.empty(g_spec.shape, dtype=complex)
+    data = np.empty((config.platform.n_pulses(), n), dtype=complex)
     fill = None if channel is None else channel.filler()
+    if g_spec is None and fill is not None:  # else G's rows are transformed into data's
+        g_buf = np.empty((min(BLOCK_PULSES, len(data)), n), dtype=complex)
     if config.snr_db is not None:
         # SNR is referenced to the transmitted pulse's peak power, which a
         # unit-RCS boresight target echoes unattenuated: scene-independent.
@@ -127,7 +142,12 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
         noise = np.empty((BLOCK_PULSES, 2, n))
     for start in range(0, len(data), BLOCK_PULSES):
-        rows, g_rows = data[start:start + BLOCK_PULSES], g_spec[start:start + BLOCK_PULSES]
+        rows = data[start:start + BLOCK_PULSES]
+        if g_spec is None:
+            g_rows = np.fft.fft(g[start:start + BLOCK_PULSES], n, axis=1,
+                                out=rows if fill is None else g_buf[:len(rows)])
+        else:
+            g_rows = g_spec[start:start + BLOCK_PULSES]
         if fill is None:
             np.multiply(g_rows, s_spec, out=rows)
         else:

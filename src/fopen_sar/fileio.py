@@ -5,9 +5,10 @@ differs only in its magic number: a 32-byte header (magic, version u32,
 rows u32, cols u32, 16 reserved bytes), then row-major little-endian
 complex128, i.e. float64 (Re, Im) pairs. PGM and PNG hold an image's
 magnitude in dB re its peak as 16-bit gray levels. CSV (raw matrix, foliage
-F, image profiles) writes Python floats, so every value reads back bit for
-bit; JSON holds reports and manifests. Every file is written through
-atomic_write: a reader sees the old file or the whole new one, never a part.
+F, image profiles) writes each number's repr, a block of rows at a time, so
+every value reads back bit for bit; JSON holds reports and manifests. Every
+file is written through atomic_write: a reader sees the old file or the
+whole new one, never a part.
 """
 
 import contextlib
@@ -132,31 +133,53 @@ def write_png(path, pixels: np.ndarray, floor_db: float) -> None:
         chunk(b"IEND", b"")
 
 
+# Rows per formatted CSV block: a block's Python numbers and text stay near 1 MB.
+CSV_BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, columns) -> None:
+    """Write equal-length columns of numbers as CSV rows, CSV_BLOCK_ROWS at a
+    time: a block's numbers become Python ints and floats, and one % string
+    with a %r per number writes their reprs."""
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([np.asarray(c[start:start + CSV_BLOCK_ROWS], dtype=object)
+                                 for c in columns])
+        fh.write(line * len(block) % tuple(block.ravel()))
+
+
 def write_csv(path, header: list[str], columns) -> None:
     """Write equal-length columns of numbers as CSV rows under a header line,
     in csv.writer's bytes: each number's repr, CRLF line ends, nothing
     quoted (no header name or number holds a comma, quote or line break)."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
     with atomic_write(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        _write_rows(fh, columns)
 
 
-def _matrix_csv(path, row_name: str, col_name: str, data: np.ndarray) -> None:
-    """One CSV row per entry of a complex matrix, row-major: row, col, re, im."""
-    row, col = np.indices(data.shape)
-    write_csv(path, [row_name, col_name, "re", "im"],
-              [row.ravel(), col.ravel(), data.real.ravel(), data.imag.ravel()])
+def _matrix_csv(path, row_name: str, col_name: str, blocks) -> None:
+    """One CSV row per entry of a complex matrix, row-major: row, col, re, im.
+    blocks are the matrix's row blocks from row 0 on, written as they come."""
+    with atomic_write(path) as fh:
+        fh.write(f"{row_name},{col_name},re,im\r\n")
+        first = 0
+        for block in blocks:
+            row, col = np.indices(block.shape)
+            _write_rows(fh, [(row + first).ravel(), col.ravel(), block.real.ravel(),
+                             block.imag.ravel()])
+            first += len(block)
 
 
 def write_raw_csv(path, data: np.ndarray) -> None:
     """CSV export of a small raw matrix: pulse, sample, re, im."""
-    _matrix_csv(path, "pulse", "sample", data)
+    _matrix_csv(path, "pulse", "sample", (data,))
 
 
-def dump_realizations_csv(path, response: np.ndarray) -> None:
-    """CSV export of a foliage response F[pulse, bin]: pulse_index, bin, re, im."""
-    _matrix_csv(path, "pulse_index", "bin", response)
+def dump_realizations_csv(path, blocks) -> None:
+    """CSV export of a foliage response F[pulse, bin]: pulse_index, bin, re, im.
+    blocks are F's row blocks from pulse 0 on (FoliageChannel.blocks()), so F
+    need not be held whole; a whole F is the one block [F]."""
+    _matrix_csv(path, "pulse_index", "bin", blocks)
 
 
 def write_json(path, doc) -> None:

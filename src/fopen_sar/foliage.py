@@ -114,7 +114,8 @@ class FoliageChannel:
 
     The fBm flight path (and, unless redraw_per_pulse, _draw's per-bin draws
     and the cos and sin of psi) is generated once up front. filler() writes
-    F[pulse, bin] a block at a time; realize(p) is row p of response().
+    F[pulse, bin] a block at a time, and blocks() yields it so; realize(p) is
+    row p of response().
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -197,6 +198,16 @@ class FoliageChannel:
             f.imag *= amp
 
         return fill
+
+    def blocks(self):
+        """F[pulse, bin] BLOCK_PULSES rows at a time, from pulse 0 on, each
+        block written into one reused buffer."""
+        f = np.empty((min(BLOCK_PULSES, self.n_pulses), len(self.freq_grid_hz)), dtype=complex)
+        fill = self.filler()
+        for start in range(0, self.n_pulses, BLOCK_PULSES):
+            rows = f[:min(BLOCK_PULSES, self.n_pulses - start)]
+            fill(rows)
+            yield rows
 
     def response(self) -> np.ndarray:
         """F[pulse, bin] for every pulse."""

@@ -159,9 +159,12 @@ def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
     """Full image formation for either waveform, given its reference: the
     transmitted symbols for OFDM data, the transmitted pulse for noise data.
     No migration stage: the echo model keeps every scatterer in its range cell.
+    Pass raw as a temporary: focus drops it once it is range-compressed, so
+    the azimuth stages never hold it.
     """
     if raw.waveform_kind == "noise" and len(reference) != spec.pulse_length:
         raise ValueError(f"replica of {len(reference)} samples, not N+M-1 = {spec.pulse_length}")
-    rd = azimuth_fft(range_compress_ofdm(raw, spec, reference) if raw.waveform_kind == "ofdm"
-                     else range_compress_noise(raw, reference))
-    return azimuth_compress(rd, platform, azimuth_window)
+    rc = (range_compress_ofdm(raw, spec, reference) if raw.waveform_kind == "ofdm"
+          else range_compress_noise(raw, reference))
+    del raw
+    return azimuth_compress(azimuth_fft(rc), platform, azimuth_window)

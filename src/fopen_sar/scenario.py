@@ -446,16 +446,26 @@ def tank_scenario(preset: str = "full") -> Scenario:
 def run_pipeline(scen: Scenario, master_seed=None, threads: int = 1) -> FocusedImage:
     """Simulate and focus one scenario (one batched pass, one thread at any cap)."""
     cfg = scen.simulation_config(master_seed)
-    raw = synthesize_raw(cfg, threads=threads)
-    return focus_config(scen, cfg, raw)
+    return focus_scenario(scen, cfg, lambda: synthesize_raw(cfg, threads=threads))
 
 
-def focus_config(scen: Scenario, cfg: SimulationConfig, raw) -> FocusedImage:
+def focus_scenario(scen: Scenario, cfg: SimulationConfig, make_raw) -> FocusedImage:
+    """Focus the raw matrix make_raw() returns for cfg, against the reference
+    its echoes are compressed with (the OFDM symbols, or the transmitted noise
+    pulse) and the scenario's azimuth window.
+
+    The raw matrix goes straight into focus, which frees it once it is
+    range-compressed; an argument tuple (focus(raw, *args)) or a local here
+    would keep it alive through the azimuth stages.
+    """
+    return focus(make_raw(), cfg.ofdm, cfg.platform, _reference(cfg),
+                 scen.processing["azimuth_window"])
+
+
+def _reference(cfg: SimulationConfig):
     if cfg.waveform_kind == "ofdm":
-        reference = generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
-    else:
-        reference = transmitted_pulse(cfg)
-    return focus(raw, cfg.ofdm, cfg.platform, reference, scen.processing["azimuth_window"])
+        return generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
+    return transmitted_pulse(cfg)
 
 
 def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict]:

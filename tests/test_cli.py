@@ -6,11 +6,12 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from fopen_sar import cli
+from fopen_sar import cli, imaging
 from fopen_sar.cli import main
 from fopen_sar.fileio import read_fimg, read_fsar
 from fopen_sar.metrics import NoPeakError
@@ -135,6 +136,32 @@ class TestImage:
                        "azimuth_profile.csv"):
             assert os.path.exists(
                 os.path.join(out, f"ofdm-foliage_off-seed0_{suffix}"))
+
+    @pytest.mark.parametrize("from_file", [True, False])
+    def test_raw_matrix_is_freed_before_the_azimuth_stages(self, monkeypatch, small_file,
+                                                           tmp_path, from_file):
+        out = str(tmp_path / "out")
+        main(["simulate", "--scenario", small_file, "--out", out])
+        refs, alive = [], []
+
+        def source(fn):
+            def spied(*args, **kwargs):
+                raw = fn(*args, **kwargs)
+                refs.append(weakref.ref(raw if from_file else raw.data))
+                return raw
+            return spied
+
+        def azimuth_fft(rc, fn=imaging.azimuth_fft):
+            alive.append(refs[-1]() is not None)
+            return fn(rc)
+
+        monkeypatch.setattr(cli, "read_fsar", source(cli.read_fsar))
+        monkeypatch.setattr(cli, "synthesize_raw", source(cli.synthesize_raw))
+        monkeypatch.setattr(imaging, "azimuth_fft", azimuth_fft)
+        raw = ["--raw", os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar")]
+        assert main(["image", "--scenario", small_file, "--out", out]
+                    + (raw if from_file else [])) == 0
+        assert alive == [False]
 
     def test_pgm_peak_at_target(self, small_file, tmp_path):
         out = str(tmp_path / "out")

@@ -266,7 +266,8 @@ class TestSynthesizeRaw:
 
 
 class TestGeometrySpectrumMemo:
-    """FFT(G, L) is computed once per geometry and shared by every seed."""
+    """G is computed once per geometry and shared by every seed; FFT(G, L) is
+    kept from the second synthesis of that geometry on."""
 
     @pytest.mark.parametrize("change", [{"rcs": 0.5 - 0.25j}, {"azimuth_m": 2.0},
                                         {"range_cell": 5}])
@@ -280,16 +281,41 @@ class TestGeometrySpectrumMemo:
         assert np.any(warm[0] != warm[1])
         np.testing.assert_array_equal(warm[0], warm[2])
         for cfg, data in ((base, warm[0]), (other, warm[1])):
-            echo._geometry_spectrum.cache_clear()
-            np.testing.assert_array_equal(synthesize_raw(cfg).data, data)
+            echo._geometry.clear()
+            for _ in range(3):  # G transformed by the run, the memo built, the memo read
+                np.testing.assert_array_equal(synthesize_raw(cfg).data, data)
 
     def test_cached_spectrum_is_read_only(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform)
-        spec = geometry_spectrum(cfg.scene, cfg.platform, tiny_spec.bandwidth_hz,
-                                 cfg.ofdm.line_length)
-        assert not spec.flags.writeable
-        with pytest.raises(ValueError):
-            spec[0, 0] = 0.0
+        args = (cfg.scene, cfg.platform, tiny_spec.bandwidth_hz, cfg.ofdm.line_length)
+        echo._geometry.clear()
+        g, spec = geometry_spectrum(*args)
+        assert spec is None  # the first call for a geometry keeps G alone
+        assert geometry_spectrum(*args)[0] is None  # then the spectrum takes its place
+        spec = geometry_spectrum(*args)[1]
+        np.testing.assert_array_equal(spec, np.fft.fft(g, cfg.ofdm.line_length, axis=-1))
+        for array in (g, spec):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_first_use_and_memo_give_the_same_bits(self, kind, foliage):
+        # the full preset spans several blocks; the first run transforms G's rows
+        # a block at a time, later runs read the rows of the memo's FFT(G, L)
+        doc = preset_scenario("full").with_overrides(
+            waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
+        if foliage == "redrawn":
+            doc["foliage"]["redraw_per_pulse"] = True
+            doc["noise"] = {"snr_db": 30.0}
+        cfg = Scenario(doc).simulation_config(3)
+        echo._geometry.clear()
+        first = synthesize_raw(cfg).data
+        assert echo._geometry["spec"] is None
+        second = synthesize_raw(cfg).data
+        assert echo._geometry["g"] is None
+        assert first.tobytes() == second.tobytes() == synthesize_raw(cfg).data.tobytes()
 
     @pytest.mark.parametrize("threads, n_seeds", [(1, 4), (2, 4), (8, 8)])
     def test_seed_block_computes_g_once(self, monkeypatch, threads, n_seeds):
@@ -304,7 +330,7 @@ class TestGeometrySpectrumMemo:
             return gm_vector(*args)
 
         monkeypatch.setattr(echo, "gm_vector", counting_gm_vector)
-        echo._geometry_spectrum.cache_clear()
+        echo._geometry.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

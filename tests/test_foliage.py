@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fopen_sar import fileio
 from fopen_sar.fileio import dump_realizations_csv
 from fopen_sar.foliage import (AMPLITUDE_FLOOR, ATTENUATION_CONSTANTS, FoliageChannel,
                                FoliageParams, _fgn_davies_harte, fbm_path, mean_attenuation_db,
@@ -309,10 +310,19 @@ class TestFoliageChannel:
         self._channel(45, seed=5, redraw_per_pulse=True).response()
         assert sorted(calls) == ["foliage_gamma", "foliage_phase"]
 
+    def test_streamed_csv_dump_has_the_bytes_of_the_whole_matrix(self, monkeypatch, tmp_path):
+        # whole: one CSV block of 2880 rows; streamed: two F blocks (45 pulses)
+        # written in CSV blocks of 100 rows
+        ch = self._channel(45, seed=5, redraw_per_pulse=True)
+        dump_realizations_csv(tmp_path / "whole.csv", [ch.response()])
+        monkeypatch.setattr(fileio, "CSV_BLOCK_ROWS", 100)
+        dump_realizations_csv(tmp_path / "streamed.csv", ch.blocks())
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_csv_dump(self, tmp_path):
         ch = self._channel()
         out = tmp_path / "foliage.csv"
-        dump_realizations_csv(out, ch.response())
+        dump_realizations_csv(out, [ch.response()])
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pulse_index,bin,re,im"
         assert len(lines) == 1 + 16 * 64

@@ -10,11 +10,12 @@ import threading
 import time
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
-from fopen_sar import scenario
+from fopen_sar import echo, imaging, scenario
 from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
@@ -404,25 +405,63 @@ class TestRunMetrics:
             run_metrics(preset_scenario("small"), list(range(20, 25)), threads=threads)
 
 
+def _memory_scenario(kind, foliage):
+    doc = preset_scenario("full").with_overrides(
+        waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
+    if foliage == "redrawn":
+        doc["foliage"]["redraw_per_pulse"] = True
+        doc["noise"] = {"snr_db": 30.0}
+    return Scenario(doc)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryModel:
     """A run allocates the raw matrix and block-sized temporaries: every
-    [pulse, bin] stage streams BLOCK_PULSES rows, and FFT(G, L) is the shared
-    geometry memo, warm before the traced run."""
+    [pulse, bin] stage streams BLOCK_PULSES rows, FFT(G, L) is either the
+    shared geometry memo or built a block at a time, and focus frees the raw
+    matrix once it is range-compressed."""
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
     def test_full_preset_peak_is_raw_plus_blocks(self, kind, foliage):
-        doc = preset_scenario("full").with_overrides(
-            waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
-        if foliage == "redrawn":
-            doc["foliage"]["redraw_per_pulse"] = True
-            doc["noise"] = {"snr_db": 30.0}
-        scen = Scenario(doc)
-        raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
-        tracemalloc.start()
-        try:
-            run_pipeline(scen, master_seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        scen = _memory_scenario(kind, foliage)
+        for _ in range(2):  # the second run of a geometry builds the memo's FFT(G, L)
+            raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
+        peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
         assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_cold_geometry_peak_is_raw_plus_blocks(self, kind, foliage):
+        # one run of a new geometry builds G and keeps no FFT(G, L)
+        scen = _memory_scenario(kind, foliage)
+        raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
+        echo._geometry.clear()
+        peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
+        assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    def test_raw_matrix_is_freed_before_the_azimuth_stages(self, monkeypatch, kind):
+        refs, alive = [], []
+
+        def synthesize(cfg, threads=1):
+            raw = synthesize_raw(cfg, threads)
+            refs.append(weakref.ref(raw.data))
+            return raw
+
+        def azimuth_fft(rc, fn=imaging.azimuth_fft):
+            alive.append(refs[-1]() is not None)
+            return fn(rc)
+
+        monkeypatch.setattr(scenario, "synthesize_raw", synthesize)
+        monkeypatch.setattr(imaging, "azimuth_fft", azimuth_fft)
+        run_pipeline(preset_scenario("small").with_overrides(waveform_kind=kind))
+        assert alive == [False]

@@ -37,7 +37,7 @@ import tempfile
 from fopen_sar.cli import main
 from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError, image_metrics
-from fopen_sar.scenario import Scenario, focus_config, preset_scenario, tank_scenario
+from fopen_sar.scenario import Scenario, focus_scenario, preset_scenario, tank_scenario
 
 SEEDS = {"small": range(60), "full": range(6), "tank": range(12), "branches": range(20)}
 TANK_SNR_DB = 30.0
@@ -73,7 +73,7 @@ def lines(run_list):
     for name, scen, seed in run_list:
         cfg = scen.simulation_config(seed)
         raw = synthesize_raw(cfg)
-        img = focus_config(scen, cfg, raw)
+        img = focus_scenario(scen, cfg, lambda: raw)
         try:
             m = image_metrics(img.pixels, scen.processing["upsample"],
                               scen.processing["smooth_window"])
@@ -86,7 +86,10 @@ def lines(run_list):
 
 # (name, arguments) of each command, run in order with --out <dir>/<name>;
 # "{dir}" is the temporary directory. The foliage scenario is the small preset
-# with HH foliage and its foliage CSV switched on.
+# with HH foliage and its foliage CSV switched on; the blocks scenario adds
+# foliage redrawn per pulse, 30 dB receiver noise and an aperture of 80
+# pulses, so F, the raw matrix and both CSVs span several blocks, the last
+# one partial.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -96,6 +99,7 @@ FILE_COMMANDS = (
     ("metrics-full", ["metrics", "--preset", "full", "--image",
                       "{dir}/image-full/ofdm-foliage_off-seed0_image.fimg"]),
     ("compare-small", ["compare", "--preset", "small"]),
+    ("simulate-foliage-blocks", ["simulate", "--scenario", "{dir}/foliage_blocks.json"]),
 )
 
 
@@ -105,6 +109,11 @@ def file_lines(tmp):
     doc = preset_scenario("small").with_overrides(foliage_pol="HH").doc
     doc["outputs"]["dump_foliage_csv"] = True
     with open(os.path.join(tmp, "foliage.json"), "w") as fh:
+        json.dump(doc, fh)
+    doc["foliage"]["redraw_per_pulse"] = True
+    doc["noise"] = {"snr_db": 30.0}
+    doc["platform"]["aperture_s"] = 80 / doc["platform"]["prf_hz"]
+    with open(os.path.join(tmp, "foliage_blocks.json"), "w") as fh:
         json.dump(doc, fh)
     for name, argv in FILE_COMMANDS:
         out = os.path.join(tmp, name)
