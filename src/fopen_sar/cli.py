@@ -281,6 +281,7 @@ def main(argv=None) -> int:
 
     Scenarios are resolved before --out is touched, and the command's old
     manifest is removed before its stage runs, so a failed run leaves none.
+    Each distinct advisory goes to stderr once, and into the manifest's "warnings".
     """
     args = build_parser().parse_args(argv)
     try:
@@ -295,6 +296,9 @@ def main(argv=None) -> int:
         with contextlib.suppress(FileNotFoundError):
             os.remove(manifest_path)
         stem = os.path.join(args.out, f"{scens[0].label()}-seed{scens[0].master_seed}")
+        advisories = list(dict.fromkeys(a for s in scens for a in s.advisories))
+        for line in advisories:
+            print(f"warning: {line}", file=sys.stderr)
         t0 = time.perf_counter()
         seeds, files, summary = args.func(args, scens, stem)
         seconds = time.perf_counter() - t0
@@ -308,6 +312,7 @@ def main(argv=None) -> int:
             "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p),
                          "bytes": os.path.getsize(p)} for p in files],
             "timings_s": {args.command: seconds},
+            **({"warnings": advisories} if advisories else {}),
         })
         print(summary)
         return EXIT_OK

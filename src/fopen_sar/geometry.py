@@ -7,7 +7,6 @@ range bins of extent c/(2B), laid out so cell M//2 sits at the reference
 slant range R_c at closest approach.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,27 +17,20 @@ TARGET_BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class PlatformParams:
-    """Radar platform; its values are taken as given (validate_scenario checks them)."""
+    """Radar platform, taken as given: validation checks it and judges its advisories."""
 
     altitude_m: float
     velocity_mps: float
     aperture_s: float
     carrier_hz: float
     reference_range_m: float
-    antenna_length_m: float | None = None
-    prf_hz: float = 256.0
+    antenna_length_m: float | None
+    prf_hz: float
 
     def __post_init__(self):
         if self.antenna_length_m is None:  # the 3-dB footprint dwell equals T_a
             object.__setattr__(self, "antenna_length_m", self.wavelength_m
                                * self.reference_range_m / (self.velocity_mps * self.aperture_s))
-        # Azimuth Nyquist check is advisory: desk-scale runs may under-sample.
-        if self.prf_hz < self.doppler_bandwidth_hz:
-            warnings.warn(
-                f"prf {self.prf_hz:.1f} Hz below Doppler bandwidth "
-                f"{self.doppler_bandwidth_hz:.1f} Hz (2*v/L_a): azimuth aliasing",
-                stacklevel=3,  # past the dataclass __init__ to its caller
-            )
 
     @property
     def wavelength_m(self) -> float:

@@ -114,11 +114,9 @@ def azimuth_fft(rc: RangeCompressedMatrix) -> np.ndarray:
 
 def migration_shift_cells(platform: PlatformParams, cell_extent_m: float,
                           doppler_hz: np.ndarray) -> np.ndarray:
-    """RCMC shift per Doppler bin: lambda^2 R_c f^2 / (8 v^2), in cells."""
-    lam = platform.wavelength_m
-    dr = lam**2 * platform.reference_range_m * np.asarray(doppler_hz) ** 2 / (
-        8.0 * platform.velocity_mps**2)
-    return dr / cell_extent_m
+    """RCMC shift per Doppler bin in cells: lambda^2 R_c f^2 / (8 v^2), or lambda f^2 / (4 K_a)."""
+    m_per_hz2 = platform.wavelength_m / (4.0 * platform.doppler_rate_hz_per_s)
+    return m_per_hz2 * np.asarray(doppler_hz) ** 2 / cell_extent_m
 
 
 def rcmc(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformParams,

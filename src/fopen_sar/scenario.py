@@ -16,7 +16,7 @@ import threading
 
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
-from .geometry import C_LIGHT, PlatformParams, PointTarget, RangeGrid, Scene
+from .geometry import PlatformParams, PointTarget, RangeGrid, Scene
 from .imaging import FocusedImage, focus
 from .metrics import image_metrics
 from .waveform import OfdmSpec, generate_bpsk_symbols
@@ -168,6 +168,11 @@ class Scenario:
 
     def __init__(self, doc: dict):
         self.doc = validate_scenario(doc)
+        # "<field path>: <message>" strings a run goes on past, judged on the valid document
+        p = self.platform()
+        self.advisories = [] if p.prf_hz >= p.doppler_bandwidth_hz else [
+            f"platform.prf_hz: {p.prf_hz} Hz is below the Doppler bandwidth 2 v / L_a "
+            f"= {p.doppler_bandwidth_hz} Hz: azimuth aliasing"]
 
     # -- resolved views -------------------------------------------------
 
@@ -262,23 +267,23 @@ def _or_inf(f) -> float:
 
 
 def _relations(out):
-    """The rules that relate fields, on values derived once, in this order:
-    the waveform's, the platform's, each target's (its cell maximum M - 1, its
-    closest-approach slant range, which may not fall below the platform
-    altitude, and its uniqueness), the smoothing lengths, and last the bounds
-    the pipeline's float arithmetic sets. Those are checked in scalars: what
-    it divides by must be nonzero, and what it squares or takes the logarithm
-    of must be finite."""
+    """The rules that relate fields, on values derived once (the platform's by PlatformParams),
+    in this order: the waveform's, the platform's, each target's (its cell maximum M - 1,
+    its closest-approach slant range, which may not fall below the platform altitude, and
+    its uniqueness), the smoothing lengths, and last the bounds the pipeline's float
+    arithmetic sets. Those are checked in scalars: what it divides by must be nonzero, and
+    what it squares or takes the logarithm of must be finite. A PRF below the Doppler
+    bandwidth is no error but an advisory, which Scenario judges after these rules."""
     w, p, proc = out["waveform"], out["platform"], out["processing"]
+    plat = PlatformParams(**p)
     m, v, rc, prf = w["n_range_cells"], p["velocity_mps"], p["reference_range_m"], p["prf_hz"]
     if w["n_subcarriers"] < m:
         _fail("waveform.n_subcarriers", "must be >= n_range_cells")
     spec = OfdmSpec(w["n_subcarriers"], m, w["bandwidth_hz"])
     line = spec.line_length
-    n = p["aperture_s"] * prf
-    if not _finite(n):
+    if not _finite(p["aperture_s"] * prf):
         _fail("platform.aperture_s", "aperture_s * prf_hz must be finite")
-    n = round(n)
+    n = plat.n_pulses()
     if n < 2:
         _fail("platform.aperture_s", "aperture_s * prf_hz must round to >= 2 pulses")
     if rc < p["altitude_m"]:
@@ -322,13 +327,12 @@ def _relations(out):
         if not 0 < factor < math.inf or _or_inf(lambda: (1.0 / factor) ** 2) == math.inf:
             _fail("noise.snr_db", "10 ** (snr_db / 10) must be a finite, nonzero float "
                   "whose inverse has a finite square")
-    lam = C_LIGHT / p["carrier_hz"]
-    la = p["antenna_length_m"] or _or_inf(lambda: lam * rc / (v * p["aperture_s"]))
+    lam, la = plat.wavelength_m, plat.antenna_length_m
     for field, what, value in (
             ("antenna_length_m", "the Doppler bandwidth 2 v / L_a",
-             _or_inf(lambda: 2.0 * v / la)),
+             _or_inf(lambda: plat.doppler_bandwidth_hz)),
             ("velocity_mps", "the azimuth chirp rate 2 v^2 / (lambda R_c)",
-             _or_inf(lambda: 2.0 * v**2 / (lam * rc)))):
+             _or_inf(lambda: plat.doppler_rate_hz_per_s))):
         if not 0 < value < math.inf:
             _fail(f"platform.{field}", f"{what} must be a finite, nonzero float")
     if math.pi * (la * math.pi / 2) / lam == math.inf:  # np.sinc multiplies by pi

@@ -624,6 +624,56 @@ class TestFrame:
         assert not list(out.glob("*.tmp"))
 
 
+def _aliasing_file(tmp_path, antenna_length_m):
+    """The small preset at an antenna length whose 2 v / L_a is above its 128 Hz PRF."""
+    doc = copy.deepcopy(SMALL_PRESET)
+    doc["platform"]["antenna_length_m"] = antenna_length_m
+    path = tmp_path / f"aliasing_{antenna_length_m}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _advisory(bandwidth):
+    return ("warning: platform.prf_hz: 128.0 Hz is below the Doppler bandwidth "
+            f"2 v / L_a = {bandwidth} Hz: azimuth aliasing")
+
+
+class TestAdvisories:
+    """A valid scenario's advisories: one stderr line each, before the stage runs,
+    and a manifest "warnings" entry; the run goes on and exits 0."""
+
+    def test_exit_0_with_warnings_raised_as_errors(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONWARNINGS="error")
+        run = subprocess.run(
+            [sys.executable, "-m", "fopen_sar.cli", "metrics", "--scenario",
+             _aliasing_file(tmp_path, 1.0), "--seeds", "4", "--threads", "2",
+             "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines() == [_advisory(300.0)]
+
+    def test_one_line_and_entry_per_scenario(self, tmp_path, capsys):
+        a, b = _aliasing_file(tmp_path, 1.0), _aliasing_file(tmp_path, 0.9)
+        out = tmp_path / "out"
+        lines = [_advisory(300.0), _advisory(2 * 150.0 / 0.9)]
+        assert main(["compare", "--scenario", a, "--scenario", b, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == lines
+        manifest = _read_json(out / "compare_manifest.json")
+        assert manifest["warnings"] == [line.removeprefix("warning: ") for line in lines]
+        assert main(["metrics", "--scenario", a, "--seeds", "4", "--threads", "2",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == lines[:1]
+        assert _read_json(out / "metrics_manifest.json")["warnings"] == [
+            lines[0].removeprefix("warning: ")]
+
+    def test_preset_manifest_has_no_warnings_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["metrics", "--preset", "small", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "warnings" not in _read_json(out / "metrics_manifest.json")
+
+
 def _perfbench(name):
     """Module perfbench/<name>.py, loaded by path without touching perfbench."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")

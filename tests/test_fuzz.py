@@ -1,5 +1,5 @@
 """Mutation fuzz of the CLI's inputs: no scenario document and no FSAR/FIMG
-file may end in an exception or a RuntimeWarning.
+file may end in an exception or a Python warning of any category.
 
 Each scenario case changes 1-3 fields of the small preset with HH foliage and
 20 dB receiver noise to a boundary value or a value of the wrong type, and runs
@@ -14,8 +14,8 @@ the same inputs.
 `PYTHONPATH=src python tests/test_fuzz.py N` runs N scenario cases and prints
 one tab-separated line per case it runs: the edits, the exit code (or the
 exception in its place) and the first stderr line that starts with "error:"
-(empty when there is none). Warning lines, which carry the checkout's file
-paths, are left out, so two checkouts' outputs can be diffed.
+(empty when there is none). Other stderr lines, such as an advisory's
+"warning:" line, are left out, so two checkouts' outputs can be diffed.
 """
 
 import contextlib
@@ -106,11 +106,11 @@ def raw_samples(doc) -> int | None:
 
 
 def run_cli(argv):
-    """cli.main's exit code with RuntimeWarning raised as an error, its output
+    """cli.main's exit code with every warning raised as an error, its output
     swallowed; any exception is returned in place of the exit code."""
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error")
         try:
             return cli.main(argv), err.getvalue()
         except Exception as e:  # noqa: BLE001 - the finding is the exception

@@ -253,13 +253,6 @@ class TestGridAndPlatform:
         assert p.antenna_length_m == pytest.approx(expect, rel=1e-12)
         assert p.antenna_length_m == pytest.approx(1.5703, abs=2e-4)
 
-    def test_prf_warning_below_doppler_bandwidth(self):
-        with pytest.warns(UserWarning, match="azimuth aliasing") as caught:
-            PlatformParams(5000.0, 150.0, 1.0, 9e9, 5000.0 * np.sqrt(2.0),
-                           1.0, 64.0)
-        # attributed to the line that constructs PlatformParams
-        assert caught[0].filename == __file__
-
     def test_slow_time_axis_spans_aperture(self, tiny_platform):
         eta = tiny_platform.slow_time_axis()
         assert len(eta) == tiny_platform.n_pulses()

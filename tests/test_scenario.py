@@ -226,6 +226,43 @@ class TestValidation:
         assert set(doc["scene"]["targets"][0]) == set(TARGET)
 
 
+def _small_with(**platform) -> Scenario:
+    doc = copy.deepcopy(SMALL_PRESET)
+    doc["platform"].update(platform)
+    return Scenario(doc)
+
+
+class TestAdvisories:
+    """A valid scenario that the paper's figures do not hold for runs, with an
+    advisory; the one advisory is a PRF below the Doppler bandwidth 2 v / L_a."""
+
+    def test_presets_have_none(self):
+        assert {name: preset_scenario(name).advisories for name in PRESETS} == {
+            name: [] for name in PRESETS}
+
+    def test_prf_below_doppler_bandwidth(self):
+        # v = 150 m/s and L_a = 1 m: 2 v / L_a is 300 Hz exactly
+        assert _small_with(antenna_length_m=1.0, prf_hz=300.0).advisories == []
+        below = math.nextafter(300.0, 0.0)
+        scen = _small_with(antenna_length_m=1.0, prf_hz=below)
+        assert scen.advisories == [
+            "platform.prf_hz: 299.99999999999994 Hz is below the Doppler bandwidth "
+            "2 v / L_a = 300.0 Hz: azimuth aliasing"]
+        # an advisory refuses nothing: the document is the one validation returns
+        assert scen.doc == validate_scenario(scen.doc)
+
+    def test_prf_below_derived_doppler_bandwidth(self):
+        # L_a = lambda R_c / (v T_a) = 6.28 m, so 2 v / L_a = 47.76 Hz
+        p = SMALL_PRESET["platform"]
+        la = 299792458.0 / p["carrier_hz"] * p["reference_range_m"] / (150.0 * 0.25)
+        bandwidth = 2 * 150.0 / la
+        assert bandwidth == pytest.approx(47.76, abs=0.01)
+        assert _small_with(antenna_length_m=None, prf_hz=48.0).advisories == []
+        assert _small_with(antenna_length_m=None, prf_hz=40.0).advisories == [
+            f"platform.prf_hz: 40.0 Hz is below the Doppler bandwidth 2 v / L_a "
+            f"= {bandwidth} Hz: azimuth aliasing"]
+
+
 class TestResolution:
     def test_full_preset_sizes(self):
         scen = preset_scenario("full")
