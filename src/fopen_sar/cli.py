@@ -199,11 +199,12 @@ def cmd_metrics(args, scens, stem):
 
 def cmd_compare(args, scens, stem):
     seed_lists = [_seed_list(scen, args) for scen in scens]  # every range checked first
+    labels = [scen.label() for scen in scens]  # a label two variants share gains "#<position>"
     entries = []
-    for scen, seeds in zip(scens, seed_lists):
+    for k, (scen, seeds, label) in enumerate(zip(scens, seed_lists, labels), 1):
         per_seed = run_metrics(scen, seeds, threads=args.threads)
-        entries.append({"label": scen.label(), "seeds": seeds,
-                        "metrics": _report(scen, per_seed)})
+        entries.append({"label": f"{label}#{k}" if labels.count(label) > 1 else label,
+                        "seeds": seeds, "metrics": _report(scen, per_seed)})
     diffs = [{"pair": [a["label"], b["label"]],
               **{f"delta_{k}": (a["metrics"][k] - b["metrics"][k]
                                 if isinstance(a["metrics"][k], float)

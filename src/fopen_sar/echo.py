@@ -8,10 +8,12 @@ last geometry's G is kept for every seed of that geometry. Its spectrum
 FFT(G, L), as large as the raw matrix, takes G's place only when a second
 synthesis asks for the same geometry; until then a run transforms its own
 G rows a block at a time, to the same bits. Foliage, when configured, is
-the per-pulse spectral multiplier F; receiver noise is added after the
-foliage, matching the signal-flow order of the channel model.
+the per-pulse spectral multiplier F, read block by block from
+FoliageChannel.blocks(); receiver noise is added after the foliage, matching
+the signal-flow order of the channel model.
 """
 
+import itertools
 import threading
 from dataclasses import dataclass
 
@@ -118,12 +120,12 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
 
 
 def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
-    """Synthesize the raw data matrix in place, BLOCK_PULSES rows at a time: F
-    rows (if any) times FFT(G, L) rows and FFT(s, L), inverse-transformed, plus
-    receiver noise. It is the one full-size array a run allocates: the FFT(G, L)
-    rows come from the geometry memo when a synthesis has used this geometry
-    before, else from G a block at a time, into the raw rows themselves or,
-    with foliage, into one block buffer, to the same bits. threads is the
+    """Synthesize the raw data matrix in place, BLOCK_PULSES rows at a time: the
+    FFT(G, L) rows, times the F block of FoliageChannel.blocks() (if any), times
+    FFT(s, L), inverse-transformed, plus receiver noise. It is the one full-size
+    array a run allocates: the FFT(G, L) rows come from the geometry memo when a
+    synthesis has used this geometry before, else from G a block at a time,
+    transformed into the raw rows themselves, to the same bits. threads is the
     caller's worker cap; a run uses one thread."""
     n = config.ofdm.line_length
     pulse = transmitted_pulse(config)
@@ -131,9 +133,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
     g, g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
     s_spec = np.fft.fft(pulse, n)
     data = np.empty((config.platform.n_pulses(), n), dtype=complex)
-    fill = None if channel is None else channel.filler()
-    if g_spec is None and fill is not None:  # else G's rows are transformed into data's
-        g_buf = np.empty((min(BLOCK_PULSES, len(data)), n), dtype=complex)
+    foliage = itertools.repeat(None) if channel is None else channel.blocks()
     if config.snr_db is not None:
         # SNR is referenced to the transmitted pulse's peak power, which a
         # unit-RCS boresight target echoes unattenuated: scene-independent.
@@ -141,19 +141,15 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
         streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
         noise = np.empty((BLOCK_PULSES, 2, n))
-    for start in range(0, len(data), BLOCK_PULSES):
+    for start, f in zip(range(0, len(data), BLOCK_PULSES), foliage):
         rows = data[start:start + BLOCK_PULSES]
         if g_spec is None:
-            g_rows = np.fft.fft(g[start:start + BLOCK_PULSES], n, axis=1,
-                                out=rows if fill is None else g_buf[:len(rows)])
+            g_rows = np.fft.fft(g[start:start + BLOCK_PULSES], n, axis=1, out=rows)
         else:
             g_rows = g_spec[start:start + BLOCK_PULSES]
-        if fill is None:
-            np.multiply(g_rows, s_spec, out=rows)
-        else:
-            fill(rows)
-            rows *= g_rows
-            rows *= s_spec
+        if f is not None:
+            g_rows = np.multiply(f, g_rows, out=rows)
+        np.multiply(g_rows, s_spec, out=rows)
         np.fft.ifft(rows, axis=1, out=rows)
         if config.snr_db is not None:  # pulse j's substream draws its real, then imaginary part
             block = noise[:len(rows)]

@@ -4,8 +4,9 @@ Per pulse, F is a complex multiplier over the range-line frequency grid:
 F_k = A_k exp(j Phi_k). The amplitude combines a deterministic mean
 attenuation (a power-law fit in frequency, scaled by grazing angle) with a
 multiplicative fluctuation delta_A = delta_omega * delta_eta, where
-delta_omega is a centered Gamma draw per frequency bin and delta_eta tracks
-the flight path through the exponential of a fractional Brownian motion.
+delta_omega is a Gamma draw per frequency bin taken relative to its mean,
+(x - a) / a, so the Gamma scale drops out, and delta_eta tracks the flight
+path through the exponential of a fractional Brownian motion.
 The phase is the incoherent-field fluctuation arctan(dA sin psi / (1 + dA
 cos psi)) with psi uniform on [-pi, pi]: the angle of the incoherent field
 w = 1 + dA exp(j psi). F carries it as the unit phasor w / |w|, which needs
@@ -14,8 +15,12 @@ no arctangent.
 The per-bin draws (delta_omega and psi) model a fixed foliage environment:
 by default key 0's draws serve every pulse, and pulse-to-pulse variation
 enters through delta_eta. redraw_per_pulse=True draws pulse p from key p + 1.
+
+FoliageChannel.blocks() streams F BLOCK_PULSES pulses at a time; synthesis,
+the CSV dump and realize() all read that one stream.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +51,6 @@ class FoliageParams:
     polarization: str = "HH"
     grazing_angle_rad: float = np.pi / 4
     gamma_shape: float = 4.0
-    gamma_scale: float = 0.25
     hurst: float = 0.4
     seed: int = 0
     redraw_per_pulse: bool = False
@@ -113,9 +117,9 @@ class FoliageChannel:
     """Per-run foliage transfer function on a range line's FFT bin grid.
 
     The fBm flight path (and, unless redraw_per_pulse, _draw's per-bin draws
-    and the cos and sin of psi) is generated once up front. filler() writes
-    F[pulse, bin] a block at a time, and blocks() yields it so; realize(p) is
-    row p of response().
+    and the cos and sin of psi) is generated once up front. blocks() is
+    the one producer of F[pulse, bin], a block at a time; realize(p) reads row p
+    from it.
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -139,20 +143,17 @@ class FoliageChannel:
             self._frozen = (d[0], np.cos(psi[0]), np.sin(psi[0]))
 
     def _draw(self, d: np.ndarray, psi: np.ndarray, streams) -> None:
-        """Fill each row of d with smoothed relative Gamma fluctuations (x - ab) / ab,
-        and of psi with phases, from one (gamma, phase) stream pair per row. Bit for
-        bit, standard_gamma times b is gamma(a, b) and 2 pi u - pi is uniform(-pi, pi).
-        The moving average runs along frequency (the bins in fftshift order), zero
-        padded past the band's two edges."""
+        """Fill each row of d with smoothed relative Gamma fluctuations (x - a) / a (the
+        scale drops out), and of psi with phases 2 pi u - pi (uniform(-pi, pi) bit for
+        bit), from one (gamma, phase) stream pair per row. The moving average runs along
+        frequency (the bins in fftshift order), zero padded past the band's two edges."""
         p = self.params
         # rows first: zip then stops without taking a pair past the last row
         for g_row, p_row, (g_rng, p_rng) in zip(d, psi, streams):
             g_rng.standard_gamma(p.gamma_shape, out=g_row)
             p_rng.random(out=p_row)
-        mean = p.gamma_shape * p.gamma_scale
-        d *= p.gamma_scale
-        d -= mean
-        d /= mean
+        d -= p.gamma_shape
+        d /= p.gamma_shape
         k = p.spectral_smoothing_bins
         if k > 1:
             for row in d:
@@ -161,66 +162,43 @@ class FoliageChannel:
         psi *= 2.0 * np.pi
         psi -= np.pi
 
-    def filler(self):
-        """A function fill(f) that writes F = A w / |w| of the next len(f) <=
-        BLOCK_PULSES pulses, from pulse 0 on, into f.
-
-        delta_A is the outer product of the per-bin draws (frozen, or drawn per
-        block) and delta_eta. Block draws, their trig and |w| reuse the block
-        buffers."""
+    def blocks(self):
+        """F = A w / |w| of BLOCK_PULSES pulses at a time, from pulse 0 on, in one reused
+        complex block, where w = 1 + dA exp(j psi) is formed. One real buffer holds
+        delta_A (the per-bin draws, frozen or drawn per block, times delta_eta) and then
+        A; the other a block's psi, then its sin psi (its cos goes into F), then |w|."""
         p, n_bins = self.params, len(self.freq_grid_hz)
-        delta_a, psi, tmp = np.empty((3, min(BLOCK_PULSES, self.n_pulses), n_bins))
+        f = np.empty((min(BLOCK_PULSES, self.n_pulses), n_bins), dtype=complex)
+        delta_a, mag = np.empty((2,) + f.shape)
         if self._frozen is None:
             keys = np.arange(1, self.n_pulses + 1)
             draws = zip(substreams(p.seed, "foliage_gamma", keys),
                         substreams(p.seed, "foliage_phase", keys))
-        done = 0
-
-        def fill(f):
-            nonlocal done
-            d, ps, amp = delta_a[:len(f)], psi[:len(f)], tmp[:len(f)]
+        for start in range(0, self.n_pulses, BLOCK_PULSES):
+            w, d, m = (a[:self.n_pulses - start] for a in (f, delta_a, mag))
             if self._frozen is None:
-                self._draw(d, ps, draws)
-                cos, sin = np.cos(ps, out=amp), np.sin(ps, out=ps)
+                self._draw(d, m, draws)
+                cos, sin = np.cos(m, out=w.real), np.sin(m, out=m)
             else:
-                delta_omega, cos, sin = self._frozen
-                d[:] = delta_omega
-            d *= self._delta_eta[done:done + len(f), None]
-            done += len(f)
-            np.multiply(d, cos, out=f.real)  # w = 1 + dA exp(j psi)
-            f.real += 1.0
-            np.multiply(d, sin, out=f.imag)
-            np.add(d, 1.0, out=amp)
-            amp *= self._a0_linear
-            np.maximum(amp, AMPLITUDE_FLOOR * self._a0_linear, out=amp)
-            unit_phasor(f, mag=ps)
-            f.real *= amp
-            f.imag *= amp
-
-        return fill
-
-    def blocks(self):
-        """F[pulse, bin] BLOCK_PULSES rows at a time, from pulse 0 on, each
-        block written into one reused buffer."""
-        f = np.empty((min(BLOCK_PULSES, self.n_pulses), len(self.freq_grid_hz)), dtype=complex)
-        fill = self.filler()
-        for start in range(0, self.n_pulses, BLOCK_PULSES):
-            rows = f[:min(BLOCK_PULSES, self.n_pulses - start)]
-            fill(rows)
-            yield rows
-
-    def response(self) -> np.ndarray:
-        """F[pulse, bin] for every pulse."""
-        f = np.empty((self.n_pulses, len(self.freq_grid_hz)), dtype=complex)
-        fill = self.filler()
-        for start in range(0, self.n_pulses, BLOCK_PULSES):
-            fill(f[start:start + BLOCK_PULSES])
-        return f
+                d[:], cos, sin = self._frozen
+            d *= self._delta_eta[start:start + len(w), None]
+            np.multiply(d, cos, out=w.real)  # w = 1 + dA exp(j psi)
+            w.real += 1.0
+            np.multiply(d, sin, out=w.imag)
+            unit_phasor(w, mag=m)
+            d += 1.0
+            d *= self._a0_linear
+            np.maximum(d, AMPLITUDE_FLOOR * self._a0_linear, out=d)
+            w.real *= d
+            w.imag *= d
+            yield w
 
     def realize(self, pulse_index: int) -> np.ndarray:
-        """One pulse's transfer function F_k, read-only: row pulse_index of response()."""
+        """One pulse's transfer function F_k: a read-only copy of row pulse_index of
+        the blocks() stream."""
         if not 0 <= pulse_index < self.n_pulses:
             raise IndexError(f"pulse_index {pulse_index} outside [0, {self.n_pulses})")
-        f = self.response()[pulse_index]
+        rows = next(itertools.islice(self.blocks(), pulse_index // BLOCK_PULSES, None))
+        f = rows[pulse_index % BLOCK_PULSES].copy()
         f.setflags(write=False)
         return f

@@ -13,14 +13,14 @@ with hand-made vectors.
 The foliage draw references close the file: gamma(a, b) and uniform(-pi, pi)
 draws in numpy's own forms, which the channel's standard_gamma and random
 draws must equal bit for bit, and the incoherent-field phase taken with the
-arctangent, which the channel's unit phasor w / |w| must equal to rounding.
+arctangent, which the channel's unit phasor w / |w| must equal to rounding,
+and the whole F matrix stacked from the channel's block stream.
 """
 
 import cmath
 
 import numpy as np
 
-from fopen_sar.foliage import FoliageParams
 from fopen_sar.geometry import PointTarget, Scene, gm_vector
 
 
@@ -97,10 +97,10 @@ def synthesize_from_g(g, pulse):
     return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse, n))
 
 
-def sample_gamma_fluctuation(params: FoliageParams, n: int,
+def sample_gamma_fluctuation(shape: float, scale: float, n: int,
                              rng: "np.random.Generator") -> np.ndarray:
     """n i.i.d. Gamma(shape a, scale b) samples; mean a*b, variance a*b^2."""
-    return rng.gamma(params.gamma_shape, params.gamma_scale, size=n)
+    return rng.gamma(shape, scale, size=n)
 
 
 def draw_uniform_phase(rng: "np.random.Generator", n: int) -> np.ndarray:
@@ -123,3 +123,8 @@ def phase_fluctuation(delta_a: np.ndarray, psi: np.ndarray) -> np.ndarray:
     when 1 + dA cos(psi) goes negative; for |dA| < 1 it lies in (-pi/2, pi/2).
     """
     return np.angle(incoherent_field(delta_a, psi))
+
+
+def stacked_response(channel) -> np.ndarray:
+    """F[pulse, bin] for every pulse: copies of the channel's blocks() stacked."""
+    return np.concatenate([rows.copy() for rows in channel.blocks()])

@@ -176,8 +176,7 @@ class TestCriterion6FoliageStatistics:
 
         n = 100_000
         for a, b in ((4.0, 0.25), (2.0, 0.5), (1.0, 2.0)):
-            p = FoliageParams(gamma_shape=a, gamma_scale=b)
-            x = sample_gamma_fluctuation(p, n, substream(13, "foliage_gamma"))
+            x = sample_gamma_fluctuation(a, b, n, substream(13, "foliage_gamma"))
             se_mean = np.sqrt(a * b * b / n)
             se_var = a * b * b * np.sqrt((2.0 + 6.0 / a) / n)
             clauses.append((abs(np.mean(x) - a * b) < 3 * se_mean,

@@ -832,6 +832,21 @@ class TestCompare:
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_colliding_labels_gain_their_position(self, tmp_path):
+        # two files that differ only in antenna length share the label ofdm-foliage_off
+        paths = []
+        for name, length in (("a", 1.0), ("b", 0.9)):
+            doc = copy.deepcopy(SMALL_PRESET)
+            doc["platform"]["antenna_length_m"] = length
+            paths += ["--scenario", str(tmp_path / f"{name}.json")]
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert main(["compare", *paths, "--out", out]) == 0
+        doc = _read_json(os.path.join(out, "compare.json"))
+        assert [v["label"] for v in doc["variants"]] == ["ofdm-foliage_off#1",
+                                                         "ofdm-foliage_off#2"]
+        assert doc["differences"][0]["pair"] == ["ofdm-foliage_off#1", "ofdm-foliage_off#2"]
+
     def test_needs_two_variants(self, small_file, tmp_path):
         assert main(["compare", "--scenario", small_file,
                      "--out", str(tmp_path / "o")]) == 2

@@ -9,7 +9,11 @@ from fopen_sar.foliage import (AMPLITUDE_FLOOR, ATTENUATION_CONSTANTS, FoliageCh
 from fopen_sar.rng import _philox_keys, substream
 
 from brute_force import (draw_uniform_phase, incoherent_field, phase_fluctuation,
-                         sample_gamma_fluctuation)
+                         sample_gamma_fluctuation, stacked_response)
+
+# The paper's Gamma scale b. The channel's fluctuation (x - a) / a has no scale;
+# with b a power of two, (gamma(a, b) - a b) / (a b) is the same number bit for bit.
+GAMMA_SCALE = 0.25
 
 
 def _reference_row(ch, key, p):
@@ -17,9 +21,10 @@ def _reference_row(ch, key, p):
     uniform(-pi, pi) draws of key, centred and smoothed along frequency, times
     delta_eta[p]."""
     params = ch.params
-    k, mean = params.spectral_smoothing_bins, params.gamma_shape * params.gamma_scale
+    k, mean = params.spectral_smoothing_bins, params.gamma_shape * GAMMA_SCALE
     n = len(ch.freq_grid_hz)
-    x = sample_gamma_fluctuation(params, n, substream(params.seed, "foliage_gamma", key))
+    x = sample_gamma_fluctuation(params.gamma_shape, GAMMA_SCALE, n,
+                                 substream(params.seed, "foliage_gamma", key))
     d = (x - mean) / mean
     if k:
         d = np.fft.ifftshift(np.convolve(np.fft.fftshift(d), np.ones(k) / k, mode="same"))
@@ -69,20 +74,17 @@ class TestMeanAttenuation:
 
 class TestGammaFluctuation:
     def test_exponential_special_case(self):
-        p = FoliageParams(gamma_shape=1.0, gamma_scale=2.0)
-        x = sample_gamma_fluctuation(p, 100_000, substream(0, "foliage_gamma"))
+        x = sample_gamma_fluctuation(1.0, 2.0, 100_000, substream(0, "foliage_gamma"))
         assert 1.96 < np.mean(x) < 2.04
 
     def test_unit_mean_case(self):
-        p = FoliageParams(gamma_shape=4.0, gamma_scale=0.25)
-        x = sample_gamma_fluctuation(p, 100_000, substream(1, "foliage_gamma"))
+        x = sample_gamma_fluctuation(4.0, 0.25, 100_000, substream(1, "foliage_gamma"))
         assert np.mean(x) == pytest.approx(1.0, abs=0.02)
 
     @pytest.mark.parametrize("a,b", [(0.5, 3.0), (2.0, 0.5), (4.0, 0.25), (9.0, 1.5)])
     def test_moments_within_three_standard_errors(self, a, b):
         n = 100_000
-        p = FoliageParams(gamma_shape=a, gamma_scale=b)
-        x = sample_gamma_fluctuation(p, n, substream(7, "foliage_gamma"))
+        x = sample_gamma_fluctuation(a, b, n, substream(7, "foliage_gamma"))
         mean, var = a * b, a * b * b
         se_mean = np.sqrt(var / n)
         assert abs(np.mean(x) - mean) < 3 * se_mean
@@ -92,9 +94,8 @@ class TestGammaFluctuation:
         assert abs(np.var(x) - var) < 3 * se_var
 
     def test_deterministic_per_stream(self):
-        p = FoliageParams()
-        a = sample_gamma_fluctuation(p, 16, substream(3, "foliage_gamma", 5))
-        b = sample_gamma_fluctuation(p, 16, substream(3, "foliage_gamma", 5))
+        a = sample_gamma_fluctuation(4.0, 0.25, 16, substream(3, "foliage_gamma", 5))
+        b = sample_gamma_fluctuation(4.0, 0.25, 16, substream(3, "foliage_gamma", 5))
         np.testing.assert_array_equal(a, b)
 
 
@@ -215,7 +216,7 @@ class TestFoliageChannel:
 
     def test_amplitude_always_positive(self):
         # heavy fluctuation: gamma std 1/sqrt(0.2) > 1 forces clamping
-        ch = self._channel(gamma_shape=0.2, gamma_scale=5.0)
+        ch = self._channel(gamma_shape=0.2)
         for p in range(ch.n_pulses):
             assert np.all(np.abs(ch.realize(p)) > 0.0)
 
@@ -250,7 +251,12 @@ class TestFoliageChannel:
         ch = self._channel(45, seed=5, redraw_per_pulse=True)
         f = ch.realize(40)
         assert not f.flags.writeable
-        np.testing.assert_array_equal(f, ch.response()[40])
+        np.testing.assert_array_equal(f, stacked_response(ch)[40])
+
+    @pytest.mark.parametrize("p", [0, 31, 32, 44])  # both sides of a block edge, short last block
+    def test_realize_reads_row_p_of_the_block_stream(self, p):
+        ch = self._channel(45, seed=5, redraw_per_pulse=True)
+        np.testing.assert_array_equal(ch.realize(p), stacked_response(ch)[p])
 
     def test_spectral_smoothing_reduces_bin_variance(self):
         rough = self._channel(seed=4)
@@ -284,13 +290,26 @@ class TestFoliageChannel:
         np.testing.assert_array_equal(np.flatnonzero(d[0]), np.flatnonzero(near))
         np.testing.assert_array_equal(d[0][near], 1.0 / 3.0)
 
+    @pytest.mark.parametrize("shape", [0.2, 1.0, 4.0, 9.0])
+    def test_draw_is_gamma_a_b_relative_to_its_mean(self, shape):
+        # (x - a) / a from standard_gamma is (gamma(a, b) - a b) / (a b) bit for bit
+        ch = self._channel(gamma_shape=shape, seed=6)
+        d, psi = np.empty((2, 3, 64))
+        ch._draw(d, psi, [(substream(6, "foliage_gamma", key), substream(6, "foliage_phase", key))
+                          for key in range(3)])
+        mean = shape * GAMMA_SCALE
+        for key in range(3):
+            x = sample_gamma_fluctuation(shape, GAMMA_SCALE, 64,
+                                         substream(6, "foliage_gamma", key))
+            np.testing.assert_array_equal(d[key], (x - mean) / mean)
+
     @pytest.mark.parametrize("smoothing", [0, 3])
     def test_redrawn_rows_match_gamma_and_uniform_draws(self, smoothing):
-        # the block draws are standard_gamma times the scale and 2 pi u - pi; row p
+        # the block draws are standard_gamma relative to its mean and 2 pi u - pi; row p
         # must equal the form drawn with gamma(a, b) and uniform(-pi, pi) at key p + 1
         ch = self._channel(45, seed=5, redraw_per_pulse=True,
                            spectral_smoothing_bins=smoothing)
-        f = ch.response()
+        f = stacked_response(ch)
         for p in range(45):
             np.testing.assert_array_equal(f[p], _reference_row(ch, p + 1, p)[0])
 
@@ -298,7 +317,7 @@ class TestFoliageChannel:
     def test_frozen_rows_match_key_0_gamma_and_uniform_draws(self, smoothing):
         # a frozen channel draws once, at key 0, through the same draw routine
         ch = self._channel(45, seed=5, spectral_smoothing_bins=smoothing)
-        f = ch.response()
+        f = stacked_response(ch)
         for p in range(45):
             np.testing.assert_array_equal(f[p], _reference_row(ch, 0, p)[0])
 
@@ -307,14 +326,14 @@ class TestFoliageChannel:
         calls = []
         monkeypatch.setattr("fopen_sar.rng._philox_keys",
                             lambda seed, tag, idx: calls.append(tag) or _philox_keys(seed, tag, idx))
-        self._channel(45, seed=5, redraw_per_pulse=True).response()
+        stacked_response(self._channel(45, seed=5, redraw_per_pulse=True))
         assert sorted(calls) == ["foliage_gamma", "foliage_phase"]
 
     def test_streamed_csv_dump_has_the_bytes_of_the_whole_matrix(self, monkeypatch, tmp_path):
         # whole: one CSV block of 2880 rows; streamed: two F blocks (45 pulses)
         # written in CSV blocks of 100 rows
         ch = self._channel(45, seed=5, redraw_per_pulse=True)
-        dump_realizations_csv(tmp_path / "whole.csv", [ch.response()])
+        dump_realizations_csv(tmp_path / "whole.csv", [stacked_response(ch)])
         monkeypatch.setattr(fileio, "CSV_BLOCK_ROWS", 100)
         dump_realizations_csv(tmp_path / "streamed.csv", ch.blocks())
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -322,7 +341,7 @@ class TestFoliageChannel:
     def test_csv_dump(self, tmp_path):
         ch = self._channel()
         out = tmp_path / "foliage.csv"
-        dump_realizations_csv(out, [ch.response()])
+        dump_realizations_csv(out, [stacked_response(ch)])
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pulse_index,bin,re,im"
         assert len(lines) == 1 + 16 * 64

@@ -1,5 +1,7 @@
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bit_identity.py"
 
@@ -38,3 +40,17 @@ class TestBitIdentity:
                      "metrics-full/metrics_manifest.json", "compare-small/compare.json"):
             assert name in names
         assert all(len(line.split()[1]) == 64 for line in first if " exit=" not in line)
+
+
+class TestAb:
+    def test_one_round_of_this_checkout_against_itself(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        src = str(root / "src")
+        out = subprocess.run([sys.executable, str(root / "tools" / "ab.py"), "--a", src,
+                              "--b", src, "--workload", "table", "--rounds", "1"],
+                             capture_output=True, text=True, check=True).stdout.splitlines()
+        assert out[0] == "workload table, 1 thread(s), 1 rounds"
+        rates = [float(line.split()[-1]) for line in out[1:3]]
+        assert [line.split()[0] for line in out[1:3]] == ["a", "b"] and min(rates) > 0.0
+        assert out[3].startswith("median ratio b/a ") and float(out[3].split()[-1]) > 0.0
+        assert out[4] in ("b wins 0/1", "b wins 1/1")

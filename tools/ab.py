@@ -1,0 +1,117 @@
+"""Interleaved in-process A/B of two checkouts on the table or tank workload.
+
+    python tools/ab.py --a A/src --b B/src --workload table --rounds 30 --threads 1
+
+Each side's fopen_sar package is copied into a temporary directory as
+fopen_sar_a or fopen_sar_b (the package imports itself only relatively), so
+both load into one process. The configs of perfbench/workloads.py are built
+on both sides from the same file, which is only read. Round r gives each
+side one run_metrics call per config on the two-seed block of pass r, and
+the side that runs first alternates from round to round, so slow drift of
+the machine's speed falls on both sides alike.
+
+It prints each side's ops_per_s by the benchmark's formula (configs / sum
+of per-config median seconds per run), the median over rounds of the
+per-round ratio b/a and the rounds b won. A call that raises NoPeakError is
+left out of its side's rate, and of its round's ratio on both sides. Needs
+numpy and the standard library.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import pathlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_side(src: str, name: str, tmp: str):
+    """(package, workloads module) of the fopen_sar package under src, as `name`."""
+    shutil.copytree(pathlib.Path(src) / "fopen_sar", pathlib.Path(tmp) / name)
+    importlib.invalidate_caches()
+    pkg = importlib.import_module(name)
+    # workloads.py imports fopen_sar.scenario: point both names at this side while it loads
+    saved = {k: sys.modules.get(k) for k in ("fopen_sar", "fopen_sar.scenario")}
+    sys.modules.update({"fopen_sar": pkg, "fopen_sar.scenario": pkg.scenario})
+    try:
+        spec = importlib.util.spec_from_file_location(f"workloads_{name}", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        for k, mod in saved.items():
+            if mod is None:
+                sys.modules.pop(k, None)
+            else:
+                sys.modules[k] = mod
+    return pkg, workloads
+
+
+def timed_round(pkg, scens, block, threads) -> list[float | None]:
+    """Seconds per run of each config on block, None where it raised NoPeakError."""
+    out = []
+    for scen in scens:
+        t0 = time.perf_counter()
+        try:
+            pkg.scenario.run_metrics(scen, block, threads=threads)
+        except pkg.metrics.NoPeakError:
+            out.append(None)
+            continue
+        out.append((time.perf_counter() - t0) / len(block))
+    return out
+
+
+def compare(sides, workload: str, rounds: int, threads: int) -> dict:
+    """Run the interleaved rounds; sides maps "a" and "b" to (package, workloads)."""
+    scens = {k: wl.configs(workload) for k, (_, wl) in sides.items()}
+    seconds = {k: [] for k in sides}  # per round, per config
+    for r in range(rounds):
+        block = sides["a"][1].seed_block(workload, sides["a"][1].DEFAULT_SEED, r)
+        for k in ("a", "b") if r % 2 == 0 else ("b", "a"):
+            seconds[k].append(timed_round(sides[k][0], scens[k], block, threads))
+    ratios, failed = [], 0
+    for sa, sb in zip(seconds["a"], seconds["b"]):
+        both = [(x, y) for x, y in zip(sa, sb) if x is not None and y is not None]
+        failed += len(sa) - len(both)
+        ratios.append(sum(x for x, _ in both) / sum(y for _, y in both))
+    rate = {}
+    for k, per_round in seconds.items():
+        per_config = [ok for col in zip(*per_round) if (ok := [s for s in col if s is not None])]
+        rate[k] = len(per_config) / sum(statistics.median(col) for col in per_config)
+    return {"ops_per_s_a": rate["a"], "ops_per_s_b": rate["b"],
+            "ratio_b_over_a": statistics.median(ratios),
+            "b_wins": sum(x > 1.0 for x in ratios), "rounds": rounds, "failed_calls": failed}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--a", required=True, help="side a's src directory")
+    ap.add_argument("--b", required=True, help="side b's src directory")
+    ap.add_argument("--workload", choices=("table", "tank"), default="table")
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--threads", type=int, default=1)
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            sides = {k: load_side(src, f"fopen_sar_{k}", tmp)
+                     for k, src in (("a", args.a), ("b", args.b))}
+            res = compare(sides, args.workload, args.rounds, args.threads)
+        finally:
+            sys.path.remove(tmp)
+    print(f"workload {args.workload}, {args.threads} thread(s), {res['rounds']} rounds")
+    print(f"a ops_per_s {res['ops_per_s_a']:.3f}")
+    print(f"b ops_per_s {res['ops_per_s_b']:.3f}")
+    print(f"median ratio b/a {res['ratio_b_over_a']:.4f}")
+    print(f"b wins {res['b_wins']}/{res['rounds']}")
+    if res["failed_calls"]:
+        print(f"calls left out for NoPeakError: {res['failed_calls']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
