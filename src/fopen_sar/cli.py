@@ -143,7 +143,7 @@ def cmd_simulate(args, scens, stem):
         write_raw_csv(files[-1], raw.data)
     summary = "wrote {} ({} pulses x {} samples)".format(files[0], *raw.data.shape)
     del raw  # freed before the foliage CSV, which streams F a block at a time
-    if scen.outputs["dump_foliage_csv"] and cfg.foliage is not None:
+    if scen.doc["outputs"]["dump_foliage_csv"] and cfg.foliage is not None:
         files.append(f"{stem}_foliage.csv")
         dump_realizations_csv(files[-1], foliage_channel(cfg).blocks())
     return [scen.master_seed], files, summary
@@ -166,14 +166,14 @@ def cmd_image(args, scens, stem):
         img = focus_scenario(scen, cfg, lambda: synthesize_raw(cfg))
     files = [f"{stem}_image.fimg"]
     write_fimg(files[-1], img.pixels)
-    floor = scen.outputs["db_floor"]
-    if scen.outputs["write_pgm"]:
+    outputs = scen.doc["outputs"]
+    if outputs["write_pgm"]:
         files.append(f"{stem}_image.pgm")
-        write_pgm(files[-1], img.pixels, floor)
-    if scen.outputs["write_png"]:
+        write_pgm(files[-1], img.pixels, outputs["db_floor"])
+    if outputs["write_png"]:
         files.append(f"{stem}_image.png")
-        write_png(files[-1], img.pixels, floor)
-    if scen.outputs["write_csv_profiles"]:
+        write_png(files[-1], img.pixels, outputs["db_floor"])
+    if outputs["write_csv_profiles"]:
         files += _write_profiles_csv(stem, img.pixels, scen.processing["upsample"],
                                      scen.processing["smooth_window"])
     summary = "wrote {} ({} x {})".format(files[0], *img.pixels.shape)

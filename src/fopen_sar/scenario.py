@@ -9,7 +9,6 @@ configuration), "small" (a desk-scale variant for CI) and "tank" (the full
 preset with an extended tank-shaped target).
 """
 
-import copy
 import json
 import math
 import threading
@@ -213,26 +212,23 @@ class Scenario:
     def processing(self) -> dict:
         return self.doc["processing"]
 
-    @property
-    def outputs(self) -> dict:
-        return self.doc["outputs"]
-
     def with_overrides(self, waveform_kind=None, foliage_pol=None,
                        master_seed=None) -> "Scenario":
         """A copy with the waveform kind, foliage polarization, or seed swapped.
 
         foliage_pol may be "off" (drop the foliage section), "HH" or "VV".
+        Validation copies the whole document, so only the sections changed
+        here are new dicts; self.doc is never written to.
         """
-        doc = copy.deepcopy(self.doc)
+        doc = dict(self.doc)
         if waveform_kind is not None:
-            doc["waveform"]["kind"] = waveform_kind
-        if foliage_pol is not None:
-            if foliage_pol == "off":
-                doc.pop("foliage", None)
-            else:  # validation fills in the defaults of a new section
-                doc["foliage"] = {**doc.get("foliage", {}), "polarization": foliage_pol}
+            doc["waveform"] = {**doc["waveform"], "kind": waveform_kind}
+        if foliage_pol == "off":
+            doc.pop("foliage", None)
+        elif foliage_pol is not None:  # validation fills in the defaults of a new section
+            doc["foliage"] = {**doc.get("foliage", {}), "polarization": foliage_pol}
         if master_seed is not None:
-            doc["seeds"]["master"] = int(master_seed)
+            doc["seeds"] = {**doc["seeds"], "master": int(master_seed)}
         return Scenario(doc)
 
     def label(self) -> str:
@@ -242,7 +238,8 @@ class Scenario:
 
 
 def validate_scenario(doc: dict) -> dict:
-    """Validate and normalize a scenario document (returns a deep copy).
+    """Validate and normalize a scenario document (returns a copy that shares no
+    dict or list with doc, which is only read).
 
     Two passes: every key of every present section against its SCHEMA table,
     in SCHEMA order, then the relations between the values (_relations). So a
@@ -437,12 +434,12 @@ PRESETS = {"full": FULL_PRESET, "small": SMALL_PRESET, "tank": _with_tank(FULL_P
 def preset_scenario(name: str) -> Scenario:
     if name not in PRESETS:
         raise SchemaError(f"preset: unknown preset {name!r}; have {sorted(PRESETS)}")
-    return Scenario(copy.deepcopy(PRESETS[name]))
+    return Scenario(PRESETS[name])
 
 
 def tank_scenario(preset: str = "full") -> Scenario:
     """Preset scenario with the extended-target tank fixture."""
-    return Scenario(copy.deepcopy(_with_tank(PRESETS[preset])))
+    return Scenario(_with_tank(PRESETS[preset]))
 
 
 # -- end-to-end helpers shared by the CLI and the test suite -------------
@@ -462,38 +459,28 @@ def focus_scenario(scen: Scenario, cfg: SimulationConfig, make_raw) -> FocusedIm
     range-compressed; an argument tuple (focus(raw, *args)) or a local here
     would keep it alive through the azimuth stages.
     """
-    return focus(make_raw(), cfg.ofdm, cfg.platform, _reference(cfg),
+    return focus(make_raw(), cfg.ofdm, cfg.platform,
+                 generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
+                 if cfg.waveform_kind == "ofdm" else transmitted_pulse(cfg),
                  scen.processing["azimuth_window"])
-
-
-def _reference(cfg: SimulationConfig):
-    if cfg.waveform_kind == "ofdm":
-        return generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
-    return transmitted_pulse(cfg)
 
 
 def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict]:
     """Per-seed metric dicts for a scenario over a seed list, in seed order.
 
-    Seeds are independent runs, spread over `threads` threads in all: the
-    calling thread and up to threads - 1 workers, each taking the next seed
-    until none are left. Each seed thread holds one raw matrix plus one block
-    of temporaries at a time. Each result depends only on its seed, so the
-    list is bit-identical for any thread count. The first error in seed order
-    is raised.
+    Seeds are independent runs, spread over n = max(1, min(threads, len(seeds)))
+    threads: the calling thread and n - 1 workers. Thread k runs seeds k, k + n,
+    k + 2n, ... in order and stops at its own first error. Each seed thread
+    holds one raw matrix plus one block of temporaries at a time. Each result
+    depends only on its seed, so the list is bit-identical for any thread
+    count. The first error in seed order is raised: the thread that owns its
+    seed ran every earlier seed of its stride without error, so it reached it.
     """
     results = [None] * len(seeds)
-    lock = threading.Lock()
-    order = iter(range(len(seeds)))
+    n = max(1, min(threads, len(seeds)))
 
-    def share():
-        # Seeds are taken in order, so when a thread stops at its first error
-        # every earlier seed has been taken, and runs, on some thread.
-        while True:
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
+    def stride(k):
+        for i in range(k, len(seeds), n):
             try:
                 img = run_pipeline(scen, master_seed=seeds[i])
                 results[i] = image_metrics(img.pixels, scen.processing["upsample"],
@@ -502,10 +489,10 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
                 results[i] = exc
                 return
 
-    workers = [threading.Thread(target=share) for _ in range(min(threads, len(seeds)) - 1)]
+    workers = [threading.Thread(target=stride, args=(k,)) for k in range(1, n)]
     for w in workers:
         w.start()
-    share()
+    stride(0)
     for w in workers:
         w.join()
     for r in results:

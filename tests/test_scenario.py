@@ -328,6 +328,56 @@ class TestResolution:
             load_scenario(path)
 
 
+def _containers(node) -> set:
+    """ids of every dict and list in a JSON-like document, node included."""
+    if isinstance(node, dict):
+        return {id(node)}.union(*map(_containers, node.values()))
+    if isinstance(node, list):
+        return {id(node)}.union(*map(_containers, node))
+    return set()
+
+
+def _scribble(doc):
+    """Write into every section, target row and rcs list of doc."""
+    for section in doc.values():
+        for row in section.get("targets", ()):
+            row["cell"] = -1
+            row["rcs"].append(0.0)
+        section["scribbled"] = True
+
+
+class TestDocumentCopies:
+    """Validation copies a document once, and nothing else copies it: what it
+    returns shares no dict or list with its input, and a scenario built from a
+    preset or by with_overrides leaves its source as it was."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_validated_doc_shares_no_container(self, name):
+        doc = {**PRESETS[name], "foliage": {"polarization": "HH"}, "noise": {"snr_db": 30.0}}
+        got = Scenario(doc).doc
+        assert len(got["scene"]["targets"]) == len(doc["scene"]["targets"])
+        assert not _containers(got) & _containers(doc)
+
+    def test_presets_left_unchanged(self):
+        before = copy.deepcopy(PRESETS)
+        for scen in [preset_scenario(name) for name in PRESETS] + [
+                tank_scenario("full"), tank_scenario("small")]:
+            _scribble(scen.doc)
+        assert PRESETS == before
+
+    @pytest.mark.parametrize("override", [
+        {"waveform_kind": "noise"}, {"foliage_pol": "off"}, {"foliage_pol": "VV"},
+        {"master_seed": 7}], ids=["waveform", "foliage_off", "foliage_VV", "seed"])
+    def test_with_overrides_leaves_source(self, override):
+        src = preset_scenario("tank").with_overrides(foliage_pol="HH")
+        before = copy.deepcopy(src.doc)
+        out = src.with_overrides(**override)
+        assert out.doc != before
+        _scribble(out.doc)
+        assert src.doc == before
+        assert not _containers(out.doc) & _containers(src.doc)
+
+
 class TestTankFixture:
     def test_target_count_and_bounds(self):
         pts = tank_targets(96, 0.0375, 192)
@@ -384,6 +434,16 @@ class TestRunMetrics:
         assert len(messages) == 1
         assert len(run_metrics(scen, [5, 6, 8], threads=2)) == 3
 
+    @pytest.mark.parametrize("threads", [0, 1, 2])
+    def test_no_seeds(self, threads):
+        assert run_metrics(preset_scenario("small"), [], threads=threads) == []
+
+    def test_zero_threads_runs_on_the_caller(self, monkeypatch):
+        ran_on = []
+        self._fake_runs(monkeypatch, lambda seed: ran_on.append(threading.get_ident()) or seed)
+        assert run_metrics(preset_scenario("small"), [4], threads=0) == [{"seed": 4}]
+        assert ran_on == [threading.get_ident()]
+
     @staticmethod
     def _fake_runs(monkeypatch, run):
         """Replace the pipeline by run(seed) and the metrics by the seed's image."""
@@ -413,7 +473,7 @@ class TestRunMetrics:
         assert len(idents - {threading.get_ident()}) <= threads - 1
 
     def test_every_seed_runs_once_under_frequent_switches(self, monkeypatch):
-        # more threads than cores share the seed index
+        # more threads than cores, switched every microsecond
         ran = []
         self._fake_runs(monkeypatch, lambda seed: ran.append(seed) or seed)
         seeds = list(range(400))

@@ -22,8 +22,11 @@ The file mode fingerprints the files the command line writes instead:
 
 It runs FILE_COMMANDS in a temporary directory and prints one line per
 command with its exit code, then one "<command>/<file> <sha256>" line per
-file the command wrote, manifests hashed without their timings_s. Both
-modes need numpy and the fopen_sar package only.
+file the command wrote, manifests hashed without their timings_s. The
+commands simulate, image and take metrics of both presets, and run
+multi-seed metrics and compare commands on more than one thread. Both modes
+need numpy and the fopen_sar package only; to fingerprint another checkout,
+run this file with that checkout's src first on PYTHONPATH.
 """
 
 import argparse
@@ -89,7 +92,8 @@ def lines(run_list):
 # with HH foliage and its foliage CSV switched on; the blocks scenario adds
 # foliage redrawn per pulse, 30 dB receiver noise and an aperture of 80
 # pulses, so F, the raw matrix and both CSVs span several blocks, the last
-# one partial.
+# one partial. The two "-seeds" commands run several seeds on several threads,
+# so the seed loop's reports are fingerprinted too.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -100,6 +104,9 @@ FILE_COMMANDS = (
                       "{dir}/image-full/ofdm-foliage_off-seed0_image.fimg"]),
     ("compare-small", ["compare", "--preset", "small"]),
     ("simulate-foliage-blocks", ["simulate", "--scenario", "{dir}/foliage_blocks.json"]),
+    ("metrics-seeds", ["metrics", "--preset", "small", "--foliage", "HH", "--seeds", "6",
+                       "--threads", "3"]),
+    ("compare-seeds", ["compare", "--preset", "small", "--seeds", "3", "--threads", "2"]),
 )
 
 
