@@ -53,20 +53,20 @@ _ERRORS = {SchemaError: (EXIT_SCHEMA, ""), MismatchError: (EXIT_MISMATCH, ""),
 
 
 def _resolve_scenario(args) -> Scenario:
-    if bool(args.scenario) == bool(args.preset):
+    if len(args.scenario or ()) + bool(args.preset) != 1:
         raise SchemaError("scenario: give exactly one of --scenario or --preset")
-    scen = load_scenario(args.scenario) if args.scenario else preset_scenario(args.preset)
+    scen = load_scenario(args.scenario[0]) if args.scenario else preset_scenario(args.preset)
     return scen.with_overrides(args.waveform, args.foliage, args.seed)
 
 
 def _compare_variants(args) -> list[Scenario]:
     """compare's scenarios: each --scenario, or the --preset waveform x foliage grid."""
-    if args.scenario_multi:
+    if args.scenario:
         for flag in ("preset", "waveform", "foliage"):
             if getattr(args, flag):
                 raise SchemaError(f"compare: --{flag} applies to --preset only")
         variants = [load_scenario(path).with_overrides(master_seed=args.seed)
-                    for path in args.scenario_multi]
+                    for path in args.scenario]
     else:
         if not args.preset:
             raise SchemaError("compare: give --preset or two or more --scenario")
@@ -98,10 +98,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_profiles_csv(stem, pixels, upsample, smooth):
-    rng_p, az_p = extract_profiles(pixels, upsample, smooth)
+def _write_profiles_csv(stem, profiles, upsample):
     paths = []
-    for name, axis, prof in (("range", "axis_cells", rng_p), ("azimuth", "axis_pulses", az_p)):
+    for name, axis, prof in zip(("range", "azimuth"), ("axis_cells", "axis_pulses"), profiles):
         path = f"{stem}_{name}_profile.csv"
         v = prof.values
         db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
@@ -128,11 +127,11 @@ def _seed_list(scen, args) -> list[int]:
     return list(range(scen.master_seed, last + 1))
 
 
-# Each command runs its stage on the scenarios main resolved, writes its files
-# (named from stem, "<out>/<label>-seed<N>" of the first scenario) and returns
-# (seeds, files, stdout summary); main does everything around it.
+# Each command runs its stage on the scenarios and seed lists main judged, writes
+# its files (named from stem, "<out>/<label>-seed<N>" of the first scenario) after
+# all that can exit 4 or 5, and returns (files it wrote, stdout summary) to main.
 
-def cmd_simulate(args, scens, stem):
+def cmd_simulate(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
     raw = synthesize_raw(cfg)
@@ -146,10 +145,10 @@ def cmd_simulate(args, scens, stem):
     if scen.doc["outputs"]["dump_foliage_csv"] and cfg.foliage is not None:
         files.append(f"{stem}_foliage.csv")
         dump_realizations_csv(files[-1], foliage_channel(cfg).blocks())
-    return [scen.master_seed], files, summary
+    return files, summary
 
 
-def cmd_image(args, scens, stem):
+def cmd_image(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
     if args.raw:
@@ -164,41 +163,38 @@ def cmd_image(args, scens, stem):
                               "(samples too large)")
     else:
         img = focus_scenario(scen, cfg, lambda: synthesize_raw(cfg))
+    outputs, upsample = scen.doc["outputs"], scen.processing["upsample"]
+    profiles = (extract_profiles(img.pixels, upsample, scen.processing["smooth_window"])
+                if outputs["write_csv_profiles"] else None)
     files = [f"{stem}_image.fimg"]
     write_fimg(files[-1], img.pixels)
-    outputs = scen.doc["outputs"]
     if outputs["write_pgm"]:
         files.append(f"{stem}_image.pgm")
         write_pgm(files[-1], img.pixels, outputs["db_floor"])
     if outputs["write_png"]:
         files.append(f"{stem}_image.png")
         write_png(files[-1], img.pixels, outputs["db_floor"])
-    if outputs["write_csv_profiles"]:
-        files += _write_profiles_csv(stem, img.pixels, scen.processing["upsample"],
-                                     scen.processing["smooth_window"])
-    summary = "wrote {} ({} x {})".format(files[0], *img.pixels.shape)
-    return [scen.master_seed], files, summary
+    if profiles:
+        files += _write_profiles_csv(stem, profiles, upsample)
+    return files, "wrote {} ({} x {})".format(files[0], *img.pixels.shape)
 
 
-def cmd_metrics(args, scens, stem):
+def cmd_metrics(args, scens, seed_lists, stem):
     scen = scens[0]
     if args.image:
         pixels = _read_matching(read_fimg, args.image, (
             scen.platform().n_pulses(), scen.doc["waveform"]["n_range_cells"]))
         per_seed = [image_metrics(pixels, scen.processing["upsample"],
                                   scen.processing["smooth_window"])]
-        seeds = [scen.master_seed]
     else:
-        seeds = _seed_list(scen, args)
-        per_seed = run_metrics(scen, seeds, threads=args.threads)
+        per_seed = run_metrics(scen, seed_lists[0], threads=args.threads)
     report = _report(scen, per_seed)
     path = f"{stem}_metrics.json"
     write_json(path, report)
-    return seeds, [path], json.dumps(report, indent=2, sort_keys=True)
+    return [path], json.dumps(report, indent=2, sort_keys=True)
 
 
-def cmd_compare(args, scens, stem):
-    seed_lists = [_seed_list(scen, args) for scen in scens]  # every range checked first
+def cmd_compare(args, scens, seed_lists, stem):
     labels = [scen.label() for scen in scens]  # a label two variants share gains "#<position>"
     entries = []
     for k, (scen, seeds, label) in enumerate(zip(scens, seed_lists, labels), 1):
@@ -213,8 +209,7 @@ def cmd_compare(args, scens, stem):
              for a, b in itertools.combinations(entries, 2)]
     path = os.path.join(args.out, "compare.json")
     write_json(path, {"variants": entries, "differences": diffs})
-    seeds = sorted({s for e in entries for s in e["seeds"]})
-    return seeds, [path], json.dumps(diffs, indent=2, sort_keys=True)
+    return [path], json.dumps(diffs, indent=2, sort_keys=True)
 
 
 def _positive_int(text) -> int:
@@ -234,12 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_multi=False, seeds=False):
-        if scenario_multi:
-            p.add_argument("--scenario", action="append", dest="scenario_multi",
-                           metavar="PATH", help="scenario JSON (repeatable)")
-        else:
-            p.add_argument("--scenario", metavar="PATH", help="scenario JSON")
+    def common(p, seeds=False):
+        p.add_argument("--scenario", action="append", metavar="PATH",
+                       help="scenario JSON (compare takes two or more)")
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="built-in scenario preset")
         p.add_argument("--waveform", choices=SCHEMA["waveform"]["kind"][0],
@@ -257,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize the raw data matrix")
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, seeds=1)
 
     p = sub.add_parser("image", help="form the focused image")
     common(p)
     p.add_argument("--raw", metavar="PATH", help="existing FSAR file "
                    "(default: simulate in-process)")
-    p.set_defaults(func=cmd_image)
+    p.set_defaults(func=cmd_image, seeds=1)
 
     p = sub.add_parser("metrics", help="compute ISLR/PSLR metrics")
     common(p, seeds=True)
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("compare", help="run scenario variants and diff metrics")
-    common(p, scenario_multi=True, seeds=True)
+    common(p, seeds=True)
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -280,18 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command in the frame all four share; map errors to exit codes.
 
-    Scenarios are resolved before --out is touched, and the command's old
-    manifest is removed before its stage runs, so a failed run leaves none.
+    Every argument, scenario and seed-range rule is judged before --out is
+    created or the old manifest removed. A run that fails later leaves no
+    manifest, and no --out that it created and left empty.
     Each distinct advisory goes to stderr once, and into the manifest's "warnings".
     """
     args = build_parser().parse_args(argv)
+    made = not os.path.isdir(args.out)
     try:
-        if args.command == "compare":
-            scens = _compare_variants(args)
-        else:
-            scens = [_resolve_scenario(args)]
+        scens = (_compare_variants(args) if args.command == "compare"
+                 else [_resolve_scenario(args)])
         if getattr(args, "image", None) and args.seeds != 1:
             raise SchemaError("metrics: --seeds must be 1 with --image")
+        seed_lists = [_seed_list(scen, args) for scen in scens]
         os.makedirs(args.out, exist_ok=True)
         manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
         with contextlib.suppress(FileNotFoundError):
@@ -301,14 +294,14 @@ def main(argv=None) -> int:
         for line in advisories:
             print(f"warning: {line}", file=sys.stderr)
         t0 = time.perf_counter()
-        seeds, files, summary = args.func(args, scens, stem)
+        files, summary = args.func(args, scens, seed_lists, stem)
         seconds = time.perf_counter() - t0
         write_json(manifest_path, {
             "tool": "fopen-sar",
             "version": __version__,
             "command": args.command,
             "scenarios": [s.doc for s in scens],
-            "seeds": seeds,
+            "seeds": sorted(set().union(*seed_lists)),
             "threads": args.threads,
             "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p),
                          "bytes": os.path.getsize(p)} for p in files],
@@ -318,6 +311,9 @@ def main(argv=None) -> int:
         print(summary)
         return EXIT_OK
     except tuple(_ERRORS) as e:
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
         code, prefix = next(v for t, v in _ERRORS.items() if isinstance(e, t))
         print(f"error: {prefix}{e}", file=sys.stderr)
         return code

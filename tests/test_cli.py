@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -584,21 +585,91 @@ class TestPeakAtCutEnd:
         assert doc["islr_azimuth_db"] == pytest.approx(-10.71, abs=0.05)
 
 
+# (arguments, exit code) of commands that must fail before they write:
+# main rejects each exit-2 list before --out is created, and image finds no
+# peak for its profiles before its first write. "{small}" is the small
+# preset's file, "{late}" the same at seeds.master 2^64 - 2, "{zero}" the
+# same with zero RCS, "{missing}" a FIMG path that does not exist.
+_FAILS_BEFORE_WRITING = {
+    "metrics_seeds_above_limit": (["metrics", "--preset", "small", "--seeds", "2000000"], 2),
+    "compare_seeds_above_limit": (["compare", "--preset", "small", "--seeds", "2000000"], 2),
+    "metrics_range_past_maximum": (["metrics", "--preset", "small", "--seed", str(2**64 - 2),
+                                    "--seeds", "3"], 2),
+    "compare_range_past_maximum": (["compare", "--preset", "small", "--seed", str(2**64 - 2),
+                                    "--seeds", "3"], 2),
+    "compare_second_range_past_maximum": (["compare", "--scenario", "{small}", "--scenario",
+                                           "{late}", "--seeds", "3"], 2),
+    "no_source": (["metrics"], 2),
+    "both_sources": (["metrics", "--scenario", "{small}", "--preset", "small"], 2),
+    "image_with_seeds": (["metrics", "--scenario", "{small}", "--image", "{missing}",
+                          "--seeds", "7"], 2),
+    "compare_files_and_preset": (["compare", "--scenario", "{small}", "--scenario", "{small}",
+                                  "--preset", "small"], 2),
+    "compare_files_and_waveform": (["compare", "--scenario", "{small}", "--scenario",
+                                    "{small}", "--waveform", "noise"], 2),
+    "compare_files_and_foliage": (["compare", "--scenario", "{small}", "--scenario", "{small}",
+                                   "--foliage", "HH"], 2),
+    "compare_one_variant": (["compare", "--scenario", "{small}"], 2),
+    "simulate_two_scenarios": (["simulate", "--scenario", "{small}", "--scenario", "{small}"],
+                               2),
+    "image_no_peak": (["image", "--scenario", "{zero}"], 5),
+}
+
+
+def _small_file_with(tmp_path, name, edit):
+    doc = copy.deepcopy(SMALL_PRESET)
+    edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _zero_rcs(doc):
+    doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
+
+
+@pytest.fixture(scope="module")
+def metrics_run(tmp_path_factory):
+    """A directory holding one earlier metrics run: its JSON and its manifest."""
+    out = tmp_path_factory.mktemp("metrics_run") / "out"
+    assert main(["metrics", "--preset", "small", "--out", str(out)]) == 0
+    return out
+
+
 class TestFrame:
     """What main does around every command: the manifest and atomic writes."""
 
     def test_failed_rerun_leaves_no_manifest(self, small_file, tmp_path):
-        out = str(tmp_path / "out")
-        assert main(["image", "--scenario", small_file, "--out", out]) == 0
-        manifest = os.path.join(out, "image_manifest.json")
-        assert os.path.exists(manifest)
-        doc = copy.deepcopy(SMALL_PRESET)
-        doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
-        zero = tmp_path / "zero.json"
-        zero.write_text(json.dumps(doc))
-        # overwrites the image files, then finds no peak for the profiles
-        assert main(["image", "--scenario", str(zero), "--out", out]) == 5
-        assert not os.path.exists(manifest)
+        out = tmp_path / "out"
+        assert main(["image", "--scenario", small_file, "--out", str(out)]) == 0
+        manifest = out / "image_manifest.json"
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p != manifest}
+        zero = _small_file_with(tmp_path, "zero", _zero_rcs)
+        # finds no peak for the profiles before it writes the image files
+        assert main(["image", "--scenario", zero, "--out", str(out)]) == 5
+        assert not manifest.exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, code", list(_FAILS_BEFORE_WRITING.values()),
+                             ids=list(_FAILS_BEFORE_WRITING))
+    def test_failure_before_the_stage_writes_touches_nothing(self, argv, code, small_file,
+                                                             metrics_run, tmp_path):
+        # main once judged the seed ranges after it had made --out and removed the
+        # old manifest, simulate kept the last of two --scenario files, and image
+        # wrote its FIMG, PGM and PNG before it found no peak for the profiles
+        paths = {"small": small_file, "missing": str(tmp_path / "none.fimg"),
+                 "late": _small_file_with(tmp_path, "late",
+                                          lambda d: d["seeds"].update(master=2**64 - 2)),
+                 "zero": _small_file_with(tmp_path, "zero", _zero_rcs)}
+        argv = [a.format(**paths) for a in argv]
+        fresh = tmp_path / "fresh"
+        assert main(argv + ["--out", str(fresh)]) == code
+        assert not fresh.exists()
+        out = tmp_path / "earlier"
+        shutil.copytree(metrics_run, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--out", str(out)]) == code
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("command,name", [
         ("simulate", "ofdm-foliage_off-seed0_raw.csv"),
@@ -875,7 +946,7 @@ class TestSeedCount:
         assert main([command, "--preset", "small", "--seed", str(2**64 - 2), "--seeds", "3",
                      "--out", str(out)]) == 2
         assert "seeds.master" in capsys.readouterr().err
-        assert not (out / f"{command}_manifest.json").exists()
+        assert not out.exists()
         assert main([command, "--preset", "small", "--seed", str(2**64 - 3), "--seeds", "3",
                      "--out", str(out)]) == 0  # the range ends on the maximum
 
@@ -888,7 +959,7 @@ class TestSeedCount:
         err = capsys.readouterr().err
         assert f"--seeds {10**15} is above the limit {2**20}" in err
         assert "Traceback" not in err
-        assert not (out / f"{command}_manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, command, text", [
         ("--threads", "simulate", "x"), ("--seeds", "metrics", "2.5")])

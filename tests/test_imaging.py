@@ -6,7 +6,7 @@ from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, ma
 from fopen_sar.imaging import (azimuth_fft, migration_shift_cells,
                                range_compress_noise, range_compress_ofdm, rcmc,
                                smooth_length, azimuth_compress, focus)
-from fopen_sar.scenario import preset_scenario
+from fopen_sar.scenario import focus_scenario, preset_scenario
 from fopen_sar.waveform import (OfdmSpec, generate_bpsk_symbols, generate_noise_pulse,
                                 generate_ofdm_pulse)
 
@@ -123,6 +123,49 @@ class TestInterTargetInterference:
         base = preset_scenario(scene).with_overrides(foliage_pol="off")
         assert self._interference_db(base.with_overrides(waveform_kind="ofdm"), seed) < -250
         assert self._interference_db(base.with_overrides(waveform_kind="noise"), seed) > -20
+
+
+class TestMaskingFloor:
+    """How far below its own peak a target leaks into another cell of its range
+    line: the level under which a weak target there is masked. Full preset,
+    clear scene, the target in cell 96; the leakage into cell 120 on the peak's
+    azimuth row, |img[az, 120]|^2 / |img[az, 96]|^2 in dB.
+
+    Sufficient-CP OFDM recovers each range line exactly, so only rounding
+    leaks. The noise waveform is one pulse per seed, the same on every pulse,
+    and the target stays in its cell, so azimuth compression scales cells 96
+    and 120 alike and the ratio is the pulse's normalised autocorrelation at
+    lag tau = 24, |rho(tau)|^2. For L_p = N + M - 1 = 1215 white samples,
+    E|rho(tau)|^2 = (L_p - tau) / L_p^2 = -30.93 dB. rho(tau) is near
+    circular Gaussian, so |rho|^2 is exponential; the dB value of an
+    exponential variable averages 10 log10(e) gamma = 2.51 dB (gamma =
+    0.5772, Euler's constant) below the dB of its mean and has standard deviation 10 log10(e) pi / sqrt(6) =
+    5.57 dB. The mean over 16 seeds is then -33.44 dB with SE 5.57 / 4 =
+    1.39 dB. Measured: OFDM -335 to -347 dB over seeds 0-15; noise mean
+    -31.39 dB, standard deviation 4.62 dB.
+    """
+
+    TARGET, CELL, SEEDS = 96, 120, 16
+
+    def _leakage_db(self, kind, seed):
+        scen = preset_scenario("full").with_overrides(kind, "off")
+        cfg = scen.simulation_config(seed)
+        img = focus_scenario(scen, cfg, lambda: synthesize_raw(cfg)).pixels
+        az = int(np.argmax(np.abs(img[:, self.TARGET])))
+        return 10 * np.log10(np.abs(img[az, self.CELL]) ** 2
+                             / np.abs(img[az, self.TARGET]) ** 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ofdm_masks_nothing_above_rounding(self, seed):
+        assert self._leakage_db("ofdm", seed) < -250
+
+    def test_noise_leaks_its_autocorrelation_sidelobe(self):
+        lp = preset_scenario("full").simulation_config().ofdm.pulse_length  # 1215
+        tau = self.CELL - self.TARGET
+        mean_db = 10 * np.log10((lp - tau) / lp**2) - 10 * np.log10(np.e) * np.euler_gamma
+        se = 10 * np.log10(np.e) * np.pi / np.sqrt(6) / np.sqrt(self.SEEDS)
+        got = np.mean([self._leakage_db("noise", seed) for seed in range(self.SEEDS)])
+        assert abs(got - mean_db) < 3 * se, (got, mean_db, se)
 
 
 class TestSmoothLength:

@@ -29,9 +29,11 @@ class TestBitIdentity:
         (tmp_path / "b").mkdir()
         first = list(bi.file_lines(str(tmp_path / "a")))
         assert first == list(bi.file_lines(str(tmp_path / "b")))  # timings_s left out
+        # image-zero finds no peak for its profiles and must write no file
         assert [line for line in first if " exit=" in line] == [
-            f"{name} exit=0" for name, _ in bi.FILE_COMMANDS]
+            f"{name} exit={5 if name == 'image-zero' else 0}" for name, _ in bi.FILE_COMMANDS]
         names = {line.split()[0] for line in first if " exit=" not in line}
+        assert not [name for name in names if name.startswith("image-zero/")]
         for name in ("simulate-small/ofdm-foliage_off-seed0_raw.csv",
                      "simulate-foliage/ofdm-foliage_HH-seed0_foliage.csv",
                      "simulate-full/ofdm-foliage_off-seed0_raw.fsar",

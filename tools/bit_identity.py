@@ -23,8 +23,9 @@ The file mode fingerprints the files the command line writes instead:
 It runs FILE_COMMANDS in a temporary directory and prints one line per
 command with its exit code, then one "<command>/<file> <sha256>" line per
 file the command wrote, manifests hashed without their timings_s. The
-commands simulate, image and take metrics of both presets, and run
-multi-seed metrics and compare commands on more than one thread. Both modes
+commands simulate, image and take metrics of both presets, run multi-seed
+metrics and compare commands on more than one thread, and image a scene
+with zero RCS, which exits 5 and must write no file. Both modes
 need numpy and the fopen_sar package only; to fingerprint another checkout,
 run this file with that checkout's src first on PYTHONPATH.
 """
@@ -93,7 +94,9 @@ def lines(run_list):
 # foliage redrawn per pulse, 30 dB receiver noise and an aperture of 80
 # pulses, so F, the raw matrix and both CSVs span several blocks, the last
 # one partial. The two "-seeds" commands run several seeds on several threads,
-# so the seed loop's reports are fingerprinted too.
+# so the seed loop's reports are fingerprinted too. The zero scenario is the
+# small preset with zero RCS and default outputs: its image has no peak for the
+# profiles, so the command exits 5, and any file it wrote would be listed.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -107,12 +110,17 @@ FILE_COMMANDS = (
     ("metrics-seeds", ["metrics", "--preset", "small", "--foliage", "HH", "--seeds", "6",
                        "--threads", "3"]),
     ("compare-seeds", ["compare", "--preset", "small", "--seeds", "3", "--threads", "2"]),
+    ("image-zero", ["image", "--scenario", "{dir}/zero.json"]),
 )
 
 
 def file_lines(tmp):
     """Run FILE_COMMANDS in the directory tmp; yield each command's exit code
     line, then a name and sha256 line for each file it wrote, by file name."""
+    doc = preset_scenario("small").doc
+    doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
+    with open(os.path.join(tmp, "zero.json"), "w") as fh:
+        json.dump(doc, fh)
     doc = preset_scenario("small").with_overrides(foliage_pol="HH").doc
     doc["outputs"]["dump_foliage_csv"] = True
     with open(os.path.join(tmp, "foliage.json"), "w") as fh:
