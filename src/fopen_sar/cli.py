@@ -98,15 +98,10 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_profiles_csv(stem, profiles, upsample):
-    paths = []
-    for name, axis, prof in zip(("range", "azimuth"), ("axis_cells", "axis_pulses"), profiles):
-        path = f"{stem}_{name}_profile.csv"
-        v = prof.values
-        db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
-        write_csv(path, [axis, "power", "power_db"], [np.arange(len(v)) / upsample, v, db])
-        paths.append(path)
-    return paths
+def _write_profiles_csv(path, axis, profile, upsample):
+    v = profile.values
+    db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
+    write_csv(path, [axis, "power", "power_db"], [np.arange(len(v)) / upsample, v, db])
 
 
 def _report(scen, per_seed) -> dict:
@@ -128,24 +123,21 @@ def _seed_list(scen, args) -> list[int]:
 
 
 # Each command runs its stage on the scenarios and seed lists main judged, writes
-# its files (named from stem, "<out>/<label>-seed<N>" of the first scenario) after
-# all that can exit 4 or 5, and returns (files it wrote, stdout summary) to main.
+# nothing, and returns (writes, stdout summary): the (path, writer, *data) entries main
+# makes in order, each path named from stem ("<out>/<label>-seed<N>", first scenario).
 
 def cmd_simulate(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
-    raw = synthesize_raw(cfg)
-    files = [f"{stem}_raw.fsar"]
-    write_fsar(files[-1], raw.data)
-    if raw.data.size <= _CSV_MAX_SAMPLES:
-        files.append(f"{stem}_raw.csv")
-        write_raw_csv(files[-1], raw.data)
-    summary = "wrote {} ({} pulses x {} samples)".format(files[0], *raw.data.shape)
-    del raw  # freed before the foliage CSV, which streams F a block at a time
+    data = synthesize_raw(cfg).data
+    writes = [(f"{stem}_raw.fsar", write_fsar, data)]
+    if data.size <= _CSV_MAX_SAMPLES:
+        writes.append((f"{stem}_raw.csv", write_raw_csv, data))
+    # main drops the raw matrix before this CSV streams F a block at a time
     if scen.doc["outputs"]["dump_foliage_csv"] and cfg.foliage is not None:
-        files.append(f"{stem}_foliage.csv")
-        dump_realizations_csv(files[-1], foliage_channel(cfg).blocks())
-    return files, summary
+        writes.append((f"{stem}_foliage.csv", dump_realizations_csv,
+                       foliage_channel(cfg).blocks()))
+    return writes, "wrote {} ({} pulses x {} samples)".format(writes[0][0], *data.shape)
 
 
 def cmd_image(args, scens, seed_lists, stem):
@@ -163,20 +155,18 @@ def cmd_image(args, scens, seed_lists, stem):
                               "(samples too large)")
     else:
         img = focus_scenario(scen, cfg, lambda: synthesize_raw(cfg))
-    outputs, upsample = scen.doc["outputs"], scen.processing["upsample"]
-    profiles = (extract_profiles(img.pixels, upsample, scen.processing["smooth_window"])
-                if outputs["write_csv_profiles"] else None)
-    files = [f"{stem}_image.fimg"]
-    write_fimg(files[-1], img.pixels)
+    outputs, upsample, pixels = scen.doc["outputs"], scen.processing["upsample"], img.pixels
+    writes = [(f"{stem}_image.fimg", write_fimg, pixels)]
     if outputs["write_pgm"]:
-        files.append(f"{stem}_image.pgm")
-        write_pgm(files[-1], img.pixels, outputs["db_floor"])
+        writes.append((f"{stem}_image.pgm", write_pgm, pixels, outputs["db_floor"]))
     if outputs["write_png"]:
-        files.append(f"{stem}_image.png")
-        write_png(files[-1], img.pixels, outputs["db_floor"])
-    if profiles:
-        files += _write_profiles_csv(stem, profiles, upsample)
-    return files, "wrote {} ({} x {})".format(files[0], *img.pixels.shape)
+        writes.append((f"{stem}_image.png", write_png, pixels, outputs["db_floor"]))
+    if outputs["write_csv_profiles"]:
+        profiles = extract_profiles(pixels, upsample, scen.processing["smooth_window"])
+        writes += [(f"{stem}_{name}_profile.csv", _write_profiles_csv, axis, prof, upsample)
+                   for name, axis, prof in zip(("range", "azimuth"),
+                                               ("axis_cells", "axis_pulses"), profiles)]
+    return writes, "wrote {} ({} x {})".format(writes[0][0], *pixels.shape)
 
 
 def cmd_metrics(args, scens, seed_lists, stem):
@@ -189,9 +179,8 @@ def cmd_metrics(args, scens, seed_lists, stem):
     else:
         per_seed = run_metrics(scen, seed_lists[0], threads=args.threads)
     report = _report(scen, per_seed)
-    path = f"{stem}_metrics.json"
-    write_json(path, report)
-    return [path], json.dumps(report, indent=2, sort_keys=True)
+    return ([(f"{stem}_metrics.json", write_json, report)],
+            json.dumps(report, indent=2, sort_keys=True))
 
 
 def cmd_compare(args, scens, seed_lists, stem):
@@ -207,9 +196,9 @@ def cmd_compare(args, scens, seed_lists, stem):
                                 and isinstance(b["metrics"][k], float) else None)
                  for k in METRIC_KEYS}}
              for a, b in itertools.combinations(entries, 2)]
-    path = os.path.join(args.out, "compare.json")
-    write_json(path, {"variants": entries, "differences": diffs})
-    return [path], json.dumps(diffs, indent=2, sort_keys=True)
+    return ([(os.path.join(args.out, "compare.json"), write_json,
+              {"variants": entries, "differences": diffs})],
+            json.dumps(diffs, indent=2, sort_keys=True))
 
 
 def _positive_int(text) -> int:
@@ -273,8 +262,9 @@ def main(argv=None) -> int:
     """Run one command in the frame all four share; map errors to exit codes.
 
     Every argument, scenario and seed-range rule is judged before --out is
-    created or the old manifest removed. A run that fails later leaves no
-    manifest, and no --out that it created and left empty.
+    created. Once the stage returns, main removes the old manifest, makes the
+    stage's writes and writes the new manifest: a failed stage leaves --out as it
+    was, and a failed write leaves no manifest nor an --out it made and left empty.
     Each distinct advisory goes to stderr once, and into the manifest's "warnings".
     """
     args = build_parser().parse_args(argv)
@@ -286,15 +276,21 @@ def main(argv=None) -> int:
             raise SchemaError("metrics: --seeds must be 1 with --image")
         seed_lists = [_seed_list(scen, args) for scen in scens]
         os.makedirs(args.out, exist_ok=True)
-        manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(manifest_path)
         stem = os.path.join(args.out, f"{scens[0].label()}-seed{scens[0].master_seed}")
         advisories = list(dict.fromkeys(a for s in scens for a in s.advisories))
         for line in advisories:
             print(f"warning: {line}", file=sys.stderr)
         t0 = time.perf_counter()
-        files, summary = args.func(args, scens, seed_lists, stem)
+        writes, summary = args.func(args, scens, seed_lists, stem)
+        manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest_path)
+        files = []
+        while writes:  # each entry's data is dropped once written
+            path, write, *data = writes.pop(0)
+            write(path, *data)
+            files.append(path)
+            del data
         seconds = time.perf_counter() - t0
         write_json(manifest_path, {
             "tool": "fopen-sar",

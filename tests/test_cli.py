@@ -14,7 +14,7 @@ import pytest
 
 from fopen_sar import cli, imaging
 from fopen_sar.cli import main
-from fopen_sar.fileio import read_fimg, read_fsar
+from fopen_sar.fileio import read_fimg, read_fsar, write_fimg, write_fsar
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, run_metrics
 
@@ -585,11 +585,13 @@ class TestPeakAtCutEnd:
         assert doc["islr_azimuth_db"] == pytest.approx(-10.71, abs=0.05)
 
 
-# (arguments, exit code) of commands that must fail before they write:
-# main rejects each exit-2 list before --out is created, and image finds no
-# peak for its profiles before its first write. "{small}" is the small
-# preset's file, "{late}" the same at seeds.master 2^64 - 2, "{zero}" the
-# same with zero RCS, "{missing}" a FIMG path that does not exist.
+# (arguments, exit code) of commands that must fail before they write: main
+# rejects each exit-2 list before --out is created, and main makes no write
+# before a stage returns, so a stage failing with 3, 4 or 5 writes nothing.
+# "{small}" is the small preset's file, "{late}" the same at seeds.master
+# 2^64 - 2, "{zero}" the same with zero RCS, "{missing}" a FIMG path that does
+# not exist, "{wrong_fimg}" and "{wrong_fsar}" 2 x 3 files, which match no
+# scenario, and "{truncated}" that FSAR cut short.
 _FAILS_BEFORE_WRITING = {
     "metrics_seeds_above_limit": (["metrics", "--preset", "small", "--seeds", "2000000"], 2),
     "compare_seeds_above_limit": (["compare", "--preset", "small", "--seeds", "2000000"], 2),
@@ -613,6 +615,12 @@ _FAILS_BEFORE_WRITING = {
     "simulate_two_scenarios": (["simulate", "--scenario", "{small}", "--scenario", "{small}"],
                                2),
     "image_no_peak": (["image", "--scenario", "{zero}"], 5),
+    "metrics_no_peak": (["metrics", "--scenario", "{zero}"], 5),
+    "metrics_image_missing": (["metrics", "--preset", "small", "--image", "{missing}"], 3),
+    "metrics_image_wrong_shape": (["metrics", "--preset", "small", "--image", "{wrong_fimg}"],
+                                  4),
+    "image_raw_truncated": (["image", "--preset", "small", "--raw", "{truncated}"], 3),
+    "image_raw_wrong_shape": (["image", "--preset", "small", "--raw", "{wrong_fsar}"], 4),
 }
 
 
@@ -629,44 +637,44 @@ def _zero_rcs(doc):
 
 
 @pytest.fixture(scope="module")
-def metrics_run(tmp_path_factory):
-    """A directory holding one earlier metrics run: its JSON and its manifest."""
-    out = tmp_path_factory.mktemp("metrics_run") / "out"
-    assert main(["metrics", "--preset", "small", "--out", str(out)]) == 0
+def earlier_runs(tmp_path_factory):
+    """A directory holding an earlier small-preset image run and metrics run: the
+    image files, the metrics JSON and both manifests."""
+    out = tmp_path_factory.mktemp("earlier_runs") / "out"
+    for command in ("image", "metrics"):
+        assert main([command, "--preset", "small", "--out", str(out)]) == 0
+    assert {"image_manifest.json", "metrics_manifest.json"} <= set(os.listdir(out))
     return out
 
 
 class TestFrame:
     """What main does around every command: the manifest and atomic writes."""
 
-    def test_failed_rerun_leaves_no_manifest(self, small_file, tmp_path):
-        out = tmp_path / "out"
-        assert main(["image", "--scenario", small_file, "--out", str(out)]) == 0
-        manifest = out / "image_manifest.json"
-        before = {p.name: p.read_bytes() for p in out.iterdir() if p != manifest}
-        zero = _small_file_with(tmp_path, "zero", _zero_rcs)
-        # finds no peak for the profiles before it writes the image files
-        assert main(["image", "--scenario", zero, "--out", str(out)]) == 5
-        assert not manifest.exists()
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
     @pytest.mark.parametrize("argv, code", list(_FAILS_BEFORE_WRITING.values()),
                              ids=list(_FAILS_BEFORE_WRITING))
     def test_failure_before_the_stage_writes_touches_nothing(self, argv, code, small_file,
-                                                             metrics_run, tmp_path):
+                                                             earlier_runs, tmp_path):
         # main once judged the seed ranges after it had made --out and removed the
-        # old manifest, simulate kept the last of two --scenario files, and image
-        # wrote its FIMG, PGM and PNG before it found no peak for the profiles
+        # old manifest, simulate kept the last of two --scenario files, image wrote
+        # its FIMG, PGM and PNG before it found no peak for the profiles, and main
+        # removed the old manifest before every stage ran
+        wrong = np.zeros((2, 3), complex)
+        write_fsar(str(tmp_path / "wrong.fsar"), wrong)
+        write_fimg(str(tmp_path / "wrong.fimg"), wrong)
+        (tmp_path / "truncated.fsar").write_bytes((tmp_path / "wrong.fsar").read_bytes()[:-8])
         paths = {"small": small_file, "missing": str(tmp_path / "none.fimg"),
                  "late": _small_file_with(tmp_path, "late",
                                           lambda d: d["seeds"].update(master=2**64 - 2)),
-                 "zero": _small_file_with(tmp_path, "zero", _zero_rcs)}
+                 "zero": _small_file_with(tmp_path, "zero", _zero_rcs),
+                 "wrong_fsar": str(tmp_path / "wrong.fsar"),
+                 "wrong_fimg": str(tmp_path / "wrong.fimg"),
+                 "truncated": str(tmp_path / "truncated.fsar")}
         argv = [a.format(**paths) for a in argv]
         fresh = tmp_path / "fresh"
         assert main(argv + ["--out", str(fresh)]) == code
         assert not fresh.exists()
         out = tmp_path / "earlier"
-        shutil.copytree(metrics_run, out)
+        shutil.copytree(earlier_runs, out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(argv + ["--out", str(out)]) == code
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -681,6 +689,8 @@ class TestFrame:
         out = tmp_path / "out"
         out.mkdir()
         (out / name).write_bytes(b"old")
+        manifest = out / f"{command}_manifest.json"
+        manifest.write_bytes(b"{}")  # an earlier run's
         replace = os.replace
 
         def fail_on_target(src, dst):
@@ -691,7 +701,9 @@ class TestFrame:
         monkeypatch.setattr(os, "replace", fail_on_target)
         sources = ["--scenario", small_file] * (2 if command == "compare" else 1)
         assert main([command] + sources + ["--out", str(out)]) == 3
+        # a failed write leaves no manifest: main removed it before the first write
         assert (out / name).read_bytes() == b"old"
+        assert not manifest.exists()
         assert not list(out.glob("*.tmp"))
 
 

@@ -29,11 +29,17 @@ class TestBitIdentity:
         (tmp_path / "b").mkdir()
         first = list(bi.file_lines(str(tmp_path / "a")))
         assert first == list(bi.file_lines(str(tmp_path / "b")))  # timings_s left out
-        # image-zero finds no peak for its profiles and must write no file
+        # the zero scene has no peak for its profiles: image-zero must write no file,
+        # and its rerun into image-rerun must leave the first run's files whole
         assert [line for line in first if " exit=" in line] == [
-            f"{name} exit={5 if name == 'image-zero' else 0}" for name, _ in bi.FILE_COMMANDS]
+            f"{name} exit={5 if '{dir}/zero.json' in argv else 0}"
+            for name, argv in bi.FILE_COMMANDS]
         names = {line.split()[0] for line in first if " exit=" not in line}
         assert not [name for name in names if name.startswith("image-zero/")]
+        failed = first.index("image-rerun exit=5")  # the last command
+        earlier = first[first.index("image-rerun exit=0") + 1:failed]
+        assert first[failed + 1:] == earlier
+        assert "image-rerun/image_manifest.json" in {line.split()[0] for line in earlier}
         for name in ("simulate-small/ofdm-foliage_off-seed0_raw.csv",
                      "simulate-foliage/ofdm-foliage_HH-seed0_foliage.csv",
                      "simulate-full/ofdm-foliage_off-seed0_raw.fsar",

@@ -25,7 +25,9 @@ command with its exit code, then one "<command>/<file> <sha256>" line per
 file the command wrote, manifests hashed without their timings_s. The
 commands simulate, image and take metrics of both presets, run multi-seed
 metrics and compare commands on more than one thread, and image a scene
-with zero RCS, which exits 5 and must write no file. Both modes
+with zero RCS, which exits 5 and must write no file. Last, they image the
+small preset and then the zero scene into one directory: the second command
+exits 5 and must leave the first one's files whole, manifest included. Both modes
 need numpy and the fopen_sar package only; to fingerprint another checkout,
 run this file with that checkout's src first on PYTHONPATH.
 """
@@ -96,7 +98,9 @@ def lines(run_list):
 # one partial. The two "-seeds" commands run several seeds on several threads,
 # so the seed loop's reports are fingerprinted too. The zero scenario is the
 # small preset with zero RCS and default outputs: its image has no peak for the
-# profiles, so the command exits 5, and any file it wrote would be listed.
+# profiles, so the command exits 5, and any file it wrote would be listed. The
+# two "image-rerun" commands share their --out: the failing rerun must leave the
+# first run's listing, manifest included, line for line.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -111,6 +115,8 @@ FILE_COMMANDS = (
                        "--threads", "3"]),
     ("compare-seeds", ["compare", "--preset", "small", "--seeds", "3", "--threads", "2"]),
     ("image-zero", ["image", "--scenario", "{dir}/zero.json"]),
+    ("image-rerun", ["image", "--preset", "small"]),
+    ("image-rerun", ["image", "--scenario", "{dir}/zero.json"]),
 )
 
 
