@@ -10,11 +10,13 @@ from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
                             geometry_spectrum, synthesize_raw, transmitted_pulse)
 from fopen_sar.foliage import FoliageParams
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
+from fopen_sar.metrics import METRIC_KEYS, image_metrics
 from fopen_sar.rng import substream
-from fopen_sar.scenario import Scenario, preset_scenario, run_metrics
+from fopen_sar.scenario import (Scenario, focus_scenario, preset_scenario, run_metrics,
+                                tank_scenario)
 from fopen_sar.waveform import generate_ofdm_pulse
 
-from brute_force import synthesize_from_g
+from brute_force import stacked_response, synthesize_from_g
 
 
 def _config(tiny_spec, tiny_platform, scene=None, **kw):
@@ -266,27 +268,29 @@ class TestSynthesizeRaw:
 
 
 class TestGeometrySpectrumMemo:
-    """G is computed once per geometry and shared by every seed; FFT(G, L) is
-    kept from the second synthesis of that geometry on."""
+    """G is computed once per geometry and shared by every seed. A one-cell
+    scene keeps the two vectors of its rank-one FFT(G, L); a scene of several
+    cells keeps G, then FFT(G, L) from the second synthesis of that geometry on."""
 
     @pytest.mark.parametrize("change", [{"rcs": 0.5 - 0.25j}, {"azimuth_m": 2.0},
                                         {"range_cell": 5}])
     def test_one_target_field_changes_the_raw_matrix(self, tiny_spec, tiny_platform,
                                                      change):
-        base = _config(tiny_spec, tiny_platform,
-                       scene=Scene((PointTarget(4), PointTarget(2, 1.0)), 8))
-        other = _config(tiny_spec, tiny_platform, scene=Scene(
-            (PointTarget(**{"range_cell": 4, **change}), PointTarget(2, 1.0)), 8))
-        warm = [synthesize_raw(cfg).data for cfg in (base, other, base)]
-        assert np.any(warm[0] != warm[1])
-        np.testing.assert_array_equal(warm[0], warm[2])
-        for cfg, data in ((base, warm[0]), (other, warm[1])):
-            echo._geometry.clear()
-            for _ in range(3):  # G transformed by the run, the memo built, the memo read
-                np.testing.assert_array_equal(synthesize_raw(cfg).data, data)
+        for rest in ((PointTarget(2, 1.0),), ()):  # two cells, then one
+            base = _config(tiny_spec, tiny_platform, scene=Scene((PointTarget(4),) + rest, 8))
+            other = _config(tiny_spec, tiny_platform, scene=Scene(
+                (PointTarget(**{"range_cell": 4, **change}),) + rest, 8))
+            warm = [synthesize_raw(cfg).data for cfg in (base, other, base)]
+            assert np.any(warm[0] != warm[1])
+            np.testing.assert_array_equal(warm[0], warm[2])
+            for cfg, data in ((base, warm[0]), (other, warm[1])):
+                echo._geometry.clear()
+                for _ in range(3):  # two cells: G transformed by the run, the memo built, read
+                    np.testing.assert_array_equal(synthesize_raw(cfg).data, data)
 
     def test_cached_spectrum_is_read_only(self, tiny_spec, tiny_platform):
-        cfg = _config(tiny_spec, tiny_platform)
+        cfg = _config(tiny_spec, tiny_platform,
+                      scene=Scene((PointTarget(4), PointTarget(2, 1.0)), 8))
         args = (cfg.scene, cfg.platform, tiny_spec.bandwidth_hz, cfg.ofdm.line_length)
         echo._geometry.clear()
         g, spec = geometry_spectrum(*args)
@@ -299,12 +303,35 @@ class TestGeometrySpectrumMemo:
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
 
+    @pytest.mark.parametrize("cell", [0, 4, 7, None])  # None: the empty scene
+    def test_one_cell_pair_is_a_read_only_column_and_ramp(self, tiny_spec, tiny_platform,
+                                                          cell):
+        targets = () if cell is None else (PointTarget(cell), PointTarget(cell, 1.0, 0.5j))
+        cfg = _config(tiny_spec, tiny_platform, scene=Scene(targets, 8))
+        n = cfg.ofdm.line_length
+        args = (cfg.scene, cfg.platform, tiny_spec.bandwidth_hz, n)
+        echo._geometry.clear()
+        g, ramp = geometry_spectrum(*args)
+        again = geometry_spectrum(*args)
+        assert again[0] is g and again[1] is ramp  # the same two arrays on every call
+        full = gm_vector(cfg.scene, make_grid(8, tiny_spec.bandwidth_hz, tiny_platform),
+                         tiny_platform, tiny_platform.slow_time_axis())
+        assert g.shape == (len(full), 1) and ramp.shape == (n,)
+        np.testing.assert_array_equal(g[:, 0], full[:, cell or 0])
+        assert np.max(np.abs(g * ramp - np.fft.fft(full, n, axis=-1))) <= 1e-15 * max(
+            1.0, np.max(np.abs(full)))
+        for array in (g, ramp):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
     def test_first_use_and_memo_give_the_same_bits(self, kind, foliage):
-        # the full preset spans several blocks; the first run transforms G's rows
-        # a block at a time, later runs read the rows of the memo's FFT(G, L)
-        doc = preset_scenario("full").with_overrides(
+        # the tank covers 12 cells of the full preset, which spans several blocks; the
+        # first run transforms G's rows a block at a time, later runs read the rows of
+        # the memo's FFT(G, L)
+        doc = tank_scenario("full").with_overrides(
             waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
         if foliage == "redrawn":
             doc["foliage"]["redraw_per_pulse"] = True
@@ -358,4 +385,91 @@ class TestSynthesizeFromG:
         eta = tiny_platform.slow_time_axis()[2]
         g = gm_vector(cfg.scene, grid, tiny_platform, eta)
         pulse = generate_ofdm_pulse(tiny_spec)
-        np.testing.assert_allclose(synthesize_from_g(g, pulse), _line(cfg, 2), rtol=1e-12)
+        want, got = synthesize_from_g(g, pulse), _line(cfg, 2)
+        # on the pulse's support both lines are the echo; off it both are FFT rounding
+        support = slice(4, 4 + len(pulse))
+        np.testing.assert_allclose(got[support], want[support], rtol=1e-12)
+        off = np.ones(len(want), dtype=bool)
+        off[support] = False
+        assert np.count_nonzero(off) == 7
+        assert np.max(np.abs(got[off] - want[off])) <= 1e-15 * np.max(np.abs(want))
+
+
+def _generic_raw(cfg):
+    """IFFT(FFT(G, L) * FFT(s, L) * F) on whole matrices, for any scene."""
+    n = cfg.ofdm.line_length
+    grid = make_grid(cfg.scene.n_range_cells, cfg.ofdm.bandwidth_hz, cfg.platform)
+    g = gm_vector(cfg.scene, grid, cfg.platform, cfg.platform.slow_time_axis())
+    spec = np.fft.fft(g, n, axis=1) * np.fft.fft(transmitted_pulse(cfg), n)
+    channel = foliage_channel(cfg)
+    if channel is not None:
+        spec *= stacked_response(channel)
+    return np.fft.ifft(spec, axis=1)
+
+
+def _full_scenario(kind, foliage, targets=None):
+    doc = preset_scenario("full").with_overrides(
+        waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
+    if foliage == "redrawn":
+        doc["foliage"]["redraw_per_pulse"] = True
+    if targets is not None:
+        doc["scene"]["targets"] = [{"cell": c, "azimuth_m": y, "rcs": [1.0, 0.0]}
+                                   for c, y in targets]
+    return Scenario(doc)
+
+
+class TestOneCellSpectrum:
+    """A one-cell scene synthesizes from G[:, c] and the ramp; the raw matrix
+    agrees with the whole-matrix form to rounding, and so do its metrics."""
+
+    def _check(self, scen):
+        cfg = scen.simulation_config(5)
+        echo._geometry.clear()
+        got = synthesize_raw(cfg).data
+        want = _generic_raw(cfg)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(got))
+        metrics = [image_metrics(focus_scenario(scen, cfg, lambda: echo.RawDataMatrix(
+            data, cfg.platform.slow_time_axis(), cfg.waveform_kind)).pixels,
+            scen.processing["upsample"], scen.processing["smooth_window"])
+            for data in (got, want)]
+        for key in METRIC_KEYS:
+            assert abs(metrics[0][key] - metrics[1][key]) <= 1e-12, key
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_full_preset_matches_the_whole_matrix_form(self, kind, foliage):
+        self._check(_full_scenario(kind, foliage))
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen"])
+    @pytest.mark.parametrize("targets", [[(0, 0.0)], [(191, 0.0)], [(96, 0.0), (96, 2.5)]],
+                             ids=["cell-0", "cell-M-1", "two-in-one-cell"])
+    def test_edge_cells_and_a_shared_cell(self, kind, foliage, targets):
+        self._check(_full_scenario(kind, foliage, targets))
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    def test_clear_scene_makes_one_line_ifft_and_no_fft_of_g(self, monkeypatch, kind):
+        calls = []
+
+        class FftSpy:
+            def __getattr__(self, name):
+                def spy(a, *args, **kwargs):
+                    calls.append((name, np.shape(a)))
+                    return getattr(np.fft, name)(a, *args, **kwargs)
+                return spy
+
+        class NumpySpy:
+            fft = FftSpy()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        cfg = _full_scenario(kind, "off").simulation_config(5)
+        n_pulse = cfg.ofdm.pulse_length
+        monkeypatch.setattr(echo, "np", NumpySpy())
+        echo._geometry.clear()
+        for _ in range(2):  # the run that builds the memo, then one that reads it
+            calls.clear()
+            synthesize_raw(cfg)
+            assert calls == [("fft", (n_pulse,)), ("ifft", (cfg.ofdm.line_length,))]
+

@@ -522,15 +522,16 @@ def _traced_peak(fn):
 
 class TestMemoryModel:
     """A run allocates the raw matrix and block-sized temporaries: every
-    [pulse, bin] stage streams BLOCK_PULSES rows, FFT(G, L) is either the
-    shared geometry memo or built a block at a time, and focus frees the raw
-    matrix once it is range-compressed."""
+    [pulse, bin] stage streams BLOCK_PULSES rows, a one-cell scene's FFT(G, L)
+    is a column times a row, a scene of several cells' is either the shared
+    geometry memo or built a block at a time, and focus frees the raw matrix
+    once it is range-compressed."""
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
     def test_full_preset_peak_is_raw_plus_blocks(self, kind, foliage):
         scen = _memory_scenario(kind, foliage)
-        for _ in range(2):  # the second run of a geometry builds the memo's FFT(G, L)
+        for _ in range(2):  # the geometry memo is warm
             raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
         peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
         assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
@@ -544,6 +545,26 @@ class TestMemoryModel:
         echo._geometry.clear()
         peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
         assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_one_cell_geometry_never_holds_a_full_size_spectrum(self, kind, foliage):
+        # two runs of a fresh geometry: a scene of several cells would build its
+        # FFT(G, L), as large as the raw matrix, in the second
+        scen = _memory_scenario(kind, foliage)
+        raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
+        echo._geometry.clear()
+
+        def two_runs():
+            run_pipeline(scen, master_seed=1)
+            run_pipeline(scen, master_seed=2)
+
+        peak = _traced_peak(two_runs)
+        assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
+        cfg = scen.simulation_config()
+        longest = max(cfg.platform.n_pulses(), cfg.ofdm.line_length)  # a column or a row
+        sizes = [v.size for v in echo._geometry.values() if isinstance(v, np.ndarray)]
+        assert len(sizes) == 2 and max(sizes) <= longest, sizes
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     def test_raw_matrix_is_freed_before_the_azimuth_stages(self, monkeypatch, kind):

@@ -62,3 +62,9 @@ class TestAb:
         assert [line.split()[0] for line in out[1:3]] == ["a", "b"] and min(rates) > 0.0
         assert out[3].startswith("median ratio b/a ") and float(out[3].split()[-1]) > 0.0
         assert out[4] in ("b wins 0/1", "b wins 1/1")
+        assert [line.split()[1] for line in out[5:]] == [
+            f"{kind}-foliage_{pol}" for kind in ("ofdm", "noise") for pol in ("off", "HH", "VV")]
+        for line in out[5:]:
+            words = line.split()
+            assert words[0] == "config" and words[-4] == "a" and words[-2] == "b"
+            assert min(float(words[-3]), float(words[-1])) > 0.0

@@ -12,8 +12,10 @@ the machine's speed falls on both sides alike.
 
 It prints each side's ops_per_s by the benchmark's formula (configs / sum
 of per-config median seconds per run), the median over rounds of the
-per-round ratio b/a and the rounds b won. A call that raises NoPeakError is
-left out of its side's rate, and of its round's ratio on both sides. Needs
+per-round ratio b/a and the rounds b won, then one line per config with
+both sides' median milliseconds per run, so a gain that only some configs
+have shows where it lands. A call that raises NoPeakError is left out of
+its side's rate and medians, and of its round's ratio on both sides. Needs
 numpy and the standard library.
 """
 
@@ -78,13 +80,17 @@ def compare(sides, workload: str, rounds: int, threads: int) -> dict:
         both = [(x, y) for x, y in zip(sa, sb) if x is not None and y is not None]
         failed += len(sa) - len(both)
         ratios.append(sum(x for x, _ in both) / sum(y for _, y in both))
-    rate = {}
+    medians, rate = {}, {}  # per config median seconds per run, None where every call failed
     for k, per_round in seconds.items():
-        per_config = [ok for col in zip(*per_round) if (ok := [s for s in col if s is not None])]
-        rate[k] = len(per_config) / sum(statistics.median(col) for col in per_config)
+        medians[k] = [statistics.median(ok) if (ok := [s for s in col if s is not None]) else None
+                      for col in zip(*per_round)]
+        ok = [m for m in medians[k] if m is not None]
+        rate[k] = len(ok) / sum(ok)
     return {"ops_per_s_a": rate["a"], "ops_per_s_b": rate["b"],
             "ratio_b_over_a": statistics.median(ratios),
-            "b_wins": sum(x > 1.0 for x in ratios), "rounds": rounds, "failed_calls": failed}
+            "b_wins": sum(x > 1.0 for x in ratios), "rounds": rounds, "failed_calls": failed,
+            "configs": [(scen.label(), medians["a"][i], medians["b"][i])
+                        for i, scen in enumerate(scens["a"])]}
 
 
 def main(argv=None) -> int:
@@ -110,6 +116,9 @@ def main(argv=None) -> int:
     print(f"b wins {res['b_wins']}/{res['rounds']}")
     if res["failed_calls"]:
         print(f"calls left out for NoPeakError: {res['failed_calls']}")
+    for label, *ms in res["configs"]:
+        a, b = ("-" if m is None else f"{1e3 * m:.3f}" for m in ms)
+        print(f"config {label} median ms per run a {a} b {b}")
     return 0
 
 
