@@ -5,9 +5,9 @@ optionally overridden by --waveform / --foliage / --seed), runs its stage,
 writes artifacts under --out, and records a manifest with the resolved
 configuration, seeds, output hashes and timings.
 
-Exit codes: 0 success, 2 scenario/schema violation, 3 I/O failure or a
-malformed FSAR/FIMG file (non-finite samples count as malformed), 4
-input-file/scenario mismatch, 5 no peak in the image.
+Exit codes: 0 success, 2 scenario/schema violation, 3 I/O failure, a
+malformed FSAR/FIMG file (non-finite samples count as malformed) or out of
+memory, 4 input-file/scenario mismatch, 5 no peak in the image.
 """
 
 import argparse
@@ -40,6 +40,8 @@ EXIT_NO_PEAK = 5
 _CSV_MAX_SAMPLES = 1 << 16
 # Most seeds one metrics or compare run takes; its manifest lists every seed.
 _MAX_SEEDS = 1 << 20
+# Most --threads a command takes: a constant, so a command exits alike on every host.
+_MAX_THREADS = 64
 
 
 class MismatchError(ValueError):
@@ -48,8 +50,8 @@ class MismatchError(ValueError):
 
 # main's exit code and stderr message prefix for each error a command may raise.
 _ERRORS = {SchemaError: (EXIT_SCHEMA, ""), MismatchError: (EXIT_MISMATCH, ""),
-           NoPeakError: (EXIT_NO_PEAK, "no peak: "),
-           FormatError: (EXIT_IO, "malformed file: "), OSError: (EXIT_IO, "i/o: ")}
+           NoPeakError: (EXIT_NO_PEAK, "no peak: "), OSError: (EXIT_IO, "i/o: "),
+           FormatError: (EXIT_IO, "malformed file: "), MemoryError: (EXIT_IO, "out of memory: ")}
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -98,10 +100,10 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_profiles_csv(path, axis, profile, upsample):
+def _write_profiles_csv(path, axis, profile):
     v = profile.values
     db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
-    write_csv(path, [axis, "power", "power_db"], [np.arange(len(v)) / upsample, v, db])
+    write_csv(path, [axis, "power", "power_db"], [np.arange(len(v)) / profile.upsample, v, db])
 
 
 def _report(scen, per_seed) -> dict:
@@ -163,7 +165,7 @@ def cmd_image(args, scens, seed_lists, stem):
         writes.append((f"{stem}_image.png", write_png, pixels, outputs["db_floor"]))
     if outputs["write_csv_profiles"]:
         profiles = extract_profiles(pixels, upsample, scen.processing["smooth_window"])
-        writes += [(f"{stem}_{name}_profile.csv", _write_profiles_csv, axis, prof, upsample)
+        writes += [(f"{stem}_{name}_profile.csv", _write_profiles_csv, axis, prof)
                    for name, axis, prof in zip(("range", "azimuth"),
                                                ("axis_cells", "axis_pulses"), profiles)]
     return writes, "wrote {} ({} x {})".format(writes[0][0], *pixels.shape)
@@ -210,6 +212,12 @@ def _positive_int(text) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _thread_count(text) -> int:
+    if _positive_int(text) > _MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_THREADS}, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fopen-sar",
@@ -233,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", type=_positive_int, default=1,
                            help="number of consecutive seeds, from seeds.master")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=_positive_int, default=1,
+        p.add_argument("--threads", type=_thread_count, default=1,
                        help="threads over independent seeds, the main thread included")
 
     p = sub.add_parser("simulate", help="synthesize the raw data matrix")

@@ -4,17 +4,13 @@ Each range line is the linear convolution of the transmitted pulse (length
 N+M-1) with the length-M weighting RCS coefficient vector evaluated at that
 pulse's slow time, giving L = N+2M-2 samples; pulses are formed a block at
 a time, raw = IFFT(FFT(G, L) * FFT(s, L) * F). No seed enters G, so the
-last geometry's G is kept for every seed of that geometry. A scene whose
-targets all sit in one range cell c has the rank-one spectrum
-FFT(G, L) = G[:, c] * ramp, ramp the spectrum of a unit impulse at c, and
-the memo keeps just those two vectors: a clear scene's raw matrix is then
-G[:, c] times one inverse-transformed line. For a scene of several cells,
-FFT(G, L), as large as the raw matrix, takes G's place only when a second
-synthesis asks for the same geometry; until then a run transforms its own
-G rows a block at a time, to the same bits. Foliage, when configured, is
-the per-pulse spectral multiplier F, read block by block from
-FoliageChannel.blocks(); receiver noise is added after the foliage, matching
-the signal-flow order of the channel model.
+last geometry's FFT(G, L) is kept for every seed of that geometry: for a
+scene whose targets all sit in one range cell c, as G[:, c] times the
+spectrum of a unit impulse at c, so a clear scene's raw matrix is G[:, c]
+times one inverse-transformed line; for a scene of several cells, whole.
+Foliage, when configured, is the per-pulse spectral multiplier F, read
+block by block from FoliageChannel.blocks(); receiver noise is added after
+the foliage, matching the signal-flow order of the channel model.
 """
 
 import itertools
@@ -90,28 +86,21 @@ def apply_foliage(line: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(line) * f)
 
 
-# The last geometry's memo: its key, and G[:, c] and the ramp of a one-cell
-# scene, or else G[pulse, cell] until a second synthesis of that geometry puts
-# FFT(G, n) in its place.
+# The last geometry's memo: its key and the pair (g, ramp) with FFT(G, n) = g * ramp.
 _geometry = {}
 _geometry_lock = threading.Lock()
 
 
 def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: float,
-                      n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """FFT(G, n) of the weighting matrix G[pulse, cell] as a read-only pair (g, spec).
-
+                      n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """FFT(G, n) of the weighting matrix G[pulse, cell] as the read-only pair
+    (g, ramp) with FFT(G, n) = g * ramp, the same two objects on every call.
     A scene whose targets all sit in one range cell c (an empty scene counts
-    as cell 0) gives g = G[:, c:c+1] and spec = exp(-2 pi i (c k mod n) / n),
-    the spectrum of a unit impulse at c, so that FFT(G, n) = g * spec: two
-    vectors, on every call. A scene of several cells gives (G, None) on the
-    first call for a geometry and (None, FFT(G, n)) on every later one.
-
-    No seed enters G, so the last geometry's memo is shared by every run (and
-    every seed thread) until the geometry changes. FFT(G, n) is as large as a
-    raw matrix, so it is built only when a second run asks for the geometry:
-    a one-run process never holds it, and a run of many seeds transforms G
-    once. Each is built under one lock.
+    as cell 0) gives g = G[:, c:c+1] and ramp = exp(-2 pi i (c k mod n) / n),
+    the spectrum of a unit impulse at c; a scene of several cells gives
+    g = FFT(G, n), as large as a raw matrix, and ramp = None. No seed enters
+    G, so the last geometry's memo, built under one lock from one gm_vector
+    call, is shared by every run and seed thread until the geometry changes.
     """
     key = (scene, platform, bandwidth_hz, n)
     with _geometry_lock:
@@ -119,43 +108,37 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
             _geometry.clear()
             grid = make_grid(scene.n_range_cells, bandwidth_hz, platform)
             g = gm_vector(scene, grid, platform, platform.slow_time_axis())
-            spec = None
             cells = {t.range_cell for t in scene.targets}
             if len(cells) <= 1:
                 c = cells.pop() if cells else 0
                 g = g[:, c:c + 1].copy()
-                spec = np.exp(-2j * np.pi / n * (c * np.arange(n) % n))
-                spec.setflags(write=False)
+                ramp = np.exp(-2j * np.pi / n * (c * np.arange(n) % n))
+                ramp.setflags(write=False)
+            else:
+                g, ramp = np.fft.fft(g, n, axis=-1), None
             g.setflags(write=False)
-            _geometry.update(key=key, g=g, spec=spec)
-        elif _geometry["g"] is not None and _geometry["spec"] is None:
-            spec = np.fft.fft(_geometry["g"], n, axis=-1)
-            spec.setflags(write=False)
-            _geometry.update(g=None, spec=spec)
-        return _geometry["g"], _geometry["spec"]
+            _geometry.update(key=key, g=g, ramp=ramp)
+        return _geometry["g"], _geometry["ramp"]
 
 
 def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
     """Synthesize the raw data matrix in place, BLOCK_PULSES rows at a time: the
     FFT(G, L) rows, times the F block of FoliageChannel.blocks() (if any), times
     FFT(s, L), inverse-transformed, plus receiver noise. It is the one full-size
-    array a run allocates. For a one-cell scene FFT(G, L) = G[:, c] * ramp, and
-    the ramp is multiplied into FFT(s, L) once per run: with foliage each block
-    is G[:, c] times F times that row, and without it every raw row is G[j, c]
-    times one inverse-transformed line, which agrees with the blocked form to
-    rounding. For a scene of several cells the FFT(G, L) rows come from the
-    geometry memo when a synthesis has used this geometry before, else from G a
-    block at a time, transformed into the raw rows themselves, to the same bits.
-    threads is the caller's worker cap; a run uses one thread."""
+    array a run allocates besides the geometry memo. For a one-cell scene
+    FFT(G, L) = G[:, c] * ramp, and the ramp is multiplied into FFT(s, L) once
+    per run: with foliage each block is G[:, c] times F times that row, and
+    without it every raw row is G[j, c] times one inverse-transformed line,
+    which agrees with the blocked form to rounding. threads is the caller's
+    worker cap; a run uses one thread."""
     n = config.ofdm.line_length
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
-    g, g_spec = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
+    g, ramp = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
     s_spec = np.fft.fft(pulse, n)
-    one_cell = g is not None and g_spec is not None
     line = None
-    if one_cell:  # FFT(G, L) * FFT(s, L) = G[:, c] * (ramp * FFT(s, L))
-        s_spec *= g_spec
+    if ramp is not None:  # FFT(G, L) * FFT(s, L) = G[:, c] * (ramp * FFT(s, L))
+        s_spec *= ramp
         if channel is None:  # the inverse transform is linear: one line serves every pulse
             line = np.fft.ifft(s_spec)
     data = np.empty((config.platform.n_pulses(), n), dtype=complex)
@@ -173,12 +156,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         if line is not None:
             np.multiply(g[span], line, out=rows)
         else:
-            if one_cell:
-                g_rows = g[span]  # G[:, c] rows, broadcast over the bins
-            elif g_spec is None:
-                g_rows = np.fft.fft(g[span], n, axis=1, out=rows)
-            else:
-                g_rows = g_spec[span]
+            g_rows = g[span]  # FFT(G, L) rows, or G[:, c] rows broadcast over the bins
             if f is not None:
                 g_rows = np.multiply(f, g_rows, out=rows)
             np.multiply(g_rows, s_spec, out=rows)

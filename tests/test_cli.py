@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fopen_sar import cli, imaging
+from fopen_sar import cli, imaging, scenario
 from fopen_sar.cli import main
 from fopen_sar.fileio import read_fimg, read_fsar, write_fimg, write_fsar
 from fopen_sar.metrics import NoPeakError
@@ -679,6 +679,30 @@ class TestFrame:
         assert main(argv + ["--out", str(out)]) == code
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("command, owner", [("simulate", cli), ("metrics", scenario)],
+                             ids=["simulate", "metrics"])
+    def test_out_of_memory_exits_3_and_touches_nothing(self, command, owner, earlier_runs,
+                                                       tmp_path, monkeypatch, capsys):
+        # a MemoryError once ended in a traceback; metrics re-raises it from a seed thread
+        def out_of_memory(cfg, threads=1):
+            raise MemoryError("cannot allocate the raw matrix")
+
+        monkeypatch.setattr(owner, "synthesize_raw", out_of_memory)
+        argv = [command, "--preset", "small"]
+        if command == "metrics":
+            argv += ["--seeds", "2", "--threads", "2"]
+        fresh = tmp_path / "fresh"
+        assert main(argv + ["--out", str(fresh)]) == 3
+        assert not fresh.exists()
+        out = tmp_path / "earlier"
+        shutil.copytree(earlier_runs, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        err = capsys.readouterr().err
+        assert err.count("error: out of memory: cannot allocate the raw matrix\n") == 2
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,name", [
         ("simulate", "ofdm-foliage_off-seed0_raw.csv"),
         ("metrics", "ofdm-foliage_off-seed0_metrics.json"),
@@ -949,6 +973,17 @@ class TestSeedCount:
             main([command, "--preset", "small", flag, count, "--out", str(out)])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "image", "metrics", "compare"])
+    def test_threads_above_the_cap_rejected(self, command, tmp_path, capsys):
+        # --threads was once unbounded: metrics --seeds 1048576 --threads 1048576
+        # asked for about a million threads, and the RuntimeError was a traceback
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "small", "--threads", "65", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --threads: must be at most 64, got '65'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["metrics", "compare"])

@@ -268,9 +268,9 @@ class TestSynthesizeRaw:
 
 
 class TestGeometrySpectrumMemo:
-    """G is computed once per geometry and shared by every seed. A one-cell
-    scene keeps the two vectors of its rank-one FFT(G, L); a scene of several
-    cells keeps G, then FFT(G, L) from the second synthesis of that geometry on."""
+    """G is computed once per geometry and shared by every seed, as the pair
+    (g, ramp) with FFT(G, L) = g * ramp: a one-cell scene keeps the two vectors
+    of its rank-one spectrum, a scene of several cells FFT(G, L) itself."""
 
     @pytest.mark.parametrize("change", [{"rcs": 0.5 - 0.25j}, {"azimuth_m": 2.0},
                                         {"range_cell": 5}])
@@ -285,23 +285,25 @@ class TestGeometrySpectrumMemo:
             np.testing.assert_array_equal(warm[0], warm[2])
             for cfg, data in ((base, warm[0]), (other, warm[1])):
                 echo._geometry.clear()
-                for _ in range(3):  # two cells: G transformed by the run, the memo built, read
+                for _ in range(3):  # the first run builds the memo, the later ones read it
                     np.testing.assert_array_equal(synthesize_raw(cfg).data, data)
 
     def test_cached_spectrum_is_read_only(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform,
                       scene=Scene((PointTarget(4), PointTarget(2, 1.0)), 8))
-        args = (cfg.scene, cfg.platform, tiny_spec.bandwidth_hz, cfg.ofdm.line_length)
+        n = cfg.ofdm.line_length
+        args = (cfg.scene, cfg.platform, tiny_spec.bandwidth_hz, n)
         echo._geometry.clear()
-        g, spec = geometry_spectrum(*args)
-        assert spec is None  # the first call for a geometry keeps G alone
-        assert geometry_spectrum(*args)[0] is None  # then the spectrum takes its place
-        spec = geometry_spectrum(*args)[1]
-        np.testing.assert_array_equal(spec, np.fft.fft(g, cfg.ofdm.line_length, axis=-1))
-        for array in (g, spec):
-            assert not array.flags.writeable
+        first = geometry_spectrum(*args)  # the first call keeps FFT(G, n) itself, not G
+        full = gm_vector(cfg.scene, make_grid(8, tiny_spec.bandwidth_hz, tiny_platform),
+                         tiny_platform, tiny_platform.slow_time_axis())
+        assert first[1] is None
+        np.testing.assert_array_equal(first[0], np.fft.fft(full, n, axis=-1))
+        for spec, ramp in (first, geometry_spectrum(*args)):
+            assert spec is first[0] and ramp is None
+            assert not spec.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+                spec[0, 0] = 0.0
 
     @pytest.mark.parametrize("cell", [0, 4, 7, None])  # None: the empty scene
     def test_one_cell_pair_is_a_read_only_column_and_ramp(self, tiny_spec, tiny_platform,
@@ -329,8 +331,8 @@ class TestGeometrySpectrumMemo:
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
     def test_first_use_and_memo_give_the_same_bits(self, kind, foliage):
         # the tank covers 12 cells of the full preset, which spans several blocks; the
-        # first run transforms G's rows a block at a time, later runs read the rows of
-        # the memo's FFT(G, L)
+        # first run builds the memo's FFT(G, L), a later one reads it, and a run after
+        # the memo is dropped builds it again
         doc = tank_scenario("full").with_overrides(
             waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
         if foliage == "redrawn":
@@ -339,9 +341,11 @@ class TestGeometrySpectrumMemo:
         cfg = Scenario(doc).simulation_config(3)
         echo._geometry.clear()
         first = synthesize_raw(cfg).data
-        assert echo._geometry["spec"] is None
+        arrays = [v for v in echo._geometry.values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [first.shape]  # one FFT(G, L), no G
+        assert echo._geometry["ramp"] is None
         second = synthesize_raw(cfg).data
-        assert echo._geometry["g"] is None
+        echo._geometry.clear()
         assert first.tobytes() == second.tobytes() == synthesize_raw(cfg).data.tobytes()
 
     @pytest.mark.parametrize("threads, n_seeds", [(1, 4), (2, 4), (8, 8)])

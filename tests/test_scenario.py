@@ -502,8 +502,8 @@ class TestRunMetrics:
             run_metrics(preset_scenario("small"), list(range(20, 25)), threads=threads)
 
 
-def _memory_scenario(kind, foliage):
-    doc = preset_scenario("full").with_overrides(
+def _memory_scenario(kind, foliage, make=preset_scenario):
+    doc = make("full").with_overrides(
         waveform_kind=kind, foliage_pol="off" if foliage == "off" else "HH").doc
     if foliage == "redrawn":
         doc["foliage"]["redraw_per_pulse"] = True
@@ -523,9 +523,9 @@ def _traced_peak(fn):
 class TestMemoryModel:
     """A run allocates the raw matrix and block-sized temporaries: every
     [pulse, bin] stage streams BLOCK_PULSES rows, a one-cell scene's FFT(G, L)
-    is a column times a row, a scene of several cells' is either the shared
-    geometry memo or built a block at a time, and focus frees the raw matrix
-    once it is range-compressed."""
+    is a column times a row, a scene of several cells' is the shared geometry
+    memo, as large as the raw matrix and built by the geometry's first run, and
+    focus frees the raw matrix once it is range-compressed."""
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
@@ -539,7 +539,7 @@ class TestMemoryModel:
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
     def test_cold_geometry_peak_is_raw_plus_blocks(self, kind, foliage):
-        # one run of a new geometry builds G and keeps no FFT(G, L)
+        # one run of a new one-cell geometry keeps two vectors, not FFT(G, L)
         scen = _memory_scenario(kind, foliage)
         raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
         echo._geometry.clear()
@@ -565,6 +565,30 @@ class TestMemoryModel:
         longest = max(cfg.platform.n_pulses(), cfg.ofdm.line_length)  # a column or a row
         sizes = [v.size for v in echo._geometry.values() if isinstance(v, np.ndarray)]
         assert len(sizes) == 2 and max(sizes) <= longest, sizes
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_multi_cell_geometry_keeps_only_its_spectrum(self, kind, foliage):
+        # the tank's 12 cells: a cold run builds FFT(G, L) beside its raw matrix and
+        # keeps it, not G
+        scen = _memory_scenario(kind, foliage, tank_scenario)
+        cfg = scen.simulation_config()
+        raw_nbytes = synthesize_raw(cfg).data.nbytes
+        echo._geometry.clear()
+        peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
+        assert peak <= 2 * raw_nbytes + 4 * 2**20, (peak - 2 * raw_nbytes) / 2**20
+        shapes = [v.shape for v in echo._geometry.values() if isinstance(v, np.ndarray)]
+        assert shapes == [(cfg.platform.n_pulses(), cfg.ofdm.line_length)]
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_multi_cell_second_run_peak_is_raw_plus_blocks(self, kind, foliage):
+        # the tank's second run reads the FFT(G, L) its first run built
+        scen = _memory_scenario(kind, foliage, tank_scenario)
+        echo._geometry.clear()
+        raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
+        peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
+        assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     def test_raw_matrix_is_freed_before_the_azimuth_stages(self, monkeypatch, kind):
