@@ -9,8 +9,10 @@ delta_omega is a Gamma draw per frequency bin taken relative to its mean,
 path through the exponential of a fractional Brownian motion.
 The phase is the incoherent-field fluctuation arctan(dA sin psi / (1 + dA
 cos psi)) with psi uniform on [-pi, pi]: the angle of the incoherent field
-w = 1 + dA exp(j psi). F carries it as the unit phasor w / |w|, which needs
-no arctangent.
+w = 1 + dA exp(j psi). F carries it through t = tan(psi / 2), with which
+(1 + t^2) w = (1 + dA) + t^2 (1 - dA) + 2j dA t. As 1 + t^2 > 0, this w' has
+the angle of w, so F = A w' / |w'| needs no arctangent, cosine or sine, and
+no division by 1 + t^2.
 
 The per-bin draws (delta_omega and psi) model a fixed foliage environment:
 by default key 0's draws serve every pulse, and pulse-to-pulse variation
@@ -99,27 +101,13 @@ def fbm_path(hurst: float, n: int, step_s: float,
     return path
 
 
-def unit_phasor(w: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
-    """w / |w| in place: exp(j angle(w)) without the arctangent; |w| goes to
-    mag when given.
-
-    Where w = 0 (dA = -1, psi = 0) the phasor is 1, as arctan2(0, 0) = 0 gives.
-    """
-    mag = np.abs(w, out=mag)
-    zero = mag == 0
-    w[zero], mag[zero] = 1.0, 1.0
-    w.real /= mag
-    w.imag /= mag
-    return w
-
-
 class FoliageChannel:
     """Per-run foliage transfer function on a range line's FFT bin grid.
 
-    The fBm flight path (and, unless redraw_per_pulse, _draw's per-bin draws
-    and the cos and sin of psi) is generated once up front. blocks() is
-    the one producer of F[pulse, bin], a block at a time; realize(p) reads row p
-    from it.
+    The fBm flight path (and, unless redraw_per_pulse, _draw's per-bin draws as
+    delta_omega, 2t and t^2, with t = tan(psi / 2)) is generated once up front.
+    blocks() is the one producer of F[pulse, bin], a block at a time; realize(p)
+    reads row p from it.
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -140,7 +128,8 @@ class FoliageChannel:
             d, psi = np.empty((2, 1, len(self.freq_grid_hz)))
             self._draw(d, psi, [(substream(params.seed, "foliage_gamma", 0),
                                  substream(params.seed, "foliage_phase", 0))])
-            self._frozen = (d[0], np.cos(psi[0]), np.sin(psi[0]))
+            t = np.tan(psi[0] / 2.0)
+            self._frozen = (d[0], 2.0 * t, t * t)
 
     def _draw(self, d: np.ndarray, psi: np.ndarray, streams) -> None:
         """Fill each row of d with smoothed relative Gamma fluctuations (x - a) / a (the
@@ -163,10 +152,14 @@ class FoliageChannel:
         psi -= np.pi
 
     def blocks(self):
-        """F = A w / |w| of BLOCK_PULSES pulses at a time, from pulse 0 on, in one reused
-        complex block, where w = 1 + dA exp(j psi) is formed. One real buffer holds
-        delta_A (the per-bin draws, frozen or drawn per block, times delta_eta) and then
-        A; the other a block's psi, then its sin psi (its cos goes into F), then |w|."""
+        """F = A w' / |w'| of BLOCK_PULSES pulses at a time, from pulse 0 on, in one
+        reused complex block, where w' = (1 + dA) + t^2 (1 - dA) + 2j dA t is formed from
+        t = tan(psi / 2). Frozen or drawn per block, the per-bin draws come as
+        (delta_omega, 2t, t^2), and the rest is one formula. One real buffer holds
+        delta_A (delta_omega times delta_eta), then 1 + delta_A, then A; the
+        other a drawn block's psi, then its 2t, then t^2 (1 - dA), then |w'|. A drawn
+        block's delta_omega is the first buffer itself, and its t^2 waits in F's real
+        part."""
         p, n_bins = self.params, len(self.freq_grid_hz)
         f = np.empty((min(BLOCK_PULSES, self.n_pulses), n_bins), dtype=complex)
         delta_a, mag = np.empty((2,) + f.shape)
@@ -178,15 +171,25 @@ class FoliageChannel:
             w, d, m = (a[:self.n_pulses - start] for a in (f, delta_a, mag))
             if self._frozen is None:
                 self._draw(d, m, draws)
-                cos, sin = np.cos(m, out=w.real), np.sin(m, out=m)
+                m *= 0.5
+                np.tan(m, out=m)
+                np.multiply(m, m, out=w.real)
+                m += m
+                delta_omega, two_t, t2 = d, m, w.real
             else:
-                d[:], cos, sin = self._frozen
-            d *= self._delta_eta[start:start + len(w), None]
-            np.multiply(d, cos, out=w.real)  # w = 1 + dA exp(j psi)
-            w.real += 1.0
-            np.multiply(d, sin, out=w.imag)
-            unit_phasor(w, mag=m)
+                delta_omega, two_t, t2 = self._frozen
+            np.multiply(delta_omega, self._delta_eta[start:start + len(w), None], out=d)
+            np.multiply(d, two_t, out=w.imag)
+            np.subtract(1.0, d, out=m)
+            m *= t2
             d += 1.0
+            np.add(d, m, out=w.real)
+            np.abs(w, out=m)
+            if not m.all():  # w' = 0 (dA = -1, psi = 0): angle 0, as arctan2(0, 0) gives
+                zero = m == 0
+                w[zero], m[zero] = 1.0, 1.0
+            w.real /= m
+            w.imag /= m
             d *= self._a0_linear
             np.maximum(d, AMPLITUDE_FLOOR * self._a0_linear, out=d)
             w.real *= d
