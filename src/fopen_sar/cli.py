@@ -20,6 +20,7 @@ import sys
 import time
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from . import __version__
 from .echo import RawDataMatrix, foliage_channel, synthesize_raw
@@ -98,6 +99,14 @@ def _sha256(path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def numpy_build() -> dict:
+    """numpy's version and the dispatch target, by "<ufunc>.<type chars>", of each float64
+    or complex128 kernel the pipeline calls: the scope in which files are byte-identical."""
+    info = opt_func_info("^(tan|sin|cos|exp|log10|arctan2|absolute)$", "^(float64|complex128)")
+    return {"version": np.__version__, "dispatch": {
+        f"{f}.{sig}": v["current"] for f, sigs in info.items() for sig, v in sigs.items()}}
 
 
 def _write_profiles_csv(path, axis, profile):
@@ -307,6 +316,7 @@ def main(argv=None) -> int:
             "scenarios": [s.doc for s in scens],
             "seeds": sorted(set().union(*seed_lists)),
             "threads": args.threads,
+            "numpy": numpy_build(),
             "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p),
                          "bytes": os.path.getsize(p)} for p in files],
             "timings_s": {args.command: seconds},

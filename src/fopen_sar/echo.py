@@ -47,10 +47,6 @@ class RawDataMatrix:
     slow_time_s: np.ndarray
     waveform_kind: str
 
-    def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError("raw data must be 2-D [pulse, fast-time]")
-
 
 def transmitted_pulse(config: SimulationConfig) -> np.ndarray:
     """The pulse actually transmitted for this config, read-only.

@@ -14,9 +14,11 @@ w = 1 + dA exp(j psi). F carries it through t = tan(psi / 2), with which
 the angle of w, so F = A w' / |w'| needs no arctangent, cosine or sine, and
 no division by 1 + t^2.
 
-The per-bin draws (delta_omega and psi) model a fixed foliage environment:
-by default key 0's draws serve every pulse, and pulse-to-pulse variation
-enters through delta_eta. redraw_per_pulse=True draws pulse p from key p + 1.
+The per-bin draws model a fixed foliage environment: by default key 0's
+draws serve every pulse, and pulse-to-pulse variation enters through
+delta_eta; redraw_per_pulse=True draws pulse p from key p + 1. One routine
+turns a key's draws into the per-bin (delta_omega, 2t, t^2), t = tan(psi / 2):
+once per run for the frozen channel, once per block for a redrawn one.
 
 FoliageChannel.blocks() streams F BLOCK_PULSES pulses at a time; synthesis,
 the CSV dump and realize() all read that one stream.
@@ -104,10 +106,9 @@ def fbm_path(hurst: float, n: int, step_s: float,
 class FoliageChannel:
     """Per-run foliage transfer function on a range line's FFT bin grid.
 
-    The fBm flight path (and, unless redraw_per_pulse, _draw's per-bin draws as
-    delta_omega, 2t and t^2, with t = tan(psi / 2)) is generated once up front.
-    blocks() is the one producer of F[pulse, bin], a block at a time; realize(p)
-    reads row p from it.
+    The fBm flight path (and, unless redraw_per_pulse, key 0's _draw) is
+    generated once up front. blocks() is the one producer of F[pulse, bin], a
+    block at a time; realize(p) reads row p from it.
     """
 
     def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
@@ -117,30 +118,27 @@ class FoliageChannel:
         self.n_pulses = n_pulses
         a0_db = mean_attenuation_db(self.freq_grid_hz, params)
         self._a0_linear = 10.0 ** (-a0_db / 20.0)  # field amplitude, not power
-        if n_pulses >= 2:
-            path = fbm_path(params.hurst, n_pulses, pulse_interval_s,
-                            substream(params.seed, "foliage_fbm"))
-        else:
-            path = np.zeros(1)
-        self._delta_eta = np.exp(path)
+        self._delta_eta = np.exp(fbm_path(params.hurst, n_pulses, pulse_interval_s,
+                                          substream(params.seed, "foliage_fbm")))
         self._frozen = None
         if not params.redraw_per_pulse:  # key 0's draws serve every pulse
-            d, psi = np.empty((2, 1, len(self.freq_grid_hz)))
-            self._draw(d, psi, [(substream(params.seed, "foliage_gamma", 0),
-                                 substream(params.seed, "foliage_phase", 0))])
-            t = np.tan(psi[0] / 2.0)
-            self._frozen = (d[0], 2.0 * t, t * t)
+            self._frozen = self._draw(*np.empty((3, 1, len(self.freq_grid_hz))),
+                                      [(substream(params.seed, "foliage_gamma", 0),
+                                        substream(params.seed, "foliage_phase", 0))])
 
-    def _draw(self, d: np.ndarray, psi: np.ndarray, streams) -> None:
-        """Fill each row of d with smoothed relative Gamma fluctuations (x - a) / a (the
-        scale drops out), and of psi with phases 2 pi u - pi (uniform(-pi, pi) bit for
-        bit), from one (gamma, phase) stream pair per row. The moving average runs along
-        frequency (the bins in fftshift order), zero padded past the band's two edges."""
+    def _draw(self, d: np.ndarray, two_t: np.ndarray, t2: np.ndarray, streams):
+        """Key draws to per-bin (delta_omega, 2t, t^2), formed in d, two_t and t2 and
+        returned, from one (gamma, phase) stream pair per row. delta_omega is the
+        relative Gamma fluctuation (x - a) / a (the scale drops out), smoothed by a
+        moving average along frequency (the bins in fftshift order), zero padded past
+        the band's two edges. t = tan(psi / 2) with psi uniform on [-pi, pi] is
+        tan(pi u - pi / 2) of a uniform draw u: pi u - pi / 2 is (2 pi u - pi) / 2,
+        uniform(-pi, pi) halved, bit for bit."""
         p = self.params
         # rows first: zip then stops without taking a pair past the last row
-        for g_row, p_row, (g_rng, p_rng) in zip(d, psi, streams):
+        for g_row, u_row, (g_rng, p_rng) in zip(d, two_t, streams):
             g_rng.standard_gamma(p.gamma_shape, out=g_row)
-            p_rng.random(out=p_row)
+            p_rng.random(out=u_row)
         d -= p.gamma_shape
         d /= p.gamma_shape
         k = p.spectral_smoothing_bins
@@ -148,18 +146,21 @@ class FoliageChannel:
             for row in d:
                 row[:] = np.fft.ifftshift(
                     np.convolve(np.fft.fftshift(row), np.ones(k) / k, mode="same"))
-        psi *= 2.0 * np.pi
-        psi -= np.pi
+        two_t *= np.pi
+        two_t -= np.pi / 2
+        np.tan(two_t, out=two_t)
+        np.multiply(two_t, two_t, out=t2)
+        two_t += two_t
+        return d, two_t, t2
 
     def blocks(self):
         """F = A w' / |w'| of BLOCK_PULSES pulses at a time, from pulse 0 on, in one
-        reused complex block, where w' = (1 + dA) + t^2 (1 - dA) + 2j dA t is formed from
-        t = tan(psi / 2). Frozen or drawn per block, the per-bin draws come as
-        (delta_omega, 2t, t^2), and the rest is one formula. One real buffer holds
-        delta_A (delta_omega times delta_eta), then 1 + delta_A, then A; the
-        other a drawn block's psi, then its 2t, then t^2 (1 - dA), then |w'|. A drawn
-        block's delta_omega is the first buffer itself, and its t^2 waits in F's real
-        part."""
+        reused complex block, where w' = (1 + dA) + t^2 (1 - dA) + 2j dA t. The per-bin
+        (delta_omega, 2t, t^2) are the frozen channel's, or _draw's of the block's keys
+        into the block's buffers, and the rest is one formula. One real buffer holds
+        delta_A (delta_omega times delta_eta), then 1 + delta_A, then A; the other a
+        drawn block's u, then 2t, then t^2 (1 - dA), then |w'|. A drawn block's
+        delta_omega is the first buffer itself, and its t^2 waits in F's real part."""
         p, n_bins = self.params, len(self.freq_grid_hz)
         f = np.empty((min(BLOCK_PULSES, self.n_pulses), n_bins), dtype=complex)
         delta_a, mag = np.empty((2,) + f.shape)
@@ -169,15 +170,7 @@ class FoliageChannel:
                         substreams(p.seed, "foliage_phase", keys))
         for start in range(0, self.n_pulses, BLOCK_PULSES):
             w, d, m = (a[:self.n_pulses - start] for a in (f, delta_a, mag))
-            if self._frozen is None:
-                self._draw(d, m, draws)
-                m *= 0.5
-                np.tan(m, out=m)
-                np.multiply(m, m, out=w.real)
-                m += m
-                delta_omega, two_t, t2 = d, m, w.real
-            else:
-                delta_omega, two_t, t2 = self._frozen
+            delta_omega, two_t, t2 = self._frozen or self._draw(d, m, w.real, draws)
             np.multiply(delta_omega, self._delta_eta[start:start + len(w), None], out=d)
             np.multiply(d, two_t, out=w.imag)
             np.subtract(1.0, d, out=m)

@@ -42,6 +42,18 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert any(o["path"].endswith("_raw.fsar") for o in manifest["outputs"])
 
+    def test_manifest_names_numpy_version_and_dispatch_targets(self, small_file, tmp_path):
+        # byte identity holds for one numpy build at one set of kernel targets, so the
+        # manifest names them: every float64 and complex128 kernel the pipeline calls
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--scenario", small_file, "--out", out]) == 0
+        build = _read_json(os.path.join(out, "simulate_manifest.json"))["numpy"]
+        assert build == cli.numpy_build() and build["version"] == np.__version__
+        assert {key.split(".")[0] for key in build["dispatch"]} == {
+            "tan", "sin", "cos", "exp", "log10", "arctan2", "absolute"}
+        assert {"tan.dd", "exp.dd", "arctan2.ddd", "absolute.Dd"} <= build["dispatch"].keys()
+        assert all(build["dispatch"].values())
+
     def test_byte_identical_reruns(self, small_file, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--scenario", small_file, "--out", out1])

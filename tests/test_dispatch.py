@@ -20,11 +20,11 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
 
 # The tank's redrawn-HH configs of perfbench's tank workload (30 dB receiver
-# noise) at seeds 0-3: the float64 tan level, then per run its metrics or null
-# for NoPeakError, as JSON.
+# noise) at seeds 0-3: the float64 tan level as the manifest names it, then per
+# run its metrics or null for NoPeakError, as JSON.
 CHILD = """
 import json
-from numpy.lib.introspect import opt_func_info
+from fopen_sar.cli import numpy_build
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.scenario import Scenario, run_metrics, tank_scenario
 
@@ -39,7 +39,7 @@ for kind in ("ofdm", "noise"):
             runs.append(run_metrics(scen, [seed])[0])
         except NoPeakError:
             runs.append(None)
-level = opt_func_info(func_name="^tan$", signature="float64")["tan"]["dd"]["current"]
+level = numpy_build()["dispatch"]["tan.dd"]
 print(json.dumps({"level": level, "runs": runs}))
 """
 

@@ -315,9 +315,8 @@ class TestFoliageChannel:
         # a 3-bin moving average spreads one bin to its neighbours in frequency, never
         # across the band edge between the top (bin 31) and bottom (bin 32) frequencies
         ch = self._channel(spectral_smoothing_bins=3)
-        d, psi = np.empty((2, 1, 64))
         streams = self._ImpulseStreams(bin_)
-        ch._draw(d, psi, [(streams, streams)])
+        d, _, _ = ch._draw(*np.empty((3, 1, 64)), [(streams, streams)])
         step = ch.freq_grid_hz[1] - ch.freq_grid_hz[0]
         near = np.abs(ch.freq_grid_hz - ch.freq_grid_hz[bin_]) < 1.5 * step
         np.testing.assert_array_equal(np.flatnonzero(d[0]), np.flatnonzero(near))
@@ -327,9 +326,9 @@ class TestFoliageChannel:
     def test_draw_is_gamma_a_b_relative_to_its_mean(self, shape):
         # (x - a) / a from standard_gamma is (gamma(a, b) - a b) / (a b) bit for bit
         ch = self._channel(gamma_shape=shape, seed=6)
-        d, psi = np.empty((2, 3, 64))
-        ch._draw(d, psi, [(substream(6, "foliage_gamma", key), substream(6, "foliage_phase", key))
-                          for key in range(3)])
+        streams = [(substream(6, "foliage_gamma", key), substream(6, "foliage_phase", key))
+                   for key in range(3)]
+        d, _, _ = ch._draw(*np.empty((3, 3, 64)), streams)
         mean = shape * GAMMA_SCALE
         for key in range(3):
             x = sample_gamma_fluctuation(shape, GAMMA_SCALE, 64,
@@ -337,8 +336,28 @@ class TestFoliageChannel:
             np.testing.assert_array_equal(d[key], (x - mean) / mean)
 
     @pytest.mark.parametrize("smoothing", [0, 3])
+    @pytest.mark.parametrize("key", [0, 7])  # the frozen channel's key, a redrawn pulse's
+    def test_draw_is_twice_tan_of_half_a_uniform_phase_and_its_square(self, key, smoothing):
+        # 2t and t^2 with t = tan(psi / 2) of the uniform(-pi, pi) draw of key, bit for bit
+        ch = self._channel(seed=5, redraw_per_pulse=key > 0, spectral_smoothing_bins=smoothing)
+        streams = [(substream(5, "foliage_gamma", key), substream(5, "foliage_phase", key))]
+        _, two_t, t2 = ch._frozen if key == 0 else ch._draw(*np.empty((3, 1, 64)), streams)
+        t = np.tan(draw_uniform_phase(substream(5, "foliage_phase", key), 64) / 2)
+        np.testing.assert_array_equal(two_t[0], 2.0 * t)
+        np.testing.assert_array_equal(t2[0], t * t)
+
+    def test_half_phase_identity(self):
+        # pi u - pi / 2, the form _draw takes, is (2 pi u - pi) * 0.5, uniform(-pi, pi)
+        # halved, bit for bit: the identity that keeps F's bits
+        edges = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]
+        u = np.concatenate([edges, np.random.default_rng(8).random(1 << 20)])
+        half = np.pi * u - np.pi / 2
+        np.testing.assert_array_equal(half.view(np.int64),
+                                      ((2.0 * np.pi * u - np.pi) * 0.5).view(np.int64))
+
+    @pytest.mark.parametrize("smoothing", [0, 3])
     def test_redrawn_rows_match_gamma_and_uniform_draws(self, smoothing):
-        # the block draws are standard_gamma relative to its mean and 2 pi u - pi; row p
+        # the block draws are standard_gamma relative to its mean and pi u - pi / 2; row p
         # must be, within phasor_bound, the form drawn with gamma(a, b) and
         # uniform(-pi, pi) at key p + 1
         ch = self._channel(45, seed=5, redraw_per_pulse=True,

@@ -23,6 +23,13 @@ class TestBitIdentity:
         assert first[0].startswith("small ofdm-foliage_off seed=0 raw=")
         assert " image=" in first[0] and "islr_range_db=" in first[0]
 
+    def test_header_names_numpy_and_each_kernel_target(self):
+        bi = _bit_identity()
+        build = bi.numpy_build()
+        words = bi.header().split()
+        assert words[:2] == ["numpy", build["version"]]
+        assert words[2:] == [f"{k}={v}" for k, v in sorted(build["dispatch"].items())]
+
     def test_file_mode_hashes_every_written_file_the_same_twice(self, tmp_path):
         bi = _bit_identity()
         (tmp_path / "a").mkdir()

@@ -30,6 +30,12 @@ small preset and then the zero scene into one directory: the second command
 exits 5 and must leave the first one's files whole, manifest included. Both modes
 need numpy and the fopen_sar package only; to fingerprint another checkout,
 run this file with that checkout's src first on PYTHONPATH.
+
+Either mode first prints a header line: numpy's version and the dispatch target
+of each float64 and complex128 kernel the pipeline calls, as each manifest's
+"numpy" entry records them. Files and hashes are byte-identical for one such
+header; two hosts whose headers differ may differ in the last ulp with no
+defect behind it, and then only the metrics compare, within 1e-9 dB.
 """
 
 import argparse
@@ -40,7 +46,7 @@ import json
 import os
 import tempfile
 
-from fopen_sar.cli import main
+from fopen_sar.cli import main, numpy_build
 from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError, image_metrics
 from fopen_sar.scenario import Scenario, focus_scenario, preset_scenario, tank_scenario
@@ -151,11 +157,21 @@ def file_lines(tmp):
             yield f"{name}/{file} {hashlib.sha256(blob).hexdigest()}"
 
 
+def header() -> str:
+    """The first line of either mode: numpy's version and each kernel's dispatch target,
+    the manifest's "numpy" entry."""
+    build = numpy_build()
+    return " ".join([f"numpy {build['version']}"]
+                    + [f"{k}={v}" for k, v in sorted(build["dispatch"].items())])
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Fingerprint a fixed sweep of runs, "
                                      "or the files the command line writes.")
     parser.add_argument("mode", nargs="?", choices=("runs", "files"), default="runs")
-    if parser.parse_args().mode == "runs":
+    mode = parser.parse_args().mode
+    print(header(), flush=True)
+    if mode == "runs":
         for line in lines(runs()):
             print(line, flush=True)
     else:
