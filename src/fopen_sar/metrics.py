@@ -126,17 +126,21 @@ def extract_profiles(pixels: np.ndarray, upsample: int = 16,
                      smooth_window: int = 3) -> tuple[Profile, Profile]:
     """Range and azimuth power profiles through the image's global peak.
 
-    Returns (range_profile, azimuth_profile). The range cut runs along the
-    peak's azimuth row, the azimuth cut along the peak's range column.
+    Returns (range_profile, azimuth_profile). The range cut runs along the peak's
+    azimuth row, the azimuth cut along its range column; a NoPeakError names its cut.
     """
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ValueError("image must be 2-D [azimuth, range]")
     mag = np.abs(pixels)
     az, rg = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    rng_profile = profile_from_cut(pixels[az, :], upsample, smooth_window)
-    az_profile = profile_from_cut(pixels[:, rg], upsample, smooth_window)
-    return rng_profile, az_profile
+    profiles = []
+    for cut, line in (("range", pixels[az, :]), ("azimuth", pixels[:, rg])):
+        try:
+            profiles.append(profile_from_cut(line, upsample, smooth_window))
+        except NoPeakError as e:
+            raise NoPeakError(f"{cut} cut: {e}") from e
+    return tuple(profiles)
 
 
 def _lobes(profile: Profile) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,15 @@
 """Seedable, parallel-safe random substreams.
 
-Every stochastic draw in the simulator comes from a named substream derived
-from (master_seed, module_tag, index). Streams are backed by the Philox
+Every stochastic draw in the simulator comes from a named substream keyed by
+(master_seed, module_tag, index). Streams are backed by the Philox
 counter-based bit generator, so realizations are bit-reproducible for a
 given master seed and independent of evaluation order or thread count.
-``substreams`` gives many indices' streams from keys derived in one pass.
-numpy.random loads at the first draw, not at import: annotations that name
-it are strings.
+_philox_keys is the one key derivation and input check of both entry points;
+its keys equal numpy's SeedSequence mixing, as the tests check. numpy.random
+loads at the first draw, not at import: annotations that name it are strings.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -30,72 +31,63 @@ _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
 def substream(master_seed: int, tag: str, index: int = 0) -> "np.random.Generator":
-    """Return the Generator for (master_seed, tag, index).
+    """The Generator of (master_seed, tag, index): it draws what ``substreams(
+    master_seed, tag, [index])`` yields, bit for bit. Every bit of master_seed >= 0
+    enters the key, so seeds never alias; tag is a name in ``TAGS``; streams of
+    different indices in [0, 2**32), typically pulse numbers, are independent."""
+    return np.random.Generator(np.random.Philox(key=_philox_keys(master_seed, tag, int(index))))
 
-    Parameters
-    ----------
-    master_seed : int
-        Run-level seed, any non-negative integer; all its bits enter the
-        seed sequence, so seeds never alias.
-    tag : str
-        One of the names registered in ``TAGS``.
-    index : int
-        Per-draw index, typically a pulse number. Streams with different
-        indices are statistically independent.
-    """
+
+def _hashmix(value, xor: int, mult: int):
+    """SeedSequence's hashmix of an int or a uint64 array, with one call's constants."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+@functools.cache
+def _mixing(n_words: int) -> tuple:
+    """SeedSequence's hashmix constants for n_words entropy words: the (xors, mults)
+    of the pool's first 4 words, the steps (src, dst, xor, mult) that mix the hashmix
+    of state[src] into state[dst] (state: the pool, then words 4 on; each pool word
+    into each other, then each later word into all four), and generate_state's."""
+    a, b = (tuple(itertools.accumulate([m] * n, lambda c, m: c * m & _M32, initial=c))
+            for c, m, n in ((_INIT_A, _MULT_A, 4 * n_words), (_INIT_B, _MULT_B, 4)))
+    steps = [*itertools.permutations(range(4), 2), *itertools.product(range(4, n_words), range(4))]
+    return (a[:4], a[1:5]), tuple(map(tuple.__add__, steps, zip(a[4:], a[5:]))), (b[:-1], b[1:])
+
+
+def _philox_keys(seed: int, tag: str, index):
+    """The Philox key of SeedSequence(seed, spawn_key=(TAGS[tag], index)): numpy's
+    mixing of the seed's 32-bit words, zero-padded to the pool size, then the tag
+    and index words, and generate_state(2, np.uint64). An int index gives one (2,)
+    key in int arithmetic; an int64 array, one row per entry from one pass in
+    uint64, where every product of two words is exact and a difference wraps mod
+    2**64. Raises KeyError for an unknown tag, ValueError for a seed below 0 or
+    an index outside [0, 2**32)."""
     if tag not in TAGS:
         raise KeyError(f"unknown rng tag {tag!r}; registered: {sorted(TAGS)}")
-    if index < 0:
-        raise ValueError("substream index must be >= 0")
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=(TAGS[tag], int(index)))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix and its running constant, on ints or uint32 arrays."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x, y):
-    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
-    return r ^ r >> 16
-
-
-def _philox_keys(seed: int, tag: str, indices: np.ndarray) -> np.ndarray:
-    """Row i is the Philox key of SeedSequence(seed, spawn_key=(TAGS[tag], indices[i])):
-    numpy's mixing of the seed's 32-bit words, zero-padded to the pool size,
-    then the tag and index words, and generate_state(2, np.uint64)."""
+    seed = int(seed)
+    if seed < 0 or np.count_nonzero(index >> 32):
+        raise ValueError("rng streams need master_seed >= 0 and indices in [0, 2**32)")
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [TAGS[tag], indices.astype(np.uint32)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word, dst in itertools.product(words[4:], range(4)):
-        pool[dst] = _mix(pool[dst], hashmix(word))
-    out = [h.astype(np.uint64) for h in map(_hasher(_INIT_B, _MULT_B), pool)]
-    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+    words += [0] * (4 - len(words)) + [
+        TAGS[tag], index if isinstance(index, int) else index.astype(np.uint64)]
+    first, steps, last = _mixing(len(words))
+    state = [*map(_hashmix, words, *first), *words[4:]]
+    for src, dst, xor, mult in steps:
+        h = (state[src] ^ xor) * mult & _M32  # _hashmix inline, saving a call per step
+        r = _MIX_L * state[dst] - _MIX_R * (h ^ h >> 16) & _M32
+        state[dst] = r ^ r >> 16
+    out = list(map(_hashmix, state, *last))
+    return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64).T
 
 
 def substreams(master_seed: int, tag: str, indices):
-    """Yield, per index in [0, 2**32), a Generator that draws what
-    ``substream(master_seed, tag, index)`` draws, bit for bit.
-
-    All keys are derived in one array pass. The call re-keys its own Philox
-    per index (counter 0, empty buffer), so a yielded generator is re-keyed
-    on the next step: finish drawing from it first.
-    """
-    seed, indices = int(master_seed), np.asarray(indices, dtype=np.int64)
-    if seed < 0 or np.any(indices >> 32):
-        raise ValueError("substreams needs master_seed >= 0 and indices in [0, 2**32)")
-    keys = _philox_keys(seed, tag, indices)
+    """Yield, per index, a Generator that draws what ``substream(master_seed, tag,
+    index)`` draws, bit for bit, from keys derived in one array pass. The call
+    re-keys its own Philox per index (counter 0, empty buffer), so a yielded
+    generator is re-keyed on the next step: finish drawing from it first."""
+    keys = _philox_keys(master_seed, tag, np.asarray(indices, dtype=np.int64))
     rng = np.random.Generator(np.random.Philox(0))
     state = rng.bit_generator.state  # a fresh Philox: zero counter, empty buffer
 

@@ -17,7 +17,7 @@ from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import FoliageParams
 from .geometry import PlatformParams, PointTarget, RangeGrid, Scene
 from .imaging import FocusedImage, focus
-from .metrics import image_metrics
+from .metrics import NoPeakError, image_metrics
 from .waveform import OfdmSpec, generate_bpsk_symbols
 
 
@@ -472,9 +472,10 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
     threads: the calling thread and n - 1 workers. Thread k runs seeds k, k + n,
     k + 2n, ... in order and stops at its own first error. Each seed thread
     holds one raw matrix plus one block of temporaries at a time. Each result
-    depends only on its seed, so the list is bit-identical for any thread
-    count. The first error in seed order is raised: the thread that owns its
-    seed ran every earlier seed of its stride without error, so it reached it.
+    depends only on its seed, so the list is bit-identical for any thread count.
+    The first error in seed order is raised, a NoPeakError naming the seed and
+    scenario label: the thread that owns its seed ran every earlier seed of its
+    stride without error, so it reached it.
     """
     results = [None] * len(seeds)
     n = max(1, min(threads, len(seeds)))
@@ -495,7 +496,9 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
     stride(0)
     for w in workers:
         w.join()
-    for r in results:
+    for seed, r in zip(seeds, results):
+        if isinstance(r, NoPeakError):
+            raise NoPeakError(f"seed {seed}, {scen.label()}: {r}") from r
         if isinstance(r, BaseException):
             raise r
     return results

@@ -4,7 +4,8 @@ Everything here is written with explicit loop sums (no FFTs, no library
 convolution) so it stays independent of the pipeline it checks: transmit
 samples from the defining exponential sum, the echo from the convolution
 sum, demodulation and equalization from naive DFT sums phase-referenced to
-absolute fast time, and the inverse transform likewise. point_rcs_estimate
+absolute fast time, and the inverse transform likewise; matched_filter is the
+noise waveform's correlation as the same loop sums. point_rcs_estimate
 divides one compressed line by the unit-target coefficients gm_vector gives,
 back to the scatterer's RCS. synthesize_from_g is the one FFT form here:
 the single-pulse echo of an explicit weighting vector, which tests feed
@@ -78,6 +79,14 @@ def full_chain(symbols, g, n, m):
     s = ofdm_samples(symbols, n, m)
     z = echo_line(g, s, n, m)
     return z, range_reconstruct(z, symbols, n, m)
+
+
+def matched_filter(z, replica):
+    """c_lag = sum_i z[lag + i] conj(replica[i]) / sum_i |replica[i]|^2 at every
+    lag where the replica lies wholly inside z."""
+    energy = sum(abs(r) ** 2 for r in replica)
+    return np.array([sum(z[lag + i] * r.conjugate() for i, r in enumerate(replica)) / energy
+                     for lag in range(len(z) - len(replica) + 1)])
 
 
 def point_rcs_estimate(rc_line, grid, platform, eta, n_subcarriers):

@@ -280,6 +280,18 @@ class TestMetricsCmd:
         assert main(["metrics", "--scenario", str(scen),
                      "--out", str(tmp_path / "o")]) == 5
 
+    def test_multi_seed_no_peak_names_seed_and_cut(self, earlier_runs, tmp_path, capsys):
+        # seed 6 of 40 has no azimuth peak; the message once named neither seed nor cut
+        out = tmp_path / "earlier"
+        shutil.copytree(earlier_runs, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["metrics", "--preset", "small", "--foliage", "HH", "--seeds", "40",
+                     "--out", str(out)]) == 5
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert capsys.readouterr().err == ("error: no peak: seed 6, ofdm-foliage_HH: azimuth "
+                                           "cut: peak has no descending neighborhood\n")
+
     @pytest.mark.parametrize("kind,key,value", [
         ("ofdm", "smooth_window", 2), ("ofdm", "smooth_window", 4),
         ("noise", "smooth_window", 2), ("noise", "smooth_window", 4),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import sys
 import time
@@ -11,7 +12,7 @@ from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
 from fopen_sar.foliage import FoliageParams
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.metrics import METRIC_KEYS, image_metrics
-from fopen_sar.rng import substream
+from fopen_sar.rng import TAGS, _philox_keys, substream
 from fopen_sar.scenario import (Scenario, focus_scenario, preset_scenario, run_metrics,
                                 tank_scenario)
 from fopen_sar.waveform import generate_ofdm_pulse
@@ -149,21 +150,15 @@ class TestReceiverNoiseInPlace:
         assert np.array_equal(synthesize_raw(cfg).data, clean + noise)
 
     def test_seeding_does_not_grow_with_pulse_count(self, monkeypatch):
-        seed_sequence = np.random.SeedSequence
-        calls = []
-
-        def counting_seed_sequence(*args, **kwargs):
-            calls.append(kwargs)
-            return seed_sequence(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
-        counts = []
+        # every stream's keys, per-pulse ones included, come from one _philox_keys pass
+        passes = collections.Counter()
+        monkeypatch.setattr("fopen_sar.rng._philox_keys", lambda seed, tag, index: passes.update(
+            [tag]) or _philox_keys(seed, tag, index))
         for n_pulses in (16, 45):
             cfg = _noisy_small_config("noise", "HH", n_pulses)
-            calls.clear()
+            passes.clear()
             assert len(synthesize_raw(cfg).data) == n_pulses
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            assert passes == dict.fromkeys(TAGS, 1), n_pulses
 
 
 class TestApplyFoliage:

@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -394,12 +395,14 @@ class TestFoliageChannel:
         assert peak <= (2 + 2) * real_block + 160 * 1024
 
     def test_redrawn_response_derives_keys_once_per_stream(self, monkeypatch):
-        # 45 pulses are two blocks; each stream's keys come from one pass
-        calls = []
-        monkeypatch.setattr("fopen_sar.rng._philox_keys",
-                            lambda seed, tag, idx: calls.append(tag) or _philox_keys(seed, tag, idx))
+        # 45 pulses are two blocks; each redrawn stream's 45 keys come from one pass,
+        # and the fBm path's single key from another
+        passes = collections.Counter()
+        monkeypatch.setattr("fopen_sar.rng._philox_keys", lambda seed, tag, idx: passes.update(
+            [(tag, np.size(idx))]) or _philox_keys(seed, tag, idx))
         stacked_response(self._channel(45, seed=5, redraw_per_pulse=True))
-        assert sorted(calls) == ["foliage_gamma", "foliage_phase"]
+        assert passes == {("foliage_fbm", 1): 1, ("foliage_gamma", 45): 1,
+                          ("foliage_phase", 45): 1}
 
     def test_streamed_csv_dump_has_the_bytes_of_the_whole_matrix(self, monkeypatch, tmp_path):
         # whole: one CSV block of 2880 rows; streamed: two F blocks (45 pulses)

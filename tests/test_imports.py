@@ -1,7 +1,7 @@
 """Stdlib ast checks on the package modules. Every module but __init__ (which
 re-exports) uses every name it imports, and no function, class, method or
 property is defined only for tests. Every module but fileio leaves file
-formats to fileio."""
+formats to fileio, and no module names numpy's SeedSequence in code."""
 
 import ast
 import pathlib
@@ -101,20 +101,26 @@ def test_every_definition_is_read_in_the_package():
 FILE_CODE = {"struct", "zlib", "atomic_write", "write_container", "read_container"}
 
 
-def file_code(source: str) -> list[str]:
-    """The FILE_CODE modules source imports and the FILE_CODE names it binds or reads."""
+def names_in_code(source: str) -> set[str]:
+    """Every identifier source's code imports, binds or reads: imported modules (their
+    first and last parts) and names, aliases, and Name and Attribute nodes; not
+    strings, docstrings or comments."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            found.add((node.module or "").split(".")[0])
-            found.update(a.name for a in node.names)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.add((getattr(node, "module", None) or "").split(".")[0])
+            found.update(n for a in node.names
+                         for n in (a.name.split(".")[0], a.name.split(".")[-1], a.asname))
         elif isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-    return sorted(found & FILE_CODE)
+    return found - {None, ""}
+
+
+def file_code(source: str) -> list[str]:
+    """The FILE_CODE modules source imports and the FILE_CODE names it binds or reads."""
+    return sorted(names_in_code(source) & FILE_CODE)
 
 
 def test_checker_finds_file_code():
@@ -129,3 +135,16 @@ def test_checker_finds_file_code():
                                           if p.name != "fileio.py"))
 def test_file_formats_live_in_fileio(module):
     assert file_code((PACKAGE / module).read_text()) == []
+
+
+def test_checker_finds_names_in_code():
+    source = ('"""SeedSequence."""\n# SeedSequence\nimport numpy.random as r\n'
+              'from numpy.random import SeedSequence as S\nx = r.SeedSequence(1)\n')
+    assert {"SeedSequence", "S", "random", "r", "x"} <= names_in_code(source)
+    assert "SeedSequence" not in names_in_code('"""SeedSequence."""\n# SeedSequence\n')
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_builds_a_seed_sequence(module):
+    # rng._philox_keys is the one key derivation; numpy's SeedSequence is the tests' oracle
+    assert "SeedSequence" not in names_in_code((PACKAGE / module).read_text())

@@ -431,7 +431,8 @@ class TestRunMetrics:
             with pytest.raises(NoPeakError) as err:
                 run_metrics(scen, [5, 6, 7, 8], threads=threads)
             messages.add(str(err.value))
-        assert len(messages) == 1
+        assert messages == {"seed 7, noise-foliage_off: azimuth cut: "
+                            "peak has no descending neighborhood"}
         assert len(run_metrics(scen, [5, 6, 8], threads=2)) == 3
 
     @pytest.mark.parametrize("threads", [0, 1, 2])
@@ -489,7 +490,7 @@ class TestRunMetrics:
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_first_error_in_seed_order_not_in_time(self, monkeypatch, threads):
         # on more than one thread seed 22 fails first in time, but seed 21's
-        # error is the one raised
+        # error is the one raised, named by its seed and the scenario label
         def run(seed):
             if seed == 21:
                 time.sleep(0.2)
@@ -498,7 +499,7 @@ class TestRunMetrics:
             return seed
 
         self._fake_runs(monkeypatch, run)
-        with pytest.raises(NoPeakError, match="^seed 21$"):
+        with pytest.raises(NoPeakError, match="^seed 21, ofdm-foliage_off: seed 21$"):
             run_metrics(preset_scenario("small"), list(range(20, 25)), threads=threads)
 
 
