@@ -112,7 +112,7 @@ def numpy_build() -> dict:
 def _write_profiles_csv(path, axis, profile):
     v = profile.values
     db = 10 * np.log10(v / v.max(), out=np.full(v.shape, -np.inf), where=v > 0)
-    write_csv(path, [axis, "power", "power_db"], [np.arange(len(v)) / profile.upsample, v, db])
+    write_csv(path, [axis, "power", "power_db"], [[np.arange(len(v)) / profile.upsample, v, db]])
 
 
 def _report(scen, per_seed) -> dict:
@@ -120,6 +120,12 @@ def _report(scen, per_seed) -> dict:
     fol = scen.doc.get("foliage")
     return aggregate_reports(per_seed, scen.doc["waveform"]["kind"],
                              fol["polarization"] if fol else None)
+
+
+def _per_seed_csv(stem, seeds, per_seed) -> tuple:
+    """The write of <stem>_per_seed.csv: a seed column, then one per METRIC_KEYS."""
+    return (f"{stem}_per_seed.csv", write_csv, ["seed", *METRIC_KEYS],
+            [[seeds, *(np.array([m[k] for m in per_seed]) for k in METRIC_KEYS)]])
 
 
 def _seed_list(scen, args) -> list[int]:
@@ -190,17 +196,19 @@ def cmd_metrics(args, scens, seed_lists, stem):
     else:
         per_seed = run_metrics(scen, seed_lists[0], threads=args.threads)
     report = _report(scen, per_seed)
-    return ([(f"{stem}_metrics.json", write_json, report)],
+    return ([(f"{stem}_metrics.json", write_json, report),
+             _per_seed_csv(stem, seed_lists[0], per_seed)],
             json.dumps(report, indent=2, sort_keys=True))
 
 
 def cmd_compare(args, scens, seed_lists, stem):
     labels = [scen.label() for scen in scens]  # a label two variants share gains "#<position>"
-    entries = []
+    entries, tables = [], []
     for k, (scen, seeds, label) in enumerate(zip(scens, seed_lists, labels), 1):
         per_seed = run_metrics(scen, seeds, threads=args.threads)
-        entries.append({"label": f"{label}#{k}" if labels.count(label) > 1 else label,
-                        "seeds": seeds, "metrics": _report(scen, per_seed)})
+        label = f"{label}#{k}" if labels.count(label) > 1 else label
+        entries.append({"label": label, "seeds": seeds, "metrics": _report(scen, per_seed)})
+        tables.append(_per_seed_csv(os.path.join(args.out, label), seeds, per_seed))
     diffs = [{"pair": [a["label"], b["label"]],
               **{f"delta_{k}": (a["metrics"][k] - b["metrics"][k]
                                 if isinstance(a["metrics"][k], float)
@@ -208,7 +216,7 @@ def cmd_compare(args, scens, seed_lists, stem):
                  for k in METRIC_KEYS}}
              for a, b in itertools.combinations(entries, 2)]
     return ([(os.path.join(args.out, "compare.json"), write_json,
-              {"variants": entries, "differences": diffs})],
+              {"variants": entries, "differences": diffs}), *tables],
             json.dumps(diffs, indent=2, sort_keys=True))
 
 

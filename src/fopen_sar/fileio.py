@@ -4,11 +4,11 @@ FSAR (raw echoes) and FIMG (focused images) are one binary container that
 differs only in its magic number: a 32-byte header (magic, version u32,
 rows u32, cols u32, 16 reserved bytes), then row-major little-endian
 complex128, i.e. float64 (Re, Im) pairs. PGM and PNG hold an image's
-magnitude in dB re its peak as 16-bit gray levels. CSV (raw matrix, foliage
-F, image profiles) writes each number's repr, a block of rows at a time, so
-every value reads back bit for bit; JSON holds reports and manifests. Every
-file is written through atomic_write: a reader sees the old file or the
-whole new one, never a part.
+magnitude in dB re its peak as 16-bit gray levels. Every CSV (raw matrix,
+foliage F, image profiles, per-seed metrics) goes through write_csv, which
+writes each number's repr, so every value reads back bit for bit; JSON holds
+reports and manifests. Every file is written through atomic_write: a reader
+sees the old file or the whole new one, never a part.
 """
 
 import contextlib
@@ -137,49 +137,41 @@ def write_png(path, pixels: np.ndarray, floor_db: float) -> None:
 CSV_BLOCK_ROWS = 4096
 
 
-def _write_rows(fh, columns) -> None:
-    """Write equal-length columns of numbers as CSV rows, CSV_BLOCK_ROWS at a
-    time: a block's numbers become Python ints and floats, and one % string
-    with a %r per number writes their reprs."""
-    line = ",".join(["%r"] * len(columns)) + "\r\n"
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = np.column_stack([np.asarray(c[start:start + CSV_BLOCK_ROWS], dtype=object)
-                                 for c in columns])
-        fh.write(line * len(block) % tuple(block.ravel()))
-
-
-def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns of numbers as CSV rows under a header line,
-    in csv.writer's bytes: each number's repr, CRLF line ends, nothing
-    quoted (no header name or number holds a comma, quote or line break)."""
+def write_csv(path, header: list[str], blocks) -> None:
+    """Write CSV rows under a header line in csv.writer's bytes: each number's repr,
+    CRLF line ends, nothing quoted (no header name or number holds a comma, quote or
+    line break). blocks are lists of equal-length columns, one per header name, whose
+    rows follow on; each goes CSV_BLOCK_ROWS rows at a time into one % string with a
+    %r per number, the numbers made Python ints and floats."""
+    line = ",".join(["%r"] * len(header)) + "\r\n"
     with atomic_write(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, columns)
+        for columns in blocks:
+            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+                rows = np.column_stack([np.asarray(c[start:start + CSV_BLOCK_ROWS],
+                                                   dtype=object) for c in columns])
+                fh.write(line * len(rows) % tuple(rows.ravel()))
 
 
-def _matrix_csv(path, row_name: str, col_name: str, blocks) -> None:
-    """One CSV row per entry of a complex matrix, row-major: row, col, re, im.
-    blocks are the matrix's row blocks from row 0 on, written as they come."""
-    with atomic_write(path) as fh:
-        fh.write(f"{row_name},{col_name},re,im\r\n")
-        first = 0
-        for block in blocks:
-            row, col = np.indices(block.shape)
-            _write_rows(fh, [(row + first).ravel(), col.ravel(), block.real.ravel(),
-                             block.imag.ravel()])
-            first += len(block)
+def _matrix_columns(blocks):
+    """Yield each row block's (row, col, re, im) columns, row-major, rows counted on from 0."""
+    first = 0
+    for block in blocks:
+        row, col = np.indices(block.shape)
+        yield [(row + first).ravel(), col.ravel(), block.real.ravel(), block.imag.ravel()]
+        first += len(block)
 
 
 def write_raw_csv(path, data: np.ndarray) -> None:
     """CSV export of a small raw matrix: pulse, sample, re, im."""
-    _matrix_csv(path, "pulse", "sample", (data,))
+    write_csv(path, ["pulse", "sample", "re", "im"], _matrix_columns([data]))
 
 
 def dump_realizations_csv(path, blocks) -> None:
     """CSV export of a foliage response F[pulse, bin]: pulse_index, bin, re, im.
     blocks are F's row blocks from pulse 0 on (FoliageChannel.blocks()), so F
     need not be held whole; a whole F is the one block [F]."""
-    _matrix_csv(path, "pulse_index", "bin", blocks)
+    write_csv(path, ["pulse_index", "bin", "re", "im"], _matrix_columns(blocks))
 
 
 def write_json(path, doc) -> None:

@@ -60,10 +60,10 @@ def _philox_keys(seed: int, tag: str, index):
     """The Philox key of SeedSequence(seed, spawn_key=(TAGS[tag], index)): numpy's
     mixing of the seed's 32-bit words, zero-padded to the pool size, then the tag
     and index words, and generate_state(2, np.uint64). An int index gives one (2,)
-    key in int arithmetic; an int64 array, one row per entry from one pass in
+    key in int arithmetic; an array of ints, one row per entry from one pass in
     uint64, where every product of two words is exact and a difference wraps mod
     2**64. Raises KeyError for an unknown tag, ValueError for a seed below 0 or
-    an index outside [0, 2**32)."""
+    an index outside [0, 2**32), of any size."""
     if tag not in TAGS:
         raise KeyError(f"unknown rng tag {tag!r}; registered: {sorted(TAGS)}")
     seed = int(seed)
@@ -87,7 +87,7 @@ def substreams(master_seed: int, tag: str, indices):
     index)`` draws, bit for bit, from keys derived in one array pass. The call
     re-keys its own Philox per index (counter 0, empty buffer), so a yielded
     generator is re-keyed on the next step: finish drawing from it first."""
-    keys = _philox_keys(master_seed, tag, np.asarray(indices, dtype=np.int64))
+    keys = _philox_keys(master_seed, tag, np.array([*map(int, indices)], dtype=object))
     rng = np.random.Generator(np.random.Philox(0))
     state = rng.bit_generator.state  # a fresh Philox: zero counter, empty buffer
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from fopen_sar import cli, imaging, scenario
 from fopen_sar.cli import main
 from fopen_sar.fileio import read_fimg, read_fsar, write_fimg, write_fsar
-from fopen_sar.metrics import NoPeakError
+from fopen_sar.metrics import METRIC_KEYS, NoPeakError
 from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, run_metrics
 
 
@@ -29,6 +30,24 @@ def small_file(tmp_path):
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _per_seed_table(path):
+    """A per-seed CSV's seeds and, per metric key, its column of floats."""
+    with open(path) as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    assert header == ["seed", *METRIC_KEYS]
+    return [int(r[0]) for r in rows], {k: [float(r[j]) for r in rows]
+                                       for j, k in enumerate(METRIC_KEYS, 1)}
+
+
+def _assert_means_reproduced(path, seeds, report):
+    """The per-seed table at path holds seeds, and each metric's mean over its rows
+    is the report's, bit for bit."""
+    got_seeds, columns = _per_seed_table(path)
+    assert got_seeds == seeds
+    for key, column in columns.items():
+        assert float(np.mean(column)) == report[key], key
 
 
 class TestSimulate:
@@ -232,6 +251,8 @@ class TestMetricsCmd:
                      "--out", out]) == 0
         doc = _read_json(os.path.join(out, "ofdm-foliage_off-seed0_metrics.json"))
         assert doc["n_seeds"] == 3
+        _assert_means_reproduced(os.path.join(out, "ofdm-foliage_off-seed0_per_seed.csv"),
+                                 [0, 1, 2], doc)
         assert doc["waveform"] == "ofdm"
         assert doc["foliage"] is False
         assert doc["polarization"] is None
@@ -248,6 +269,8 @@ class TestMetricsCmd:
                      "--out", out]) == 0
         doc = _read_json(os.path.join(out, "ofdm-foliage_off-seed0_metrics.json"))
         assert doc["n_seeds"] == 1
+        _assert_means_reproduced(os.path.join(out, "ofdm-foliage_off-seed0_per_seed.csv"),
+                                 [0], doc)
 
     def test_seeds_rejected_with_image(self, small_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -977,6 +1000,28 @@ class TestCompare:
         assert [v["label"] for v in doc["variants"]] == ["ofdm-foliage_off#1",
                                                          "ofdm-foliage_off#2"]
         assert doc["differences"][0]["pair"] == ["ofdm-foliage_off#1", "ofdm-foliage_off#2"]
+        for v in doc["variants"]:
+            _assert_means_reproduced(os.path.join(out, f"{v['label']}_per_seed.csv"),
+                                     v["seeds"], v["metrics"])
+
+    def test_per_seed_files_reproduce_each_mean_at_any_thread_count(self, tmp_path):
+        # one table per variant, listed and hashed in the manifest; none matches the
+        # *_metrics.json glob that takes a metrics run's report
+        outs = {threads: tmp_path / f"t{threads}" for threads in (1, 2)}
+        for threads, out in outs.items():
+            assert main(["compare", "--preset", "small", "--seeds", "3", "--threads",
+                         str(threads), "--out", str(out)]) == 0
+        doc = _read_json(outs[1] / "compare.json")
+        listed = {o["path"]: o["sha256"]
+                  for o in _read_json(outs[1] / "compare_manifest.json")["outputs"]}
+        names = [f"{v['label']}_per_seed.csv" for v in doc["variants"]]
+        assert len(doc["variants"]) == 4 and set(listed) == {"compare.json", *names}
+        for name, v in zip(names, doc["variants"]):
+            blob = (outs[1] / name).read_bytes()
+            assert blob == (outs[2] / name).read_bytes()
+            assert listed[name] == hashlib.sha256(blob).hexdigest()
+            _assert_means_reproduced(outs[1] / name, v["seeds"], v["metrics"])
+        assert not list(outs[1].glob("*_metrics.json"))
 
     def test_needs_two_variants(self, small_file, tmp_path):
         assert main(["compare", "--scenario", small_file,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fopen_sar.echo import SimulationConfig, synthesize_raw
-from fopen_sar.fileio import (FormatError, read_fimg, read_fsar, write_csv, write_fimg,
-                              write_fsar, write_pgm, write_png)
+from fopen_sar import fileio
+from fopen_sar.fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar,
+                              write_csv, write_fimg, write_fsar, write_pgm, write_png)
 from fopen_sar.geometry import PointTarget, Scene
 
 
@@ -70,19 +71,49 @@ class TestFsarIo:
             read_fsar(path)
 
 
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """The bytes csv.writer writes for a header and rows of Python numbers."""
+    import csv  # the reference; the package does not import it
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
 class TestCsvIo:
     def test_write_csv_matches_csv_writer(self, tmp_path):
-        import csv  # the reference; the package does not import it
         header = ["n", "x", "power_db"]
         columns = [np.arange(-3, 4),
                    np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1]),
                    np.array([1, -2, 3, -4, 5, -6, 7]) / 3]
-        write_csv(tmp_path / "got.csv", header, columns)
-        with open(tmp_path / "want.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(zip(*(c.tolist() for c in columns)))
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        write_csv(tmp_path / "got.csv", header, [columns])
+        assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "want.csv", header, zip(*(c.tolist() for c in columns)))
+
+    def test_blocks_follow_on_across_csv_blocks(self, tmp_path):
+        # the middle block is longer than a CSV block, so it is written in two; the
+        # blocks' rows follow on, and the columns may be lists or arrays
+        rng = np.random.default_rng(4)
+        sizes = [5, fileio.CSV_BLOCK_ROWS + 3, 1]
+        blocks = [[list(range(n)), rng.standard_normal(n)] for n in sizes]
+        write_csv(tmp_path / "got.csv", ["i", "x"], blocks)
+        rows = [(i, x) for i_col, x_col in blocks for i, x in zip(i_col, x_col.tolist())]
+        assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "want.csv", ["i", "x"], rows)
+
+    def test_matrix_row_blocks_number_rows_from_the_whole_matrix(self, tmp_path):
+        # F's uneven row blocks of 1, 5 and 2 pulses x 1000 bins; the 5000-entry
+        # block straddles a CSV_BLOCK_ROWS boundary, and each block's pulses count
+        # on from the last block's
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((8, 1000)) + 1j * rng.standard_normal((8, 1000))
+        assert 5 * 1000 > fileio.CSV_BLOCK_ROWS > 1000
+        dump_realizations_csv(tmp_path / "got.csv", [f[:1], f[1:6], f[6:]])
+        rows = [(p, k, v.real, v.imag) for p, row in enumerate(f.tolist())
+                for k, v in enumerate(row)]
+        assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "want.csv", ["pulse_index", "bin", "re", "im"], rows)
 
 
 class TestImageIo:

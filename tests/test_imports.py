@@ -1,7 +1,8 @@
 """Stdlib ast checks on the package modules. Every module but __init__ (which
 re-exports) uses every name it imports, and no function, class, method or
 property is defined only for tests. Every module but fileio leaves file
-formats to fileio, and no module names numpy's SeedSequence in code."""
+formats to fileio, where write_csv and write_json are the only text writers,
+and no module names numpy's SeedSequence in code."""
 
 import ast
 import pathlib
@@ -40,7 +41,9 @@ def test_no_unused_imports(module):
 # Names, top-level or Class.method, that only tests read, each a reference form the
 # suite compares against.
 TEST_ONLY = {
-    ("echo.py", "apply_foliage"): "a tracer wrap point and the per-pulse echo reference's F",
+    ("echo.py", "apply_foliage"): "a tracer wrap point and the per-pulse echo reference's F; "
+                                  "tests/test_acceptance.py imports it from fopen_sar.echo, "
+                                  "so it cannot move to tests/brute_force.py",
     ("foliage.py", "FoliageChannel.realize"):
         "a tracer wrap point and the per-pulse echo reference's F",
     ("metrics.py", "mainlobe_width_3db"): "the main-lobe width acceptance criterion 8 reads",
@@ -135,6 +138,31 @@ def test_checker_finds_file_code():
                                           if p.name != "fileio.py"))
 def test_file_formats_live_in_fileio(module):
     assert file_code((PACKAGE / module).read_text()) == []
+
+
+def text_writers(source: str) -> list[str]:
+    """The top-level functions of source that call atomic_write in text mode: with no
+    mode, or a mode that is not a str literal holding "b"."""
+    found = set()
+    for fn in ast.parse(source).body:
+        for node in ast.walk(fn) if isinstance(fn, ast.FunctionDef) else ():
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "atomic_write":
+                modes = node.args[1:] + [k.value for k in node.keywords if k.arg == "mode"]
+                if not any(isinstance(m, ast.Constant) and "b" in m.value for m in modes):
+                    found.add(fn.name)
+    return sorted(found)
+
+
+def test_checker_finds_text_writers():
+    source = "".join(f"def {name}(p, m):\n    with atomic_write({args}) as fh:\n        pass\n"
+                     for name, args in (("a", "p"), ("b", "p, 'wb'"), ("c", "p, mode=m"),
+                                        ("d", "p, mode='w'"), ("e", "p, mode='wb'")))
+    assert text_writers(source) == ["a", "c", "d"]
+
+
+def test_csv_and_json_are_the_only_text_writers():
+    # write_csv writes every CSV table, write_json every report and manifest
+    assert text_writers((PACKAGE / "fileio.py").read_text()) == ["write_csv", "write_json"]
 
 
 def test_checker_finds_names_in_code():

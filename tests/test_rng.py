@@ -78,6 +78,13 @@ GOLDEN = {
 }
 
 
+def golden_digest(tag, call) -> str:
+    """The SHA-256 of the first N_DRAWS draws of CALLS[tag, call] at each of GOLDEN_PAIRS."""
+    return hashlib.sha256(b"".join(
+        CALLS[tag, call](substream(seed, tag, i)).tobytes() for seed, i in GOLDEN_PAIRS)
+    ).hexdigest()
+
+
 @pytest.mark.parametrize("tag, call", sorted(CALLS), ids=[f"{t}-{c}" for t, c in sorted(CALLS)])
 def test_golden_digest(tag, call):
     """A numpy-upgrade tripwire: the SHA-256 of the first N_DRAWS draws of each
@@ -85,10 +92,9 @@ def test_golden_digest(tag, call):
     numpy's compatibility policy (NEP 19) does not promise that Generator
     distributions keep their values across versions; every output byte rests on
     them. The literals came from numpy 2.4.6 on x86_64 Linux (Python 3.11.7,
-    float64 kernels at X86_V4), and match the keys of numpy's own SeedSequence."""
-    digest = hashlib.sha256(b"".join(
-        CALLS[tag, call](substream(seed, tag, i)).tobytes() for seed, i in GOLDEN_PAIRS))
-    assert digest.hexdigest() == GOLDEN[tag, call], f"stream {tag!r}, call {call} moved"
+    float64 kernels at X86_V4), and match the keys of numpy's own SeedSequence;
+    tests/test_dispatch.py checks them at every dispatch level as well."""
+    assert golden_digest(tag, call) == GOLDEN[tag, call], f"stream {tag!r}, call {call} moved"
 
 
 def test_golden_digests_cover_every_tag():
@@ -143,7 +149,9 @@ class TestSubstreamsRejects:
 # (master_seed, tag, index) that both entry points reject, and the exception.
 BAD_INPUTS = [((1, "nope", 0), KeyError), ((-1, "receiver_noise", 0), ValueError),
               ((1, "receiver_noise", -1), ValueError),
-              ((1, "receiver_noise", 2**32), ValueError)]
+              ((1, "receiver_noise", 2**32), ValueError),
+              ((1, "receiver_noise", 2**63), ValueError),
+              ((1, "receiver_noise", 2**64), ValueError)]
 
 
 @pytest.mark.parametrize("args, error", BAD_INPUTS)
