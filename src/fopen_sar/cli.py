@@ -27,7 +27,7 @@ from .echo import RawDataMatrix, foliage_channel, synthesize_raw
 from .fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar, write_csv,
                      write_fimg, write_fsar, write_json, write_pgm, write_png, write_raw_csv)
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
-                      extract_profiles, image_metrics)
+                      extract_profiles, image_metrics, paired_differences)
 from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_scenario,
                        load_scenario, preset_scenario, run_metrics)
 
@@ -203,18 +203,20 @@ def cmd_metrics(args, scens, seed_lists, stem):
 
 def cmd_compare(args, scens, seed_lists, stem):
     labels = [scen.label() for scen in scens]  # a label two variants share gains "#<position>"
-    entries, tables = [], []
+    entries, tables, by_seed = [], [], []
     for k, (scen, seeds, label) in enumerate(zip(scens, seed_lists, labels), 1):
         per_seed = run_metrics(scen, seeds, threads=args.threads)
         label = f"{label}#{k}" if labels.count(label) > 1 else label
         entries.append({"label": label, "seeds": seeds, "metrics": _report(scen, per_seed)})
         tables.append(_per_seed_csv(os.path.join(args.out, label), seeds, per_seed))
+        by_seed.append(dict(zip(seeds, per_seed)))
     diffs = [{"pair": [a["label"], b["label"]],
               **{f"delta_{k}": (a["metrics"][k] - b["metrics"][k]
                                 if isinstance(a["metrics"][k], float)
                                 and isinstance(b["metrics"][k], float) else None)
-                 for k in METRIC_KEYS}}
-             for a, b in itertools.combinations(entries, 2)]
+                 for k in METRIC_KEYS},
+              "paired": paired_differences(a_runs, b_runs)}
+             for (a, a_runs), (b, b_runs) in itertools.combinations(zip(entries, by_seed), 2)]
     return ([(os.path.join(args.out, "compare.json"), write_json,
               {"variants": entries, "differences": diffs}), *tables],
             json.dumps(diffs, indent=2, sort_keys=True))

@@ -28,7 +28,8 @@ from .waveform import OfdmSpec, generate_noise_pulse, generate_ofdm_pulse
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to synthesize one raw data matrix, taken as given
-    (validate_scenario checks it)."""
+    (validate_scenario checks it). master_seed keys every stream of the run but
+    the BPSK symbols, which ofdm.symbol_seed keys; a scenario sets both alike."""
 
     waveform_kind: str  # "ofdm" | "noise"
     ofdm: OfdmSpec
@@ -70,8 +71,8 @@ def foliage_channel(config: SimulationConfig) -> FoliageChannel | None:
     if config.foliage is None:
         return None
     freqs = config.ofdm.line_frequencies(config.platform.carrier_hz)
-    return FoliageChannel(config.foliage, freqs, config.platform.n_pulses(),
-                          1.0 / config.platform.prf_hz)
+    return FoliageChannel(config.foliage, config.master_seed, freqs,
+                          config.platform.n_pulses(), 1.0 / config.platform.prf_hz)
 
 
 def apply_foliage(line: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -50,13 +50,13 @@ BLOCK_PULSES = 32
 
 @dataclass(frozen=True)
 class FoliageParams:
-    """Foliage model parameters, taken as given (validate_scenario checks them)."""
+    """The scenario's foliage section, resolved, taken as given (validate_scenario
+    checks it); the run's seed, which keys the draws, goes to FoliageChannel."""
 
     polarization: str = "HH"
     grazing_angle_rad: float = np.pi / 4
     gamma_shape: float = 4.0
     hurst: float = 0.4
-    seed: int = 0
     redraw_per_pulse: bool = False
     spectral_smoothing_bins: int = 0
 
@@ -106,25 +106,27 @@ def fbm_path(hurst: float, n: int, step_s: float,
 class FoliageChannel:
     """Per-run foliage transfer function on a range line's FFT bin grid.
 
-    The fBm flight path (and, unless redraw_per_pulse, key 0's _draw) is
-    generated once up front. blocks() is the one producer of F[pulse, bin], a
-    block at a time; realize(p) reads row p from it.
+    The run's seed keys the fBm, Gamma and phase streams: the fBm flight path
+    (and, unless redraw_per_pulse, key 0's _draw) is generated once up front,
+    and pulse p's redrawn draws are key p + 1's. blocks() is the one producer of
+    F[pulse, bin], a block at a time; realize(p) reads row p from it.
     """
 
-    def __init__(self, params: FoliageParams, freq_grid_hz: np.ndarray,
+    def __init__(self, params: FoliageParams, seed: int, freq_grid_hz: np.ndarray,
                  n_pulses: int, pulse_interval_s: float):
         self.params = params
+        self.seed = seed
         self.freq_grid_hz = np.asarray(freq_grid_hz, dtype=float)
         self.n_pulses = n_pulses
         a0_db = mean_attenuation_db(self.freq_grid_hz, params)
         self._a0_linear = 10.0 ** (-a0_db / 20.0)  # field amplitude, not power
         self._delta_eta = np.exp(fbm_path(params.hurst, n_pulses, pulse_interval_s,
-                                          substream(params.seed, "foliage_fbm")))
+                                          substream(seed, "foliage_fbm")))
         self._frozen = None
         if not params.redraw_per_pulse:  # key 0's draws serve every pulse
             self._frozen = self._draw(*np.empty((3, 1, len(self.freq_grid_hz))),
-                                      [(substream(params.seed, "foliage_gamma", 0),
-                                        substream(params.seed, "foliage_phase", 0))])
+                                      [(substream(seed, "foliage_gamma", 0),
+                                        substream(seed, "foliage_phase", 0))])
 
     def _draw(self, d: np.ndarray, two_t: np.ndarray, t2: np.ndarray, streams):
         """Key draws to per-bin (delta_omega, 2t, t^2), formed in d, two_t and t2 and
@@ -161,13 +163,12 @@ class FoliageChannel:
         delta_A (delta_omega times delta_eta), then 1 + delta_A, then A; the other a
         drawn block's u, then 2t, then t^2 (1 - dA), then |w'|. A drawn block's
         delta_omega is the first buffer itself, and its t^2 waits in F's real part."""
-        p, n_bins = self.params, len(self.freq_grid_hz)
-        f = np.empty((min(BLOCK_PULSES, self.n_pulses), n_bins), dtype=complex)
+        f = np.empty((min(BLOCK_PULSES, self.n_pulses), len(self.freq_grid_hz)), dtype=complex)
         delta_a, mag = np.empty((2,) + f.shape)
         if self._frozen is None:
             keys = np.arange(1, self.n_pulses + 1)
-            draws = zip(substreams(p.seed, "foliage_gamma", keys),
-                        substreams(p.seed, "foliage_phase", keys))
+            draws = zip(substreams(self.seed, "foliage_gamma", keys),
+                        substreams(self.seed, "foliage_phase", keys))
         for start in range(0, self.n_pulses, BLOCK_PULSES):
             w, d, m = (a[:self.n_pulses - start] for a in (f, delta_a, mag))
             delta_omega, two_t, t2 = self._frozen or self._draw(d, m, w.real, draws)

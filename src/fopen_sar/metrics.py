@@ -200,6 +200,23 @@ def _std(v: np.ndarray) -> float:
     return float(np.std(v)) if np.isfinite(v).all() else math.nan
 
 
+def paired_differences(a: dict, b: dict) -> dict:
+    """Per metric, the mean, standard error (std with ddof=1, over sqrt(n)) and n of
+    the per-seed differences a[seed][k] - b[seed][k] over the n seeds a and b share,
+    a and b each mapping seed to metric dict. The numbers go through _json_number:
+    the error of n < 2 or of a non-finite difference, and the mean of n = 0, are "nan"."""
+    seeds = [s for s in a if s in b]
+    n, out = len(seeds), {}
+    for k in METRIC_KEYS:
+        with np.errstate(invalid="ignore"):  # inf - inf, and a mean of inf and -inf, are nan
+            d = np.array([a[s][k] for s in seeds], dtype=float) - [b[s][k] for s in seeds]
+            mean = float(np.mean(d)) if n else math.nan
+        se = (float(np.std(d, ddof=1)) / math.sqrt(n) if n > 1 and np.isfinite(d).all()
+              else math.nan)
+        out[k] = {"mean": _json_number(mean), "se": _json_number(se), "n": n}
+    return out
+
+
 def aggregate_reports(metric_dicts: list[dict], waveform: str,
                       polarization: str | None) -> dict:
     """The metrics JSON document: mean and std of each metric over a seed set;

@@ -4,13 +4,15 @@ Every stochastic draw in the simulator comes from a named substream keyed by
 (master_seed, module_tag, index). Streams are backed by the Philox
 counter-based bit generator, so realizations are bit-reproducible for a
 given master seed and independent of evaluation order or thread count.
-_philox_keys is the one key derivation and input check of both entry points;
-its keys equal numpy's SeedSequence mixing, as the tests check. numpy.random
-loads at the first draw, not at import: annotations that name it are strings.
+_philox_keys is the one key derivation, input check and integer conversion of
+both entry points; its keys equal numpy's SeedSequence mixing, as the tests
+check. numpy.random loads at the first draw, not at import: annotations that
+name it are strings.
 """
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -35,7 +37,7 @@ def substream(master_seed: int, tag: str, index: int = 0) -> "np.random.Generato
     master_seed, tag, [index])`` yields, bit for bit. Every bit of master_seed >= 0
     enters the key, so seeds never alias; tag is a name in ``TAGS``; streams of
     different indices in [0, 2**32), typically pulse numbers, are independent."""
-    return np.random.Generator(np.random.Philox(key=_philox_keys(master_seed, tag, int(index))))
+    return np.random.Generator(np.random.Philox(key=_philox_keys(master_seed, tag, index)))
 
 
 def _hashmix(value, xor: int, mult: int):
@@ -59,14 +61,19 @@ def _mixing(n_words: int) -> tuple:
 def _philox_keys(seed: int, tag: str, index):
     """The Philox key of SeedSequence(seed, spawn_key=(TAGS[tag], index)): numpy's
     mixing of the seed's 32-bit words, zero-padded to the pool size, then the tag
-    and index words, and generate_state(2, np.uint64). An int index gives one (2,)
-    key in int arithmetic; an array of ints, one row per entry from one pass in
+    and index words, and generate_state(2, np.uint64). One index gives one (2,)
+    key in int arithmetic; an iterable of them, one row per entry from one pass in
     uint64, where every product of two words is exact and a difference wraps mod
-    2**64. Raises KeyError for an unknown tag, ValueError for a seed below 0 or
-    an index outside [0, 2**32), of any size."""
+    2**64. The seed and each index go through operator.index, so numpy integers key
+    as Python ints do. Raises KeyError for an unknown tag, TypeError for a seed or
+    an index that is no integer (a float, a string), ValueError for a seed below 0
+    or an index outside [0, 2**32), of any size."""
     if tag not in TAGS:
         raise KeyError(f"unknown rng tag {tag!r}; registered: {sorted(TAGS)}")
-    seed = int(seed)
+    seed = operator.index(seed)
+    # Python ints of any size, so that no uint64 cast wraps before the range check
+    index = (np.array([*map(operator.index, index)], dtype=object) if np.iterable(index)
+             else operator.index(index))
     if seed < 0 or np.count_nonzero(index >> 32):
         raise ValueError("rng streams need master_seed >= 0 and indices in [0, 2**32)")
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -87,7 +94,7 @@ def substreams(master_seed: int, tag: str, indices):
     index)`` draws, bit for bit, from keys derived in one array pass. The call
     re-keys its own Philox per index (counter 0, empty buffer), so a yielded
     generator is re-keyed on the next step: finish drawing from it first."""
-    keys = _philox_keys(master_seed, tag, np.array([*map(int, indices)], dtype=object))
+    keys = _philox_keys(master_seed, tag, indices)
     rng = np.random.Generator(np.random.Philox(0))
     state = rng.bit_generator.state  # a fresh Philox: zero counter, empty buffer
 

@@ -194,8 +194,7 @@ class Scenario:
                        if f["grazing_angle_deg"] is None
                        else math.radians(f["grazing_angle_deg"]))
             foliage = FoliageParams(f["polarization"], grazing, gamma_shape=f["gamma_shape"],
-                                    hurst=f["hurst"], seed=seed,
-                                    redraw_per_pulse=f["redraw_per_pulse"],
+                                    hurst=f["hurst"], redraw_per_pulse=f["redraw_per_pulse"],
                                     spectral_smoothing_bins=f["spectral_smoothing_bins"])
         return SimulationConfig(
             waveform_kind=w["kind"],
@@ -218,7 +217,8 @@ class Scenario:
 
         foliage_pol may be "off" (drop the foliage section), "HH" or "VV".
         Validation copies the whole document, so only the sections changed
-        here are new dicts; self.doc is never written to.
+        here are new dicts, and judges master_seed as given; self.doc is never
+        written to.
         """
         doc = dict(self.doc)
         if waveform_kind is not None:
@@ -228,7 +228,7 @@ class Scenario:
         elif foliage_pol is not None:  # validation fills in the defaults of a new section
             doc["foliage"] = {**doc.get("foliage", {}), "polarization": foliage_pol}
         if master_seed is not None:
-            doc["seeds"] = {**doc["seeds"], "master": int(master_seed)}
+            doc["seeds"] = {**doc["seeds"], "master": master_seed}
         return Scenario(doc)
 
     def label(self) -> str:

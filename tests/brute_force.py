@@ -9,7 +9,8 @@ noise waveform's correlation as the same loop sums. point_rcs_estimate
 divides one compressed line by the unit-target coefficients gm_vector gives,
 back to the scatterer's RCS. synthesize_from_g is the one FFT form here:
 the single-pulse echo of an explicit weighting vector, which tests feed
-with hand-made vectors.
+with hand-made vectors. receiver_noise is pulse j's receiver noise as two
+whole-line draws of its own substream, the real part first.
 
 The foliage draw references close the file: gamma(a, b) and uniform(-pi, pi)
 draws in numpy's own forms, which the channel's standard_gamma and random
@@ -25,6 +26,7 @@ import cmath
 import numpy as np
 
 from fopen_sar.geometry import PointTarget, Scene, gm_vector
+from fopen_sar.rng import substream
 
 
 def ofdm_samples(symbols, n, m):
@@ -106,6 +108,15 @@ def synthesize_from_g(g, pulse):
     g = np.asarray(g, dtype=complex)
     n = len(g) + len(pulse) - 1
     return np.fft.ifft(np.fft.fft(g, n) * np.fft.fft(pulse, n))
+
+
+def receiver_noise(pulse, snr_db: float, master_seed: int, j: int, n: int) -> np.ndarray:
+    """Pulse j's n samples of receiver noise, sigma (a + 1j b): sigma^2 is half the
+    pulse's peak power over 10^(snr_db / 10), and a then b are standard_normal(n)
+    draws of the receiver_noise substream j."""
+    sigma = np.sqrt(np.max(np.abs(pulse) ** 2) / 10.0 ** (snr_db / 10.0) / 2.0)
+    rng = substream(master_seed, "receiver_noise", j)
+    return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def sample_gamma_fluctuation(shape: float, scale: float, n: int,

@@ -954,6 +954,8 @@ class TestCompare:
         for k, v in d.items():
             if k.startswith("delta_"):
                 assert v == pytest.approx(0.0, abs=1e-12)
+        # one shared seed: a paired mean of exactly 0 and no standard error
+        assert d["paired"] == dict.fromkeys(METRIC_KEYS, {"mean": 0.0, "se": "nan", "n": 1})
 
     def test_preset_grid(self, tmp_path):
         out = str(tmp_path / "out")

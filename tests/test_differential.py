@@ -72,11 +72,10 @@ from fopen_sar.echo import (RawDataMatrix, apply_foliage, foliage_channel, synth
 from fopen_sar.geometry import gm_vector, make_grid
 from fopen_sar.imaging import (RangeCompressedMatrix, azimuth_compress, azimuth_fft,
                                range_compress_noise, range_compress_ofdm, smooth_length)
-from fopen_sar.rng import substream
 from fopen_sar.scenario import SMALL_PRESET, Scenario, run_metrics
 from fopen_sar.waveform import OfdmSpec
 
-from brute_force import matched_filter, range_reconstruct, stacked_response
+from brute_force import matched_filter, range_reconstruct, receiver_noise, stacked_response
 
 E = np.finfo(float).eps
 PULSES = (2, 3, 31, 32, 33, 45, 64, 70)
@@ -147,12 +146,8 @@ def test_synthesis_rows_match_the_per_pulse_form(case):
         f = np.ones(length) if f_all is None else f_all[j]
         if f_all is not None:
             line = apply_foliage(line, f)
-        noise = np.zeros(length, complex)
-        if cfg.snr_db is not None:
-            sigma2 = np.max(np.abs(pulse) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
-            rng = substream(cfg.master_seed, "receiver_noise", j)
-            noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(length)
-                                             + 1j * rng.standard_normal(length))
+        noise = (np.zeros(length, complex) if cfg.snr_db is None
+                 else receiver_noise(pulse, cfg.snr_db, cfg.master_seed, j, length))
         g_spec = np.fft.fft(g, length)
         y_norm = _norm(g_spec * s_spec * f) / math.sqrt(length)
         bound = (phi(length) * (_norm(g_spec) * _amax(s_spec) + _norm(s_spec) * _amax(g_spec))

@@ -12,12 +12,12 @@ from fopen_sar.echo import (SimulationConfig, apply_foliage, foliage_channel,
 from fopen_sar.foliage import FoliageParams
 from fopen_sar.geometry import PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.metrics import METRIC_KEYS, image_metrics
-from fopen_sar.rng import TAGS, _philox_keys, substream
+from fopen_sar.rng import TAGS, _philox_keys
 from fopen_sar.scenario import (Scenario, focus_scenario, preset_scenario, run_metrics,
                                 tank_scenario)
 from fopen_sar.waveform import generate_ofdm_pulse
 
-from brute_force import stacked_response, synthesize_from_g
+from brute_force import receiver_noise, stacked_response, synthesize_from_g
 
 
 def _config(tiny_spec, tiny_platform, scene=None, **kw):
@@ -80,11 +80,7 @@ class TestBatchedMatchesPerPulseReference:
         channel = foliage_channel(cfg)
         if channel is not None:
             line = apply_foliage(line, channel.realize(j))
-        sigma2 = np.max(np.abs(pulse) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
-        rng = substream(cfg.master_seed, "receiver_noise", j)
-        n = len(line)
-        return line + np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n)
-                                              + 1j * rng.standard_normal(n))
+        return line + receiver_noise(pulse, cfg.snr_db, cfg.master_seed, j, len(line))
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redraw", "redraw-smoothed"])
@@ -140,13 +136,8 @@ class TestReceiverNoiseInPlace:
         cfg = _noisy_small_config(kind, foliage, n_pulses)
         clean = synthesize_raw(dataclasses.replace(cfg, snr_db=None)).data
         pulse = transmitted_pulse(cfg)
-        sigma = np.sqrt(np.max(np.abs(pulse) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
-                        / 2.0)
-        noise = np.empty_like(clean)
-        for j in range(len(noise)):
-            rng = substream(cfg.master_seed, "receiver_noise", j)
-            noise[j] = sigma * (rng.standard_normal(clean.shape[1])
-                                + 1j * rng.standard_normal(clean.shape[1]))
+        noise = np.array([receiver_noise(pulse, cfg.snr_db, cfg.master_seed, j, clean.shape[1])
+                          for j in range(len(clean))])
         assert np.array_equal(synthesize_raw(cfg).data, clean + noise)
 
     def test_seeding_does_not_grow_with_pulse_count(self, monkeypatch):
@@ -196,14 +187,14 @@ class TestSynthesizeRaw:
 
     def test_deterministic(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform, kind="noise", snr_db=20.0,
-                      foliage=FoliageParams(seed=0), master_seed=3)
+                      foliage=FoliageParams(), master_seed=3)
         a = synthesize_raw(cfg)
         b = synthesize_raw(cfg)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_thread_count_does_not_change_bits(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform, kind="noise", snr_db=14.0,
-                      foliage=FoliageParams(seed=1), master_seed=5)
+                      foliage=FoliageParams(), master_seed=5)
         a = synthesize_raw(cfg, threads=1)
         b = synthesize_raw(cfg, threads=4)
         np.testing.assert_array_equal(a.data, b.data)
@@ -254,8 +245,7 @@ class TestSynthesizeRaw:
     def test_foliage_applied_before_noise(self, tiny_spec, tiny_platform):
         # with foliage F and no receiver noise, the clean line spectrum is
         # multiplied by F exactly
-        fol = FoliageParams(seed=2)
-        cfg = _config(tiny_spec, tiny_platform, foliage=fol, master_seed=2)
+        cfg = _config(tiny_spec, tiny_platform, foliage=FoliageParams(), master_seed=2)
         clean = _config(tiny_spec, tiny_platform, master_seed=2)
         ch = foliage_channel(cfg)
         want = apply_foliage(_line(clean, 3), ch.realize(3))

@@ -24,15 +24,15 @@ def _reference_row(ch, key, p):
     distance from it, rebuilt in the textbook cos/sin form from the gamma(a, b)
     and uniform(-pi, pi) draws of key, centred and smoothed along frequency,
     times delta_eta[p]."""
-    params = ch.params
+    params, seed = ch.params, ch.seed
     k, mean = params.spectral_smoothing_bins, params.gamma_shape * GAMMA_SCALE
     n = len(ch.freq_grid_hz)
     x = sample_gamma_fluctuation(params.gamma_shape, GAMMA_SCALE, n,
-                                 substream(params.seed, "foliage_gamma", key))
+                                 substream(seed, "foliage_gamma", key))
     d = (x - mean) / mean
     if k:
         d = np.fft.ifftshift(np.convolve(np.fft.fftshift(d), np.ones(k) / k, mode="same"))
-    psi = draw_uniform_phase(substream(params.seed, "foliage_phase", key), n)
+    psi = draw_uniform_phase(substream(seed, "foliage_phase", key), n)
     delta_a = d * ch._delta_eta[p]
     amp = np.maximum((delta_a + 1.0) * ch._a0_linear, AMPLITUDE_FLOOR * ch._a0_linear)
     want = unit_phasor(incoherent_field(delta_a, psi))
@@ -195,7 +195,7 @@ class TestUnitPhasor:
         # the grid through blocks() itself: row p has delta_eta = dA[p] and every bin
         # delta_omega = 1, so row p, bin k is (dA[p], psi[k]); 165 rows span 6 blocks
         delta_a, psi = self.DELTA_A, self.PSI
-        ch = FoliageChannel(FoliageParams(), 9e9 + np.fft.fftfreq(len(psi), d=0.25e-9),
+        ch = FoliageChannel(FoliageParams(), 0, 9e9 + np.fft.fftfreq(len(psi), d=0.25e-9),
                             len(delta_a), 1 / 256.0)
         t = np.tan(psi / 2.0)
         ch._frozen, ch._delta_eta = (np.ones(len(psi)), 2.0 * t, t * t), delta_a
@@ -219,7 +219,7 @@ class TestUnitPhasor:
     def test_clamped_channel_bins(self):
         # every row is the reference within phasor_bound, and its amplitude sits on
         # the floor in some bins
-        ch = FoliageChannel(FoliageParams(gamma_shape=0.2, seed=3),
+        ch = FoliageChannel(FoliageParams(gamma_shape=0.2), 3,
                             9e9 + np.fft.fftfreq(64, d=0.25e-9), 16, 1 / 256.0)
         clamped = 0
         for p in range(16):
@@ -230,10 +230,9 @@ class TestUnitPhasor:
 
 
 class TestFoliageChannel:
-    def _channel(self, n_pulses=16, **kw):
-        params = FoliageParams(seed=kw.pop("seed", 0), **kw)
+    def _channel(self, n_pulses=16, seed=0, **kw):
         freqs = 9e9 + np.fft.fftfreq(64, d=0.25e-9)
-        return FoliageChannel(params, freqs, n_pulses=n_pulses,
+        return FoliageChannel(FoliageParams(**kw), seed, freqs, n_pulses=n_pulses,
                               pulse_interval_s=1 / 256.0)
 
     def test_no_fluctuation_reduces_to_mean_attenuation(self):
@@ -382,7 +381,7 @@ class TestFoliageChannel:
         # numpy's ufunc buffer, the per-pulse streams and their keys (about 85 KiB
         # with numpy 2.4), and is under half a real block buffer, so a third one fails
         n_bins = 1406
-        ch = FoliageChannel(FoliageParams(redraw_per_pulse=True, seed=2),
+        ch = FoliageChannel(FoliageParams(redraw_per_pulse=True), 2,
                             9e9 + np.fft.fftfreq(n_bins, d=8e-9), 256, 1 / 256.0)
         real_block = BLOCK_PULSES * n_bins * 8
         tracemalloc.start()

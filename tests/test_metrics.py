@@ -7,8 +7,8 @@ import pytest
 from fopen_sar.metrics import (METRIC_KEYS, NoPeakError, Profile,
                                UndefinedMetricError, aggregate_reports,
                                extract_profiles, find_mainlobe, image_metrics,
-                               islr, mainlobe_width_3db, profile_from_cut, pslr,
-                               upsample_complex)
+                               islr, mainlobe_width_3db, paired_differences,
+                               profile_from_cut, pslr, upsample_complex)
 
 
 def _profile(values, null_left, null_right, peak=None):
@@ -256,6 +256,31 @@ class TestReport:
         assert r["islr_range_db"] == pytest.approx(-10.0)
         assert r["std"]["islr_range_db"] == pytest.approx(1.0)
         assert r["n_seeds"] == 2
+
+    def test_paired_differences_over_the_shared_seeds(self):
+        # seeds 0-2 ran on both sides: range ISLR differences -3, -4, -2, std 1 (ddof=1)
+        a = {0: _seed(-9.0), 1: _seed(-11.0), 2: _seed(-10.0), 5: _seed(-1.0)}
+        b = {2: _seed(-8.0), 0: _seed(-6.0), 1: _seed(-7.0), 7: _seed(0.0)}
+        paired = paired_differences(a, b)
+        assert paired["islr_range_db"] == {"mean": -3.0, "se": 1 / math.sqrt(3), "n": 3}
+        for k in METRIC_KEYS[1:]:
+            assert paired[k] == {"mean": 0.0, "se": 0.0, "n": 3}
+
+    def test_paired_differences_of_one_seed_and_of_infinite_metrics(self):
+        # one seed has no standard error; an infinite difference has a mean of its
+        # sign and no error, and inf - inf (or a mean of inf and -inf) is nan
+        inf = float("inf")
+        one = paired_differences({4: _seed(-9.0)}, {4: _seed(-6.5)})
+        assert one["islr_range_db"] == {"mean": -2.5, "se": "nan", "n": 1}
+        a = {0: _seed(-inf, pslr_range=-inf, islr_az=inf), 1: _seed(-9.0, -10.0, -inf)}
+        b = {0: _seed(-6.0, pslr_range=-inf, islr_az=-20.0), 1: _seed(-6.0, -13.0, -20.0)}
+        paired = json.loads(json.dumps(paired_differences(a, b), allow_nan=False))
+        assert paired["islr_range_db"] == {"mean": "-inf", "se": "nan", "n": 2}
+        assert paired["pslr_range_db"] == {"mean": "nan", "se": "nan", "n": 2}
+        assert paired["islr_azimuth_db"] == {"mean": "nan", "se": "nan", "n": 2}
+        assert paired["pslr_azimuth_db"] == {"mean": 0.0, "se": 0.0, "n": 2}
+        none = paired_differences({0: _seed(-9.0)}, {1: _seed(-9.0)})
+        assert none == dict.fromkeys(METRIC_KEYS, {"mean": "nan", "se": "nan", "n": 0})
 
     def test_profile_invariants(self):
         with pytest.raises(ValueError):

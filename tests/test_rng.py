@@ -35,6 +35,15 @@ class TestKeysMatchSeedSequence:
             assert np.array_equal(row, want), (seed, tag, i)
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32, np.uint32])
+def test_numpy_integers_give_the_keys_of_equal_python_ints(kind):
+    for seed, i in [(0, 0), (6, 3), (2**31 - 1, 2**31 - 1)]:
+        want = _philox_keys(seed, "receiver_noise", i)
+        assert np.array_equal(_philox_keys(kind(seed), "receiver_noise", kind(i)), want)
+        rows = _philox_keys(kind(seed), "receiver_noise", np.array([i, i], dtype=kind))
+        assert np.array_equal(rows, [want, want])
+
+
 # The draw calls the simulator makes on each stream, as (tag, call) -> draws.
 N_DRAWS = 4096
 
@@ -151,7 +160,13 @@ BAD_INPUTS = [((1, "nope", 0), KeyError), ((-1, "receiver_noise", 0), ValueError
               ((1, "receiver_noise", -1), ValueError),
               ((1, "receiver_noise", 2**32), ValueError),
               ((1, "receiver_noise", 2**63), ValueError),
-              ((1, "receiver_noise", 2**64), ValueError)]
+              ((1, "receiver_noise", 2**64), ValueError),
+              ((1.5, "receiver_noise", 0), TypeError),
+              ((np.float64(1.0), "receiver_noise", 0), TypeError),
+              (("1", "receiver_noise", 0), TypeError),
+              ((1, "receiver_noise", 1.5), TypeError),
+              ((1, "receiver_noise", np.float64(3.0)), TypeError),
+              ((1, "receiver_noise", "3"), TypeError)]
 
 
 @pytest.mark.parametrize("args, error", BAD_INPUTS)

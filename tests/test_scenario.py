@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 from fopen_sar import echo, imaging, scenario
-from fopen_sar.echo import synthesize_raw
+from fopen_sar.echo import SimulationConfig, synthesize_raw
+from fopen_sar.foliage import FoliageParams
 from fopen_sar.metrics import NoPeakError
+from fopen_sar.rng import TAGS, _philox_keys
 from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
                                 SchemaError, Scenario, load_scenario,
                                 preset_scenario, run_metrics, run_pipeline,
                                 tank_scenario, tank_targets, validate_scenario)
+from fopen_sar.waveform import OfdmSpec
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -302,12 +305,32 @@ class TestResolution:
                                                        foliage_pol="HH")
         assert scen.label() == "noise-foliage_HH"
 
-    def test_seed_flows_into_all_streams(self):
-        scen = preset_scenario("small").with_overrides(foliage_pol="HH")
-        cfg = scen.simulation_config(master_seed=7)
-        assert cfg.master_seed == 7
-        assert cfg.ofdm.symbol_seed == 7
-        assert cfg.foliage.seed == 7
+    def test_seed_flows_into_all_streams(self, monkeypatch):
+        # a scenario's seed is the run's master seed and its BPSK symbol seed
+        cfg = preset_scenario("small").simulation_config(master_seed=7)
+        assert cfg.master_seed == cfg.ofdm.symbol_seed == 7
+        # a run's master seed keys every stream but the BPSK symbols: each key of a
+        # noise-waveform run with redrawn HH foliage and receiver noise, recorded
+        spec = OfdmSpec(cfg.ofdm.n_subcarriers, cfg.ofdm.n_range_cells,
+                        cfg.ofdm.bandwidth_hz, symbol_seed=5)
+        run = SimulationConfig("noise", spec, cfg.scene, cfg.platform,
+                               FoliageParams("HH", redraw_per_pulse=True), snr_db=20.0,
+                               master_seed=3)
+        keyed = []
+        monkeypatch.setattr("fopen_sar.rng._philox_keys", lambda seed, tag, index: keyed.append(
+            (tag, seed)) or _philox_keys(seed, tag, index))
+        synthesize_raw(run)
+        assert {tag for tag, _ in keyed} == set(TAGS)
+        assert [seed for tag, seed in keyed if tag == "bpsk_symbols"] == [5]
+        assert {seed for tag, seed in keyed if tag != "bpsk_symbols"} == {3}
+
+    def test_run_pipeline_refuses_a_float_seed(self):
+        with pytest.raises(TypeError):  # 1.5 drew seed 1's streams when it was truncated
+            run_pipeline(preset_scenario("small"), master_seed=1.5)
+
+    def test_with_overrides_refuses_a_float_seed(self):
+        with pytest.raises(SchemaError, match=r"^seeds\.master: must be an integer$"):
+            preset_scenario("small").with_overrides(master_seed=2.7)
 
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "scen.json"

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 import subprocess
 import sys
@@ -75,3 +76,18 @@ class TestAb:
             words = line.split()
             assert words[0] == "config" and words[-4] == "a" and words[-2] == "b"
             assert min(float(words[-3]), float(words[-1])) > 0.0
+
+    def test_one_setup_round_of_this_checkout_against_itself(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        src = str(root / "src")
+        out = subprocess.run([sys.executable, str(root / "tools" / "ab.py"), "--a", src,
+                              "--b", src, "--workload", "table", "--rounds", "1", "--setup"],
+                             capture_output=True, text=True, check=True).stdout.splitlines()
+        assert len(out) == 5 and out[0] == "setup workload table, 1 rounds"
+        for side, line in zip("ab", out[1:3]):
+            words = line.split()
+            assert words[:2] == [side, "setup_s"] and words[3] == "import_s"
+            assert float(words[2]) > float(words[4]) > 0.0
+        assert out[3].startswith("median paired difference b-a ms ")
+        assert math.isfinite(float(out[3].split()[-1]))
+        assert out[4] in ("b faster 0/1", "b faster 1/1")

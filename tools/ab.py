@@ -1,6 +1,7 @@
-"""Interleaved in-process A/B of two checkouts on the table or tank workload.
+"""Interleaved A/B of two checkouts: in-process runs, or fresh set-up probes.
 
     python tools/ab.py --a A/src --b B/src --workload table --rounds 30 --threads 1
+    python tools/ab.py --a A/src --b B/src --workload cli --rounds 20 --setup
 
 Each side's fopen_sar package is copied into a temporary directory as
 fopen_sar_a or fopen_sar_b (the package imports itself only relatively), so
@@ -17,19 +18,32 @@ both sides' median milliseconds per run, so a gain that only some configs
 have shows where it lands. A call that raises NoPeakError is left out of
 its side's rate and medians, and of its round's ratio on both sides. Needs
 numpy and the standard library.
+
+--setup measures the benchmark's setup_s instead, on table, tank or cli:
+each round starts one fresh `perfbench/child.py setup WORKLOAD` process per
+side, with that side's src first on PYTHONPATH, the side that starts first
+alternating from round to round, and times it as perfbench/run.py's
+measure_setup does (wall time around the process; import_s from its stamps).
+It prints each side's median setup_s and import_s, the median over rounds of
+the paired difference b - a in milliseconds, and the rounds b was faster.
 """
 
 import argparse
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
-WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def load_side(src: str, name: str, tmp: str):
@@ -93,14 +107,54 @@ def compare(sides, workload: str, rounds: int, threads: int) -> dict:
                         for i, scen in enumerate(scens["a"])]}
 
 
+def setup_probe(src: str, workload: str) -> dict:
+    """setup_s and import_s of one fresh child.py setup process with src first on
+    PYTHONPATH, taken as perfbench/run.py's measure_setup takes them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, str(CHILD), "setup", workload], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    t1 = time.monotonic()
+    stamps = json.loads(proc.stdout.splitlines()[-1])
+    return {"setup_s": t1 - t0, "import_s": stamps["fopen_sar"] - stamps["numpy"]}
+
+
+def compare_setup(srcs: dict, workload: str, rounds: int) -> dict:
+    """Run the alternating set-up probes; srcs maps "a" and "b" to src directories."""
+    samples = {k: [] for k in srcs}
+    for r in range(rounds):
+        for k in ("a", "b") if r % 2 == 0 else ("b", "a"):
+            samples[k].append(setup_probe(srcs[k], workload))
+    diffs = [b["setup_s"] - a["setup_s"] for a, b in zip(samples["a"], samples["b"])]
+    return {**{f"{m}_{k}": statistics.median(s[m] for s in samples[k])
+               for k in srcs for m in ("setup_s", "import_s")},
+            "diff_ms": 1e3 * statistics.median(diffs), "b_faster": sum(d < 0 for d in diffs)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--a", required=True, help="side a's src directory")
     ap.add_argument("--b", required=True, help="side b's src directory")
-    ap.add_argument("--workload", choices=("table", "tank"), default="table")
+    ap.add_argument("--workload", choices=("table", "tank", "cli"), default="table",
+                    help="cli with --setup only")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--setup", action="store_true",
+                    help="time fresh set-up processes instead of in-process runs")
     args = ap.parse_args(argv)
+    if args.setup:
+        res = compare_setup({k: str(pathlib.Path(src).resolve())
+                             for k, src in (("a", args.a), ("b", args.b))},
+                            args.workload, args.rounds)
+        print(f"setup workload {args.workload}, {args.rounds} rounds")
+        for k in ("a", "b"):
+            print(f"{k} setup_s {res[f'setup_s_{k}']:.4f} import_s {res[f'import_s_{k}']:.4f}")
+        print(f"median paired difference b-a ms {res['diff_ms']:.2f}")
+        print(f"b faster {res['b_faster']}/{args.rounds}")
+        return 0
+    if args.workload == "cli":
+        ap.error("--workload cli needs --setup")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
