@@ -15,7 +15,7 @@ from .geometry import (PlatformParams, PointTarget, RangeGrid, Scene, gm_vector,
                        make_grid)
 from .imaging import (FocusedImage, RangeCompressedMatrix, azimuth_compress,
                       azimuth_fft, focus, range_compress_noise, range_compress_ofdm)
-from .metrics import (Profile, extract_profiles, image_metrics, islr,
+from .metrics import (NoPeakError, Profile, extract_profiles, image_metrics, islr,
                       mainlobe_width_3db, pslr, upsample_complex)
 from .scenario import (Scenario, load_scenario, preset_scenario, run_metrics,
                        run_pipeline, tank_scenario, validate_scenario)

@@ -104,7 +104,8 @@ def _sha256(path) -> str:
 def numpy_build() -> dict:
     """numpy's version and the dispatch target, by "<ufunc>.<type chars>", of each float64
     or complex128 kernel the pipeline calls: the scope in which files are byte-identical."""
-    info = opt_func_info("^(tan|sin|cos|exp|log10|arctan2|absolute)$", "^(float64|complex128)")
+    info = opt_func_info("^(tan|sin|cos|exp|log10|arctan2|absolute|power|multiply)$",
+                         "^(float64|complex128)")
     return {"version": np.__version__, "dispatch": {
         f"{f}.{sig}": v["current"] for f, sigs in info.items() for sig, v in sigs.items()}}
 

@@ -34,10 +34,11 @@ _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 def substream(master_seed: int, tag: str, index: int = 0) -> "np.random.Generator":
     """The Generator of (master_seed, tag, index): it draws what ``substreams(
-    master_seed, tag, [index])`` yields, bit for bit. Every bit of master_seed >= 0
-    enters the key, so seeds never alias; tag is a name in ``TAGS``; streams of
-    different indices in [0, 2**32), typically pulse numbers, are independent."""
-    return np.random.Generator(np.random.Philox(key=_philox_keys(master_seed, tag, index)))
+    master_seed, tag, [index])`` yields, bit for bit, from the same key, and rejects
+    what that call rejects. Every bit of master_seed >= 0 enters the key, so seeds
+    never alias; tag is a name in ``TAGS``; streams of different indices in
+    [0, 2**32), typically pulse numbers, are independent."""
+    return np.random.Generator(np.random.Philox(key=_philox_keys(master_seed, tag, [index])[0]))
 
 
 def _hashmix(value, xor: int, mult: int):
@@ -58,27 +59,25 @@ def _mixing(n_words: int) -> tuple:
     return (a[:4], a[1:5]), tuple(map(tuple.__add__, steps, zip(a[4:], a[5:]))), (b[:-1], b[1:])
 
 
-def _philox_keys(seed: int, tag: str, index):
-    """The Philox key of SeedSequence(seed, spawn_key=(TAGS[tag], index)): numpy's
-    mixing of the seed's 32-bit words, zero-padded to the pool size, then the tag
-    and index words, and generate_state(2, np.uint64). One index gives one (2,)
-    key in int arithmetic; an iterable of them, one row per entry from one pass in
-    uint64, where every product of two words is exact and a difference wraps mod
-    2**64. The seed and each index go through operator.index, so numpy integers key
-    as Python ints do. Raises KeyError for an unknown tag, TypeError for a seed or
-    an index that is no integer (a float, a string), ValueError for a seed below 0
-    or an index outside [0, 2**32), of any size."""
+def _philox_keys(seed: int, tag: str, indices):
+    """The Philox keys of SeedSequence(seed, spawn_key=(TAGS[tag], index)) per index:
+    numpy's mixing of the seed's 32-bit words, zero-padded to the pool size, then
+    the tag and index words, and generate_state(2, np.uint64), as one (n, 2) array.
+    One index is mixed in int arithmetic; more, in one pass in uint64, where every
+    product of two words is exact and a difference wraps mod 2**64. The seed and each
+    index go through operator.index, so numpy integers key as Python ints do. Raises
+    KeyError for an unknown tag, TypeError for a seed or an index that is no integer
+    (a float, a string, a list), ValueError for a seed below 0 or an index outside
+    [0, 2**32), of any size."""
     if tag not in TAGS:
         raise KeyError(f"unknown rng tag {tag!r}; registered: {sorted(TAGS)}")
-    seed = operator.index(seed)
     # Python ints of any size, so that no uint64 cast wraps before the range check
-    index = (np.array([*map(operator.index, index)], dtype=object) if np.iterable(index)
-             else operator.index(index))
-    if seed < 0 or np.count_nonzero(index >> 32):
+    seed, index = operator.index(seed), [*map(operator.index, indices)]
+    if seed < 0 or any(i >> 32 for i in index):
         raise ValueError("rng streams need master_seed >= 0 and indices in [0, 2**32)")
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words)) + [
-        TAGS[tag], index if isinstance(index, int) else index.astype(np.uint64)]
+        TAGS[tag], index[0] if len(index) == 1 else np.array(index, dtype=np.uint64)]
     first, steps, last = _mixing(len(words))
     state = [*map(_hashmix, words, *first), *words[4:]]
     for src, dst, xor, mult in steps:
@@ -86,7 +85,8 @@ def _philox_keys(seed: int, tag: str, index):
         r = _MIX_L * state[dst] - _MIX_R * (h ^ h >> 16) & _M32
         state[dst] = r ^ r >> 16
     out = list(map(_hashmix, state, *last))
-    return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64).T
+    keys = np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64)
+    return keys.T.reshape(-1, 2)
 
 
 def substreams(master_seed: int, tag: str, indices):

@@ -11,10 +11,11 @@ preset with an extended tank-shaped target).
 
 import json
 import math
+import numbers
 import threading
 
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
-from .foliage import FoliageParams
+from .foliage import ATTENUATION_CONSTANTS, FoliageParams
 from .geometry import PlatformParams, PointTarget, RangeGrid, Scene
 from .imaging import FocusedImage, focus
 from .metrics import NoPeakError, image_metrics
@@ -64,8 +65,9 @@ SCHEMA = {
         "prf_hz": (float, REQUIRED, 1e-9, None),
     },
     "scene": {"targets": (TARGET, REQUIRED, None, None)},
+    # Key names are the FoliageParams field names, but for grazing_angle_deg (in radians there).
     "foliage": {
-        "polarization": (("HH", "VV"), REQUIRED, None, None),
+        "polarization": (tuple(ATTENUATION_CONSTANTS), REQUIRED, None, None),
         "grazing_angle_deg": (float, None, 1e-9, 90.0),
         "gamma_shape": (float, 4.0, 1e-12, None),
         "hurst": (float, 0.4, 1e-9, 1 - 1e-9),
@@ -95,7 +97,7 @@ MAX_SAMPLES = 1 << 25
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _finite(v) -> bool:
@@ -188,14 +190,11 @@ class Scenario:
         w, p, f = self.doc["waveform"], self.doc["platform"], self.doc.get("foliage")
         targets = tuple(PointTarget(t["cell"], t["azimuth_m"], complex(*t["rcs"]))
                         for t in self.doc["scene"]["targets"])
-        foliage = None
-        if f is not None:
-            grazing = (math.asin(p["altitude_m"] / p["reference_range_m"])
-                       if f["grazing_angle_deg"] is None
-                       else math.radians(f["grazing_angle_deg"]))
-            foliage = FoliageParams(f["polarization"], grazing, gamma_shape=f["gamma_shape"],
-                                    hurst=f["hurst"], redraw_per_pulse=f["redraw_per_pulse"],
-                                    spectral_smoothing_bins=f["spectral_smoothing_bins"])
+        foliage = None if f is None else FoliageParams(
+            **{k: v for k, v in f.items() if k != "grazing_angle_deg"},
+            grazing_angle_rad=(math.asin(p["altitude_m"] / p["reference_range_m"])
+                               if f["grazing_angle_deg"] is None
+                               else math.radians(f["grazing_angle_deg"])))
         return SimulationConfig(
             waveform_kind=w["kind"],
             ofdm=OfdmSpec(w["n_subcarriers"], w["n_range_cells"], w["bandwidth_hz"],
@@ -215,7 +214,7 @@ class Scenario:
                        master_seed=None) -> "Scenario":
         """A copy with the waveform kind, foliage polarization, or seed swapped.
 
-        foliage_pol may be "off" (drop the foliage section), "HH" or "VV".
+        foliage_pol may be "off" (drop the foliage section) or a polarization.
         Validation copies the whole document, so only the sections changed
         here are new dicts, and judges master_seed as given; self.doc is never
         written to.

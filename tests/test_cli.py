@@ -69,8 +69,9 @@ class TestSimulate:
         build = _read_json(os.path.join(out, "simulate_manifest.json"))["numpy"]
         assert build == cli.numpy_build() and build["version"] == np.__version__
         assert {key.split(".")[0] for key in build["dispatch"]} == {
-            "tan", "sin", "cos", "exp", "log10", "arctan2", "absolute"}
-        assert {"tan.dd", "exp.dd", "arctan2.ddd", "absolute.Dd"} <= build["dispatch"].keys()
+            "tan", "sin", "cos", "exp", "log10", "arctan2", "absolute", "power", "multiply"}
+        assert {"tan.dd", "exp.dd", "arctan2.ddd", "absolute.Dd", "power.ddd", "multiply.ddd",
+                "multiply.DDD"} <= build["dispatch"].keys()
         assert all(build["dispatch"].values())
 
     def test_byte_identical_reruns(self, small_file, tmp_path):

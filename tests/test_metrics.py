@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import fopen_sar
 from fopen_sar.metrics import (METRIC_KEYS, NoPeakError, Profile,
                                UndefinedMetricError, aggregate_reports,
                                extract_profiles, find_mainlobe, image_metrics,
@@ -287,3 +288,7 @@ class TestReport:
             Profile(np.ones(5), 1, 0, 0, 2)
         with pytest.raises(ValueError):
             Profile(-np.ones(5), 1, 1, 0, 2)
+
+
+def test_package_exports_no_peak_error():
+    assert fopen_sar.NoPeakError is fopen_sar.metrics.NoPeakError

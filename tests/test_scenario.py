@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -15,9 +16,9 @@ import weakref
 import numpy as np
 import pytest
 
-from fopen_sar import echo, imaging, scenario
+from fopen_sar import cli, echo, imaging, scenario
 from fopen_sar.echo import SimulationConfig, synthesize_raw
-from fopen_sar.foliage import FoliageParams
+from fopen_sar.foliage import ATTENUATION_CONSTANTS, FoliageParams
 from fopen_sar.metrics import NoPeakError
 from fopen_sar.rng import TAGS, _philox_keys
 from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
@@ -186,6 +187,26 @@ class TestValidation:
         assert out["foliage"]["hurst"] == 0.4
         assert out["foliage"]["redraw_per_pulse"] is False
 
+    def test_polarizations_are_the_attenuation_tables_keys(self):
+        # one set of polarizations: the schema's, the --foliage choices but off, the table's
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        assert SCHEMA["foliage"]["polarization"][0] == tuple(ATTENUATION_CONSTANTS)
+        for sub in commands.values():
+            choices = next(a.choices for a in sub._actions if a.dest == "foliage")
+            assert choices[0] == "off"
+            assert set(choices[1:]) == set(ATTENUATION_CONSTANTS)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), np.float32(3.0)])
+    def test_numpy_scalar_seed(self, value):
+        scen = preset_scenario("small").with_overrides(master_seed=value)
+        assert scen.master_seed == 3 and type(scen.master_seed) is int
+
+    def test_numpy_bool_is_no_number(self):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["processing"]["upsample"] = np.True_
+        with pytest.raises(SchemaError, match=r"^processing\.upsample: must be a number$"):
+            validate_scenario(doc)
+
     def test_reference_range_below_altitude(self):
         doc = copy.deepcopy(SMALL_PRESET)
         doc["platform"]["reference_range_m"] = 10.0
@@ -283,6 +304,24 @@ class TestResolution:
         doc["foliage"] = {"polarization": "HH", "grazing_angle_deg": 30.0}
         fol = Scenario(doc).simulation_config().foliage
         assert fol.grazing_angle_rad == pytest.approx(math.radians(30.0))
+
+    def test_foliage_keys_are_foliage_params_fields(self):
+        # every field of FoliageParams is a foliage key, the angle in degrees there
+        fields = {f.name for f in dataclasses.fields(FoliageParams)}
+        assert set(SCHEMA["foliage"]) - {"grazing_angle_deg"} == fields - {"grazing_angle_rad"}
+
+    @pytest.mark.parametrize("pol", ["HH", "VV"])
+    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize("degrees", [None, 30.0])
+    def test_foliage_params_from_section(self, pol, redraw, degrees):
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["foliage"] = {"polarization": pol, "grazing_angle_deg": degrees, "hurst": 0.3,
+                          "redraw_per_pulse": redraw, "spectral_smoothing_bins": 2}
+        grazing = math.asin(5000.0 / (5000.0 * math.sqrt(2.0))) if degrees is None else (
+            math.radians(degrees))
+        assert Scenario(doc).simulation_config(4).foliage == FoliageParams(
+            pol, grazing, gamma_shape=4.0, hurst=0.3, redraw_per_pulse=redraw,
+            spectral_smoothing_bins=2)
 
     def test_with_overrides(self):
         scen = preset_scenario("small")
