@@ -53,8 +53,8 @@ class FoliageParams:
     """The scenario's foliage section, resolved, taken as given (validate_scenario
     checks it); the run's seed, which keys the draws, goes to FoliageChannel."""
 
-    polarization: str = "HH"
-    grazing_angle_rad: float = np.pi / 4
+    polarization: str
+    grazing_angle_rad: float
     gamma_shape: float = 4.0
     hurst: float = 0.4
     redraw_per_pulse: bool = False

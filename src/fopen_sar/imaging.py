@@ -18,6 +18,8 @@ from .foliage import BLOCK_PULSES
 from .geometry import PlatformParams
 from .waveform import OfdmSpec
 
+AZIMUTH_WINDOWS = ("none", "hann")  # the windows azimuth_compress applies, the first its default
+
 
 @dataclass(frozen=True)
 class RangeCompressedMatrix:
@@ -130,7 +132,7 @@ def rcmc(rd: np.ndarray, doppler_hz: np.ndarray, platform: PlatformParams,
 
 
 def azimuth_compress(rd: np.ndarray, platform: PlatformParams,
-                     window: str = "none") -> FocusedImage:
+                     window: str = AZIMUTH_WINDOWS[0]) -> FocusedImage:
     """Apply the reference-range azimuth matched filter and invert the FFT.
 
     rd's rows are the Doppler bins f = fftfreq(len(rd), 1 / prf), in FFT order.
@@ -141,6 +143,8 @@ def azimuth_compress(rd: np.ndarray, platform: PlatformParams,
     0.5 + 0.5 cos(2 pi f / prf): 1 at zero Doppler and even in f for any
     pulse count.
     """
+    if window not in AZIMUTH_WINDOWS:
+        raise ValueError(f"azimuth window {window!r} is not one of {AZIMUTH_WINDOWS}")
     doppler_hz = np.fft.fftfreq(len(rd), 1.0 / platform.prf_hz)
     ka = platform.doppler_rate_hz_per_s
     h = np.exp(-1j * np.pi * doppler_hz**2 / ka)
@@ -153,7 +157,7 @@ def azimuth_compress(rd: np.ndarray, platform: PlatformParams,
 
 
 def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
-          reference: np.ndarray, azimuth_window: str = "none") -> FocusedImage:
+          reference: np.ndarray, azimuth_window: str = AZIMUTH_WINDOWS[0]) -> FocusedImage:
     """Full image formation for either waveform, given its reference: the
     transmitted symbols for OFDM data, the transmitted pulse for noise data.
     No migration stage: the echo model keeps every scatterer in its range cell.

@@ -17,6 +17,8 @@ import numpy as np
 # The four sidelobe metrics: the keys of image_metrics' result and of every
 # metrics JSON.
 METRIC_KEYS = ("islr_range_db", "pslr_range_db", "islr_azimuth_db", "pslr_azimuth_db")
+UPSAMPLE = 16  # a profile's upsampling factor unless given, and the scenario's default
+SMOOTH_WINDOW = 3  # its smoothing window in samples, likewise
 
 
 class NoPeakError(ValueError):
@@ -80,7 +82,7 @@ def _run(mask: np.ndarray) -> int:
     return len(mask) if mask.all() else int(np.argmin(mask))
 
 
-def find_mainlobe(power: np.ndarray, peak: int, smooth_window: int = 3):
+def find_mainlobe(power: np.ndarray, peak: int, smooth_window: int = SMOOTH_WINDOW):
     """First local minima on each side of the peak, round the periodic power
     rolled to put the peak mid-array and smoothed; they may lie off its ends.
 
@@ -106,7 +108,8 @@ def find_mainlobe(power: np.ndarray, peak: int, smooth_window: int = 3):
 _EXPONENT_BAND = 400
 
 
-def profile_from_cut(cut: np.ndarray, upsample: int = 16, smooth_window: int = 3) -> Profile:
+def profile_from_cut(cut: np.ndarray, upsample: int = UPSAMPLE,
+                     smooth_window: int = SMOOTH_WINDOW) -> Profile:
     """Build a Profile from a complex image cut, a range row or an azimuth column.
 
     A cut outside the exponent band is first scaled by 2^-e, e the exponent
@@ -122,8 +125,8 @@ def profile_from_cut(cut: np.ndarray, upsample: int = 16, smooth_window: int = 3
     return Profile(power, upsample, peak, left, right)
 
 
-def extract_profiles(pixels: np.ndarray, upsample: int = 16,
-                     smooth_window: int = 3) -> tuple[Profile, Profile]:
+def extract_profiles(pixels: np.ndarray, upsample: int = UPSAMPLE,
+                     smooth_window: int = SMOOTH_WINDOW) -> tuple[Profile, Profile]:
     """Range and azimuth power profiles through the image's global peak.
 
     Returns (range_profile, azimuth_profile). The range cut runs along the peak's
@@ -183,8 +186,8 @@ def mainlobe_width_3db(profile: Profile) -> float:
     return float((left + right) * (1 / profile.upsample))
 
 
-def image_metrics(pixels: np.ndarray, upsample: int = 16,
-                  smooth_window: int = 3) -> dict:
+def image_metrics(pixels: np.ndarray, upsample: int = UPSAMPLE,
+                  smooth_window: int = SMOOTH_WINDOW) -> dict:
     """All four sidelobe metrics of one focused image."""
     rng_p, az_p = extract_profiles(pixels, upsample, smooth_window)
     return dict(zip(METRIC_KEYS, (islr(rng_p), pslr(rng_p), islr(az_p), pslr(az_p))))

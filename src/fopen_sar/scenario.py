@@ -17,8 +17,8 @@ import threading
 from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import ATTENUATION_CONSTANTS, FoliageParams
 from .geometry import PlatformParams, PointTarget, RangeGrid, Scene
-from .imaging import FocusedImage, focus
-from .metrics import NoPeakError, image_metrics
+from .imaging import AZIMUTH_WINDOWS, FocusedImage, focus
+from .metrics import SMOOTH_WINDOW, UPSAMPLE, NoPeakError, image_metrics
 from .waveform import OfdmSpec, generate_bpsk_symbols
 
 
@@ -32,21 +32,21 @@ def _fail(path, msg):
 
 REQUIRED = object()
 OPTIONAL_SECTIONS = ("foliage", "noise")
-# Each row of scene.targets. A cell's maximum, M - 1, is a relation to the
-# waveform, so the relations pass checks it. Each part of rcs is at most 1e100
-# in size. The metrics do not square raw magnitudes; the bound keeps the FFTs of
+# Each row of scene.targets, its defaults PointTarget's. A cell's maximum, M - 1, is a
+# relation to the waveform, so the relations pass checks it. Each part of rcs is at most
+# 1e100 in size. The metrics do not square raw magnitudes; the bound keeps the FFTs of
 # synthesis and focusing, which overflow near an rcs of 1e303, far from the limit.
 TARGET = {
     "cell": (int, REQUIRED, 0, None),
-    "azimuth_m": (float, 0.0, None, None),
-    "rcs": (complex, [1.0, 0.0], -1e100, 1e100),
+    "azimuth_m": (float, PointTarget.azimuth_m, None, None),
+    "rcs": (complex, PointTarget.rcs, -1e100, 1e100),
 }
 # The scenario schema: SCHEMA[section][key] = (type, default, minimum, maximum).
-# type is int, float, bool, complex ([re, im], the bounds applying to each
-# part), a tuple of allowed values, or a row table such as TARGET (a non-empty
-# array of objects, each checked against it). REQUIRED marks a required key; a
-# default of None makes a number optional and nullable. Sections are checked in
-# this order, and every default of a scenario is stated here.
+# type is int, float, bool, complex ([re, im], the bounds applying to each part; its
+# default a Python complex), a tuple of allowed values, or a row table such as TARGET (a
+# non-empty array of objects, each checked against it). REQUIRED marks a required key; a
+# default of None makes a number optional and nullable. Sections are checked in this
+# order. The foliage and processing defaults are FoliageParams', metrics' and imaging's.
 SCHEMA = {
     "waveform": {
         "kind": (("ofdm", "noise"), REQUIRED, None, None),
@@ -69,16 +69,16 @@ SCHEMA = {
     "foliage": {
         "polarization": (tuple(ATTENUATION_CONSTANTS), REQUIRED, None, None),
         "grazing_angle_deg": (float, None, 1e-9, 90.0),
-        "gamma_shape": (float, 4.0, 1e-12, None),
-        "hurst": (float, 0.4, 1e-9, 1 - 1e-9),
-        "redraw_per_pulse": (bool, False, None, None),
-        "spectral_smoothing_bins": (int, 0, 0, None),
+        "gamma_shape": (float, FoliageParams.gamma_shape, 1e-12, None),
+        "hurst": (float, FoliageParams.hurst, 1e-9, 1 - 1e-9),
+        "redraw_per_pulse": (bool, FoliageParams.redraw_per_pulse, None, None),
+        "spectral_smoothing_bins": (int, FoliageParams.spectral_smoothing_bins, 0, None),
     },
     "noise": {"snr_db": (float, REQUIRED, None, None)},
     "processing": {
-        "azimuth_window": (("none", "hann"), "none", None, None),
-        "upsample": (int, 16, 1, None),
-        "smooth_window": (int, 3, 1, None),
+        "azimuth_window": (AZIMUTH_WINDOWS, AZIMUTH_WINDOWS[0], None, None),
+        "upsample": (int, UPSAMPLE, 1, None),
+        "smooth_window": (int, SMOOTH_WINDOW, 1, None),
     },
     "outputs": {
         "db_floor": (float, -50.0, None, -1e-9),
@@ -160,7 +160,8 @@ def _field(v, path, kind, default, minimum, maximum):
 def _section(node, path, table) -> dict:
     """Check one object against its field table; returns the normalized copy."""
     _keys(node, path, table, [k for k, spec in table.items() if spec[1] is REQUIRED])
-    return {key: _field(node.get(key, spec[1]), f"{path}.{key}", *spec)
+    return {key: _field(node.get(key, [spec[1].real, spec[1].imag] if spec[0] is complex
+                                 else spec[1]), f"{path}.{key}", *spec)
             for key, spec in table.items()}
 
 
@@ -368,7 +369,8 @@ def tank_targets(center_cell: int, cell_extent_m: float, n_range_cells: int) -> 
     """Point-target arrangement sketching a tank silhouette (side-on).
 
     Our own construction (the reference arrangement was never published):
-    hull outline, turret block and gun barrel, about 30 unit scatterers.
+    hull outline, turret block and gun barrel, about 30 scatterers of the
+    default rcs.
     Spacings keep neighbors separated by at least a resolution cell in
     range and about one azimuth resolution in azimuth. The range step is a
     quarter of the 2 m hull half-length, shortened where the hull (4 steps
@@ -378,19 +380,12 @@ def tank_targets(center_cell: int, cell_extent_m: float, n_range_cells: int) -> 
                center_cell // 4)
     hull_cells = [center_cell + k * step for k in range(-4, 5)]
     a = 0.85  # azimuth resolution, m
-    pts = []
-    for c in hull_cells:  # hull top and bottom edges
-        pts.append({"cell": c, "azimuth_m": -1.5 * a, "rcs": [1.0, 0.0]})
-        pts.append({"cell": c, "azimuth_m": 1.5 * a, "rcs": [1.0, 0.0]})
-    for az in (-0.5 * a, 0.5 * a):  # hull ends
-        pts.append({"cell": hull_cells[0], "azimuth_m": az, "rcs": [1.0, 0.0]})
-        pts.append({"cell": hull_cells[-1], "azimuth_m": az, "rcs": [1.0, 0.0]})
-    for c in (center_cell - step, center_cell, center_cell + step):  # turret
-        pts.append({"cell": c, "azimuth_m": 0.0, "rcs": [1.0, 0.0]})
+    pts = [(c, az) for c in hull_cells for az in (-1.5 * a, 1.5 * a)]  # hull top and bottom
+    pts += [(c, az) for az in (-0.5 * a, 0.5 * a) for c in (hull_cells[0], hull_cells[-1])]  # ends
+    pts += [(c, 0.0) for c in (center_cell - step, center_cell, center_cell + step)]  # turret
     barrel0 = hull_cells[-1] + step
-    for k in range(3):  # barrel
-        pts.append({"cell": barrel0 + k * step, "azimuth_m": 0.0, "rcs": [1.0, 0.0]})
-    return pts
+    pts += [(barrel0 + k * step, 0.0) for k in range(3)]  # barrel
+    return [{"cell": c, "azimuth_m": az} for c, az in pts]
 
 
 def _with_tank(doc: dict) -> dict:
@@ -409,7 +404,7 @@ FULL_PRESET = {
     "platform": {"altitude_m": 5000.0, "velocity_mps": 150.0, "aperture_s": 1.0,
                  "carrier_hz": 9.0e9, "reference_range_m": 5000.0 * math.sqrt(2.0),
                  "antenna_length_m": 1.91, "prf_hz": 256.0},
-    "scene": {"targets": [{"cell": 96, "azimuth_m": 0.0, "rcs": [1.0, 0.0]}]},
+    "scene": {"targets": [{"cell": 96}]},
     "processing": {},
     "outputs": {},
     "seeds": {"master": 0},
@@ -421,7 +416,7 @@ SMALL_PRESET = {
     "platform": {"altitude_m": 5000.0, "velocity_mps": 150.0, "aperture_s": 0.25,
                  "carrier_hz": 9.0e9, "reference_range_m": 5000.0 * math.sqrt(2.0),
                  "antenna_length_m": 7.64, "prf_hz": 128.0},
-    "scene": {"targets": [{"cell": 24, "azimuth_m": 0.0, "rcs": [1.0, 0.0]}]},
+    "scene": {"targets": [{"cell": 24}]},
     "processing": {},
     "outputs": {},
     "seeds": {"master": 0},

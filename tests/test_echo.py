@@ -187,14 +187,14 @@ class TestSynthesizeRaw:
 
     def test_deterministic(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform, kind="noise", snr_db=20.0,
-                      foliage=FoliageParams(), master_seed=3)
+                      foliage=FoliageParams("HH", np.pi / 4), master_seed=3)
         a = synthesize_raw(cfg)
         b = synthesize_raw(cfg)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_thread_count_does_not_change_bits(self, tiny_spec, tiny_platform):
         cfg = _config(tiny_spec, tiny_platform, kind="noise", snr_db=14.0,
-                      foliage=FoliageParams(), master_seed=5)
+                      foliage=FoliageParams("HH", np.pi / 4), master_seed=5)
         a = synthesize_raw(cfg, threads=1)
         b = synthesize_raw(cfg, threads=4)
         np.testing.assert_array_equal(a.data, b.data)
@@ -245,7 +245,8 @@ class TestSynthesizeRaw:
     def test_foliage_applied_before_noise(self, tiny_spec, tiny_platform):
         # with foliage F and no receiver noise, the clean line spectrum is
         # multiplied by F exactly
-        cfg = _config(tiny_spec, tiny_platform, foliage=FoliageParams(), master_seed=2)
+        cfg = _config(tiny_spec, tiny_platform, foliage=FoliageParams("HH", np.pi / 4),
+                      master_seed=2)
         clean = _config(tiny_spec, tiny_platform, master_seed=2)
         ch = foliage_channel(cfg)
         want = apply_foliage(_line(clean, 3), ch.realize(3))

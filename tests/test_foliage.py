@@ -195,8 +195,8 @@ class TestUnitPhasor:
         # the grid through blocks() itself: row p has delta_eta = dA[p] and every bin
         # delta_omega = 1, so row p, bin k is (dA[p], psi[k]); 165 rows span 6 blocks
         delta_a, psi = self.DELTA_A, self.PSI
-        ch = FoliageChannel(FoliageParams(), 0, 9e9 + np.fft.fftfreq(len(psi), d=0.25e-9),
-                            len(delta_a), 1 / 256.0)
+        ch = FoliageChannel(FoliageParams("HH", np.pi / 4), 0,
+                            9e9 + np.fft.fftfreq(len(psi), d=0.25e-9), len(delta_a), 1 / 256.0)
         t = np.tan(psi / 2.0)
         ch._frozen, ch._delta_eta = (np.ones(len(psi)), 2.0 * t, t * t), delta_a
         got = stacked_response(ch)
@@ -219,7 +219,7 @@ class TestUnitPhasor:
     def test_clamped_channel_bins(self):
         # every row is the reference within phasor_bound, and its amplitude sits on
         # the floor in some bins
-        ch = FoliageChannel(FoliageParams(gamma_shape=0.2), 3,
+        ch = FoliageChannel(FoliageParams("HH", np.pi / 4, gamma_shape=0.2), 3,
                             9e9 + np.fft.fftfreq(64, d=0.25e-9), 16, 1 / 256.0)
         clamped = 0
         for p in range(16):
@@ -232,7 +232,7 @@ class TestUnitPhasor:
 class TestFoliageChannel:
     def _channel(self, n_pulses=16, seed=0, **kw):
         freqs = 9e9 + np.fft.fftfreq(64, d=0.25e-9)
-        return FoliageChannel(FoliageParams(**kw), seed, freqs, n_pulses=n_pulses,
+        return FoliageChannel(FoliageParams("HH", np.pi / 4, **kw), seed, freqs, n_pulses=n_pulses,
                               pulse_interval_s=1 / 256.0)
 
     def test_no_fluctuation_reduces_to_mean_attenuation(self):
@@ -381,7 +381,7 @@ class TestFoliageChannel:
         # numpy's ufunc buffer, the per-pulse streams and their keys (about 85 KiB
         # with numpy 2.4), and is under half a real block buffer, so a third one fails
         n_bins = 1406
-        ch = FoliageChannel(FoliageParams(redraw_per_pulse=True), 2,
+        ch = FoliageChannel(FoliageParams("HH", np.pi / 4, redraw_per_pulse=True), 2,
                             9e9 + np.fft.fftfreq(n_bins, d=8e-9), 256, 1 / 256.0)
         real_block = BLOCK_PULSES * n_bins * 8
         tracemalloc.start()

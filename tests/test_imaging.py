@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from fopen_sar.echo import RawDataMatrix, SimulationConfig, synthesize_raw, transmitted_pulse
 from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, make_grid
-from fopen_sar.imaging import (azimuth_fft, migration_shift_cells,
+from fopen_sar.imaging import (AZIMUTH_WINDOWS, azimuth_fft, migration_shift_cells,
                                range_compress_noise, range_compress_ofdm, rcmc,
                                smooth_length, azimuth_compress, focus)
 from fopen_sar.scenario import focus_scenario, preset_scenario
@@ -401,6 +403,20 @@ class TestAzimuthCompressAndFocus:
         np.testing.assert_allclose(w.real, w.real[-np.arange(n)], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(w.real, 0.5 + 0.5 * np.cos(2 * np.pi * fd / plat.prf_hz),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("window", ["Hann", "hamming", "", None])
+    def test_unknown_window_rejected(self, window):
+        # a window outside AZIMUTH_WINDOWS raises, in focus too, rather than
+        # leaving the image unwindowed
+        spec = OfdmSpec(64, 8, 4e9, symbol_seed=0)
+        plat = PlatformParams(5000.0, 150.0, 0.25, 9e9, 5000.0 * np.sqrt(2.0),
+                              15.0, 128.0)
+        raw = synthesize_raw(SimulationConfig("ofdm", spec, Scene((PointTarget(4),), 8), plat))
+        named = re.escape(str(AZIMUTH_WINDOWS))
+        with pytest.raises(ValueError, match=named):
+            azimuth_compress(np.ones((8, 1), complex), plat, window)
+        with pytest.raises(ValueError, match=named):
+            focus(raw, spec, plat, generate_bpsk_symbols(0, 64), azimuth_window=window)
 
 
 class TestPointRcsEstimate:

@@ -2,7 +2,8 @@
 re-exports) uses every name it imports, and no function, class, method or
 property is defined only for tests. Every module but fileio leaves file
 formats to fileio, where write_csv and write_json are the only text writers,
-and no module names numpy's SeedSequence in code."""
+no module names numpy's SeedSequence in code, and the scenario schema restates
+no default of the records and functions that use it."""
 
 import ast
 import pathlib
@@ -176,3 +177,41 @@ def test_checker_finds_names_in_code():
 def test_no_module_builds_a_seed_sequence(module):
     # rng._philox_keys is the one key derivation; numpy's SeedSequence is the tests' oracle
     assert "SeedSequence" not in names_in_code((PACKAGE / module).read_text())
+
+
+def stated_defaults(source: str) -> list[str]:
+    """"<table>.<key>" of each entry of TARGET, SCHEMA["foliage"] and SCHEMA["processing"]
+    in source whose default, the entry's second item, is stated there: anything but a
+    name, an attribute, an item of one (AZIMUTH_WINDOWS[0]), or None (no default)."""
+    tables = {stmt.targets[0].id: stmt.value for stmt in ast.parse(source).body
+              if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict)
+              and isinstance(stmt.targets[0], ast.Name)}
+    schema = {k.value: v for k, v in zip(tables["SCHEMA"].keys, tables["SCHEMA"].values)}
+    found = []
+    for label, table in (("TARGET", tables["TARGET"]), ("foliage", schema["foliage"]),
+                         ("processing", schema["processing"])):
+        for key, entry in zip(table.keys, table.values):
+            default = entry.elts[1]
+            if isinstance(default, ast.Subscript):
+                default = default.value
+            if not (isinstance(default, (ast.Name, ast.Attribute))
+                    or isinstance(default, ast.Constant) and default.value is None):
+                found.append(f"{label}.{key.value}")
+    return found
+
+
+def test_checker_finds_stated_defaults():
+    source = ('TARGET = {"cell": (int, REQUIRED, 0, None), "rcs": (complex, [1.0, 0.0], 0, 1)}\n'
+              'SCHEMA = {"waveform": {"n": (int, 3, 1, None)},\n'
+              '          "foliage": {"a": (float, P.a, 0, None), "b": (float, None, 0, 1),\n'
+              '                      "c": (float, -0.5, 0, 1), "d": (float, float(4), 0, 1)},\n'
+              '          "processing": {"w": (W, W[0], None, None), "x": (W, ("a",)[0], 0, 1),\n'
+              '                         "u": (int, UPSAMPLE, 1, None), "s": (int, 3, 1, None)}}\n')
+    assert stated_defaults(source) == ["TARGET.rcs", "foliage.c", "foliage.d",
+                                       "processing.x", "processing.s"]
+
+
+def test_scenario_defaults_live_with_their_users():
+    # FoliageParams, PointTarget, metrics' UPSAMPLE and SMOOTH_WINDOW and
+    # imaging.AZIMUTH_WINDOWS hold these defaults; the schema only reads them
+    assert stated_defaults((PACKAGE / "scenario.py").read_text()) == []

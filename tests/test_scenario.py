@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -19,7 +20,8 @@ import pytest
 from fopen_sar import cli, echo, imaging, scenario
 from fopen_sar.echo import SimulationConfig, synthesize_raw
 from fopen_sar.foliage import ATTENUATION_CONSTANTS, FoliageParams
-from fopen_sar.metrics import NoPeakError
+from fopen_sar.geometry import PointTarget
+from fopen_sar.metrics import NoPeakError, image_metrics
 from fopen_sar.rng import TAGS, _philox_keys
 from fopen_sar.scenario import (PRESETS, SCHEMA, SMALL_PRESET, TARGET,
                                 SchemaError, Scenario, load_scenario,
@@ -323,6 +325,27 @@ class TestResolution:
             pol, grazing, gamma_shape=4.0, hurst=0.3, redraw_per_pulse=redraw,
             spectral_smoothing_bins=2)
 
+    def test_required_keys_resolve_to_the_pipelines_defaults(self):
+        # what a scenario leaves out is what the pipeline's records and functions
+        # take when not given: FoliageParams' and PointTarget's field defaults, and
+        # the default arguments of image_metrics and focus
+        doc = copy.deepcopy(SMALL_PRESET)
+        del doc["platform"]["antenna_length_m"]
+        doc["scene"]["targets"] = [{"cell": 24}]
+        doc["foliage"] = {"polarization": "VV"}
+        assert all(not doc[s] for s in ("processing", "outputs"))
+        scen = Scenario(doc)
+        cfg, p = scen.simulation_config(), doc["platform"]
+        assert cfg.foliage == FoliageParams(
+            "VV", math.asin(p["altitude_m"] / p["reference_range_m"]))
+        assert cfg.scene.targets == (PointTarget(24),)
+        proc = scen.processing
+        assert proc["azimuth_window"] == inspect.signature(
+            imaging.focus).parameters["azimuth_window"].default
+        pixels = run_pipeline(scen).pixels
+        assert image_metrics(pixels) == image_metrics(pixels, proc["upsample"],
+                                                      proc["smooth_window"])
+
     def test_with_overrides(self):
         scen = preset_scenario("small")
         noisy = scen.with_overrides(waveform_kind="noise", foliage_pol="VV",
@@ -353,7 +376,7 @@ class TestResolution:
         spec = OfdmSpec(cfg.ofdm.n_subcarriers, cfg.ofdm.n_range_cells,
                         cfg.ofdm.bandwidth_hz, symbol_seed=5)
         run = SimulationConfig("noise", spec, cfg.scene, cfg.platform,
-                               FoliageParams("HH", redraw_per_pulse=True), snr_db=20.0,
+                               FoliageParams("HH", np.pi / 4, redraw_per_pulse=True), snr_db=20.0,
                                master_seed=3)
         keyed = []
         monkeypatch.setattr("fopen_sar.rng._philox_keys", lambda seed, tag, index: keyed.append(
