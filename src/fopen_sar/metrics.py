@@ -25,10 +25,6 @@ class NoPeakError(ValueError):
     """Raised when a profile or image has no usable peak."""
 
 
-class UndefinedMetricError(ValueError):
-    """Raised when a metric's denominator is empty or zero."""
-
-
 @dataclass(frozen=True)
 class Profile:
     """1-D power profile with its main-lobe bracket.
@@ -49,6 +45,8 @@ class Profile:
             raise ValueError("peak must lie strictly between the nulls")
         if np.any(self.values < 0):
             raise ValueError("profile power must be nonnegative")
+        if not self.values[self.peak_index] > 0:
+            raise ValueError("peak power must be positive")
 
 
 def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:
@@ -159,8 +157,6 @@ def islr(profile: Profile) -> float:
     rest is sidelobe. Returns -inf when there is no sidelobe power.
     """
     main = float(np.sum(_lobes(profile)[0]))
-    if main <= 0:
-        raise UndefinedMetricError("main-lobe power is zero")
     side = float(np.sum(profile.values)) - main
     if side <= 0:
         return float("-inf")
@@ -170,8 +166,6 @@ def islr(profile: Profile) -> float:
 def pslr(profile: Profile) -> float:
     """Peak sidelobe ratio: 10 log10(largest sidelobe sample / peak sample)."""
     peak = float(profile.values[profile.peak_index])
-    if peak <= 0:
-        raise UndefinedMetricError("peak power is zero")
     side = _lobes(profile)[1]
     if side.size == 0 or side.max() <= 0:
         return float("-inf")

@@ -411,15 +411,11 @@ FULL_PRESET = {
 }
 
 SMALL_PRESET = {
-    "waveform": {"kind": "ofdm", "n_subcarriers": 256, "n_range_cells": 48,
-                 "bandwidth_hz": 4.0e9},
-    "platform": {"altitude_m": 5000.0, "velocity_mps": 150.0, "aperture_s": 0.25,
-                 "carrier_hz": 9.0e9, "reference_range_m": 5000.0 * math.sqrt(2.0),
-                 "antenna_length_m": 7.64, "prf_hz": 128.0},
+    **FULL_PRESET,
+    "waveform": {**FULL_PRESET["waveform"], "n_subcarriers": 256, "n_range_cells": 48},
+    "platform": {**FULL_PRESET["platform"], "aperture_s": 0.25, "antenna_length_m": 7.64,
+                 "prf_hz": 128.0},
     "scene": {"targets": [{"cell": 24}]},
-    "processing": {},
-    "outputs": {},
-    "seeds": {"master": 0},
 }
 
 PRESETS = {"full": FULL_PRESET, "small": SMALL_PRESET, "tank": _with_tank(FULL_PRESET)}

@@ -242,7 +242,7 @@ def test_azimuth_stages_match_a_direct_dft(case):
 def _outcome(scen, seeds, threads):
     try:
         return run_metrics(scen, seeds, threads=threads)
-    except ValueError as exc:  # NoPeakError or UndefinedMetricError, with its message
+    except ValueError as exc:  # NoPeakError, with its message
         return type(exc), str(exc)
 
 

@@ -3,15 +3,21 @@ re-exports) uses every name it imports, and no function, class, method or
 property is defined only for tests. Every module but fileio leaves file
 formats to fileio, where write_csv and write_json are the only text writers,
 no module names numpy's SeedSequence in code, and the scenario schema restates
-no default of the records and functions that use it."""
+no default of the records and functions that use it. Each name kept only for
+tests is still read from outside the package."""
 
 import ast
+import inspect
 import pathlib
 from collections import Counter
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fopen_sar"
+from fopen_sar import metrics
+from test_cli import _wrap_points
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fopen_sar"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -99,6 +105,39 @@ def test_every_definition_is_read_in_the_package():
     sources = {m: (PACKAGE / m).read_text() for m in MODULES}
     assert sorted(set(unread_definitions(sources)) - set(TEST_ONLY)) == []
     assert set(TEST_ONLY) <= set(unread_definitions(sources))
+
+
+def imported_names(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each name source imports as `from fopen_sar.<module> import name`."""
+    return {(f"{node.module.split('.')[1]}.py", a.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fopen_sar.")
+            for a in node.names}
+
+
+def wrapped_names(points) -> set[tuple[str, str]]:
+    """(module, name) of each tracer wrap point, "Class.method" for a class's."""
+    return {(pathlib.Path(inspect.getfile(owner)).name,
+             attr if inspect.ismodule(owner) else f"{owner.__name__}.{attr}")
+            for owner, attr, *_ in points}
+
+
+def test_checker_finds_outside_readers():
+    source = ("import fopen_sar\nfrom fopen_sar import metrics\n"
+              "from fopen_sar.scenario import Scenario, tank_scenario as t\n")
+    assert imported_names(source) == {("scenario.py", "Scenario"),
+                                      ("scenario.py", "tank_scenario")}
+    assert wrapped_names([(metrics, "islr", "g", None), (metrics.Profile, "m", "g", None)]) == {
+        ("metrics.py", "islr"), ("metrics.py", "Profile.m")}
+
+
+def test_every_test_only_name_is_read_outside_the_package():
+    # a wrap point of perfbench's tracer, or an import by perfbench, tools or the acceptance
+    # tests, keeps each TEST_ONLY name; one that loses its last reader is dead: delete it
+    sources = [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    readers = wrapped_names(_wrap_points()).union(*(imported_names(p.read_text())
+                                                    for p in sources))
+    assert sorted(set(TEST_ONLY) - readers) == []
 
 
 # What only fileio.py, the home of every file format, may import or name.

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import fopen_sar
-from fopen_sar.metrics import (METRIC_KEYS, NoPeakError, Profile,
-                               UndefinedMetricError, aggregate_reports,
+from fopen_sar.metrics import (METRIC_KEYS, NoPeakError, Profile, aggregate_reports,
                                extract_profiles, find_mainlobe, image_metrics,
                                islr, mainlobe_width_3db, paired_differences,
                                profile_from_cut, pslr, upsample_complex)
@@ -166,13 +165,6 @@ class TestIslrPslr:
         p = _profile(vals, 0, 4)
         assert islr(p) == float("-inf")
 
-    def test_islr_zero_mainlobe_undefined(self):
-        vals = np.zeros(7)
-        vals[5] = 1.0
-        p = Profile(vals, 1, 1, 0, 2)
-        with pytest.raises(UndefinedMetricError):
-            islr(p)
-
     def test_pslr_direct_ratio(self):
         vals = np.zeros(11)
         vals[5] = 1.0
@@ -288,6 +280,10 @@ class TestReport:
             Profile(np.ones(5), 1, 0, 0, 2)
         with pytest.raises(ValueError):
             Profile(-np.ones(5), 1, 1, 0, 2)
+        zero_peak = np.zeros(7)
+        zero_peak[5] = 1.0
+        with pytest.raises(ValueError, match="peak power must be positive"):
+            Profile(zero_peak, 1, 1, 0, 2)
 
 
 def test_package_exports_no_peak_error():
