@@ -26,6 +26,8 @@ from . import __version__
 from .echo import RawDataMatrix, foliage_channel, synthesize_raw
 from .fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar, write_csv,
                      write_fimg, write_fsar, write_json, write_pgm, write_png, write_raw_csv)
+from .foliage import block_rows
+from .imaging import smooth_length
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
                       extract_profiles, image_metrics, paired_differences)
 from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_scenario,
@@ -43,6 +45,10 @@ _CSV_MAX_SAMPLES = 1 << 16
 _MAX_SEEDS = 1 << 20
 # Most --threads a command takes: a constant, so a command exits alike on every host.
 _MAX_THREADS = 64
+# Most bytes a command's runs may hold at once, by _peak_bytes: a constant for the same
+# reason. One run of a raw matrix at the MAX_SAMPLES cap fits at the default upsample:
+# 0.6 GiB at the full preset's line, 1.1 GiB for the tank, 3.0 GiB for 2 pulses.
+_MEMORY_BUDGET = 4 << 30
 
 
 class MismatchError(ValueError):
@@ -127,6 +133,33 @@ def _per_seed_csv(stem, seeds, per_seed) -> tuple:
     """The write of <stem>_per_seed.csv: a seed column, then one per METRIC_KEYS."""
     return (f"{stem}_per_seed.csv", write_csv, ["seed", *METRIC_KEYS],
             [[seeds, *(np.array([m[k] for m in per_seed]) for k in METRIC_KEYS)]])
+
+
+def _peak_bytes(scen, threads) -> int:
+    """Bytes one scenario's runs hold at once on `threads` seed threads, from above:
+    each thread's raw matrix, its range-compressed matrix, four blocks of raw lines
+    (block_rows of them, at the compressors' FFT length), six whole-line vectors and
+    four upsampled profiles, plus a multi-cell scene's shared FFT(G, L), as large as a
+    raw matrix. Against the tracemalloc peak of run_metrics it reads 1.03-1.30x from 2
+    to 256 pulses of 350 to 2^18 + 382 samples, frozen, redrawn or no foliage, one
+    or two threads, and 1.87x at the full preset with upsample 4096."""
+    cfg = scen.simulation_config()
+    pulses, line, cells = cfg.platform.n_pulses(), cfg.ofdm.line_length, cfg.ofdm.n_range_cells
+    raw = 16 * pulses * line
+    run = (raw + 16 * pulses * cells + 4 * 16 * smooth_length(line) * block_rows(pulses, line)
+           + 6 * 16 * line + 4 * 16 * max(pulses, cells) * scen.processing["upsample"])
+    return threads * run + raw * (len({t.range_cell for t in cfg.scene.targets}) > 1)
+
+
+def _check_memory(scen, threads):
+    """Refuse runs whose _peak_bytes is over _MEMORY_BUDGET, naming what to lower:
+    platform.aperture_s when one run is over it, else --threads."""
+    for fix, runs, n in (("platform.aperture_s", "one run", 1),
+                         ("--threads", f"{threads} seed threads", threads)):
+        if _peak_bytes(scen, n) > _MEMORY_BUDGET:
+            raise SchemaError(f"{fix}: {runs} of {scen.label()} would hold about "
+                              f"{_peak_bytes(scen, n) / 2**20:.1f} MiB, over the memory "
+                              f"budget of {_MEMORY_BUDGET / 2**20:.1f} MiB")
 
 
 def _seed_list(scen, args) -> list[int]:
@@ -289,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command in the frame all four share; map errors to exit codes.
 
-    Every argument, scenario and seed-range rule is judged before --out is
-    created. Once the stage returns, main removes the old manifest, makes the
+    Every argument, scenario, seed-range and memory-budget rule is judged before
+    --out is created. Once the stage returns, main removes the old manifest, makes the
     stage's writes and writes the new manifest: a failed stage leaves --out as it
     was, and a failed write leaves no manifest nor an --out it made and left empty.
     Each distinct advisory goes to stderr once, and into the manifest's "warnings".
@@ -303,6 +336,8 @@ def main(argv=None) -> int:
         if getattr(args, "image", None) and args.seeds != 1:
             raise SchemaError("metrics: --seeds must be 1 with --image")
         seed_lists = [_seed_list(scen, args) for scen in scens]
+        for scen, seeds in zip(scens, seed_lists):
+            _check_memory(scen, min(args.threads, len(seeds)))
         os.makedirs(args.out, exist_ok=True)
         stem = os.path.join(args.out, f"{scens[0].label()}-seed{scens[0].master_seed}")
         advisories = list(dict.fromkeys(a for s in scens for a in s.advisories))

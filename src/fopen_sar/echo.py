@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliage import BLOCK_PULSES, FoliageChannel, FoliageParams
+from .foliage import FoliageChannel, FoliageParams, block_rows
 from .geometry import PlatformParams, Scene, gm_vector, make_grid
 from .rng import substreams
 from .waveform import OfdmSpec, generate_noise_pulse, generate_ofdm_pulse
@@ -119,11 +119,11 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
 
 
 def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
-    """Synthesize the raw data matrix in place, BLOCK_PULSES rows at a time: the
-    FFT(G, L) rows, times the F block of FoliageChannel.blocks() (if any), times
-    FFT(s, L), inverse-transformed, plus receiver noise. It is the one full-size
-    array a run allocates besides the geometry memo. For a one-cell scene
-    FFT(G, L) = G[:, c] * ramp, and the ramp is multiplied into FFT(s, L) once
+    """Synthesize the raw data matrix in place, block_rows(pulses, L) rows at a
+    time: the FFT(G, L) rows, times the F block of FoliageChannel.blocks() (if
+    any), times FFT(s, L), inverse-transformed, plus receiver noise. It is the
+    one full-size array a run allocates besides the geometry memo. For a one-cell
+    scene FFT(G, L) = G[:, c] * ramp, and the ramp is multiplied into FFT(s, L) once
     per run: with foliage each block is G[:, c] times F times that row, and
     without it every raw row is G[j, c] times one inverse-transformed line,
     which agrees with the blocked form to rounding. threads is the caller's
@@ -139,6 +139,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         if channel is None:  # the inverse transform is linear: one line serves every pulse
             line = np.fft.ifft(s_spec)
     data = np.empty((config.platform.n_pulses(), n), dtype=complex)
+    height = block_rows(len(data), n)
     foliage = itertools.repeat(None) if channel is None else channel.blocks()
     if config.snr_db is not None:
         # SNR is referenced to the transmitted pulse's peak power, which a
@@ -146,9 +147,9 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         peak = float(np.max(np.abs(pulse) ** 2))
         sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
         streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
-        noise = np.empty((BLOCK_PULSES, 2, n))
-    for start, f in zip(range(0, len(data), BLOCK_PULSES), foliage):
-        span = slice(start, start + BLOCK_PULSES)
+        noise = np.empty((height, 2, n))
+    for start, f in zip(range(0, len(data), height), foliage):
+        span = slice(start, start + height)
         rows = data[span]
         if line is not None:
             np.multiply(g[span], line, out=rows)

@@ -20,8 +20,8 @@ delta_eta; redraw_per_pulse=True draws pulse p from key p + 1. One routine
 turns a key's draws into the per-bin (delta_omega, 2t, t^2), t = tan(psi / 2):
 once per run for the frozen channel, once per block for a redrawn one.
 
-FoliageChannel.blocks() streams F BLOCK_PULSES pulses at a time; synthesis,
-the CSV dump and realize() all read that one stream.
+FoliageChannel.blocks() streams F block_rows(pulses, bins) pulses at a time;
+synthesis, the CSV dump and realize() all read that one stream.
 """
 
 import itertools
@@ -41,11 +41,16 @@ ATTENUATION_CONSTANTS = {
 # to zero or below.
 AMPLITUDE_FLOOR = 1e-6
 
-# Pulses per block of a [pulse, bin] pass. A block's temporaries stay under
-# 1 MB, which the C allocator keeps and reuses run after run; whole-matrix
-# temporaries (5.8 MB each at the full preset) it hands back to the system,
-# so every run page-faults them in afresh, at more cost than the arithmetic.
-BLOCK_PULSES = 32
+# Bytes of a [row, value] block, one row at least: the full preset's 32 pulses of
+# 1406 bins, as at every preset. Block temporaries under 1 MB the C allocator keeps
+# and reuses run after run; whole-matrix ones (5.8 MB each at the full preset) it
+# hands back to the system, so every run page-faults them in afresh, at more cost.
+BLOCK_BYTES = 704 * 1024
+
+
+def block_rows(rows: int, row_length: int) -> int:
+    """Rows per block of a [rows, row_length] complex pass: BLOCK_BYTES' worth, 1 to rows."""
+    return max(1, min(rows, BLOCK_BYTES // (16 * row_length)))
 
 
 @dataclass(frozen=True)
@@ -70,16 +75,32 @@ def mean_attenuation_db(freq_hz: float | np.ndarray, params: FoliageParams) -> n
 
 
 def _fgn_davies_harte(n: int, hurst: float, rng: "np.random.Generator") -> np.ndarray:
-    """Exact fractional Gaussian noise by circulant embedding, unit variance."""
+    """Exact fractional Gaussian noise by circulant embedding, unit variance.
+
+    The embedding's exact eigenvalues are nonnegative for every 0 < H < 1 (Craigmile
+    2003 for H <= 1/2; rho convex and decreasing for H > 1/2, Dietrich & Newsam 1997),
+    so a computed negative within the rounding bound below is clamped to 0, and one
+    past it raises. Bound, e = eps: each power (k + 1)^2H, |k - 1|^2H, k^2H taken as
+    within 4e relative (4 ulp), and the sum and difference rounding by e each, rho_k,
+    which cancels from about k^2H to H (2H - 1) k^(2H - 2), is within
+    3e ((k + 1)^2H + |k - 1|^2H + 2 k^2H) <= 12e (k + 1)^2H. An eigenvalue sums the
+    m = 2n circulant entries times unit phasors, so their errors move it by at most
+    12e times the sum of (k + 1)^2H over the entries, under 24e times the sum over
+    k = 0..n; the FFT of entries of size <= 1 (rho is a correlation) adds at most
+    16 log2(2m) e m (3.8e per radix-2 pass, Higham, Accuracy and Stability of
+    Numerical Algorithms, Theorem 24.2, with room for Bluestein's three transforms of
+    length >= 2m). Measured for H from 1e-9 to 1 - 1e-9 and n up to 2^20 - 1, the most
+    negative eigenvalue is at most 0.002 of the bound (-2.4e-7 against 1.2e-4 at
+    H = 1 - 1e-9, n = 4095)."""
     k = np.arange(n + 1, dtype=float)
-    rho = 0.5 * ((k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst)
-                 - 2 * k ** (2 * hurst))
+    powers = (k + 1) ** (2 * hurst)
+    rho = 0.5 * (powers + np.abs(k - 1) ** (2 * hurst) - 2 * k ** (2 * hurst))
     circ = np.concatenate([rho, rho[n - 1:0:-1]])
     eig = np.fft.fft(circ).real
-    if np.any(eig < -1e-12 * eig.max()):
-        raise ValueError("circulant embedding not nonnegative definite")
-    eig = np.maximum(eig, 0.0)
     m = 2 * n
+    if eig.min() < -np.finfo(float).eps * (24 * powers.sum() + 16 * m * np.log2(2 * m)):
+        raise ValueError("circulant embedding negative past its rounding bound")
+    eig = np.maximum(eig, 0.0)
     z = np.empty(m, dtype=complex)
     z[0] = np.sqrt(2.0) * rng.standard_normal()
     z[n] = np.sqrt(2.0) * rng.standard_normal()
@@ -156,20 +177,21 @@ class FoliageChannel:
         return d, two_t, t2
 
     def blocks(self):
-        """F = A w' / |w'| of BLOCK_PULSES pulses at a time, from pulse 0 on, in one
-        reused complex block, where w' = (1 + dA) + t^2 (1 - dA) + 2j dA t. The per-bin
-        (delta_omega, 2t, t^2) are the frozen channel's, or _draw's of the block's keys
-        into the block's buffers, and the rest is one formula. One real buffer holds
+        """F = A w' / |w'| of block_rows(pulses, bins) pulses at a time, from pulse 0
+        on, in one reused complex block, w' = (1 + dA) + t^2 (1 - dA) + 2j dA t. The
+        per-bin (delta_omega, 2t, t^2) are the frozen channel's, or _draw's of the block's
+        keys into the block's buffers, and the rest is one formula. One real buffer holds
         delta_A (delta_omega times delta_eta), then 1 + delta_A, then A; the other a
         drawn block's u, then 2t, then t^2 (1 - dA), then |w'|. A drawn block's
         delta_omega is the first buffer itself, and its t^2 waits in F's real part."""
-        f = np.empty((min(BLOCK_PULSES, self.n_pulses), len(self.freq_grid_hz)), dtype=complex)
+        height = block_rows(self.n_pulses, len(self.freq_grid_hz))
+        f = np.empty((height, len(self.freq_grid_hz)), dtype=complex)
         delta_a, mag = np.empty((2,) + f.shape)
         if self._frozen is None:
             keys = np.arange(1, self.n_pulses + 1)
             draws = zip(substreams(self.seed, "foliage_gamma", keys),
                         substreams(self.seed, "foliage_phase", keys))
-        for start in range(0, self.n_pulses, BLOCK_PULSES):
+        for start in range(0, self.n_pulses, height):
             w, d, m = (a[:self.n_pulses - start] for a in (f, delta_a, mag))
             delta_omega, two_t, t2 = self._frozen or self._draw(d, m, w.real, draws)
             np.multiply(delta_omega, self._delta_eta[start:start + len(w), None], out=d)
@@ -195,7 +217,8 @@ class FoliageChannel:
         the blocks() stream."""
         if not 0 <= pulse_index < self.n_pulses:
             raise IndexError(f"pulse_index {pulse_index} outside [0, {self.n_pulses})")
-        rows = next(itertools.islice(self.blocks(), pulse_index // BLOCK_PULSES, None))
-        f = rows[pulse_index % BLOCK_PULSES].copy()
+        height = block_rows(self.n_pulses, len(self.freq_grid_hz))
+        rows = next(itertools.islice(self.blocks(), pulse_index // height, None))
+        f = rows[pulse_index % height].copy()
         f.setflags(write=False)
         return f

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .foliage import block_rows
+
 C_LIGHT = 299792458.0
-TARGET_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,9 @@ def gm_vector(scene: Scene, grid: RangeGrid, platform: PlatformParams,
 
     A scalar eta gives the length-M vector, bit for bit the array form's row
     at that slow time; an array of slow times gives G[pulse, cell]. Targets
-    are formed on [..., target] arrays, in blocks of about
-    TARGET_BLOCK_ELEMENTS entries so memory does not grow with the target
-    count, and added into their cells in scene order; empty cells are zero.
+    are formed on [..., target] arrays, block_rows(targets, slow times) targets
+    at a time, so memory does not grow with the target count, and added into
+    their cells in scene order; empty cells are zero.
     """
     eta = np.asarray(eta, dtype=float)
     g = np.zeros(eta.shape + (scene.n_range_cells,), dtype=complex)
@@ -125,7 +126,7 @@ def gm_vector(scene: Scene, grid: RangeGrid, platform: PlatformParams,
     y = np.array([t.azimuth_m for t in scene.targets], dtype=float)
     rcs = np.array([t.rcs for t in scene.targets], dtype=complex)
     rc = grid.reference_range_m
-    step = max(1, TARGET_BLOCK_ELEMENTS // max(eta.size, 1))
+    step = block_rows(cells.size, eta.size)
     for b in (slice(i, i + step) for i in range(0, cells.size, step)):
         dr0 = (cells[b] - grid.n_cells // 2) * grid.cell_extent_m
         r0 = grid.slant_range_of_cell(cells[b])
@@ -133,6 +134,9 @@ def gm_vector(scene: Scene, grid: RangeGrid, platform: PlatformParams,
         r = np.sqrt(r0**2 + du**2)
         gain = np.sinc(platform.antenna_length_m * np.arctan2(du, r0) / platform.wavelength_m) ** 2
         dr = (dr0 * (r0 + rc) + du**2) / (r + rc)
-        phase = platform.reference_phasor * np.exp(-1j * (4.0 * np.pi / platform.wavelength_m * dr))
+        # a ufunc call, not *: numpy computes a temporary of 256 KiB or more in place,
+        # as exp * phasor, whose complex product rounds apart from phasor * exp
+        phase = np.multiply(platform.reference_phasor,
+                            np.exp(-1j * (4.0 * np.pi / platform.wavelength_m * dr)))
         np.add.at(g, (..., cells[b]), rcs[b] * gain * phase)
     return g

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import RawDataMatrix
-from .foliage import BLOCK_PULSES
+from .foliage import block_rows
 from .geometry import PlatformParams
 from .waveform import OfdmSpec
 
@@ -53,21 +53,23 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
             f"raw line length {raw.data.shape[1]} != N+2M-2 = {spec.line_length}")
     k = np.arange(n)
     eq = np.exp(-2j * np.pi * ((m - 1) * k % n) / n) / symbols
-    return RangeCompressedMatrix(_filter_rows(raw.data[:, m - 1:m - 1 + n], eq, m))
+    return RangeCompressedMatrix(_filter_rows(raw.data, slice(m - 1, m - 1 + n), eq, m))
 
 
-def _filter_rows(lines: np.ndarray, response: np.ndarray, n_out: int) -> np.ndarray:
-    """IFFT(FFT(line, n) * response)[:n_out] of every row, n = len(response),
-    BLOCK_PULSES rows at a time in one reused block buffer."""
+def _filter_rows(data: np.ndarray, window: slice, response: np.ndarray,
+                 n_out: int) -> np.ndarray:
+    """IFFT(FFT(line[window], n) * response)[:n_out] of every raw line, n =
+    len(response), in one reused block buffer of the raw matrix's block_rows."""
     n = len(response)
-    out = np.empty((len(lines), n_out), dtype=complex)
-    buf = np.empty((min(BLOCK_PULSES, len(lines)), n), dtype=complex)
-    for start in range(0, len(lines), BLOCK_PULSES):
-        rows = lines[start:start + BLOCK_PULSES]
+    height = block_rows(*data.shape)
+    out = np.empty((len(data), n_out), dtype=complex)
+    buf = np.empty((height, n), dtype=complex)
+    for start in range(0, len(data), height):
+        rows = data[start:start + height, window]
         block = np.fft.fft(rows, n, axis=1, out=buf[:len(rows)])
         block *= response
         np.fft.ifft(block, axis=1, out=block)
-        out[start:start + BLOCK_PULSES] = block[:, :n_out]
+        out[start:start + height] = block[:, :n_out]
     return out
 
 
@@ -96,13 +98,14 @@ def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray) -> RangeCompre
     N+M-1), normalized by the replica energy so a unit single-tap channel gives
     a unit-magnitude peak. It is IFFT(FFT(line, L') * conj(FFT(replica, L')))
     at the fast length L' = smooth_length(L) >= L: those lags never wrap around
-    L'. Pulses are filtered BLOCK_PULSES at a time.
+    L'. Pulses are filtered as many at a time as synthesis forms.
     """
     length = raw.data.shape[1]
     if length < len(replica):
         raise ValueError(f"raw line length {length} is shorter than the replica ({len(replica)})")
     n = smooth_length(length)
-    out = _filter_rows(raw.data, np.conj(np.fft.fft(replica, n)), length - len(replica) + 1)
+    out = _filter_rows(raw.data, slice(None), np.conj(np.fft.fft(replica, n)),
+                       length - len(replica) + 1)
     out /= np.sum(np.abs(replica) ** 2)
     return RangeCompressedMatrix(out)
 

@@ -472,9 +472,9 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
 
     def stride(k):
         for i in range(k, len(seeds), n):
-            try:
-                img = run_pipeline(scen, master_seed=seeds[i])
-                results[i] = image_metrics(img.pixels, scen.processing["upsample"],
+            try:  # no local holds the image into the next seed's synthesis
+                results[i] = image_metrics(run_pipeline(scen, master_seed=seeds[i]).pixels,
+                                           scen.processing["upsample"],
                                            scen.processing["smooth_window"])
             except BaseException as exc:  # re-raised below, in seed order
                 results[i] = exc

@@ -17,7 +17,7 @@ from fopen_sar import cli, imaging, scenario
 from fopen_sar.cli import main
 from fopen_sar.fileio import read_fimg, read_fsar, write_fimg, write_fsar
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError
-from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, run_metrics
+from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, preset_scenario, run_metrics
 
 
 @pytest.fixture
@@ -435,6 +435,17 @@ class TestSchemaHoles:
                      "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    def test_hurst_near_one_simulates(self, tmp_path):
+        # 4224 pulses at hurst 1 - 1e-9: the fBm's circulant embedding rounds to
+        # eigenvalues of -3.2e-11 times the largest, which once ended in a ValueError
+        # traceback; they are within the autocovariance formula's rounding bound
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["platform"]["aperture_s"] = 33.0
+        doc["foliage"] = {"polarization": "HH", "hurst": 0.999999999}
+        scen = tmp_path / "hurst.json"
+        scen.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 0
+
     def test_image_with_fewer_subcarriers_than_cells_writes_nothing(self, tmp_path):
         doc = copy.deepcopy(SMALL_PRESET)
         doc["waveform"]["n_subcarriers"] = 47
@@ -669,6 +680,13 @@ _FAILS_BEFORE_WRITING = {
                                   4),
     "image_raw_truncated": (["image", "--preset", "small", "--raw", "{truncated}"], 3),
     "image_raw_wrong_shape": (["image", "--preset", "small", "--raw", "{wrong_fsar}"], 4),
+    # over the memory budget, lowered to one small-preset run
+    "metrics_threads_over_budget": (["metrics", "--preset", "small", "--seeds", "2",
+                                     "--threads", "2"], 2),
+    "compare_threads_over_budget": (["compare", "--preset", "small", "--seeds", "3",
+                                     "--threads", "3"], 2),
+    "simulate_aperture_over_budget": (["simulate", "--scenario", "{long}"], 2),
+    "image_aperture_over_budget": (["image", "--scenario", "{long}"], 2),
 }
 
 
@@ -682,6 +700,10 @@ def _small_file_with(tmp_path, name, edit):
 
 def _zero_rcs(doc):
     doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
+
+
+def _one_small_run_budget(monkeypatch):
+    monkeypatch.setattr(cli, "_MEMORY_BUDGET", cli._peak_bytes(preset_scenario("small"), 1))
 
 
 @pytest.fixture(scope="module")
@@ -701,11 +723,14 @@ class TestFrame:
     @pytest.mark.parametrize("argv, code", list(_FAILS_BEFORE_WRITING.values()),
                              ids=list(_FAILS_BEFORE_WRITING))
     def test_failure_before_the_stage_writes_touches_nothing(self, argv, code, small_file,
-                                                             earlier_runs, tmp_path):
+                                                             earlier_runs, tmp_path,
+                                                             monkeypatch):
         # main once judged the seed ranges after it had made --out and removed the
         # old manifest, simulate kept the last of two --scenario files, image wrote
-        # its FIMG, PGM and PNG before it found no peak for the profiles, and main
-        # removed the old manifest before every stage ran
+        # its FIMG, PGM and PNG before it found no peak for the profiles, main
+        # removed the old manifest before every stage ran, and no memory budget was
+        # judged at all
+        _one_small_run_budget(monkeypatch)
         wrong = np.zeros((2, 3), complex)
         write_fsar(str(tmp_path / "wrong.fsar"), wrong)
         write_fimg(str(tmp_path / "wrong.fimg"), wrong)
@@ -714,6 +739,8 @@ class TestFrame:
                  "late": _small_file_with(tmp_path, "late",
                                           lambda d: d["seeds"].update(master=2**64 - 2)),
                  "zero": _small_file_with(tmp_path, "zero", _zero_rcs),
+                 "long": _small_file_with(tmp_path, "long",
+                                          lambda d: d["platform"].update(aperture_s=0.5)),
                  "wrong_fsar": str(tmp_path / "wrong.fsar"),
                  "wrong_fimg": str(tmp_path / "wrong.fimg"),
                  "truncated": str(tmp_path / "truncated.fsar")}
@@ -726,6 +753,26 @@ class TestFrame:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(argv + ["--out", str(out)]) == code
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, field", [
+        (["metrics", "--preset", "small", "--seeds", "2", "--threads", "3"],
+         "--threads: 2 seed threads of ofdm-foliage_off would hold about"),
+        (["image", "--preset", "small", "--seed", "1"], None),
+        (["compare", "--scenario", "{long}", "--scenario", "{long}", "--threads", "2"],
+         "platform.aperture_s: one run of ofdm-foliage_off would hold about"),
+    ], ids=["threads", "one_run_fits", "aperture"])
+    def test_memory_budget_names_what_to_lower(self, argv, field, tmp_path, monkeypatch,
+                                               capsys):
+        _one_small_run_budget(monkeypatch)
+        long = _small_file_with(tmp_path, "long",
+                                lambda d: d["platform"].update(aperture_s=0.5))
+        argv = [a.format(long=long) for a in argv] + ["--out", str(tmp_path / "o")]
+        assert main(argv) == (2 if field else 0)
+        err = capsys.readouterr().err
+        if field:
+            assert f"error: {field}" in err and "over the memory budget of" in err
+        else:
+            assert err == ""
 
     @pytest.mark.parametrize("command, owner", [("simulate", cli), ("metrics", scenario)],
                              ids=["simulate", "metrics"])

@@ -3,15 +3,18 @@ on cases drawn inside the domain that validation accepts.
 
 Every case comes from a fixed-seed random.Random, so every run checks the same
 inputs. A synthesis case is a scenario document that Scenario validates: N in
-[8, 64], 1 <= M <= min(12, N), a pulse count on either side of the 32-pulse
-block, 1-5 targets (in half the cases all in one range cell, the one-cell
-path), foliage off, frozen or redrawn (smoothing 0-5 bins, gamma_shape 0.2-4),
-receiver noise on or off, and either waveform. Each row of synthesize_raw is
-checked against the per-pulse form: np.convolve of the pulse with that row of
-gm_vector, then F_j of the channel's block stream applied by apply_foliage, then
-pulse j's receiver-noise substream. The range compressors are checked on random
-matrices against brute_force's loop sums, the azimuth stages against a direct
-DFT, and run_metrics for equal results, or equal errors, at 1 and 2 threads.
+[8, 64], 1 <= M <= min(12, N), 2 to 70 pulses, 1-5 targets (in half the cases
+all in one range cell, the one-cell path), foliage off, frozen or redrawn
+(smoothing 0-5 bins, gamma_shape 0.2-4), receiver noise on or off, and either
+waveform. BLOCK_BYTES holds all the pulses of such short lines in one block, so
+the cases take turns at that bound, at one-pulse blocks and at 32-pulse blocks,
+whose last block is partial in the cases of 3, 31, 33 and 70 pulses. Each row of
+synthesize_raw is checked against the per-pulse form: np.convolve of the pulse
+with that row of gm_vector, then F_j of the channel's block stream applied by
+apply_foliage, then pulse j's receiver-noise substream. The range compressors are
+checked on random matrices against brute_force's loop sums, the azimuth stages
+against a direct DFT, and run_metrics for equal results, or equal errors, at 1
+and 2 threads.
 
 Bounds. e = np.finfo(float).eps; each float operation rounds by at most e/2
 relative, so a complex product is within 1.5e, a sum of n terms within n e/2 of
@@ -67,6 +70,7 @@ import random
 import numpy as np
 import pytest
 
+from fopen_sar import foliage
 from fopen_sar.echo import (RawDataMatrix, apply_foliage, foliage_channel, synthesize_raw,
                             transmitted_pulse)
 from fopen_sar.geometry import gm_vector, make_grid
@@ -79,6 +83,7 @@ from brute_force import matched_filter, range_reconstruct, receiver_noise, stack
 
 E = np.finfo(float).eps
 PULSES = (2, 3, 31, 32, 33, 45, 64, 70)
+BLOCK_HEIGHTS = (None, 1, 32)  # None: BLOCK_BYTES as it is
 
 
 def _factors(n: int) -> list[int]:
@@ -131,8 +136,11 @@ def _amax(x) -> float:
 
 
 @pytest.mark.parametrize("case", range(len(SYNTHESIS_DOCS)))
-def test_synthesis_rows_match_the_per_pulse_form(case):
+def test_synthesis_rows_match_the_per_pulse_form(case, monkeypatch):
     cfg = Scenario(SYNTHESIS_DOCS[case]).simulation_config()
+    height = BLOCK_HEIGHTS[case % len(BLOCK_HEIGHTS)]
+    if height:
+        monkeypatch.setattr(foliage, "BLOCK_BYTES", 16 * cfg.ofdm.line_length * height)
     raw = synthesize_raw(cfg).data
     length = raw.shape[1]
     pulse = transmitted_pulse(cfg)

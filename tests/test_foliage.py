@@ -6,8 +6,8 @@ import pytest
 
 from fopen_sar import fileio
 from fopen_sar.fileio import dump_realizations_csv
-from fopen_sar.foliage import (AMPLITUDE_FLOOR, ATTENUATION_CONSTANTS, BLOCK_PULSES,
-                               FoliageChannel, FoliageParams, _fgn_davies_harte, fbm_path,
+from fopen_sar.foliage import (AMPLITUDE_FLOOR, ATTENUATION_CONSTANTS, FoliageChannel,
+                               FoliageParams, _fgn_davies_harte, block_rows, fbm_path,
                                mean_attenuation_db)
 from fopen_sar.rng import _philox_keys, substream
 
@@ -141,6 +141,13 @@ class TestFbm:
     def test_davies_harte_unit_variance(self):
         fgn = _fgn_davies_harte(1 << 14, 0.4, substream(5, "foliage_fbm"))
         assert np.std(fgn) == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("n, hurst", [(4095, 0.999999999), ((1 << 20) - 1, 0.999)])
+    def test_davies_harte_clamps_rounding_negatives_near_hurst_one(self, n, hurst):
+        # the cancelling autocovariance leaves computed eigenvalues of -2.9e-11 and
+        # -1.6e-7 times the largest, which the fixed -1e-12 tolerance once refused
+        fgn = _fgn_davies_harte(n, hurst, substream(5, "foliage_fbm"))
+        assert fgn.shape == (n,) and np.isfinite(fgn).all()
 
 
 class TestPhaseFluctuation:
@@ -383,7 +390,7 @@ class TestFoliageChannel:
         n_bins = 1406
         ch = FoliageChannel(FoliageParams("HH", np.pi / 4, redraw_per_pulse=True), 2,
                             9e9 + np.fft.fftfreq(n_bins, d=8e-9), 256, 1 / 256.0)
-        real_block = BLOCK_PULSES * n_bins * 8
+        real_block = block_rows(256, n_bins) * n_bins * 8
         tracemalloc.start()
         try:
             for _ in ch.blocks():

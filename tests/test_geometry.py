@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fopen_sar import geometry
+from fopen_sar import foliage
 from fopen_sar.geometry import (C_LIGHT, PlatformParams, PointTarget, RangeGrid,
                                 Scene, gm_vector, make_grid)
 
@@ -211,8 +211,9 @@ class TestGmVector:
 
     def test_many_targets_form_in_blocks(self, monkeypatch, tiny_spec, tiny_platform,
                                          tiny_grid):
-        # 64 pulses x 16384 targets: sixteen blocks of 1024 targets. G has the
-        # bits of the one-block form, and no [pulse, target] array is held
+        # 64 pulses x 16384 targets: blocks of BLOCK_BYTES // (16 * 64) = 704 targets,
+        # the last one partial. G has the bits of the one-block form, and no
+        # [pulse, target] array is held
         rng = np.random.default_rng(11)
         n = 1 << 14
         scene = Scene(tuple(PointTarget(int(c), float(y)) for c, y in
@@ -226,7 +227,7 @@ class TestGmVector:
         finally:
             tracemalloc.stop()
         assert peak < eta.size * n * np.dtype(complex).itemsize
-        monkeypatch.setattr(geometry, "TARGET_BLOCK_ELEMENTS", eta.size * n)
+        monkeypatch.setattr(foliage, "BLOCK_BYTES", 16 * eta.size * n)
         assert g.tobytes() == gm_vector(scene, tiny_grid, tiny_platform, eta).tobytes()
 
     def test_scalar_eta_gives_the_row_of_the_array_form(self, tiny_spec, tiny_platform,
@@ -236,6 +237,18 @@ class TestGmVector:
         g = gm_vector(scene, tiny_grid, tiny_platform, eta)
         for j, eta_j in enumerate(eta):
             assert gm_vector(scene, tiny_grid, tiny_platform, eta_j).tobytes() == g[j].tobytes()
+
+
+    def test_scalar_eta_gives_the_row_of_a_large_array_form(self, tiny_spec, tiny_platform,
+                                                           tiny_grid):
+        # G[pulse, target] of 256 KiB or more once rounded its carrier phasor apart:
+        # numpy formed the product in place in the exp temporary, operands swapped
+        scene = Scene((PointTarget(3, 1.5),), tiny_spec.n_range_cells)
+        eta = np.linspace(-0.5, 0.5, 1 << 14)
+        g = gm_vector(scene, tiny_grid, tiny_platform, eta)
+        for j in range(0, len(eta), 97):
+            row = gm_vector(scene, tiny_grid, tiny_platform, eta[j])
+            assert row.tobytes() == g[j].tobytes(), j
 
 
 class TestGridAndPlatform:

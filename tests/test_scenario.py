@@ -608,7 +608,8 @@ def _traced_peak(fn):
 
 class TestMemoryModel:
     """A run allocates the raw matrix and block-sized temporaries: every
-    [pulse, bin] stage streams BLOCK_PULSES rows, a one-cell scene's FFT(G, L)
+    [pulse, bin] stage streams the block_rows that fit in BLOCK_BYTES, at least
+    one, a one-cell scene's FFT(G, L)
     is a column times a row, a scene of several cells' is the shared geometry
     memo, as large as the raw matrix and built by the geometry's first run, and
     focus frees the raw matrix once it is range-compressed."""
@@ -675,6 +676,28 @@ class TestMemoryModel:
         raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
         peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
         assert peak <= raw_nbytes + 4 * 2**20, (peak - raw_nbytes) / 2**20
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    def test_few_pulse_long_line_peak_is_raw_plus_blocks(self, kind):
+        # 16 pulses of 16766 samples stream in blocks of two; in 32-pulse blocks the
+        # foliage, noise and compressor buffers once took the peak to 5.2x raw
+        doc = _memory_scenario(kind, "redrawn").doc
+        doc["waveform"]["n_subcarriers"] = 1 << 14
+        doc["platform"]["aperture_s"] = 16 / doc["platform"]["prf_hz"]
+        scen = Scenario(doc)
+        raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
+        peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
+        assert peak <= 2 * raw_nbytes, peak / raw_nbytes
+
+    def test_a_seed_thread_holds_one_image_at_a_time(self):
+        # the stride once kept each seed's focused image while the next seed ran:
+        # three seeds on one thread peaked one image (0.75 MiB) above one seed
+        scen = _memory_scenario("ofdm", "frozen")
+        run_metrics(scen, [0])  # the geometry memo is warm
+        one = _traced_peak(lambda: run_metrics(scen, [5]))
+        three = _traced_peak(lambda: run_metrics(scen, [5, 6, 7]))
+        image_nbytes = 16 * scen.platform().n_pulses() * scen.doc["waveform"]["n_range_cells"]
+        assert three < one + image_nbytes / 2, (three - one) / image_nbytes
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     def test_raw_matrix_is_freed_before_the_azimuth_stages(self, monkeypatch, kind):

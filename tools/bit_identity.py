@@ -15,6 +15,10 @@ redrawn per pulse, each over {ofdm, noise} x {off, HH, VV}: 468 runs. A
 "branches" set then runs the small preset with the settings no preset uses
 (the Hann azimuth window, HH foliage smoothed over 4 bins and an antenna
 length derived from the aperture) over {ofdm, noise} at seeds 0-19: 40 runs.
+A "long" set last runs the full preset at 16384 subcarriers, 5 pulses of 16766
+samples, which stream in blocks of 2 pulses, the last one partial, with HH
+foliage redrawn per pulse and 30 dB receiver noise, over {ofdm, noise} at seeds
+0-3: 8 runs, whose lines move if a block boundary moves any bit.
 
 The file mode fingerprints the files the command line writes instead:
 
@@ -51,22 +55,26 @@ from fopen_sar.echo import synthesize_raw
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError, image_metrics
 from fopen_sar.scenario import Scenario, focus_scenario, preset_scenario, tank_scenario
 
-SEEDS = {"small": range(60), "full": range(6), "tank": range(12), "branches": range(20)}
+SEEDS = {"small": range(60), "full": range(6), "tank": range(12), "branches": range(20),
+         "long": range(4)}
 TANK_SNR_DB = 30.0
 
 
 def runs():
     """(set name, scenario, seed) of every run, in output order."""
     for name, seeds in SEEDS.items():
-        base = (tank_scenario("full") if name == "tank"
-                else preset_scenario("small" if name == "branches" else name))
+        base = (tank_scenario("full") if name == "tank" else preset_scenario(
+            {"branches": "small", "long": "full"}.get(name, name)))
         for kind in ("ofdm", "noise"):
-            for pol in ("HH",) if name == "branches" else ("off", "HH", "VV"):
+            for pol in ("HH",) if name in ("branches", "long") else ("off", "HH", "VV"):
                 doc = base.with_overrides(kind, pol).doc
-                if name == "tank":
+                if name in ("tank", "long"):
                     doc["noise"] = {"snr_db": TANK_SNR_DB}
                     if pol != "off":
                         doc["foliage"]["redraw_per_pulse"] = True
+                if name == "long":
+                    doc["waveform"]["n_subcarriers"] = 1 << 14
+                    doc["platform"]["aperture_s"] = 5 / doc["platform"]["prf_hz"]
                 if name == "branches":
                     doc["processing"]["azimuth_window"] = "hann"
                     doc["foliage"]["spectral_smoothing_bins"] = 4
@@ -100,13 +108,15 @@ def lines(run_list):
 # "{dir}" is the temporary directory. The foliage scenario is the small preset
 # with HH foliage and its foliage CSV switched on; the blocks scenario adds
 # foliage redrawn per pulse, 30 dB receiver noise and an aperture of 80
-# pulses, so F, the raw matrix and both CSVs span several blocks, the last
-# one partial. The two "-seeds" commands run several seeds on several threads,
-# so the seed loop's reports are fingerprinted too. The zero scenario is the
-# small preset with zero RCS and default outputs: its image has no peak for the
-# profiles, so the command exits 5, and any file it wrote would be listed. The
-# two "image-rerun" commands share their --out: the failing rerun must leave the
-# first run's listing, manifest included, line for line.
+# pulses, so both CSVs span several CSV blocks, the last one partial; the long
+# scenario instead makes the foliage scenario's 32 pulses 1630 samples long, so
+# F and the raw matrix stream in blocks of 27 pulses and 5. The two "-seeds"
+# commands run several seeds on several threads, so the seed loop's reports are
+# fingerprinted too. The zero scenario is the small preset with zero RCS and
+# default outputs: its image has no peak for the profiles, so the command exits
+# 5, and any file it wrote would be listed. The two "image-rerun" commands share
+# their --out: the failing rerun must leave the first run's listing, manifest
+# included, line for line.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -117,6 +127,7 @@ FILE_COMMANDS = (
                       "{dir}/image-full/ofdm-foliage_off-seed0_image.fimg"]),
     ("compare-small", ["compare", "--preset", "small"]),
     ("simulate-foliage-blocks", ["simulate", "--scenario", "{dir}/foliage_blocks.json"]),
+    ("simulate-foliage-long", ["simulate", "--scenario", "{dir}/foliage_long.json"]),
     ("metrics-seeds", ["metrics", "--preset", "small", "--foliage", "HH", "--seeds", "6",
                        "--threads", "3"]),
     ("compare-seeds", ["compare", "--preset", "small", "--seeds", "3", "--threads", "2"]),
@@ -137,6 +148,8 @@ def file_lines(tmp):
     doc["outputs"]["dump_foliage_csv"] = True
     with open(os.path.join(tmp, "foliage.json"), "w") as fh:
         json.dump(doc, fh)
+    with open(os.path.join(tmp, "foliage_long.json"), "w") as fh:
+        json.dump({**doc, "waveform": {**doc["waveform"], "n_subcarriers": 1536}}, fh)
     doc["foliage"]["redraw_per_pulse"] = True
     doc["noise"] = {"snr_db": 30.0}
     doc["platform"]["aperture_s"] = 80 / doc["platform"]["prf_hz"]
