@@ -31,7 +31,7 @@ from .imaging import smooth_length
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
                       extract_profiles, image_metrics, paired_differences)
 from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_scenario,
-                       load_scenario, preset_scenario, run_metrics)
+                       load_scenario, preset_scenario, run_metrics, run_pipeline)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -47,7 +47,7 @@ _MAX_SEEDS = 1 << 20
 _MAX_THREADS = 64
 # Most bytes a command's runs may hold at once, by _peak_bytes: a constant for the same
 # reason. One run of a raw matrix at the MAX_SAMPLES cap fits at the default upsample:
-# 0.6 GiB at the full preset's line, 1.1 GiB for the tank, 3.0 GiB for 2 pulses.
+# 0.6 GiB at the full preset's line, 1.1 GiB for the tank, 3.3 GiB for 2 pulses.
 _MEMORY_BUDGET = 4 << 30
 
 
@@ -137,16 +137,19 @@ def _per_seed_csv(stem, seeds, per_seed) -> tuple:
 
 def _peak_bytes(scen, threads) -> int:
     """Bytes one scenario's runs hold at once on `threads` seed threads, from above:
-    each thread's raw matrix, its range-compressed matrix, four blocks of raw lines
+    each thread's raw matrix, its range-compressed matrix, five blocks of raw lines
     (block_rows of them, at the compressors' FFT length), six whole-line vectors and
     four upsampled profiles, plus a multi-cell scene's shared FFT(G, L), as large as a
-    raw matrix. Against the tracemalloc peak of run_metrics it reads 1.03-1.30x from 2
-    to 256 pulses of 350 to 2^18 + 382 samples, frozen, redrawn or no foliage, one
-    or two threads, and 1.87x at the full preset with upsample 4096."""
+    raw matrix. simulate and image hold the raw matrix; run_metrics never does, but
+    holds a block's synthesis and compression buffers at once. Against the
+    tracemalloc peak of run_metrics it reads 1.15-22x from 2 to 256 pulses of 350 to
+    2^18 + 382 samples, frozen, redrawn or no foliage, one or two threads (2.4-4.4x
+    at the full preset, the most where many pulses make the raw matrix large), and
+    1.89x at the full preset with upsample 4096."""
     cfg = scen.simulation_config()
     pulses, line, cells = cfg.platform.n_pulses(), cfg.ofdm.line_length, cfg.ofdm.n_range_cells
     raw = 16 * pulses * line
-    run = (raw + 16 * pulses * cells + 4 * 16 * smooth_length(line) * block_rows(pulses, line)
+    run = (raw + 16 * pulses * cells + 5 * 16 * smooth_length(line) * block_rows(pulses, line)
            + 6 * 16 * line + 4 * 16 * max(pulses, cells) * scen.processing["upsample"])
     return threads * run + raw * (len({t.range_cell for t in cfg.scene.targets}) > 1)
 
@@ -193,8 +196,8 @@ def cmd_simulate(args, scens, seed_lists, stem):
 
 def cmd_image(args, scens, seed_lists, stem):
     scen = scens[0]
-    cfg = scen.simulation_config()
     if args.raw:
+        cfg = scen.simulation_config()
         shape = (cfg.platform.n_pulses(), cfg.ofdm.line_length)
         # finite samples near the float64 limit can overflow in the FFTs
         with np.errstate(over="ignore", invalid="ignore"):
@@ -205,7 +208,7 @@ def cmd_image(args, scens, seed_lists, stem):
             raise FormatError(f"{args.raw}: focuses to a non-finite image "
                               "(samples too large)")
     else:
-        img = focus_scenario(scen, cfg, lambda: synthesize_raw(cfg))
+        img = run_pipeline(scen)
     outputs, upsample, pixels = scen.doc["outputs"], scen.processing["upsample"], img.pixels
     writes = [(f"{stem}_image.fimg", write_fimg, pixels)]
     if outputs["write_pgm"]:

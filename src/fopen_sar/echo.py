@@ -2,8 +2,9 @@
 
 Each range line is the linear convolution of the transmitted pulse (length
 N+M-1) with the length-M weighting RCS coefficient vector evaluated at that
-pulse's slow time, giving L = N+2M-2 samples; pulses are formed a block at
-a time, raw = IFFT(FFT(G, L) * FFT(s, L) * F). No seed enters G, so the
+pulse's slow time, giving L = N+2M-2 samples; raw_blocks forms pulses a
+block at a time, raw = IFFT(FFT(G, L) * FFT(s, L) * F), into the whole matrix
+(synthesize_raw) or into one reused block (RawStream). No seed enters G, so the
 last geometry's FFT(G, L) is kept for every seed of that geometry: for a
 scene whose targets all sit in one range cell c, as G[:, c] times the
 spectrum of a unit impulse at c, so a clear scene's raw matrix is G[:, c]
@@ -47,6 +48,38 @@ class RawDataMatrix:
     data: np.ndarray
     slow_time_s: np.ndarray
     waveform_kind: str
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape
+
+    def blocks(self):
+        """The matrix as raw_blocks yields it: (first_pulse, rows) views,
+        block_rows(*shape) rows each."""
+        height = block_rows(*self.data.shape)
+        return ((start, self.data[start:start + height])
+                for start in range(0, len(self.data), height))
+
+
+@dataclass(frozen=True)
+class RawStream:
+    """config's raw data matrix, never held whole: blocks() synthesizes it anew
+    into one reused block (raw_blocks), for a consumer that reads each block
+    before it takes the next. Range compression and focus take it as they take
+    a RawDataMatrix."""
+
+    config: SimulationConfig
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.config.platform.n_pulses(), self.config.ofdm.line_length
+
+    @property
+    def waveform_kind(self) -> str:
+        return self.config.waveform_kind
+
+    def blocks(self):
+        return raw_blocks(self.config)
 
 
 def transmitted_pulse(config: SimulationConfig) -> np.ndarray:
@@ -118,17 +151,19 @@ def geometry_spectrum(scene: Scene, platform: PlatformParams, bandwidth_hz: floa
         return _geometry["g"], _geometry["ramp"]
 
 
-def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
-    """Synthesize the raw data matrix in place, block_rows(pulses, L) rows at a
-    time: the FFT(G, L) rows, times the F block of FoliageChannel.blocks() (if
-    any), times FFT(s, L), inverse-transformed, plus receiver noise. It is the
-    one full-size array a run allocates besides the geometry memo. For a one-cell
-    scene FFT(G, L) = G[:, c] * ramp, and the ramp is multiplied into FFT(s, L) once
-    per run: with foliage each block is G[:, c] times F times that row, and
+def raw_blocks(config: SimulationConfig, out: np.ndarray | None = None):
+    """Synthesize the raw data matrix block_rows(pulses, L) rows at a time, from
+    pulse 0 on, yielding each block as (first_pulse, rows): the FFT(G, L) rows,
+    times the F block of FoliageChannel.blocks() (if any), times FFT(s, L),
+    inverse-transformed, plus receiver noise. The rows are written into their
+    place in out, a [pulse, L] complex matrix, when one is given, and otherwise
+    into one reused block buffer that the next block overwrites. For a one-cell
+    scene FFT(G, L) = G[:, c] * ramp, and the ramp is multiplied into FFT(s, L)
+    once per run: with foliage each block is G[:, c] times F times that row, and
     without it every raw row is G[j, c] times one inverse-transformed line,
-    which agrees with the blocked form to rounding. threads is the caller's
-    worker cap; a run uses one thread."""
+    which agrees with the blocked form to rounding."""
     n = config.ofdm.line_length
+    pulses = config.platform.n_pulses()
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
     g, ramp = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
@@ -138,19 +173,20 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
         s_spec *= ramp
         if channel is None:  # the inverse transform is linear: one line serves every pulse
             line = np.fft.ifft(s_spec)
-    data = np.empty((config.platform.n_pulses(), n), dtype=complex)
-    height = block_rows(len(data), n)
+    height = block_rows(pulses, n)
+    if out is None:
+        out_rows = np.empty((height, n), dtype=complex)
     foliage = itertools.repeat(None) if channel is None else channel.blocks()
     if config.snr_db is not None:
         # SNR is referenced to the transmitted pulse's peak power, which a
         # unit-RCS boresight target echoes unattenuated: scene-independent.
         peak = float(np.max(np.abs(pulse) ** 2))
         sigma = np.sqrt(peak / 10.0 ** (config.snr_db / 10.0) / 2.0)
-        streams = substreams(config.master_seed, "receiver_noise", range(len(data)))
+        streams = substreams(config.master_seed, "receiver_noise", range(pulses))
         noise = np.empty((height, 2, n))
-    for start, f in zip(range(0, len(data), height), foliage):
+    for start, f in zip(range(0, pulses, height), foliage):
         span = slice(start, start + height)
-        rows = data[span]
+        rows = out_rows[:pulses - start] if out is None else out[span]
         if line is not None:
             np.multiply(g[span], line, out=rows)
         else:
@@ -166,4 +202,14 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
             block *= sigma
             rows.real += block[:, 0]
             rows.imag += block[:, 1]
+        yield start, rows
+
+
+def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
+    """The raw data matrix, every block of raw_blocks written in place: the one
+    full-size array a run allocates besides the geometry memo. threads is the
+    caller's worker cap; a run uses one thread."""
+    data = np.empty((config.platform.n_pulses(), config.ofdm.line_length), dtype=complex)
+    for _ in raw_blocks(config, data):
+        pass
     return RawDataMatrix(data, config.platform.slow_time_axis(), config.waveform_kind)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import RawDataMatrix
+from .echo import RawDataMatrix, RawStream
 from .foliage import block_rows
 from .geometry import PlatformParams
 from .waveform import OfdmSpec
@@ -31,7 +31,7 @@ class FocusedImage:
     pixels: np.ndarray  # [azimuth, range_cell]
 
 
-def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
+def range_compress_ofdm(raw: RawDataMatrix | RawStream, spec: OfdmSpec,
                         symbols: np.ndarray) -> RangeCompressedMatrix:
     """Equalize each pulse: FFT, divide by symbols, IFFT, keep M cells.
 
@@ -48,28 +48,26 @@ def range_compress_ofdm(raw: RawDataMatrix, spec: OfdmSpec,
         raise ValueError(f"expected {n} symbols, got {symbols.shape}")
     if np.any(symbols == 0):
         raise ZeroDivisionError("symbols must be nonzero for equalization")
-    if raw.data.shape[1] != spec.line_length:
-        raise ValueError(
-            f"raw line length {raw.data.shape[1]} != N+2M-2 = {spec.line_length}")
+    if raw.shape[1] != spec.line_length:
+        raise ValueError(f"raw line length {raw.shape[1]} != N+2M-2 = {spec.line_length}")
     k = np.arange(n)
     eq = np.exp(-2j * np.pi * ((m - 1) * k % n) / n) / symbols
-    return RangeCompressedMatrix(_filter_rows(raw.data, slice(m - 1, m - 1 + n), eq, m))
+    return RangeCompressedMatrix(_filter_rows(raw, slice(m - 1, m - 1 + n), eq, m))
 
 
-def _filter_rows(data: np.ndarray, window: slice, response: np.ndarray,
+def _filter_rows(raw: RawDataMatrix | RawStream, window: slice, response: np.ndarray,
                  n_out: int) -> np.ndarray:
     """IFFT(FFT(line[window], n) * response)[:n_out] of every raw line, n =
-    len(response), in one reused block buffer of the raw matrix's block_rows."""
+    len(response), block by block as raw.blocks() yields them, in one reused
+    block buffer of the raw matrix's block_rows."""
     n = len(response)
-    height = block_rows(*data.shape)
-    out = np.empty((len(data), n_out), dtype=complex)
-    buf = np.empty((height, n), dtype=complex)
-    for start in range(0, len(data), height):
-        rows = data[start:start + height, window]
-        block = np.fft.fft(rows, n, axis=1, out=buf[:len(rows)])
+    out = np.empty((raw.shape[0], n_out), dtype=complex)
+    buf = np.empty((block_rows(*raw.shape), n), dtype=complex)
+    for start, rows in raw.blocks():
+        block = np.fft.fft(rows[:, window], n, axis=1, out=buf[:len(rows)])
         block *= response
         np.fft.ifft(block, axis=1, out=block)
-        out[start:start + height] = block[:, :n_out]
+        out[start:start + len(rows)] = block[:, :n_out]
     return out
 
 
@@ -90,7 +88,8 @@ def smooth_length(n: int) -> int:
     return best
 
 
-def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray) -> RangeCompressedMatrix:
+def range_compress_noise(raw: RawDataMatrix | RawStream,
+                         replica: np.ndarray) -> RangeCompressedMatrix:
     """Matched-filter each pulse against the transmitted noise replica.
 
     The correlation is sampled at the M = L - len(replica) + 1 lags where the
@@ -100,11 +99,11 @@ def range_compress_noise(raw: RawDataMatrix, replica: np.ndarray) -> RangeCompre
     at the fast length L' = smooth_length(L) >= L: those lags never wrap around
     L'. Pulses are filtered as many at a time as synthesis forms.
     """
-    length = raw.data.shape[1]
+    length = raw.shape[1]
     if length < len(replica):
         raise ValueError(f"raw line length {length} is shorter than the replica ({len(replica)})")
     n = smooth_length(length)
-    out = _filter_rows(raw.data, slice(None), np.conj(np.fft.fft(replica, n)),
+    out = _filter_rows(raw, slice(None), np.conj(np.fft.fft(replica, n)),
                        length - len(replica) + 1)
     out /= np.sum(np.abs(replica) ** 2)
     return RangeCompressedMatrix(out)
@@ -159,13 +158,14 @@ def azimuth_compress(rd: np.ndarray, platform: PlatformParams,
     return FocusedImage(img)
 
 
-def focus(raw: RawDataMatrix, spec: OfdmSpec, platform: PlatformParams,
+def focus(raw: RawDataMatrix | RawStream, spec: OfdmSpec, platform: PlatformParams,
           reference: np.ndarray, azimuth_window: str = AZIMUTH_WINDOWS[0]) -> FocusedImage:
     """Full image formation for either waveform, given its reference: the
     transmitted symbols for OFDM data, the transmitted pulse for noise data.
     No migration stage: the echo model keeps every scatterer in its range cell.
-    Pass raw as a temporary: focus drops it once it is range-compressed, so
-    the azimuth stages never hold it.
+    raw is the raw matrix, or a RawStream whose blocks are compressed as they
+    are synthesized. Pass raw as a temporary: focus drops it once it is
+    range-compressed, so the azimuth stages never hold it.
     """
     if raw.waveform_kind == "noise" and len(reference) != spec.pulse_length:
         raise ValueError(f"replica of {len(reference)} samples, not N+M-1 = {spec.pulse_length}")

@@ -14,7 +14,7 @@ import math
 import numbers
 import threading
 
-from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
+from .echo import RawStream, SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import ATTENUATION_CONSTANTS, FoliageParams
 from .geometry import PlatformParams, PointTarget, RangeGrid, Scene
 from .imaging import AZIMUTH_WINDOWS, FocusedImage, focus
@@ -435,15 +435,16 @@ def tank_scenario(preset: str = "full") -> Scenario:
 # -- end-to-end helpers shared by the CLI and the test suite -------------
 
 def run_pipeline(scen: Scenario, master_seed=None, threads: int = 1) -> FocusedImage:
-    """Simulate and focus one scenario (one batched pass, one thread at any cap)."""
+    """Simulate and focus one scenario (one batched pass, one thread at any cap),
+    through the whole raw matrix."""
     cfg = scen.simulation_config(master_seed)
     return focus_scenario(scen, cfg, lambda: synthesize_raw(cfg, threads=threads))
 
 
 def focus_scenario(scen: Scenario, cfg: SimulationConfig, make_raw) -> FocusedImage:
-    """Focus the raw matrix make_raw() returns for cfg, against the reference
-    its echoes are compressed with (the OFDM symbols, or the transmitted noise
-    pulse) and the scenario's azimuth window.
+    """Focus the raw matrix, or RawStream, make_raw() returns for cfg, against
+    the reference its echoes are compressed with (the OFDM symbols, or the
+    transmitted noise pulse) and the scenario's azimuth window.
 
     The raw matrix goes straight into focus, which frees it once it is
     range-compressed; an argument tuple (focus(raw, *args)) or a local here
@@ -460,9 +461,12 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
 
     Seeds are independent runs, spread over n = max(1, min(threads, len(seeds)))
     threads: the calling thread and n - 1 workers. Thread k runs seeds k, k + n,
-    k + 2n, ... in order and stops at its own first error. Each seed thread
-    holds one raw matrix plus one block of temporaries at a time. Each result
-    depends only on its seed, so the list is bit-identical for any thread count.
+    k + 2n, ... in order and stops at its own first error. No seed thread holds
+    a raw matrix: a seed's RawStream is range-compressed block by block as it is
+    synthesized, so a thread holds its [pulse, cell] matrices and the blocks of
+    both stages at a time, and gets run_pipeline's metrics bit for bit. Each
+    result depends only on its seed, so the list is bit-identical for any thread
+    count.
     The first error in seed order is raised, a NoPeakError naming the seed and
     scenario label: the thread that owns its seed ran every earlier seed of its
     stride without error, so it reached it.
@@ -473,8 +477,9 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
     def stride(k):
         for i in range(k, len(seeds), n):
             try:  # no local holds the image into the next seed's synthesis
-                results[i] = image_metrics(run_pipeline(scen, master_seed=seeds[i]).pixels,
-                                           scen.processing["upsample"],
+                cfg = scen.simulation_config(seeds[i])
+                results[i] = image_metrics(focus_scenario(scen, cfg, lambda: RawStream(cfg))
+                                           .pixels, scen.processing["upsample"],
                                            scen.processing["smooth_window"])
             except BaseException as exc:  # re-raised below, in seed order
                 results[i] = exc

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fopen_sar import cli, imaging, scenario
+from fopen_sar import cli, echo, imaging, scenario
 from fopen_sar.cli import main
 from fopen_sar.fileio import read_fimg, read_fsar, write_fimg, write_fsar
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError
@@ -108,6 +108,18 @@ class TestSimulate:
         assert main(["simulate", "--scenario", small_file, "--preset", "small",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compare"], "compare: give --preset or two or more --scenario"),
+        (["simulate", "--scenario", "{listed}"], "scenario: must be a JSON object"),
+    ], ids=["compare_without_source", "scenario_not_an_object"])
+    def test_source_error_exits_2_before_out_is_made(self, argv, message, tmp_path, capsys):
+        listed = tmp_path / "listed.json"
+        listed.write_text(json.dumps([SMALL_PRESET]))
+        out = tmp_path / "o"
+        assert main([a.format(listed=listed) for a in argv] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "image"])
     def test_seeds_rejected(self, command, tmp_path, capsys):
         # both write one seed; --seeds once ran on and wrote seed 0 only
@@ -189,7 +201,7 @@ class TestImage:
             return fn(rc)
 
         monkeypatch.setattr(cli, "read_fsar", source(cli.read_fsar))
-        monkeypatch.setattr(cli, "synthesize_raw", source(cli.synthesize_raw))
+        monkeypatch.setattr(scenario, "synthesize_raw", source(scenario.synthesize_raw))
         monkeypatch.setattr(imaging, "azimuth_fft", azimuth_fft)
         raw = ["--raw", os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar")]
         assert main(["image", "--scenario", small_file, "--out", out]
@@ -774,15 +786,16 @@ class TestFrame:
         else:
             assert err == ""
 
-    @pytest.mark.parametrize("command, owner", [("simulate", cli), ("metrics", scenario)],
+    @pytest.mark.parametrize("command, owner, attr", [("simulate", cli, "synthesize_raw"),
+                                                      ("metrics", echo, "raw_blocks")],
                              ids=["simulate", "metrics"])
-    def test_out_of_memory_exits_3_and_touches_nothing(self, command, owner, earlier_runs,
+    def test_out_of_memory_exits_3_and_touches_nothing(self, command, owner, attr, earlier_runs,
                                                        tmp_path, monkeypatch, capsys):
         # a MemoryError once ended in a traceback; metrics re-raises it from a seed thread
-        def out_of_memory(cfg, threads=1):
+        def out_of_memory(cfg, *args):
             raise MemoryError("cannot allocate the raw matrix")
 
-        monkeypatch.setattr(owner, "synthesize_raw", out_of_memory)
+        monkeypatch.setattr(owner, attr, out_of_memory)
         argv = [command, "--preset", "small"]
         if command == "metrics":
             argv += ["--seeds", "2", "--threads", "2"]

@@ -14,7 +14,9 @@ with that row of gm_vector, then F_j of the channel's block stream applied by
 apply_foliage, then pulse j's receiver-noise substream. The range compressors are
 checked on random matrices against brute_force's loop sums, the azimuth stages
 against a direct DFT, and run_metrics for equal results, or equal errors, at 1
-and 2 threads.
+and 2 threads, and, bit for bit, against metrics formed through run_pipeline's
+whole raw matrix (those cases add the tank with redrawn HH foliage and 30 dB
+receiver noise, and 4 pulses of 16766 samples).
 
 Bounds. e = np.finfo(float).eps; each float operation rounds by at most e/2
 relative, so a complex product is within 1.5e, a sum of n terms within n e/2 of
@@ -76,7 +78,8 @@ from fopen_sar.echo import (RawDataMatrix, apply_foliage, foliage_channel, synth
 from fopen_sar.geometry import gm_vector, make_grid
 from fopen_sar.imaging import (RangeCompressedMatrix, azimuth_compress, azimuth_fft,
                                range_compress_noise, range_compress_ofdm, smooth_length)
-from fopen_sar.scenario import SMALL_PRESET, Scenario, run_metrics
+from fopen_sar.metrics import NoPeakError, image_metrics
+from fopen_sar.scenario import SMALL_PRESET, Scenario, run_metrics, run_pipeline, tank_scenario
 from fopen_sar.waveform import OfdmSpec
 
 from brute_force import matched_filter, range_reconstruct, receiver_noise, stacked_response
@@ -260,6 +263,48 @@ def test_metrics_bit_identical_at_one_and_two_threads(case):
     scen = Scenario(draw_document(r))
     seeds = [r.randrange(2**64) for _ in range(3)]
     assert repr(_outcome(scen, seeds, 1)) == repr(_outcome(scen, seeds, 2))
+
+
+def _through_the_matrix(scen, seeds):
+    """run_metrics' outcome formed through run_pipeline's whole raw matrix."""
+    out = []
+    for seed in seeds:
+        try:
+            out.append(image_metrics(run_pipeline(scen, seed).pixels,
+                                     scen.processing["upsample"],
+                                     scen.processing["smooth_window"]))
+        except NoPeakError as exc:
+            return NoPeakError, f"seed {seed}, {scen.label()}: {exc}"
+    return out
+
+
+def _stream_cases():
+    tank = tank_scenario("full").with_overrides(foliage_pol="HH").doc
+    tank["foliage"]["redraw_per_pulse"] = True
+    tank["noise"] = {"snr_db": 30.0}
+    cases = SYNTHESIS_DOCS + [tank]
+    for kind in ("ofdm", "noise"):  # 4 pulses of 16766 samples, in blocks of two
+        doc = copy.deepcopy(tank)
+        doc["waveform"].update(kind=kind, n_subcarriers=1 << 14)
+        doc["platform"]["aperture_s"] = 4 / doc["platform"]["prf_hz"]
+        cases.append(doc)
+    return cases
+
+
+STREAM_CASES = _stream_cases()
+
+
+@pytest.mark.parametrize("case", range(len(STREAM_CASES)))
+def test_streamed_metrics_match_the_whole_matrix_bit_for_bit(case, monkeypatch):
+    # run_metrics compresses each block of raw lines as it is synthesized;
+    # run_pipeline synthesizes the whole matrix first
+    scen = Scenario(STREAM_CASES[case])
+    height = BLOCK_HEIGHTS[case % len(BLOCK_HEIGHTS)]
+    if height:
+        monkeypatch.setattr(foliage, "BLOCK_BYTES",
+                            16 * scen.simulation_config().ofdm.line_length * height)
+    seeds = [random.Random(6000 + case).randrange(2**64) for _ in range(2)]
+    assert repr(_outcome(scen, seeds, 1)) == repr(_through_the_matrix(scen, seeds))
 
 
 def test_fft_accuracy():

@@ -19,7 +19,7 @@ import pytest
 
 from fopen_sar import cli, echo, imaging, scenario
 from fopen_sar.echo import SimulationConfig, synthesize_raw
-from fopen_sar.foliage import ATTENUATION_CONSTANTS, FoliageParams
+from fopen_sar.foliage import ATTENUATION_CONSTANTS, FoliageParams, block_rows
 from fopen_sar.geometry import PointTarget
 from fopen_sar.metrics import NoPeakError, image_metrics
 from fopen_sar.rng import TAGS, _philox_keys
@@ -532,10 +532,10 @@ class TestRunMetrics:
 
     @staticmethod
     def _fake_runs(monkeypatch, run):
-        """Replace the pipeline by run(seed) and the metrics by the seed's image."""
-        monkeypatch.setattr(scenario, "run_pipeline",
-                            lambda scen, master_seed: types.SimpleNamespace(
-                                pixels=run(master_seed)))
+        """Replace a seed's focusing by run(seed) and the metrics by the seed's image."""
+        monkeypatch.setattr(scenario, "focus_scenario",
+                            lambda scen, cfg, make_raw: types.SimpleNamespace(
+                                pixels=run(cfg.master_seed)))
         monkeypatch.setattr(scenario, "image_metrics",
                             lambda pixels, upsample, smooth_window: {"seed": pixels})
 
@@ -607,12 +607,14 @@ def _traced_peak(fn):
 
 
 class TestMemoryModel:
-    """A run allocates the raw matrix and block-sized temporaries: every
+    """run_pipeline allocates the raw matrix and block-sized temporaries: every
     [pulse, bin] stage streams the block_rows that fit in BLOCK_BYTES, at least
-    one, a one-cell scene's FFT(G, L)
-    is a column times a row, a scene of several cells' is the shared geometry
-    memo, as large as the raw matrix and built by the geometry's first run, and
-    focus frees the raw matrix once it is range-compressed."""
+    one, a one-cell scene's FFT(G, L) is a column times a row, a scene of several
+    cells' is the shared geometry memo, as large as the raw matrix and built by
+    the geometry's first run, and focus frees the raw matrix once it is
+    range-compressed. run_metrics never allocates the raw matrix: each block of
+    raw lines is range-compressed as it is synthesized, so a seed holds its
+    range-compressed matrix and a few blocks."""
 
     @pytest.mark.parametrize("kind", ["ofdm", "noise"])
     @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
@@ -688,6 +690,24 @@ class TestMemoryModel:
         raw_nbytes = synthesize_raw(scen.simulation_config()).data.nbytes
         peak = _traced_peak(lambda: run_pipeline(scen, master_seed=1))
         assert peak <= 2 * raw_nbytes, peak / raw_nbytes
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    @pytest.mark.parametrize("foliage", ["off", "frozen", "redrawn"])
+    def test_run_metrics_never_holds_a_raw_matrix(self, kind, foliage):
+        # through the whole matrix a seed peaked at 1.26-1.41 raw matrices; the
+        # stream holds the range-compressed matrix, the raw block, a redrawn run's
+        # noise block, the F block and its two real buffers, the compressor's
+        # block (1440 of 1406 columns for noise) and whole-line vectors: under six
+        # blocks beside the range-compressed matrix, 0.89 of a raw matrix in all
+        scen = _memory_scenario(kind, foliage)
+        cfg = scen.simulation_config()
+        pulses, line = cfg.platform.n_pulses(), cfg.ofdm.line_length
+        block_nbytes = 16 * block_rows(pulses, line) * line
+        rc_nbytes = 16 * pulses * cfg.ofdm.n_range_cells
+        run_metrics(scen, [0])  # the geometry memo is warm
+        peak = _traced_peak(lambda: run_metrics(scen, [1]))
+        assert peak <= rc_nbytes + 6 * block_nbytes, (peak - rc_nbytes) / block_nbytes
+        assert rc_nbytes + 6 * block_nbytes < 16 * pulses * line
 
     def test_a_seed_thread_holds_one_image_at_a_time(self):
         # the stride once kept each seed's focused image while the next seed ran:
