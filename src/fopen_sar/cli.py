@@ -18,14 +18,16 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.introspect import opt_func_info
 
 from . import __version__
-from .echo import RawDataMatrix, foliage_channel, synthesize_raw
-from .fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar, write_csv,
-                     write_fimg, write_fsar, write_json, write_pgm, write_png, write_raw_csv)
+from .echo import RawStream, foliage_channel, synthesize_raw
+from .fileio import (FIMG_MAGIC, FSAR_MAGIC, FormatError, container_shape,
+                     dump_realizations_csv, read_fimg, read_fsar, write_csv, write_fimg,
+                     write_fsar, write_json, write_pgm, write_png, write_raw_csv)
 from .foliage import block_rows
 from .imaging import smooth_length
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
@@ -89,21 +91,43 @@ def _compare_variants(args) -> list[Scenario]:
     return variants
 
 
-def _read_matching(read, path, shape):
-    """The matrix read(path) gives, which must have the scenario's shape and be finite."""
-    data = read(path)
-    if data.shape != shape:
-        raise MismatchError(f"{path} has shape {data.shape}, scenario expects {shape}")
+def _check_shape(path, magic, shape) -> None:
+    """Check path's header and payload size (FormatError), then that it holds the
+    scenario's shape (MismatchError), and read no sample."""
+    got = container_shape(path, magic)
+    if got != shape:
+        raise MismatchError(f"{path} has shape {got}, scenario expects {shape}")
+
+
+def _finite(path, data: np.ndarray) -> np.ndarray:
+    """data, read from path, once every sample is finite."""
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: holds non-finite samples (NaN or infinity)")
     return data
 
 
+@dataclass(frozen=True)
+class _FsarStream:
+    """An FSAR file's raw matrix, never held whole: focus takes it as a RawStream, and
+    blocks() reads it block_rows(*shape) pulses at a time, each checked finite."""
+
+    path: str
+    shape: tuple[int, int]
+    waveform_kind: str
+
+    def blocks(self):
+        height = block_rows(*self.shape)
+        for start in range(0, self.shape[0], height):
+            rows = read_fsar(self.path, slice(start, start + height))
+            yield start, _finite(self.path, rows)
+
+
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    h, buf = hashlib.sha256(), bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):  # one reused buffer, not a new bytes per read
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -140,12 +164,13 @@ def _peak_bytes(scen, threads) -> int:
     each thread's raw matrix, its range-compressed matrix, five blocks of raw lines
     (block_rows of them, at the compressors' FFT length), six whole-line vectors and
     four upsampled profiles, plus a multi-cell scene's shared FFT(G, L), as large as a
-    raw matrix. simulate and image hold the raw matrix; run_metrics never does, but
-    holds a block's synthesis and compression buffers at once. Against the
-    tracemalloc peak of run_metrics it reads 1.15-22x from 2 to 256 pulses of 350 to
-    2^18 + 382 samples, frozen, redrawn or no foliage, one or two threads (2.4-4.4x
-    at the full preset, the most where many pulses make the raw matrix large), and
-    1.89x at the full preset with upsample 4096."""
+    raw matrix. Only image without --raw, and simulate when it writes the raw CSV
+    copy, hold the raw matrix; the other commands hold a block's synthesis (or read)
+    and compression buffers at once. Against the tracemalloc peak of run_metrics it
+    reads 1.15-22x from 2 to 256 pulses of 350 to 2^18 + 382 samples, frozen,
+    redrawn or no foliage, one or two threads (2.4-4.4x at the full preset, the most
+    where many pulses make the raw matrix large), and 1.89x at the full preset with
+    upsample 4096."""
     cfg = scen.simulation_config()
     pulses, line, cells = cfg.platform.n_pulses(), cfg.ofdm.line_length, cfg.ofdm.n_range_cells
     raw = 16 * pulses * line
@@ -183,15 +208,18 @@ def _seed_list(scen, args) -> list[int]:
 def cmd_simulate(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
-    data = synthesize_raw(cfg).data
-    writes = [(f"{stem}_raw.fsar", write_fsar, data)]
-    if data.size <= _CSV_MAX_SAMPLES:
-        writes.append((f"{stem}_raw.csv", write_raw_csv, data))
+    raw = RawStream(cfg)  # synthesized a block at a time as the FSAR is written
+    csv = raw.shape[0] * raw.shape[1] <= _CSV_MAX_SAMPLES
+    if csv:  # one whole matrix feeds both files
+        raw = synthesize_raw(cfg)
+    writes = [(f"{stem}_raw.fsar", write_fsar, raw)]
+    if csv:
+        writes.append((f"{stem}_raw.csv", write_raw_csv, raw.data))
     # main drops the raw matrix before this CSV streams F a block at a time
     if scen.doc["outputs"]["dump_foliage_csv"] and cfg.foliage is not None:
         writes.append((f"{stem}_foliage.csv", dump_realizations_csv,
                        foliage_channel(cfg).blocks()))
-    return writes, "wrote {} ({} pulses x {} samples)".format(writes[0][0], *data.shape)
+    return writes, "wrote {} ({} pulses x {} samples)".format(writes[0][0], *raw.shape)
 
 
 def cmd_image(args, scens, seed_lists, stem):
@@ -199,11 +227,11 @@ def cmd_image(args, scens, seed_lists, stem):
     if args.raw:
         cfg = scen.simulation_config()
         shape = (cfg.platform.n_pulses(), cfg.ofdm.line_length)
+        _check_shape(args.raw, FSAR_MAGIC, shape)
         # finite samples near the float64 limit can overflow in the FFTs
         with np.errstate(over="ignore", invalid="ignore"):
-            img = focus_scenario(scen, cfg, lambda: RawDataMatrix(
-                _read_matching(read_fsar, args.raw, shape), cfg.platform.slow_time_axis(),
-                cfg.waveform_kind))
+            img = focus_scenario(scen, cfg, lambda: _FsarStream(args.raw, shape,
+                                                                cfg.waveform_kind))
         if not np.isfinite(img.pixels).all():
             raise FormatError(f"{args.raw}: focuses to a non-finite image "
                               "(samples too large)")
@@ -226,8 +254,9 @@ def cmd_image(args, scens, seed_lists, stem):
 def cmd_metrics(args, scens, seed_lists, stem):
     scen = scens[0]
     if args.image:
-        pixels = _read_matching(read_fimg, args.image, (
-            scen.platform().n_pulses(), scen.doc["waveform"]["n_range_cells"]))
+        _check_shape(args.image, FIMG_MAGIC, (scen.platform().n_pulses(),
+                                              scen.doc["waveform"]["n_range_cells"]))
+        pixels = _finite(args.image, read_fimg(args.image))
         per_seed = [image_metrics(pixels, scen.processing["upsample"],
                                   scen.processing["smooth_window"])]
     else:
@@ -306,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("image", help="form the focused image")
     common(p)
-    p.add_argument("--raw", metavar="PATH", help="existing FSAR file "
-                   "(default: simulate in-process)")
+    p.add_argument("--raw", metavar="PATH", help="existing FSAR file, read and "
+                   "range-compressed a block at a time (default: simulate in-process, "
+                   "through the whole raw matrix)")
     p.set_defaults(func=cmd_image, seeds=1)
 
     p = sub.add_parser("metrics", help="compute ISLR/PSLR metrics")
@@ -328,7 +358,9 @@ def main(argv=None) -> int:
     Every argument, scenario, seed-range and memory-budget rule is judged before
     --out is created. Once the stage returns, main removes the old manifest, makes the
     stage's writes and writes the new manifest: a failed stage leaves --out as it
-    was, and a failed write leaves no manifest nor an --out it made and left empty.
+    was, and a failed write leaves no manifest nor an --out it made and left empty
+    (simulate synthesizes a streamed FSAR as it writes it, so a failure there is a
+    write's).
     Each distinct advisory goes to stderr once, and into the manifest's "warnings".
     """
     args = build_parser().parse_args(argv)

@@ -3,7 +3,9 @@
 FSAR (raw echoes) and FIMG (focused images) are one binary container that
 differs only in its magic number: a 32-byte header (magic, version u32,
 rows u32, cols u32, 16 reserved bytes), then row-major little-endian
-complex128, i.e. float64 (Re, Im) pairs. PGM and PNG hold an image's
+complex128, i.e. float64 (Re, Im) pairs, written from an array or a block
+at a time from a stream of row blocks, and read whole or a slice of rows at
+a time. PGM and PNG hold an image's
 magnitude in dB re its peak as 16-bit gray levels. Every CSV (raw matrix,
 foliage F, image profiles, per-seed metrics) goes through write_csv, which
 writes each number's repr, so every value reads back bit for bit; JSON holds
@@ -44,46 +46,70 @@ def atomic_write(path, mode="w"):
             os.remove(tmp)
 
 
-def write_container(path, magic: bytes, data: np.ndarray) -> None:
-    """Write a 2-D complex matrix: header, then the samples streamed from data."""
+def write_container(path, magic: bytes, data) -> None:
+    """Write a 2-D complex matrix: header, then the samples of each (first_row, rows)
+    block of data.blocks() in turn (a RawDataMatrix or RawStream), or of data itself
+    when it is an array, which is one block."""
     rows, cols = data.shape
+    blocks = data.blocks() if hasattr(data, "blocks") else [(0, data)]
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, VERSION, rows, cols, b"\0" * 16))
-        fh.write(np.ascontiguousarray(data, dtype="<c16"))
+        for _, block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<c16"))
 
 
-def read_container(path, magic: bytes) -> np.ndarray:
-    """Read a matrix written by write_container with the same magic into one array."""
+def _read_shape(fh, path, magic: bytes) -> tuple[int, int]:
+    """(rows, cols) from the header of the open file fh, once the header and the
+    payload size it implies check out."""
     name = magic.decode()
+    head = fh.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise FormatError(f"{path}: truncated {name} header "
+                          f"({len(head)} of {_HEADER.size} bytes)")
+    got, version, rows, cols, _ = _HEADER.unpack(head)
+    if got != magic:
+        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"{path}: {name} version {version} is not supported "
+                          f"(expected {VERSION})")
+    size = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if size != rows * cols * 16:
+        raise FormatError(f"{path}: {name} payload has {size} bytes, "
+                          f"expected {rows * cols * 16} for {rows} x {cols}")
+    return rows, cols
+
+
+def container_shape(path, magic: bytes) -> tuple[int, int]:
+    """The (rows, cols) of a matrix written by write_container with the same magic,
+    checked as read_container checks it; no sample is read."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise FormatError(f"{path}: truncated {name} header "
-                              f"({len(head)} of {_HEADER.size} bytes)")
-        got, version, rows, cols, _ = _HEADER.unpack(head)
-        if got != magic:
-            raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        if version != VERSION:
-            raise FormatError(f"{path}: {name} version {version} is not supported "
-                              f"(expected {VERSION})")
-        size = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if size != rows * cols * 16:
-            raise FormatError(f"{path}: {name} payload has {size} bytes, "
-                              f"expected {rows * cols * 16} for {rows} x {cols}")
-        data = np.empty((rows, cols), dtype="<c16")
-        if fh.readinto(data.reshape(-1).view(np.uint8)) != size:
-            raise FormatError(f"{path}: {name} payload changed while it was read")
+        return _read_shape(fh, path, magic)
+
+
+def read_container(path, magic: bytes, rows: slice = slice(None)) -> np.ndarray:
+    """Read a matrix written by write_container with the same magic into one array:
+    the rows of the slice rows (consecutive, clipped to the matrix), all by default."""
+    with open(path, "rb") as fh:
+        n_rows, cols = _read_shape(fh, path, magic)
+        span = range(n_rows)[rows]
+        if span.step != 1:
+            raise ValueError(f"rows {rows} are not consecutive")
+        data = np.empty((len(span), cols), dtype="<c16")
+        fh.seek(_HEADER.size + 16 * cols * span.start)
+        if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
+            raise FormatError(f"{path}: {magic.decode()} payload changed while it was read")
     return data.astype(complex, copy=False)
 
 
-def write_fsar(path, data: np.ndarray) -> None:
-    """Write a raw matrix [pulse, sample] as FSAR."""
+def write_fsar(path, data) -> None:
+    """Write a raw matrix [pulse, sample] as FSAR: an array, or a RawDataMatrix or
+    RawStream written a block at a time."""
     write_container(path, FSAR_MAGIC, data)
 
 
-def read_fsar(path) -> np.ndarray:
-    """Read an FSAR file's complex matrix."""
-    return read_container(path, FSAR_MAGIC)
+def read_fsar(path, rows: slice = slice(None)) -> np.ndarray:
+    """Read an FSAR file's complex matrix, or the rows of the slice rows."""
+    return read_container(path, FSAR_MAGIC, rows)
 
 
 def write_fimg(path, pixels: np.ndarray) -> None:
@@ -98,13 +124,18 @@ def read_fimg(path) -> np.ndarray:
 
 def _db_levels(pixels: np.ndarray, floor_db: float) -> np.ndarray:
     """Magnitude in dB re the image peak, clipped at floor_db, as big-endian
-    16-bit levels (floor_db -> 0, peak -> 65535)."""
-    mag = np.abs(pixels)
-    peak = mag.max()
+    16-bit levels (floor_db -> 0, peak -> 65535), formed in the one magnitude buffer."""
+    level = np.abs(pixels)
+    peak = level.max()
     if peak == 0:
-        return np.zeros(mag.shape, ">u2")
-    db = 20.0 * np.log10(np.maximum(mag / peak, 10.0 ** (floor_db / 20.0)))
-    return np.round((db - floor_db) / (-floor_db) * 65535.0).astype(">u2")
+        return np.zeros(level.shape, ">u2")
+    level /= peak
+    np.log10(np.maximum(level, 10.0 ** (floor_db / 20.0), out=level), out=level)
+    level *= 20.0  # dB
+    level -= floor_db
+    level /= -floor_db
+    level *= 65535.0
+    return np.round(level, out=level).astype(">u2")
 
 
 def write_pgm(path, pixels: np.ndarray, floor_db: float) -> None:

@@ -163,13 +163,17 @@ def focus(raw: RawDataMatrix | RawStream, spec: OfdmSpec, platform: PlatformPara
     """Full image formation for either waveform, given its reference: the
     transmitted symbols for OFDM data, the transmitted pulse for noise data.
     No migration stage: the echo model keeps every scatterer in its range cell.
-    raw is the raw matrix, or a RawStream whose blocks are compressed as they
-    are synthesized. Pass raw as a temporary: focus drops it once it is
-    range-compressed, so the azimuth stages never hold it.
+    raw is the raw matrix, or a stream (a RawStream, or the command line's
+    FSAR reader) whose blocks are compressed as they are synthesized or read.
+    Pass raw as a temporary: focus drops it once it is range-compressed, so the
+    azimuth stages never hold it, and drops the range-compressed matrix once it
+    is transformed, so azimuth_compress holds only the Doppler matrix and image.
     """
     if raw.waveform_kind == "noise" and len(reference) != spec.pulse_length:
         raise ValueError(f"replica of {len(reference)} samples, not N+M-1 = {spec.pulse_length}")
     rc = (range_compress_ofdm(raw, spec, reference) if raw.waveform_kind == "ofdm"
           else range_compress_noise(raw, reference))
     del raw
-    return azimuth_compress(azimuth_fft(rc), platform, azimuth_window)
+    rd = azimuth_fft(rc)
+    del rc
+    return azimuth_compress(rd, platform, azimuth_window)

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from fopen_sar import cli, echo, imaging, scenario
 from fopen_sar.cli import main
 from fopen_sar.fileio import read_fimg, read_fsar, write_fimg, write_fsar
+from fopen_sar.foliage import block_rows
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError
 from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, preset_scenario, run_metrics
 
@@ -627,6 +629,87 @@ class TestFloatRange:
         else:
             doc = _read_json(out / "ofdm-foliage_off-seed0_metrics.json")
             assert all(math.isfinite(doc[k]) for k in cli.METRIC_KEYS)
+
+
+def _long_line_file(tmp_path):
+    """The small preset with HH foliage at 1536 subcarriers: 32 pulses of 1630
+    samples, which stream in blocks of 27 pulses and 5."""
+    return _small_file_with(tmp_path, "long_line", lambda d: d.update(
+        foliage={"polarization": "HH"}, waveform={**d["waveform"], "n_subcarriers": 1536}))
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak of main(argv), which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedRaw:
+    """simulate writes its FSAR, and image --raw range-compresses it, a block of
+    pulses at a time: neither holds the raw matrix unless simulate writes its CSV."""
+
+    RAW = "ofdm-foliage_HH-seed0_raw.fsar"
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The rows of every cli.read_fsar call, in order."""
+        rows = []
+
+        def spied(path, *args, fn=cli.read_fsar):
+            rows.append(args[0] if args else None)
+            return fn(path, *args)
+
+        monkeypatch.setattr(cli, "read_fsar", spied)
+        return rows
+
+    def test_partial_last_block_gives_the_whole_matrix_image(self, tmp_path, reads):
+        common = ["--scenario", _long_line_file(tmp_path), "--out"]
+        assert block_rows(32, 1630) == 27
+        assert main(["simulate", *common, str(tmp_path / "sim")]) == 0
+        assert main(["image", *common, str(tmp_path / "whole")]) == 0  # the whole matrix
+        assert main(["image", *common, str(tmp_path / "streamed"),
+                     "--raw", str(tmp_path / "sim" / self.RAW)]) == 0
+        assert reads == [slice(0, 27), slice(27, 54)]
+        image = "ofdm-foliage_HH-seed0_image.fimg"
+        assert ((tmp_path / "streamed" / image).read_bytes()
+                == (tmp_path / "whole" / image).read_bytes())
+
+    @pytest.mark.parametrize("damage, small, code, message, blocks_read", [
+        (_sample(math.nan, 31, 7), False, 3,
+         "malformed file: {path}: holds non-finite samples (NaN or infinity)", 2),
+        (lambda blob: blob[:-16], False, 3,
+         "malformed file: {path}: FSAR payload has 834544 bytes, expected 834560 for 32 x 1630",
+         0),
+        (lambda blob: blob, True, 4, "{path} has shape (32, 1630), scenario expects (32, 350)",
+         0),
+    ], ids=["nan_in_last_block", "short_payload", "shape_mismatch"])
+    def test_error_exits_before_out_is_made(self, damage, small, code, message, blocks_read,
+                                            small_file, tmp_path, reads, capsys):
+        scen = _long_line_file(tmp_path)
+        assert main(["simulate", "--scenario", scen, "--out", str(tmp_path / "sim")]) == 0
+        path = tmp_path / "input.fsar"
+        path.write_bytes(damage((tmp_path / "sim" / self.RAW).read_bytes()))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["image", "--scenario", small_file if small else scen, "--raw", str(path),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+        assert len(reads) == blocks_read  # no payload is read before the shape checks
+
+    def test_full_preset_commands_hold_less_than_a_raw_matrix(self, tmp_path):
+        # both commands once held the whole 256 x 1406 raw matrix: 7.2 and 7.0 MiB peaks
+        raw = tmp_path / "sim" / "ofdm-foliage_off-seed0_raw.fsar"
+        raw_nbytes = 16 * 256 * 1406
+        assert _traced_peak(["simulate", "--preset", "full",
+                             "--out", str(tmp_path / "sim")]) < raw_nbytes
+        assert raw.stat().st_size == 32 + raw_nbytes
+        assert _traced_peak(["image", "--preset", "full", "--raw", str(raw),
+                             "--out", str(tmp_path / "image")]) < raw_nbytes
 
 
 class TestPeakAtCutEnd:

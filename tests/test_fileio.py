@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from fopen_sar.echo import SimulationConfig, synthesize_raw
-from fopen_sar import fileio
+from fopen_sar import echo, fileio
+from fopen_sar.echo import RawStream, SimulationConfig, synthesize_raw
 from fopen_sar.fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar,
                               write_csv, write_fimg, write_fsar, write_pgm, write_png)
 from fopen_sar.geometry import PointTarget, Scene
@@ -69,6 +69,32 @@ class TestFsarIo:
         path.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
         with pytest.raises(FormatError, match=re.escape(f"{path}: FSAR version 2")):
             read_fsar(path)
+
+    def test_streams_write_and_read_the_array_bytes(self, tiny_spec, tiny_platform, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(echo, "block_rows", lambda rows, length: 5)  # 16 = 5 + 5 + 5 + 1
+        cfg = _config(tiny_spec, tiny_platform, kind="noise", master_seed=3, snr_db=20.0)
+        raw = synthesize_raw(cfg)
+        assert [len(rows) for _, rows in RawStream(cfg).blocks()] == [5, 5, 5, 1]
+        for name, source in (("array", raw.data), ("matrix", raw), ("stream", RawStream(cfg))):
+            write_fsar(tmp_path / f"{name}.fsar", source)
+        blob = (tmp_path / "array.fsar").read_bytes()
+        assert (tmp_path / "matrix.fsar").read_bytes() == blob
+        assert (tmp_path / "stream.fsar").read_bytes() == blob
+        path = tmp_path / "array.fsar"
+        assert fileio.container_shape(path, fileio.FSAR_MAGIC) == raw.shape
+        for rows in (slice(0, 3), slice(3, 8), slice(5, 99), slice(9, 12), slice(None)):
+            np.testing.assert_array_equal(read_fsar(path, rows), raw.data[rows])
+        with pytest.raises(ValueError, match="not consecutive"):
+            read_fsar(path, slice(0, 4, 2))
+
+    def test_shape_is_checked_as_a_read_is(self, tiny_spec, tiny_platform, tmp_path):
+        path = self._written(tiny_spec, tiny_platform, tmp_path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: FSAR payload has")):
+            fileio.container_shape(path, fileio.FSAR_MAGIC)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad magic b'FSAR'")):
+            fileio.container_shape(path, fileio.FIMG_MAGIC)
 
 
 def _csv_writer_bytes(path, header, rows) -> bytes:
@@ -171,3 +197,15 @@ class TestImageIo:
         header = b"P5\n7 5\n65535\n"
         vals = np.frombuffer(blob[len(header):], dtype=">u2").reshape(5, 7)
         assert np.unravel_index(np.argmax(vals), vals.shape) == (3, 2)
+
+    def test_pgm_levels_are_the_db_formula_bit_for_bit(self, tmp_path):
+        # the levels are formed in place in one buffer; they must be the formula's
+        rng = np.random.default_rng(6)
+        px = (rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))) * 10.0 ** (
+            rng.uniform(-4, 0, (40, 30)))
+        mag = np.abs(px)
+        db = 20.0 * np.log10(np.maximum(mag / mag.max(), 10.0 ** (-50.0 / 20.0)))
+        want = np.round((db + 50.0) / 50.0 * 65535.0).astype(">u2")
+        assert 0 < (want == 0).sum() < want.size  # some pixels sit below the floor
+        write_pgm(tmp_path / "img.pgm", px, -50.0)
+        assert (tmp_path / "img.pgm").read_bytes() == b"P5\n30 40\n65535\n" + want.tobytes()

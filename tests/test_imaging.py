@@ -1,8 +1,10 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from fopen_sar import imaging
 from fopen_sar.echo import RawDataMatrix, SimulationConfig, synthesize_raw, transmitted_pulse
 from fopen_sar.geometry import PlatformParams, PointTarget, Scene, gm_vector, make_grid
 from fopen_sar.imaging import (AZIMUTH_WINDOWS, azimuth_fft, migration_shift_cells,
@@ -417,6 +419,29 @@ class TestAzimuthCompressAndFocus:
             azimuth_compress(np.ones((8, 1), complex), plat, window)
         with pytest.raises(ValueError, match=named):
             focus(raw, spec, plat, generate_bpsk_symbols(0, 64), azimuth_window=window)
+
+    @pytest.mark.parametrize("kind", ["ofdm", "noise"])
+    def test_range_compressed_matrix_is_freed_before_azimuth_compress(self, kind,
+                                                                      monkeypatch):
+        # focus once held rc through azimuth_compress, beside the Doppler matrix and image
+        refs, alive = [], []
+
+        def compress(fn):
+            def spied(*args):
+                rc = fn(*args)
+                refs.append(weakref.ref(rc.data))
+                return rc
+            return spied
+
+        def azimuth_compress_spy(rd, *args, fn=imaging.azimuth_compress):
+            alive.append(refs[-1]() is not None)
+            return fn(rd, *args)
+
+        for name in ("range_compress_ofdm", "range_compress_noise"):
+            monkeypatch.setattr(imaging, name, compress(getattr(imaging, name)))
+        monkeypatch.setattr(imaging, "azimuth_compress", azimuth_compress_spy)
+        self._run_small(kind)
+        assert alive == [False]
 
 
 class TestPointRcsEstimate:

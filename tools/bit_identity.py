@@ -28,10 +28,11 @@ It runs FILE_COMMANDS in a temporary directory and prints one line per
 command with its exit code, then one "<command>/<file> <sha256>" line per
 file the command wrote, manifests hashed without their timings_s. The
 commands simulate, image and take metrics of both presets, run multi-seed
-metrics and compare commands on more than one thread, and image a scene
-with zero RCS, which exits 5 and must write no file. Last, they image the
-small preset and then the zero scene into one directory: the second command
-exits 5 and must leave the first one's files whole, manifest included. Both modes
+metrics and compare commands on more than one thread, image a long-line FSAR
+that is read in blocks, the last one partial, and image a scene with zero
+RCS, which exits 5 and must write no file. Last, they image the small preset
+and then the zero scene into one directory: the second command exits 5 and
+must leave the first one's files whole, manifest included. Both modes
 need numpy and the fopen_sar package only; to fingerprint another checkout,
 run this file with that checkout's src first on PYTHONPATH.
 
@@ -116,7 +117,8 @@ def lines(run_list):
 # default outputs: its image has no peak for the profiles, so the command exits
 # 5, and any file it wrote would be listed. The two "image-rerun" commands share
 # their --out: the failing rerun must leave the first run's listing, manifest
-# included, line for line.
+# included, line for line, so they come last. "image-foliage-long" images the long
+# scenario's FSAR, which it reads and range-compresses in blocks of 27 pulses and 5.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -131,6 +133,8 @@ FILE_COMMANDS = (
     ("metrics-seeds", ["metrics", "--preset", "small", "--foliage", "HH", "--seeds", "6",
                        "--threads", "3"]),
     ("compare-seeds", ["compare", "--preset", "small", "--seeds", "3", "--threads", "2"]),
+    ("image-foliage-long", ["image", "--scenario", "{dir}/foliage_long.json", "--raw",
+                            "{dir}/simulate-foliage-long/ofdm-foliage_HH-seed0_raw.fsar"]),
     ("image-zero", ["image", "--scenario", "{dir}/zero.json"]),
     ("image-rerun", ["image", "--preset", "small"]),
     ("image-rerun", ["image", "--scenario", "{dir}/zero.json"]),
