@@ -29,11 +29,11 @@ from .fileio import (FIMG_MAGIC, FSAR_MAGIC, FormatError, container_shape,
                      dump_realizations_csv, read_fimg, read_fsar, write_csv, write_fimg,
                      write_fsar, write_json, write_pgm, write_png, write_raw_csv)
 from .foliage import block_rows
-from .imaging import smooth_length
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
                       extract_profiles, image_metrics, paired_differences)
-from .scenario import (PRESETS, SCHEMA, SchemaError, Scenario, focus_scenario,
-                       load_scenario, preset_scenario, run_metrics, run_pipeline)
+from .scenario import (MEMORY_BUDGET, PRESETS, RAW_CSV_MAX_SAMPLES, SCHEMA, SchemaError,
+                       Scenario, focus_scenario, load_scenario, preset_scenario, run_bytes,
+                       run_metrics)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -41,16 +41,10 @@ EXIT_IO = 3
 EXIT_MISMATCH = 4
 EXIT_NO_PEAK = 5
 
-# CSV threshold below which simulate also writes a plain-text copy.
-_CSV_MAX_SAMPLES = 1 << 16
 # Most seeds one metrics or compare run takes; its manifest lists every seed.
 _MAX_SEEDS = 1 << 20
 # Most --threads a command takes: a constant, so a command exits alike on every host.
 _MAX_THREADS = 64
-# Most bytes a command's runs may hold at once, by _peak_bytes: a constant for the same
-# reason. One run of a raw matrix at the MAX_SAMPLES cap fits at the default upsample:
-# 0.6 GiB at the full preset's line, 1.1 GiB for the tank, 3.3 GiB for 2 pulses.
-_MEMORY_BUDGET = 4 << 30
 
 
 class MismatchError(ValueError):
@@ -159,37 +153,6 @@ def _per_seed_csv(stem, seeds, per_seed) -> tuple:
             [[seeds, *(np.array([m[k] for m in per_seed]) for k in METRIC_KEYS)]])
 
 
-def _peak_bytes(scen, threads) -> int:
-    """Bytes one scenario's runs hold at once on `threads` seed threads, from above:
-    each thread's raw matrix, its range-compressed matrix, five blocks of raw lines
-    (block_rows of them, at the compressors' FFT length), six whole-line vectors and
-    four upsampled profiles, plus a multi-cell scene's shared FFT(G, L), as large as a
-    raw matrix. Only image without --raw, and simulate when it writes the raw CSV
-    copy, hold the raw matrix; the other commands hold a block's synthesis (or read)
-    and compression buffers at once. Against the tracemalloc peak of run_metrics it
-    reads 1.15-22x from 2 to 256 pulses of 350 to 2^18 + 382 samples, frozen,
-    redrawn or no foliage, one or two threads (2.4-4.4x at the full preset, the most
-    where many pulses make the raw matrix large), and 1.89x at the full preset with
-    upsample 4096."""
-    cfg = scen.simulation_config()
-    pulses, line, cells = cfg.platform.n_pulses(), cfg.ofdm.line_length, cfg.ofdm.n_range_cells
-    raw = 16 * pulses * line
-    run = (raw + 16 * pulses * cells + 5 * 16 * smooth_length(line) * block_rows(pulses, line)
-           + 6 * 16 * line + 4 * 16 * max(pulses, cells) * scen.processing["upsample"])
-    return threads * run + raw * (len({t.range_cell for t in cfg.scene.targets}) > 1)
-
-
-def _check_memory(scen, threads):
-    """Refuse runs whose _peak_bytes is over _MEMORY_BUDGET, naming what to lower:
-    platform.aperture_s when one run is over it, else --threads."""
-    for fix, runs, n in (("platform.aperture_s", "one run", 1),
-                         ("--threads", f"{threads} seed threads", threads)):
-        if _peak_bytes(scen, n) > _MEMORY_BUDGET:
-            raise SchemaError(f"{fix}: {runs} of {scen.label()} would hold about "
-                              f"{_peak_bytes(scen, n) / 2**20:.1f} MiB, over the memory "
-                              f"budget of {_MEMORY_BUDGET / 2**20:.1f} MiB")
-
-
 def _seed_list(scen, args) -> list[int]:
     """The --seeds consecutive seeds from seeds.master, each within its schema bound."""
     if args.seeds > _MAX_SEEDS:
@@ -209,7 +172,7 @@ def cmd_simulate(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
     raw = RawStream(cfg)  # synthesized a block at a time as the FSAR is written
-    csv = raw.shape[0] * raw.shape[1] <= _CSV_MAX_SAMPLES
+    csv = raw.shape[0] * raw.shape[1] <= RAW_CSV_MAX_SAMPLES
     if csv:  # one whole matrix feeds both files
         raw = synthesize_raw(cfg)
     writes = [(f"{stem}_raw.fsar", write_fsar, raw)]
@@ -224,19 +187,17 @@ def cmd_simulate(args, scens, seed_lists, stem):
 
 def cmd_image(args, scens, seed_lists, stem):
     scen = scens[0]
+    cfg = scen.simulation_config()
+    source, raw = "simulated raw data", lambda: RawStream(cfg)
     if args.raw:
-        cfg = scen.simulation_config()
         shape = (cfg.platform.n_pulses(), cfg.ofdm.line_length)
         _check_shape(args.raw, FSAR_MAGIC, shape)
-        # finite samples near the float64 limit can overflow in the FFTs
-        with np.errstate(over="ignore", invalid="ignore"):
-            img = focus_scenario(scen, cfg, lambda: _FsarStream(args.raw, shape,
-                                                                cfg.waveform_kind))
-        if not np.isfinite(img.pixels).all():
-            raise FormatError(f"{args.raw}: focuses to a non-finite image "
-                              "(samples too large)")
-    else:
-        img = run_pipeline(scen)
+        source, raw = args.raw, lambda: _FsarStream(args.raw, shape, cfg.waveform_kind)
+    # finite samples near the float64 limit can overflow in the FFTs
+    with np.errstate(over="ignore", invalid="ignore"):
+        img = focus_scenario(scen, cfg, raw)
+    if not np.isfinite(img.pixels).all():
+        raise FormatError(f"{source}: focuses to a non-finite image (samples too large)")
     outputs, upsample, pixels = scen.doc["outputs"], scen.processing["upsample"], img.pixels
     writes = [(f"{stem}_image.fimg", write_fimg, pixels)]
     if outputs["write_pgm"]:
@@ -337,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--raw", metavar="PATH", help="existing FSAR file, read and "
                    "range-compressed a block at a time (default: simulate in-process, "
-                   "through the whole raw matrix)")
+                   "each block range-compressed as it is synthesized)")
     p.set_defaults(func=cmd_image, seeds=1)
 
     p = sub.add_parser("metrics", help="compute ISLR/PSLR metrics")
@@ -371,8 +332,12 @@ def main(argv=None) -> int:
         if getattr(args, "image", None) and args.seeds != 1:
             raise SchemaError("metrics: --seeds must be 1 with --image")
         seed_lists = [_seed_list(scen, args) for scen in scens]
-        for scen, seeds in zip(scens, seed_lists):
-            _check_memory(scen, min(args.threads, len(seeds)))
+        for scen, seeds in zip(scens, seed_lists):  # validation judged one run's bytes
+            n = min(args.threads, len(seeds))
+            if (held := run_bytes(scen.doc, n)[0]) > MEMORY_BUDGET:
+                raise SchemaError(f"--threads: {n} seed threads of {scen.label()} would hold "
+                                  f"about {held / 2**20:.1f} MiB, over the memory budget of "
+                                  f"{MEMORY_BUDGET / 2**20:.1f} MiB")
         os.makedirs(args.out, exist_ok=True)
         stem = os.path.join(args.out, f"{scens[0].label()}-seed{scens[0].master_seed}")
         advisories = list(dict.fromkeys(a for s in scens for a in s.advisories))

@@ -15,9 +15,9 @@ import numbers
 import threading
 
 from .echo import RawStream, SimulationConfig, synthesize_raw, transmitted_pulse
-from .foliage import ATTENUATION_CONSTANTS, FoliageParams
+from .foliage import ATTENUATION_CONSTANTS, FoliageParams, block_rows
 from .geometry import PlatformParams, PointTarget, RangeGrid, Scene
-from .imaging import AZIMUTH_WINDOWS, FocusedImage, focus
+from .imaging import AZIMUTH_WINDOWS, FocusedImage, focus, smooth_length
 from .metrics import SMOOTH_WINDOW, UPSAMPLE, NoPeakError, image_metrics
 from .waveform import OfdmSpec, generate_bpsk_symbols
 
@@ -89,11 +89,13 @@ SCHEMA = {
     },
     "seeds": {"master": (int, REQUIRED, 0, 2**64 - 1)},  # its digits name output files
 }
-# The most samples a scenario may ask for in its raw matrix (pulses x line
-# length) and in its upsampled profile (max(pulses, M) x upsample): 512 MiB
-# of complex128 either way, far above every preset (the full preset's raw
-# matrix has 359,936 samples).
+# The most samples of a raw matrix, 512 MiB of complex128. No command holds it: this
+# bounds simulate's FSAR, a run's work and, at 2^25 pulses, the fBm rule of _relations.
 MAX_SAMPLES = 1 << 25
+# The most bytes a scenario's runs may hold at once by run_bytes, on every host alike.
+MEMORY_BUDGET = 4 << 30
+# The most samples of a raw matrix that simulate also writes as CSV.
+RAW_CSV_MAX_SAMPLES = 1 << 16
 
 
 def _is_real(v) -> bool:
@@ -263,14 +265,46 @@ def _or_inf(f) -> float:
         return math.inf
 
 
+def run_bytes(doc: dict, threads: int = 1) -> tuple[int, str]:
+    """From above, the bytes `threads` seed threads of the valid document doc's runs hold
+    at once in any command, and the field of the largest term of one run's largest
+    stage. A stage sums its buffers: synthesis and range compression (the compressed
+    matrix; per pulse G's column, slow times and keys, and the largest setup temporary:
+    the fBm's embedding, a per-pulse stream's keys or gm_vector's targets; 8 line vectors
+    and foliage's per-bin arrays; the raw, filter, F, noise and two ufunc blocks),
+    simulate's raw CSV copy (the raw matrix and its four columns), and the ends of
+    focusing and metrics (two [pulse, cell] matrices, the longer profile's spectrum and
+    transform, and the range profile). Each thread adds 18 KiB of Python objects, the
+    threads share a multi-cell scene's FFT(G, L), and main's fixed buffers (1 MiB to
+    hash, one write_csv block) come on top."""
+    w, fol, noisy = doc["waveform"], "foliage" in doc, "noise" in doc
+    n, m, targets = w["n_subcarriers"], w["n_range_cells"], doc["scene"]["targets"]
+    line, pulses = n + 2 * m - 2, PlatformParams(**doc["platform"]).n_pulses()
+    redrawn, height = fol and doc["foliage"]["redraw_per_pulse"], block_rows(pulses, line)
+    fft_len = n if w["kind"] == "ofdm" else smooth_length(line)
+    setup = max(12 * fol, 10 * noisy, 20 * redrawn, 6 * block_rows(len(targets), pulses))
+    matrix = 16 * pulses * m
+    stages = ({"platform.aperture_s": matrix + 16 * pulses * (3 + setup),
+               "waveform.n_subcarriers": 8 * line * (16 + 2 * fol + 3 * (fol - redrawn))
+               + 16 * height * ((1 + 2 * fol + noisy) * line + fft_len)
+               + 32 * min(height * line, 8192)},
+              {"platform.aperture_s": 56 * pulses * line * (pulses * line <= RAW_CSV_MAX_SAMPLES)},
+              {"platform.aperture_s": 2 * matrix,
+               "processing.upsample": 40 * max(pulses, m) * doc["processing"]["upsample"]})
+    worst = max(stages, key=lambda stage: sum(stage.values()))
+    shared = 16 * pulses * line * (len({t["cell"] for t in targets}) > 1)
+    return threads * (sum(worst.values()) + 18 * 1024) + shared, max(worst, key=worst.get)
+
+
 def _relations(out):
     """The rules that relate fields, on values derived once (the platform's by PlatformParams),
     in this order: the waveform's, the platform's, each target's (its cell maximum M - 1,
     its closest-approach slant range, which may not fall below the platform altitude, and
-    its uniqueness), the smoothing lengths, and last the bounds the pipeline's float
-    arithmetic sets. Those are checked in scalars: what it divides by must be nonzero, and
-    what it squares or takes the logarithm of must be finite. A PRF below the Doppler
-    bandwidth is no error but an advisory, which Scenario judges after these rules."""
+    its uniqueness), the smoothing lengths, one run's bytes (run_bytes), and last the bounds
+    the pipeline's float arithmetic sets. Those are checked in scalars: what it divides by
+    must be nonzero, and what it squares or takes the logarithm of must be finite. A PRF
+    below the Doppler bandwidth is no error but an advisory, which Scenario judges after
+    these rules."""
     w, p, proc = out["waveform"], out["platform"], out["processing"]
     plat = PlatformParams(**p)
     m, v, rc, prf = w["n_range_cells"], p["velocity_mps"], p["reference_range_m"], p["prf_hz"]
@@ -305,13 +339,13 @@ def _relations(out):
     # kernel or window longer than what it smooths changes its length
     if "foliage" in out and out["foliage"]["spectral_smoothing_bins"] > line:
         _fail("foliage.spectral_smoothing_bins", f"must be <= {line}, the bins of a range line")
-    cuts, up = (n, m), proc["upsample"]
-    if max(cuts) * up > MAX_SAMPLES:
-        _fail("processing.upsample", f"profile of {max(cuts)} x {up} samples is "
-              f"more than the limit of {MAX_SAMPLES} samples")
-    if proc["smooth_window"] > min(cuts) * up:
-        _fail("processing.smooth_window", f"must be <= {min(cuts) * up}, "
+    if proc["smooth_window"] > min(n, m) * proc["upsample"]:
+        _fail("processing.smooth_window", f"must be <= {min(n, m) * proc['upsample']}, "
               "the samples of the shorter upsampled profile")
+    held, field = run_bytes(out)
+    if held > MEMORY_BUDGET:
+        _fail(field, f"one run would hold about {held / 2**20:.1f} MiB, over the memory "
+              f"budget of {MEMORY_BUDGET / 2**20:.1f} MiB")
     # the float bounds
     if "foliage" in out:  # the channel takes log10 of every raw-line frequency
         low = float(spec.line_frequencies(p["carrier_hz"]).min())
@@ -462,9 +496,8 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
     Seeds are independent runs, spread over n = max(1, min(threads, len(seeds)))
     threads: the calling thread and n - 1 workers. Thread k runs seeds k, k + n,
     k + 2n, ... in order and stops at its own first error. No seed thread holds
-    a raw matrix: a seed's RawStream is range-compressed block by block as it is
-    synthesized, so a thread holds its [pulse, cell] matrices and the blocks of
-    both stages at a time, and gets run_pipeline's metrics bit for bit. Each
+    a raw matrix: a seed's RawStream is range-compressed as it is synthesized
+    (run_bytes counts what a thread holds), to run_pipeline's metrics bit for bit. Each
     result depends only on its seed, so the list is bit-identical for any thread
     count.
     The first error in seed order is raised, a NoPeakError naming the seed and

@@ -16,10 +16,11 @@ import pytest
 
 from fopen_sar import cli, echo, imaging, scenario
 from fopen_sar.cli import main
-from fopen_sar.fileio import read_fimg, read_fsar, write_fimg, write_fsar
+from fopen_sar.fileio import CSV_BLOCK_ROWS, read_fimg, read_fsar, write_fimg, write_fsar
 from fopen_sar.foliage import block_rows
 from fopen_sar.metrics import METRIC_KEYS, NoPeakError
-from fopen_sar.scenario import SCHEMA, SMALL_PRESET, TARGET, preset_scenario, run_metrics
+from fopen_sar.scenario import (FULL_PRESET, SCHEMA, SMALL_PRESET, TARGET, load_scenario,
+                                preset_scenario, run_bytes, run_metrics, run_pipeline)
 
 
 @pytest.fixture
@@ -187,23 +188,28 @@ class TestImage:
     @pytest.mark.parametrize("from_file", [True, False])
     def test_raw_matrix_is_freed_before_the_azimuth_stages(self, monkeypatch, small_file,
                                                            tmp_path, from_file):
+        # both sources stream: the last block read from the file, or the block buffer
+        # synthesis reuses, is gone once range compression is done
         out = str(tmp_path / "out")
         main(["simulate", "--scenario", small_file, "--out", out])
         refs, alive = [], []
 
-        def source(fn):
-            def spied(*args, **kwargs):
-                raw = fn(*args, **kwargs)
-                refs.append(weakref.ref(raw if from_file else raw.data))
-                return raw
-            return spied
+        def read_fsar(*args, fn=cli.read_fsar):
+            rows = fn(*args)
+            refs.append(weakref.ref(rows))
+            return rows
+
+        def raw_blocks(cfg, fn=echo.raw_blocks):
+            for start, rows in fn(cfg):
+                refs.append(weakref.ref(rows.base))
+                yield start, rows
 
         def azimuth_fft(rc, fn=imaging.azimuth_fft):
             alive.append(refs[-1]() is not None)
             return fn(rc)
 
-        monkeypatch.setattr(cli, "read_fsar", source(cli.read_fsar))
-        monkeypatch.setattr(scenario, "synthesize_raw", source(scenario.synthesize_raw))
+        monkeypatch.setattr(cli, "read_fsar", read_fsar)
+        monkeypatch.setattr(echo, "raw_blocks", raw_blocks)
         monkeypatch.setattr(imaging, "azimuth_fft", azimuth_fft)
         raw = ["--raw", os.path.join(out, "ofdm-foliage_off-seed0_raw.fsar")]
         assert main(["image", "--scenario", small_file, "--out", out]
@@ -667,16 +673,18 @@ class TestStreamedRaw:
         return rows
 
     def test_partial_last_block_gives_the_whole_matrix_image(self, tmp_path, reads):
-        common = ["--scenario", _long_line_file(tmp_path), "--out"]
+        path = _long_line_file(tmp_path)
+        common = ["--scenario", path, "--out"]
         assert block_rows(32, 1630) == 27
         assert main(["simulate", *common, str(tmp_path / "sim")]) == 0
-        assert main(["image", *common, str(tmp_path / "whole")]) == 0  # the whole matrix
-        assert main(["image", *common, str(tmp_path / "streamed"),
+        assert main(["image", *common, str(tmp_path / "synthesized")]) == 0
+        assert main(["image", *common, str(tmp_path / "read"),
                      "--raw", str(tmp_path / "sim" / self.RAW)]) == 0
         assert reads == [slice(0, 27), slice(27, 54)]
-        image = "ofdm-foliage_HH-seed0_image.fimg"
-        assert ((tmp_path / "streamed" / image).read_bytes()
-                == (tmp_path / "whole" / image).read_bytes())
+        whole = run_pipeline(load_scenario(path)).pixels  # through the whole raw matrix
+        for out in ("synthesized", "read"):
+            pixels = read_fimg(str(tmp_path / out / "ofdm-foliage_HH-seed0_image.fimg"))
+            assert pixels.tobytes() == whole.tobytes(), out
 
     @pytest.mark.parametrize("damage, small, code, message, blocks_read", [
         (_sample(math.nan, 31, 7), False, 3,
@@ -702,7 +710,8 @@ class TestStreamedRaw:
         assert len(reads) == blocks_read  # no payload is read before the shape checks
 
     def test_full_preset_commands_hold_less_than_a_raw_matrix(self, tmp_path):
-        # both commands once held the whole 256 x 1406 raw matrix: 7.2 and 7.0 MiB peaks
+        # each command once held the whole 256 x 1406 raw matrix: simulate, image --raw
+        # and image peaked at 7.2, 7.0 and 6.95 MiB
         raw = tmp_path / "sim" / "ofdm-foliage_off-seed0_raw.fsar"
         raw_nbytes = 16 * 256 * 1406
         assert _traced_peak(["simulate", "--preset", "full",
@@ -710,6 +719,34 @@ class TestStreamedRaw:
         assert raw.stat().st_size == 32 + raw_nbytes
         assert _traced_peak(["image", "--preset", "full", "--raw", str(raw),
                              "--out", str(tmp_path / "image")]) < raw_nbytes
+        assert _traced_peak(["image", "--preset", "full",
+                             "--out", str(tmp_path / "synthesized")]) < raw_nbytes
+
+
+# Bytes main holds besides its runs, which do not grow with the scenario: _sha256's
+# 1 MiB buffer, and one write_csv block of CSV_BLOCK_ROWS rows of four numbers, each
+# under 64 bytes as a Python object and its text.
+_MAIN_BYTES = (1 << 20) + 4 * 64 * CSV_BLOCK_ROWS
+
+
+def _full_hh(doc, n_subcarriers=1024, pulses=256):
+    doc.update(copy.deepcopy(FULL_PRESET), foliage={"polarization": "HH"})
+    doc["waveform"]["n_subcarriers"] = n_subcarriers
+    doc["platform"]["aperture_s"] = pulses / doc["platform"]["prf_hz"]
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("command", ["simulate", "image", "metrics"])
+    @pytest.mark.parametrize("edit", [lambda d: None, _full_hh,
+                                      lambda d: _full_hh(d, 1 << 16, 2)],
+                             ids=["small", "full_HH", "2x65918_HH"])
+    def test_command_peak_is_within_run_bytes(self, command, edit, tmp_path):
+        # simulate once peaked at 1.46 MiB writing the small preset's raw CSV copy,
+        # over the 1.15 MiB that the bound before run_bytes gave
+        path = _small_file_with(tmp_path, "doc", edit)
+        echo._geometry.clear()  # the run builds its geometry memo
+        peak = _traced_peak([command, "--scenario", path, "--out", str(tmp_path / "out")])
+        assert peak <= run_bytes(load_scenario(path).doc)[0] + _MAIN_BYTES
 
 
 class TestPeakAtCutEnd:
@@ -798,7 +835,9 @@ def _zero_rcs(doc):
 
 
 def _one_small_run_budget(monkeypatch):
-    monkeypatch.setattr(cli, "_MEMORY_BUDGET", cli._peak_bytes(preset_scenario("small"), 1))
+    budget, _ = run_bytes(preset_scenario("small").doc)
+    for owner in (scenario, cli):  # validation's one-run rule, and main's --threads rule
+        monkeypatch.setattr(owner, "MEMORY_BUDGET", budget)
 
 
 @pytest.fixture(scope="module")
@@ -853,21 +892,47 @@ class TestFrame:
         (["metrics", "--preset", "small", "--seeds", "2", "--threads", "3"],
          "--threads: 2 seed threads of ofdm-foliage_off would hold about"),
         (["image", "--preset", "small", "--seed", "1"], None),
+        # simulate's raw CSV copy of 64 pulses, [pulse, sample] terms
         (["compare", "--scenario", "{long}", "--scenario", "{long}", "--threads", "2"],
-         "platform.aperture_s: one run of ofdm-foliage_off would hold about"),
-    ], ids=["threads", "one_run_fits", "aperture"])
+         "platform.aperture_s: one run would hold about"),
+        # 4190-sample lines: their blocks and whole-line vectors
+        (["metrics", "--scenario", "{wide}"], "waveform.n_subcarriers: one run would hold about"),
+        (["metrics", "--scenario", "{fine}"], "processing.upsample: one run would hold about"),
+    ], ids=["threads", "one_run_fits", "aperture", "lines", "profiles"])
     def test_memory_budget_names_what_to_lower(self, argv, field, tmp_path, monkeypatch,
                                                capsys):
         _one_small_run_budget(monkeypatch)
-        long = _small_file_with(tmp_path, "long",
-                                lambda d: d["platform"].update(aperture_s=0.5))
-        argv = [a.format(long=long) for a in argv] + ["--out", str(tmp_path / "o")]
+        docs = {"long": lambda d: d["platform"].update(aperture_s=0.5),
+                "wide": lambda d: d["waveform"].update(n_subcarriers=4096),
+                "fine": lambda d: d["processing"].update(upsample=1024)}
+        paths = {name: _small_file_with(tmp_path, name, edit) for name, edit in docs.items()}
+        argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "o")]
         assert main(argv) == (2 if field else 0)
         err = capsys.readouterr().err
         if field:
             assert f"error: {field}" in err and "over the memory budget of" in err
         else:
             assert err == ""
+
+    def test_profiles_over_the_budget_name_upsample(self, tmp_path, capsys):
+        # 2 pulses of 2^24 samples at upsample 174762: the bound before run_bytes counted
+        # a raw matrix a thread, read 5.25 GiB and named platform.aperture_s, already at
+        # its 2-pulse minimum. run_bytes reads 2.5 GiB, mostly whole-line vectors (2.17
+        # GiB traced, scaled from 1/256 of the line and upsample), so it fits; at 4x the
+        # upsample its profiles' 5 GiB do not
+        doc = copy.deepcopy(FULL_PRESET)
+        doc["waveform"]["n_subcarriers"] = (1 << 24) - 382
+        doc["platform"]["aperture_s"] = 2 / 256
+        doc["processing"] = {"upsample": 174762}
+        held, field = run_bytes(scenario.validate_scenario(doc))
+        assert held <= scenario.MEMORY_BUDGET and field == "waveform.n_subcarriers"
+        doc["processing"]["upsample"] *= 4
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["metrics", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: processing.upsample: one run would hold about 5120.0 MiB, over the "
+            "memory budget of 4096.0 MiB\n")
 
     @pytest.mark.parametrize("command, owner, attr", [("simulate", cli, "synthesize_raw"),
                                                       ("metrics", echo, "raw_blocks")],

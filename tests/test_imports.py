@@ -58,6 +58,9 @@ TEST_ONLY = {
                             "no migration stage",
     ("scenario.py", "tank_scenario"): "the tank scene on any preset, which perfbench's "
                                       "workloads and tools/bit_identity.py build",
+    ("scenario.py", "run_pipeline"): "the whole-matrix run: perfbench's thread check, "
+                                     "acceptance criterion 7 and TestMemoryModel's "
+                                     "reference; every command streams",
 }
 
 

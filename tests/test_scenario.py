@@ -129,24 +129,28 @@ class TestValidation:
         ({"waveform": {"n_subcarriers": 418}, "platform": {"aperture_s": 512.0}}, None),
         ({"waveform": {"n_subcarriers": 418}, "platform": {"aperture_s": 512 + 1 / 128}},
          "platform.aperture_s"),
-        # max(128 pulses, 48 cells) x 2**18 = 2**25 profile samples
-        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 1 << 18}}, None),
-        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": (1 << 18) + 1}},
+        # 128 pulses: two [128, 48] matrices, 18 KiB and 40 x 128 x upsample bytes of
+        # profiles, so 838818 is the largest upsample within MEMORY_BUDGET
+        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 838818}}, None),
+        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 838819}},
          "processing.upsample"),
         ({"platform": {"aperture_s": 1e6}}, "platform.aperture_s"),  # 44.8 G samples
-        ({"processing": {"upsample": 10**9}}, "processing.upsample"),  # 48 G samples
+        ({"processing": {"upsample": 10**9}}, "processing.upsample"),  # 1.7 TiB
     ], ids=["raw_at_limit", "raw_over_limit", "profile_at_limit",
             "profile_over_limit", "huge_aperture", "huge_upsample"])
     def test_sample_counts_bounded(self, edit, field):
-        # validation only: a pipeline run at the limit needs gigabytes
+        # validation only: a pipeline run at the limit needs gigabytes. The raw matrix
+        # is bounded in samples; a run's bytes, here its profiles', by MEMORY_BUDGET
         doc = copy.deepcopy(SMALL_PRESET)
         for section, values in edit.items():
             doc[section].update(values)
         if field is None:
-            validate_scenario(doc)
+            assert scenario.run_bytes(validate_scenario(doc))[0] <= scenario.MEMORY_BUDGET
         else:
-            with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: .* "
-                               rf"limit of {1 << 25} samples$"):
+            limit = (rf"raw matrix .* limit of {1 << 25} samples" if "aperture" in field else
+                     r"one run would hold about [0-9.]+ MiB, over the memory budget of "
+                     rf"{scenario.MEMORY_BUDGET / 2**20:.1f} MiB")
+            with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: {limit}$"):
                 validate_scenario(doc)
 
     @pytest.mark.parametrize("field,value,limit", [
@@ -736,3 +740,52 @@ class TestMemoryModel:
         monkeypatch.setattr(imaging, "azimuth_fft", azimuth_fft)
         run_pipeline(preset_scenario("small").with_overrides(waveform_kind=kind))
         assert alive == [False]
+
+
+def _bound_shapes() -> list[tuple[str, dict]]:
+    """(kind, document) of the shapes run_bytes is held to: "drawn" for
+    test_differential's drawn documents, "long" for few-pulse long lines and the
+    upsample extremes."""
+    from test_differential import SYNTHESIS_DOCS
+
+    def full(kind, foliage, n, pulses, upsample=16):
+        doc = _memory_scenario(kind, foliage).doc
+        doc["waveform"]["n_subcarriers"] = n
+        doc["platform"]["aperture_s"] = pulses / doc["platform"]["prf_hz"]
+        doc["processing"]["upsample"] = upsample
+        return "long", doc
+
+    return [("drawn", doc) for doc in SYNTHESIS_DOCS] + [
+        full("ofdm", "frozen", 1 << 16, 2), full("noise", "off", 1 << 17, 4),
+        full("ofdm", "redrawn", 1 << 14, 16), full("noise", "frozen", 1024, 256, 1),
+        full("ofdm", "off", 1024, 256, 1),
+        ("long", {**SMALL_PRESET, "processing": {"upsample": 4096}})]
+
+
+class TestRunBytes:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bounds_run_metrics_from_both_sides(self, threads):
+        # run_bytes, the rule validation and --threads judge, is at least run_metrics'
+        # tracemalloc peak on every shape, and at most twice the peak of a run that
+        # completes (a NoPeakError skips its later stages). A drawn document's two seed
+        # threads take well under a millisecond each and seldom overlap: their peak
+        # reads 1.0-1.9x one thread's, so only the upper side holds there. A stage that
+        # holds one more raw-sized array breaks the upper side at the full preset's clear
+        # line, whose 5.5 MiB raw matrix is more than twice its runs' 2.3 MiB peak
+        run_metrics(preset_scenario("small"), [0])  # numpy's lazy imports are loaded
+        for kind, doc in _bound_shapes():
+            scen = Scenario(doc)
+            echo._geometry.clear()  # the first run of a geometry builds its memo
+            tracemalloc.start()
+            try:
+                run_metrics(scen, [1, 2][:threads], threads=threads)
+                done = True
+            except NoPeakError:
+                done = False
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            bound = scenario.run_bytes(scen.doc, threads)[0]
+            assert peak <= bound, (kind, doc, bound / peak)
+            if done and (threads == 1 or kind == "long"):
+                assert bound <= 2 * peak, (kind, doc, bound / peak)
