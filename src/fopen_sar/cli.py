@@ -24,16 +24,15 @@ import numpy as np
 from numpy.lib.introspect import opt_func_info
 
 from . import __version__
-from .echo import RawStream, foliage_channel, synthesize_raw
+from .echo import foliage_channel, synthesize_raw
 from .fileio import (FIMG_MAGIC, FSAR_MAGIC, FormatError, container_shape,
                      dump_realizations_csv, read_fimg, read_fsar, write_csv, write_fimg,
                      write_fsar, write_json, write_pgm, write_png, write_raw_csv)
 from .foliage import block_rows
 from .metrics import (METRIC_KEYS, NoPeakError, aggregate_reports,
                       extract_profiles, image_metrics, paired_differences)
-from .scenario import (MEMORY_BUDGET, PRESETS, RAW_CSV_MAX_SAMPLES, SCHEMA, SchemaError,
-                       Scenario, focus_scenario, load_scenario, preset_scenario, run_bytes,
-                       run_metrics)
+from .scenario import (MEMORY_BUDGET, PRESETS, SCHEMA, SchemaError, Scenario, focus_scenario,
+                       load_scenario, preset_scenario, run_bytes, run_metrics)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -45,6 +44,8 @@ EXIT_NO_PEAK = 5
 _MAX_SEEDS = 1 << 20
 # Most --threads a command takes: a constant, so a command exits alike on every host.
 _MAX_THREADS = 64
+# The most samples of a raw matrix that simulate also writes as CSV.
+RAW_CSV_MAX_SAMPLES = 1 << 16
 
 
 class MismatchError(ValueError):
@@ -102,8 +103,8 @@ def _finite(path, data: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FsarStream:
-    """An FSAR file's raw matrix, never held whole: focus takes it as a RawStream, and
-    blocks() reads it block_rows(*shape) pulses at a time, each checked finite."""
+    """An FSAR file's raw matrix, never held whole: focus takes it as it takes a config,
+    and blocks() reads it block_rows(*shape) pulses at a time, each checked finite."""
 
     path: str
     shape: tuple[int, int]
@@ -171,10 +172,9 @@ def _seed_list(scen, args) -> list[int]:
 def cmd_simulate(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
-    raw = RawStream(cfg)  # synthesized a block at a time as the FSAR is written
-    csv = raw.shape[0] * raw.shape[1] <= RAW_CSV_MAX_SAMPLES
-    if csv:  # one whole matrix feeds both files
-        raw = synthesize_raw(cfg)
+    csv = cfg.shape[0] * cfg.shape[1] <= RAW_CSV_MAX_SAMPLES
+    # one whole matrix feeds both files; else cfg synthesizes each block as the FSAR is written
+    raw = synthesize_raw(cfg) if csv else cfg
     writes = [(f"{stem}_raw.fsar", write_fsar, raw)]
     if csv:
         writes.append((f"{stem}_raw.csv", write_raw_csv, raw.data))
@@ -182,17 +182,16 @@ def cmd_simulate(args, scens, seed_lists, stem):
     if scen.doc["outputs"]["dump_foliage_csv"] and cfg.foliage is not None:
         writes.append((f"{stem}_foliage.csv", dump_realizations_csv,
                        foliage_channel(cfg).blocks()))
-    return writes, "wrote {} ({} pulses x {} samples)".format(writes[0][0], *raw.shape)
+    return writes, "wrote {} ({} pulses x {} samples)".format(writes[0][0], *cfg.shape)
 
 
 def cmd_image(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
-    source, raw = "simulated raw data", lambda: RawStream(cfg)
+    source, raw = "simulated raw data", lambda: cfg
     if args.raw:
-        shape = (cfg.platform.n_pulses(), cfg.ofdm.line_length)
-        _check_shape(args.raw, FSAR_MAGIC, shape)
-        source, raw = args.raw, lambda: _FsarStream(args.raw, shape, cfg.waveform_kind)
+        _check_shape(args.raw, FSAR_MAGIC, cfg.shape)
+        source, raw = args.raw, lambda: _FsarStream(args.raw, cfg.shape, cfg.waveform_kind)
     # finite samples near the float64 limit can overflow in the FFTs
     with np.errstate(over="ignore", invalid="ignore"):
         img = focus_scenario(scen, cfg, raw)

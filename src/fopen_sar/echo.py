@@ -4,8 +4,8 @@ Each range line is the linear convolution of the transmitted pulse (length
 N+M-1) with the length-M weighting RCS coefficient vector evaluated at that
 pulse's slow time, giving L = N+2M-2 samples; raw_blocks forms pulses a
 block at a time, raw = IFFT(FFT(G, L) * FFT(s, L) * F), into the whole matrix
-(synthesize_raw) or into one reused block (RawStream). No seed enters G, so the
-last geometry's FFT(G, L) is kept for every seed of that geometry: for a
+(synthesize_raw) or into one reused block (SimulationConfig.blocks). No seed
+enters G, so the last geometry's FFT(G, L) is kept for every seed of it: for a
 scene whose targets all sit in one range cell c, as G[:, c] times the
 spectrum of a unit impulse at c, so a clear scene's raw matrix is G[:, c]
 times one inverse-transformed line; for a scene of several cells, whole.
@@ -30,7 +30,11 @@ from .waveform import OfdmSpec, generate_noise_pulse, generate_ofdm_pulse
 class SimulationConfig:
     """Everything needed to synthesize one raw data matrix, taken as given
     (validate_scenario checks it). master_seed keys every stream of the run but
-    the BPSK symbols, which ofdm.symbol_seed keys; a scenario sets both alike."""
+    the BPSK symbols, which ofdm.symbol_seed keys; a scenario sets both alike.
+    The config is also its raw matrix, never held whole: blocks() synthesizes it
+    anew into one reused block, for a consumer that reads each block before it
+    takes the next, so range compression, focus and write_fsar take a config as
+    they take a RawDataMatrix."""
 
     waveform_kind: str  # "ofdm" | "noise"
     ofdm: OfdmSpec
@@ -39,6 +43,14 @@ class SimulationConfig:
     foliage: FoliageParams | None = None
     snr_db: float | None = None  # None disables receiver noise
     master_seed: int = 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The raw matrix's (pulses, samples)."""
+        return self.platform.n_pulses(), self.ofdm.line_length
+
+    def blocks(self):
+        return raw_blocks(self)
 
 
 @dataclass(frozen=True)
@@ -59,27 +71,6 @@ class RawDataMatrix:
         height = block_rows(*self.data.shape)
         return ((start, self.data[start:start + height])
                 for start in range(0, len(self.data), height))
-
-
-@dataclass(frozen=True)
-class RawStream:
-    """config's raw data matrix, never held whole: blocks() synthesizes it anew
-    into one reused block (raw_blocks), for a consumer that reads each block
-    before it takes the next. Range compression and focus take it as they take
-    a RawDataMatrix."""
-
-    config: SimulationConfig
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.config.platform.n_pulses(), self.config.ofdm.line_length
-
-    @property
-    def waveform_kind(self) -> str:
-        return self.config.waveform_kind
-
-    def blocks(self):
-        return raw_blocks(self.config)
 
 
 def transmitted_pulse(config: SimulationConfig) -> np.ndarray:
@@ -162,8 +153,7 @@ def raw_blocks(config: SimulationConfig, out: np.ndarray | None = None):
     once per run: with foliage each block is G[:, c] times F times that row, and
     without it every raw row is G[j, c] times one inverse-transformed line,
     which agrees with the blocked form to rounding."""
-    n = config.ofdm.line_length
-    pulses = config.platform.n_pulses()
+    pulses, n = config.shape
     pulse = transmitted_pulse(config)
     channel = foliage_channel(config)
     g, ramp = geometry_spectrum(config.scene, config.platform, config.ofdm.bandwidth_hz, n)
@@ -209,7 +199,7 @@ def synthesize_raw(config: SimulationConfig, threads: int = 1) -> RawDataMatrix:
     """The raw data matrix, every block of raw_blocks written in place: the one
     full-size array a run allocates besides the geometry memo. threads is the
     caller's worker cap; a run uses one thread."""
-    data = np.empty((config.platform.n_pulses(), config.ofdm.line_length), dtype=complex)
+    data = np.empty(config.shape, dtype=complex)
     for _ in raw_blocks(config, data):
         pass
     return RawDataMatrix(data, config.platform.slow_time_axis(), config.waveform_kind)

@@ -4,13 +4,14 @@ FSAR (raw echoes) and FIMG (focused images) are one binary container that
 differs only in its magic number: a 32-byte header (magic, version u32,
 rows u32, cols u32, 16 reserved bytes), then row-major little-endian
 complex128, i.e. float64 (Re, Im) pairs, written from an array or a block
-at a time from a stream of row blocks, and read whole or a slice of rows at
-a time. PGM and PNG hold an image's
-magnitude in dB re its peak as 16-bit gray levels. Every CSV (raw matrix,
-foliage F, image profiles, per-seed metrics) goes through write_csv, which
-writes each number's repr, so every value reads back bit for bit; JSON holds
-reports and manifests. Every file is written through atomic_write: a reader
-sees the old file or the whole new one, never a part.
+at a time from a stream of row blocks, and read whole or a slice of rows
+at a time. PGM and PNG hold an image's magnitude in dB re its peak as
+16-bit gray levels. Every CSV (raw matrix, foliage F, image profiles,
+per-seed metrics) goes through write_csv, which writes each number's repr,
+so every value reads back bit for bit; the two [pulse, bin] CSVs form
+their columns a row block at a time, never for the whole matrix at once.
+JSON holds reports and manifests. Every file is written through
+atomic_write: a reader sees the old file or the whole new one, never a part.
 """
 
 import contextlib
@@ -48,8 +49,9 @@ def atomic_write(path, mode="w"):
 
 def write_container(path, magic: bytes, data) -> None:
     """Write a 2-D complex matrix: header, then the samples of each (first_row, rows)
-    block of data.blocks() in turn (a RawDataMatrix or RawStream), or of data itself
-    when it is an array, which is one block."""
+    block of data.blocks() in turn (a RawDataMatrix, or a SimulationConfig that
+    synthesizes each block as it is written), or of data itself when it is an array,
+    which is one block."""
     rows, cols = data.shape
     blocks = data.blocks() if hasattr(data, "blocks") else [(0, data)]
     with atomic_write(path, "wb") as fh:
@@ -103,7 +105,7 @@ def read_container(path, magic: bytes, rows: slice = slice(None)) -> np.ndarray:
 
 def write_fsar(path, data) -> None:
     """Write a raw matrix [pulse, sample] as FSAR: an array, or a RawDataMatrix or
-    RawStream written a block at a time."""
+    SimulationConfig written a block at a time."""
     write_container(path, FSAR_MAGIC, data)
 
 
@@ -194,8 +196,12 @@ def _matrix_columns(blocks):
 
 
 def write_raw_csv(path, data: np.ndarray) -> None:
-    """CSV export of a small raw matrix: pulse, sample, re, im."""
-    write_csv(path, ["pulse", "sample", "re", "im"], _matrix_columns([data]))
+    """CSV export of a small raw matrix: pulse, sample, re, im. Its columns are formed
+    from row slices of about CSV_BLOCK_ROWS samples each (at least one row), so none
+    spans the whole matrix."""
+    height = max(1, CSV_BLOCK_ROWS // data.shape[1])
+    write_csv(path, ["pulse", "sample", "re", "im"],
+              _matrix_columns(data[i:i + height] for i in range(0, len(data), height)))
 
 
 def dump_realizations_csv(path, blocks) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import RawDataMatrix, RawStream
+from .echo import RawDataMatrix, SimulationConfig
 from .foliage import block_rows
 from .geometry import PlatformParams
 from .waveform import OfdmSpec
@@ -31,7 +31,7 @@ class FocusedImage:
     pixels: np.ndarray  # [azimuth, range_cell]
 
 
-def range_compress_ofdm(raw: RawDataMatrix | RawStream, spec: OfdmSpec,
+def range_compress_ofdm(raw: RawDataMatrix | SimulationConfig, spec: OfdmSpec,
                         symbols: np.ndarray) -> RangeCompressedMatrix:
     """Equalize each pulse: FFT, divide by symbols, IFFT, keep M cells.
 
@@ -55,11 +55,11 @@ def range_compress_ofdm(raw: RawDataMatrix | RawStream, spec: OfdmSpec,
     return RangeCompressedMatrix(_filter_rows(raw, slice(m - 1, m - 1 + n), eq, m))
 
 
-def _filter_rows(raw: RawDataMatrix | RawStream, window: slice, response: np.ndarray,
+def _filter_rows(raw: RawDataMatrix | SimulationConfig, window: slice, response: np.ndarray,
                  n_out: int) -> np.ndarray:
     """IFFT(FFT(line[window], n) * response)[:n_out] of every raw line, n =
-    len(response), block by block as raw.blocks() yields them, in one reused
-    block buffer of the raw matrix's block_rows."""
+    len(response), block by block as raw.blocks() yields them (read, or synthesized
+    from a config), in one reused block buffer of the raw matrix's block_rows."""
     n = len(response)
     out = np.empty((raw.shape[0], n_out), dtype=complex)
     buf = np.empty((block_rows(*raw.shape), n), dtype=complex)
@@ -88,7 +88,7 @@ def smooth_length(n: int) -> int:
     return best
 
 
-def range_compress_noise(raw: RawDataMatrix | RawStream,
+def range_compress_noise(raw: RawDataMatrix | SimulationConfig,
                          replica: np.ndarray) -> RangeCompressedMatrix:
     """Matched-filter each pulse against the transmitted noise replica.
 
@@ -158,12 +158,12 @@ def azimuth_compress(rd: np.ndarray, platform: PlatformParams,
     return FocusedImage(img)
 
 
-def focus(raw: RawDataMatrix | RawStream, spec: OfdmSpec, platform: PlatformParams,
+def focus(raw: RawDataMatrix | SimulationConfig, spec: OfdmSpec, platform: PlatformParams,
           reference: np.ndarray, azimuth_window: str = AZIMUTH_WINDOWS[0]) -> FocusedImage:
     """Full image formation for either waveform, given its reference: the
     transmitted symbols for OFDM data, the transmitted pulse for noise data.
     No migration stage: the echo model keeps every scatterer in its range cell.
-    raw is the raw matrix, or a stream (a RawStream, or the command line's
+    raw is the raw matrix, or a stream (a SimulationConfig, or the command line's
     FSAR reader) whose blocks are compressed as they are synthesized or read.
     Pass raw as a temporary: focus drops it once it is range-compressed, so the
     azimuth stages never hold it, and drops the range-compressed matrix once it

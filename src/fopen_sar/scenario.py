@@ -14,7 +14,7 @@ import math
 import numbers
 import threading
 
-from .echo import RawStream, SimulationConfig, synthesize_raw, transmitted_pulse
+from .echo import SimulationConfig, synthesize_raw, transmitted_pulse
 from .foliage import ATTENUATION_CONSTANTS, FoliageParams, block_rows
 from .geometry import PlatformParams, PointTarget, RangeGrid, Scene
 from .imaging import AZIMUTH_WINDOWS, FocusedImage, focus, smooth_length
@@ -94,8 +94,6 @@ SCHEMA = {
 MAX_SAMPLES = 1 << 25
 # The most bytes a scenario's runs may hold at once by run_bytes, on every host alike.
 MEMORY_BUDGET = 4 << 30
-# The most samples of a raw matrix that simulate also writes as CSV.
-RAW_CSV_MAX_SAMPLES = 1 << 16
 
 
 def _is_real(v) -> bool:
@@ -271,12 +269,14 @@ def run_bytes(doc: dict, threads: int = 1) -> tuple[int, str]:
     stage. A stage sums its buffers: synthesis and range compression (the compressed
     matrix; per pulse G's column, slow times and keys, and the largest setup temporary:
     the fBm's embedding, a per-pulse stream's keys or gm_vector's targets; 8 line vectors
-    and foliage's per-bin arrays; the raw, filter, F, noise and two ufunc blocks),
-    simulate's raw CSV copy (the raw matrix and its four columns), and the ends of
-    focusing and metrics (two [pulse, cell] matrices, the longer profile's spectrum and
-    transform, and the range profile). Each thread adds 18 KiB of Python objects, the
-    threads share a multi-cell scene's FFT(G, L), and main's fixed buffers (1 MiB to
-    hash, one write_csv block) come on top."""
+    and foliage's per-bin arrays; the raw, filter, F, noise and two ufunc blocks), and
+    the ends of focusing and metrics (two [pulse, cell] matrices, the longer profile's
+    spectrum and transform, and the range profile). simulate's raw CSV copy is no stage:
+    it holds the raw matrix, at most cli.RAW_CSV_MAX_SAMPLES samples (1 MiB), and its
+    columns one CSV block at a time, and the first stage holds more than that matrix.
+    Each thread adds 18 KiB of Python objects, the threads share a multi-cell scene's
+    FFT(G, L), and main's fixed buffers (1 MiB to hash, one write_csv block) come on
+    top."""
     w, fol, noisy = doc["waveform"], "foliage" in doc, "noise" in doc
     n, m, targets = w["n_subcarriers"], w["n_range_cells"], doc["scene"]["targets"]
     line, pulses = n + 2 * m - 2, PlatformParams(**doc["platform"]).n_pulses()
@@ -288,7 +288,6 @@ def run_bytes(doc: dict, threads: int = 1) -> tuple[int, str]:
                "waveform.n_subcarriers": 8 * line * (16 + 2 * fol + 3 * (fol - redrawn))
                + 16 * height * ((1 + 2 * fol + noisy) * line + fft_len)
                + 32 * min(height * line, 8192)},
-              {"platform.aperture_s": 56 * pulses * line * (pulses * line <= RAW_CSV_MAX_SAMPLES)},
               {"platform.aperture_s": 2 * matrix,
                "processing.upsample": 40 * max(pulses, m) * doc["processing"]["upsample"]})
     worst = max(stages, key=lambda stage: sum(stage.values()))
@@ -476,9 +475,10 @@ def run_pipeline(scen: Scenario, master_seed=None, threads: int = 1) -> FocusedI
 
 
 def focus_scenario(scen: Scenario, cfg: SimulationConfig, make_raw) -> FocusedImage:
-    """Focus the raw matrix, or RawStream, make_raw() returns for cfg, against
-    the reference its echoes are compressed with (the OFDM symbols, or the
-    transmitted noise pulse) and the scenario's azimuth window.
+    """Focus what make_raw() returns for cfg, its raw matrix or cfg itself (whose
+    blocks are synthesized as they are compressed), against the reference its
+    echoes are compressed with (the OFDM symbols, or the transmitted noise pulse)
+    and the scenario's azimuth window.
 
     The raw matrix goes straight into focus, which frees it once it is
     range-compressed; an argument tuple (focus(raw, *args)) or a local here
@@ -496,7 +496,7 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
     Seeds are independent runs, spread over n = max(1, min(threads, len(seeds)))
     threads: the calling thread and n - 1 workers. Thread k runs seeds k, k + n,
     k + 2n, ... in order and stops at its own first error. No seed thread holds
-    a raw matrix: a seed's RawStream is range-compressed as it is synthesized
+    a raw matrix: a seed's config is range-compressed as it is synthesized
     (run_bytes counts what a thread holds), to run_pipeline's metrics bit for bit. Each
     result depends only on its seed, so the list is bit-identical for any thread
     count.
@@ -511,8 +511,8 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
         for i in range(k, len(seeds), n):
             try:  # no local holds the image into the next seed's synthesis
                 cfg = scen.simulation_config(seeds[i])
-                results[i] = image_metrics(focus_scenario(scen, cfg, lambda: RawStream(cfg))
-                                           .pixels, scen.processing["upsample"],
+                results[i] = image_metrics(focus_scenario(scen, cfg, lambda: cfg).pixels,
+                                           scen.processing["upsample"],
                                            scen.processing["smooth_window"])
             except BaseException as exc:  # re-raised below, in seed order
                 results[i] = exc

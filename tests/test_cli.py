@@ -735,14 +735,22 @@ def _full_hh(doc, n_subcarriers=1024, pulses=256):
     doc["platform"]["aperture_s"] = pulses / doc["platform"]["prf_hz"]
 
 
+def _small_187_pulses(doc):
+    """The small preset at 187 pulses: 65450 samples, the most within RAW_CSV_MAX_SAMPLES
+    at its 350-sample line, in two raw blocks."""
+    doc["platform"]["aperture_s"] = 187 / doc["platform"]["prf_hz"]
+
+
 class TestMemoryBound:
     @pytest.mark.parametrize("command", ["simulate", "image", "metrics"])
     @pytest.mark.parametrize("edit", [lambda d: None, _full_hh,
-                                      lambda d: _full_hh(d, 1 << 16, 2)],
-                             ids=["small", "full_HH", "2x65918_HH"])
+                                      lambda d: _full_hh(d, 1 << 16, 2), _small_187_pulses],
+                             ids=["small", "full_HH", "2x65918_HH", "small_187_pulses"])
     def test_command_peak_is_within_run_bytes(self, command, edit, tmp_path):
         # simulate once peaked at 1.46 MiB writing the small preset's raw CSV copy,
-        # over the 1.15 MiB that the bound before run_bytes gave
+        # over the 1.15 MiB that the bound before run_bytes gave; at 187 pulses, where
+        # a raw-CSV stage once dominated run_bytes, it peaked at 4.35 MiB forming the
+        # whole matrix's CSV columns at once
         path = _small_file_with(tmp_path, "doc", edit)
         echo._geometry.clear()  # the run builds its geometry memo
         peak = _traced_peak([command, "--scenario", path, "--out", str(tmp_path / "out")])
@@ -892,7 +900,7 @@ class TestFrame:
         (["metrics", "--preset", "small", "--seeds", "2", "--threads", "3"],
          "--threads: 2 seed threads of ofdm-foliage_off would hold about"),
         (["image", "--preset", "small", "--seed", "1"], None),
-        # simulate's raw CSV copy of 64 pulses, [pulse, sample] terms
+        # 2048 pulses: their [pulse, cell] matrices
         (["compare", "--scenario", "{long}", "--scenario", "{long}", "--threads", "2"],
          "platform.aperture_s: one run would hold about"),
         # 4190-sample lines: their blocks and whole-line vectors
@@ -902,7 +910,7 @@ class TestFrame:
     def test_memory_budget_names_what_to_lower(self, argv, field, tmp_path, monkeypatch,
                                                capsys):
         _one_small_run_budget(monkeypatch)
-        docs = {"long": lambda d: d["platform"].update(aperture_s=0.5),
+        docs = {"long": lambda d: d["platform"].update(aperture_s=16.0),
                 "wide": lambda d: d["waveform"].update(n_subcarriers=4096),
                 "fine": lambda d: d["processing"].update(upsample=1024)}
         paths = {name: _small_file_with(tmp_path, name, edit) for name, edit in docs.items()}

@@ -1,12 +1,15 @@
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from fopen_sar import echo, fileio
-from fopen_sar.echo import RawStream, SimulationConfig, synthesize_raw
+from fopen_sar.echo import SimulationConfig, synthesize_raw
 from fopen_sar.fileio import (FormatError, dump_realizations_csv, read_fimg, read_fsar,
-                              write_csv, write_fimg, write_fsar, write_pgm, write_png)
+                              write_csv, write_fimg, write_fsar, write_pgm, write_png,
+                              write_raw_csv)
 from fopen_sar.geometry import PointTarget, Scene
 
 
@@ -75,8 +78,8 @@ class TestFsarIo:
         monkeypatch.setattr(echo, "block_rows", lambda rows, length: 5)  # 16 = 5 + 5 + 5 + 1
         cfg = _config(tiny_spec, tiny_platform, kind="noise", master_seed=3, snr_db=20.0)
         raw = synthesize_raw(cfg)
-        assert [len(rows) for _, rows in RawStream(cfg).blocks()] == [5, 5, 5, 1]
-        for name, source in (("array", raw.data), ("matrix", raw), ("stream", RawStream(cfg))):
+        assert [len(rows) for _, rows in cfg.blocks()] == [5, 5, 5, 1]
+        for name, source in (("array", raw.data), ("matrix", raw), ("stream", cfg)):
             write_fsar(tmp_path / f"{name}.fsar", source)
         blob = (tmp_path / "array.fsar").read_bytes()
         assert (tmp_path / "matrix.fsar").read_bytes() == blob
@@ -87,6 +90,19 @@ class TestFsarIo:
             np.testing.assert_array_equal(read_fsar(path, rows), raw.data[rows])
         with pytest.raises(ValueError, match="not consecutive"):
             read_fsar(path, slice(0, 4, 2))
+
+    def test_payload_that_shrinks_while_it_is_read_rejected(self, tiny_spec, tiny_platform,
+                                                             tmp_path, monkeypatch):
+        # the size check passes on the size fstat reports; the read then finds
+        # fewer bytes than it promised, as when the file is cut short meanwhile
+        path = self._written(tiny_spec, tiny_platform, tmp_path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-16])
+        monkeypatch.setattr(fileio.os, "fstat",
+                            lambda fd: types.SimpleNamespace(st_size=size))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: FSAR payload changed while it was read")):
+            read_fsar(path)
 
     def test_shape_is_checked_as_a_read_is(self, tiny_spec, tiny_platform, tmp_path):
         path = self._written(tiny_spec, tiny_platform, tmp_path)
@@ -140,6 +156,26 @@ class TestCsvIo:
                 for k, v in enumerate(row)]
         assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(
             tmp_path / "want.csv", ["pulse_index", "bin", "re", "im"], rows)
+
+    @pytest.mark.parametrize("shape", [(187, 350), (3, fileio.CSV_BLOCK_ROWS + 5)],
+                             ids=["rows_of_a_csv_block", "row_longer_than_a_csv_block"])
+    def test_raw_csv_streams_its_columns(self, shape, tmp_path):
+        # the small preset at 187 pulses: the columns of the whole 1 MiB matrix at
+        # once took the write's peak to 3.32 MiB; a line longer than a CSV block
+        # still goes a row at a time
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            write_raw_csv(tmp_path / "got.csv", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.nbytes + 2**20, peak / 2**20
+        rows = [(p, k, v.real, v.imag) for p, row in enumerate(data.tolist())
+                for k, v in enumerate(row)]
+        assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "want.csv", ["pulse", "sample", "re", "im"], rows)
 
 
 class TestImageIo:

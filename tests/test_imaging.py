@@ -72,6 +72,13 @@ class TestRangeCompressOfdm:
         with pytest.raises(ValueError, match="line length"):
             range_compress_ofdm(raw, tiny_spec, x)
 
+    def test_wrong_symbol_count_rejected(self, tiny_spec):
+        raw = _single_line_raw(np.zeros(8, complex), generate_ofdm_pulse(tiny_spec))
+        x = generate_bpsk_symbols(0, tiny_spec.n_subcarriers + 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected {tiny_spec.n_subcarriers} symbols, got ({len(x)},)")):
+            range_compress_ofdm(raw, tiny_spec, x)
+
     def test_zero_symbol_rejected(self, tiny_spec):
         x = generate_bpsk_symbols(0, tiny_spec.n_subcarriers).copy()
         x[5] = 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ class TestProfiles:
         rng_p, az_p = extract_profiles(img, upsample=1, smooth_window=1)
         np.testing.assert_allclose(rng_p.values, (rg * az.max()) ** 2, rtol=1e-12)
         np.testing.assert_allclose(az_p.values, (az * rg.max()) ** 2, rtol=1e-12)
+
+    def test_one_dimensional_image_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("image must be 2-D [azimuth, range]")):
+            extract_profiles(np.ones(8, complex))
 
     def test_zero_image_rejected(self):
         with pytest.raises(NoPeakError):

@@ -361,6 +361,11 @@ class TestResolution:
         assert "foliage" not in off.doc
         assert scen.doc["waveform"]["kind"] == "ofdm"  # original untouched
 
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"preset: unknown preset 'tiny'; have {sorted(PRESETS)}")):
+            preset_scenario("tiny")
+
     def test_with_overrides_revalidates_kind(self):
         with pytest.raises(SchemaError, match=re.escape(
                 "waveform.kind: must be one of ['noise', 'ofdm']")):
@@ -789,3 +794,18 @@ class TestRunBytes:
             assert peak <= bound, (kind, doc, bound / peak)
             if done and (threads == 1 or kind == "long"):
                 assert bound <= 2 * peak, (kind, doc, bound / peak)
+
+    @pytest.mark.parametrize("n, m, pulses", [(256, 48, 187), (94, 94, 234), (32768, 1, 2)],
+                             ids=["small_187_pulses", "least_ratio", "two_long_lines"])
+    def test_holds_more_than_a_raw_csv_copy(self, n, m, pulses):
+        # simulate's raw CSV copy is no stage: it holds a raw matrix of at most
+        # RAW_CSV_MAX_SAMPLES samples (its columns go a CSV block at a time, in main's
+        # bytes), and a clear OFDM run's first stage, the least of a shape, holds
+        # 1.57x such a matrix or more, least at 234 pulses of 94 + 2 * 94 - 2 samples
+        doc = copy.deepcopy(SMALL_PRESET)
+        doc["waveform"].update(n_subcarriers=n, n_range_cells=m)
+        doc["platform"]["aperture_s"] = pulses / doc["platform"]["prf_hz"]
+        doc["scene"]["targets"][0]["cell"] = m // 2
+        raw_nbytes = 16 * pulses * (n + 2 * m - 2)
+        assert raw_nbytes <= 16 * cli.RAW_CSV_MAX_SAMPLES
+        assert scenario.run_bytes(validate_scenario(doc))[0] >= 1.5 * raw_nbytes

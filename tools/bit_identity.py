@@ -29,8 +29,10 @@ command with its exit code, then one "<command>/<file> <sha256>" line per
 file the command wrote, manifests hashed without their timings_s. The
 commands simulate, image and take metrics of both presets, run multi-seed
 metrics and compare commands on more than one thread, image a long-line FSAR
-that is read in blocks, the last one partial, and image a scene with zero
-RCS, which exits 5 and must write no file. Last, they image the small preset
+that is read in blocks, the last one partial, simulate the small preset at
+187 pulses, whose whole-matrix FSAR is written in two raw blocks and whose raw
+CSV forms its columns a row block at a time, and image a scene with zero RCS,
+which exits 5 and must write no file. Last, they image the small preset
 and then the zero scene into one directory: the second command exits 5 and
 must leave the first one's files whole, manifest included. Both modes
 need numpy and the fopen_sar package only; to fingerprint another checkout,
@@ -119,6 +121,8 @@ def lines(run_list):
 # their --out: the failing rerun must leave the first run's listing, manifest
 # included, line for line, so they come last. "image-foliage-long" images the long
 # scenario's FSAR, which it reads and range-compresses in blocks of 27 pulses and 5.
+# "simulate-small-187" simulates the small preset at 187 pulses, 65450 samples: the
+# largest raw matrix at its line length that simulate also writes as CSV.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -135,6 +139,7 @@ FILE_COMMANDS = (
     ("compare-seeds", ["compare", "--preset", "small", "--seeds", "3", "--threads", "2"]),
     ("image-foliage-long", ["image", "--scenario", "{dir}/foliage_long.json", "--raw",
                             "{dir}/simulate-foliage-long/ofdm-foliage_HH-seed0_raw.fsar"]),
+    ("simulate-small-187", ["simulate", "--scenario", "{dir}/small_187.json"]),
     ("image-zero", ["image", "--scenario", "{dir}/zero.json"]),
     ("image-rerun", ["image", "--preset", "small"]),
     ("image-rerun", ["image", "--scenario", "{dir}/zero.json"]),
@@ -144,6 +149,10 @@ FILE_COMMANDS = (
 def file_lines(tmp):
     """Run FILE_COMMANDS in the directory tmp; yield each command's exit code
     line, then a name and sha256 line for each file it wrote, by file name."""
+    doc = preset_scenario("small").doc
+    doc["platform"]["aperture_s"] = 187 / doc["platform"]["prf_hz"]
+    with open(os.path.join(tmp, "small_187.json"), "w") as fh:
+        json.dump(doc, fh)
     doc = preset_scenario("small").doc
     doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
     with open(os.path.join(tmp, "zero.json"), "w") as fh:
