@@ -188,10 +188,10 @@ def cmd_simulate(args, scens, seed_lists, stem):
 def cmd_image(args, scens, seed_lists, stem):
     scen = scens[0]
     cfg = scen.simulation_config()
-    source, raw = "simulated raw data", lambda: cfg
+    source, raw = "simulated raw data", cfg
     if args.raw:
         _check_shape(args.raw, FSAR_MAGIC, cfg.shape)
-        source, raw = args.raw, lambda: _FsarStream(args.raw, cfg.shape, cfg.waveform_kind)
+        source, raw = args.raw, _FsarStream(args.raw, cfg.shape, cfg.waveform_kind)
     # finite samples near the float64 limit can overflow in the FFTs
     with np.errstate(over="ignore", invalid="ignore"):
         img = focus_scenario(scen, cfg, raw)

@@ -65,7 +65,9 @@ def upsample_complex(x: np.ndarray, factor: int) -> np.ndarray:
     out[len(out) - (n - h - 1):] = spec[h + 1:]
     if n % 2 == 0:
         out[h] = out[len(out) - h] = 0.5 * spec[h]
-    return np.fft.ifft(out) * factor
+    np.fft.ifft(out, out=out)  # in place: a profile holds one complex transform
+    out *= factor
+    return out
 
 
 def _sides(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

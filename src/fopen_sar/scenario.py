@@ -270,13 +270,13 @@ def run_bytes(doc: dict, threads: int = 1) -> tuple[int, str]:
     matrix; per pulse G's column, slow times and keys, and the largest setup temporary:
     the fBm's embedding, a per-pulse stream's keys or gm_vector's targets; 8 line vectors
     and foliage's per-bin arrays; the raw, filter, F, noise and two ufunc blocks), and
-    the ends of focusing and metrics (two [pulse, cell] matrices, the longer profile's
-    spectrum and transform, and the range profile). simulate's raw CSV copy is no stage:
-    it holds the raw matrix, at most cli.RAW_CSV_MAX_SAMPLES samples (1 MiB), and its
-    columns one CSV block at a time, and the first stage holds more than that matrix.
-    Each thread adds 18 KiB of Python objects, the threads share a multi-cell scene's
-    FFT(G, L), and main's fixed buffers (1 MiB to hash, one write_csv block) come on
-    top."""
+    the ends of focusing and metrics (two [pulse, cell] matrices; 32 B a sample of the
+    longer profile: its transform, inverted in place, its magnitude and the range
+    profile). simulate's raw CSV copy is no stage: it holds the raw matrix, at most
+    cli.RAW_CSV_MAX_SAMPLES samples (1 MiB), and its columns one CSV block at a time,
+    and the first stage holds more than that matrix. Each thread adds 18 KiB of Python
+    objects, the threads share a multi-cell scene's FFT(G, L), and main's fixed buffers
+    (1 MiB to hash, one write_csv block) come on top."""
     w, fol, noisy = doc["waveform"], "foliage" in doc, "noise" in doc
     n, m, targets = w["n_subcarriers"], w["n_range_cells"], doc["scene"]["targets"]
     line, pulses = n + 2 * m - 2, PlatformParams(**doc["platform"]).n_pulses()
@@ -289,7 +289,7 @@ def run_bytes(doc: dict, threads: int = 1) -> tuple[int, str]:
                + 16 * height * ((1 + 2 * fol + noisy) * line + fft_len)
                + 32 * min(height * line, 8192)},
               {"platform.aperture_s": 2 * matrix,
-               "processing.upsample": 40 * max(pulses, m) * doc["processing"]["upsample"]})
+               "processing.upsample": 32 * max(pulses, m) * doc["processing"]["upsample"]})
     worst = max(stages, key=lambda stage: sum(stage.values()))
     shared = 16 * pulses * line * (len({t["cell"] for t in targets}) > 1)
     return threads * (sum(worst.values()) + 18 * 1024) + shared, max(worst, key=worst.get)
@@ -468,23 +468,19 @@ def tank_scenario(preset: str = "full") -> Scenario:
 # -- end-to-end helpers shared by the CLI and the test suite -------------
 
 def run_pipeline(scen: Scenario, master_seed=None, threads: int = 1) -> FocusedImage:
-    """Simulate and focus one scenario (one batched pass, one thread at any cap),
-    through the whole raw matrix."""
-    cfg = scen.simulation_config(master_seed)
-    return focus_scenario(scen, cfg, lambda: synthesize_raw(cfg, threads=threads))
+    """Simulate and focus one scenario through its whole raw matrix, the reference
+    every stream matches bit for bit; threads is unused (a run uses one thread)."""
+    return focus_scenario(scen, scen.simulation_config(master_seed))
 
 
-def focus_scenario(scen: Scenario, cfg: SimulationConfig, make_raw) -> FocusedImage:
-    """Focus what make_raw() returns for cfg, its raw matrix or cfg itself (whose
-    blocks are synthesized as they are compressed), against the reference its
-    echoes are compressed with (the OFDM symbols, or the transmitted noise pulse)
-    and the scenario's azimuth window.
-
-    The raw matrix goes straight into focus, which frees it once it is
-    range-compressed; an argument tuple (focus(raw, *args)) or a local here
-    would keep it alive through the azimuth stages.
-    """
-    return focus(make_raw(), cfg.ofdm, cfg.platform,
+def focus_scenario(scen: Scenario, cfg: SimulationConfig, raw=None) -> FocusedImage:
+    """Focus raw, cfg's raw data: a raw matrix, a stream (cfg, synthesized block by
+    block, or the command line's FSAR reader), or None for the whole matrix, which
+    goes straight into focus: focus frees it once it is range-compressed, and a
+    local here would keep it alive through the azimuth stages. The echoes are
+    compressed against the OFDM symbols or the transmitted noise pulse, and the
+    azimuth window is the scenario's."""
+    return focus(synthesize_raw(cfg) if raw is None else raw, cfg.ofdm, cfg.platform,
                  generate_bpsk_symbols(cfg.ofdm.symbol_seed, cfg.ofdm.n_subcarriers)
                  if cfg.waveform_kind == "ofdm" else transmitted_pulse(cfg),
                  scen.processing["azimuth_window"])
@@ -511,7 +507,7 @@ def run_metrics(scen: Scenario, seeds: list[int], threads: int = 1) -> list[dict
         for i in range(k, len(seeds), n):
             try:  # no local holds the image into the next seed's synthesis
                 cfg = scen.simulation_config(seeds[i])
-                results[i] = image_metrics(focus_scenario(scen, cfg, lambda: cfg).pixels,
+                results[i] = image_metrics(focus_scenario(scen, cfg, cfg).pixels,
                                            scen.processing["upsample"],
                                            scen.processing["smooth_window"])
             except BaseException as exc:  # re-raised below, in seed order

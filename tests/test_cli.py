@@ -926,15 +926,15 @@ class TestFrame:
         # 2 pulses of 2^24 samples at upsample 174762: the bound before run_bytes counted
         # a raw matrix a thread, read 5.25 GiB and named platform.aperture_s, already at
         # its 2-pulse minimum. run_bytes reads 2.5 GiB, mostly whole-line vectors (2.17
-        # GiB traced, scaled from 1/256 of the line and upsample), so it fits; at 4x the
-        # upsample its profiles' 5 GiB do not
+        # GiB traced, scaled from 1/256 of the line and upsample), so it fits; at 5x the
+        # upsample its profiles' 5 GiB do not (4x reads about 4096.0 MiB, just over)
         doc = copy.deepcopy(FULL_PRESET)
         doc["waveform"]["n_subcarriers"] = (1 << 24) - 382
         doc["platform"]["aperture_s"] = 2 / 256
         doc["processing"] = {"upsample": 174762}
         held, field = run_bytes(scenario.validate_scenario(doc))
         assert held <= scenario.MEMORY_BUDGET and field == "waveform.n_subcarriers"
-        doc["processing"]["upsample"] *= 4
+        doc["processing"]["upsample"] *= 5
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert main(["metrics", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -15,7 +15,8 @@ apply_foliage, then pulse j's receiver-noise substream. The range compressors ar
 checked on random matrices against brute_force's loop sums, the azimuth stages
 against a direct DFT, and run_metrics for equal results, or equal errors, at 1
 and 2 threads, and, bit for bit, against metrics formed through run_pipeline's
-whole raw matrix (those cases add the tank with redrawn HH foliage and 30 dB
+whole raw matrix; on the same cases a streamed image equals the whole matrix's
+bit for bit (those cases add the tank with redrawn HH foliage and 30 dB
 receiver noise, and 4 pulses of 16766 samples).
 
 Bounds. e = np.finfo(float).eps; each float operation rounds by at most e/2
@@ -79,7 +80,8 @@ from fopen_sar.geometry import gm_vector, make_grid
 from fopen_sar.imaging import (RangeCompressedMatrix, azimuth_compress, azimuth_fft,
                                range_compress_noise, range_compress_ofdm, smooth_length)
 from fopen_sar.metrics import NoPeakError, image_metrics
-from fopen_sar.scenario import SMALL_PRESET, Scenario, run_metrics, run_pipeline, tank_scenario
+from fopen_sar.scenario import (SMALL_PRESET, Scenario, focus_scenario, run_metrics, run_pipeline,
+                               tank_scenario)
 from fopen_sar.waveform import OfdmSpec
 
 from brute_force import matched_filter, range_reconstruct, receiver_noise, stacked_response
@@ -305,6 +307,9 @@ def test_streamed_metrics_match_the_whole_matrix_bit_for_bit(case, monkeypatch):
                             16 * scen.simulation_config().ofdm.line_length * height)
     seeds = [random.Random(6000 + case).randrange(2**64) for _ in range(2)]
     assert repr(_outcome(scen, seeds, 1)) == repr(_through_the_matrix(scen, seeds))
+    cfg = scen.simulation_config(seeds[0])  # the image itself, not only its metrics
+    np.testing.assert_array_equal(focus_scenario(scen, cfg, cfg).pixels.view(float),
+                                  focus_scenario(scen, cfg).pixels.view(float))
 
 
 def test_fft_accuracy():

@@ -418,7 +418,7 @@ class TestOneCellSpectrum:
         got = synthesize_raw(cfg).data
         want = _generic_raw(cfg)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(got))
-        metrics = [image_metrics(focus_scenario(scen, cfg, lambda: echo.RawDataMatrix(
+        metrics = [image_metrics(focus_scenario(scen, cfg, echo.RawDataMatrix(
             data, cfg.platform.slow_time_axis(), cfg.waveform_kind)).pixels,
             scen.processing["upsample"], scen.processing["smooth_window"])
             for data in (got, want)]

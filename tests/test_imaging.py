@@ -161,7 +161,7 @@ class TestMaskingFloor:
     def _leakage_db(self, kind, seed):
         scen = preset_scenario("full").with_overrides(kind, "off")
         cfg = scen.simulation_config(seed)
-        img = focus_scenario(scen, cfg, lambda: synthesize_raw(cfg)).pixels
+        img = focus_scenario(scen, cfg).pixels
         az = int(np.argmax(np.abs(img[:, self.TARGET])))
         return 10 * np.log10(np.abs(img[az, self.CELL]) ** 2
                              / np.abs(img[az, self.TARGET]) ** 2)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ class TestProfiles:
     def test_peak_with_no_descent_rejected(self):
         with pytest.raises(NoPeakError):
             find_mainlobe(np.ones(16), 0)
+
+    def test_profile_holds_under_26_bytes_a_sample(self):
+        # the inverse transform runs in place: the upsampled cut (16 B a sample) and its
+        # magnitude (8) at once; an allocating transform held two cuts, 32 B a sample
+        rng = np.random.default_rng(3)
+        cut = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        tracemalloc.start()
+        try:
+            profile_from_cut(cut, upsample=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * 256 * 4096, peak / (256 * 4096)
 
 
 class TestMainlobeWalk:

@@ -129,10 +129,10 @@ class TestValidation:
         ({"waveform": {"n_subcarriers": 418}, "platform": {"aperture_s": 512.0}}, None),
         ({"waveform": {"n_subcarriers": 418}, "platform": {"aperture_s": 512 + 1 / 128}},
          "platform.aperture_s"),
-        # 128 pulses: two [128, 48] matrices, 18 KiB and 40 x 128 x upsample bytes of
-        # profiles, so 838818 is the largest upsample within MEMORY_BUDGET
-        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 838818}}, None),
-        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 838819}},
+        # 128 pulses: two [128, 48] matrices, 18 KiB and 32 x 128 x upsample bytes of
+        # profiles, so 1048523 is the largest upsample within MEMORY_BUDGET
+        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 1048523}}, None),
+        ({"platform": {"aperture_s": 1.0}, "processing": {"upsample": 1048524}},
          "processing.upsample"),
         ({"platform": {"aperture_s": 1e6}}, "platform.aperture_s"),  # 44.8 G samples
         ({"processing": {"upsample": 10**9}}, "processing.upsample"),  # 1.7 TiB
@@ -543,7 +543,7 @@ class TestRunMetrics:
     def _fake_runs(monkeypatch, run):
         """Replace a seed's focusing by run(seed) and the metrics by the seed's image."""
         monkeypatch.setattr(scenario, "focus_scenario",
-                            lambda scen, cfg, make_raw: types.SimpleNamespace(
+                            lambda scen, cfg, raw: types.SimpleNamespace(
                                 pixels=run(cfg.master_seed)))
         monkeypatch.setattr(scenario, "image_metrics",
                             lambda pixels, upsample, smooth_window: {"seed": pixels})

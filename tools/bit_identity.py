@@ -31,10 +31,11 @@ commands simulate, image and take metrics of both presets, run multi-seed
 metrics and compare commands on more than one thread, image a long-line FSAR
 that is read in blocks, the last one partial, simulate the small preset at
 187 pulses, whose whole-matrix FSAR is written in two raw blocks and whose raw
-CSV forms its columns a row block at a time, and image a scene with zero RCS,
-which exits 5 and must write no file. Last, they image the small preset
-and then the zero scene into one directory: the second command exits 5 and
-must leave the first one's files whole, manifest included. Both modes
+CSV forms its columns a row block at a time, image the small preset at
+processing.upsample 1024, whose profile CSVs no other factor writes, and image
+a scene with zero RCS, which exits 5 and must write no file. Last, they image
+the small preset and then the zero scene into one directory: the second command
+exits 5 and must leave the first one's files whole, manifest included. Both modes
 need numpy and the fopen_sar package only; to fingerprint another checkout,
 run this file with that checkout's src first on PYTHONPATH.
 
@@ -96,7 +97,7 @@ def lines(run_list):
     for name, scen, seed in run_list:
         cfg = scen.simulation_config(seed)
         raw = synthesize_raw(cfg)
-        img = focus_scenario(scen, cfg, lambda: raw)
+        img = focus_scenario(scen, cfg, raw)
         try:
             m = image_metrics(img.pixels, scen.processing["upsample"],
                               scen.processing["smooth_window"])
@@ -123,6 +124,8 @@ def lines(run_list):
 # scenario's FSAR, which it reads and range-compresses in blocks of 27 pulses and 5.
 # "simulate-small-187" simulates the small preset at 187 pulses, 65450 samples: the
 # largest raw matrix at its line length that simulate also writes as CSV.
+# "image-upsample-1024" images the small preset at processing.upsample 1024, so its
+# profile CSVs pin the upsampled transform at a factor no other command uses.
 FILE_COMMANDS = (
     ("simulate-small", ["simulate", "--preset", "small"]),
     ("simulate-foliage", ["simulate", "--scenario", "{dir}/foliage.json"]),
@@ -140,6 +143,7 @@ FILE_COMMANDS = (
     ("image-foliage-long", ["image", "--scenario", "{dir}/foliage_long.json", "--raw",
                             "{dir}/simulate-foliage-long/ofdm-foliage_HH-seed0_raw.fsar"]),
     ("simulate-small-187", ["simulate", "--scenario", "{dir}/small_187.json"]),
+    ("image-upsample-1024", ["image", "--scenario", "{dir}/upsample_1024.json"]),
     ("image-zero", ["image", "--scenario", "{dir}/zero.json"]),
     ("image-rerun", ["image", "--preset", "small"]),
     ("image-rerun", ["image", "--scenario", "{dir}/zero.json"]),
@@ -152,6 +156,10 @@ def file_lines(tmp):
     doc = preset_scenario("small").doc
     doc["platform"]["aperture_s"] = 187 / doc["platform"]["prf_hz"]
     with open(os.path.join(tmp, "small_187.json"), "w") as fh:
+        json.dump(doc, fh)
+    doc = preset_scenario("small").doc
+    doc["processing"]["upsample"] = 1024
+    with open(os.path.join(tmp, "upsample_1024.json"), "w") as fh:
         json.dump(doc, fh)
     doc = preset_scenario("small").doc
     doc["scene"]["targets"][0]["rcs"] = [0.0, 0.0]
